@@ -1,0 +1,107 @@
+"""Golden digests of deterministic outputs.
+
+Each test hashes a canonical JSON rendering of outputs that must stay
+byte-identical across refactors: unrolled recorder and learner programs,
+affine reductions of the reduction-suite corpus, the Fourier-suite
+mixture corpus, and the partition suite's groupings.  A digest changes
+only when an integer output, a label or a check flag changes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from paritylab import suites
+from paritylab.bp import to_json_dict
+from paritylab.generators import (
+    greedy_recorder_program,
+    learner_program_with_labels,
+    selective_recorder_program,
+)
+from paritylab.learners import gaussian_learner, prefix_pivot_learner
+
+SEED = 20240917
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _program_corpus(n):
+    for k in range(n):
+        yield f"greedy k={k}", greedy_recorder_program(n, min(n, 3), k)
+    yield "selective", selective_recorder_program(n, 2, 1)
+    yield "gaussian", learner_program_with_labels(gaussian_learner(n), 2)
+    yield "prefix", learner_program_with_labels(prefix_pivot_learner(n), 2)
+
+
+PROGRAM_DIGESTS = {
+    2: "d256b6275f526dd7880637cb090f05c478289259130701c7e63e1bdcb8736fea",
+    3: "f8e8f467fe461fc21216080bb32914f1a04a9f223235987dfa7e6db0404db759",
+    4: "11bea55261c6c05e8fd3b89143807c34b3710acf4bc6b60c212d78db3fcf4403",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unrolled_programs(n):
+    docs = {name: to_json_dict(bp, labels) for name, (bp, labels) in _program_corpus(n)}
+    assert _digest(docs) == PROGRAM_DIGESTS[n]
+
+
+def _recording(monkeypatch, name):
+    """Wrap suites.<name> so every call's argument and result are kept."""
+    calls = []
+    inner = getattr(suites, name)
+
+    def wrapper(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(suites, name, wrapper)
+    return calls
+
+
+def test_reduction_suite_corpus(monkeypatch):
+    calls = _recording(monkeypatch, "reduce_to_affine")
+    assert suites.reduction_suite(8, SEED)["ok"]
+    docs = []
+    for _, red in calls:
+        rep = red.report.to_dict()
+        flags = {key: [(c["name"], c["binding"], c["ok"]) for c in rep[key]]
+                 for key in ("accuracy", "inductive", "dimension_counts", "output_dimension")}
+        docs.append({"program": to_json_dict(red.program, red.labels, red.gamma),
+                     "group_counts": red.group_counts,
+                     "flags": flags, "all_ok": rep["all_ok"]})
+    assert len(docs) == 8
+    assert _digest(docs) == (
+        "a3f3ed2f4abeb21cccd9cd8844723df68a9fc0bb772998316da9b02b844bfe44")
+
+
+def test_fourier_suite_corpus(monkeypatch):
+    calls = _recording(monkeypatch, "check_fourier_closeness")
+    assert suites.fourier_suite(24, SEED)["ok"]
+    docs = []
+    for (mix, r), check in calls:
+        worst = check.worst_hyperplane
+        docs.append({"r": r,
+                     "support": [[w.to_text(), repr(p)] for w, p in mix.support],
+                     "holds": check.hypothesis_holds,
+                     "concentration": repr(check.max_concentration),
+                     "worst": None if worst is None else [str(worst[0]), worst[1]]})
+    assert _digest(docs) == (
+        "502f3c11c729a19c990a7554f05a113530186c299f4dfdc6b03d06b707bba3ec")
+
+
+def test_partition_suite_groupings(monkeypatch):
+    calls = _recording(monkeypatch, "build_partition")
+    assert suites.partition_suite(24, SEED)["ok"]
+    docs = []
+    for _, part in calls:
+        docs.append({"groups": [[g.representative.to_text(), [w.to_text() for w in g.members]]
+                                for g in part.groups],
+                     "residual": [w.to_text() for w, _ in part.residual]})
+    assert _digest(docs) == (
+        "33e9d8180541ca91dce97790726e7a349b23b03fd047bc37c11d813b056165de")
