@@ -10,12 +10,10 @@ from .gf2 import (
     EmptySubspaceError,
     VectorSubspace,
     contains,
-    inner_product,
     intersect_hyperplane,
     is_subset,
     orthogonal_space,
     parse_subspace,
-    rref,
     sample_point,
 )
 from .distributions import (
@@ -23,6 +21,7 @@ from .distributions import (
     FourierTable,
     SubspaceMixture,
     check_fourier_closeness,
+    hyperplane_concentration,
     inverse_walsh,
     l1_distance,
     mixture_distribution,
@@ -33,15 +32,12 @@ from .partition import (
     SubspacePartition,
     build_partition,
     find_representative_subspace,
-    hyperplane_concentration,
 )
 from .bp import (
     AffineLabels,
     BranchingProgram,
-    JointDistribution,
     Sample,
     layer_accuracy,
-    reach_distribution,
     run_path,
     success_probability,
     validate_affine,

@@ -11,10 +11,12 @@ with leaf weight absorbed at the leaf's own layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 import numpy as np
 
-from .config import BudgetExceeded, dp_budget
+from .config import BudgetExceeded, dp_budget, state_budget
+from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
     BitVector,
@@ -23,8 +25,6 @@ from .gf2 import (
     is_subset,
     parse_subspace,
 )
-
-PROB_TOL = 1e-9
 
 
 class PathIncomplete(RuntimeError):
@@ -86,10 +86,6 @@ class BranchingProgram:
     def width(self) -> int:
         return max(self.layer_sizes)
 
-    @property
-    def memory_bits(self) -> int:
-        return max(1, int(np.ceil(np.log2(self.width)))) if self.width > 1 else 0
-
     def is_leaf(self, t: int, v: int) -> bool:
         return t == self.m or self.transitions[t][v] is None
 
@@ -113,33 +109,6 @@ class AffineLabels:
 
     def get(self, t: int, v: int) -> AffineSubspace:
         return self.labels[t][v]
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Weight per (vertex in layer t, x).  The table can be sub-normalized
-    when earlier leaves absorbed part of the mass."""
-
-    n: int
-    t: int
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        tab = np.asarray(self.table, dtype=np.float64)
-        if tab.ndim != 2 or tab.shape[1] != 1 << self.n:
-            raise ValueError("table must be (width, 2^n)")
-        if tab.min() < -PROB_TOL:
-            raise ValueError(f"negative weight {tab.min()}")
-        if tab.sum() > 1.0 + PROB_TOL:
-            raise ValueError(f"total mass {tab.sum()} exceeds 1")
-        object.__setattr__(self, "table", tab)
-        tab.setflags(write=False)
-
-    def total(self) -> float:
-        return float(self.table.sum())
-
-    def vertex_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=1)
 
 
 def _parity_table(n: int) -> np.ndarray:
@@ -192,24 +161,12 @@ def forward_tables(bp: BranchingProgram, upto: int | None = None) -> list[np.nda
     return tables
 
 
-def reach_distribution(bp: BranchingProgram, t: int) -> JointDistribution:
-    tables = forward_tables(bp, upto=t)
-    return JointDistribution(bp.n, t, tables[t])
-
-
-def _membership_mask(w: AffineSubspace, n: int) -> np.ndarray:
-    mask = np.zeros(1 << n, dtype=bool)
-    if not w.is_empty:
-        mask[list(w.enumerate())] = True
-    return mask
-
-
 def success_probability(bp: BranchingProgram) -> float:
     """Pr[x lands in the output label], absorbed at each leaf's layer."""
     tables = forward_tables(bp)
     total = 0.0
     for t, v in bp.iter_leaves():
-        mask = _membership_mask(bp.leaf_labels[(t, v)], bp.n)
+        mask = uniform_weights(bp.leaf_labels[(t, v)]) > 0.0
         total += float(tables[t][v, mask].sum())
     return total
 
@@ -273,58 +230,60 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     return AffineValidation(not violations, violations, notes)
 
 
-def layer_accuracy(bp: BranchingProgram, labels: AffineLabels, t: int) -> float:
-    """E over the layer-t vertex of the l1 distance between the
-    conditional key law and the uniform law on the vertex label."""
+def layer_accuracy(bp: BranchingProgram, labels: AffineLabels) -> list[float]:
+    """Per layer t: E over the layer-t vertex of the l1 distance between
+    the conditional key law and the uniform law on the vertex label.
+
+    One forward sweep serves every layer.
+    """
     if bp.has_early_leaves():
         raise ValueError("layer accuracy is defined only when all leaves "
-                         "are in the last layer; pad early leaves first")
-    dist = reach_distribution(bp, t)
-    total = 0.0
-    for v in range(bp.layer_sizes[t]):
-        row = dist.table[v]
-        pv = row.sum()
-        if pv <= 0.0:
-            continue
-        lab = labels.get(t, v)
-        uni = np.zeros(1 << bp.n)
-        uni[list(lab.enumerate())] = 2.0 ** (-lab.dim)
-        total += float(np.abs(row - pv * uni).sum())
-    return total
+                         "are in the last layer")
+    accuracy = []
+    for t, table in enumerate(forward_tables(bp)):
+        total = 0.0
+        for v, row in enumerate(table):
+            pv = row.sum()
+            if pv <= 0.0:
+                continue
+            total += float(np.abs(row - pv * uniform_weights(labels.get(t, v))).sum())
+        accuracy.append(total)
+    return accuracy
 
 
-def pad_early_leaves(bp: BranchingProgram) -> BranchingProgram:
-    """Convert early leaves into pass-through chains ending at layer m."""
-    if not bp.has_early_leaves():
-        return bp
-    degree = 1 << (bp.n + 1)
-    early = [(t, v) for (t, v) in bp.iter_leaves() if t < bp.m]
-    sizes = list(bp.layer_sizes)
-    chain_index: dict[tuple[int, int], dict[int, int]] = {}
-    for (t0, v0) in early:
-        chain_index[(t0, v0)] = {}
-        for t in range(t0 + 1, bp.m + 1):
-            chain_index[(t0, v0)][t] = sizes[t]
-            sizes[t] += 1
+def unroll(n: int, m: int, start: Hashable,
+           step: Callable[[Hashable, Sample], Hashable],
+           stop: Callable[[Hashable], bool] | None = None,
+           ) -> tuple[list[list], list[tuple[tuple[int, ...] | None, ...]]]:
+    """Breadth-first unrolling of a deterministic machine into m layers.
+
+    Returns the states per layer and the transition rows, edge index
+    (a_bits << 1) | b.  Equal states share a vertex, numbered per layer in
+    first-seen order.  A state with stop(state) becomes an early leaf (a
+    None row); a layer whose states all stop carries its first state
+    forward so the next layer stays non-empty.  Raises BudgetExceeded when
+    a layer's states times its 2^{n+1} out-edges exceed the state budget.
+    """
+    degree = 1 << (n + 1)
+    samples = [Sample(BitVector(n, a_bits), b) for a_bits in range(1 << n) for b in (0, 1)]
+    layers: list[list] = [[start]]
     transitions = []
-    for t in range(bp.m):
-        layer: list[tuple[int, ...] | None] = []
-        for v in range(bp.layer_sizes[t]):
-            row = bp.transitions[t][v]
-            if row is None:
-                layer.append((chain_index[(t, v)][t + 1],) * degree)
+    for t in range(m):
+        layer = layers[t]
+        if len(layer) * degree > state_budget():
+            raise BudgetExceeded(
+                f"{len(layer)} states x {degree} edges exceeds the state budget")
+        index: dict = {}
+        rows = []
+        for state in layer:
+            if stop is not None and stop(state):
+                rows.append(None)
             else:
-                layer.append(row)
-        for (t0, v0) in early:
-            if t0 < t:
-                layer.append((chain_index[(t0, v0)][t + 1],) * degree)
-        transitions.append(tuple(layer))
-    leaf_labels = {}
-    for v in range(bp.layer_sizes[bp.m]):
-        leaf_labels[(bp.m, v)] = bp.leaf_labels[(bp.m, v)]
-    for (t0, v0) in early:
-        leaf_labels[(bp.m, chain_index[(t0, v0)][bp.m])] = bp.leaf_labels[(t0, v0)]
-    return BranchingProgram(bp.n, bp.m, tuple(sizes), tuple(transitions), leaf_labels)
+                rows.append(tuple(index.setdefault(step(state, sample), len(index))
+                                  for sample in samples))
+        transitions.append(tuple(rows))
+        layers.append(list(index) or [layer[0]])
+    return layers, transitions
 
 
 def monte_carlo_success(bp: BranchingProgram, trials: int, rng: np.random.Generator) -> float:
@@ -363,25 +322,48 @@ def to_json_dict(bp: BranchingProgram,
     return doc
 
 
+def _field(doc: dict, key: str, convert: Callable, required: bool = True):
+    """convert(doc[key]), with a missing or ill-typed field reported as a
+    ValueError that names it."""
+    if key not in doc:
+        if required:
+            raise ValueError(f"program JSON lacks the field {key!r}")
+        return None
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"program JSON field {key!r} is malformed: {exc}") from None
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _parse_leaf_labels(entries: dict, n: int) -> dict[tuple[int, int], AffineSubspace]:
+    out = {}
+    for key, text in entries.items():
+        t, v = key.split(",")
+        out[(int(t), int(v))] = parse_subspace(text, n)
+    return out
+
+
 def from_json_dict(doc: dict) -> tuple[BranchingProgram, AffineLabels | None,
                                        tuple[tuple[int, ...], ...] | None]:
-    n = int(doc["n"])
-    m = int(doc["m"])
-    transitions = tuple(
-        tuple(tuple(row) if row is not None else None for row in layer)
-        for layer in doc["transitions"]
-    )
-    leaf_labels = {}
-    for key, text in doc["leaf_labels"].items():
-        t, v = key.split(",")
-        leaf_labels[(int(t), int(v))] = parse_subspace(text, n)
-    bp = BranchingProgram(n, m, tuple(int(s) for s in doc["layer_sizes"]),
-                          transitions, leaf_labels)
-    labels = None
-    if "labels" in doc:
-        labels = AffineLabels(tuple(
-            tuple(parse_subspace(text, n) for text in layer) for layer in doc["labels"]))
-    gamma = None
-    if "gamma" in doc:
-        gamma = tuple(tuple(int(g) for g in layer) for layer in doc["gamma"])
+    """Inverse of to_json_dict; malformed documents raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("program JSON must be an object")
+    n = _field(doc, "n", _integer)
+    m = _field(doc, "m", _integer)
+    sizes = _field(doc, "layer_sizes", lambda sizes: tuple(_integer(s) for s in sizes))
+    transitions = _field(doc, "transitions", lambda layers: tuple(
+        tuple(None if row is None else tuple(_integer(tgt) for tgt in row) for row in layer)
+        for layer in layers))
+    leaf_labels = _field(doc, "leaf_labels", lambda entries: _parse_leaf_labels(entries, n))
+    bp = BranchingProgram(n, m, sizes, transitions, leaf_labels)
+    labels = _field(doc, "labels", lambda layers: AffineLabels(tuple(
+        tuple(parse_subspace(text, n) for text in layer) for layer in layers)), required=False)
+    gamma = _field(doc, "gamma", lambda layers: tuple(
+        tuple(_integer(g) for g in layer) for layer in layers), required=False)
     return bp, labels, gamma

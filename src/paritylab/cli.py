@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import crypto
 from .bp import from_json_dict, to_json_dict
+from .generators import derived_rng
 from .gf2 import BitVector
 from .learners import (
     TradeoffPoint,
@@ -31,10 +30,6 @@ LEARNER_FACTORIES = {
     "prefix": lambda n: prefix_pivot_learner(n),
     "exhaustive": lambda n: exhaustive_learner(n),
 }
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def emit_report(report: dict, fmt: str, path: str | None) -> None:
@@ -106,7 +101,7 @@ def _cmd_tradeoff(args) -> int:
                              f"choose from {sorted(LEARNER_FACTORIES)}")
         learner = LEARNER_FACTORIES[name](args.n)
         point = estimate_sample_complexity(
-            learner, args.target, _rng(args.seed, idx + 10),
+            learner, args.target, derived_rng(args.seed, idx + 10),
             trials=args.trials, m_cap=args.m_cap, seed=args.seed)
         rows.append(point.csv_row())
     emit_report({"header": TradeoffPoint.CSV_HEADER, "rows": rows}, "csv", args.out)
@@ -130,14 +125,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_crypto(args) -> int:
     if args.crypto_cmd == "keygen":
-        key = crypto.keygen(args.n, _rng(args.seed, 1))
+        key = crypto.keygen(args.n, derived_rng(args.seed, 1))
         emit_report({"n": key.n, "key": key_to_hex(key.x)}, "json", args.out)
         return 0
     if args.crypto_cmd == "encrypt":
         key = crypto.SecretKey(args.n, key_from_hex(args.key, args.n))
         with open(args.infile, "rb") as fh:
             plaintext = fh.read()
-        blob = crypto.encode_stream(key, plaintext, _rng(args.seed, 2))
+        blob = crypto.encode_stream(key, plaintext, derived_rng(args.seed, 2))
         with open(args.out, "wb") as fh:
             fh.write(blob)
         return 0
@@ -151,7 +146,7 @@ def _cmd_crypto(args) -> int:
         return 0
     if args.crypto_cmd == "attack":
         attacker = crypto.window_attacker(args.n, args.memory_bits)
-        report = crypto.run_attack(attacker, args.m, args.trials, _rng(args.seed, 3))
+        report = crypto.run_attack(attacker, args.m, args.trials, derived_rng(args.seed, 3))
         emit_report(report.to_dict(), "json", args.out)
         return 0
     raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 DEFAULT_DP_BUDGET = 200_000_000     # layer-width * 4^n * length cells
-DEFAULT_STATE_BUDGET = 2_000_000    # reachable learner states * 2^{n+1} edges
+DEFAULT_STATE_BUDGET = 2_000_000    # reachable states per unrolled layer * 2^{n+1} edges
 
 
 class BudgetExceeded(RuntimeError):

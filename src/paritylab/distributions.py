@@ -3,7 +3,6 @@ Walsh-Fourier transforms, and the Fourier closeness criterion."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ from .gf2 import (
 )
 
 MAX_TABLE_DIM = 12  # exact 2^n tables stop making sense past desk scale
-PROB_TOL = 1e-9
+PROB_TOL = 1e-9   # absolute tolerance when validating probability tables
+SLACK = 1e-12     # absolute slack when comparing a measured quantity with its bound
 
 
 def _check_table_dim(n: int) -> None:
@@ -47,24 +47,6 @@ class ExactDistribution:
 
     def __call__(self, x: int) -> float:
         return float(self.weights[x])
-
-    def to_csv(self) -> str:
-        lines = ["x,weight"]
-        for x in range(1 << self.n):
-            lines.append(f"{BitVector(self.n, x)},{self.weights[x]:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ExactDistribution":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "x,weight":
-            raise ValueError("missing x,weight header")
-        pairs = [ln.split(",") for ln in lines[1:]]
-        n = len(pairs[0][0])
-        w = np.zeros(1 << n)
-        for xs, ws in pairs:
-            w[BitVector.from_string(xs).bits] = float(ws)
-        return cls(n, w)
 
 
 @dataclass(frozen=True)
@@ -131,19 +113,26 @@ class FourierTable:
         c.setflags(write=False)
 
 
+def uniform_weights(w: AffineSubspace) -> np.ndarray:
+    """Length-2^n table of the uniform law on w: 2^{-dim} on each point of
+    w, zero elsewhere (all zero for Empty)."""
+    table = np.zeros(1 << w.n)
+    if not w.is_empty:
+        table[list(w.enumerate())] = 2.0 ** (-w.dim)
+    return table
+
+
 def uniform_over(w: AffineSubspace) -> ExactDistribution:
     """The uniform distribution over a non-empty affine subspace."""
     if w.is_empty:
         raise EmptySubspaceError("uniform distribution over the empty subspace")
-    table = np.zeros(1 << w.n)
-    table[list(w.enumerate())] = 2.0 ** (-w.dim)
-    return ExactDistribution(w.n, table)
+    return ExactDistribution(w.n, uniform_weights(w))
 
 
 def mixture_distribution(mix: SubspaceMixture) -> ExactDistribution:
     table = np.zeros(1 << mix.n)
     for w, p in mix.support:
-        table[list(w.enumerate())] += p * 2.0 ** (-w.dim)
+        table += p * uniform_weights(w)
     return ExactDistribution(mix.n, table)
 
 
@@ -201,6 +190,20 @@ def hyperplane_mass(mix: SubspaceMixture) -> dict[tuple[int, int], float]:
     return table
 
 
+def hyperplane_concentration(mix: SubspaceMixture) -> tuple[BitVector, int, float]:
+    """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0.
+
+    Ties break to the lexicographically smallest pair: a compared as a
+    packed integer, then b = 0 before b = 1.  With no hyperplane holding
+    any mass the answer is (e_1, 0, 0.0).
+    """
+    table = hyperplane_mass(mix)
+    if not table:
+        return BitVector(mix.n, 1), 0, 0.0
+    (a, b), p = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
+    return BitVector(mix.n, a), b, p
+
+
 @dataclass(frozen=True)
 class FourierCheck:
     hypothesis_holds: bool
@@ -221,12 +224,8 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     n = mix.n
     if r < n / 2:
         raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
-    mass = hyperplane_mass(mix)
-    if mass:
-        (a, b), conc = max(mass.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
-        worst = (BitVector(n, a), b)
-    else:
-        conc, worst = 0.0, None
-    holds = conc <= 2.0 ** (-r) + 1e-12
+    a, b, conc = hyperplane_concentration(mix)
+    worst = (a, b) if conc > 0.0 else None
+    holds = conc <= 2.0 ** (-r) + SLACK
     distance = l1_distance(mixture_distribution(mix), uniform_over(AffineSubspace.full(n)))
     return FourierCheck(holds, conc, distance, 2.0 ** (-(r - n / 2)), worst)

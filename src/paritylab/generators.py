@@ -5,21 +5,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bp import AffineLabels, BranchingProgram
+from .bp import AffineLabels, BranchingProgram, Sample, unroll
 from .distributions import SubspaceMixture
 from .gf2 import AffineSubspace, BitVector, VectorSubspace, intersect_hyperplane
 from .learners import Learner, learner_state_layers
+
+
+def derived_rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent generator number `stream` under one user seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def random_subspace(n: int, rng: np.random.Generator,
                     dim: int | None = None) -> AffineSubspace:
     if dim is None:
         dim = int(rng.integers(0, n + 1))
-    rows: list[int] = []
-    space = VectorSubspace.from_rows(n, rows)
+    space = VectorSubspace.from_rows(n, ())
     while space.dim < dim:
-        rows.append(int(rng.integers(1, 1 << n)))
-        space = VectorSubspace.from_rows(n, rows)
+        # RREF is canonical, so extending the current basis gives the
+        # same space as re-reducing every row drawn so far
+        space = VectorSubspace.from_rows(n, space.rows + (int(rng.integers(1, 1 << n)),))
     offset = BitVector(n, int(rng.integers(0, 1 << n)))
     return AffineSubspace.from_parts(offset, space)
 
@@ -125,85 +130,38 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator,
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 
-def _constraint_recorder_step(w: AffineSubspace, a_bits: int, b: int,
-                              n: int) -> AffineSubspace:
-    nxt = intersect_hyperplane(w, BitVector(n, a_bits), b)
+def _constraint_recorder_step(w: AffineSubspace, sample: Sample) -> AffineSubspace:
+    nxt = intersect_hyperplane(w, sample.a, sample.b)
     return w if nxt.is_empty else nxt
+
+
+def _self_labeled_program(n: int, layers: list[list[AffineSubspace]],
+                          transitions: list) -> tuple[BranchingProgram, AffineLabels]:
+    """Program of an unrolled machine whose states are their own labels."""
+    m = len(transitions)
+    leaf_labels = {(t, v): w for t, layer in enumerate(layers) for v, w in enumerate(layer)
+                   if t == m or transitions[t][v] is None}
+    bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
+    return bp, AffineLabels(tuple(tuple(layer) for layer in layers))
 
 
 def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, AffineLabels]:
     """Affine program that intersects every consistent constraint into its
     label, stopping (leaf) once the dimension hits k."""
-    full = AffineSubspace.full(n)
-    layers: list[list[AffineSubspace]] = [[full]]
-    transitions = []
-    for t in range(m):
-        index: dict[AffineSubspace, int] = {}
-        nxt: list[AffineSubspace] = []
-        rows = []
-        for w in layers[t]:
-            if w.dim <= k:
-                rows.append(None)
-                continue
-            row = []
-            for a_bits in range(1 << n):
-                for b in (0, 1):
-                    target = _constraint_recorder_step(w, a_bits, b, n)
-                    slot = index.get(target)
-                    if slot is None:
-                        slot = len(nxt)
-                        index[target] = slot
-                        nxt.append(target)
-                    row.append(slot)
-            rows.append(tuple(row))
-        if not nxt:
-            nxt = [layers[t][0]]  # keep layers non-empty once everyone is a leaf
-        transitions.append(tuple(rows))
-        layers.append(nxt)
-    leaf_labels = {}
-    for t in range(m):
-        for v, w in enumerate(layers[t]):
-            if transitions[t][v] is None:
-                leaf_labels[(t, v)] = w
-    for v, w in enumerate(layers[m]):
-        leaf_labels[(m, v)] = w
-    bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
-    labels = AffineLabels(tuple(tuple(layer) for layer in layers))
-    return bp, labels
+    layers, transitions = unroll(n, m, AffineSubspace.full(n), _constraint_recorder_step,
+                                 stop=lambda w: w.dim <= k)
+    return _self_labeled_program(n, layers, transitions)
 
 
 def selective_recorder_program(n: int, m: int,
                                trigger: int) -> tuple[BranchingProgram, AffineLabels]:
     """Affine program that records the constraint only when a equals the
     trigger vector; everything else passes through."""
-    full = AffineSubspace.full(n)
-    layers: list[list[AffineSubspace]] = [[full]]
-    transitions = []
-    for t in range(m):
-        index: dict[AffineSubspace, int] = {}
-        nxt: list[AffineSubspace] = []
-        rows = []
-        for w in layers[t]:
-            row = []
-            for a_bits in range(1 << n):
-                for b in (0, 1):
-                    if a_bits == trigger:
-                        target = _constraint_recorder_step(w, a_bits, b, n)
-                    else:
-                        target = w
-                    slot = index.get(target)
-                    if slot is None:
-                        slot = len(nxt)
-                        index[target] = slot
-                        nxt.append(target)
-                    row.append(slot)
-            rows.append(tuple(row))
-        transitions.append(tuple(rows))
-        layers.append(nxt)
-    leaf_labels = {(m, v): w for v, w in enumerate(layers[m])}
-    bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
-    labels = AffineLabels(tuple(tuple(layer) for layer in layers))
-    return bp, labels
+    def step(w: AffineSubspace, sample: Sample) -> AffineSubspace:
+        return _constraint_recorder_step(w, sample) if sample.a.bits == trigger else w
+
+    layers, transitions = unroll(n, m, AffineSubspace.full(n), step)
+    return _self_labeled_program(n, layers, transitions)
 
 
 def learner_program_with_labels(learner: Learner,

@@ -69,36 +69,10 @@ class BitVector:
     def zero(cls, n: int) -> "BitVector":
         return cls(n, 0)
 
-    @classmethod
-    def unit(cls, n: int, coordinate: int) -> "BitVector":
-        """Standard basis vector e_coordinate (1-based coordinate index)."""
-        if not 1 <= coordinate <= n:
-            raise ValueError(f"coordinate {coordinate} out of range for n={n}")
-        return cls(n, 1 << (coordinate - 1))
-
-    def coordinate(self, i: int) -> int:
-        """Value of coordinate i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range for n={self.n}")
-        return (self.bits >> (i - 1)) & 1
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} != {other.n}")
         return BitVector(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return parity(self.bits & other.bits)
-
-
-def inner_product(a: BitVector, x: BitVector) -> int:
-    """Inner product modulo 2."""
-    return a.dot(x)
 
 
 def _rref_ints(rows: Iterable[int]) -> list[int]:
@@ -152,10 +126,6 @@ class VectorSubspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(lowest_set_bit(r) for r in self.rows)
 
-    @property
-    def basis(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(self.n, r) for r in self.rows)
-
     def reduce(self, v: int) -> int:
         """Reduce v modulo the row span (zeroes every pivot coordinate)."""
         for r in self.rows:
@@ -201,24 +171,6 @@ def _null_space_cached(n: int, rows: tuple[int, ...]) -> VectorSubspace:
                 v |= 1 << lowest_set_bit(r)
         gens.append(v)
     return VectorSubspace.from_rows(n, gens)
-
-
-def rref(rows: list[BitVector], n: int | None = None) -> tuple[VectorSubspace, int]:
-    """Row-reduce GF(2) vectors; returns (canonical basis, rank).
-
-    n is only needed to disambiguate the empty row list.
-    """
-    if not rows:
-        if n is None:
-            raise ValueError("empty row list needs an explicit dimension")
-        return VectorSubspace(n, ()), 0
-    if n is None:
-        n = rows[0].n
-    for r in rows:
-        if r.n != n:
-            raise DimensionMismatch(f"mixed dimensions {r.n} and {n}")
-    space = VectorSubspace.from_rows(n, (r.bits for r in rows))
-    return space, space.dim
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,19 +231,6 @@ class AffineSubspace:
     @classmethod
     def point(cls, p: BitVector) -> "AffineSubspace":
         return cls(p.n, VectorSubspace(p.n, ()), p)
-
-    @classmethod
-    def from_points(cls, n: int, points: Iterable[int]) -> "AffineSubspace":
-        """Affine hull of packed points (the empty iterable gives Empty)."""
-        pts = list(points)
-        if not pts:
-            return cls.empty(n)
-        base = pts[0]
-        direction = VectorSubspace.from_rows(n, (p ^ base for p in pts[1:]))
-        return cls.from_parts(BitVector(n, base), direction)
-
-    def size(self) -> int:
-        return 0 if self.is_empty else 1 << self.dim
 
     def enumerate(self) -> Iterator[int]:
         if self.is_empty:

@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bp import BranchingProgram, Sample
-from .config import BudgetExceeded, state_budget
+from .bp import BranchingProgram, Sample, unroll
 from .gf2 import (
     AffineSubspace,
     BitVector,
@@ -256,32 +255,7 @@ def simulate_success(learner: Learner, m: int, trials: int,
 
 def learner_state_layers(learner: Learner, m: int) -> tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]:
     """Breadth-first reachable states per layer plus the transition rows."""
-    n = learner.n
-    degree = 1 << (n + 1)
-    layers: list[list[int]] = [[learner.initial_state]]
-    transitions = []
-    for t in range(m):
-        if len(layers[t]) * degree > state_budget():
-            raise BudgetExceeded(
-                f"{len(layers[t])} states x {degree} edges exceeds the state budget")
-        nxt_index: dict[int, int] = {}
-        nxt_layer: list[int] = []
-        rows = []
-        for state in layers[t]:
-            row = []
-            for a_bits in range(1 << n):
-                for b in (0, 1):
-                    new = learner.step(state, Sample(BitVector(n, a_bits), b))
-                    slot = nxt_index.get(new)
-                    if slot is None:
-                        slot = len(nxt_layer)
-                        nxt_index[new] = slot
-                        nxt_layer.append(new)
-                    row.append(slot)
-            rows.append(tuple(row))
-        transitions.append(tuple(rows))
-        layers.append(nxt_layer)
-    return layers, transitions
+    return unroll(learner.n, m, learner.initial_state, learner.step)
 
 
 def learner_to_bp(learner: Learner, m: int) -> BranchingProgram:
@@ -356,17 +330,3 @@ def exhaustive_success_exact(n: int, confirmations: int, m: int) -> float:
         q[0:size - 1, 0] += 0.5 * p[1:, :].sum(axis=1)
         p = q
     return float(p[0, cap])
-
-
-def prefix_pivot_acceptance_probability(learner: Learner, state: int) -> float:
-    """Fraction of sample vectors a (over uniform b-free honest reduction)
-    that the prefix-pivot learner accepts from the given state, by
-    exhaustive enumeration."""
-    n = learner.n
-    accepted = 0
-    total = 1 << (n + 1)
-    for a_bits in range(1 << n):
-        for b in (0, 1):
-            if learner.step(state, Sample(BitVector(n, a_bits), b)) != state:
-                accepted += 1
-    return accepted / total

@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 
 from .bp import AffineLabels, BranchingProgram, Sample, forward_tables, validate_affine
+from .distributions import SLACK
 from .gf2 import BitVector, orthogonal_space
-
-SLACK = 1e-12
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -17,6 +16,7 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
 
     Caps the probability that a computation-path of an affine program
     whose labels all have dimension >= k reaches a dimension-k vertex.
+    Returns inf when the exact value exceeds the float range.
     """
     if k >= n:
         raise ValueError(f"k must be below n, got k={k}, n={n}")
@@ -24,7 +24,17 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
         raise ValueError(f"length must be positive, got {m}")
     t = n - k
     exponent = t * (n - 2 * k) - t * (t - 1) // 2
-    return math.ldexp(float(m ** t), exponent)
+    power = m ** t
+    try:
+        return math.ldexp(float(power), exponent)
+    except OverflowError:
+        pass
+    # m^t alone can overflow a float while 2^exponent scales it back into
+    # range; exact integer division rounds once
+    try:
+        return (power << max(exponent, 0)) / (1 << max(-exponent, 0))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

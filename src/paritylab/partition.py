@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .distributions import (
     SubspaceMixture,
-    hyperplane_mass,
+    hyperplane_concentration,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -38,20 +38,6 @@ def constant_value_on(w: AffineSubspace, a_bits: int) -> int | None:
     if any(parity(a_bits & row) for row in w.direction.rows):
         return None
     return parity(a_bits & w.offset.bits)
-
-
-def hyperplane_concentration(mix: SubspaceMixture) -> tuple[BitVector, int, float]:
-    """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0.
-
-    Ties break to the lexicographically smallest pair: a compared as a
-    packed integer, then b = 0 before b = 1.
-    """
-    table = hyperplane_mass(mix)
-    if not table:
-        return BitVector(mix.n, 1), 0, 0.0
-    best = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-    (a, b), p = best
-    return BitVector(mix.n, a), b, p
 
 
 def _drop_bit(v: int, pos: int) -> int:
@@ -178,8 +164,8 @@ class SubspacePartition:
 
 
 def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
-    """Iterate find_representative_subspace until the unassigned mass is
-    at most 2^{-2n}."""
+    """Iterate find_representative_subspace's recursion on the unassigned
+    members until their mass is at most 2^{-2n}."""
     n = mix.n
     if r < n / 2:
         raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
@@ -190,10 +176,11 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     while sum(p for _, p in remaining) > target:
         if len(groups) >= round_cap:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
-        current = SubspaceMixture.from_pairs(n, remaining)
-        s, _, _ = find_representative_subspace(current, r)
-        taken = [(w, p) for w, p in remaining if is_subset(w, s)]
-        remaining = [(w, p) for w, p in remaining if not is_subset(w, s)]
+        s = _find_rep(SubspaceMixture.from_pairs(n, remaining), r)
+        taken, rest = [], []
+        for w, p in remaining:
+            (taken if is_subset(w, s) else rest).append((w, p))
+        remaining = rest
         groups.append(PartitionGroup(s, tuple(w for w, _ in taken), tuple(p for _, p in taken)))
     return SubspacePartition(n, r, tuple(groups), tuple(remaining))
 
@@ -201,22 +188,3 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
 def group_count_bound(n: int, r: float, k: int) -> float:
     """Cap on the number of representatives of dimension at least k."""
     return 4 * n * 2.0 ** exponent_sum(r, n - k)
-
-
-def partition_report(partition: SubspacePartition) -> dict:
-    """JSON-ready summary with per-group masses and l1 distances."""
-    return {
-        "n": partition.n,
-        "r": partition.r,
-        "residual_mass": partition.residual_mass,
-        "groups": [
-            {
-                "representative": g.representative.to_text(),
-                "dimension": g.representative.dim,
-                "members": [w.to_text() for w in g.members],
-                "mass": g.mass,
-                "l1_to_uniform": g.l1_to_uniform(),
-            }
-            for g in partition.groups
-        ],
-    }

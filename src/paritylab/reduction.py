@@ -24,11 +24,9 @@ from .bp import (
     success_probability,
     validate_affine,
 )
-from .distributions import SubspaceMixture
+from .distributions import SLACK, SubspaceMixture, uniform_weights
 from .gf2 import AffineSubspace, BitVector, intersect_hyperplane
 from .partition import SubspacePartition, build_partition, exponent_sum
-
-SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     n, m = bp.n, bp.m
     params.validate(n)
     if bp.has_early_leaves():
-        raise ValueError("all leaves must be in the last layer; pad early leaves first")
+        raise ValueError("reduction needs every leaf in the last layer")
     full = AffineSubspace.full(n)
     scale = 2.0 ** (-n)
 
@@ -228,10 +226,8 @@ def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:
     n = red.program.n
     table = np.zeros((red.program.layer_sizes[t], 1 << n))
     for v, q in enumerate(red.ideal_marginals[t]):
-        if q <= 0.0:
-            continue
-        lab = red.labels.get(t, v)
-        table[v, list(lab.enumerate())] = q * 2.0 ** (-lab.dim)
+        if q > 0.0:
+            table[v] = q * uniform_weights(red.labels.get(t, v))
     return table
 
 
@@ -248,8 +244,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
     beta = success_probability(bp)
 
     accuracy_checks = []
-    for t in range(m + 1):
-        acc = layer_accuracy(program, labels, t)
+    for t, acc in enumerate(layer_accuracy(program, labels)):
         bound = min(eps, 2.0)
         accuracy_checks.append(BoundCheck(
             f"accuracy[t={t}]", acc, bound, binding=eps < 2.0,

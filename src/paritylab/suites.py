@@ -6,11 +6,10 @@ ok flag; the CLI and the acceptance tests drive these directly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bp import validate_affine
-from .distributions import check_fourier_closeness
+from .distributions import SLACK, check_fourier_closeness
 from .generators import (
+    derived_rng,
     greedy_recorder_program,
     learner_program_with_labels,
     random_hypothesis_mixture,
@@ -24,19 +23,13 @@ from .lowerbound import trim_to_min_dimension
 from .partition import build_partition, group_count_bound
 from .reduction import ReductionParams, reduce_to_affine
 
-SLACK = 1e-12
-
-
-def _derived_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-
 
 def fourier_suite(count: int, seed: int,
                   ns: tuple[int, ...] = (3, 4, 5, 6),
                   r_fracs: tuple[float, ...] = (0.5, 0.75, 1.0)) -> dict:
     """Random hypothesis-satisfying mixtures: the mixture law must sit
     strictly inside 2^{-(r - n/2)} of uniform every single time."""
-    rng = _derived_rng(seed, 1)
+    rng = derived_rng(seed, 1)
     cases = []
     failures = []
     min_margin = float("inf")
@@ -67,7 +60,7 @@ def partition_suite(count: int, seed: int,
                     ns: tuple[int, ...] = (2, 3, 4, 5),
                     r_fracs: tuple[float, ...] = (0.5, 0.75, 1.0)) -> dict:
     """Random mixtures: all four grouping properties, checked exactly."""
-    rng = _derived_rng(seed, 2)
+    rng = derived_rng(seed, 2)
     failures = []
     worst_residual = 0.0
     min_group_margin = float("inf")
@@ -111,7 +104,7 @@ def reduction_suite(count: int, seed: int,
                     ns: tuple[int, ...] = (2, 3, 4),
                     m_max: int = 3, width_max: int = 8) -> dict:
     """Random programs through the affine simulation, fully re-verified."""
-    rng = _derived_rng(seed, 3)
+    rng = derived_rng(seed, 3)
     failures = []
     for i in range(count):
         n = int(ns[i % len(ns)])

@@ -7,7 +7,6 @@ import pytest
 from paritylab.bp import (
     AffineLabels,
     BranchingProgram,
-    JointDistribution,
     PathIncomplete,
     Sample,
     forward_tables,
@@ -15,8 +14,6 @@ from paritylab.bp import (
     layer_accuracy,
     monte_carlo_success,
     output_dimension_distribution,
-    pad_early_leaves,
-    reach_distribution,
     run_path,
     success_probability,
     to_json_dict,
@@ -89,27 +86,26 @@ class TestRunPath:
 class TestReachDistribution:
     def test_layer_zero_uniform(self):
         bp = record_first_sample_program(2, 1)
-        dist = reach_distribution(bp, 0)
-        assert np.allclose(dist.table, 0.25)
+        assert np.allclose(forward_tables(bp)[0], 0.25)
 
     def test_route_on_b_n1(self):
         # routes on b only; joint weights enumerated over (x, a)
         n = 1
         bp = BranchingProgram(n, 1, (1, 2), (((0, 1, 0, 1),),),
                               {(1, 0): AffineSubspace.full(n), (1, 1): AffineSubspace.full(n)})
-        dist = reach_distribution(bp, 1)
-        assert dist.table[0, 0] == pytest.approx(0.5)
-        assert dist.table[0, 1] == pytest.approx(0.25)
-        assert dist.table[1, 0] == pytest.approx(0.0)
-        assert dist.table[1, 1] == pytest.approx(0.25)
+        table = forward_tables(bp)[1]
+        assert table[0, 0] == pytest.approx(0.5)
+        assert table[0, 1] == pytest.approx(0.25)
+        assert table[1, 0] == pytest.approx(0.0)
+        assert table[1, 1] == pytest.approx(0.25)
 
     def test_conservation(self):
         rng = np.random.default_rng(1)
         from paritylab.generators import random_program
         for _ in range(10):
             bp = random_program(3, 3, 5, rng)
-            for t in range(bp.m + 1):
-                assert reach_distribution(bp, t).total() == pytest.approx(1.0)
+            for table in forward_tables(bp):
+                assert table.sum() == pytest.approx(1.0)
 
 
 class TestSuccess:
@@ -180,13 +176,13 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels, 0) == 0.0
+        assert layer_accuracy(bp, labels)[0] == 0.0
 
     def test_matching_labels_zero(self):
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels, 1) == pytest.approx(0.0, abs=1e-12)
+        assert layer_accuracy(bp, labels)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_labels_after_one_equation(self):
         """Enumeration oracle at n=2: conditioned on a layer-1 vertex
@@ -197,7 +193,7 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(n, 1)
         full = AffineSubspace.full(n)
         labels = AffineLabels(((full,), (full,) * 8))
-        got = layer_accuracy(bp, labels, 1)
+        got = layer_accuracy(bp, labels)[1]
 
         counts = {}
         for x in range(4):
@@ -222,7 +218,7 @@ class TestLayerAccuracy:
                               {(0, 0): AffineSubspace.full(n), (2, 0): AffineSubspace.full(n)})
         labels = AffineLabels(((AffineSubspace.full(n),),) * 3)
         with pytest.raises(ValueError):
-            layer_accuracy(bp, labels, 1)
+            layer_accuracy(bp, labels)
 
 
 class TestSoundnessInvariant:
@@ -250,24 +246,6 @@ class TestSoundnessInvariant:
             assert success_probability(bp) == 1.0
 
 
-class TestPadding:
-    def test_pad_preserves_success_and_reach(self):
-        n = 2
-        deg = 1 << (n + 1)
-        # start splits to an early leaf (index 0) and a pass-through chain
-        row = tuple(0 if i < deg // 2 else 1 for i in range(deg))
-        bp = BranchingProgram(
-            n, 2, (1, 2, 1),
-            ((row,), (None, (0,) * deg)),
-            {(1, 0): AffineSubspace.point(BitVector(n, 0)),
-             (2, 0): AffineSubspace.full(n)})
-        padded = pad_early_leaves(bp)
-        assert not padded.has_early_leaves()
-        assert success_probability(padded) == pytest.approx(success_probability(bp))
-        assert output_dimension_distribution(padded) == pytest.approx(
-            output_dimension_distribution(bp))
-
-
 class TestSerialization:
     def test_round_trip(self):
         from paritylab.generators import random_program
@@ -292,11 +270,12 @@ class TestGuards:
         with pytest.raises(BudgetExceeded):
             forward_tables(bp)
 
-    def test_joint_distribution_validation(self):
-        with pytest.raises(ValueError):
-            JointDistribution(1, 0, np.array([[0.9, 0.9]]))
-        with pytest.raises(ValueError):
-            JointDistribution(1, 0, np.array([[-0.2, 0.5]]))
+    @pytest.mark.parametrize("make", [lambda: greedy_recorder_program(2, 2, 0),
+                                      lambda: selective_recorder_program(2, 2, 1)])
+    def test_state_budget_guards_recorders(self, monkeypatch, make):
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "4")
+        with pytest.raises(BudgetExceeded):
+            make()
 
     def test_structural_validation(self):
         full = AffineSubspace.full(1)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from paritylab.bp import to_json_dict
 from paritylab.cli import dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *args):
@@ -20,6 +25,10 @@ class TestBounds:
     def test_prints_exact_value(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "6", "--k", "4", "--m", "3")
         assert code == 0 and out == "0.28125\n"
+
+    def test_overflow_prints_inf(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "200", "--k", "0", "--m", "1000000")
+        assert code == 0 and out == "inf\n" and err == ""
 
     def test_exponent_report(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "100",
@@ -82,6 +91,28 @@ class TestReduceCommand:
         assert "labels" in doc and "gamma" in doc
         rep = json.loads(report.read_text())
         assert rep["all_ok"] is True
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": 2, "m": 1}, "layer_sizes"),
+        ({"n": 2, "m": 1, "layer_sizes": [1, 1]}, "transitions"),
+        ({"n": 2, "m": 1, "layer_sizes": [1, 1], "transitions": 5,
+          "leaf_labels": {}}, "transitions"),
+        ({"n": 2, "m": 1, "layer_sizes": [1, 1], "transitions": [[[0] * 8]],
+          "leaf_labels": {"1,0": 7}}, "leaf_labels"),
+        ({"n": "two", "m": 1}, "n"),
+        ({"n": 2.9, "m": 1}, "n"),
+        ([1, 2], "object"),
+    ])
+    def test_malformed_input_one_line_error(self, tmp_path, doc, field):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "paritylab.cli", "reduce", "--in", str(src),
+                               "--r", "1.5"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+        assert field in proc.stderr
 
 
 class TestVerifyLemmas:

@@ -18,7 +18,7 @@ from paritylab.crypto import (
     run_attack,
     window_attacker,
 )
-from paritylab.gf2 import BitVector, parity, rref
+from paritylab.gf2 import BitVector, VectorSubspace, parity
 from paritylab.learners import rank_success_probability
 
 bv = BitVector.from_string
@@ -232,6 +232,6 @@ class TestHarnessContracts:
         counts = [0] * (n + 1)
         for a1 in range(4):
             for a2 in range(4):
-                counts[rref([BitVector(n, a1), BitVector(n, a2)], n=n)[1]] += 1
+                counts[VectorSubspace.from_rows(n, [a1, a2]).dim] += 1
         for r in range(n + 1):
             assert probs[r] == pytest.approx(counts[r] / 16)

@@ -174,15 +174,3 @@ class TestFourierCloseness:
                         p for w, p in mix.support
                         if is_subset(w, half_space(n, str(BitVector(n, a)), b)))
                     assert table.get((a, b), 0.0) == pytest.approx(expected, abs=1e-12)
-
-
-class TestCsv:
-    def test_round_trip_and_precision(self):
-        rng = np.random.default_rng(13)
-        w = rng.random(8) + 0.01
-        p = ExactDistribution(3, w / w.sum())
-        text = p.to_csv()
-        assert text.startswith("x,weight\n") and text.endswith("\n")
-        assert len(text.splitlines()) == 9
-        back = ExactDistribution.from_csv(text)
-        assert np.abs(back.weights - p.weights).max() < 1e-15

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ class TestBoundFormula:
     def test_spec_values(self):
         assert reach_probability_bound(4, 2, 3) == pytest.approx(0.5)
         assert reach_probability_bound(6, 3, 4) == pytest.approx(9 / 32)
+
+    def test_beyond_float_range_is_inf(self):
+        assert reach_probability_bound(200, 1_000_000, 0) == math.inf
+
+    def test_overflowing_power_scaled_back_into_range(self):
+        # m^t alone exceeds the float range; 2^exponent brings it back
+        n, m, k = 400, 10 ** 8, 150
+        t = n - k
+        exact = Fraction(m ** t) * Fraction(2) ** (t * (n - 2 * k) - t * (t - 1) // 2)
+        assert reach_probability_bound(n, m, k) == float(exact)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):

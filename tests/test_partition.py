@@ -5,6 +5,7 @@ import pytest
 
 from paritylab.distributions import (
     SubspaceMixture,
+    hyperplane_concentration,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -16,7 +17,6 @@ from paritylab.partition import (
     find_representative_subspace,
     exponent_sum,
     group_count_bound,
-    hyperplane_concentration,
     lift_back,
     project_out,
 )
@@ -213,22 +213,3 @@ class TestGeometricSum:
         assert exponent_sum(3.0, 3) == 3 * 3 - 3 * 2 / 4  # 3 + 2.5 + 2
         assert exponent_sum(2.0, 0) == 0.0
         assert math.isclose(exponent_sum(2.5, 2), 2.5 + 2.0)
-
-
-class TestReportSerialization:
-    def test_partition_report_json(self):
-        import json
-
-        from paritylab.partition import partition_report
-
-        rng = np.random.default_rng(5)
-        mix = random_mixture(3, rng)
-        part = build_partition(mix, 2.5)
-        doc = json.loads(json.dumps(partition_report(part)))
-        assert doc["n"] == 3 and doc["r"] == 2.5
-        assert doc["residual_mass"] == pytest.approx(part.residual_mass)
-        assert len(doc["groups"]) == len(part.groups)
-        for g_doc, g in zip(doc["groups"], part.groups):
-            assert g_doc["representative"] == g.representative.to_text()
-            assert g_doc["mass"] == pytest.approx(g.mass)
-            assert g_doc["l1_to_uniform"] < 2.0 ** (-(2.5 - 1.5)) + 1e-12
