@@ -3,20 +3,24 @@
 Each test hashes a canonical JSON rendering of outputs that must stay
 byte-identical across refactors: unrolled recorder and learner programs,
 affine reductions of the reduction-suite corpus, the Fourier-suite
-mixture corpus, and the partition suite's groupings.  A digest changes
+mixture corpus, the partition suite's groupings, and the CLI bytes of one
+multi-round reduction.  A digest changes
 only when an integer output, a label or a check flag changes.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from paritylab import suites
 from paritylab.bp import to_json_dict
+from paritylab.cli import dispatch
 from paritylab.generators import (
     greedy_recorder_program,
     learner_program_with_labels,
+    random_program,
     selective_recorder_program,
 )
 from paritylab.learners import gaussian_learner, prefix_pivot_learner
@@ -105,3 +109,17 @@ def test_partition_suite_groupings(monkeypatch):
                      "residual": [w.to_text() for w, _ in part.residual]})
     assert _digest(docs) == (
         "33e9d8180541ca91dce97790726e7a349b23b03fd047bc37c11d813b056165de")
+
+
+def test_reduce_cli_multi_round(tmp_path):
+    """`reduce --out` and `--report` bytes for an n=4, r=4 program whose
+    partitions run many rounds per vertex (output layers 1, 17, 139, 641)."""
+    program = random_program(4, 3, 4, np.random.default_rng(1))
+    src, out, rep = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "report.json"
+    src.write_text(json.dumps(to_json_dict(program)))
+    assert dispatch(["reduce", "--in", str(src), "--r", "4.0",
+                     "--out", str(out), "--report", str(rep)]) == 0
+    assert json.loads(out.read_text())["layer_sizes"] == [1, 17, 139, 641]
+    digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
+    assert digest == (
+        "9b97e82931fa13790c4241e759ec54945b0cb88d4e1ce6a7c1c88959a4975c14")
