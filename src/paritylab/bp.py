@@ -173,7 +173,10 @@ def success_probability(bp: BranchingProgram) -> float:
 
 def output_dimension_distribution(bp: BranchingProgram) -> dict[int, float]:
     """Reach probability per output-label dimension (-1 buckets Empty)."""
-    tables = forward_tables(bp)
+    return _output_dimensions(bp, forward_tables(bp))
+
+
+def _output_dimensions(bp: BranchingProgram, tables: list[np.ndarray]) -> dict[int, float]:
     out: dict[int, float] = {}
     for t, v in bp.iter_leaves():
         lab = bp.leaf_labels[(t, v)]
@@ -236,11 +239,16 @@ def layer_accuracy(bp: BranchingProgram, labels: AffineLabels) -> list[float]:
 
     One forward sweep serves every layer.
     """
+    return _layer_accuracy(bp, labels, forward_tables(bp))
+
+
+def _layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
+                    tables: list[np.ndarray]) -> list[float]:
     if bp.has_early_leaves():
         raise ValueError("layer accuracy is defined only when all leaves "
                          "are in the last layer")
     accuracy = []
-    for t, table in enumerate(forward_tables(bp)):
+    for t, table in enumerate(tables):
         total = 0.0
         for v, row in enumerate(table):
             pv = row.sum()

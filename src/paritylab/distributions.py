@@ -4,6 +4,7 @@ Walsh-Fourier transforms, and the Fourier closeness criterion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -12,8 +13,7 @@ from .gf2 import (
     BitVector,
     DimensionMismatch,
     EmptySubspaceError,
-    orthogonal_space,
-    parity,
+    hyperplane_keys,
 )
 
 MAX_TABLE_DIM = 12  # exact 2^n tables stop making sense past desk scale
@@ -175,33 +175,43 @@ def inverse_walsh(table: FourierTable) -> ExactDistribution:
 def hyperplane_mass(mix: SubspaceMixture) -> dict[tuple[int, int], float]:
     """Pr[W ⊆ {x : a.x = b}] for every (a, b) with positive mass, a ≠ 0.
 
-    A subspace w lies in the hyperplane (a, b) exactly when a is in the
-    orthogonal space of w and a.offset = b, so the table is assembled by
-    enumerating each member's orthogonal space.
+    A subspace w lies in the hyperplane (a, b) exactly when (a, b) is one
+    of its hyperplane keys, so the table sums each member's probability
+    over its keys.
     """
+    return key_mass((hyperplane_keys(w), p) for w, p in mix.support)
+
+
+def key_mass(members: Iterable[tuple[Iterable[tuple[int, int]], float]]
+             ) -> dict[tuple[int, int], float]:
+    """Total probability per hyperplane key over (keys, probability)
+    members, accumulated in member order."""
     table: dict[tuple[int, int], float] = {}
-    for w, p in mix.support:
-        off = w.offset.bits
-        for a in orthogonal_space(w).enumerate():
-            if a == 0:
-                continue
-            key = (a, parity(a & off))
+    for keys, p in members:
+        for key in keys:
             table[key] = table.get(key, 0.0) + p
     return table
 
 
-def hyperplane_concentration(mix: SubspaceMixture) -> tuple[BitVector, int, float]:
-    """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0.
+def heaviest_hyperplane(n: int, table: dict[tuple[int, int], float]
+                        ) -> tuple[BitVector, int, float]:
+    """The (a, b) of largest mass in a key_mass table.
 
     Ties break to the lexicographically smallest pair: a compared as a
-    packed integer, then b = 0 before b = 1.  With no hyperplane holding
-    any mass the answer is (e_1, 0, 0.0).
+    packed integer, then b = 0 before b = 1.  An empty table gives
+    (e_1, 0, 0.0).
     """
-    table = hyperplane_mass(mix)
     if not table:
-        return BitVector(mix.n, 1), 0, 0.0
+        return BitVector(n, 1), 0, 0.0
     (a, b), p = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-    return BitVector(mix.n, a), b, p
+    return BitVector(n, a), b, p
+
+
+def hyperplane_concentration(mix: SubspaceMixture) -> tuple[BitVector, int, float]:
+    """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0, with
+    heaviest_hyperplane's tie-break; (e_1, 0, 0.0) when no hyperplane
+    holds any mass."""
+    return heaviest_hyperplane(mix.n, hyperplane_mass(mix))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,19 @@ def orthogonal_space(w: AffineSubspace) -> VectorSubspace:
     return w.direction.null_space()
 
 
+def hyperplane_keys(w: AffineSubspace) -> list[tuple[int, int]]:
+    """Every (a, b) with a != 0 (packed) and w ⊆ {x : a.x = b}.
+
+    These are the nonzero a of the orthogonal space of w, each with its
+    constant value b = a.offset on w.  A non-empty w is the intersection
+    of these hyperplanes, so w1 ⊆ w2 exactly when every key of w2 is a
+    key of w1.
+    """
+    space = orthogonal_space(w)
+    off = w.offset.bits
+    return [(a, parity(a & off)) for a in space.enumerate() if a != 0]
+
+
 def contains(w: AffineSubspace, x: BitVector) -> bool:
     """Whether the point x lies in w (always False for Empty)."""
     if w.n != x.n:

@@ -9,11 +9,12 @@ a partial grouping map sigma with small undefined mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .distributions import (
     SubspaceMixture,
-    hyperplane_concentration,
+    heaviest_hyperplane,
+    key_mass,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -22,6 +23,7 @@ from .gf2 import (
     AffineSubspace,
     BitVector,
     VectorSubspace,
+    hyperplane_keys,
     is_subset,
     lowest_set_bit,
     parity,
@@ -31,13 +33,6 @@ from .gf2 import (
 def exponent_sum(r: float, terms: int) -> float:
     """sum_{i=0}^{terms-1} (r - i/2)."""
     return terms * r - terms * (terms - 1) / 4.0
-
-
-def constant_value_on(w: AffineSubspace, a_bits: int) -> int | None:
-    """The bit b with a.x = b on all of w, or None if a is non-constant."""
-    if any(parity(a_bits & row) for row in w.direction.rows):
-        return None
-    return parity(a_bits & w.offset.bits)
 
 
 def _drop_bit(v: int, pos: int) -> int:
@@ -77,18 +72,35 @@ def lift_back(w: AffineSubspace, a_bits: int, b: int, pivot: int) -> AffineSubsp
     return AffineSubspace.from_parts(BitVector(n, off), VectorSubspace.from_rows(n, rows))
 
 
-def _find_rep(mix: SubspaceMixture, r: float) -> AffineSubspace:
-    n = mix.n
+def _project_keys(keys: frozenset[tuple[int, int]], pivot: int) -> frozenset[tuple[int, int]]:
+    """Hyperplane keys of project_out(w, pivot), given those of w.
+
+    The keys of the image are the keys (c, b) of w with c zero at the
+    pivot, the pivot coordinate dropped from c.
+    """
+    return frozenset((_drop_bit(c, pivot), b) for c, b in keys if not (c >> pivot) & 1)
+
+
+def _find_rep(n: int, keys: list[frozenset[tuple[int, int]]],
+              probs: list[float], r: float) -> AffineSubspace:
+    """The recursion of find_representative_subspace on a mixture given
+    by each member's hyperplane keys and probability, in member order.
+
+    Every sum runs in member order: another order can change a float in
+    the last place and flip an argmax tie, and with it the partition.
+    """
     if n == 0:
         return AffineSubspace.full(0)
-    a, b, p = hyperplane_concentration(mix)
+    a, b, p = heaviest_hyperplane(n, key_mass(zip(keys, probs)))
     if p <= 2.0 ** (-r):
         return AffineSubspace.full(n)
     pivot = lowest_set_bit(a.bits)
-    inside, _ = mix.restrict(lambda w: constant_value_on(w, a.bits) == b)
-    reduced = SubspaceMixture(
-        n - 1, tuple((project_out(w, pivot), q) for w, q in inside.support))
-    return lift_back(_find_rep(reduced, r - 0.5), a.bits, b, pivot)
+    key = (a.bits, b)
+    inside = [i for i, ks in enumerate(keys) if key in ks]
+    mass = sum(probs[i] for i in inside)
+    return lift_back(_find_rep(n - 1, [_project_keys(keys[i], pivot) for i in inside],
+                               [probs[i] / mass for i in inside], r - 0.5),
+                     a.bits, b, pivot)
 
 
 def find_representative_subspace(
@@ -104,7 +116,8 @@ def find_representative_subspace(
     """
     if r < mix.n / 2:
         raise ValueError(f"r must be at least n/2 = {mix.n / 2}, got {r}")
-    s = _find_rep(mix, r)
+    s = _find_rep(mix.n, [frozenset(hyperplane_keys(w)) for w, _ in mix.support],
+                  [p for _, p in mix.support], r)
     conditioned, mass = mix.restrict(lambda w: is_subset(w, s))
     return s, conditioned, mass
 
@@ -135,13 +148,18 @@ class SubspacePartition:
 
     Membership in a group means sigma(w) = representative; subspaces in
     ``residual`` (and any subspace contained in no representative) are the
-    ones on which sigma stays undefined.
+    ones on which sigma stays undefined.  ``sigma`` maps every support
+    member to its representative, or to None for residual members; it
+    agrees with ``assign`` on the support, since a member taken in round
+    i lay in no earlier representative (an earlier round would have taken
+    it) and a residual member lies in none.
     """
 
     n: int
     r: float
     groups: tuple[PartitionGroup, ...]
     residual: tuple[tuple[AffineSubspace, float], ...]
+    sigma: dict[AffineSubspace, AffineSubspace | None] = field(compare=False, repr=False)
 
     @property
     def residual_mass(self) -> float:
@@ -165,24 +183,35 @@ class SubspacePartition:
 
 def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     """Iterate find_representative_subspace's recursion on the unassigned
-    members until their mass is at most 2^{-2n}."""
+    members until their mass is at most 2^{-2n}.
+
+    Each member's hyperplane keys are computed once: every round's
+    recursion and containment pass test key membership only, and each
+    round renormalizes the remaining masses in member order.
+    """
     n = mix.n
     if r < n / 2:
         raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
     target = 2.0 ** (-2 * n)
     round_cap = math.ceil(4 * n * 2.0 ** exponent_sum(r, n)) + 1
-    remaining = list(mix.support)
+    remaining = [(w, p, frozenset(hyperplane_keys(w))) for w, p in mix.support]
     groups: list[PartitionGroup] = []
-    while sum(p for _, p in remaining) > target:
+    sigma: dict[AffineSubspace, AffineSubspace | None] = {}
+    while (total := sum(p for _, p, _ in remaining)) > target:
         if len(groups) >= round_cap:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
-        s = _find_rep(SubspaceMixture.from_pairs(n, remaining), r)
+        s = _find_rep(n, [keys for _, _, keys in remaining],
+                      [p / total for _, p, _ in remaining], r)
+        s_keys = frozenset(hyperplane_keys(s))
         taken, rest = [], []
-        for w, p in remaining:
-            (taken if is_subset(w, s) else rest).append((w, p))
+        for member in remaining:
+            (taken if s_keys <= member[2] else rest).append(member)
         remaining = rest
-        groups.append(PartitionGroup(s, tuple(w for w, _ in taken), tuple(p for _, p in taken)))
-    return SubspacePartition(n, r, tuple(groups), tuple(remaining))
+        groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
+                                     tuple(p for _, p, _ in taken)))
+        sigma.update((w, s) for w, _, _ in taken)
+    sigma.update((w, None) for w, _, _ in remaining)
+    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining), sigma)
 
 
 def group_count_bound(n: int, r: float, k: int) -> float:

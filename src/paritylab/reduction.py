@@ -18,15 +18,17 @@ import numpy as np
 from .bp import (
     AffineLabels,
     BranchingProgram,
+    _layer_accuracy,
+    _output_dimensions,
     forward_tables,
-    layer_accuracy,
-    output_dimension_distribution,
     success_probability,
     validate_affine,
 )
 from .distributions import SLACK, SubspaceMixture, uniform_weights
 from .gf2 import AffineSubspace, BitVector, intersect_hyperplane
 from .partition import SubspacePartition, build_partition, exponent_sum
+
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,10 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
                 part = partitions[v_orig]
                 target = None
                 if part is not None and not w_e.is_empty:
-                    rep = part.assign(w_e)
+                    # Only a zero-mass edge subspace is missing from sigma.
+                    rep = part.sigma.get(w_e, _UNSEEN)
+                    if rep is _UNSEEN:
+                        rep = part.assign(w_e)
                     if rep is not None:
                         target = slot_of[v_orig][rep]
                 row_new.append(star_slot[v_orig] if target is None else target)
@@ -243,14 +248,16 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
     affine_ok = validate_affine(program, labels).ok
     beta = success_probability(bp)
 
+    # One forward sweep of the reduced program serves the accuracy, the
+    # inductive and the output-dimension checks.
+    tables = forward_tables(program)
     accuracy_checks = []
-    for t, acc in enumerate(layer_accuracy(program, labels)):
+    for t, acc in enumerate(_layer_accuracy(program, labels, tables)):
         bound = min(eps, 2.0)
         accuracy_checks.append(BoundCheck(
             f"accuracy[t={t}]", acc, bound, binding=eps < 2.0,
             ok=acc <= bound + SLACK))
 
-    tables = forward_tables(program)
     inductive_checks = []
     for t in range(m + 1):
         measured = float(np.abs(tables[t] - _ideal_joint(red, t)).sum())
@@ -271,7 +278,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
             f"count[dim={k}]", float(count), bound, binding=True,
             ok=count <= bound + SLACK))
 
-    out_dims = output_dimension_distribution(program)
+    out_dims = _output_dimensions(program, tables)
     output_dim_checks = []
     b_dims = [lab.dim for lab in bp.leaf_labels.values() if not lab.is_empty]
     if b_dims:

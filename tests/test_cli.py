@@ -167,3 +167,94 @@ class TestErrorPaths:
                                "--n", "4", "--in", str(src),
                                "--out", str(tmp_path / "o"), "--seed", "1")
         assert code == 1 and "error:" in err
+
+
+def _fuzz_files(tmp_path):
+    files = {"MISSING": tmp_path / "missing.json"}
+    for name, data in [("EMPTY", b""), ("TEXT", b"not json\n"), ("BINARY", b"\x00\x01\xffgarbage"),
+                       ("LIST", b"[1, 2]"),
+                       ("SHORTROW", b'{"n": 2, "m": 1, "layer_sizes": [1, 1], '
+                                    b'"transitions": [[[0]]], "leaf_labels": {"1,0": "00|"}}'),
+                       ("BADLABEL", b'{"n": 2, "m": 1, "layer_sizes": [1, 1], '
+                                    b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
+                                    b'"leaf_labels": {"1,0": "0|"}}')]:
+        files[name] = tmp_path / name.lower()
+        files[name].write_bytes(data)
+    program = random_program(2, 1, 2, np.random.default_rng(0))
+    files["PROGRAM"] = tmp_path / "program.json"
+    files["PROGRAM"].write_text(json.dumps(to_json_dict(program)))
+    files["NODIR"] = tmp_path / "no-such-dir" / "out"
+    return files
+
+
+# Malformed invocations of every subcommand: garbage flags and values,
+# missing required flags, absent or malformed input files, unwritable
+# outputs.  Upper-case tokens name files made by _fuzz_files.
+FUZZ_CASES = [
+    [],
+    ["frobnicate"],
+    ["--bogus"],
+    ["verify-lemmas"],
+    ["verify-lemmas", "--seed", "x"],
+    ["verify-lemmas", "--seed", "1", "--bogus"],
+    ["verify-lemmas", "--seed", "1", "--format", "xml"],
+    ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "0.5", "--trials", "2"],
+    ["reduce", "--bogus"],
+    ["reduce", "--in", "PROGRAM"],
+    ["reduce", "--in", "PROGRAM", "--r", "x"],
+    ["reduce", "--in", "PROGRAM", "--r", "nan"],
+    ["reduce", "--in", "PROGRAM", "--r", "9"],
+    ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "NODIR"],
+    ["reduce", "--in", "MISSING", "--r", "2"],
+    ["reduce", "--in", "EMPTY", "--r", "2"],
+    ["reduce", "--in", "TEXT", "--r", "2"],
+    ["reduce", "--in", "BINARY", "--r", "2"],
+    ["reduce", "--in", "LIST", "--r", "2"],
+    ["reduce", "--in", "SHORTROW", "--r", "2"],
+    ["reduce", "--in", "BADLABEL", "--r", "2"],
+    ["tradeoff", "--bogus"],
+    ["tradeoff", "--n", "x", "--seed", "1"],
+    ["tradeoff", "--n", "3", "--seed", "1", "--learners", "nope"],
+    ["tradeoff", "--n", "3", "--seed", "1", "--trials", "x"],
+    ["bounds"],
+    ["bounds", "--n", "4"],
+    ["bounds", "--n", "4", "--k", "x", "--m", "2"],
+    ["bounds", "--n", "4", "--c", "0.1"],
+    ["bounds", "--n", "-3", "--k", "1", "--m", "2"],
+    ["bounds", "--n", "4", "--k", "1", "--m", "2", "--out", "NODIR"],
+    ["crypto"],
+    ["crypto", "nope"],
+    ["crypto", "keygen", "--n", "x", "--seed", "1"],
+    ["crypto", "keygen", "--n", "-1", "--seed", "1"],
+    ["crypto", "keygen", "--n", "8", "--seed", "1", "--out", "NODIR"],
+    ["crypto", "encrypt", "--key", "zz", "--n", "8", "--in", "TEXT", "--out", "OUT", "--seed", "1"],
+    ["crypto", "encrypt", "--key", "00", "--n", "8", "--in", "MISSING", "--out", "OUT", "--seed", "1"],
+    ["crypto", "encrypt", "--key", "00", "--n", "8", "--in", "TEXT", "--out", "NODIR", "--seed", "1"],
+    ["crypto", "decrypt", "--key", "00", "--n", "8", "--in", "BINARY", "--out", "OUT"],
+    ["crypto", "decrypt", "--key", "00", "--n", "8", "--in", "EMPTY", "--out", "OUT"],
+    ["crypto", "decrypt", "--key", "00", "--n", "8", "--in", "TEXT", "--out", "OUT"],
+    ["crypto", "decrypt", "--key", "00", "--n", "8", "--in", "MISSING", "--out", "OUT"],
+    ["crypto", "attack", "--n", "4"],
+    ["crypto", "attack", "--n", "4", "--memory-bits", "-5", "--m", "3", "--seed", "1"],
+]
+
+
+class TestFuzzGuard:
+    @pytest.mark.parametrize("case", FUZZ_CASES, ids=" ".join)
+    def test_fails_with_one_error_line(self, tmp_path, capsys, case):
+        """Exit 1 (check or input failure) or 2 (usage), never a traceback.
+
+        A failure prints exactly one error line, last; a usage error
+        prints argparse's usage lines before it.
+        """
+        files = _fuzz_files(tmp_path)
+        files["OUT"] = tmp_path / "out"
+        argv = [str(files.get(token, token)) for token in case]
+        code, _, err = run_cli(capsys, *argv)
+        lines = err.splitlines()
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert err.endswith("\n") and "error:" in lines[-1]
+        assert sum("error:" in line for line in lines) == 1
+        if code == 1:
+            assert len(lines) == 1

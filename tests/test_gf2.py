@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab.gf2 import (
     AffineSubspace,
@@ -9,6 +11,7 @@ from paritylab.gf2 import (
     EmptySubspaceError,
     VectorSubspace,
     contains,
+    hyperplane_keys,
     intersect_hyperplane,
     is_subset,
     orthogonal_space,
@@ -227,3 +230,92 @@ class TestSolveSystem:
             expected = {x for x in range(1 << n)
                         if all(bin(x & a).count("1") % 2 == b for a, b in eqs)}
             assert set(got.enumerate()) == expected
+
+
+# Property tests: random subspaces up to n = 6 against point sets built
+# from the same offset and generators, without canonical forms.
+# Derandomized, so every run draws the same examples.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def dot(a, x):
+    return bin(a & x).count("1") & 1
+
+
+@st.composite
+def described_subspace(draw, n):
+    """(w, its point set) for an affine subspace of {0,1}^n."""
+    off = draw(st.integers(0, (1 << n) - 1))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    w = AffineSubspace.from_generators(BitVector(n, off), [BitVector(n, g) for g in gens])
+    return w, {off ^ p for p in span_points(gens, n)}
+
+
+@st.composite
+def described_pair(draw):
+    """Two subspaces of one {0,1}^n; half the time the first is built
+    from points of the second, so containment is common."""
+    n = draw(st.integers(1, 6))
+    w2, pts2 = draw(described_subspace(n))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(sorted(pts2)), min_size=1, max_size=n + 1))
+        base, gens = chosen[0], [p ^ chosen[0] for p in chosen[1:]]
+        w1 = AffineSubspace.from_generators(BitVector(n, base), [BitVector(n, g) for g in gens])
+        pts1 = {base ^ p for p in span_points(gens, n)}
+    else:
+        w1, pts1 = draw(described_subspace(n))
+    return n, (w1, pts1), (w2, pts2)
+
+
+class TestAgainstPointSets:
+    @PROPERTY
+    @given(st.data())
+    def test_intersect_hyperplane(self, data):
+        n = data.draw(st.integers(1, 6))
+        w, pts = data.draw(described_subspace(n))
+        a = data.draw(st.integers(0, (1 << n) - 1))
+        b = data.draw(st.integers(0, 1))
+        got = intersect_hyperplane(w, BitVector(n, a), b)
+        expected = {x for x in pts if dot(a, x) == b}
+        assert got.is_empty == (not expected)
+        assert {x for x in range(1 << n) if contains(got, BitVector(n, x))} == expected
+
+    @PROPERTY
+    @given(described_pair())
+    def test_is_subset(self, pair):
+        _, (w1, pts1), (w2, pts2) = pair
+        assert is_subset(w1, w2) == (pts1 <= pts2)
+
+    @PROPERTY
+    @given(st.data())
+    def test_orthogonal_space(self, data):
+        n = data.draw(st.integers(1, 6))
+        w, pts = data.draw(described_subspace(n))
+        constant = {a for a in range(1 << n) if len({dot(a, x) for x in pts}) == 1}
+        assert set(orthogonal_space(w).enumerate()) == constant
+
+    @PROPERTY
+    @given(st.data())
+    def test_text_round_trip(self, data):
+        n = data.draw(st.integers(1, 6))
+        w, pts = data.draw(described_subspace(n))
+        back = parse_subspace(w.to_text(), n)
+        assert back == w and back.to_text() == w.to_text()
+        assert set(back.enumerate()) == pts
+
+    @PROPERTY
+    @given(st.data())
+    def test_hyperplane_keys(self, data):
+        """(a, b) is a key of w exactly when w ⊆ {x : a.x = b}, a != 0."""
+        n = data.draw(st.integers(1, 6))
+        w, pts = data.draw(described_subspace(n))
+        keys = hyperplane_keys(w)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {(a, b) for a in range(1, 1 << n) for b in (0, 1)
+                             if all(dot(a, x) == b for x in pts)}
+
+    @PROPERTY
+    @given(described_pair())
+    def test_subset_is_key_inclusion(self, pair):
+        _, (w1, pts1), (w2, pts2) = pair
+        assert (set(hyperplane_keys(w2)) <= set(hyperplane_keys(w1))) == (pts1 <= pts2)

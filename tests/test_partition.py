@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab.distributions import (
     SubspaceMixture,
@@ -11,8 +13,15 @@ from paritylab.distributions import (
     uniform_over,
 )
 from paritylab.generators import random_mixture, random_subspace
-from paritylab.gf2 import AffineSubspace, BitVector, intersect_hyperplane, is_subset
+from paritylab.gf2 import (
+    AffineSubspace,
+    BitVector,
+    hyperplane_keys,
+    intersect_hyperplane,
+    is_subset,
+)
 from paritylab.partition import (
+    _project_keys,
     build_partition,
     find_representative_subspace,
     exponent_sum,
@@ -81,6 +90,7 @@ class TestProjectLift:
             pivot = (a_bits & -a_bits).bit_length() - 1
             down = project_out(w, pivot)
             assert down.dim == w.dim
+            assert set(hyperplane_keys(down)) == _project_keys(frozenset(hyperplane_keys(w)), pivot)
             back = lift_back(down, a_bits, b, pivot)
             assert back == w
 
@@ -194,6 +204,25 @@ class TestBuildPartition:
             # representatives pairwise distinct
             reps = [g.representative for g in part.groups]
             assert len(reps) == len(set(reps))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           r_frac=st.sampled_from([0.5, 0.75, 1.0]))
+    def test_sigma_is_earliest_containing_representative(self, seed, n, r_frac):
+        mix = random_mixture(n, np.random.default_rng(seed), max_members=16)
+        part = build_partition(mix, r_frac * n)
+
+        def earliest(w):
+            for g in part.groups:
+                if is_subset(w, g.representative):
+                    return g.representative
+            return None
+
+        assert set(part.sigma) == {w for w, _ in mix.support}
+        for w, _ in mix.support:
+            assert part.sigma[w] == earliest(w)
+        for w, _ in part.residual:
+            assert part.sigma[w] is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

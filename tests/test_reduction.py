@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from paritylab import reduction
 from paritylab.bp import BranchingProgram, to_json_dict, validate_affine
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, BitVector, intersect_hyperplane
+from paritylab.partition import SubspacePartition
 from paritylab.reduction import ReductionParams, reduce_to_affine, verify_reduction
 
 bv = BitVector.from_string
@@ -100,6 +103,34 @@ class TestRandomPrograms:
         red2 = reduce_to_affine(bp, ReductionParams(2.5))
         assert to_json_dict(red1.program, red1.labels, red1.gamma) == \
             to_json_dict(red2.program, red2.labels, red2.gamma)
+
+    def test_zero_mass_edges_take_the_assign_scan(self, monkeypatch):
+        """Edge subspaces outside a partition's support (zero idealized
+        mass) fall back to SubspacePartition.assign; every edge is routed
+        as the all-scan path routes it."""
+        bp = random_program(2, 2, 3, np.random.default_rng(4))
+        params = ReductionParams(2.0)
+        scanned = []
+        assign = SubspacePartition.assign
+
+        def spy(part, w):
+            rep = assign(part, w)
+            scanned.append((w in part.sigma, rep))
+            return rep
+
+        monkeypatch.setattr(SubspacePartition, "assign", spy)
+        red = reduce_to_affine(bp, params)
+        assert red.report.all_ok
+        assert scanned and not any(in_support for in_support, _ in scanned)
+        reps = [rep for _, rep in scanned]
+        assert None in reps and any(rep is not None for rep in reps)
+
+        build = reduction.build_partition
+        monkeypatch.setattr(reduction, "build_partition",
+                            lambda mix, r: replace(build(mix, r), sigma={}))
+        all_scan = reduce_to_affine(bp, params)
+        assert to_json_dict(all_scan.program, all_scan.labels, all_scan.gamma) == \
+            to_json_dict(red.program, red.labels, red.gamma)
 
     def test_width_expansion_bookkeeping(self):
         rng = np.random.default_rng(4)
