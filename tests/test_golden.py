@@ -3,9 +3,10 @@
 Each test hashes a canonical JSON rendering of outputs that must stay
 byte-identical across refactors: unrolled recorder and learner programs,
 affine reductions of the reduction-suite corpus, the Fourier-suite
-mixture corpus, the partition suite's groupings, and the CLI bytes of one
-multi-round reduction.  A digest changes
-only when an integer output, a label or a check flag changes.
+mixture corpus, the partition suite's groupings, the CLI bytes of one
+multi-round reduction, cipher streams and Monte Carlo hit counts.  A
+digest changes only when an integer output, a label, a check flag, an
+output byte or the number of random draws changes.
 """
 
 import hashlib
@@ -23,7 +24,13 @@ from paritylab.generators import (
     random_program,
     selective_recorder_program,
 )
-from paritylab.learners import gaussian_learner, prefix_pivot_learner
+from paritylab.crypto import encode_stream, keygen
+from paritylab.learners import (
+    exhaustive_learner,
+    gaussian_learner,
+    prefix_pivot_learner,
+    simulate_success,
+)
 
 SEED = 20240917
 
@@ -123,3 +130,52 @@ def test_reduce_cli_multi_round(tmp_path):
     digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
     assert digest == (
         "9b97e82931fa13790c4241e759ec54945b0cb88d4e1ce6a7c1c88959a4975c14")
+
+
+STREAM_DIGESTS = {
+    1: "5c643832bbf8a4471fb7356e40e607b4b5a50274b6fe4a61878a785c9f5362fe",
+    8: "74736b474ae907edf2a07a3eae5d87c7e75e49a23c88993ab186898a46f7b467",
+    16: "759d23618437f6c5e2ed4ebbaa2a2e1496a2ba31d4cc0addb2e8a78a085e40bb",
+    40: "91d360fc3ae7bc2015bec5dd4d754357f56a9af151a933495257cbc492cafe11",
+    64: "99ed46a9915734840cce006df5e31fb6eedebf99ad51fe9ac5f93c385dba0a3f",
+    65: "9c4c057d121c70994cb337f17c50c9ed69188f9d48b7cb748bed1a63be0905ee",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+def test_encode_stream_blobs(n):
+    """Three streams on one generator (37 bytes, empty, 5 bytes), then 8
+    more generator bytes: pins the frames and the draws each stream uses."""
+    rng = np.random.default_rng(SEED + n)
+    key = keygen(n, rng)
+    h = hashlib.sha256()
+    for payload in (rng.bytes(37), b"", rng.bytes(5)):
+        h.update(encode_stream(key, payload, rng))
+    h.update(rng.bytes(8))
+    assert h.hexdigest() == STREAM_DIGESTS[n]
+
+
+LEARNER_FACTORIES = {"gaussian": gaussian_learner, "prefix": prefix_pivot_learner,
+                     "exhaustive": exhaustive_learner}
+
+# (learner, n, m, trials, seed) -> (hits, the generator's next draw)
+HIT_COUNTS = {
+    ("gaussian", 8, 12, 300, 1): (281, 444453315),
+    ("gaussian", 3, 0, 40, 2): (0, 357541904),
+    ("gaussian", 1, 2, 50, 3): (36, 575717924),
+    ("prefix", 8, 16, 300, 4): (174, 635560734),
+    ("prefix", 4, 0, 40, 5): (0, 1029825122),
+    ("prefix", 5, 9, 200, 6): (99, 521814866),
+    ("exhaustive", 6, 150, 120, 7): (119, 557475885),
+    ("exhaustive", 3, 0, 40, 8): (0, 29361301),
+    ("exhaustive", 3, 23, 200, 9): (182, 470920985),
+    ("exhaustive", 1, 4, 50, 10): (32, 416006885),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIT_COUNTS), ids=str)
+def test_simulate_success_hits(case):
+    kind, n, m, trials, seed = case
+    rng = np.random.default_rng(seed)
+    hits = simulate_success(LEARNER_FACTORIES[kind](n), m, trials, rng)
+    assert (hits, int(rng.integers(0, 1 << 30))) == HIT_COUNTS[case]
