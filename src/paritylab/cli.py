@@ -152,6 +152,17 @@ def _cmd_crypto(args) -> int:
     raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")
 
 
+def _dimension(text: str) -> int:
+    """argparse type of the crypto --n flags: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paritylab",
@@ -197,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="crypto_cmd", required=True)
 
     c = csub.add_parser("keygen")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_dimension, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("encrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_dimension, required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--seed", type=int, required=True)
@@ -212,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("decrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_dimension, required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("attack")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_dimension, required=True)
     c.add_argument("--memory-bits", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--trials", type=int, default=2000)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .gf2 import AffineSubspace, BitVector, parity, sample_point, solve_affine_system
-from .learners import wilson_interval
+from .learners import _check_run_size, wilson_interval
 
 MAGIC = b"BSC1"
 VERSION = 1
@@ -103,20 +103,52 @@ def _iter_bits(data: bytes):
             yield (byte >> i) & 1
 
 
+# Plaintext bytes coded per array pass (8 frames each).
+CHUNK_BYTES = 1 << 13
+
+
+def _key_columns(key: SecretKey) -> np.ndarray:
+    """Indices i (coordinate i+1) of the key's set bits."""
+    return np.array([i for i in range(key.n) if (key.x.bits >> i) & 1], dtype=np.intp)
+
+
 def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) -> bytes:
     """Header (magic, version, n, bit count) followed by one frame per
-    plaintext bit, bits taken MSB-first within each byte."""
+    plaintext bit, bits taken MSB-first within each byte.
+
+    The frames are those of encrypt_bit and frame_to_bytes, bit by bit:
+    each chunk's pads come from one rng.bytes call of 4 * ceil(nbytes / 4)
+    bytes per pad, the same bytes and generator state as one
+    random_vector call per bit (rng.bytes(k) draws ceil(k / 4) 32-bit
+    words, but rng.bytes(0) draws one, so an empty plaintext makes no
+    call).
+    """
+    n = key.n
+    nbytes = (n + 7) // 8
+    stride = 4 * ((nbytes + 3) // 4)
+    frame_bits = 8 * ((n + 1 + 7) // 8)
+    cols = _key_columns(key)
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
-    out += key.n.to_bytes(2, "big")
+    out += n.to_bytes(2, "big")
     out += (8 * len(plaintext)).to_bytes(8, "big")
-    for bit in _iter_bits(plaintext):
-        out += frame_to_bytes(encrypt_bit(key, bit, rng))
+    for start in range(0, len(plaintext), CHUNK_BYTES):
+        bits = np.unpackbits(np.frombuffer(plaintext[start:start + CHUNK_BYTES], np.uint8))
+        pads = np.frombuffer(rng.bytes(len(bits) * stride), np.uint8).reshape(-1, stride)
+        # random_vector reads the pad big-endian: coordinate i+1 is bit i
+        # of the reversed bytes, little-endian bit order
+        a = np.unpackbits(pads[:, nbytes - 1::-1], axis=1, bitorder="little")[:, :n]
+        frames = np.zeros((len(bits), frame_bits), np.uint8)
+        frames[:, :n] = a
+        frames[:, n] = bits ^ (np.count_nonzero(a[:, cols], axis=1) & 1)
+        out += np.packbits(frames, axis=1).tobytes()
     return bytes(out)
 
 
 def decode_stream(key: SecretKey, data: bytes) -> bytes:
+    """Inverse of encode_stream; frame padding bits are ignored.  Raises
+    FormatError, with the offending byte offset, on a malformed stream."""
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}", 0)
     if len(data) < 15:
@@ -135,17 +167,13 @@ def decode_stream(key: SecretKey, data: bytes) -> bytes:
         raise FormatError(
             f"expected {expected} bytes for {bit_count} frames, got {len(data)}",
             min(len(data), expected))
-    bits = []
-    for i in range(bit_count):
-        start = 15 + i * frame_len
-        frame = frame_from_bytes(data[start:start + frame_len], n)
-        bits.append(decrypt_bit(key, frame))
+    cols = _key_columns(key)
+    frames = np.frombuffer(data, np.uint8, offset=15).reshape(bit_count, frame_len)
     out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = (byte << 1) | b
-        out.append(byte)
+    for start in range(0, bit_count, 8 * CHUNK_BYTES):
+        bits = np.unpackbits(frames[start:start + 8 * CHUNK_BYTES], axis=1)
+        plain = bits[:, n] ^ (np.count_nonzero(bits[:, cols], axis=1) & 1)
+        out += np.packbits(plain.astype(np.uint8)).tobytes()
     return bytes(out)
 
 
@@ -233,6 +261,7 @@ def run_attack(attacker: Attacker, m: int, trials: int,
     ciphertext bits of that (known) plaintext and the harness XORs the
     known bits back in, which reduces to the same pad stream.
     """
+    _check_run_size(m, trials)
     n = attacker.n
     if n > HARNESS_MAX_N:
         raise ValueError(f"attack harness supports n <= {HARNESS_MAX_N}")

@@ -5,6 +5,12 @@ whose bit length never exceeds the declared memory budget (hard-asserted
 on every step by the simulation harness), the step map consumes one
 sample, and the output map turns a state into the affine subspace of keys
 the learner currently believes in.
+
+The three learners also carry a batch run that steps a whole Monte Carlo
+batch at once over (trials, ...) numpy arrays.  It computes the same
+final states as the scalar step map and reports every trial's packed
+state bit length after every step, so the budget is still checked per
+step.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from .bp import BranchingProgram, Sample, unroll
 from .gf2 import (
+    MAX_SUBSPACE_DIM,
     AffineSubspace,
     BitVector,
     lowest_set_bit,
@@ -25,14 +32,26 @@ from .gf2 import (
 )
 
 
+# (trials,) keys, (trials, m) sample vectors, per-step check of the
+# (trials,) packed-state bit lengths -> (the key point each final output
+# names or -1, a function packing the final states into step's ints)
+BatchRun = Callable[[np.ndarray, np.ndarray, Callable[[np.ndarray], None]],
+                    tuple[np.ndarray, Callable[[], list[int]]]]
+
+
 @dataclass(frozen=True)
 class Learner:
+    """A streaming learner; `batch`, when set, must agree with `step` and
+    `output` on every stream (simulate_success falls back to them
+    otherwise)."""
+
     name: str
     n: int
     memory_bits: int
     initial_state: int
     step: Callable[[int, Sample], int]
     output: Callable[[int], AffineSubspace]
+    batch: BatchRun | None = None
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,45 @@ def _encode_rows(rows: list[int], width: int) -> int:
     return state
 
 
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Elementwise int.bit_length of nonnegative integers below 2^53."""
+    return np.frexp(v)[1]
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    return (np.bitwise_count(v) & 1).astype(np.int64)
+
+
+def _honest_rows(xs: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """Augmented samples a | (a.x) << n, shape (trials, m)."""
+    return a | (_parity(a & xs[:, None]) << n)
+
+
+def _reduce(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Reduce each v by its trial's rows, where rows[:, p] is the row with
+    pivot column p (0 if none) and no row has a bit at another row's
+    pivot, so one XOR of the selected rows equals sequential reduction."""
+    cols = np.arange(rows.shape[1])
+    return v ^ np.bitwise_xor.reduce(np.where((v[:, None] >> cols) & 1, rows, 0), axis=1)
+
+
+def _insert(rows: np.ndarray, v: np.ndarray, p: np.ndarray, take: np.ndarray) -> None:
+    """For the trials in `take`, clear column p from the other rows with
+    the reduced row v, then store v as the row with pivot p."""
+    p = np.where(take, p, 0)
+    hit = take[:, None] & (((rows >> p[:, None]) & 1) == 1)
+    rows ^= np.where(hit, v[:, None], 0)
+    t = np.flatnonzero(take)
+    rows[t, p[t]] = v[t]
+
+
+def _solved_points(rows: np.ndarray, full: np.ndarray, n: int) -> np.ndarray:
+    """Key point of full-rank reduced rows (the b bits, coordinate by
+    coordinate), -1 for the other trials."""
+    point = (((rows >> n) & 1) << np.arange(n)).sum(axis=1)
+    return np.where(full, point, -1)
+
+
 def gaussian_learner(n: int) -> Learner:
     """Keeps the full row-reduced system of every sample seen.
 
@@ -109,7 +167,28 @@ def gaussian_learner(n: int) -> Learner:
         rows = _decode_rows(state, width)
         return solve_affine_system(n, ((r & ~b_bit, (r >> n) & 1) for r in rows))
 
-    return Learner("gaussian", n, n * width, 0, step, output)
+    def batch(xs, a, check):
+        trials = len(xs)
+        rows = np.zeros((trials, n), np.int64)
+        count = np.zeros(trials, np.int64)
+        top = np.zeros(trials, np.int64)      # highest pivot column held
+        cols = np.arange(n)
+        samples = _honest_rows(xs, a, n)
+        for j in range(samples.shape[1]):
+            v = _reduce(rows, samples[:, j])
+            coeff = v & (b_bit - 1)
+            take = coeff != 0
+            pivot = _bit_length(coeff & -coeff) - 1
+            _insert(rows, v, pivot, take)
+            count += take
+            top = np.where(take, np.maximum(top, pivot), top)
+            # packed rows sorted by pivot: the highest-pivot row is last
+            top_row = np.where(cols == top[:, None], rows, 0).max(axis=1, initial=0)
+            check(np.where(count > 0, (count - 1) * width + _bit_length(top_row), 0))
+        return _solved_points(rows, count == n, n), lambda: [
+            _encode_rows([r for r in row if r], width) for row in rows.tolist()]
+
+    return Learner("gaussian", n, n * width, 0, step, output, batch)
 
 
 def prefix_pivot_learner(n: int) -> Learner:
@@ -182,8 +261,28 @@ def prefix_pivot_learner(n: int) -> Learner:
             equations.append(((1 << i) | (block << k), rhs))
         return solve_affine_system(n, equations)
 
+    def batch(xs, a, check):
+        # rows[:, i] for i < k is the full augmented row e_i + tail << k;
+        # its packed tail at the current k is row >> k
+        trials = len(xs)
+        rows = np.zeros((trials, n), np.int64)
+        k = np.zeros(trials, np.int64)
+        offsets = np.arange(n)
+        samples = _honest_rows(xs, a, n)
+        for j in range(samples.shape[1]):
+            v = _reduce(rows, samples[:, j])
+            take = (k < n) & (((v >> k) & 1) == 1)
+            _insert(rows, v, k, take)
+            k += take
+            tails = rows >> k[:, None]
+            ends = np.where(tails != 0, offsets * (n - k + 1)[:, None] + _bit_length(tails), 0)
+            packed = ends.max(axis=1, initial=0)    # bit length of the packed tails
+            check(np.where(packed > 0, counter_bits + packed, _bit_length(k)))
+        return _solved_points(rows, k == n, n), lambda: [
+            pack(kt, [r >> kt for r in row[:kt]]) for kt, row in zip(k.tolist(), rows.tolist())]
+
     memory = counter_bits + max((k * ((n - k) + 1) for k in range(n + 1)), default=0)
-    return Learner("prefix_pivot", n, memory, pack(0, []), step, output)
+    return Learner("prefix_pivot", n, memory, pack(0, []), step, output, batch)
 
 
 def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
@@ -218,14 +317,29 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
             return AffineSubspace.point(BitVector(n, cand))
         return AffineSubspace.full(n)
 
-    return Learner("exhaustive", n, n + counter_bits, 0, step, output)
+    def batch(xs, a, check):
+        cand = np.zeros(len(xs), np.int64)
+        count = np.zeros(len(xs), np.int64)
+        b = _parity(a & xs[:, None])
+        for j in range(a.shape[1]):
+            ok = _parity(a[:, j] & cand) == b[:, j]
+            cand = np.where(ok, cand, (cand + 1) & mask)
+            count = np.where(ok, np.minimum(count + 1, cap), 0)
+            check(_bit_length((cand << counter_bits) | count))
+        return (np.where(count >= cap, cand, -1),
+                lambda: ((cand << counter_bits) | count).tolist())
+
+    return Learner("exhaustive", n, n + counter_bits, 0, step, output, batch)
 
 
 def assert_state_size(learner: Learner, state: int) -> None:
-    if state.bit_length() > learner.memory_bits:
+    _assert_bits(learner, state.bit_length())
+
+
+def _assert_bits(learner: Learner, bits: int) -> None:
+    if bits > learner.memory_bits:
         raise AssertionError(
-            f"{learner.name} state needs {state.bit_length()} bits, "
-            f"declared {learner.memory_bits}")
+            f"{learner.name} state needs {bits} bits, declared {learner.memory_bits}")
 
 
 def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
@@ -238,18 +352,52 @@ def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
     return state
 
 
+# Largest (trials, m) sample array simulate_success draws at once (8 MiB
+# of int64).  A batch step costs about as much as four one-sample steps,
+# so batches need a few trials each: at m = 2^16 they hold 16.
+BATCH_CELLS = 1 << 20
+
+
+def _check_run_size(m: int, trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+
+
+def _point(out: AffineSubspace) -> int:
+    return out.offset.bits if not out.is_empty and out.dim == 0 else -1
+
+
 def simulate_success(learner: Learner, m: int, trials: int,
                      rng: np.random.Generator) -> int:
-    """Number of trials whose output is exactly the key point."""
+    """Number of trials whose output is exactly the key point.
+
+    Per trial the key is drawn first, then its m sample vectors in one
+    call; trials are run in batches of at most BATCH_CELLS samples,
+    through learner.batch when the learner has one.
+    """
+    _check_run_size(m, trials)
     n = learner.n
+    if n > MAX_SUBSPACE_DIM:
+        raise ValueError(f"learner dimension {n} exceeds {MAX_SUBSPACE_DIM}")
     size = 1 << n
+    per_batch = max(1, BATCH_CELLS // max(m, 1))
     hits = 0
-    for _ in range(trials):
-        x = int(rng.integers(0, size))
-        state = run_learner(learner, x, [int(a) for a in rng.integers(0, size, m)])
-        out = learner.output(state)
-        if not out.is_empty and out.dim == 0 and out.offset.bits == x:
-            hits += 1
+    for start in range(0, trials, per_batch):
+        count = min(per_batch, trials - start)
+        xs = np.empty(count, np.int64)
+        a = np.empty((count, m), np.int64)
+        for t in range(count):
+            xs[t] = rng.integers(0, size)
+            a[t] = rng.integers(0, size, m)
+        if learner.batch is None:
+            points = [_point(learner.output(run_learner(learner, x, row)))
+                      for x, row in zip(xs.tolist(), a.tolist())]
+        else:
+            points, _ = learner.batch(
+                xs, a, lambda bits: _assert_bits(learner, int(bits.max())))
+        hits += int(np.count_nonzero(np.asarray(points) == xs))
     return hits
 
 
@@ -277,6 +425,8 @@ def estimate_sample_complexity(learner: Learner, target: float,
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0,1), got {target}")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be at least 1, got {m_cap}")
 
     def lower_bound(m: int) -> tuple[float, float, float]:
         hits = simulate_success(learner, m, trials, rng)
@@ -313,14 +463,15 @@ def rank_success_probability(n: int, m: int) -> float:
     return max(out, 0.0)
 
 
-def exhaustive_success_exact(n: int, confirmations: int, m: int) -> float:
+def exhaustive_success_curve(n: int, confirmations: int, m: int) -> list[float]:
     """Exact commitment-success probability of the candidate-cycling
-    learner after m samples, by dynamic programming over (candidate
-    distance to the key, counter)."""
+    learner after 0, 1, ..., m samples, by one dynamic-programming pass
+    over (candidate distance to the key, counter)."""
     size = 1 << n
     cap = confirmations
     p = np.zeros((size, cap + 1))
     p[:, 0] = 1.0 / size
+    curve = [float(p[0, cap])]
     for _ in range(m):
         q = np.zeros_like(p)
         q[0, 1:cap] += p[0, 0:cap - 1]
@@ -329,4 +480,11 @@ def exhaustive_success_exact(n: int, confirmations: int, m: int) -> float:
         q[1:, cap] += 0.5 * (p[1:, cap - 1] + p[1:, cap])
         q[0:size - 1, 0] += 0.5 * p[1:, :].sum(axis=1)
         p = q
-    return float(p[0, cap])
+        curve.append(float(p[0, cap]))
+    return curve
+
+
+def exhaustive_success_exact(n: int, confirmations: int, m: int) -> float:
+    """Exact commitment-success probability after m samples (the last
+    point of exhaustive_success_curve)."""
+    return exhaustive_success_curve(n, confirmations, m)[m]

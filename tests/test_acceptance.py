@@ -31,7 +31,7 @@ from paritylab.gf2 import BitVector, contains, parity
 from paritylab.learners import (
     estimate_sample_complexity,
     exhaustive_learner,
-    exhaustive_success_exact,
+    exhaustive_success_curve,
     gaussian_learner,
     learner_to_bp,
     rank_success_probability,
@@ -226,7 +226,7 @@ def test_criterion_7_tradeoff_anchor():
     # success is non-decreasing in m: rank can only grow, and the chain's
     # committed state (key, T) is absorbing
     exact = {"gaussian": lambda m: rank_success_probability(n, m),
-             "exhaustive": lambda m: exhaustive_success_exact(n, cap, m)}
+             "exhaustive": exhaustive_success_curve(n, cap, m_cap).__getitem__}
     quantile = {name: _first_m(lambda m: f(m) >= target, m_cap)
                 for name, f in exact.items()}
     band = {name: _estimator_band(f, target, trials, m_cap, k=5)

@@ -236,6 +236,15 @@ FUZZ_CASES = [
     ["crypto", "decrypt", "--key", "00", "--n", "8", "--in", "MISSING", "--out", "OUT"],
     ["crypto", "attack", "--n", "4"],
     ["crypto", "attack", "--n", "4", "--memory-bits", "-5", "--m", "3", "--seed", "1"],
+    ["crypto", "attack", "--n", "4", "--memory-bits", "20", "--m", "3", "--trials", "0", "--seed", "1"],
+    ["crypto", "attack", "--n", "4", "--memory-bits", "20", "--m", "3", "--trials", "-2", "--seed", "1"],
+    ["crypto", "attack", "--n", "4", "--memory-bits", "20", "--m", "-1", "--seed", "1"],
+    ["crypto", "attack", "--n", "0", "--memory-bits", "20", "--m", "3", "--seed", "1"],
+    ["crypto", "encrypt", "--key", "00", "--n", "0", "--in", "TEXT", "--out", "OUT", "--seed", "1"],
+    ["crypto", "decrypt", "--key", "00", "--n", "-1", "--in", "BINARY", "--out", "OUT"],
+    ["tradeoff", "--n", "4", "--trials", "0", "--seed", "1"],
+    ["tradeoff", "--n", "4", "--trials", "-5", "--seed", "1"],
+    ["tradeoff", "--n", "4", "--m-cap", "0", "--seed", "1"],
 ]
 
 
@@ -258,3 +267,13 @@ class TestFuzzGuard:
         assert sum("error:" in line for line in lines) == 1
         if code == 1:
             assert len(lines) == 1
+
+    @pytest.mark.parametrize("sub", ["keygen", "encrypt", "decrypt", "attack"])
+    def test_crypto_n_named(self, tmp_path, capsys, sub):
+        flags = {"keygen": ["--seed", "1"],
+                 "encrypt": ["--key", "00", "--in", "x", "--out", "y", "--seed", "1"],
+                 "decrypt": ["--key", "00", "--in", "x", "--out", "y"],
+                 "attack": ["--memory-bits", "8", "--m", "2", "--seed", "1"]}[sub]
+        code, _, err = run_cli(capsys, "crypto", sub, "--n", "-1", *flags)
+        assert code == 2
+        assert "argument --n: must be at least 1, got -1" in err.splitlines()[-1]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab.crypto import (
+    MAGIC,
+    VERSION,
     Attacker,
     FormatError,
     Frame,
@@ -143,6 +147,88 @@ class TestWireFormat:
         assert err.value.offset == 5
 
 
+def framewise_encode(key, plaintext, rng):
+    """encode_stream's reference: one encrypt_bit and frame per bit."""
+    header = MAGIC + bytes([VERSION]) + key.n.to_bytes(2, "big") + (
+        8 * len(plaintext)).to_bytes(8, "big")
+    bits = [(byte >> i) & 1 for byte in plaintext for i in range(7, -1, -1)]
+    return header + b"".join(frame_to_bytes(encrypt_bit(key, b, rng)) for b in bits)
+
+
+def framewise_decode(key, blob):
+    frame_len = (key.n + 1 + 7) // 8
+    bits = [decrypt_bit(key, frame_from_bytes(blob[i:i + frame_len], key.n))
+            for i in range(15, len(blob), frame_len)]
+    return bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
+
+
+class TestArrayCoding:
+    @pytest.mark.parametrize("n", [*range(1, 19), 31, 32, 33, 40, 63, 64, 65, 100])
+    def test_matches_framewise_coding(self, n):
+        """Same blob bytes and same generator state as one frame per bit."""
+        rng = np.random.default_rng(n)
+        key = keygen(n, rng)
+        for size in (0, 1, 3, 17):
+            payload = rng.bytes(size)
+            ours, ref = np.random.default_rng(size), np.random.default_rng(size)
+            blob = encode_stream(key, payload, ours)
+            assert blob == framewise_encode(key, payload, ref)
+            assert ours.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+            assert decode_stream(key, blob) == framewise_decode(key, blob) == payload
+
+    def test_chunked_stream(self, monkeypatch):
+        import paritylab.crypto as crypto
+        monkeypatch.setattr(crypto, "CHUNK_BYTES", 3)
+        key = keygen(11, np.random.default_rng(1))
+        payload = bytes(range(10))
+        blob = encode_stream(key, payload, np.random.default_rng(2))
+        assert blob == framewise_encode(key, payload, np.random.default_rng(2))
+        assert decode_stream(key, blob) == payload
+
+
+DECODE_KEYS = [SecretKey(6, bv("010101")), SecretKey(9, bv("110000001"))]
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _decodes_or_format_error(key, data):
+    try:
+        out = decode_stream(key, data)
+    except FormatError:
+        return
+    assert len(out) == int.from_bytes(data[7:15], "big") // 8
+
+
+class TestDecodeProperties:
+    @PROPERTY
+    @given(st.sampled_from(DECODE_KEYS), st.binary(max_size=64))
+    def test_arbitrary_bytes(self, key, data):
+        _decodes_or_format_error(key, data)
+
+    @PROPERTY
+    @given(st.sampled_from(DECODE_KEYS), st.binary(max_size=6), st.data())
+    def test_mutated_blobs(self, key, payload, data):
+        blob = bytearray(encode_stream(key, payload, np.random.default_rng(len(payload))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["set", "cut", "add"]))
+            if op == "set" and blob:
+                blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+            elif op == "cut":
+                del blob[data.draw(st.integers(0, len(blob))):]
+            else:
+                blob += data.draw(st.binary(min_size=1, max_size=4))
+        _decodes_or_format_error(key, bytes(blob))
+
+    @PROPERTY
+    @given(st.sampled_from(DECODE_KEYS), st.binary(max_size=6), st.data())
+    def test_padding_bits_ignored(self, key, payload, data):
+        blob = bytearray(encode_stream(key, payload, np.random.default_rng(1)))
+        frame_len = (key.n + 1 + 7) // 8
+        pad_mask = (1 << (8 * frame_len - key.n - 1)) - 1    # low bits of the last byte
+        for end in range(15 + frame_len - 1, len(blob), frame_len):
+            blob[end] |= data.draw(st.integers(0, 255)) & pad_mask
+        assert decode_stream(key, bytes(blob)) == payload == framewise_decode(key, bytes(blob))
+
+
 class TestWindowAttacker:
     def test_fifo_eviction(self):
         att = window_attacker(3, 2 * 4)  # capacity 2
@@ -225,6 +311,11 @@ class TestHarnessContracts:
         rep_cipher = run_attack(att, m=n, trials=2_000, rng=np.random.default_rng(16),
                                 ciphertext_only_plaintext=b"\xa5")
         assert rep_direct.key_guess_rate == rep_cipher.key_guess_rate
+
+    @pytest.mark.parametrize("m, trials", [(3, 0), (3, -2), (-1, 5)])
+    def test_run_size_rejected(self, m, trials):
+        with pytest.raises(ValueError):
+            run_attack(window_attacker(4, 20), m, trials, np.random.default_rng(0))
 
     def test_rank_distribution_vs_exhaustive(self):
         n, m = 2, 2

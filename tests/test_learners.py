@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from paritylab.learners import (
     assert_state_size,
     estimate_sample_complexity,
     exhaustive_learner,
+    exhaustive_success_curve,
     exhaustive_success_exact,
     gaussian_learner,
     learner_to_bp,
@@ -171,6 +173,15 @@ class TestExhaustive:
                 sigma = max((exact * (1 - exact) / trials) ** 0.5, 1e-9)
                 assert abs(hits / trials - exact) <= 3.5 * sigma, (n, m)
 
+    def test_curve_is_every_prefix(self):
+        # values of the per-m chain DP before it became one curve pass
+        curve = exhaustive_success_curve(3, 9, 23)
+        assert len(curve) == 24 and curve[0] == 0.0
+        assert curve[23] == 0.908355712890625
+        assert exhaustive_success_curve(8, 24, 483)[483] == 0.9002714555768596
+        assert all(p <= q for p, q in zip(curve, curve[1:]))
+        assert [exhaustive_success_exact(3, 9, m) for m in range(24)] == curve
+
     def test_default_cap(self):
         L = exhaustive_learner(5)
         assert L.memory_bits == 5 + 4  # counter cap 15 fits in 4 bits
@@ -205,6 +216,109 @@ class TestHarness:
         sigma = (exact * (1 - exact) / trials) ** 0.5
         assert abs(hits / trials - exact) <= 3 * sigma
         assert success_probability(bp) == 1.0  # output always contains x
+
+
+def scalar_run(learner, xs, a):
+    """Final states and per-step state bit lengths of run_learner's loop."""
+    states, bits = [], []
+    for x, row in zip(xs.tolist(), a.tolist()):
+        state, lengths = learner.initial_state, []
+        for v in row:
+            state = learner.step(state, Sample(BitVector(learner.n, v), parity(v & x)))
+            lengths.append(state.bit_length())
+        assert state == run_learner(learner, x, row)
+        states.append(state)
+        bits.append(lengths)
+    return states, np.array(bits, dtype=np.int64).reshape(a.shape)
+
+
+def point_of(out):
+    return out.offset.bits if not out.is_empty and out.dim == 0 else -1
+
+
+FACTORIES = (gaussian_learner, prefix_pivot_learner, exhaustive_learner)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_matches_scalar_steps(self, factory):
+        """Final states, every step's packed bit lengths and the output
+        points equal the scalar step map's on shared streams."""
+        rng = np.random.default_rng(21)
+        trials = 40
+        for n in range(1, 9):
+            L = factory(n)
+            for m in sorted({0, 1, n, 3 * n}):
+                xs = rng.integers(0, 1 << n, trials)
+                a = rng.integers(0, 1 << n, (trials, m))
+                steps = []
+                points, packed = L.batch(xs, a, lambda bits: steps.append(bits.copy()))
+                states, bits = scalar_run(L, xs, a)
+                assert packed() == states, (n, m)
+                assert np.array_equal(np.array(steps, dtype=np.int64).T.reshape(a.shape), bits)
+                assert points.tolist() == [point_of(L.output(s)) for s in states]
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_batch_and_loop_hit_counts(self, factory):
+        for n, m, trials in ((3, 7, 300), (5, 12, 100)):
+            L = factory(n)
+            loop = dataclasses.replace(L, batch=None)
+            assert (simulate_success(L, m, trials, np.random.default_rng(n))
+                    == simulate_success(loop, m, trials, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_shrunk_budget_raises_on_both_paths(self, factory):
+        """With the budget at the run's true peak both paths finish; one
+        bit less and both raise assert_state_size's AssertionError."""
+        n, m, trials = 4, 12, 50
+        L = factory(n)
+        rng = np.random.default_rng(4)
+        xs = np.empty(trials, np.int64)
+        a = np.empty((trials, m), np.int64)
+        for t in range(trials):     # simulate_success's draw order
+            xs[t] = rng.integers(0, 1 << n)
+            a[t] = rng.integers(0, 1 << n, m)
+        peak = int(scalar_run(L, xs, a)[1].max())
+        for budget, fits in ((peak, True), (peak - 1, False)):
+            small = dataclasses.replace(L, memory_bits=budget)
+            for learner in (small, dataclasses.replace(small, batch=None)):
+                if fits:
+                    simulate_success(learner, m, trials, np.random.default_rng(4))
+                else:
+                    with pytest.raises(AssertionError, match=f"declared {budget}"):
+                        simulate_success(learner, m, trials, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("m", [0, 7, 40])
+    def test_large_runs_drawn_in_pieces(self, monkeypatch, m):
+        """More trials x samples than one batch holds (and m above the
+        batch size): same draws, same hits as one trial at a time."""
+        import paritylab.learners as learners
+        monkeypatch.setattr(learners, "BATCH_CELLS", 20)
+        L = exhaustive_learner(2, 2)
+        rng = np.random.default_rng(9)
+        hits = 0
+        for _ in range(31):
+            x = int(rng.integers(0, 4))
+            state = run_learner(L, x, [int(a) for a in rng.integers(0, 4, m)])
+            hits += point_of(L.output(state)) == x
+        assert simulate_success(L, m, 31, np.random.default_rng(9)) == hits
+
+    @pytest.mark.parametrize("m, trials", [(3, 0), (3, -2), (-1, 5)])
+    def test_run_size_rejected(self, m, trials):
+        with pytest.raises(ValueError):
+            simulate_success(gaussian_learner(3), m, trials, np.random.default_rng(0))
+
+    def test_dimension_cap(self):
+        # batch states are int64 arrays and bit lengths go through float64
+        with pytest.raises(ValueError, match="exceeds"):
+            simulate_success(gaussian_learner(25), 1, 1, np.random.default_rng(0))
+
+    def test_estimator_rejects_bad_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            estimate_sample_complexity(gaussian_learner(3), 0.9, rng, trials=0)
+        with pytest.raises(ValueError):
+            estimate_sample_complexity(gaussian_learner(3), 0.9, rng, m_cap=0)
 
 
 class TestSampleComplexity:
