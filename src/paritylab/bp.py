@@ -23,6 +23,7 @@ from .gf2 import (
     contains,
     intersect_hyperplane,
     is_subset,
+    parity,
     parse_subspace,
 )
 
@@ -302,7 +303,7 @@ def monte_carlo_success(bp: BranchingProgram, trials: int, rng: np.random.Genera
         t, v = 0, 0
         while not bp.is_leaf(t, v):
             a = int(rng.integers(0, size))
-            b = bin(a & x).count("1") & 1
+            b = parity(a & x)
             v = bp.transitions[t][v][(a << 1) | b]
             t += 1
         if contains(bp.leaf_labels[(t, v)], BitVector(bp.n, x)):

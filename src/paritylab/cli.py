@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import crypto
 from .bp import from_json_dict, to_json_dict
@@ -152,15 +153,17 @@ def _cmd_crypto(args) -> int:
     raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")
 
 
-def _dimension(text: str) -> int:
-    """argparse type of the crypto --n flags: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _dimension(low: int) -> Callable[[str], int]:
+    """argparse type of an --n flag: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemmas", help="run the property suites")
-    p.add_argument("--n", type=int, default=None)
+    # the reduction suite's r = n/2 + 1 must not exceed n
+    p.add_argument("--n", type=_dimension(2), default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("tradeoff", help="sample-complexity sweep to CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension(1), required=True)
     p.add_argument("--learners", default="gaussian,prefix,exhaustive")
     p.add_argument("--target", type=float, default=0.9)
     p.add_argument("--trials", type=int, default=400)
@@ -208,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="crypto_cmd", required=True)
 
     c = csub.add_parser("keygen")
-    c.add_argument("--n", type=_dimension, required=True)
+    c.add_argument("--n", type=_dimension(1), required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("encrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_dimension, required=True)
+    c.add_argument("--n", type=_dimension(1), required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--seed", type=int, required=True)
@@ -223,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("decrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_dimension, required=True)
+    c.add_argument("--n", type=_dimension(1), required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("attack")
-    c.add_argument("--n", type=_dimension, required=True)
+    c.add_argument("--n", type=_dimension(1), required=True)
     c.add_argument("--memory-bits", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--trials", type=int, default=2000)

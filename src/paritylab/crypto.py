@@ -97,12 +97,6 @@ def frame_from_bytes(data: bytes, n: int) -> Frame:
     return Frame(BitVector(n, reverse_bits(payload >> 1, n)), payload & 1)
 
 
-def _iter_bits(data: bytes):
-    for byte in data:
-        for i in range(7, -1, -1):
-            yield (byte >> i) & 1
-
-
 # Plaintext bytes coded per array pass (8 frames each).
 CHUNK_BYTES = 1 << 13
 
@@ -251,25 +245,16 @@ class AttackReport:
 
 
 def run_attack(attacker: Attacker, m: int, trials: int,
-               rng: np.random.Generator,
-               ciphertext_only_plaintext: bytes | None = None) -> AttackReport:
+               rng: np.random.Generator) -> AttackReport:
     """Key-recovery and next-bit-prediction game against the pad stream.
 
     Per trial: fresh uniform key, m observed pairs (a_t, a_t.x), then the
     state is finalized before a fresh a_{m+1} is revealed for prediction.
-    With ciphertext_only_plaintext set, the attacker instead sees
-    ciphertext bits of that (known) plaintext and the harness XORs the
-    known bits back in, which reduces to the same pad stream.
     """
     _check_run_size(m, trials)
     n = attacker.n
     if n > HARNESS_MAX_N:
         raise ValueError(f"attack harness supports n <= {HARNESS_MAX_N}")
-    known_bits = None
-    if ciphertext_only_plaintext is not None:
-        known_bits = list(_iter_bits(ciphertext_only_plaintext))
-        if len(known_bits) < m:
-            raise ValueError("known plaintext shorter than the stream")
     key_hits = 0
     bit_hits = 0
     for _ in range(trials):
@@ -277,13 +262,9 @@ def run_attack(attacker: Attacker, m: int, trials: int,
         state = attacker.initial_state
         if attacker.state_bits(state) > attacker.memory_bits:
             raise AssertionError("attacker initial state exceeds its memory budget")
-        for t in range(m):
+        for _ in range(m):
             a = int(rng.integers(0, 1 << n))
-            b = parity(a & x)
-            if known_bits is not None:
-                cipher = known_bits[t] ^ b      # what the wire carries
-                b = cipher ^ known_bits[t]      # known-plaintext recovery of the pad bit
-            state = attacker.observe(state, a, b)
+            state = attacker.observe(state, a, parity(a & x))
             used = attacker.state_bits(state)
             if used > attacker.memory_bits:
                 raise AssertionError(

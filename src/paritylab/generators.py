@@ -7,7 +7,7 @@ import numpy as np
 
 from .bp import AffineLabels, BranchingProgram, Sample, unroll
 from .distributions import SubspaceMixture
-from .gf2 import AffineSubspace, BitVector, VectorSubspace, intersect_hyperplane
+from .gf2 import AffineSubspace, BitVector, VectorSubspace, _insert, _reduce, intersect_hyperplane
 from .learners import Learner, learner_state_layers
 
 
@@ -20,13 +20,13 @@ def random_subspace(n: int, rng: np.random.Generator,
                     dim: int | None = None) -> AffineSubspace:
     if dim is None:
         dim = int(rng.integers(0, n + 1))
-    space = VectorSubspace.from_rows(n, ())
-    while space.dim < dim:
-        # RREF is canonical, so extending the current basis gives the
-        # same space as re-reducing every row drawn so far
-        space = VectorSubspace.from_rows(n, space.rows + (int(rng.integers(1, 1 << n)),))
+    basis: list[int] = []
+    while len(basis) < dim:
+        v = _reduce(basis, int(rng.integers(1, 1 << n)))
+        if v:
+            _insert(basis, v)
     offset = BitVector(n, int(rng.integers(0, 1 << n)))
-    return AffineSubspace.from_parts(offset, space)
+    return AffineSubspace(n, VectorSubspace(n, tuple(basis)), offset)
 
 
 def random_mixture(n: int, rng: np.random.Generator,
@@ -85,10 +85,12 @@ def _rejection_mixture(n: int, threshold: float,
     for _ in range(200):
         count = int(rng.integers(2, 9))
         members: dict[AffineSubspace, float] = {}
-        while len(members) < count:
+        for _ in range(20 * count):  # n = 1 has only 3 such subspaces
             dim = int(rng.integers(max(0, n - 2), n + 1))
             members.setdefault(random_subspace(n, rng, dim), 0.0)
-        weights = rng.random(count) + 0.05
+            if len(members) >= count:
+                break
+        weights = rng.random(len(members)) + 0.05
         weights /= weights.sum()
         mix = SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
         mass = hyperplane_mass(mix)

@@ -75,26 +75,45 @@ class BitVector:
         return BitVector(self.n, self.bits ^ other.bits)
 
 
+def _reduce(basis: Iterable[int], v: int) -> int:
+    """Clear every pivot column of v.
+
+    The basis rows have distinct pivots (lowest set bits) and no row has a
+    bit in another row's pivot column, so the order of the rows is free.
+    """
+    for b in basis:
+        if (v >> lowest_set_bit(b)) & 1:
+            v ^= b
+    return v
+
+
+def _insert(basis: list[int], v: int) -> None:
+    """Add the reduced nonzero row v and clear its pivot column from the
+    other rows, keeping the invariant _reduce relies on."""
+    p = lowest_set_bit(v)
+    for i, b in enumerate(basis):
+        if (b >> p) & 1:
+            basis[i] = b ^ v
+    basis.append(v)
+
+
 def _rref_ints(rows: Iterable[int]) -> list[int]:
     """RREF a collection of packed rows; returns rows sorted by pivot."""
     basis: list[int] = []
     for row in rows:
-        v = row
-        for b in basis:
-            if (v >> lowest_set_bit(b)) & 1:
-                v ^= b
-        if v == 0:
-            continue
-        p = lowest_set_bit(v)
-        basis = [b ^ v if (b >> p) & 1 else b for b in basis]
-        basis.append(v)
+        v = _reduce(basis, row)
+        if v:
+            _insert(basis, v)
     basis.sort(key=lowest_set_bit)
     return basis
 
 
 @dataclass(frozen=True, slots=True)
 class VectorSubspace:
-    """A linear subspace of {0,1}^n, basis rows in RREF (pivots increasing)."""
+    """A linear subspace of {0,1}^n, basis rows in RREF (pivots increasing).
+
+    The constructor takes any spanning n-bit rows and puts them in RREF.
+    """
 
     n: int
     rows: tuple[int, ...]
@@ -102,21 +121,13 @@ class VectorSubspace:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_SUBSPACE_DIM:
             raise ValueError(f"ambient dimension {self.n} outside [0, {MAX_SUBSPACE_DIM}]")
-        pivots = []
-        for r in self.rows:
-            if r == 0 or r >> self.n:
-                raise ValueError("basis rows must be nonzero n-bit words")
-            pivots.append(lowest_set_bit(r))
-        if pivots != sorted(set(pivots)):
-            raise ValueError("basis rows must have strictly increasing pivots")
-        for r in self.rows:
-            for p in pivots:
-                if p != lowest_set_bit(r) and (r >> p) & 1:
-                    raise ValueError("basis not in RREF: pivot column reused")
+        if any(r >> self.n for r in self.rows):  # also rejects negative rows
+            raise ValueError("basis rows must be n-bit words")
+        object.__setattr__(self, "rows", tuple(_rref_ints(self.rows)))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "VectorSubspace":
-        return cls(n, tuple(_rref_ints(rows)))
+        return cls(n, tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -128,18 +139,10 @@ class VectorSubspace:
 
     def reduce(self, v: int) -> int:
         """Reduce v modulo the row span (zeroes every pivot coordinate)."""
-        for r in self.rows:
-            if (v >> lowest_set_bit(r)) & 1:
-                v ^= r
-        return v
+        return _reduce(self.rows, v)
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def sum_with(self, other: "VectorSubspace") -> "VectorSubspace":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return VectorSubspace.from_rows(self.n, self.rows + other.rows)
 
     def null_space(self) -> "VectorSubspace":
         """The space {a : a.r = 0 for every basis row r}."""
@@ -177,7 +180,8 @@ def _null_space_cached(n: int, rows: tuple[int, ...]) -> VectorSubspace:
 class AffineSubspace:
     """A coset of a linear subspace of {0,1}^n, or the distinguished Empty.
 
-    Canonical form: RREF direction basis, offset zero on all pivot columns.
+    Canonical form: RREF direction basis, offset zero on all pivot columns
+    (the constructor reduces any offset).
     Empty is represented with direction == offset == None; dim is undefined
     for it and must not be queried.
     """
@@ -194,9 +198,9 @@ class AffineSubspace:
         if self.direction is not None:
             if self.direction.n != self.n or self.offset.n != self.n:
                 raise DimensionMismatch("ambient dimension mismatch")
-            for p in self.direction.pivots:
-                if (self.offset.bits >> p) & 1:
-                    raise ValueError("offset not reduced: nonzero pivot coordinate")
+            bits = self.direction.reduce(self.offset.bits)
+            if bits != self.offset.bits:
+                object.__setattr__(self, "offset", BitVector(self.n, bits))
 
     @property
     def is_empty(self) -> bool:
@@ -214,10 +218,8 @@ class AffineSubspace:
 
     @classmethod
     def from_parts(cls, offset: BitVector, direction: VectorSubspace) -> "AffineSubspace":
-        """Canonicalize an arbitrary (offset, direction) description."""
-        if offset.n != direction.n:
-            raise DimensionMismatch(f"{offset.n} != {direction.n}")
-        return cls(direction.n, direction, BitVector(direction.n, direction.reduce(offset.bits)))
+        """The coset offset + direction, for any offset."""
+        return cls(direction.n, direction, offset)
 
     @classmethod
     def from_generators(cls, offset: BitVector, generators: Iterable[BitVector]) -> "AffineSubspace":

@@ -26,6 +26,8 @@ from .gf2 import (
     MAX_SUBSPACE_DIM,
     AffineSubspace,
     BitVector,
+    _insert,
+    _reduce,
     lowest_set_bit,
     parity,
     solve_affine_system,
@@ -113,7 +115,7 @@ def _honest_rows(xs: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return a | (_parity(a & xs[:, None]) << n)
 
 
-def _reduce(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _reduce_batch(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Reduce each v by its trial's rows, where rows[:, p] is the row with
     pivot column p (0 if none) and no row has a bit at another row's
     pivot, so one XOR of the selected rows equals sequential reduction."""
@@ -121,7 +123,7 @@ def _reduce(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v ^ np.bitwise_xor.reduce(np.where((v[:, None] >> cols) & 1, rows, 0), axis=1)
 
 
-def _insert(rows: np.ndarray, v: np.ndarray, p: np.ndarray, take: np.ndarray) -> None:
+def _insert_batch(rows: np.ndarray, v: np.ndarray, p: np.ndarray, take: np.ndarray) -> None:
     """For the trials in `take`, clear column p from the other rows with
     the reduced row v, then store v as the row with pivot p."""
     p = np.where(take, p, 0)
@@ -150,17 +152,11 @@ def gaussian_learner(n: int) -> Learner:
 
     def step(state: int, sample: Sample) -> int:
         rows = _decode_rows(state, width)
-        v = sample.a.bits | (b_bit if sample.b else 0)
-        for r in rows:
-            pivot = lowest_set_bit(r & ~b_bit) if r & ~b_bit else n
-            if (v >> pivot) & 1:
-                v ^= r
+        v = _reduce(rows, sample.a.bits | (sample.b << n))
         if v & ~b_bit == 0:
             return state  # redundant, or inconsistent (impossible on honest streams)
-        p = lowest_set_bit(v & ~b_bit)
-        rows = [r ^ v if (r >> p) & 1 else r for r in rows]
-        rows.append(v)
-        rows.sort(key=lambda r: lowest_set_bit(r & ~b_bit))
+        _insert(rows, v)
+        rows.sort(key=lowest_set_bit)
         return _encode_rows(rows, width)
 
     def output(state: int) -> AffineSubspace:
@@ -175,11 +171,11 @@ def gaussian_learner(n: int) -> Learner:
         cols = np.arange(n)
         samples = _honest_rows(xs, a, n)
         for j in range(samples.shape[1]):
-            v = _reduce(rows, samples[:, j])
+            v = _reduce_batch(rows, samples[:, j])
             coeff = v & (b_bit - 1)
             take = coeff != 0
             pivot = _bit_length(coeff & -coeff) - 1
-            _insert(rows, v, pivot, take)
+            _insert_batch(rows, v, pivot, take)
             count += take
             top = np.where(take, np.maximum(top, pivot), top)
             # packed rows sorted by pivot: the highest-pivot row is last
@@ -203,12 +199,13 @@ def prefix_pivot_learner(n: int) -> Learner:
     counter_bits = max(1, (n + 1 - 1).bit_length())
 
     def unpack(state: int) -> tuple[int, list[int]]:
+        """k and the full augmented rows e_i | tail << k, i < k."""
         k = state & ((1 << counter_bits) - 1)
         state >>= counter_bits
         width = (n - k) + 1  # trailing block plus the b bit
         rows = []
-        for _ in range(k):
-            rows.append(state & ((1 << width) - 1))
+        for i in range(k):
+            rows.append((1 << i) | (state & ((1 << width) - 1)) << k)
             state >>= width
         return k, rows
 
@@ -216,50 +213,22 @@ def prefix_pivot_learner(n: int) -> Learner:
         width = (n - k) + 1
         state = 0
         for i, row in enumerate(rows):
-            state |= row << (i * width)
+            state |= (row >> k) << (i * width)
         return (state << counter_bits) | k
 
     def step(state: int, sample: Sample) -> int:
         k, rows = unpack(state)
         if k == n:
             return state
-        # expand stored rows to full (a | b) form: row i is e_i + tail
-        width = (n - k) + 1
-        a = sample.a.bits
-        b = sample.b
-        for i in range(k):
-            if (a >> i) & 1:
-                tail = rows[i]
-                a ^= (1 << i) | ((tail & ((1 << (n - k)) - 1)) << k)
-                b ^= (tail >> (n - k)) & 1
-        if not (a >> k) & 1:
+        v = _reduce(rows, sample.a.bits | (sample.b << n))
+        if not (v >> k) & 1:
             return state  # leading coordinate is not column k+1
-        new_tail = (a >> (k + 1)) & ((1 << (n - k - 1)) - 1)
-        new_row = new_tail | (b << (n - k - 1))
-        # restore the identity prefix: eliminate column k+1 from old rows,
-        # then re-pack everyone at the narrower width n-(k+1)
-        narrowed = []
-        for tail in rows:
-            block = tail & ((1 << (n - k)) - 1)
-            rhs = (tail >> (n - k)) & 1
-            if block & 1:
-                block >>= 1
-                block ^= new_tail
-                rhs ^= b
-            else:
-                block >>= 1
-            narrowed.append(block | (rhs << (n - k - 1)))
-        narrowed.append(new_row)
-        return pack(k + 1, narrowed)
+        _insert(rows, v)
+        return pack(k + 1, rows)
 
     def output(state: int) -> AffineSubspace:
-        k, rows = unpack(state)
-        equations = []
-        for i, tail in enumerate(rows):
-            block = tail & ((1 << (n - k)) - 1)
-            rhs = (tail >> (n - k)) & 1
-            equations.append(((1 << i) | (block << k), rhs))
-        return solve_affine_system(n, equations)
+        _, rows = unpack(state)
+        return solve_affine_system(n, ((r & ~(1 << n), r >> n) for r in rows))
 
     def batch(xs, a, check):
         # rows[:, i] for i < k is the full augmented row e_i + tail << k;
@@ -270,16 +239,16 @@ def prefix_pivot_learner(n: int) -> Learner:
         offsets = np.arange(n)
         samples = _honest_rows(xs, a, n)
         for j in range(samples.shape[1]):
-            v = _reduce(rows, samples[:, j])
+            v = _reduce_batch(rows, samples[:, j])
             take = (k < n) & (((v >> k) & 1) == 1)
-            _insert(rows, v, k, take)
+            _insert_batch(rows, v, k, take)
             k += take
             tails = rows >> k[:, None]
             ends = np.where(tails != 0, offsets * (n - k + 1)[:, None] + _bit_length(tails), 0)
             packed = ends.max(axis=1, initial=0)    # bit length of the packed tails
             check(np.where(packed > 0, counter_bits + packed, _bit_length(k)))
         return _solved_points(rows, k == n, n), lambda: [
-            pack(kt, [r >> kt for r in row[:kt]]) for kt, row in zip(k.tolist(), rows.tolist())]
+            pack(kt, row[:kt]) for kt, row in zip(k.tolist(), rows.tolist())]
 
     memory = counter_bits + max((k * ((n - k) + 1) for k in range(n + 1)), default=0)
     return Learner("prefix_pivot", n, memory, pack(0, []), step, output, batch)

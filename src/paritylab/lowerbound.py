@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .bp import AffineLabels, BranchingProgram, Sample, forward_tables, validate_affine
 from .distributions import SLACK
-from .gf2 import BitVector, orthogonal_space
+from .gf2 import BitVector, VectorSubspace, orthogonal_space
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -151,7 +151,8 @@ def orthogonal_trace(bp: BranchingProgram, labels: AffineLabels,
     reached = (t, v) == target
     while True:
         s_i = orthogonal_space(labels.get(t, v))
-        inter_dim = s_i.dim + s_space.dim - s_i.sum_with(s_space).dim
+        span = VectorSubspace.from_rows(bp.n, s_i.rows + s_space.rows)
+        inter_dim = s_i.dim + s_space.dim - span.dim
         zs.append(inter_dim)
         if bp.is_leaf(t, v):
             break

@@ -268,6 +268,18 @@ class TestFuzzGuard:
         if code == 1:
             assert len(lines) == 1
 
+    # tradeoff needs n >= 1, verify-lemmas n >= 2 (its reduction suite
+    # runs r = n/2 + 1 <= n)
+    @pytest.mark.parametrize("case", [
+        ["tradeoff", "--n", "-1", "--seed", "1"],
+        ["verify-lemmas", "--n", "-2", "--seed", "1", "--trials", "2"],
+        ["verify-lemmas", "--n", "1", "--seed", "1", "--trials", "2"],
+    ], ids=" ".join)
+    def test_n_range_named(self, capsys, case):
+        code, _, err = run_cli(capsys, *case)
+        assert code == 2
+        assert "argument --n: must be at least" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("sub", ["keygen", "encrypt", "decrypt", "attack"])
     def test_crypto_n_named(self, tmp_path, capsys, sub):
         flags = {"keygen": ["--seed", "1"],

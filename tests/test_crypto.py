@@ -304,14 +304,6 @@ class TestHarnessContracts:
         with pytest.raises(AssertionError):
             run_attack(cheat, m=2, trials=1, rng=np.random.default_rng(15))
 
-    def test_ciphertext_only_flag_equivalent(self):
-        n = 4
-        att = window_attacker(n, n * (n + 1))
-        rep_direct = run_attack(att, m=n, trials=2_000, rng=np.random.default_rng(16))
-        rep_cipher = run_attack(att, m=n, trials=2_000, rng=np.random.default_rng(16),
-                                ciphertext_only_plaintext=b"\xa5")
-        assert rep_direct.key_guess_rate == rep_cipher.key_guess_rate
-
     @pytest.mark.parametrize("m, trials", [(3, 0), (3, -2), (-1, 5)])
     def test_run_size_rejected(self, m, trials):
         with pytest.raises(ValueError):

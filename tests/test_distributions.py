@@ -14,6 +14,7 @@ from paritylab.distributions import (
 )
 from paritylab.generators import random_hypothesis_mixture, random_mixture
 from paritylab.gf2 import AffineSubspace, BitVector, EmptySubspaceError, intersect_hyperplane, is_subset
+from paritylab.suites import fourier_suite
 
 bv = BitVector.from_string
 
@@ -161,6 +162,11 @@ class TestFourierCloseness:
             check = check_fourier_closeness(mix, r)
             assert check.hypothesis_holds
             assert check.distance < check.bound + 1e-12
+
+    def test_hypothesis_instances_at_n1(self):
+        """n = 1 has only three subspaces, fewer than a mixture may ask for."""
+        rep = fourier_suite(12, 1, ns=(1,))
+        assert rep["count"] == 12 and rep["ok"]
 
     def test_hyperplane_mass_against_subset_oracle(self):
         rng = np.random.default_rng(12)

@@ -101,6 +101,30 @@ class TestCanonicalForm:
                 rebuilt = AffineSubspace.from_generators(BitVector(n, base), gens)
                 assert rebuilt == by_points[pts]
 
+    def test_direct_construction_canonicalizes(self):
+        """The constructors put any description in canonical form:
+        dependent, zero and non-RREF rows, and unreduced offsets."""
+        assert VectorSubspace(3, (0b011, 0, 0b001, 0b010)).rows == (0b001, 0b010)
+        rng = np.random.default_rng(4)
+        for n in range(1, 7):
+            for _ in range(40):
+                rows = tuple(int(r) for r in rng.integers(0, 1 << n, int(rng.integers(0, n + 3))))
+                direct = VectorSubspace(n, rows)
+                assert direct == VectorSubspace.from_rows(n, rows)
+                assert span_points(direct.rows, n) == span_points(rows, n)
+                pivots = direct.pivots
+                assert list(pivots) == sorted(set(pivots)) and 0 not in direct.rows
+                assert all((r >> p) & 1 == (r == q)
+                           for r in direct.rows for q, p in zip(direct.rows, pivots))
+                off = BitVector(n, int(rng.integers(0, 1 << n)))
+                w = AffineSubspace(n, direct, off)
+                assert w == AffineSubspace.from_parts(off, direct)
+                assert all((w.offset.bits >> p) & 1 == 0 for p in pivots)
+                assert set(w.enumerate()) == {off.bits ^ p for p in span_points(rows, n)}
+        for bad in ((0b1000,), (-1,)):
+            with pytest.raises(ValueError):
+                VectorSubspace(3, bad)
+
     def test_offset_reduced(self):
         for n in (2, 3):
             for w in all_affine_subspaces(n):
@@ -220,7 +244,7 @@ class TestSamplePoint:
 
 
 class TestSolveSystem:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_against_enumeration(self, n):
         rng = np.random.default_rng(3)
         for _ in range(60):
