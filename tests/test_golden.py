@@ -4,7 +4,8 @@ Each test hashes a canonical JSON rendering of outputs that must stay
 byte-identical across refactors: unrolled recorder and learner programs,
 affine reductions of the reduction-suite corpus, the Fourier-suite
 mixture corpus, the partition suite's groupings, the CLI bytes of one
-multi-round reduction, cipher streams and Monte Carlo hit counts.  A
+multi-round reduction, cipher streams, Monte Carlo hit counts and
+window-attack reports.  A
 digest changes only when an integer output, a label, a check flag, an
 output byte or the number of random draws changes.
 """
@@ -24,7 +25,7 @@ from paritylab.generators import (
     random_program,
     selective_recorder_program,
 )
-from paritylab.crypto import encode_stream, keygen
+from paritylab.crypto import encode_stream, keygen, run_attack, window_attacker
 from paritylab.learners import (
     exhaustive_learner,
     gaussian_learner,
@@ -179,3 +180,27 @@ def test_simulate_success_hits(case):
     rng = np.random.default_rng(seed)
     hits = simulate_success(LEARNER_FACTORIES[kind](n), m, trials, rng)
     assert (hits, int(rng.integers(0, 1 << 30))) == HIT_COUNTS[case]
+
+
+# (n, memory bits s, m, trials, seed) -> (digest of the report, the
+# generator's next draw).  Capacity floor(s / (n+1)): 0, 0 (s < n+1),
+# 2 (s not a multiple of n+1), 2 with m = 0, 4 with m below it, 3 with m
+# above it, 9 at full rank, and n = 1.
+ATTACK_REPORTS = {
+    (4, 0, 5, 60, 1): ("561bf29f674b7cb9d43250e6f58d0ac93870e1063cdce2f5dd9f12f02d3ef701", 1049699842),
+    (5, 3, 6, 60, 2): ("719e0f7ed675b36ea567148695e25e08e0e96c69e94360597daa46b5f848b095", 24241716),
+    (4, 13, 7, 80, 3): ("f8665d4253f3c04e33bf972f62b62202a60080150f827c7db0e31260e2041629", 171061919),
+    (3, 8, 0, 40, 4): ("faeba1a91220737ee3b0325a6fa92e9236aa14cc442a7a2f2616f77c2357c650", 628103762),
+    (5, 26, 2, 80, 5): ("04b58a75d0272ae90106af1802bed3ecb993d80330f3ff76cf4735965ae27bfa", 830033004),
+    (6, 21, 9, 100, 6): ("d84f882d240e778aa39cf99847f9bf9b68586061ba9ea0285420cd27fa2312f8", 553800996),
+    (3, 36, 9, 100, 7): ("8cede6734af4d51f8092890195c2d3b5c233e84f81f6a789bdd97d2a55e1e094", 411771712),
+    (1, 5, 3, 50, 8): ("c4b2a5914263cb850f117b30e7007fd01e59bfc36a203c1d01d5bf21f321e21e", 398536908),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTACK_REPORTS), ids=str)
+def test_run_attack_reports(case):
+    n, s, m, trials, seed = case
+    rng = np.random.default_rng(seed)
+    report = run_attack(window_attacker(n, s), m, trials, rng)
+    assert (_digest(report.to_dict()), int(rng.integers(0, 1 << 30))) == ATTACK_REPORTS[case]
