@@ -18,11 +18,9 @@ from .gf2 import (
 )
 from .distributions import (
     ExactDistribution,
-    FourierTable,
     SubspaceMixture,
     check_fourier_closeness,
     hyperplane_concentration,
-    inverse_walsh,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -54,7 +52,6 @@ from .learners import (
     prefix_pivot_learner,
 )
 from .crypto import (
-    Attacker,
     Frame,
     SecretKey,
     decode_stream,

@@ -128,24 +128,21 @@ def check_dp_budget(bp: BranchingProgram) -> None:
             "set PARITYLAB_DP_BUDGET to override")
 
 
-def forward_tables(bp: BranchingProgram, upto: int | None = None) -> list[np.ndarray]:
+def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     """Exact joint weights of (vertex, x) per layer, absorbing at leaves.
 
     tables[t][v, x] is the probability that the computation-path occupies
     v at time t (or was absorbed there, for early leaves) jointly with the
     key being x, under uniform x and uniform sample vectors.
     """
-    upto = bp.m if upto is None else upto
-    if not 0 <= upto <= bp.m:
-        raise ValueError(f"layer {upto} out of range")
     check_dp_budget(bp)
     size = 1 << bp.n
     xs = np.arange(size)
     par = _parity_table(bp.n)
     scale = 2.0 ** (-bp.n)
-    tables = [np.zeros((bp.layer_sizes[t], size)) for t in range(upto + 1)]
+    tables = [np.zeros((bp.layer_sizes[t], size)) for t in range(bp.m + 1)]
     tables[0][0, :] = scale
-    for t in range(upto):
+    for t in range(bp.m):
         cur, nxt = tables[t], tables[t + 1]
         masks0 = [par[a & xs] == 0 for a in range(size)]
         for v in range(bp.layer_sizes[t]):

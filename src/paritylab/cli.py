@@ -69,7 +69,7 @@ def key_from_hex(text: str, n: int) -> BitVector:
 def _cmd_verify_lemmas(args) -> int:
     report = run_all_suites(args.seed, args.trials,
                             ns=(args.n,) if args.n else None)
-    if args.n and args.r is not None:
+    if args.r is not None:
         # single-cell run at the requested (n, r)
         from .suites import fourier_suite, partition_suite
         report["suites"]["fourier"] = fourier_suite(
@@ -253,6 +253,8 @@ def dispatch(argv: list[str]) -> int:
                 parser.error("bounds needs either --k and --m, or --c and --alpha")
             if args.c is not None and args.alpha is None:
                 parser.error("--c needs --alpha")
+        if args.command == "verify-lemmas" and args.r is not None and args.n is None:
+            parser.error("--r needs --n")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

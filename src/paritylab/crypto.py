@@ -3,24 +3,31 @@ harness.
 
 Each plaintext bit M is sent as a frame (a, M xor a.x) with a fresh
 uniform a; the receiver, sharing the key x, recovers M by XORing a.x back
-out.  The attack harness feeds attackers the pad stream (a_t, b_t) with
-b_t = a_t.x and measures exact-key recovery and next-bit prediction,
-asserting the attacker's declared memory budget on every step.
+out.  An attacker is a streaming learner: the attack harness feeds it the
+pad stream (a_t, b_t) with b_t = a_t.x through learners.run_learner,
+which asserts its declared memory budget on every step, and measures
+exact-key recovery and next-bit prediction from its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .gf2 import AffineSubspace, BitVector, parity, sample_point, solve_affine_system
-from .learners import _check_run_size, wilson_interval
+from .bp import Sample
+from .gf2 import (
+    MAX_SUBSPACE_DIM,
+    AffineSubspace,
+    BitVector,
+    parity,
+    sample_point,
+    solve_affine_system,
+)
+from .learners import Learner, _check_run_size, _decode_rows, run_learner, wilson_interval
 
 MAGIC = b"BSC1"
 VERSION = 1
-HARNESS_MAX_N = 24
 
 
 class FormatError(ValueError):
@@ -171,54 +178,26 @@ def decode_stream(key: SecretKey, data: bytes) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class Attacker:
-    """Streaming adversary with an explicit memory budget.
+def window_attacker(n: int, s: int) -> Learner:
+    """Remembers the last floor(s / (n+1)) samples (FIFO) and outputs
+    their solution subspace.
 
-    States are opaque to the harness; state_bits reports the serialized
-    size of a state and must never exceed memory_bits.
+    State: the window's rows a | b << n, n+1 bits apiece, newest in the
+    low bits; older rows are cut off at capacity * (n+1) <= s bits.
     """
-
-    name: str
-    n: int
-    memory_bits: int
-    initial_state: object
-    observe: Callable[[object, int, int], object]     # (state, a_bits, b) -> state
-    guess_key: Callable[[object, np.random.Generator], int]
-    predict_bit: Callable[[object, int, np.random.Generator], int]
-    state_bits: Callable[[object], int]
-
-
-def window_attacker(n: int, s: int) -> Attacker:
-    """Remembers the last floor(s / (n+1)) full samples (FIFO), solves
-    them, and guesses a uniform point of the solution subspace."""
     if s < 0:
         raise ValueError("memory budget must be nonnegative")
-    capacity = s // (n + 1)
+    width = n + 1
+    capacity = s // width
+    window = (1 << (capacity * width)) - 1
 
-    def observe(state, a_bits, b):
-        buf = state + ((a_bits, b),)
-        if len(buf) > capacity:
-            buf = buf[len(buf) - capacity:]
-        return buf
+    def step(state: int, sample: Sample) -> int:
+        return ((state << width) | sample.a.bits | (sample.b << n)) & window
 
-    def solution(state) -> AffineSubspace:
-        return solve_affine_system(n, state)
+    def output(state: int) -> AffineSubspace:
+        return solve_affine_system(n, _decode_rows(state, width))
 
-    def guess_key(state, rng) -> int:
-        w = solution(state)
-        if w.is_empty:  # impossible on honest streams
-            return int(rng.integers(0, 1 << n))
-        return sample_point(w, rng).bits
-
-    def predict_bit(state, a_bits, rng) -> int:
-        return parity(a_bits & guess_key(state, rng))
-
-    def state_bits(state) -> int:
-        return len(state) * (n + 1)
-
-    return Attacker(f"window[{capacity}]", n, s, (), observe, guess_key,
-                    predict_bit, state_bits)
+    return Learner(f"window[{capacity}]", n, s, 0, step, output)
 
 
 @dataclass(frozen=True)
@@ -244,35 +223,32 @@ class AttackReport:
         }
 
 
-def run_attack(attacker: Attacker, m: int, trials: int,
+def run_attack(attacker: Learner, m: int, trials: int,
                rng: np.random.Generator) -> AttackReport:
     """Key-recovery and next-bit-prediction game against the pad stream.
 
-    Per trial: fresh uniform key, m observed pairs (a_t, a_t.x), then the
-    state is finalized before a fresh a_{m+1} is revealed for prediction.
+    Per trial: fresh uniform key, m observed pairs (a_t, a_t.x) stepped
+    through the attacker, whose output is computed once; a key guess is
+    sampled from it, then a fresh a_{m+1} is revealed and the prediction
+    uses a second sample.  An Empty output (impossible on honest streams)
+    is replaced by the full space.
     """
     _check_run_size(m, trials)
     n = attacker.n
-    if n > HARNESS_MAX_N:
-        raise ValueError(f"attack harness supports n <= {HARNESS_MAX_N}")
+    if n > MAX_SUBSPACE_DIM:
+        raise ValueError(f"attack harness supports n <= {MAX_SUBSPACE_DIM}")
     key_hits = 0
     bit_hits = 0
     for _ in range(trials):
         x = int(rng.integers(0, 1 << n))
-        state = attacker.initial_state
-        if attacker.state_bits(state) > attacker.memory_bits:
-            raise AssertionError("attacker initial state exceeds its memory budget")
-        for _ in range(m):
-            a = int(rng.integers(0, 1 << n))
-            state = attacker.observe(state, a, parity(a & x))
-            used = attacker.state_bits(state)
-            if used > attacker.memory_bits:
-                raise AssertionError(
-                    f"attacker state uses {used} bits, declared {attacker.memory_bits}")
-        if attacker.guess_key(state, rng) == x:
+        a_stream = [int(rng.integers(0, 1 << n)) for _ in range(m)]
+        w = attacker.output(run_learner(attacker, x, a_stream))
+        if w.is_empty:
+            w = AffineSubspace.full(n)
+        if sample_point(w, rng).bits == x:
             key_hits += 1
         a_next = int(rng.integers(0, 1 << n))
-        if attacker.predict_bit(state, a_next, rng) == parity(a_next & x):
+        if parity(a_next & sample_point(w, rng).bits) == parity(a_next & x):
             bit_hits += 1
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)

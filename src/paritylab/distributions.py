@@ -97,22 +97,6 @@ class SubspaceMixture:
         return SubspaceMixture(self.n, tuple((w, p / mass) for w, p in kept)), mass
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Signed coefficient table indexed by the packed frequency a."""
-
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_table_dim(self.n)
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} coefficients, got shape {c.shape}")
-        object.__setattr__(self, "coefficients", c)
-        c.setflags(write=False)
-
-
 def uniform_weights(w: AffineSubspace) -> np.ndarray:
     """Length-2^n table of the uniform law on w: 2^{-dim} on each point of
     w, zero elsewhere (all zero for Empty)."""
@@ -142,11 +126,19 @@ def l1_distance(p: ExactDistribution, q: ExactDistribution) -> float:
     return float(np.abs(p.weights - q.weights).sum())
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place-style Walsh-Hadamard butterfly; returns a new array."""
-    out = values.astype(np.float64, copy=True)
-    h = 1
+def walsh_transform(p: ExactDistribution) -> np.ndarray:
+    """Coefficients c(a) = 2^{-n} sum_x P(x) (-1)^{a.x}, indexed by the
+    packed frequency a (Walsh-Hadamard butterfly).
+
+    Under this normalization the uniform distribution transforms to
+    2^{-n} at a=0 and zero elsewhere, and Parseval reads
+    sum_a c(a)^2 = 2^{-n} sum_x P(x)^2.  For a subspace mixture,
+    2^n c(a) = mass(a, 0) - mass(a, 1) at every a != 0, with mass the
+    hyperplane_mass table, so the transform is an oracle for it.
+    """
+    out = p.weights.astype(np.float64, copy=True)
     size = out.shape[0]
+    h = 1
     while h < size:
         for start in range(0, size, 2 * h):
             lo = out[start:start + h].copy()
@@ -154,22 +146,7 @@ def _fwht(values: np.ndarray) -> np.ndarray:
             out[start:start + h] = lo + hi
             out[start + h:start + 2 * h] = lo - hi
         h *= 2
-    return out
-
-
-def walsh_transform(p: ExactDistribution) -> FourierTable:
-    """coefficient(a) = 2^{-n} sum_x P(x) (-1)^{a.x}.
-
-    Under this normalization the uniform distribution transforms to
-    2^{-n} at a=0 and zero elsewhere, and Parseval reads
-    sum_a coeff(a)^2 = 2^{-n} sum_x P(x)^2.
-    """
-    return FourierTable(p.n, _fwht(p.weights) * 2.0 ** (-p.n))
-
-
-def inverse_walsh(table: FourierTable) -> ExactDistribution:
-    """Inverse of walsh_transform: P(x) = sum_a coeff(a) (-1)^{a.x}."""
-    return ExactDistribution(table.n, _fwht(table.coefficients))
+    return out * 2.0 ** (-p.n)
 
 
 def hyperplane_mass(mix: SubspaceMixture) -> dict[tuple[int, int], float]:

@@ -113,8 +113,7 @@ def random_hypothesis_mixture(n: int, r: float,
     return mix if mix is not None else _full_heavy_mixture(n, threshold, rng)
 
 
-def random_program(n: int, m: int, width: int, rng: np.random.Generator,
-                   allow_empty_labels: bool = False) -> BranchingProgram:
+def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> BranchingProgram:
     """Random layered program with all leaves in the last layer."""
     sizes = [1] + [int(rng.integers(1, width + 1)) for _ in range(m)]
     degree = 1 << (n + 1)
@@ -123,12 +122,7 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator,
               for _ in range(sizes[j]))
         for j in range(m)
     )
-    leaf_labels = {}
-    for v in range(sizes[m]):
-        if allow_empty_labels and rng.random() < 0.1:
-            leaf_labels[(m, v)] = AffineSubspace.empty(n)
-        else:
-            leaf_labels[(m, v)] = random_subspace(n, rng)
+    leaf_labels = {(m, v): random_subspace(n, rng) for v in range(sizes[m])}
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 
@@ -170,8 +164,9 @@ def learner_program_with_labels(learner: Learner,
                                 m: int) -> tuple[BranchingProgram, AffineLabels]:
     """Unrolled learner whose affine labels are its per-state outputs.
 
-    Sound for learners whose output subspace only ever shrinks by
-    recorded constraints (the row-reduction learners qualify).
+    Sound when every step keeps label(u) ∩ {x : a.x = b} inside the next
+    state's label: the row-reduction learners qualify, and so does the
+    window attacker, since evicting an equation only enlarges the label.
     """
     layers, transitions = learner_state_layers(learner, m)
     label_layers = tuple(

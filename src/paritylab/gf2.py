@@ -31,7 +31,7 @@ class EmptySubspaceError(ValueError):
 
 def parity(v: int) -> int:
     """Parity of the popcount of v."""
-    return bin(v).count("1") & 1
+    return v.bit_count() & 1
 
 
 def lowest_set_bit(v: int) -> int:
@@ -82,7 +82,7 @@ def _reduce(basis: Iterable[int], v: int) -> int:
     bit in another row's pivot column, so the order of the rows is free.
     """
     for b in basis:
-        if (v >> lowest_set_bit(b)) & 1:
+        if v & b & -b:
             v ^= b
     return v
 
@@ -90,9 +90,9 @@ def _reduce(basis: Iterable[int], v: int) -> int:
 def _insert(basis: list[int], v: int) -> None:
     """Add the reduced nonzero row v and clear its pivot column from the
     other rows, keeping the invariant _reduce relies on."""
-    p = lowest_set_bit(v)
+    p = v & -v
     for i, b in enumerate(basis):
-        if (b >> p) & 1:
+        if b & p:
             basis[i] = b ^ v
     basis.append(v)
 
@@ -345,24 +345,23 @@ def sample_point(w: AffineSubspace, rng: np.random.Generator) -> BitVector:
     return BitVector(w.n, v)
 
 
-def solve_affine_system(n: int, equations: Iterable[tuple[int, int]]) -> AffineSubspace:
-    """Solution set of the system {a.x = b}, packed (a_bits, b) pairs.
+def solve_affine_system(n: int, rows: Iterable[int]) -> AffineSubspace:
+    """Solution set of the system {a.x = b}, one packed row a | b << n per
+    equation.
 
     Returns Empty for an inconsistent system and the full space for an
     empty one.
     """
-    aug = _rref_ints((a | (b << n)) for a, b in equations)
+    mask = (1 << n) - 1
     coeff_rows = []
     offset = 0
-    for row in aug:
-        a_part = row & ((1 << n) - 1)
-        b_part = (row >> n) & 1
-        if a_part == 0:
-            if b_part:
-                return AffineSubspace.empty(n)
-            continue
-        coeff_rows.append(a_part)
-        if b_part:
-            offset |= 1 << lowest_set_bit(a_part)
-    direction = VectorSubspace.from_rows(n, coeff_rows).null_space()
+    for row in _rref_ints(rows):
+        a = row & mask
+        if a == 0:  # the reduced row 0 = 1
+            return AffineSubspace.empty(n)
+        coeff_rows.append(a)
+        if row >> n:
+            offset |= a & -a
+    # the coefficient parts of RREF rows with pivots below n are in RREF
+    direction = _null_space_cached(n, tuple(coeff_rows))
     return AffineSubspace.from_parts(BitVector(n, offset), direction)

@@ -160,8 +160,7 @@ def gaussian_learner(n: int) -> Learner:
         return _encode_rows(rows, width)
 
     def output(state: int) -> AffineSubspace:
-        rows = _decode_rows(state, width)
-        return solve_affine_system(n, ((r & ~b_bit, (r >> n) & 1) for r in rows))
+        return solve_affine_system(n, _decode_rows(state, width))
 
     def batch(xs, a, check):
         trials = len(xs)
@@ -227,8 +226,7 @@ def prefix_pivot_learner(n: int) -> Learner:
         return pack(k + 1, rows)
 
     def output(state: int) -> AffineSubspace:
-        _, rows = unpack(state)
-        return solve_affine_system(n, ((r & ~(1 << n), r >> n) for r in rows))
+        return solve_affine_system(n, unpack(state)[1])
 
     def batch(xs, a, check):
         # rows[:, i] for i < k is the full augmented row e_i + tail << k;
@@ -314,6 +312,7 @@ def _assert_bits(learner: Learner, bits: int) -> None:
 def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
     """Feed the honest sample stream (a, a.x); returns the final state."""
     state = learner.initial_state
+    assert_state_size(learner, state)
     n = learner.n
     for a in a_stream:
         state = learner.step(state, Sample(BitVector(n, a), parity(a & x)))

@@ -280,6 +280,12 @@ class TestFuzzGuard:
         assert code == 2
         assert "argument --n: must be at least" in err.splitlines()[-1]
 
+    def test_r_needs_n(self, capsys):
+        code, _, err = run_cli(capsys, "verify-lemmas", "--r", "3", "--seed", "1", "--trials", "2")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "error: --r needs --n" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("sub", ["keygen", "encrypt", "decrypt", "attack"])
     def test_crypto_n_named(self, tmp_path, capsys, sub):
         flags = {"keygen": ["--seed", "1"],

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from paritylab.crypto import (
     MAGIC,
     VERSION,
-    Attacker,
     FormatError,
     Frame,
     SecretKey,
@@ -22,8 +21,10 @@ from paritylab.crypto import (
     run_attack,
     window_attacker,
 )
-from paritylab.gf2 import BitVector, VectorSubspace, parity
-from paritylab.learners import rank_success_probability
+from paritylab.bp import Sample, forward_tables, validate_affine
+from paritylab.generators import learner_program_with_labels
+from paritylab.gf2 import AffineSubspace, BitVector, VectorSubspace, parity
+from paritylab.learners import Learner, _decode_rows, rank_success_probability
 
 bv = BitVector.from_string
 
@@ -231,11 +232,27 @@ class TestDecodeProperties:
 
 class TestWindowAttacker:
     def test_fifo_eviction(self):
-        att = window_attacker(3, 2 * 4)  # capacity 2
+        att = window_attacker(3, 2 * 4 + 3)  # capacity 2
+        assert att.name == "window[2]" and att.memory_bits == 11
         state = att.initial_state
-        for i, pair in enumerate([(1, 0), (2, 1), (4, 0)]):
-            state = att.observe(state, *pair)
-        assert state == ((2, 1), (4, 0))
+        for a, b in [(1, 0), (2, 1), (4, 0), (3, 1)]:
+            state = att.step(state, Sample(BitVector(3, a), b))
+        # newest first: (3, 1), then (4, 0); (1, 0) and (2, 1) are evicted
+        assert _decode_rows(state, 4) == [3 | 1 << 3, 4]
+        assert state.bit_length() <= 2 * 4
+
+    @pytest.mark.parametrize("n, c, m", [(2, 1, 3), (3, 2, 3), (3, 1, 4), (2, 2, 4),
+                                         (3, 3, 3), (4, 1, 3), (3, 0, 2)])
+    def test_unrolled_program_matches_exact_oracle(self, n, c, m):
+        """The unrolled attacker labelled by its outputs is a sound affine
+        program, and its exact key-recovery rate is E[2^{rank - n}] of
+        its last min(m, c) samples."""
+        bp, labels = learner_program_with_labels(window_attacker(n, c * (n + 1)), m)
+        assert validate_affine(bp, labels).ok
+        reach = forward_tables(bp)[m].sum(axis=1)
+        rate = sum(reach[v] * 2.0 ** -labels.get(m, v).dim
+                   for v in range(bp.layer_sizes[m]) if not labels.get(m, v).is_empty)
+        assert abs(rate - expected_point_recovery(n, min(m, c))) <= 1e-12
 
     def test_capacity_zero_uniform(self):
         att = window_attacker(6, 0)
@@ -295,14 +312,18 @@ class TestWindowAttacker:
 
 class TestHarnessContracts:
     def test_memory_bound_enforced(self):
-        cheat = Attacker(
-            "cheat", 4, 2, (),
-            observe=lambda s, a, b: s + ((a, b),),
-            guess_key=lambda s, rng: 0,
-            predict_bit=lambda s, a, rng: 0,
-            state_bits=lambda s: len(s) * 5)
+        def cheat(start):
+            return Learner("cheat", 4, 2, start,
+                           step=lambda s, x: (s << 5) | x.a.bits | x.b << 4 | 16,
+                           output=lambda s: AffineSubspace.full(4))
         with pytest.raises(AssertionError):
-            run_attack(cheat, m=2, trials=1, rng=np.random.default_rng(15))
+            run_attack(cheat(0), m=2, trials=1, rng=np.random.default_rng(15))
+        with pytest.raises(AssertionError):  # no step taken: the initial state
+            run_attack(cheat(1 << 2), m=0, trials=1, rng=np.random.default_rng(15))
+
+    def test_dimension_ceiling(self):
+        with pytest.raises(ValueError):
+            run_attack(window_attacker(25, 26), 1, 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("m, trials", [(3, 0), (3, -2), (-1, 5)])
     def test_run_size_rejected(self, m, trials):

@@ -250,7 +250,7 @@ class TestSolveSystem:
         for _ in range(60):
             eqs = [(int(rng.integers(0, 1 << n)), int(rng.integers(0, 2)))
                    for _ in range(rng.integers(0, n + 2))]
-            got = solve_affine_system(n, eqs)
+            got = solve_affine_system(n, [a | b << n for a, b in eqs])
             expected = {x for x in range(1 << n)
                         if all(bin(x & a).count("1") % 2 == b for a, b in eqs)}
             assert set(got.enumerate()) == expected
