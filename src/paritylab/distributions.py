@@ -21,11 +21,6 @@ PROB_TOL = 1e-9   # absolute tolerance when validating probability tables
 SLACK = 1e-12     # absolute slack when comparing a measured quantity with its bound
 
 
-def _check_table_dim(n: int) -> None:
-    if not 0 <= n <= MAX_TABLE_DIM:
-        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {n}")
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """A probability table over {0,1}^n indexed by the packed point value."""
@@ -34,7 +29,8 @@ class ExactDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_table_dim(self.n)
+        if not 0 <= self.n <= MAX_TABLE_DIM:
+            raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {self.n}")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} weights, got shape {w.shape}")
