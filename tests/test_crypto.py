@@ -321,6 +321,17 @@ class TestHarnessContracts:
         with pytest.raises(AssertionError):  # no step taken: the initial state
             run_attack(cheat(1 << 2), m=0, trials=1, rng=np.random.default_rng(15))
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 8, 16, 24])
+    def test_pad_block_draw_matches_scalar_draws(self, n):
+        """One rng.integers(0, 2^n, m) call gives run_attack's m scalar
+        pad draws and leaves the generator in the same state."""
+        for seed in range(32):
+            for m in (0, 1, 5, 18, 40):
+                scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+                pads = [int(scalar.integers(0, 1 << n)) for _ in range(m)]
+                assert block.integers(0, 1 << n, m).tolist() == pads
+                assert block.integers(0, 1 << 62) == scalar.integers(0, 1 << 62)
+
     def test_dimension_ceiling(self):
         with pytest.raises(ValueError):
             run_attack(window_attacker(25, 26), 1, 1, np.random.default_rng(0))
