@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tradeoff)
 
     p = sub.add_parser("bounds", help="reach-probability bound / exponent tables")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension(1), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--c", type=float, default=None)

@@ -274,6 +274,7 @@ class TestFuzzGuard:
         ["tradeoff", "--n", "-1", "--seed", "1"],
         ["verify-lemmas", "--n", "-2", "--seed", "1", "--trials", "2"],
         ["verify-lemmas", "--n", "1", "--seed", "1", "--trials", "2"],
+        ["bounds", "--n", "0", "--c", "0.01", "--alpha", "0.01"],
     ], ids=" ".join)
     def test_n_range_named(self, capsys, case):
         code, _, err = run_cli(capsys, *case)
