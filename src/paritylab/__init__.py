@@ -34,7 +34,6 @@ from .partition import (
 from .bp import (
     AffineLabels,
     BranchingProgram,
-    Sample,
     layer_accuracy,
     run_path,
     success_probability,

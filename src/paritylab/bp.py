@@ -1,9 +1,10 @@
 """Layered branching programs for parity learning.
 
 A program of length m has m+1 layers of vertices; every non-leaf vertex
-has exactly 2^{n+1} out-edges, one per labeled pair (a, b), indexed by
-(a_bits << 1) | b.  Leaves carry affine-subspace output labels.  All
-last-layer vertices are leaves; earlier layers may declare extra leaves.
+has exactly 2^{n+1} out-edges, one per sample (a, b), a packed n-bit
+vector a and a bit b, indexed by (a << 1) | b.  Leaves carry
+affine-subspace output labels.  All last-layer vertices are leaves;
+earlier layers may declare extra leaves.
 The exact forward dynamic program tracks the joint law of (vertex, x)
 with leaf weight absorbed at the leaf's own layer.
 """
@@ -19,7 +20,6 @@ from .config import BudgetExceeded, dp_budget, state_budget
 from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
-    BitVector,
     contains,
     intersect_hyperplane,
     is_subset,
@@ -30,16 +30,6 @@ from .gf2 import (
 
 class PathIncomplete(RuntimeError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class Sample:
-    a: BitVector
-    b: int
-
-    @property
-    def edge_index(self) -> int:
-        return (self.a.bits << 1) | self.b
 
 
 @dataclass(frozen=True)
@@ -183,18 +173,18 @@ def _output_dimensions(bp: BranchingProgram, tables: list[np.ndarray]) -> dict[i
     return out
 
 
-def run_path(bp: BranchingProgram, samples: list[Sample]) -> tuple[tuple[int, int], AffineSubspace]:
+def run_path(bp: BranchingProgram,
+             samples: list[tuple[int, int]]) -> tuple[tuple[int, int], AffineSubspace]:
+    """Follow the samples (a, b) from the start vertex to a leaf."""
     t, v = 0, 0
-    i = 0
     while not bp.is_leaf(t, v):
-        if i >= len(samples):
+        if t >= len(samples):
             raise PathIncomplete(f"ran out of samples at layer {t}")
-        s = samples[i]
-        if s.a.n != bp.n:
-            raise ValueError(f"sample dimension {s.a.n} != {bp.n}")
-        v = bp.transitions[t][v][s.edge_index]
+        a, b = samples[t]
+        if a >> bp.n:  # also rejects a negative a
+            raise ValueError(f"sample vector {a:#x} is not an n={bp.n} vector")
+        v = bp.transitions[t][v][(a << 1) | b]
         t += 1
-        i += 1
     return (t, v), bp.leaf_labels[(t, v)]
 
 
@@ -222,12 +212,11 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
             if row is None:
                 continue
             lab = labels.get(t, v)
-            for a_bits in range(1 << bp.n):
-                a = BitVector(bp.n, a_bits)
+            for a in range(1 << bp.n):
                 for b in (0, 1):
                     edge_space = intersect_hyperplane(lab, a, b)
-                    if not is_subset(edge_space, labels.get(t + 1, row[(a_bits << 1) | b])):
-                        violations.append(("edge", t, v, a_bits, b))
+                    if not is_subset(edge_space, labels.get(t + 1, row[(a << 1) | b])):
+                        violations.append(("edge", t, v, a, b))
     return AffineValidation(not violations, violations, notes)
 
 
@@ -258,20 +247,21 @@ def _layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
 
 
 def unroll(n: int, m: int, start: Hashable,
-           step: Callable[[Hashable, Sample], Hashable],
+           step: Callable[[Hashable, int, int], Hashable],
            stop: Callable[[Hashable], bool] | None = None,
            ) -> tuple[list[list], list[tuple[tuple[int, ...] | None, ...]]]:
     """Breadth-first unrolling of a deterministic machine into m layers.
 
-    Returns the states per layer and the transition rows, edge index
-    (a_bits << 1) | b.  Equal states share a vertex, numbered per layer in
-    first-seen order.  A state with stop(state) becomes an early leaf (a
-    None row); a layer whose states all stop carries its first state
-    forward so the next layer stays non-empty.  Raises BudgetExceeded when
-    a layer's states times its 2^{n+1} out-edges exceed the state budget.
+    step(state, a, b) consumes one sample.  Returns the states per layer
+    and the transition rows, edge index (a << 1) | b.  Equal states share
+    a vertex, numbered per layer in first-seen order.  A state with
+    stop(state) becomes an early leaf (a None row); a layer whose states
+    all stop carries its first state forward so the next layer stays
+    non-empty.  Raises BudgetExceeded when a layer's states times its
+    2^{n+1} out-edges exceed the state budget.
     """
     degree = 1 << (n + 1)
-    samples = [Sample(BitVector(n, a_bits), b) for a_bits in range(1 << n) for b in (0, 1)]
+    samples = [(a, b) for a in range(1 << n) for b in (0, 1)]
     layers: list[list] = [[start]]
     transitions = []
     for t in range(m):
@@ -285,8 +275,8 @@ def unroll(n: int, m: int, start: Hashable,
             if stop is not None and stop(state):
                 rows.append(None)
             else:
-                rows.append(tuple(index.setdefault(step(state, sample), len(index))
-                                  for sample in samples))
+                rows.append(tuple(index.setdefault(step(state, a, b), len(index))
+                                  for a, b in samples))
         transitions.append(tuple(rows))
         layers.append(list(index) or [layer[0]])
     return layers, transitions
@@ -303,7 +293,7 @@ def monte_carlo_success(bp: BranchingProgram, trials: int, rng: np.random.Genera
             b = parity(a & x)
             v = bp.transitions[t][v][(a << 1) | b]
             t += 1
-        if contains(bp.leaf_labels[(t, v)], BitVector(bp.n, x)):
+        if contains(bp.leaf_labels[(t, v)], x):
             hits += 1
     return hits / trials
 

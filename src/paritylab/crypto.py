@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import Sample
 from .gf2 import (
     MAX_SUBSPACE_DIM,
     AffineSubspace,
@@ -191,8 +190,8 @@ def window_attacker(n: int, s: int) -> Learner:
     capacity = s // width
     window = (1 << (capacity * width)) - 1
 
-    def step(state: int, sample: Sample) -> int:
-        return ((state << width) | sample.a.bits | (sample.b << n)) & window
+    def step(state: int, a: int, b: int) -> int:
+        return ((state << width) | a | (b << n)) & window
 
     def output(state: int) -> AffineSubspace:
         return solve_affine_system(n, _decode_rows(state, width))
@@ -241,14 +240,14 @@ def run_attack(attacker: Learner, m: int, trials: int,
     bit_hits = 0
     for _ in range(trials):
         x = int(rng.integers(0, 1 << n))
-        a_stream = [int(rng.integers(0, 1 << n)) for _ in range(m)]
+        a_stream = rng.integers(0, 1 << n, m).tolist()
         w = attacker.output(run_learner(attacker, x, a_stream))
         if w.is_empty:
             w = AffineSubspace.full(n)
-        if sample_point(w, rng).bits == x:
+        if sample_point(w, rng) == x:
             key_hits += 1
         a_next = int(rng.integers(0, 1 << n))
-        if parity(a_next & sample_point(w, rng).bits) == parity(a_next & x):
+        if parity(a_next & sample_point(w, rng)) == parity(a_next & x):
             bit_hits += 1
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)

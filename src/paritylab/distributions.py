@@ -10,7 +10,6 @@ import numpy as np
 
 from .gf2 import (
     AffineSubspace,
-    BitVector,
     DimensionMismatch,
     EmptySubspaceError,
     hyperplane_keys,
@@ -166,25 +165,24 @@ def key_mass(members: Iterable[tuple[Iterable[tuple[int, int]], float]]
     return table
 
 
-def heaviest_hyperplane(n: int, table: dict[tuple[int, int], float]
-                        ) -> tuple[BitVector, int, float]:
-    """The (a, b) of largest mass in a key_mass table.
+def heaviest_hyperplane(table: dict[tuple[int, int], float]) -> tuple[int, int, float]:
+    """The (a, b) of largest mass in a key_mass table, a packed.
 
     Ties break to the lexicographically smallest pair: a compared as a
     packed integer, then b = 0 before b = 1.  An empty table gives
     (e_1, 0, 0.0).
     """
     if not table:
-        return BitVector(n, 1), 0, 0.0
+        return 1, 0, 0.0
     (a, b), p = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-    return BitVector(n, a), b, p
+    return a, b, p
 
 
-def hyperplane_concentration(mix: SubspaceMixture) -> tuple[BitVector, int, float]:
+def hyperplane_concentration(mix: SubspaceMixture) -> tuple[int, int, float]:
     """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0, with
     heaviest_hyperplane's tie-break; (e_1, 0, 0.0) when no hyperplane
     holds any mass."""
-    return heaviest_hyperplane(mix.n, hyperplane_mass(mix))
+    return heaviest_hyperplane(hyperplane_mass(mix))
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ class FourierCheck:
     max_concentration: float
     distance: float
     bound: float
-    worst_hyperplane: tuple[BitVector, int] | None
+    worst_hyperplane: tuple[int, int] | None
 
 
 def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bp import AffineLabels, BranchingProgram, Sample, unroll
+from .bp import AffineLabels, BranchingProgram, unroll
 from .distributions import SubspaceMixture
-from .gf2 import AffineSubspace, BitVector, VectorSubspace, _insert, _reduce, intersect_hyperplane
+from .gf2 import AffineSubspace, VectorSubspace, _insert, _reduce, intersect_hyperplane
 from .learners import Learner, learner_state_layers
 
 
@@ -25,8 +25,7 @@ def random_subspace(n: int, rng: np.random.Generator,
         v = _reduce(basis, int(rng.integers(1, 1 << n)))
         if v:
             _insert(basis, v)
-    offset = BitVector(n, int(rng.integers(0, 1 << n)))
-    return AffineSubspace(n, VectorSubspace(n, tuple(basis)), offset)
+    return AffineSubspace(n, VectorSubspace(n, tuple(basis)), int(rng.integers(0, 1 << n)))
 
 
 def random_mixture(n: int, rng: np.random.Generator,
@@ -69,8 +68,7 @@ def _hyperplane_family_mixture(n: int, threshold: float,
     while len(chosen) < count:
         a = int(rng.integers(1, 1 << n))
         b = int(rng.integers(0, 2))
-        chosen.setdefault(
-            intersect_hyperplane(AffineSubspace.full(n), BitVector(n, a), b), 0.0)
+        chosen.setdefault(intersect_hyperplane(AffineSubspace.full(n), a, b), 0.0)
     weights = 1.0 + 0.1 * rng.random(count)
     weights /= weights.sum()
     if weights.max() > threshold:
@@ -126,8 +124,8 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> Bran
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 
-def _constraint_recorder_step(w: AffineSubspace, sample: Sample) -> AffineSubspace:
-    nxt = intersect_hyperplane(w, sample.a, sample.b)
+def _constraint_recorder_step(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
+    nxt = intersect_hyperplane(w, a, b)
     return w if nxt.is_empty else nxt
 
 
@@ -153,8 +151,8 @@ def selective_recorder_program(n: int, m: int,
                                trigger: int) -> tuple[BranchingProgram, AffineLabels]:
     """Affine program that records the constraint only when a equals the
     trigger vector; everything else passes through."""
-    def step(w: AffineSubspace, sample: Sample) -> AffineSubspace:
-        return _constraint_recorder_step(w, sample) if sample.a.bits == trigger else w
+    def step(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
+        return _constraint_recorder_step(w, a, b) if a == trigger else w
 
     layers, transitions = unroll(n, m, AffineSubspace.full(n), step)
     return _self_labeled_program(n, layers, transitions)

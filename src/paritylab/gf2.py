@@ -1,10 +1,12 @@
 """Bit-packed GF(2) vectors, subspaces, and affine subspaces in canonical form.
 
 Vectors are packed into Python ints: bit i of the word is coordinate i+1,
-so coordinate 1 is the least significant bit.  Textual forms print
-coordinate 1 leftmost.  Subspace bases are kept in reduced row echelon
-form (RREF) and affine offsets are reduced to have a 0 in every pivot
-column, which makes equality and hashing purely structural.
+so coordinate 1 is the least significant bit, and the length n comes
+from the context (a subspace's or a program's n).  BitVector carries its
+own n for the few places no context does, and for the textual 0/1 form,
+which prints coordinate 1 leftmost.  Subspace bases are kept in reduced
+row echelon form (RREF) and affine offsets are reduced to have a 0 in
+every pivot column, which makes equality and hashing purely structural.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ class BitVector:
             if ch == "1":
                 bits |= 1 << i
         return cls(len(text), bits)
-
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        return BitVector(self.n, self.bits ^ other.bits)
 
 
 def _reduce(basis: Iterable[int], v: int) -> int:
@@ -180,15 +173,15 @@ def _null_space_cached(n: int, rows: tuple[int, ...]) -> VectorSubspace:
 class AffineSubspace:
     """A coset of a linear subspace of {0,1}^n, or the distinguished Empty.
 
-    Canonical form: RREF direction basis, offset zero on all pivot columns
-    (the constructor reduces any offset).
+    Canonical form: RREF direction basis, packed n-bit offset zero on all
+    pivot columns (the constructor reduces any offset).
     Empty is represented with direction == offset == None; dim is undefined
     for it and must not be queried.
     """
 
     n: int
     direction: VectorSubspace | None
-    offset: BitVector | None
+    offset: int | None
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_SUBSPACE_DIM:
@@ -196,11 +189,10 @@ class AffineSubspace:
         if (self.direction is None) != (self.offset is None):
             raise ValueError("direction and offset must both be set or both be None")
         if self.direction is not None:
-            if self.direction.n != self.n or self.offset.n != self.n:
+            if self.direction.n != self.n:
                 raise DimensionMismatch("ambient dimension mismatch")
-            bits = self.direction.reduce(self.offset.bits)
-            if bits != self.offset.bits:
-                object.__setattr__(self, "offset", BitVector(self.n, bits))
+            _check_vector(self, self.offset)
+            object.__setattr__(self, "offset", self.direction.reduce(self.offset))
 
     @property
     def is_empty(self) -> bool:
@@ -217,27 +209,17 @@ class AffineSubspace:
         return cls(n, None, None)
 
     @classmethod
-    def from_parts(cls, offset: BitVector, direction: VectorSubspace) -> "AffineSubspace":
-        """The coset offset + direction, for any offset."""
-        return cls(direction.n, direction, offset)
-
-    @classmethod
-    def from_generators(cls, offset: BitVector, generators: Iterable[BitVector]) -> "AffineSubspace":
-        direction = VectorSubspace.from_rows(offset.n, (g.bits for g in generators))
-        return cls.from_parts(offset, direction)
-
-    @classmethod
     def full(cls, n: int) -> "AffineSubspace":
-        return cls.from_parts(BitVector.zero(n), VectorSubspace.from_rows(n, (1 << i for i in range(n))))
+        return cls(n, VectorSubspace.from_rows(n, (1 << i for i in range(n))), 0)
 
     @classmethod
-    def point(cls, p: BitVector) -> "AffineSubspace":
-        return cls(p.n, VectorSubspace(p.n, ()), p)
+    def point(cls, n: int, p: int) -> "AffineSubspace":
+        return cls(n, VectorSubspace(n, ()), p)
 
     def enumerate(self) -> Iterator[int]:
         if self.is_empty:
             return
-        base = self.offset.bits
+        base = self.offset
         for v in self.direction.enumerate():
             yield base ^ v
 
@@ -245,7 +227,7 @@ class AffineSubspace:
         if self.is_empty:
             return "EMPTY"
         rows = ",".join(str(BitVector(self.n, r)) for r in self.direction.rows)
-        return f"{self.offset}|{rows}"
+        return f"{BitVector(self.n, self.offset)}|{rows}"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -262,11 +244,16 @@ def parse_subspace(text: str, n: int) -> AffineSubspace:
     offset = BitVector.from_string(offset_part)
     if offset.n != n:
         raise DimensionMismatch(f"expected n={n}, got {offset.n}")
-    gens = [BitVector.from_string(r) for r in rows_part.split(",")] if rows_part else []
-    return AffineSubspace.from_generators(offset, gens)
+    rows = [BitVector.from_string(r).bits for r in rows_part.split(",")] if rows_part else []
+    return AffineSubspace(n, VectorSubspace.from_rows(n, rows), offset.bits)
 
 
-def intersect_hyperplane(w: AffineSubspace, a: BitVector, b: int) -> AffineSubspace:
+def _check_vector(w: AffineSubspace, v: int) -> None:
+    if v >> w.n:  # also rejects a negative v
+        raise DimensionMismatch(f"{v:#x} is not an n={w.n} vector")
+
+
+def intersect_hyperplane(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
     """Canonical form of w ∩ {x : a.x = b}.
 
     Returns Empty when the constraint contradicts w, w itself when it is
@@ -274,20 +261,18 @@ def intersect_hyperplane(w: AffineSubspace, a: BitVector, b: int) -> AffineSubsp
     """
     if b not in (0, 1):
         raise ValueError(f"b must be a bit, got {b}")
-    if w.n != a.n:
-        raise DimensionMismatch(f"{w.n} != {a.n}")
+    _check_vector(w, a)
     if w.is_empty:
         return w
-    hit = [r for r in w.direction.rows if parity(a.bits & r)]
-    c = parity(a.bits & w.offset.bits)
+    hit = [r for r in w.direction.rows if parity(a & r)]
+    c = parity(a & w.offset)
     if not hit:
         return w if c == b else AffineSubspace.empty(w.n)
     d0 = hit[0]
-    new_rows = [r ^ d0 if parity(a.bits & r) and r != d0 else r
+    new_rows = [r ^ d0 if parity(a & r) and r != d0 else r
                 for r in w.direction.rows if r != d0]
-    new_offset = w.offset.bits ^ d0 if c != b else w.offset.bits
-    return AffineSubspace.from_parts(BitVector(w.n, new_offset),
-                                     VectorSubspace.from_rows(w.n, new_rows))
+    new_offset = w.offset ^ d0 if c != b else w.offset
+    return AffineSubspace(w.n, VectorSubspace.from_rows(w.n, new_rows), new_offset)
 
 
 def orthogonal_space(w: AffineSubspace) -> VectorSubspace:
@@ -306,17 +291,16 @@ def hyperplane_keys(w: AffineSubspace) -> list[tuple[int, int]]:
     key of w1.
     """
     space = orthogonal_space(w)
-    off = w.offset.bits
+    off = w.offset
     return [(a, parity(a & off)) for a in space.enumerate() if a != 0]
 
 
-def contains(w: AffineSubspace, x: BitVector) -> bool:
+def contains(w: AffineSubspace, x: int) -> bool:
     """Whether the point x lies in w (always False for Empty)."""
-    if w.n != x.n:
-        raise DimensionMismatch(f"{w.n} != {x.n}")
+    _check_vector(w, x)
     if w.is_empty:
         return False
-    return w.direction.contains(x.bits ^ w.offset.bits)
+    return w.direction.contains(x ^ w.offset)
 
 
 def is_subset(w1: AffineSubspace, w2: AffineSubspace) -> bool:
@@ -327,22 +311,22 @@ def is_subset(w1: AffineSubspace, w2: AffineSubspace) -> bool:
         return True
     if w2.is_empty:
         return False
-    if not w2.direction.contains(w1.offset.bits ^ w2.offset.bits):
+    if not w2.direction.contains(w1.offset ^ w2.offset):
         return False
     return all(w2.direction.contains(r) for r in w1.direction.rows)
 
 
-def sample_point(w: AffineSubspace, rng: np.random.Generator) -> BitVector:
+def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:
     """A uniformly random point of w."""
     if w.is_empty:
         raise EmptySubspaceError("cannot sample from the empty subspace")
-    v = w.offset.bits
+    v = w.offset
     if w.direction.rows:
         mask = int(rng.integers(0, 1 << w.direction.dim))
         for i, r in enumerate(w.direction.rows):
             if (mask >> i) & 1:
                 v ^= r
-    return BitVector(w.n, v)
+    return v
 
 
 def solve_affine_system(n: int, rows: Iterable[int]) -> AffineSubspace:
@@ -363,5 +347,4 @@ def solve_affine_system(n: int, rows: Iterable[int]) -> AffineSubspace:
         if row >> n:
             offset |= a & -a
     # the coefficient parts of RREF rows with pivots below n are in RREF
-    direction = _null_space_cached(n, tuple(coeff_rows))
-    return AffineSubspace.from_parts(BitVector(n, offset), direction)
+    return AffineSubspace(n, _null_space_cached(n, tuple(coeff_rows)), offset)

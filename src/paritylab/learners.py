@@ -2,9 +2,10 @@
 
 A learner is a finite-state value machine: the state is a single integer
 whose bit length never exceeds the declared memory budget (hard-asserted
-on every step by the simulation harness), the step map consumes one
-sample, and the output map turns a state into the affine subspace of keys
-the learner currently believes in.
+on every step by the simulation harness), the step map
+step(state, a, b) consumes one sample, a packed n-bit vector a and a bit
+b, and the output map turns a state into the affine subspace of keys the
+learner currently believes in.
 
 The three learners also carry a batch run that steps a whole Monte Carlo
 batch at once over (trials, ...) numpy arrays.  It computes the same
@@ -21,11 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bp import BranchingProgram, Sample, unroll
+from .bp import BranchingProgram, unroll
 from .gf2 import (
     MAX_SUBSPACE_DIM,
     AffineSubspace,
-    BitVector,
     _insert,
     _reduce,
     lowest_set_bit,
@@ -51,7 +51,7 @@ class Learner:
     n: int
     memory_bits: int
     initial_state: int
-    step: Callable[[int, Sample], int]
+    step: Callable[[int, int, int], int]
     output: Callable[[int], AffineSubspace]
     batch: BatchRun | None = None
 
@@ -150,9 +150,9 @@ def gaussian_learner(n: int) -> Learner:
     width = n + 1
     b_bit = 1 << n
 
-    def step(state: int, sample: Sample) -> int:
+    def step(state: int, a: int, b: int) -> int:
         rows = _decode_rows(state, width)
-        v = _reduce(rows, sample.a.bits | (sample.b << n))
+        v = _reduce(rows, a | (b << n))
         if v & ~b_bit == 0:
             return state  # redundant, or inconsistent (impossible on honest streams)
         _insert(rows, v)
@@ -215,11 +215,11 @@ def prefix_pivot_learner(n: int) -> Learner:
             state |= (row >> k) << (i * width)
         return (state << counter_bits) | k
 
-    def step(state: int, sample: Sample) -> int:
+    def step(state: int, a: int, b: int) -> int:
         k, rows = unpack(state)
         if k == n:
             return state
-        v = _reduce(rows, sample.a.bits | (sample.b << n))
+        v = _reduce(rows, a | (b << n))
         if not (v >> k) & 1:
             return state  # leading coordinate is not column k+1
         _insert(rows, v)
@@ -267,10 +267,10 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
     counter_bits = max(1, math.ceil(math.log2(cap + 1)))
     mask = (1 << n) - 1
 
-    def step(state: int, sample: Sample) -> int:
+    def step(state: int, a: int, b: int) -> int:
         cand = state >> counter_bits
         count = state & ((1 << counter_bits) - 1)
-        if parity(sample.a.bits & cand) != sample.b:
+        if parity(a & cand) != b:
             cand = (cand + 1) & mask
             count = 0
         else:
@@ -281,7 +281,7 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
         cand = state >> counter_bits
         count = state & ((1 << counter_bits) - 1)
         if count >= cap:
-            return AffineSubspace.point(BitVector(n, cand))
+            return AffineSubspace.point(n, cand)
         return AffineSubspace.full(n)
 
     def batch(xs, a, check):
@@ -313,9 +313,8 @@ def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
     """Feed the honest sample stream (a, a.x); returns the final state."""
     state = learner.initial_state
     assert_state_size(learner, state)
-    n = learner.n
     for a in a_stream:
-        state = learner.step(state, Sample(BitVector(n, a), parity(a & x)))
+        state = learner.step(state, a, parity(a & x))
         assert_state_size(learner, state)
     return state
 
@@ -334,7 +333,7 @@ def _check_run_size(m: int, trials: int) -> None:
 
 
 def _point(out: AffineSubspace) -> int:
-    return out.offset.bits if not out.is_empty and out.dim == 0 else -1
+    return out.offset if not out.is_empty and out.dim == 0 else -1
 
 
 def simulate_success(learner: Learner, m: int, trials: int,

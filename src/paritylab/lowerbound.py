@@ -6,9 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bp import AffineLabels, BranchingProgram, Sample, forward_tables, validate_affine
+from .bp import AffineLabels, BranchingProgram, forward_tables, validate_affine
 from .distributions import SLACK
-from .gf2 import BitVector, VectorSubspace, orthogonal_space
+from .gf2 import VectorSubspace, orthogonal_space
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -142,9 +142,9 @@ class OrthogonalTrace:
 
 
 def orthogonal_trace(bp: BranchingProgram, labels: AffineLabels,
-                     target: tuple[int, int], x: BitVector,
-                     samples: list[Sample]) -> OrthogonalTrace:
-    """Walk the path of (x, samples) and record dim(S_i ∩ s)."""
+                     target: tuple[int, int],
+                     samples: list[tuple[int, int]]) -> OrthogonalTrace:
+    """Walk the path of the samples (a, b) and record dim(S_i ∩ s)."""
     s_space = orthogonal_space(labels.get(*target))
     t, v = 0, 0
     zs = []
@@ -156,8 +156,8 @@ def orthogonal_trace(bp: BranchingProgram, labels: AffineLabels,
         zs.append(inter_dim)
         if bp.is_leaf(t, v):
             break
-        sample = samples[t]
-        v = bp.transitions[t][v][sample.edge_index]
+        a, b = samples[t]
+        v = bp.transitions[t][v][(a << 1) | b]
         t += 1
         if (t, v) == target:
             reached = True

@@ -21,7 +21,6 @@ from .distributions import (
 )
 from .gf2 import (
     AffineSubspace,
-    BitVector,
     VectorSubspace,
     hyperplane_keys,
     is_subset,
@@ -51,11 +50,11 @@ def project_out(w: AffineSubspace, pivot: int) -> AffineSubspace:
     bijection and dimensions are preserved.
     """
     rows = [_drop_bit(r, pivot) for r in w.direction.rows]
-    offset = BitVector(w.n - 1, _drop_bit(w.offset.bits, pivot))
-    return AffineSubspace.from_parts(offset, VectorSubspace.from_rows(w.n - 1, rows))
+    return AffineSubspace(w.n - 1, VectorSubspace.from_rows(w.n - 1, rows),
+                          _drop_bit(w.offset, pivot))
 
 
-def lift_back(w: AffineSubspace, a_bits: int, b: int, pivot: int) -> AffineSubspace:
+def lift_back(w: AffineSubspace, a: int, b: int, pivot: int) -> AffineSubspace:
     """Inverse of project_out onto the hyperplane {x : a.x = b}.
 
     Reinserts the pivot coordinate, set so every lifted point satisfies
@@ -65,11 +64,11 @@ def lift_back(w: AffineSubspace, a_bits: int, b: int, pivot: int) -> AffineSubsp
     rows = []
     for r in w.direction.rows:
         v = _insert_zero_bit(r, pivot)
-        v |= parity(a_bits & v) << pivot
+        v |= parity(a & v) << pivot
         rows.append(v)
-    off = _insert_zero_bit(w.offset.bits, pivot)
-    off |= (b ^ parity(a_bits & off)) << pivot
-    return AffineSubspace.from_parts(BitVector(n, off), VectorSubspace.from_rows(n, rows))
+    off = _insert_zero_bit(w.offset, pivot)
+    off |= (b ^ parity(a & off)) << pivot
+    return AffineSubspace(n, VectorSubspace.from_rows(n, rows), off)
 
 
 def _project_keys(keys: frozenset[tuple[int, int]], pivot: int) -> frozenset[tuple[int, int]]:
@@ -91,16 +90,16 @@ def _find_rep(n: int, keys: list[frozenset[tuple[int, int]]],
     """
     if n == 0:
         return AffineSubspace.full(0)
-    a, b, p = heaviest_hyperplane(n, key_mass(zip(keys, probs)))
+    a, b, p = heaviest_hyperplane(key_mass(zip(keys, probs)))
     if p <= 2.0 ** (-r):
         return AffineSubspace.full(n)
-    pivot = lowest_set_bit(a.bits)
-    key = (a.bits, b)
+    pivot = lowest_set_bit(a)
+    key = (a, b)
     inside = [i for i, ks in enumerate(keys) if key in ks]
     mass = sum(probs[i] for i in inside)
     return lift_back(_find_rep(n - 1, [_project_keys(keys[i], pivot) for i in inside],
                                [probs[i] / mass for i in inside], r - 0.5),
-                     a.bits, b, pivot)
+                     a, b, pivot)
 
 
 def find_representative_subspace(

@@ -25,7 +25,7 @@ from .bp import (
     validate_affine,
 )
 from .distributions import SLACK, SubspaceMixture, uniform_weights
-from .gf2 import AffineSubspace, BitVector, intersect_hyperplane
+from .gf2 import AffineSubspace, intersect_hyperplane
 from .partition import SubspacePartition, build_partition, exponent_sum
 
 _UNSEEN = object()
@@ -154,11 +154,10 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
             row = bp.transitions[j - 1][prev_gamma[u]]
             q_u = prev_q[u]
             out: list[tuple[int, AffineSubspace]] = []
-            for a_bits in range(1 << n):
-                a = BitVector(n, a_bits)
+            for a in range(1 << n):
                 for b in (0, 1):
                     w_e = intersect_hyperplane(lab_u, a, b)
-                    v_orig = row[(a_bits << 1) | b]
+                    v_orig = row[(a << 1) | b]
                     out.append((v_orig, w_e))
                     if q_u > 0.0 and not w_e.is_empty:
                         p_cond = 1.0 if w_e.dim == lab_u.dim else 0.5

@@ -27,7 +27,7 @@ from paritylab.generators import (
     random_program,
     selective_recorder_program,
 )
-from paritylab.gf2 import BitVector, contains, parity
+from paritylab.gf2 import contains, parity
 from paritylab.learners import (
     estimate_sample_complexity,
     exhaustive_learner,
@@ -118,16 +118,15 @@ def test_criterion_5_soundness_exhaustive():
         assert validate_affine(bp, labels).ok
         assert abs(success_probability(bp) - 1.0) <= 1e-12
         for x in range(1 << n):
-            xv = BitVector(n, x)
             for a_seq in itertools.product(range(1 << n), repeat=m):
                 t, v = 0, 0
-                assert contains(labels.get(t, v), xv)
+                assert contains(labels.get(t, v), x)
                 for a in a_seq:
                     if bp.is_leaf(t, v):
                         break
                     v = bp.transitions[t][v][(a << 1) | parity(a & x)]
                     t += 1
-                    assert contains(labels.get(t, v), xv)
+                    assert contains(labels.get(t, v), x)
                 paths_checked += 1
     elapsed = time.time() - start
     report(5, True, f"{paths_checked} exhaustive paths stay inside their "

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from paritylab.bp import (
     AffineLabels,
     BranchingProgram,
     PathIncomplete,
-    Sample,
     forward_tables,
     from_json_dict,
     layer_accuracy,
@@ -20,10 +20,13 @@ from paritylab.bp import (
     validate_affine,
 )
 from paritylab.config import BudgetExceeded
-from paritylab.generators import greedy_recorder_program, selective_recorder_program
-from paritylab.gf2 import AffineSubspace, BitVector, contains, intersect_hyperplane, parity
-
-bv = BitVector.from_string
+from paritylab.generators import (
+    greedy_recorder_program,
+    random_program,
+    random_subspace,
+    selective_recorder_program,
+)
+from paritylab.gf2 import AffineSubspace, contains, intersect_hyperplane, parity
 
 
 def record_first_sample_program(n, m):
@@ -38,7 +41,7 @@ def record_first_sample_program(n, m):
     labels = {}
     for idx in range(deg):
         a, b = idx >> 1, idx & 1
-        w = intersect_hyperplane(full, BitVector(n, a), b) if a else full
+        w = intersect_hyperplane(full, a, b) if a else full
         labels[(m, idx)] = w
     return BranchingProgram(n, m, tuple(sizes), tuple(transitions), labels)
 
@@ -58,29 +61,33 @@ class TestRunPath:
         labels = {}
         for idx in range(4):
             a, b = idx >> 1, idx & 1
-            labels[(1, idx)] = (intersect_hyperplane(full, BitVector(n, a), b)
-                                if a else full)
+            labels[(1, idx)] = intersect_hyperplane(full, a, b) if a else full
         bp = BranchingProgram(n, 1, (1, 4), ((tuple(range(4)),),), labels)
         for x in (0, 1):
             for a in (0, 1):
                 b = a & x
-                leaf, out = run_path(bp, [Sample(BitVector(1, a), b)])
-                assert contains(out, BitVector(1, x))
-        leaf, out = run_path(bp, [Sample(BitVector(1, 1), 1)])
+                leaf, out = run_path(bp, [(a, b)])
+                assert contains(out, x)
+        leaf, out = run_path(bp, [(1, 1)])
         assert list(out.enumerate()) == [1]
 
     def test_chain_ignores_inputs(self):
         bp = chain_program(2, 3, AffineSubspace.full(2))
         rng = np.random.default_rng(0)
         for _ in range(5):
-            samples = [Sample(BitVector(2, int(rng.integers(0, 4))), int(rng.integers(0, 2)))
-                       for _ in range(3)]
+            samples = [(int(rng.integers(0, 4)), int(rng.integers(0, 2))) for _ in range(3)]
             assert run_path(bp, samples)[0] == (3, 0)
 
     def test_path_incomplete(self):
         bp = chain_program(2, 3, AffineSubspace.full(2))
         with pytest.raises(PathIncomplete):
-            run_path(bp, [Sample(BitVector(2, 0), 0)])
+            run_path(bp, [(0, 0)])
+
+    def test_vector_wider_than_n_rejected(self):
+        bp = chain_program(2, 1, AffineSubspace.full(2))
+        for a in (0b100, -1):
+            with pytest.raises(ValueError):
+                run_path(bp, [(a, 0)])
 
 
 class TestReachDistribution:
@@ -118,7 +125,7 @@ class TestSuccess:
 
     def test_fixed_point_labels(self):
         n = 2
-        bp = chain_program(n, 2, AffineSubspace.point(BitVector(n, 0)))
+        bp = chain_program(n, 2, AffineSubspace.point(n, 0))
         assert success_probability(bp) == pytest.approx(2.0 ** (-n))
 
     def test_record_one_equation(self):
@@ -131,7 +138,7 @@ class TestSuccess:
         bp = record_first_sample_program(2, 2)
         half_bp = BranchingProgram(
             bp.n, bp.m, bp.layer_sizes, bp.transitions,
-            {k: (lab if k[1] % 2 else AffineSubspace.point(BitVector(2, 1)))
+            {k: (lab if k[1] % 2 else AffineSubspace.point(2, 1))
              for k, lab in bp.leaf_labels.items()})
         exact = success_probability(half_bp)
         trials = 100_000
@@ -152,7 +159,7 @@ class TestValidateAffine:
         n = 2
         bp = record_first_sample_program(n, 1)
         layer1 = [bp.leaf_labels[(1, i)] for i in range(8)]
-        layer1[2] = AffineSubspace.point(BitVector(n, 3))  # breaks inclusion for edge (a=1,b=0)
+        layer1[2] = AffineSubspace.point(n, 3)  # breaks inclusion for edge (a=1,b=0)
         labels = AffineLabels(((AffineSubspace.full(n),), tuple(layer1)))
         report = validate_affine(bp, labels)
         assert not report.ok
@@ -231,13 +238,13 @@ class TestSoundnessInvariant:
         for x in range(1 << n):
             for a_seq in itertools.product(range(1 << n), repeat=m):
                 t, v = 0, 0
-                assert contains(labels.get(t, v), BitVector(n, x))
+                assert contains(labels.get(t, v), x)
                 for a in a_seq:
                     if bp.is_leaf(t, v):
                         break
                     v = bp.transitions[t][v][(a << 1) | parity(a & x)]
                     t += 1
-                    assert contains(labels.get(t, v), BitVector(n, x))
+                    assert contains(labels.get(t, v), x)
 
     def test_affine_success_is_one(self):
         for n, m in ((2, 2), (3, 2)):
@@ -246,21 +253,45 @@ class TestSoundnessInvariant:
             assert success_probability(bp) == 1.0
 
 
+def assert_json_round_trip(bp, labels, gamma):
+    doc = json.loads(json.dumps(to_json_dict(bp, labels, gamma)))
+    assert from_json_dict(doc) == (bp, labels, gamma)
+
+
+def with_empty_labels(bp, labels):
+    """bp and labels with the vertex labels at (t + v) % 3 == 1, (1, 0)
+    and leaf labels included, replaced by Empty."""
+    empty = AffineSubspace.empty(bp.n)
+    layers = tuple(tuple(empty if (t + v) % 3 == 1 else w for v, w in enumerate(layer))
+                   for t, layer in enumerate(labels.labels))
+    leaf_labels = {(t, v): layers[t][v] for t, v in bp.leaf_labels}
+    return replace(bp, leaf_labels=leaf_labels), AffineLabels(layers)
+
+
 class TestSerialization:
     def test_round_trip(self):
-        from paritylab.generators import random_program
+        """Random programs, bare and with random labels (some Empty) and
+        a random gamma."""
         rng = np.random.default_rng(5)
-        bp = random_program(3, 2, 4, rng)
-        doc = json.loads(json.dumps(to_json_dict(bp)))
-        back, labels, gamma = from_json_dict(doc)
-        assert back == bp and labels is None and gamma is None
+        for _ in range(8):
+            n = int(rng.integers(1, 5))
+            bp = random_program(n, int(rng.integers(1, 4)), 5, rng)
+            assert_json_round_trip(bp, None, None)
+            labels = AffineLabels(tuple(tuple(random_subspace(n, rng) for _ in range(size))
+                                        for size in bp.layer_sizes))
+            gamma = tuple(tuple(int(g) for g in rng.integers(0, 9, size))
+                          for size in bp.layer_sizes)
+            assert_json_round_trip(*with_empty_labels(bp, labels), gamma)
 
     def test_with_labels_and_gamma(self):
-        bp, labels = greedy_recorder_program(2, 2, 1)
-        gamma = tuple(tuple(range(sz)) for sz in bp.layer_sizes)
-        doc = to_json_dict(bp, labels=labels, gamma=gamma)
-        back, blabels, bgamma = from_json_dict(json.loads(json.dumps(doc)))
-        assert back == bp and blabels == labels and bgamma == gamma
+        """Recorder programs with early leaves, with their own labels and
+        with some made Empty."""
+        for n, m, k in [(2, 2, 1), (2, 3, 1), (3, 3, 1), (3, 4, 2), (4, 3, 2)]:
+            bp, labels = greedy_recorder_program(n, m, k)
+            assert bp.has_early_leaves() == (m > n - k)
+            gamma = tuple(tuple(range(sz)) for sz in bp.layer_sizes)
+            assert_json_round_trip(bp, labels, gamma)
+            assert_json_round_trip(*with_empty_labels(bp, labels), None)
 
 
 class TestGuards:

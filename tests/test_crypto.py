@@ -21,7 +21,7 @@ from paritylab.crypto import (
     run_attack,
     window_attacker,
 )
-from paritylab.bp import Sample, forward_tables, validate_affine
+from paritylab.bp import forward_tables, validate_affine
 from paritylab.generators import learner_program_with_labels
 from paritylab.gf2 import AffineSubspace, BitVector, VectorSubspace, parity
 from paritylab.learners import Learner, _decode_rows, rank_success_probability
@@ -236,7 +236,7 @@ class TestWindowAttacker:
         assert att.name == "window[2]" and att.memory_bits == 11
         state = att.initial_state
         for a, b in [(1, 0), (2, 1), (4, 0), (3, 1)]:
-            state = att.step(state, Sample(BitVector(3, a), b))
+            state = att.step(state, a, b)
         # newest first: (3, 1), then (4, 0); (1, 0) and (2, 1) are evicted
         assert _decode_rows(state, 4) == [3 | 1 << 3, 4]
         assert state.bit_length() <= 2 * 4
@@ -314,7 +314,7 @@ class TestHarnessContracts:
     def test_memory_bound_enforced(self):
         def cheat(start):
             return Learner("cheat", 4, 2, start,
-                           step=lambda s, x: (s << 5) | x.a.bits | x.b << 4 | 16,
+                           step=lambda s, a, b: (s << 5) | a | b << 4 | 16,
                            output=lambda s: AffineSubspace.full(4))
         with pytest.raises(AssertionError):
             run_attack(cheat(0), m=2, trials=1, rng=np.random.default_rng(15))

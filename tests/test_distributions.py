@@ -15,7 +15,9 @@ from paritylab.generators import random_hypothesis_mixture, random_mixture
 from paritylab.gf2 import AffineSubspace, BitVector, EmptySubspaceError, intersect_hyperplane, is_subset
 from paritylab.suites import fourier_suite
 
-bv = BitVector.from_string
+def bv(text):
+    """The packed int of a 0/1 string, coordinate 1 leftmost."""
+    return BitVector.from_string(text).bits
 
 
 def half_space(n, a_text, b):
@@ -27,7 +29,7 @@ class TestUniformOver:
         assert np.allclose(uniform_over(AffineSubspace.full(2)).weights, 0.25)
 
     def test_point(self):
-        u = uniform_over(AffineSubspace.point(bv("01")))
+        u = uniform_over(AffineSubspace.point(2, bv("01")))
         assert u.weights[2] == 1.0 and u.weights.sum() == 1.0
 
     def test_half(self):
@@ -51,7 +53,7 @@ class TestMixture:
         assert np.allclose(mixture_distribution(mix).weights, 0.5)
 
     def test_point_plus_full(self):
-        mix = SubspaceMixture(2, ((AffineSubspace.point(bv("00")), 0.5),
+        mix = SubspaceMixture(2, ((AffineSubspace.point(2, bv("00")), 0.5),
                                   (AffineSubspace.full(2), 0.5)))
         assert list(mixture_distribution(mix).weights) == [0.625, 0.125, 0.125, 0.125]
 
@@ -71,8 +73,8 @@ class TestL1:
         assert l1_distance(u, u) == 0.0
 
     def test_disjoint_points(self):
-        p = uniform_over(AffineSubspace.point(bv("00")))
-        q = uniform_over(AffineSubspace.point(bv("11")))
+        p = uniform_over(AffineSubspace.point(2, bv("00")))
+        q = uniform_over(AffineSubspace.point(2, bv("11")))
         assert l1_distance(p, q) == 2.0
 
     def test_half_vs_uniform(self):
@@ -104,7 +106,7 @@ class TestWalsh:
 
     def test_point_mass_at_zero(self):
         n = 3
-        f = walsh_transform(uniform_over(AffineSubspace.point(BitVector(n, 0))))
+        f = walsh_transform(uniform_over(AffineSubspace.point(n, 0)))
         assert np.allclose(f, 2.0 ** (-n))
 
     def test_subspace_coefficient_structure(self):
@@ -113,7 +115,7 @@ class TestWalsh:
         n = 3
         w = half_space(n, "011", 1)
         f = walsh_transform(uniform_over(w))
-        assert f[bv("011").bits] == pytest.approx(-2.0 ** (-n))
+        assert f[bv("011")] == pytest.approx(-2.0 ** (-n))
         assert f[0] == pytest.approx(2.0 ** (-n))
 
     def test_parseval(self):
@@ -180,5 +182,5 @@ class TestFourierCloseness:
                 for b in (0, 1):
                     expected = sum(
                         p for w, p in mix.support
-                        if is_subset(w, half_space(n, str(BitVector(n, a)), b)))
+                        if is_subset(w, intersect_hyperplane(AffineSubspace.full(n), a, b)))
                     assert table.get((a, b), 0.0) == pytest.approx(expected, abs=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
+    DimensionMismatch,
     EmptySubspaceError,
     VectorSubspace,
     contains,
@@ -21,7 +22,9 @@ from paritylab.gf2 import (
     solve_affine_system,
 )
 
-bv = BitVector.from_string
+def bv(text):
+    """The packed int of a 0/1 string, coordinate 1 leftmost."""
+    return BitVector.from_string(text).bits
 
 
 def span_points(rows, n):
@@ -45,9 +48,9 @@ def all_affine_subspaces(n):
     for vs in all_vector_subspaces(n):
         reps = set()
         for off in range(1 << n):
-            w = AffineSubspace.from_parts(BitVector(n, off), vs)
-            if w.offset.bits not in reps:
-                reps.add(w.offset.bits)
+            w = AffineSubspace(n, vs, off)
+            if w.offset not in reps:
+                reps.add(w.offset)
                 out.append(w)
     return out
 
@@ -58,7 +61,7 @@ class TestRref:
         assert basis.dim == 0 and basis.rows == ()
 
     def test_dependent_rows(self):
-        basis = VectorSubspace.from_rows(3, [bv("110").bits, bv("011").bits, bv("101").bits])
+        basis = VectorSubspace.from_rows(3, [bv("110"), bv("011"), bv("101")])
         assert basis.dim == 2
 
     def test_identity(self):
@@ -78,9 +81,9 @@ class TestRref:
 
 class TestInnerProduct:
     def test_spec_values(self):
-        assert parity(bv("000").bits & bv("101").bits) == 0
-        assert parity(bv("101").bits & bv("110").bits) == 1
-        assert parity(bv("1111").bits & bv("1111").bits) == 0
+        assert parity(bv("000") & bv("101")) == 0
+        assert parity(bv("101") & bv("110")) == 1
+        assert parity(bv("1111") & bv("1111")) == 0
 
 
 class TestCanonicalForm:
@@ -97,8 +100,7 @@ class TestCanonicalForm:
             pts_list = sorted(pts)
             for _ in range(3):
                 base = pts_list[rng.integers(0, len(pts_list))]
-                gens = [BitVector(n, base ^ p) for p in pts_list]
-                rebuilt = AffineSubspace.from_generators(BitVector(n, base), gens)
+                rebuilt = AffineSubspace(n, VectorSubspace(n, tuple(base ^ p for p in pts_list)), base)
                 assert rebuilt == by_points[pts]
 
     def test_direct_construction_canonicalizes(self):
@@ -116,20 +118,23 @@ class TestCanonicalForm:
                 assert list(pivots) == sorted(set(pivots)) and 0 not in direct.rows
                 assert all((r >> p) & 1 == (r == q)
                            for r in direct.rows for q, p in zip(direct.rows, pivots))
-                off = BitVector(n, int(rng.integers(0, 1 << n)))
+                off = int(rng.integers(0, 1 << n))
                 w = AffineSubspace(n, direct, off)
-                assert w == AffineSubspace.from_parts(off, direct)
-                assert all((w.offset.bits >> p) & 1 == 0 for p in pivots)
-                assert set(w.enumerate()) == {off.bits ^ p for p in span_points(rows, n)}
+                assert w == AffineSubspace(n, VectorSubspace(n, rows), off)
+                assert all((w.offset >> p) & 1 == 0 for p in pivots)
+                assert set(w.enumerate()) == {off ^ p for p in span_points(rows, n)}
         for bad in ((0b1000,), (-1,)):
             with pytest.raises(ValueError):
                 VectorSubspace(3, bad)
+        for bad in (0b1000, -1):
+            with pytest.raises(DimensionMismatch):
+                AffineSubspace(3, VectorSubspace(3, ()), bad)
 
     def test_offset_reduced(self):
         for n in (2, 3):
             for w in all_affine_subspaces(n):
                 for p in w.direction.pivots:
-                    assert (w.offset.bits >> p) & 1 == 0
+                    assert (w.offset >> p) & 1 == 0
 
     def test_text_round_trip(self):
         for n in (1, 2, 3):
@@ -148,6 +153,14 @@ class TestIntersectHyperplane:
         assert intersect_hyperplane(h, bv("100"), 0) == h
         assert intersect_hyperplane(AffineSubspace.empty(3), bv("100"), 0).is_empty
 
+    def test_vector_wider_than_n_rejected(self):
+        for w in (AffineSubspace.full(3), AffineSubspace.empty(3)):
+            for a in (0b1000, -1):
+                with pytest.raises(DimensionMismatch):
+                    intersect_hyperplane(w, a, 0)
+                with pytest.raises(DimensionMismatch):
+                    contains(w, a)
+
     def test_zero_vector(self):
         full = AffineSubspace.full(2)
         assert intersect_hyperplane(full, bv("00"), 0) == full
@@ -159,15 +172,14 @@ class TestIntersectHyperplane:
             pts = set(w.enumerate())
             for a in range(1 << n):
                 for b in (0, 1):
-                    got = intersect_hyperplane(w, BitVector(n, a), b)
+                    got = intersect_hyperplane(w, a, b)
                     expected = {p for p in pts
                                 if bin(p & a).count("1") % 2 == b}
                     assert set(got.enumerate()) == expected
                     if expected:
                         base = min(expected)
-                        hull = AffineSubspace.from_parts(
-                            BitVector(n, base),
-                            VectorSubspace.from_rows(n, [p ^ base for p in expected]))
+                        hull = AffineSubspace(
+                            n, VectorSubspace.from_rows(n, [p ^ base for p in expected]), base)
                         assert got == hull
 
 
@@ -175,12 +187,12 @@ class TestOrthogonalSpace:
     def test_trivial_cases(self):
         n = 3
         assert orthogonal_space(AffineSubspace.full(n)).dim == 0
-        assert orthogonal_space(AffineSubspace.point(bv("101"))).dim == n
+        assert orthogonal_space(AffineSubspace.point(n, bv("101"))).dim == n
 
     def test_spec_example(self):
         w = intersect_hyperplane(AffineSubspace.full(3), bv("110"), 1)
         o = orthogonal_space(w)
-        assert o.rows == (bv("110").bits,)
+        assert o.rows == (bv("110"),)
 
     def test_empty_raises(self):
         with pytest.raises(EmptySubspaceError):
@@ -224,19 +236,19 @@ class TestSamplePoint:
     def test_single_point(self):
         rng = np.random.default_rng(0)
         p = bv("011")
-        w = AffineSubspace.point(p)
+        w = AffineSubspace.point(3, p)
         assert all(sample_point(w, rng) == p for _ in range(20))
 
     def test_uniform_n1(self):
         rng = np.random.default_rng(1)
         w = AffineSubspace.full(1)
-        ones = sum(sample_point(w, rng).bits for _ in range(100_000))
+        ones = sum(sample_point(w, rng) for _ in range(100_000))
         assert abs(ones / 100_000 - 0.5) < 0.01
 
     def test_constraint_respected(self):
         rng = np.random.default_rng(2)
         w = intersect_hyperplane(AffineSubspace.full(2), bv("10"), 1)
-        assert all(sample_point(w, rng).bits & 1 for _ in range(200))
+        assert all(sample_point(w, rng) & 1 for _ in range(200))
 
     def test_empty_raises(self):
         with pytest.raises(EmptySubspaceError):
@@ -271,7 +283,7 @@ def described_subspace(draw, n):
     """(w, its point set) for an affine subspace of {0,1}^n."""
     off = draw(st.integers(0, (1 << n) - 1))
     gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
-    w = AffineSubspace.from_generators(BitVector(n, off), [BitVector(n, g) for g in gens])
+    w = AffineSubspace(n, VectorSubspace.from_rows(n, gens), off)
     return w, {off ^ p for p in span_points(gens, n)}
 
 
@@ -284,7 +296,7 @@ def described_pair(draw):
     if draw(st.booleans()):
         chosen = draw(st.lists(st.sampled_from(sorted(pts2)), min_size=1, max_size=n + 1))
         base, gens = chosen[0], [p ^ chosen[0] for p in chosen[1:]]
-        w1 = AffineSubspace.from_generators(BitVector(n, base), [BitVector(n, g) for g in gens])
+        w1 = AffineSubspace(n, VectorSubspace.from_rows(n, gens), base)
         pts1 = {base ^ p for p in span_points(gens, n)}
     else:
         w1, pts1 = draw(described_subspace(n))
@@ -299,10 +311,10 @@ class TestAgainstPointSets:
         w, pts = data.draw(described_subspace(n))
         a = data.draw(st.integers(0, (1 << n) - 1))
         b = data.draw(st.integers(0, 1))
-        got = intersect_hyperplane(w, BitVector(n, a), b)
+        got = intersect_hyperplane(w, a, b)
         expected = {x for x in pts if dot(a, x) == b}
         assert got.is_empty == (not expected)
-        assert {x for x in range(1 << n) if contains(got, BitVector(n, x))} == expected
+        assert {x for x in range(1 << n) if contains(got, x)} == expected
 
     @PROPERTY
     @given(described_pair())

@@ -26,6 +26,7 @@ from paritylab.generators import (
     selective_recorder_program,
 )
 from paritylab.crypto import encode_stream, keygen, run_attack, window_attacker
+from paritylab.gf2 import BitVector
 from paritylab.learners import (
     exhaustive_learner,
     gaussian_learner,
@@ -102,7 +103,7 @@ def test_fourier_suite_corpus(monkeypatch):
                      "support": [[w.to_text(), repr(p)] for w, p in mix.support],
                      "holds": check.hypothesis_holds,
                      "concentration": repr(check.max_concentration),
-                     "worst": None if worst is None else [str(worst[0]), worst[1]]})
+                     "worst": None if worst is None else [str(BitVector(mix.n, worst[0])), worst[1]]})
     assert _digest(docs) == (
         "502f3c11c729a19c990a7554f05a113530186c299f4dfdc6b03d06b707bba3ec")
 

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from paritylab.bp import Sample, output_dimension_distribution, success_probability
+from paritylab.bp import output_dimension_distribution, success_probability
 from paritylab.config import BudgetExceeded
-from paritylab.gf2 import AffineSubspace, BitVector, VectorSubspace, contains, parity
+from paritylab.gf2 import AffineSubspace, VectorSubspace, contains, parity
 from paritylab.learners import (
     Learner,
     assert_state_size,
@@ -29,7 +29,7 @@ def accepted_fraction(learner, state):
     `state`, by enumeration."""
     n = learner.n
     pairs = [(a, b) for a in range(1 << n) for b in (0, 1)]
-    moved = sum(learner.step(state, Sample(BitVector(n, a), b)) != state for a, b in pairs)
+    moved = sum(learner.step(state, a, b) != state for a, b in pairs)
     return moved / len(pairs)
 
 
@@ -40,7 +40,7 @@ class TestGaussian:
             for x in (0, (1 << n) - 1, 5 % (1 << n)):
                 state = run_learner(L, x, [1 << i for i in range(n)])
                 out = L.output(state)
-                assert out.dim == 0 and out.offset.bits == x
+                assert out.dim == 0 and out.offset == x
 
     def test_no_samples_full_space(self):
         L = gaussian_learner(3)
@@ -63,13 +63,13 @@ class TestGaussian:
         for x in range(1 << n):
             for a_seq in itertools.product(range(1 << n), repeat=m):
                 state = run_learner(L, x, list(a_seq))
-                assert contains(L.output(state), BitVector(n, x))
+                assert contains(L.output(state), x)
 
     def test_inconsistent_sample_discarded(self):
         # never arises on honest streams, but the step map must be total
         L = gaussian_learner(2)
-        s1 = L.step(L.initial_state, Sample(BitVector(2, 1), 0))
-        s2 = L.step(s1, Sample(BitVector(2, 1), 1))  # contradicts s1
+        s1 = L.step(L.initial_state, 1, 0)
+        s2 = L.step(s1, 1, 1)  # contradicts s1
         assert s2 == s1
 
     def test_rank_formula_n8(self):
@@ -88,13 +88,13 @@ class TestPrefixPivot:
         x = 0b1010
         state = run_learner(L, x, [1, 2, 4, 8])
         out = L.output(state)
-        assert out.dim == 0 and out.offset.bits == x
+        assert out.dim == 0 and out.offset == x
 
     def test_out_of_order_pivot_discarded(self):
         n = 4
         L = prefix_pivot_learner(n)
-        s1 = L.step(L.initial_state, Sample(BitVector(n, 1), 0))   # accepts e1
-        s2 = L.step(s1, Sample(BitVector(n, 4), 1))  # leading coordinate 3, wanted 2
+        s1 = L.step(L.initial_state, 1, 0)   # accepts e1
+        s2 = L.step(s1, 4, 1)  # leading coordinate 3, wanted 2
         assert s2 == s1
 
     def test_acceptance_probability_exactly_half(self):
@@ -106,7 +106,7 @@ class TestPrefixPivot:
         state = L.initial_state
         for _ in range(40):
             a = int(rng.integers(0, 1 << n))
-            state = L.step(state, Sample(BitVector(n, a), parity(a & x)))
+            state = L.step(state, a, parity(a & x))
             states.add(state)
         for s in states:
             k = s & 0b111  # counter field
@@ -128,7 +128,7 @@ class TestPrefixPivot:
             t = 0
             while (state & 0b111) < n:
                 a = int(rng.integers(0, 1 << n))
-                state = L.step(state, Sample(BitVector(n, a), parity(a & x)))
+                state = L.step(state, a, parity(a & x))
                 t += 1
             times.append(t)
         mean = float(np.mean(times))
@@ -151,7 +151,7 @@ class TestExhaustive:
         x = 0
         state = run_learner(L, x, [0] * cap)  # a=0 always consistent
         out = L.output(state)
-        assert out.dim == 0 and out.offset.bits == x
+        assert out.dim == 0 and out.offset == x
 
     def test_wrong_candidate_survival_half(self):
         # Pr_a[a.(cand ^ x) = 0] is exactly 1/2 for cand != x
@@ -190,7 +190,7 @@ class TestExhaustive:
 class TestHarness:
     def test_state_size_hard_assert(self):
         tiny = Learner("tiny", 2, 1, 0,
-                       step=lambda s, sample: 7,
+                       step=lambda s, a, b: 7,
                        output=lambda s: AffineSubspace.full(2))
         with pytest.raises(AssertionError):
             run_learner(tiny, 0, [0])
@@ -224,7 +224,7 @@ def scalar_run(learner, xs, a):
     for x, row in zip(xs.tolist(), a.tolist()):
         state, lengths = learner.initial_state, []
         for v in row:
-            state = learner.step(state, Sample(BitVector(learner.n, v), parity(v & x)))
+            state = learner.step(state, v, parity(v & x))
             lengths.append(state.bit_length())
         assert state == run_learner(learner, x, row)
         states.append(state)
@@ -233,7 +233,7 @@ def scalar_run(learner, xs, a):
 
 
 def point_of(out):
-    return out.offset.bits if not out.is_empty and out.dim == 0 else -1
+    return out.offset if not out.is_empty and out.dim == 0 else -1
 
 
 FACTORIES = (gaussian_learner, prefix_pivot_learner, exhaustive_learner)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paritylab.bp import Sample, forward_tables, validate_affine
+from paritylab.bp import forward_tables, validate_affine
 from paritylab.generators import (
     greedy_recorder_program,
     learner_program_with_labels,
     selective_recorder_program,
 )
-from paritylab.gf2 import BitVector, parity
+from paritylab.gf2 import parity
 from paritylab.learners import gaussian_learner
 from paritylab.lowerbound import (
     orthogonal_trace,
@@ -103,7 +103,7 @@ class TestVerifyReachBound:
         broken_layers = [list(layer) for layer in labels.labels]
         for v in range(bp.layer_sizes[1]):
             if labels.get(1, v).dim == n - 1:
-                broken_layers[1][v] = AffineSubspace.point(BitVector(n, 0))
+                broken_layers[1][v] = AffineSubspace.point(n, 0)
                 target = (1, v)
                 break
         broken = AffineLabels(tuple(tuple(layer) for layer in broken_layers))
@@ -132,8 +132,8 @@ class TestOrthogonalTrace:
         hit_checked = 0
         for x in range(1 << n):
             for a_seq in itertools.product(range(1 << n), repeat=m):
-                samples = [Sample(BitVector(n, a), parity(a & x)) for a in a_seq]
-                trace = orthogonal_trace(trimmed, tlabels, target, BitVector(n, x), samples)
+                samples = [(a, parity(a & x)) for a in a_seq]
+                trace = orthogonal_trace(trimmed, tlabels, target, samples)
                 assert trace.zs[0] == 0
                 assert trace.steps_ok()
                 if trace.reached_target:

@@ -30,7 +30,9 @@ from paritylab.partition import (
     project_out,
 )
 
-bv = BitVector.from_string
+def bv(text):
+    """The packed int of a 0/1 string, coordinate 1 leftmost."""
+    return BitVector.from_string(text).bits
 
 
 def half_space(n, a_text, b):
@@ -39,7 +41,7 @@ def half_space(n, a_text, b):
 
 def point_cloud_mixture(n):
     return SubspaceMixture(n, tuple(
-        (AffineSubspace.point(BitVector(n, z)), 2.0 ** (-n)) for z in range(1 << n)))
+        (AffineSubspace.point(n, z), 2.0 ** (-n)) for z in range(1 << n)))
 
 
 class TestConcentration:
@@ -47,19 +49,19 @@ class TestConcentration:
         n = 3
         mix = SubspaceMixture(n, ((half_space(n, "100", 1), 1.0),))
         a, b, p = hyperplane_concentration(mix)
-        assert (str(a), b, p) == ("100", 1, 1.0)
+        assert (a, b, p) == (bv("100"), 1, 1.0)
 
     def test_full_space_returns_smallest(self):
         n = 3
         mix = SubspaceMixture(n, ((AffineSubspace.full(n), 1.0),))
         a, b, p = hyperplane_concentration(mix)
-        assert (str(a), b, p) == ("100", 0, 0.0)
+        assert (a, b, p) == (bv("100"), 0, 0.0)
 
     def test_tie_breaking(self):
         mix = SubspaceMixture(2, ((half_space(2, "10", 0), 0.5),
                                   (half_space(2, "11", 0), 0.5)))
         a, b, p = hyperplane_concentration(mix)
-        assert (str(a), b, p) == ("10", 0, 0.5)
+        assert (a, b, p) == (bv("10"), 0, 0.5)
 
     def test_matches_exhaustive_maximum(self):
         rng = np.random.default_rng(0)
@@ -70,7 +72,7 @@ class TestConcentration:
             best = 0.0
             for a_bits in range(1, 1 << n):
                 for bb in (0, 1):
-                    h = intersect_hyperplane(AffineSubspace.full(n), BitVector(n, a_bits), bb)
+                    h = intersect_hyperplane(AffineSubspace.full(n), a_bits, bb)
                     best = max(best, sum(q for w, q in mix.support if is_subset(w, h)))
             assert p == pytest.approx(best, abs=1e-12)
 
@@ -82,9 +84,9 @@ class TestProjectLift:
             n = int(rng.integers(2, 6))
             a_bits = int(rng.integers(1, 1 << n))
             b = int(rng.integers(0, 2))
-            u = intersect_hyperplane(AffineSubspace.full(n), BitVector(n, a_bits), b)
+            u = intersect_hyperplane(AffineSubspace.full(n), a_bits, b)
             w = random_subspace(n, rng)
-            w = intersect_hyperplane(w, BitVector(n, a_bits), b)
+            w = intersect_hyperplane(w, a_bits, b)
             if w.is_empty:
                 continue
             pivot = (a_bits & -a_bits).bit_length() - 1
@@ -111,7 +113,7 @@ class TestFindRepresentative:
         n = 3
         mix = point_cloud_mixture(n)
         s, cond, mass = find_representative_subspace(mix, 3.0)
-        assert s == AffineSubspace.point(BitVector(3, 0))
+        assert s == AffineSubspace.point(3, 0)
         assert mass == pytest.approx(2.0 ** (-n))
         drop = n - s.dim
         assert mass >= 2.0 ** (-exponent_sum(3.0, drop)) - 1e-12

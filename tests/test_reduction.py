@@ -7,11 +7,9 @@ import pytest
 from paritylab import reduction
 from paritylab.bp import BranchingProgram, to_json_dict, validate_affine
 from paritylab.generators import random_program
-from paritylab.gf2 import AffineSubspace, BitVector, intersect_hyperplane
+from paritylab.gf2 import AffineSubspace, intersect_hyperplane
 from paritylab.partition import SubspacePartition
 from paritylab.reduction import ReductionParams, reduce_to_affine, verify_reduction
-
-bv = BitVector.from_string
 
 
 def record_first_sample_program(n):
@@ -20,8 +18,7 @@ def record_first_sample_program(n):
     labels = {}
     for idx in range(deg):
         a, b = idx >> 1, idx & 1
-        labels[(1, idx)] = (intersect_hyperplane(full, BitVector(n, a), b)
-                            if a else full)
+        labels[(1, idx)] = intersect_hyperplane(full, a, b) if a else full
     return BranchingProgram(n, 1, (1, deg), ((tuple(range(deg)),),), labels)
 
 
@@ -60,7 +57,7 @@ class TestSmallTraces:
         row = red.program.transitions[0][0]
         for a_bits in range(1 << n):
             for b in (0, 1):
-                w = intersect_hyperplane(AffineSubspace.full(n), BitVector(n, a_bits), b)
+                w = intersect_hyperplane(AffineSubspace.full(n), a_bits, b)
                 if w.is_empty:
                     continue
                 target = row[(a_bits << 1) | b]
