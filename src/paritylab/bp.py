@@ -20,6 +20,7 @@ from .config import BudgetExceeded, dp_budget, state_budget
 from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
+    _check_vector,
     contains,
     intersect_hyperplane,
     is_subset,
@@ -181,8 +182,7 @@ def run_path(bp: BranchingProgram,
         if t >= len(samples):
             raise PathIncomplete(f"ran out of samples at layer {t}")
         a, b = samples[t]
-        if a >> bp.n:  # also rejects a negative a
-            raise ValueError(f"sample vector {a:#x} is not an n={bp.n} vector")
+        _check_vector(bp.n, a)
         v = bp.transitions[t][v][(a << 1) | b]
         t += 1
     return (t, v), bp.leaf_labels[(t, v)]

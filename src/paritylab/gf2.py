@@ -191,7 +191,7 @@ class AffineSubspace:
         if self.direction is not None:
             if self.direction.n != self.n:
                 raise DimensionMismatch("ambient dimension mismatch")
-            _check_vector(self, self.offset)
+            _check_vector(self.n, self.offset)
             object.__setattr__(self, "offset", self.direction.reduce(self.offset))
 
     @property
@@ -248,9 +248,10 @@ def parse_subspace(text: str, n: int) -> AffineSubspace:
     return AffineSubspace(n, VectorSubspace.from_rows(n, rows), offset.bits)
 
 
-def _check_vector(w: AffineSubspace, v: int) -> None:
-    if v >> w.n:  # also rejects a negative v
-        raise DimensionMismatch(f"{v:#x} is not an n={w.n} vector")
+def _check_vector(n: int, v: int) -> None:
+    """Raise DimensionMismatch unless v packs a vector of {0,1}^n."""
+    if v >> n:  # also rejects a negative v
+        raise DimensionMismatch(f"{v:#x} is not an n={n} vector")
 
 
 def intersect_hyperplane(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
@@ -261,7 +262,7 @@ def intersect_hyperplane(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
     """
     if b not in (0, 1):
         raise ValueError(f"b must be a bit, got {b}")
-    _check_vector(w, a)
+    _check_vector(w.n, a)
     if w.is_empty:
         return w
     hit = [r for r in w.direction.rows if parity(a & r)]
@@ -297,7 +298,7 @@ def hyperplane_keys(w: AffineSubspace) -> list[tuple[int, int]]:
 
 def contains(w: AffineSubspace, x: int) -> bool:
     """Whether the point x lies in w (always False for Empty)."""
-    _check_vector(w, x)
+    _check_vector(w.n, x)
     if w.is_empty:
         return False
     return w.direction.contains(x ^ w.offset)
