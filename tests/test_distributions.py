@@ -15,6 +15,7 @@ from paritylab.generators import random_hypothesis_mixture, random_mixture
 from paritylab.gf2 import AffineSubspace, BitVector, EmptySubspaceError, intersect_hyperplane, is_subset
 from paritylab.suites import fourier_suite
 
+
 def bv(text):
     """The packed int of a 0/1 string, coordinate 1 leftmost."""
     return BitVector.from_string(text).bits

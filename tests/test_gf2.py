@@ -22,6 +22,7 @@ from paritylab.gf2 import (
     solve_affine_system,
 )
 
+
 def bv(text):
     """The packed int of a 0/1 string, coordinate 1 leftmost."""
     return BitVector.from_string(text).bits

@@ -30,6 +30,7 @@ from paritylab.partition import (
     project_out,
 )
 
+
 def bv(text):
     """The packed int of a 0/1 string, coordinate 1 leftmost."""
     return BitVector.from_string(text).bits
