@@ -103,12 +103,9 @@ class AffineLabels:
         return self.labels[t][v]
 
 
-def _parity_table(n: int) -> np.ndarray:
-    size = 1 << n
-    par = np.zeros(size, dtype=np.uint8)
-    for i in range(1, size):
-        par[i] = par[i >> 1] ^ (i & 1)
-    return par
+# Most (vertex, a, x) cells per np.add.at call in forward_tables, one
+# (vertex, a) row past n = 14: its index and weight arrays stay ~0.3 MiB.
+_SCATTER_CELLS = 1 << 14
 
 
 def check_dp_budget(bp: BranchingProgram) -> None:
@@ -127,27 +124,30 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     key being x, under uniform x and uniform sample vectors.
     """
     check_dp_budget(bp)
-    size = 1 << bp.n
-    xs = np.arange(size)
-    par = _parity_table(bp.n)
-    scale = 2.0 ** (-bp.n)
-    tables = [np.zeros((bp.layer_sizes[t], size)) for t in range(bp.m + 1)]
-    tables[0][0, :] = scale
+    a = np.arange(1 << bp.n, dtype=np.min_scalar_type((2 << bp.n) - 1))
+    edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)  # 2a + a.x
+    tables = [np.zeros((size, 1 << bp.n)) for size in bp.layer_sizes]
+    tables[0][0, :] = 2.0 ** (-bp.n)
     for t in range(bp.m):
-        cur, nxt = tables[t], tables[t + 1]
-        masks0 = [par[a & xs] == 0 for a in range(size)]
-        for v in range(bp.layer_sizes[t]):
-            row = bp.transitions[t][v]
-            if row is None:
-                continue
-            wx = cur[v]
-            if not wx.any():
-                continue
-            for a in range(size):
-                w0 = np.where(masks0[a], wx, 0.0)
-                nxt[row[a << 1]] += w0 * scale
-                nxt[row[(a << 1) | 1]] += (wx - w0) * scale
+        _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge)
     return tables
+
+
+def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray) -> None:
+    """nxt[rows[v][edge[a, x]], x] += cur[v, x] / 2^n for every non-leaf v
+    of nonzero weight and every a, in (v, a, x) order, _SCATTER_CELLS at a
+    time.  np.add.at is unbuffered and adds in index order, so each cell
+    gets the same float additions in the same order as a loop over v, then
+    a, would make; the zero additions such a loop makes change nothing."""
+    size = cur.shape[1]
+    live = np.array([v for v, row in enumerate(rows) if row is not None and cur[v].any()])
+    targets = np.array([rows[v] for v in live], dtype=np.intp) * size
+    per = max(1, _SCATTER_CELLS // size)
+    for start in range(0, len(live) * size, per):
+        va = np.arange(start, min(start + per, len(live) * size))  # (v, a) rows
+        np.add.at(nxt.reshape(-1),
+                  (targets[va[:, None] // size, edge[va % size]] + np.arange(size)).ravel(),
+                  (cur[live[va // size]] / size).ravel())
 
 
 def success_probability(bp: BranchingProgram) -> float:

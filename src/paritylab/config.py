@@ -12,9 +12,24 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+def _budget(name: str, default: int) -> int:
+    """The integer in environment variable `name`, else `default`; a value
+    that is not an integer >= 1 raises a ValueError naming the variable."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    return value
+
+
 def dp_budget() -> int:
-    return int(os.environ.get("PARITYLAB_DP_BUDGET", DEFAULT_DP_BUDGET))
+    return _budget("PARITYLAB_DP_BUDGET", DEFAULT_DP_BUDGET)
 
 
 def state_budget() -> int:
-    return int(os.environ.get("PARITYLAB_STATE_BUDGET", DEFAULT_STATE_BUDGET))
+    return _budget("PARITYLAB_STATE_BUDGET", DEFAULT_STATE_BUDGET)

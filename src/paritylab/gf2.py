@@ -242,10 +242,11 @@ def parse_subspace(text: str, n: int) -> AffineSubspace:
     except ValueError:
         raise ValueError(f"malformed subspace text: {text!r}") from None
     offset = BitVector.from_string(offset_part)
-    if offset.n != n:
-        raise DimensionMismatch(f"expected n={n}, got {offset.n}")
-    rows = [BitVector.from_string(r).bits for r in rows_part.split(",")] if rows_part else []
-    return AffineSubspace(n, VectorSubspace.from_rows(n, rows), offset.bits)
+    rows = [BitVector.from_string(r) for r in rows_part.split(",")] if rows_part else []
+    for v in (offset, *rows):
+        if v.n != n:
+            raise DimensionMismatch(f"expected n={n}, got a {v.n}-bit vector in {text!r}")
+    return AffineSubspace(n, VectorSubspace.from_rows(n, [r.bits for r in rows]), offset.bits)
 
 
 def _check_vector(n: int, v: int) -> None:

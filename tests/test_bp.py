@@ -1,11 +1,13 @@
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from paritylab.bp import (
+    _SCATTER_CELLS,
     AffineLabels,
     BranchingProgram,
     PathIncomplete,
@@ -22,11 +24,14 @@ from paritylab.bp import (
 from paritylab.config import BudgetExceeded
 from paritylab.generators import (
     greedy_recorder_program,
+    learner_program_with_labels,
     random_program,
     random_subspace,
     selective_recorder_program,
 )
 from paritylab.gf2 import AffineSubspace, contains, intersect_hyperplane, parity
+from paritylab.learners import gaussian_learner
+from paritylab.reduction import ReductionParams, reduce_to_affine
 
 
 def record_first_sample_program(n, m):
@@ -50,6 +55,54 @@ def chain_program(n, m, label):
     deg = 1 << (n + 1)
     transitions = tuple((tuple([0] * deg),) for _ in range(m))
     return BranchingProgram(n, m, (1,) * (m + 1), transitions, {(m, 0): label})
+
+
+def sized_program(n, sizes, rng):
+    """Random transitions between layers of the given sizes; full-space
+    labels on the last layer."""
+    deg = 1 << (n + 1)
+    transitions = tuple(tuple(tuple(int(v) for v in rng.integers(0, sizes[t + 1], deg))
+                              for _ in range(sizes[t]))
+                        for t in range(len(sizes) - 1))
+    m = len(sizes) - 1
+    return BranchingProgram(n, m, tuple(sizes), transitions,
+                            {(m, v): AffineSubspace.full(n) for v in range(sizes[m])})
+
+
+def zero_weight_program(n):
+    """Vertices 2 and 3 of layer 1 are non-leaves that no edge reaches."""
+    bp = sized_program(n, (1, 4, 4, 2), np.random.default_rng(4))
+    start = tuple(i % 2 for i in range(2 << n))
+    return replace(bp, transitions=((start,),) + bp.transitions[1:])
+
+
+def loop_forward_tables(bp):
+    """Reference for forward_tables: per layer, a loop over vertices and
+    then sample vectors a, adding the weight of the keys with a.x = 0 to
+    the (a, 0) target and of the rest to the (a, 1) target."""
+    size = 1 << bp.n
+    xs = np.arange(size)
+    par = np.zeros(size, dtype=np.uint8)
+    for i in range(1, size):
+        par[i] = par[i >> 1] ^ (i & 1)
+    scale = 2.0 ** (-bp.n)
+    tables = [np.zeros((bp.layer_sizes[t], size)) for t in range(bp.m + 1)]
+    tables[0][0, :] = scale
+    for t in range(bp.m):
+        cur, nxt = tables[t], tables[t + 1]
+        masks0 = [par[a & xs] == 0 for a in range(size)]
+        for v in range(bp.layer_sizes[t]):
+            row = bp.transitions[t][v]
+            if row is None:
+                continue
+            wx = cur[v]
+            if not wx.any():
+                continue
+            for a in range(size):
+                w0 = np.where(masks0[a], wx, 0.0)
+                nxt[row[a << 1]] += w0 * scale
+                nxt[row[(a << 1) | 1]] += (wx - w0) * scale
+    return tables
 
 
 class TestRunPath:
@@ -113,6 +166,59 @@ class TestReachDistribution:
             bp = random_program(3, 3, 5, rng)
             for table in forward_tables(bp):
                 assert table.sum() == pytest.approx(1.0)
+
+
+def _random_programs():
+    rng = np.random.default_rng(17)
+    return [random_program(n, 3, width, rng) for n in range(1, 8)
+            for width in ((1, 6) if n < 6 else (1, 3))]
+
+
+SCATTER_CASES = {
+    "random": _random_programs,
+    "greedy": lambda: [greedy_recorder_program(n, m, k)[0]
+                       for n, m, k in [(2, 3, 1), (3, 4, 1), (4, 3, 2)]],
+    "selective": lambda: [selective_recorder_program(n, m, 1)[0] for n, m in [(2, 4), (3, 3)]],
+    "gaussian": lambda: [learner_program_with_labels(gaussian_learner(n), m)[0]
+                         for n, m in [(3, 3), (4, 2)]],
+    "reduced": lambda: [reduce_to_affine(random_program(4, 3, 6, np.random.default_rng(2)),
+                                         ReductionParams(2.0)).program],
+    "zero-weight": lambda: [zero_weight_program(n) for n in (2, 5)],
+    "n8": lambda: [sized_program(8, (1, 3, 2), np.random.default_rng(8))],
+    # A layer-t weight is a multiple of 2^-n(t+1): float sums are exact,
+    # and their order cannot show, until n(t+1) passes 53 bits.
+    "deep": lambda: [sized_program(n, (1,) + (width,) * m, np.random.default_rng(n))
+                     for n, m, width in [(3, 20, 5), (5, 12, 8)]],
+}
+
+
+class TestForwardScatter:
+    @pytest.mark.parametrize("case", SCATTER_CASES)
+    def test_equals_loop(self, case):
+        """Every layer's table is bit-identical to the loop's."""
+        for bp in SCATTER_CASES[case]():
+            got, want = forward_tables(bp), loop_forward_tables(bp)
+            assert len(got) == len(want) == bp.m + 1
+            for t, (g, w) in enumerate(zip(got, want)):
+                assert np.array_equal(g, w), (case, bp.n, bp.layer_sizes, t)
+
+    def test_cases_cover_what_they_name(self):
+        assert all(bp.has_early_leaves() for bp in SCATTER_CASES["greedy"]())
+        for bp in SCATTER_CASES["zero-weight"]():
+            assert not forward_tables(bp)[1][2:].any()
+        assert 4 ** 8 > _SCATTER_CELLS  # one n = 8 vertex spans several chunks
+
+    def test_scratch_memory_is_chunked(self):
+        """n = 8, width 64: 4M cells per layer, yet the traced peak beyond
+        the returned tables stays under 1 MiB."""
+        bp = sized_program(8, (1, 64, 64), np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            tables = forward_tables(bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(table.nbytes for table in tables) <= 1 << 20
 
 
 class TestSuccess:

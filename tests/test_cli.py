@@ -177,7 +177,10 @@ def _fuzz_files(tmp_path):
                                     b'"transitions": [[[0]]], "leaf_labels": {"1,0": "00|"}}'),
                        ("BADLABEL", b'{"n": 2, "m": 1, "layer_sizes": [1, 1], '
                                     b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
-                                    b'"leaf_labels": {"1,0": "0|"}}')]:
+                                    b'"leaf_labels": {"1,0": "0|"}}'),
+                       ("SHORTLABEL", b'{"n": 2, "m": 1, "layer_sizes": [1, 1], '
+                                      b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
+                                      b'"leaf_labels": {"1,0": "00|1"}}')]:
         files[name] = tmp_path / name.lower()
         files[name].write_bytes(data)
     program = random_program(2, 1, 2, np.random.default_rng(0))
@@ -212,6 +215,7 @@ FUZZ_CASES = [
     ["reduce", "--in", "LIST", "--r", "2"],
     ["reduce", "--in", "SHORTROW", "--r", "2"],
     ["reduce", "--in", "BADLABEL", "--r", "2"],
+    ["reduce", "--in", "SHORTLABEL", "--r", "2"],
     ["tradeoff", "--bogus"],
     ["tradeoff", "--n", "x", "--seed", "1"],
     ["tradeoff", "--n", "3", "--seed", "1", "--learners", "nope"],
@@ -280,6 +284,19 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, *case)
         assert code == 2
         assert "argument --n: must be at least" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    @pytest.mark.parametrize("var,case", [
+        ("PARITYLAB_DP_BUDGET", ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "OUT"]),
+        ("PARITYLAB_STATE_BUDGET", ["verify-lemmas", "--n", "2", "--seed", "1", "--trials", "2"]),
+    ], ids=["dp", "state"])
+    def test_bad_budget_named(self, tmp_path, capsys, monkeypatch, var, case, value):
+        files = _fuzz_files(tmp_path)
+        files["OUT"] = tmp_path / "out"
+        monkeypatch.setenv(var, value)
+        code, _, err = run_cli(capsys, *[str(files.get(token, token)) for token in case])
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines() == [f"error: {var} must be an integer >= 1, got {value!r}"]
 
     def test_r_needs_n(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--r", "3", "--seed", "1", "--trials", "2")

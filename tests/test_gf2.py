@@ -144,6 +144,11 @@ class TestCanonicalForm:
         assert AffineSubspace.empty(3).to_text() == "EMPTY"
         assert AffineSubspace.full(3).to_text() == "000|100,010,001"
 
+    @pytest.mark.parametrize("text", ["000|1", "000|10", "000|1000", "000|100,01", "00|100"])
+    def test_parse_rejects_wrong_length(self, text):
+        with pytest.raises(DimensionMismatch, match="expected n=3"):
+            parse_subspace(text, 3)
+
 
 class TestIntersectHyperplane:
     def test_spec_examples(self):
