@@ -104,8 +104,12 @@ class AffineLabels:
 
 
 # Most (vertex, a, x) cells per np.add.at call in forward_tables, one
-# (vertex, a) row past n = 14: its index and weight arrays stay ~0.3 MiB.
-_SCATTER_CELLS = 1 << 14
+# (vertex, a) row past n = 13.  Each index or weight array of a chunk
+# stays at most 64 KiB, under glibc's default 128 KiB mmap threshold;
+# 128 KiB arrays are handed back to the system between chunks (about 440
+# page faults per n = 6 call) unless an earlier large free has raised
+# the threshold.
+_SCATTER_CELLS = 1 << 13
 
 
 def check_dp_budget(bp: BranchingProgram) -> None:
@@ -197,7 +201,11 @@ class AffineValidation:
 
 def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidation:
     """Check the start label and the per-edge inclusion
-    label(u) ∩ {x : a.x = b} ⊆ label(v)."""
+    label(u) ∩ {x : a.x = b} ⊆ label(v).
+
+    The edge subspaces of a label are built once per layer, however many
+    vertices of the layer carry it.
+    """
     violations: list[tuple] = []
     notes: list[str] = []
     if labels.get(0, 0) != AffineSubspace.full(bp.n):
@@ -207,16 +215,19 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
             if labels.get(t, v).is_empty:
                 notes.append(f"vertex ({t},{v}) is labeled Empty")
     for t in range(bp.m):
+        spaces: dict[AffineSubspace, list[AffineSubspace]] = {}
         for v in range(bp.layer_sizes[t]):
             row = bp.transitions[t][v]
             if row is None:
                 continue
             lab = labels.get(t, v)
-            for a in range(1 << bp.n):
-                for b in (0, 1):
-                    edge_space = intersect_hyperplane(lab, a, b)
-                    if not is_subset(edge_space, labels.get(t + 1, row[(a << 1) | b])):
-                        violations.append(("edge", t, v, a, b))
+            edge_spaces = spaces.get(lab)
+            if edge_spaces is None:
+                edge_spaces = spaces[lab] = [intersect_hyperplane(lab, a, b)
+                                             for a in range(1 << bp.n) for b in (0, 1)]
+            for i, (edge_space, target) in enumerate(zip(edge_spaces, row)):
+                if not is_subset(edge_space, labels.get(t + 1, target)):
+                    violations.append(("edge", t, v, i >> 1, i & 1))
     return AffineValidation(not violations, violations, notes)
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure or I/O problem, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -166,7 +167,9 @@ def _dimension(low: int) -> Callable[[str], int]:
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="paritylab",
         description="memory-bounded parity learning laboratory")

@@ -1,4 +1,5 @@
-"""Resource budgets for exact dynamic programming, overridable via env vars."""
+"""Resource budgets for exact dynamic programming, unrolling and reduction,
+overridable via env vars."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import os
 
 DEFAULT_DP_BUDGET = 200_000_000     # layer-width * 4^n * length cells
 DEFAULT_STATE_BUDGET = 2_000_000    # reachable states per unrolled layer * 2^{n+1} edges
+DEFAULT_REDUCE_BUDGET = 2_000_000   # reduced-program layer width * 2^{n+1} edge subspaces
 
 
 class BudgetExceeded(RuntimeError):
@@ -33,3 +35,7 @@ def dp_budget() -> int:
 
 def state_budget() -> int:
     return _budget("PARITYLAB_STATE_BUDGET", DEFAULT_STATE_BUDGET)
+
+
+def reduce_budget() -> int:
+    return _budget("PARITYLAB_REDUCE_BUDGET", DEFAULT_REDUCE_BUDGET)

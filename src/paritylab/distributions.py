@@ -4,7 +4,6 @@ Walsh-Fourier transforms, and the Fourier closeness criterion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -149,24 +148,17 @@ def hyperplane_mass(mix: SubspaceMixture) -> dict[tuple[int, int], float]:
 
     A subspace w lies in the hyperplane (a, b) exactly when (a, b) is one
     of its hyperplane keys, so the table sums each member's probability
-    over its keys.
+    over its keys, in member order.
     """
-    return key_mass((hyperplane_keys(w), p) for w, p in mix.support)
-
-
-def key_mass(members: Iterable[tuple[Iterable[tuple[int, int]], float]]
-             ) -> dict[tuple[int, int], float]:
-    """Total probability per hyperplane key over (keys, probability)
-    members, accumulated in member order."""
     table: dict[tuple[int, int], float] = {}
-    for keys, p in members:
-        for key in keys:
+    for w, p in mix.support:
+        for key in hyperplane_keys(w):
             table[key] = table.get(key, 0.0) + p
     return table
 
 
 def heaviest_hyperplane(table: dict[tuple[int, int], float]) -> tuple[int, int, float]:
-    """The (a, b) of largest mass in a key_mass table, a packed.
+    """The (a, b) of largest mass in a hyperplane_mass table, a packed.
 
     Ties break to the lexicographically smallest pair: a compared as a
     packed integer, then b = 0 before b = 1.  An empty table gives

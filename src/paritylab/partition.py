@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .distributions import (
     SubspaceMixture,
-    heaviest_hyperplane,
-    key_mass,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -71,33 +70,48 @@ def lift_back(w: AffineSubspace, a: int, b: int, pivot: int) -> AffineSubspace:
     return AffineSubspace(n, VectorSubspace.from_rows(n, rows), off)
 
 
-def _project_keys(keys: frozenset[tuple[int, int]], pivot: int) -> frozenset[tuple[int, int]]:
-    """Hyperplane keys of project_out(w, pivot), given those of w.
+def _key_ids(w: AffineSubspace) -> frozenset[int]:
+    """w's hyperplane keys (a, b) as the ints 2a + b."""
+    return frozenset((a << 1) | b for a, b in hyperplane_keys(w))
 
-    The keys of the image are the keys (c, b) of w with c zero at the
-    pivot, the pivot coordinate dropped from c.
+
+@cache
+def _key_projection(n: int, pivot: int) -> tuple[int, ...]:
+    """Map of key ids under project_out(., pivot) on {0,1}^n.
+
+    The keys of the image of w are the keys (c, b) of w with c zero at
+    the pivot, the pivot coordinate dropped from c: entry 2c + b holds
+    the image's id, or -1 when c is one at the pivot.
     """
-    return frozenset((_drop_bit(c, pivot), b) for c, b in keys if not (c >> pivot) & 1)
+    return tuple(-1 if (k >> (pivot + 1)) & 1 else _drop_bit(k, pivot + 1)
+                 for k in range(2 << n))
 
 
-def _find_rep(n: int, keys: list[frozenset[tuple[int, int]]],
-              probs: list[float], r: float) -> AffineSubspace:
+def _find_rep(n: int, keys: list[frozenset[int]], probs: list[float], r: float) -> AffineSubspace:
     """The recursion of find_representative_subspace on a mixture given
-    by each member's hyperplane keys and probability, in member order.
+    by each member's key ids and probability, in member order.
 
     Every sum runs in member order: another order can change a float in
     the last place and flip an argmax tie, and with it the partition.
+    The first maximum of the table is the smallest id 2a + b, which is
+    heaviest_hyperplane's tie-break; ids 0 and 1 (a = 0) stay at 0.0.
     """
     if n == 0:
         return AffineSubspace.full(0)
-    a, b, p = heaviest_hyperplane(key_mass(zip(keys, probs)))
-    if p <= 2.0 ** (-r):
+    table = [0.0] * (2 << n)
+    for ks, p in zip(keys, probs):
+        for k in ks:
+            table[k] += p
+    key = max(range(2 << n), key=table.__getitem__)
+    if table[key] <= 2.0 ** (-r):
         return AffineSubspace.full(n)
+    a, b = key >> 1, key & 1
     pivot = lowest_set_bit(a)
-    key = (a, b)
     inside = [i for i, ks in enumerate(keys) if key in ks]
     mass = sum(probs[i] for i in inside)
-    return lift_back(_find_rep(n - 1, [_project_keys(keys[i], pivot) for i in inside],
+    proj = _key_projection(n, pivot)
+    return lift_back(_find_rep(n - 1, [frozenset(j for k in keys[i] if (j := proj[k]) >= 0)
+                                       for i in inside],
                                [probs[i] / mass for i in inside], r - 0.5),
                      a, b, pivot)
 
@@ -115,7 +129,7 @@ def find_representative_subspace(
     """
     if r < mix.n / 2:
         raise ValueError(f"r must be at least n/2 = {mix.n / 2}, got {r}")
-    s = _find_rep(mix.n, [frozenset(hyperplane_keys(w)) for w, _ in mix.support],
+    s = _find_rep(mix.n, [_key_ids(w) for w, _ in mix.support],
                   [p for _, p in mix.support], r)
     conditioned, mass = mix.restrict(lambda w: is_subset(w, s))
     return s, conditioned, mass
@@ -184,7 +198,7 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     """Iterate find_representative_subspace's recursion on the unassigned
     members until their mass is at most 2^{-2n}.
 
-    Each member's hyperplane keys are computed once: every round's
+    Each member's hyperplane key ids are computed once: every round's
     recursion and containment pass test key membership only, and each
     round renormalizes the remaining masses in member order.
     """
@@ -193,7 +207,7 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
         raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
     target = 2.0 ** (-2 * n)
     round_cap = math.ceil(4 * n * 2.0 ** exponent_sum(r, n)) + 1
-    remaining = [(w, p, frozenset(hyperplane_keys(w))) for w, p in mix.support]
+    remaining = [(w, p, _key_ids(w)) for w, p in mix.support]
     groups: list[PartitionGroup] = []
     sigma: dict[AffineSubspace, AffineSubspace | None] = {}
     while (total := sum(p for _, p, _ in remaining)) > target:
@@ -201,7 +215,7 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
         s = _find_rep(n, [keys for _, _, keys in remaining],
                       [p / total for _, p, _ in remaining], r)
-        s_keys = frozenset(hyperplane_keys(s))
+        s_keys = _key_ids(s)
         taken, rest = [], []
         for member in remaining:
             (taken if s_keys <= member[2] else rest).append(member)

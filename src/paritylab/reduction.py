@@ -24,6 +24,7 @@ from .bp import (
     success_probability,
     validate_affine,
 )
+from .config import BudgetExceeded, reduce_budget
 from .distributions import SLACK, SubspaceMixture, uniform_weights
 from .gf2 import AffineSubspace, intersect_hyperplane
 from .partition import SubspacePartition, build_partition, exponent_sum
@@ -122,7 +123,9 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     Requires every leaf of bp in the last layer.  The idealized joint law
     of (vertex, key) is propagated exactly: conditioned on a vertex, the
     idealized key is uniform on the vertex label, so only the vertex
-    marginals need to be carried between layers.
+    marginals need to be carried between layers.  Raises BudgetExceeded
+    when a reduced layer's width times its 2^{n+1} out-edges exceeds the
+    reduction budget.
     """
     n, m = bp.n, bp.m
     params.validate(n)
@@ -130,6 +133,7 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
         raise ValueError("reduction needs every leaf in the last layer")
     full = AffineSubspace.full(n)
     scale = 2.0 ** (-n)
+    degree = 1 << (n + 1)
 
     layer_labels: list[tuple[AffineSubspace, ...]] = [(full,)]
     gamma: list[tuple[int, ...]] = [(0,)]
@@ -147,23 +151,28 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
         # drawing a uniform and b = a.y with y uniform on label(u) puts
         # mass q(u) * 2^{-n} * Pr[a.y = b] on the edge subspace
         # label(u) ∩ {a.x = b}; consistent constraints keep probability
-        # 1 (dimension preserved) or 1/2 (dimension drops).
+        # 1 (dimension preserved) or 1/2 (dimension drops).  Labels
+        # repeat within a layer, so the edge subspaces are built once per
+        # distinct label; the (u, a, b) loop order is kept.
+        if len(prev_labels) * degree > reduce_budget():
+            raise BudgetExceeded(
+                f"{len(prev_labels)} vertices x {degree} edges in layer {j - 1} exceeds "
+                "the reduction budget; set PARITYLAB_REDUCE_BUDGET to override")
+        spaces: dict[AffineSubspace, list[tuple[AffineSubspace, float]]] = {}
         mass: list[dict[AffineSubspace, float]] = [dict() for _ in range(b_size)]
-        edges: list[list[tuple[int, AffineSubspace]]] = []
+        edges: list[tuple[tuple[int, ...], list[tuple[AffineSubspace, float]]]] = []
         for u, lab_u in enumerate(prev_labels):
             row = bp.transitions[j - 1][prev_gamma[u]]
+            pairs = spaces.get(lab_u)
+            if pairs is None:
+                pairs = spaces[lab_u] = _edge_spaces(lab_u)
+            edges.append((row, pairs))
             q_u = prev_q[u]
-            out: list[tuple[int, AffineSubspace]] = []
-            for a in range(1 << n):
-                for b in (0, 1):
-                    w_e = intersect_hyperplane(lab_u, a, b)
-                    v_orig = row[(a << 1) | b]
-                    out.append((v_orig, w_e))
-                    if q_u > 0.0 and not w_e.is_empty:
-                        p_cond = 1.0 if w_e.dim == lab_u.dim else 0.5
+            if q_u > 0.0:
+                for v_orig, (w_e, p_cond) in zip(row, pairs):
+                    if p_cond:
                         acc = mass[v_orig]
                         acc[w_e] = acc.get(w_e, 0.0) + q_u * p_cond * scale
-            edges.append(out)
 
         partitions: list[SubspacePartition | None] = []
         slot_of: list[dict[AffineSubspace, int]] = []
@@ -196,12 +205,12 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
             counts.append(len(slots))
 
         rewired: list[tuple[int, ...]] = []
-        for u in range(len(prev_labels)):
+        for row, pairs in edges:
             row_new = []
-            for (v_orig, w_e) in edges[u]:
+            for v_orig, (w_e, p_cond) in zip(row, pairs):
                 part = partitions[v_orig]
                 target = None
-                if part is not None and not w_e.is_empty:
+                if part is not None and p_cond:
                     # Only a zero-mass edge subspace is missing from sigma.
                     rep = part.sigma.get(w_e, _UNSEEN)
                     if rep is _UNSEEN:
@@ -224,6 +233,17 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     reduction = AffineReduction(program, labels, tuple(gamma), tuple(marginals),
                                 tuple(group_counts), params)
     return replace(reduction, report=verify_reduction(bp, reduction, params))
+
+
+def _edge_spaces(lab: AffineSubspace) -> list[tuple[AffineSubspace, float]]:
+    """(lab ∩ {a.x = b}, Pr[a.y = b] for y uniform on lab) per edge index
+    (a << 1) | b; the probability is 0.0 for an empty edge subspace."""
+    pairs = []
+    for a in range(1 << lab.n):
+        for b in (0, 1):
+            w_e = intersect_hyperplane(lab, a, b)
+            pairs.append((w_e, 0.0 if w_e.is_empty else 1.0 if w_e.dim == lab.dim else 0.5))
+    return pairs
 
 
 def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:

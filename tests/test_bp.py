@@ -29,7 +29,7 @@ from paritylab.generators import (
     random_subspace,
     selective_recorder_program,
 )
-from paritylab.gf2 import AffineSubspace, contains, intersect_hyperplane, parity
+from paritylab.gf2 import AffineSubspace, contains, intersect_hyperplane, is_subset, parity
 from paritylab.learners import gaussian_learner
 from paritylab.reduction import ReductionParams, reduce_to_affine
 
@@ -103,6 +103,30 @@ def loop_forward_tables(bp):
                 nxt[row[a << 1]] += w0 * scale
                 nxt[row[(a << 1) | 1]] += (wx - w0) * scale
     return tables
+
+
+def loop_validate_affine(bp, labels):
+    """Reference for validate_affine: every vertex builds its own edge
+    subspaces."""
+    violations, notes = [], []
+    if labels.get(0, 0) != AffineSubspace.full(bp.n):
+        violations.append(("start", 0, 0))
+    for t in range(bp.m + 1):
+        for v in range(bp.layer_sizes[t]):
+            if labels.get(t, v).is_empty:
+                notes.append(f"vertex ({t},{v}) is labeled Empty")
+    for t in range(bp.m):
+        for v in range(bp.layer_sizes[t]):
+            row = bp.transitions[t][v]
+            if row is None:
+                continue
+            lab = labels.get(t, v)
+            for a in range(1 << bp.n):
+                for b in (0, 1):
+                    edge_space = intersect_hyperplane(lab, a, b)
+                    if not is_subset(edge_space, labels.get(t + 1, row[(a << 1) | b])):
+                        violations.append(("edge", t, v, a, b))
+    return violations, notes
 
 
 class TestRunPath:
@@ -207,6 +231,9 @@ class TestForwardScatter:
         for bp in SCATTER_CASES["zero-weight"]():
             assert not forward_tables(bp)[1][2:].any()
         assert 4 ** 8 > _SCATTER_CELLS  # one n = 8 vertex spans several chunks
+        # a chunk's index and weight arrays stay under glibc's default
+        # 128 KiB mmap threshold, so they are not mapped afresh per chunk
+        assert _SCATTER_CELLS * max(np.dtype(np.intp).itemsize, 8) < 128 << 10
 
     def test_scratch_memory_is_chunked(self):
         """n = 8, width 64: 4M cells per layer, yet the traced peak beyond
@@ -282,6 +309,71 @@ class TestValidateAffine:
         # an Empty label on a consistently-reachable vertex does break
         # the per-edge inclusion, and the report says where
         assert not report.ok and report.violations
+
+
+def _random_labelings():
+    """Random programs with a random label, Empty one time in eight, on
+    every vertex: a fifth of the edges or more violate."""
+    rng = np.random.default_rng(23)
+    out = []
+    for n in range(1, 6):
+        bp = random_program(n, 3, 6, rng)
+        labels = AffineLabels(tuple(
+            tuple(AffineSubspace.empty(n) if rng.integers(8) == 0 else random_subspace(n, rng)
+                  for _ in range(size))
+            for size in bp.layer_sizes))
+        out.append((bp, labels))
+    return out
+
+
+def _reduced_labelings():
+    return [(red.program, red.labels) for red in (
+        reduce_to_affine(random_program(n, 3, 5, np.random.default_rng(n)), ReductionParams(r))
+        for n, r in [(3, 2.0), (4, 3.0)])]
+
+
+def _shared_labelings():
+    """Most vertices of a layer share one label but have their own rows,
+    into next-layer labels of every dimension."""
+    rng = np.random.default_rng(29)
+    out = []
+    for n in (2, 3, 4):
+        bp = sized_program(n, (1, 12, 12, 12), rng)
+        shared = [AffineSubspace.full(n)] + [random_subspace(n, rng) for _ in range(3)]
+        labels = AffineLabels(tuple(
+            tuple(shared[t] if v % 4 else random_subspace(n, rng) for v in range(size))
+            for t, size in enumerate(bp.layer_sizes)))
+        out.append((bp, labels))
+    return out
+
+
+VALIDATE_CASES = {"random": _random_labelings, "reduced": _reduced_labelings,
+                  "shared": _shared_labelings}
+
+
+class TestValidateOracle:
+    @pytest.mark.parametrize("case", VALIDATE_CASES)
+    def test_equals_loop(self, case):
+        """Same violations in the same order, and the same notes."""
+        for bp, labels in VALIDATE_CASES[case]():
+            got = validate_affine(bp, labels)
+            violations, notes = loop_validate_affine(bp, labels)
+            assert got.violations == violations and got.notes == notes
+            assert got.ok == (not violations)
+
+    def test_cases_cover_what_they_name(self):
+        for bp, labels in VALIDATE_CASES["random"]():
+            violations, notes = loop_validate_affine(bp, labels)
+            edges = sum(bp.layer_sizes[:-1]) << (bp.n + 1)
+            assert 5 * len(violations) >= edges and notes
+        assert all(not loop_validate_affine(*case)[0] for case in VALIDATE_CASES["reduced"]())
+        for bp, labels in VALIDATE_CASES["shared"]():
+            for t in range(1, bp.m):
+                sharing = [v for v in range(bp.layer_sizes[t]) if v % 4]
+                assert len({labels.get(t, v) for v in sharing}) == 1
+                assert len({bp.transitions[t][v] for v in sharing}) == len(sharing)
+            violations = loop_validate_affine(bp, labels)[0]
+            assert 0 < len(violations) < sum(bp.layer_sizes[:-1]) << (bp.n + 1)
 
 
 class TestLayerAccuracy:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paritylab.bp import to_json_dict
-from paritylab.cli import dispatch, emit_report, key_from_hex, key_to_hex
+from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
 
@@ -289,7 +289,8 @@ class TestFuzzGuard:
     @pytest.mark.parametrize("var,case", [
         ("PARITYLAB_DP_BUDGET", ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "OUT"]),
         ("PARITYLAB_STATE_BUDGET", ["verify-lemmas", "--n", "2", "--seed", "1", "--trials", "2"]),
-    ], ids=["dp", "state"])
+        ("PARITYLAB_REDUCE_BUDGET", ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "OUT"]),
+    ], ids=["dp", "state", "reduce"])
     def test_bad_budget_named(self, tmp_path, capsys, monkeypatch, var, case, value):
         files = _fuzz_files(tmp_path)
         files["OUT"] = tmp_path / "out"
@@ -297,6 +298,26 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, *[str(files.get(token, token)) for token in case])
         assert code == 1 and "Traceback" not in err
         assert err.splitlines() == [f"error: {var} must be an integer >= 1, got {value!r}"]
+
+    def test_reduce_budget_exceeded(self, tmp_path, capsys, monkeypatch):
+        """Layer 0 (one vertex, 2^3 edges) fits a budget of 8; the first
+        wider layer stops the reduction with one line, before any output."""
+        program = random_program(2, 3, 3, np.random.default_rng(1))
+        src, out = tmp_path / "program.json", tmp_path / "out"
+        src.write_text(json.dumps(to_json_dict(program)))
+        monkeypatch.setenv("PARITYLAB_REDUCE_BUDGET", "8")
+        code, _, err = run_cli(capsys, "reduce", "--in", str(src), "--r", "2", "--out", str(out))
+        assert code == 1 and not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(
+            " vertices x 8 edges in layer 1 exceeds the reduction budget; "
+            "set PARITYLAB_REDUCE_BUDGET to override")
+
+    def test_parser_built_once(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["verify-lemmas", "--n", "3", "--seed", "1"]).n == 3
+        assert parser.parse_args(["verify-lemmas", "--seed", "1"]).n is None
 
     def test_r_needs_n(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--r", "3", "--seed", "1", "--trials", "2")
