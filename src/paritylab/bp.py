@@ -20,12 +20,11 @@ from .config import BudgetExceeded, dp_budget, state_budget
 from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
+    DimensionMismatch,
     _check_vector,
-    contains,
-    intersect_hyperplane,
-    is_subset,
-    parity,
+    hyperplane_masks,
     parse_subspace,
+    point_mask,
 )
 
 
@@ -104,12 +103,9 @@ class AffineLabels:
 
 
 # Most (vertex, a, x) cells per np.add.at call in forward_tables, one
-# (vertex, a) row past n = 13.  Each index or weight array of a chunk
-# stays at most 64 KiB, under glibc's default 128 KiB mmap threshold;
-# 128 KiB arrays are handed back to the system between chunks (about 440
-# page faults per n = 6 call) unless an earlier large free has raised
-# the threshold.
-_SCATTER_CELLS = 1 << 13
+# (vertex, a) row from n = 14 on.  The chunk's index and weight buffers are
+# allocated once per forward_tables call and refilled in place.
+_SCATTER_CELLS = 1 << 14
 
 
 def check_dp_budget(bp: BranchingProgram) -> None:
@@ -128,30 +124,49 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     key being x, under uniform x and uniform sample vectors.
     """
     check_dp_budget(bp)
-    a = np.arange(1 << bp.n, dtype=np.min_scalar_type((2 << bp.n) - 1))
+    size = 1 << bp.n
+    a = np.arange(size, dtype=np.min_scalar_type((2 << bp.n) - 1))
     edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)  # 2a + a.x
-    tables = [np.zeros((size, 1 << bp.n)) for size in bp.layer_sizes]
+    tables = [np.zeros((width, size)) for width in bp.layer_sizes]
     tables[0][0, :] = 2.0 ** (-bp.n)
+    # A chunk is `verts` whole vertices (n <= 7) or `span` sample vectors
+    # of one vertex, as (vertex, a, x) cells.
+    per = max(1, _SCATTER_CELLS // size)
+    verts, span = max(1, per // size), min(per, size)
+    index = np.empty((verts, span, size), dtype=np.intp)
+    weight = np.empty((verts, span, size))
     for t in range(bp.m):
-        _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge)
+        _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge, index, weight)
     return tables
 
 
-def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray) -> None:
+def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray,
+                   index: np.ndarray, weight: np.ndarray) -> None:
     """nxt[rows[v][edge[a, x]], x] += cur[v, x] / 2^n for every non-leaf v
-    of nonzero weight and every a, in (v, a, x) order, _SCATTER_CELLS at a
-    time.  np.add.at is unbuffered and adds in index order, so each cell
-    gets the same float additions in the same order as a loop over v, then
-    a, would make; the zero additions such a loop makes change nothing."""
-    size = cur.shape[1]
-    live = np.array([v for v, row in enumerate(rows) if row is not None and cur[v].any()])
+    of nonzero weight and every a, in (v, a, x) order, one chunk of the
+    index and weight buffers at a time.  np.add.at is unbuffered and adds
+    in index order, so each cell gets the same float additions in the
+    same order as a loop over v, then a, would make; the zero additions
+    such a loop makes change nothing."""
+    verts, span, size = index.shape
+    live = np.array([v for v, row in enumerate(rows) if row is not None and cur[v].any()],
+                    dtype=np.intp)
     targets = np.array([rows[v] for v in live], dtype=np.intp) * size
-    per = max(1, _SCATTER_CELLS // size)
-    for start in range(0, len(live) * size, per):
-        va = np.arange(start, min(start + per, len(live) * size))  # (v, a) rows
-        np.add.at(nxt.reshape(-1),
-                  (targets[va[:, None] // size, edge[va % size]] + np.arange(size)).ravel(),
-                  (cur[live[va // size]] / size).ravel())
+    offsets = np.arange(verts)[:, None, None] * (2 * size)  # a chunk vertex's row in targets
+    xs = np.arange(size)
+    src = np.empty((verts, size))
+    flat = nxt.reshape(-1)
+    for j in range(0, len(live), verts):
+        k = min(verts, len(live) - j)
+        idx, wt = index[:k], weight[:k]
+        np.take(cur, live[j:j + k], axis=0, out=src[:k])
+        np.divide(src[:k, None, :], size, out=wt)
+        for a0 in range(0, size, span):
+            np.add(edge[a0:a0 + span], offsets[:k], out=idx)
+            # the indices are in range; mode="raise" would buffer the output
+            np.take(targets[j:j + k], idx, out=idx, mode="wrap")
+            idx += xs
+            np.add.at(flat, idx.reshape(-1), wt.reshape(-1))
 
 
 def success_probability(bp: BranchingProgram) -> float:
@@ -203,31 +218,42 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     """Check the start label and the per-edge inclusion
     label(u) ∩ {x : a.x = b} ⊆ label(v).
 
-    The edge subspaces of a label are built once per layer, however many
-    vertices of the layer carry it.
+    Each label is its point mask (gf2.point_mask), so an edge is one int
+    test: with L the mask of label(u) and H0 = hyperplane_masks(n)[a],
+    the b = 0 edge set is L & H0, the b = 1 set is the rest of L, and
+    the edge violates iff its set has a point outside label(v)'s mask.
+    The 4^n-bit H0 table is under the DP budget, checked first.
     """
+    check_dp_budget(bp)
     violations: list[tuple] = []
     notes: list[str] = []
     if labels.get(0, 0) != AffineSubspace.full(bp.n):
         violations.append(("start", 0, 0))
+    masks = []
     for t in range(bp.m + 1):
+        layer = []
         for v in range(bp.layer_sizes[t]):
-            if labels.get(t, v).is_empty:
+            lab = labels.get(t, v)
+            if lab.n != bp.n:
+                raise DimensionMismatch(f"vertex ({t},{v}) label has n={lab.n}, "
+                                        f"the program n={bp.n}")
+            if lab.is_empty:
                 notes.append(f"vertex ({t},{v}) is labeled Empty")
+            layer.append(point_mask(lab))
+        masks.append(layer)
+    even = hyperplane_masks(bp.n)
     for t in range(bp.m):
-        spaces: dict[AffineSubspace, list[AffineSubspace]] = {}
-        for v in range(bp.layer_sizes[t]):
-            row = bp.transitions[t][v]
+        outside = [~mask for mask in masks[t + 1]]
+        for v, row in enumerate(bp.transitions[t]):
             if row is None:
                 continue
-            lab = labels.get(t, v)
-            edge_spaces = spaces.get(lab)
-            if edge_spaces is None:
-                edge_spaces = spaces[lab] = [intersect_hyperplane(lab, a, b)
-                                             for a in range(1 << bp.n) for b in (0, 1)]
-            for i, (edge_space, target) in enumerate(zip(edge_spaces, row)):
-                if not is_subset(edge_space, labels.get(t + 1, target)):
-                    violations.append(("edge", t, v, i >> 1, i & 1))
+            mask = masks[t][v]
+            for a, (h0, tgt0, tgt1) in enumerate(zip(even, row[0::2], row[1::2])):
+                e0 = mask & h0
+                if e0 & outside[tgt0]:
+                    violations.append(("edge", t, v, a, 0))
+                if (mask ^ e0) & outside[tgt1]:
+                    violations.append(("edge", t, v, a, 1))
     return AffineValidation(not violations, violations, notes)
 
 
@@ -291,22 +317,6 @@ def unroll(n: int, m: int, start: Hashable,
         transitions.append(tuple(rows))
         layers.append(list(index) or [layer[0]])
     return layers, transitions
-
-
-def monte_carlo_success(bp: BranchingProgram, trials: int, rng: np.random.Generator) -> float:
-    size = 1 << bp.n
-    hits = 0
-    for _ in range(trials):
-        x = int(rng.integers(0, size))
-        t, v = 0, 0
-        while not bp.is_leaf(t, v):
-            a = int(rng.integers(0, size))
-            b = parity(a & x)
-            v = bp.transitions[t][v][(a << 1) | b]
-            t += 1
-        if contains(bp.leaf_labels[(t, v)], x):
-            hits += 1
-    return hits / trials
 
 
 def to_json_dict(bp: BranchingProgram,

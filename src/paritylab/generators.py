@@ -91,6 +91,10 @@ def _rejection_mixture(n: int, threshold: float,
         weights = rng.random(len(members)) + 0.05
         weights /= weights.sum()
         mix = SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
+        # a non-full member lies in some hyperplane, whose mass (a float
+        # sum of positive terms) is at least the member's own weight
+        if any(p > threshold and w.dim < n for w, p in mix.support):
+            continue
         mass = hyperplane_mass(mix)
         if not mass or max(mass.values()) <= threshold:
             return mix

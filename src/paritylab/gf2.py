@@ -12,7 +12,7 @@ every pivot column, which makes equality and hashing purely structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -316,6 +316,45 @@ def is_subset(w1: AffineSubspace, w2: AffineSubspace) -> bool:
     if not w2.direction.contains(w1.offset ^ w2.offset):
         return False
     return all(w2.direction.contains(r) for r in w1.direction.rows)
+
+
+@cache
+def hyperplane_masks(n: int) -> tuple[int, ...]:
+    """Entry a is the point mask (see point_mask) of {x : a.x = 0}.
+
+    The mask of {x : a.x = 1} is the rest of the 2^n points.  The table
+    comes from odd(a | e_i) = odd(a) ^ C_i for a < 2^i, where odd(a) is
+    the mask of {x : a.x = 1} and C_i that of {x : x_i = 1}: one
+    2^n-bit XOR per entry.  It holds 4^n bits, so callers bound n.
+    """
+    size = 1 << n
+    odd = [0]
+    for i in range(n):
+        c = ((1 << (1 << i)) - 1) << (1 << i)  # one period: x_i = 0 for 2^i points, then 1
+        span = 2 << i
+        while span < size:
+            c |= c << span
+            span <<= 1
+        odd += [o ^ c for o in odd]
+    full = (1 << size) - 1
+    return tuple(full ^ o for o in odd)
+
+
+def point_mask(w: AffineSubspace) -> int:
+    """The points of w as a 2^n-bit int: bit x is set iff x lies in w
+    (0 for Empty).
+
+    A non-empty w is the intersection of the hyperplanes
+    {x : a.x = a.offset} over a basis of its orthogonal space.  Uses the
+    4^n-bit hyperplane_masks table, so callers bound n.
+    """
+    if w.is_empty:
+        return 0
+    even = hyperplane_masks(w.n)
+    mask = even[0]  # every point
+    for a in orthogonal_space(w).rows:
+        mask = mask & ~even[a] if parity(a & w.offset) else mask & even[a]
+    return mask
 
 
 def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:

@@ -14,7 +14,6 @@ from paritylab.bp import (
     forward_tables,
     from_json_dict,
     layer_accuracy,
-    monte_carlo_success,
     output_dimension_distribution,
     run_path,
     success_probability,
@@ -29,7 +28,14 @@ from paritylab.generators import (
     random_subspace,
     selective_recorder_program,
 )
-from paritylab.gf2 import AffineSubspace, contains, intersect_hyperplane, is_subset, parity
+from paritylab.gf2 import (
+    AffineSubspace,
+    DimensionMismatch,
+    contains,
+    intersect_hyperplane,
+    is_subset,
+    parity,
+)
 from paritylab.learners import gaussian_learner
 from paritylab.reduction import ReductionParams, reduce_to_affine
 
@@ -231,9 +237,7 @@ class TestForwardScatter:
         for bp in SCATTER_CASES["zero-weight"]():
             assert not forward_tables(bp)[1][2:].any()
         assert 4 ** 8 > _SCATTER_CELLS  # one n = 8 vertex spans several chunks
-        # a chunk's index and weight arrays stay under glibc's default
-        # 128 KiB mmap threshold, so they are not mapped afresh per chunk
-        assert _SCATTER_CELLS * max(np.dtype(np.intp).itemsize, 8) < 128 << 10
+        assert 4 ** 6 < _SCATTER_CELLS  # an n = 6 chunk holds several whole vertices
 
     def test_scratch_memory_is_chunked(self):
         """n = 8, width 64: 4M cells per layer, yet the traced peak beyond
@@ -266,18 +270,6 @@ class TestSuccess:
         assert success_probability(bp) == 1.0
         dims = output_dimension_distribution(bp)
         assert dims == {1: pytest.approx(0.75), 2: pytest.approx(0.25)}
-
-    def test_monte_carlo_matches_dp(self):
-        bp = record_first_sample_program(2, 2)
-        half_bp = BranchingProgram(
-            bp.n, bp.m, bp.layer_sizes, bp.transitions,
-            {k: (lab if k[1] % 2 else AffineSubspace.point(2, 1))
-             for k, lab in bp.leaf_labels.items()})
-        exact = success_probability(half_bp)
-        trials = 100_000
-        est = monte_carlo_success(half_bp, trials, np.random.default_rng(2))
-        sigma = (exact * (1 - exact) / trials) ** 0.5
-        assert abs(est - exact) <= 3 * sigma
 
 
 class TestValidateAffine:
@@ -347,8 +339,56 @@ def _shared_labelings():
     return out
 
 
+def _recorder_labelings():
+    """Greedy recorders (early leaves: rows of None) and selective
+    recorders, each with its own labels and with some made Empty."""
+    programs = ([greedy_recorder_program(n, m, k) for n, m, k in [(2, 3, 1), (3, 4, 1), (4, 3, 2)]]
+                + [selective_recorder_program(n, m, 1) for n, m in [(2, 4), (3, 3)]])
+    return programs + [with_empty_labels(bp, labels) for bp, labels in programs]
+
+
+def _bench_labelings():
+    """The programs of the benchmark's validation jobs (Gaussian learners
+    and greedy recorders, n = 3, 4, m = 2, 3), then each Gaussian one
+    with every third label replaced by a random subspace."""
+    rng = np.random.default_rng(31)
+    gaussian = [learner_program_with_labels(gaussian_learner(n), m) for n in (3, 4) for m in (2, 3)]
+    greedy = [greedy_recorder_program(n, m, k) for n in (3, 4) for m in (2, 3) for k in range(n)]
+    scrambled = [(bp, AffineLabels(tuple(
+        tuple(random_subspace(bp.n, rng) if (t + v) % 3 == 2 else w for v, w in enumerate(layer))
+        for t, layer in enumerate(labels.labels)))) for bp, labels in gaussian]
+    return gaussian + greedy + scrambled
+
+
+def _n1_labelings():
+    rng = np.random.default_rng(37)
+    bp = random_program(1, 4, 3, rng)
+    labels = AffineLabels(tuple(
+        tuple(AffineSubspace.empty(1) if rng.integers(4) == 0 else random_subspace(1, rng)
+              for _ in range(size))
+        for size in bp.layer_sizes))
+    return [greedy_recorder_program(1, 3, 0), selective_recorder_program(1, 3, 1), (bp, labels)]
+
+
+def _empty_next_labelings():
+    """Layer 2's labels are all Empty, so an edge out of layer 1
+    violates exactly when its edge set is not empty."""
+    rng = np.random.default_rng(41)
+    out = []
+    for n in (2, 3, 4):
+        bp = sized_program(n, (1, 6, 3, 4), rng)
+        labels = AffineLabels(tuple(
+            tuple(AffineSubspace.empty(n) if t == 2 else random_subspace(n, rng)
+                  for _ in range(size))
+            for t, size in enumerate(bp.layer_sizes)))
+        out.append((bp, labels))
+    return out
+
+
 VALIDATE_CASES = {"random": _random_labelings, "reduced": _reduced_labelings,
-                  "shared": _shared_labelings}
+                  "shared": _shared_labelings, "recorders": _recorder_labelings,
+                  "bench": _bench_labelings, "n1": _n1_labelings,
+                  "empty-next": _empty_next_labelings}
 
 
 class TestValidateOracle:
@@ -374,6 +414,18 @@ class TestValidateOracle:
                 assert len({bp.transitions[t][v] for v in sharing}) == len(sharing)
             violations = loop_validate_affine(bp, labels)[0]
             assert 0 < len(violations) < sum(bp.layer_sizes[:-1]) << (bp.n + 1)
+        recorders = VALIDATE_CASES["recorders"]()
+        assert any(bp.has_early_leaves() and loop_validate_affine(bp, labels)[0]
+                   for bp, labels in recorders)
+        bench = VALIDATE_CASES["bench"]()
+        assert {(bp.n, bp.m) for bp, _ in bench} == {(3, 2), (3, 3), (4, 2), (4, 3)}
+        assert all(not loop_validate_affine(*case)[0] for case in bench[:-4])
+        assert all(loop_validate_affine(*case)[0] for case in bench[-4:])
+        assert all(bp.n == 1 for bp, _ in VALIDATE_CASES["n1"]())
+        for bp, labels in VALIDATE_CASES["empty-next"]():
+            assert all(w.is_empty for w in labels.labels[2])
+            from_layer1 = [v for v in loop_validate_affine(bp, labels)[0] if v[1] == 1]
+            assert 0 < len(from_layer1) < bp.layer_sizes[1] << (bp.n + 1)
 
 
 class TestLayerAccuracy:
@@ -498,6 +550,25 @@ class TestGuards:
         bp = record_first_sample_program(2, 1)
         with pytest.raises(BudgetExceeded):
             forward_tables(bp)
+
+    def test_validate_budget(self, monkeypatch):
+        """The validator's 4^n-bit hyperplane table is under the DP budget."""
+        bp, labels = greedy_recorder_program(2, 2, 0)
+        assert validate_affine(bp, labels).ok
+        monkeypatch.setenv("PARITYLAB_DP_BUDGET", "10")
+        with pytest.raises(BudgetExceeded):
+            validate_affine(bp, labels)
+
+    @pytest.mark.parametrize("other", [1, 3])
+    @pytest.mark.parametrize("vertex", [(0, 0), (1, 2), (2, 0)])
+    def test_validate_label_dimension(self, other, vertex):
+        """A label of another n raises, narrower or wider, as a source,
+        a target or a last-layer leaf."""
+        bp, labels = greedy_recorder_program(2, 2, 0)
+        layers = [list(layer) for layer in labels.labels]
+        layers[vertex[0]][vertex[1]] = AffineSubspace.full(other)
+        with pytest.raises(DimensionMismatch):
+            validate_affine(bp, AffineLabels(tuple(map(tuple, layers))))
 
     @pytest.mark.parametrize("make", [lambda: greedy_recorder_program(2, 2, 0),
                                       lambda: selective_recorder_program(2, 2, 1)])

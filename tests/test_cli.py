@@ -313,6 +313,19 @@ class TestFuzzGuard:
             " vertices x 8 edges in layer 1 exceeds the reduction budget; "
             "set PARITYLAB_REDUCE_BUDGET to override")
 
+    def test_reduce_dp_budget_exceeded(self, tmp_path, capsys, monkeypatch):
+        """The reduced program's validation and DP run under the DP budget:
+        over it, reduce stops with one line and writes no output."""
+        program = random_program(2, 3, 3, np.random.default_rng(1))
+        src, out = tmp_path / "program.json", tmp_path / "out"
+        src.write_text(json.dumps(to_json_dict(program)))
+        monkeypatch.setenv("PARITYLAB_DP_BUDGET", "8")
+        code, _, err = run_cli(capsys, "reduce", "--in", str(src), "--r", "2", "--out", str(out))
+        assert code == 1 and not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith("error: exact DP cost ") and line.endswith(
+            " exceeds budget 8; set PARITYLAB_DP_BUDGET to override")
+
     def test_parser_built_once(self):
         parser = build_parser()
         assert build_parser() is parser

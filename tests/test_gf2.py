@@ -13,11 +13,13 @@ from paritylab.gf2 import (
     VectorSubspace,
     contains,
     hyperplane_keys,
+    hyperplane_masks,
     intersect_hyperplane,
     is_subset,
     orthogonal_space,
     parity,
     parse_subspace,
+    point_mask,
     sample_point,
     solve_affine_system,
 )
@@ -361,3 +363,39 @@ class TestAgainstPointSets:
     def test_subset_is_key_inclusion(self, pair):
         _, (w1, pts1), (w2, pts2) = pair
         assert (set(hyperplane_keys(w2)) <= set(hyperplane_keys(w1))) == (pts1 <= pts2)
+
+
+@st.composite
+def maybe_empty_subspace(draw, n):
+    """An affine subspace of {0,1}^n, Empty one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return AffineSubspace.empty(n)
+    return draw(described_subspace(n))[0]
+
+
+class TestPointMasks:
+    def test_hyperplane_masks_enumerated(self):
+        for n in range(7):
+            table = hyperplane_masks(n)
+            assert len(table) == 1 << n
+            for a, mask in enumerate(table):
+                assert mask == sum(1 << x for x in range(1 << n) if dot(a, x) == 0)
+
+    @PROPERTY
+    @given(st.data())
+    def test_against_subspace_operations(self, data):
+        """The mask bit is contains; the mask of w ∩ {a.x = b} is the
+        mask of w cut by the b side of hyperplane_masks[a]; and is_subset
+        is mask inclusion, for a cut of w inside w and for a random pair."""
+        n = data.draw(st.integers(0, 6))
+        w = data.draw(maybe_empty_subspace(n))
+        mask = point_mask(w)
+        assert 0 <= mask < 1 << (1 << n)
+        assert all((mask >> x) & 1 == contains(w, x) for x in range(1 << n))
+        a = data.draw(st.integers(0, (1 << n) - 1))
+        even = hyperplane_masks(n)[a]
+        cuts = [intersect_hyperplane(w, a, b) for b in (0, 1)]
+        assert [point_mask(cut) for cut in cuts] == [mask & even, mask & ~even]
+        for w1, w2 in [(cuts[1], w), (w, cuts[0]), (w, data.draw(maybe_empty_subspace(n)))]:
+            assert is_subset(w1, w2) == (point_mask(w1) & ~point_mask(w2) == 0)
+
