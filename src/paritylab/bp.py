@@ -109,7 +109,13 @@ _SCATTER_CELLS = 1 << 14
 
 
 def check_dp_budget(bp: BranchingProgram) -> None:
-    cost = bp.width * (4 ** bp.n) * max(bp.m, 1)
+    _check_dp_cost(bp.width, bp.n, bp.m)
+
+
+def _check_dp_cost(width: int, n: int, m: int) -> None:
+    """Raise BudgetExceeded when the DP of a program of this width, n
+    and length m exceeds the DP budget."""
+    cost = width * (4 ** n) * max(m, 1)
     if cost > dp_budget():
         raise BudgetExceeded(
             f"exact DP cost {cost} exceeds budget {dp_budget()}; "
@@ -124,20 +130,24 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     key being x, under uniform x and uniform sample vectors.
     """
     check_dp_budget(bp)
-    size = 1 << bp.n
-    a = np.arange(size, dtype=np.min_scalar_type((2 << bp.n) - 1))
-    edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)  # 2a + a.x
-    tables = [np.zeros((width, size)) for width in bp.layer_sizes]
+    tables = [np.zeros((width, 1 << bp.n)) for width in bp.layer_sizes]
     tables[0][0, :] = 2.0 ** (-bp.n)
-    # A chunk is `verts` whole vertices (n <= 7) or `span` sample vectors
-    # of one vertex, as (vertex, a, x) cells.
+    buffers = _scatter_buffers(bp.n)
+    for t in range(bp.m):
+        _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], *buffers)
+    return tables
+
+
+def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_scatter_layer's edge table 2a + a.x and one chunk's index and
+    weight buffers.  A chunk is `verts` whole vertices (n <= 7) or `span`
+    sample vectors of one vertex, as (vertex, a, x) cells."""
+    size = 1 << n
+    a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
+    edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
-    index = np.empty((verts, span, size), dtype=np.intp)
-    weight = np.empty((verts, span, size))
-    for t in range(bp.m):
-        _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge, index, weight)
-    return tables
+    return edge, np.empty((verts, span, size), dtype=np.intp), np.empty((verts, span, size))
 
 
 def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray,

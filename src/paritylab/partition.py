@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 from .distributions import (
     SubspaceMixture,
@@ -18,14 +17,7 @@ from .distributions import (
     mixture_distribution,
     uniform_over,
 )
-from .gf2 import (
-    AffineSubspace,
-    VectorSubspace,
-    hyperplane_keys,
-    is_subset,
-    lowest_set_bit,
-    parity,
-)
+from .gf2 import AffineSubspace, hyperplane_keys, is_subset, solve_affine_system
 
 
 def exponent_sum(r: float, terms: int) -> float:
@@ -33,87 +25,81 @@ def exponent_sum(r: float, terms: int) -> float:
     return terms * r - terms * (terms - 1) / 4.0
 
 
-def _drop_bit(v: int, pos: int) -> int:
-    return (v & ((1 << pos) - 1)) | ((v >> (pos + 1)) << pos)
-
-
-def _insert_zero_bit(v: int, pos: int) -> int:
-    return (v & ((1 << pos) - 1)) | ((v >> pos) << (pos + 1))
-
-
-def project_out(w: AffineSubspace, pivot: int) -> AffineSubspace:
-    """Image of w under dropping one coordinate.
-
-    Only valid when the dropped coordinate is determined by the others on
-    w (w inside a hyperplane whose pivot it is); then the map is a
-    bijection and dimensions are preserved.
-    """
-    rows = [_drop_bit(r, pivot) for r in w.direction.rows]
-    return AffineSubspace(w.n - 1, VectorSubspace.from_rows(w.n - 1, rows),
-                          _drop_bit(w.offset, pivot))
-
-
-def lift_back(w: AffineSubspace, a: int, b: int, pivot: int) -> AffineSubspace:
-    """Inverse of project_out onto the hyperplane {x : a.x = b}.
-
-    Reinserts the pivot coordinate, set so every lifted point satisfies
-    the hyperplane constraint.
-    """
-    n = w.n + 1
-    rows = []
-    for r in w.direction.rows:
-        v = _insert_zero_bit(r, pivot)
-        v |= parity(a & v) << pivot
-        rows.append(v)
-    off = _insert_zero_bit(w.offset, pivot)
-    off |= (b ^ parity(a & off)) << pivot
-    return AffineSubspace(n, VectorSubspace.from_rows(n, rows), off)
-
-
 def _key_ids(w: AffineSubspace) -> frozenset[int]:
     """w's hyperplane keys (a, b) as the ints 2a + b."""
     return frozenset((a << 1) | b for a, b in hyperplane_keys(w))
 
 
-@cache
-def _key_projection(n: int, pivot: int) -> tuple[int, ...]:
-    """Map of key ids under project_out(., pivot) on {0,1}^n.
-
-    The keys of the image of w are the keys (c, b) of w with c zero at
-    the pivot, the pivot coordinate dropped from c: entry 2c + b holds
-    the image's id, or -1 when c is one at the pivot.
-    """
-    return tuple(-1 if (k >> (pivot + 1)) & 1 else _drop_bit(k, pivot + 1)
-                 for k in range(2 << n))
+def _subspace_of(n: int, chosen: list[int]) -> AffineSubspace:
+    """The solution set of the chosen key ids' equations a.x = b."""
+    return solve_affine_system(n, ((k >> 1) | (k & 1) << n for k in chosen))
 
 
-def _find_rep(n: int, keys: list[frozenset[int]], probs: list[float], r: float) -> AffineSubspace:
-    """The recursion of find_representative_subspace on a mixture given
-    by each member's key ids and probability, in member order.
+def _find_ids(n: int, keys: list[frozenset[int]], probs: list[float],
+              r: float) -> tuple[list[int], list[int]]:
+    """The recursion of find_representative_subspace, in the original
+    coordinates, on members given by their key ids and probabilities.
 
+    Returns the chosen key ids, one per level, and the positions of the
+    members holding every one of them, in member order: the members
+    inside the representative, the chosen ids' solution set, since a
+    subspace's key ids and 0 form a linear space.  Level d projects out
+    the pivot coordinate of each chosen key, the lowest set bit of its
+    a; the image of a member keeps the key ids clear of every chosen
+    pivot bit, in the same order, so level d tabulates only those ids.
     Every sum runs in member order: another order can change a float in
-    the last place and flip an argmax tie, and with it the partition.
-    The first maximum of the table is the smallest id 2a + b, which is
-    heaviest_hyperplane's tie-break; ids 0 and 1 (a = 0) stay at 0.0.
+    the last place and flip an argmax tie.  The first maximum of the
+    table is the smallest id 2a + b, which is heaviest_hyperplane's
+    tie-break; ids 0 and 1 (a = 0) stay at 0.0.
     """
-    if n == 0:
-        return AffineSubspace.full(0)
-    table = [0.0] * (2 << n)
-    for ks, p in zip(keys, probs):
-        for k in ks:
-            table[k] += p
-    key = max(range(2 << n), key=table.__getitem__)
-    if table[key] <= 2.0 ** (-r):
-        return AffineSubspace.full(n)
-    a, b = key >> 1, key & 1
-    pivot = lowest_set_bit(a)
-    inside = [i for i, ks in enumerate(keys) if key in ks]
-    mass = sum(probs[i] for i in inside)
-    proj = _key_projection(n, pivot)
-    return lift_back(_find_rep(n - 1, [frozenset(j for k in keys[i] if (j := proj[k]) >= 0)
-                                       for i in inside],
-                               [probs[i] / mass for i in inside], r - 0.5),
-                     a, b, pivot)
+    chosen: list[int] = []
+    inside = list(range(len(keys)))
+    for _ in range(n):
+        table = [0.0] * (2 << n)
+        for ids, p in zip(keys, probs):
+            for k in ids:
+                table[k] += p
+        top = max(table)
+        if top <= 2.0 ** (-r):
+            break
+        key = table.index(top)
+        chosen.append(key)
+        a = key >> 1
+        pivot = (a & -a) << 1
+        kept = [j for j, ids in enumerate(keys) if key in ids]
+        mass = sum([probs[j] for j in kept])
+        inside = [inside[j] for j in kept]
+        probs = [probs[j] / mass for j in kept]
+        keys = [[k for k in keys[j] if not k & pivot] for j in kept]
+        r -= 0.5
+    return chosen, inside
+
+
+def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
+                   r: float) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """build_partition on members given by their key ids and masses.
+
+    Returns, per round, the chosen key ids of the representative and the
+    indices of the members it takes, in member order, and the indices
+    of the residual members.
+    """
+    if r < n / 2:
+        raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
+    target = 2.0 ** (-2 * n)
+    round_cap = math.ceil(4 * n * 2.0 ** exponent_sum(r, n)) + 1
+    remaining = list(range(len(keys)))
+    rounds: list[tuple[list[int], list[int]]] = []
+    while (total := sum(probs)) > target:
+        if len(rounds) >= round_cap:
+            raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
+        chosen, inside = _find_ids(n, keys, [p / total for p in probs], r)
+        rounds.append((chosen, [remaining[j] for j in inside]))
+        taken = set(inside)
+        rest = [j for j in range(len(remaining)) if j not in taken]
+        remaining = [remaining[j] for j in rest]
+        keys = [keys[j] for j in rest]
+        probs = [probs[j] for j in rest]
+    return rounds, remaining
 
 
 def find_representative_subspace(
@@ -129,8 +115,9 @@ def find_representative_subspace(
     """
     if r < mix.n / 2:
         raise ValueError(f"r must be at least n/2 = {mix.n / 2}, got {r}")
-    s = _find_rep(mix.n, [_key_ids(w) for w, _ in mix.support],
-                  [p for _, p in mix.support], r)
+    chosen, _ = _find_ids(mix.n, [_key_ids(w) for w, _ in mix.support],
+                          [p for _, p in mix.support], r)
+    s = _subspace_of(mix.n, chosen)
     conditioned, mass = mix.restrict(lambda w: is_subset(w, s))
     return s, conditioned, mass
 
@@ -199,32 +186,21 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     members until their mass is at most 2^{-2n}.
 
     Each member's hyperplane key ids are computed once: every round's
-    recursion and containment pass test key membership only, and each
-    round renormalizes the remaining masses in member order.
+    recursion and containment test work on them, and each round
+    renormalizes the remaining masses in member order.
     """
-    n = mix.n
-    if r < n / 2:
-        raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
-    target = 2.0 ** (-2 * n)
-    round_cap = math.ceil(4 * n * 2.0 ** exponent_sum(r, n)) + 1
-    remaining = [(w, p, _key_ids(w)) for w, p in mix.support]
+    support = mix.support
+    rounds, residual = _partition_ids(mix.n, [_key_ids(w) for w, _ in support],
+                                      [p for _, p in support], r)
     groups: list[PartitionGroup] = []
     sigma: dict[AffineSubspace, AffineSubspace | None] = {}
-    while (total := sum(p for _, p, _ in remaining)) > target:
-        if len(groups) >= round_cap:
-            raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
-        s = _find_rep(n, [keys for _, _, keys in remaining],
-                      [p / total for _, p, _ in remaining], r)
-        s_keys = _key_ids(s)
-        taken, rest = [], []
-        for member in remaining:
-            (taken if s_keys <= member[2] else rest).append(member)
-        remaining = rest
-        groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
-                                     tuple(p for _, p, _ in taken)))
-        sigma.update((w, s) for w, _, _ in taken)
-    sigma.update((w, None) for w, _, _ in remaining)
-    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining), sigma)
+    for chosen, taken in rounds:
+        s = _subspace_of(mix.n, chosen)
+        groups.append(PartitionGroup(s, tuple(support[i][0] for i in taken),
+                                     tuple(support[i][1] for i in taken)))
+        sigma.update((support[i][0], s) for i in taken)
+    sigma.update((support[i][0], None) for i in residual)
+    return SubspacePartition(mix.n, r, tuple(groups), tuple(support[i] for i in residual), sigma)
 
 
 def group_count_bound(n: int, r: float, k: int) -> float:

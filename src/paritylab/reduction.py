@@ -18,19 +18,18 @@ import numpy as np
 from .bp import (
     AffineLabels,
     BranchingProgram,
+    _check_dp_cost,
     _layer_accuracy,
     _output_dimensions,
+    check_dp_budget,
     forward_tables,
     success_probability,
     validate_affine,
 )
 from .config import BudgetExceeded, reduce_budget
-from .distributions import SLACK, SubspaceMixture, uniform_weights
-from .gf2 import AffineSubspace, intersect_hyperplane
-from .partition import SubspacePartition, build_partition, exponent_sum
-
-_UNSEEN = object()
-
+from .distributions import SLACK, uniform_weights
+from .gf2 import AffineSubspace, hyperplane_masks
+from .partition import _partition_ids, _subspace_of, exponent_sum
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -125,24 +124,35 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     idealized key is uniform on the vertex label, so only the vertex
     marginals need to be carried between layers.  Raises BudgetExceeded
     when a reduced layer's width times its 2^{n+1} out-edges exceeds the
-    reduction budget.
+    reduction budget, or times 4^n and m the DP budget that
+    verify_reduction runs under.
+
+    Subspaces work as point masks (see gf2.point_mask) here: a mask is
+    the exact hash key of a non-empty subspace, so every dict below keeps
+    the first-appearance order and every float of the subspace-keyed
+    loop; AffineSubspace objects are built only for the labels.
     """
     n, m = bp.n, bp.m
     params.validate(n)
     if bp.has_early_leaves():
         raise ValueError("reduction needs every leaf in the last layer")
+    check_dp_budget(bp)  # before the 4^n-bit hyperplane_masks table
+    even = hyperplane_masks(n)
+    points = even[0]
     full = AffineSubspace.full(n)
     scale = 2.0 ** (-n)
     degree = 1 << (n + 1)
+    edge_pairs: dict[int, list[tuple[int, float]]] = {}  # per label mask
+    key_ids: dict[int, frozenset[int]] = {}              # per edge mask
 
     layer_labels: list[tuple[AffineSubspace, ...]] = [(full,)]
+    label_masks: list[int] = [points]
     gamma: list[tuple[int, ...]] = [(0,)]
     marginals: list[tuple[float, ...]] = [(1.0,)]
     group_counts: list[tuple[int, ...]] = []
     transitions: list[tuple[tuple[int, ...], ...]] = []
 
     for j in range(1, m + 1):
-        prev_labels = layer_labels[j - 1]
         prev_gamma = gamma[j - 1]
         prev_q = marginals[j - 1]
         b_size = bp.layer_sizes[j]
@@ -151,77 +161,98 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
         # drawing a uniform and b = a.y with y uniform on label(u) puts
         # mass q(u) * 2^{-n} * Pr[a.y = b] on the edge subspace
         # label(u) ∩ {a.x = b}; consistent constraints keep probability
-        # 1 (dimension preserved) or 1/2 (dimension drops).  Labels
-        # repeat within a layer, so the edge subspaces are built once per
-        # distinct label; the (u, a, b) loop order is kept.
-        if len(prev_labels) * degree > reduce_budget():
+        # 1 (dimension preserved) or 1/2 (dimension drops).  The mass
+        # dicts are keyed by edge mask, in (u, a, b) order.
+        if len(label_masks) * degree > reduce_budget():
             raise BudgetExceeded(
-                f"{len(prev_labels)} vertices x {degree} edges in layer {j - 1} exceeds "
+                f"{len(label_masks)} vertices x {degree} edges in layer {j - 1} exceeds "
                 "the reduction budget; set PARITYLAB_REDUCE_BUDGET to override")
-        spaces: dict[AffineSubspace, list[tuple[AffineSubspace, float]]] = {}
-        mass: list[dict[AffineSubspace, float]] = [dict() for _ in range(b_size)]
-        edges: list[tuple[tuple[int, ...], list[tuple[AffineSubspace, float]]]] = []
-        for u, lab_u in enumerate(prev_labels):
+        mass: list[dict[int, float]] = [dict() for _ in range(b_size)]
+        edges: list[tuple[tuple[int, ...], list[tuple[int, float]]]] = []
+        for u, lab in enumerate(label_masks):
             row = bp.transitions[j - 1][prev_gamma[u]]
-            pairs = spaces.get(lab_u)
+            pairs = edge_pairs.get(lab)
             if pairs is None:
-                pairs = spaces[lab_u] = _edge_spaces(lab_u)
+                pairs = edge_pairs[lab] = _edge_masks(lab, even)
             edges.append((row, pairs))
             q_u = prev_q[u]
             if q_u > 0.0:
-                for v_orig, (w_e, p_cond) in zip(row, pairs):
+                for v_orig, (e, p_cond) in zip(row, pairs):
                     if p_cond:
                         acc = mass[v_orig]
-                        acc[w_e] = acc.get(w_e, 0.0) + q_u * p_cond * scale
+                        acc[e] = acc.get(e, 0.0) + q_u * p_cond * scale
 
-        partitions: list[SubspacePartition | None] = []
-        slot_of: list[dict[AffineSubspace, int]] = []
+        # Partition each vertex's edge masks, normalized as
+        # SubspaceMixture.from_pairs does.  slot_of[v] maps every member
+        # mask to its new vertex (sigma), and the empty mask 0 to the
+        # catch-all vertex; reps_of[v] holds (complement of the
+        # representative's mask, new vertex) in round order.
         new_labels: list[AffineSubspace] = []
+        new_masks: list[int] = []
         new_gamma: list[int] = []
         new_q: list[float] = []
-        star_slot: list[int] = []
+        slot_of: list[dict[int, int]] = []
+        reps_of: list[list[tuple[int, int]]] = []
         counts: list[int] = []
         for v in range(b_size):
+            members = list(mass[v])
             total = sum(mass[v].values())
+            slots: dict[int, int] = {}
+            reps: list[tuple[int, int]] = []
+            star_mass = 0.0
             if total > 0.0:
-                mixture = SubspaceMixture.from_pairs(n, list(mass[v].items()))
-                part = build_partition(mixture, params.r)
-            else:
-                part = None
-            partitions.append(part)
-            slots: dict[AffineSubspace, int] = {}
-            if part is not None:
-                for g in part.groups:
-                    slots[g.representative] = len(new_labels)
-                    new_labels.append(g.representative)
+                probs = [p / total for p in mass[v].values()]
+                keys = []
+                for e in members:
+                    ids = key_ids.get(e)
+                    if ids is None:
+                        ids = key_ids[e] = _mask_key_ids(e, even)
+                    keys.append(ids)
+                rounds, residual = _partition_ids(n, keys, probs, params.r)
+                group_masses = []
+                for chosen, taken in rounds:
+                    rep = points
+                    for k in chosen:
+                        rep &= ~even[k >> 1] if k & 1 else even[k >> 1]
+                    slot = len(new_labels)
+                    slots.update((members[i], slot) for i in taken)
+                    reps.append((~rep, slot))
+                    group_masses.append(sum([probs[i] for i in taken]))
+                    new_labels.append(_subspace_of(n, chosen))
+                    new_masks.append(rep)
                     new_gamma.append(v)
-                    new_q.append(g.mass * total)
+                    new_q.append(group_masses[-1] * total)
+                slots.update((members[i], len(new_labels)) for i in residual)
+                star_mass = total - sum(group_masses)
+            slots[0] = len(new_labels)
             slot_of.append(slots)
-            star_slot.append(len(new_labels))
+            reps_of.append(reps)
             new_labels.append(full)
+            new_masks.append(points)
             new_gamma.append(v)
-            star_mass = (total - sum(g.mass for g in part.groups)) if part is not None else 0.0
             new_q.append(max(star_mass, 0.0))
-            counts.append(len(slots))
+            counts.append(len(reps))
+        # verify_reduction runs the DP on the reduced program: stop at the
+        # first layer that puts it over the DP budget.
+        _check_dp_cost(len(new_labels), n, m)
 
+        # An edge mask of zero idealized mass is in no slot_of: it goes
+        # to the earliest representative containing it (the scan
+        # SubspacePartition.assign makes), else to the catch-all vertex.
         rewired: list[tuple[int, ...]] = []
         for row, pairs in edges:
             row_new = []
-            for v_orig, (w_e, p_cond) in zip(row, pairs):
-                part = partitions[v_orig]
-                target = None
-                if part is not None and p_cond:
-                    # Only a zero-mass edge subspace is missing from sigma.
-                    rep = part.sigma.get(w_e, _UNSEEN)
-                    if rep is _UNSEEN:
-                        rep = part.assign(w_e)
-                    if rep is not None:
-                        target = slot_of[v_orig][rep]
-                row_new.append(star_slot[v_orig] if target is None else target)
+            for v_orig, (e, _) in zip(row, pairs):
+                slot = slot_of[v_orig].get(e)
+                if slot is None:
+                    slot = next((s for outside, s in reps_of[v_orig] if not e & outside),
+                                slot_of[v_orig][0])
+                row_new.append(slot)
             rewired.append(tuple(row_new))
 
         transitions.append(tuple(rewired))
         layer_labels.append(tuple(new_labels))
+        label_masks = new_masks
         gamma.append(tuple(new_gamma))
         marginals.append(tuple(new_q))
         group_counts.append(tuple(counts))
@@ -235,15 +266,28 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     return replace(reduction, report=verify_reduction(bp, reduction, params))
 
 
-def _edge_spaces(lab: AffineSubspace) -> list[tuple[AffineSubspace, float]]:
-    """(lab ∩ {a.x = b}, Pr[a.y = b] for y uniform on lab) per edge index
-    (a << 1) | b; the probability is 0.0 for an empty edge subspace."""
+def _edge_masks(lab: int, even: tuple[int, ...]) -> list[tuple[int, float]]:
+    """(mask of lab ∩ {a.x = b}, Pr[a.y = b] for y uniform on lab) per
+    edge index (a << 1) | b, for a label mask lab; the probability is
+    0.0 for an empty edge."""
     pairs = []
-    for a in range(1 << lab.n):
-        for b in (0, 1):
-            w_e = intersect_hyperplane(lab, a, b)
-            pairs.append((w_e, 0.0 if w_e.is_empty else 1.0 if w_e.dim == lab.dim else 0.5))
+    for h in even:
+        e0 = lab & h
+        for e in (e0, lab ^ e0):
+            pairs.append((e, 0.0 if not e else 1.0 if e == lab else 0.5))
     return pairs
+
+
+def _mask_key_ids(e: int, even: tuple[int, ...]) -> frozenset[int]:
+    """The hyperplane key ids 2a + b of a non-empty subspace, from its
+    point mask e: 2a when e lies in {a.x = 0}, 2a + 1 when in {a.x = 1}."""
+    ids = []
+    for a in range(1, len(even)):
+        if not e & ~even[a]:
+            ids.append(a << 1)
+        elif not e & even[a]:
+            ids.append((a << 1) | 1)
+    return frozenset(ids)
 
 
 def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:

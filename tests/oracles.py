@@ -1,0 +1,212 @@
+"""Reference implementations that the partition and reduction tests
+compare the package against.
+
+The partition reference keys its hyperplane tables by tuples (a, b) in a
+dict, finds the heaviest one with heaviest_hyperplane, and recurses in
+projected coordinates through project_out and lift_back.  The reduction
+reference runs the layer loop on AffineSubspace keys: per label its edge
+subspaces, per vertex a SubspaceMixture.from_pairs, the tuple partition,
+and edges routed through sigma and SubspacePartition.assign.  Both are
+kept deliberately close to the first implementations, so that any change
+to the fast paths is checked against code that shares none of their
+logic.
+"""
+
+from types import SimpleNamespace
+
+from paritylab.bp import AffineLabels, BranchingProgram
+from paritylab.distributions import SubspaceMixture, heaviest_hyperplane
+from paritylab.gf2 import (
+    AffineSubspace,
+    VectorSubspace,
+    hyperplane_keys,
+    intersect_hyperplane,
+    lowest_set_bit,
+    parity,
+)
+from paritylab.partition import PartitionGroup, SubspacePartition
+
+
+def _drop_bit(v, pos):
+    return (v & ((1 << pos) - 1)) | ((v >> (pos + 1)) << pos)
+
+
+def _insert_zero_bit(v, pos):
+    return (v & ((1 << pos) - 1)) | ((v >> pos) << (pos + 1))
+
+
+def project_out(w, pivot):
+    """Image of w under dropping one coordinate, a bijection when w lies
+    in a hyperplane whose pivot it is."""
+    rows = [_drop_bit(r, pivot) for r in w.direction.rows]
+    return AffineSubspace(w.n - 1, VectorSubspace.from_rows(w.n - 1, rows),
+                          _drop_bit(w.offset, pivot))
+
+
+def lift_back(w, a, b, pivot):
+    """Inverse of project_out onto the hyperplane {x : a.x = b}."""
+    n = w.n + 1
+    rows = []
+    for r in w.direction.rows:
+        v = _insert_zero_bit(r, pivot)
+        v |= parity(a & v) << pivot
+        rows.append(v)
+    off = _insert_zero_bit(w.offset, pivot)
+    off |= (b ^ parity(a & off)) << pivot
+    return AffineSubspace(n, VectorSubspace.from_rows(n, rows), off)
+
+
+def tuple_project_keys(keys, pivot):
+    """Tuple keys (c, b) of project_out(w, pivot), given those of w."""
+    return frozenset((_drop_bit(c, pivot), b) for c, b in keys if not (c >> pivot) & 1)
+
+
+def tuple_find_rep(n, keys, probs, r):
+    """Reference for the partition recursion on tuple keys (a, b): a dict
+    table per level, summed in member order, and heaviest_hyperplane's
+    argmax."""
+    if n == 0:
+        return AffineSubspace.full(0)
+    table = {}
+    for ks, p in zip(keys, probs):
+        for key in ks:
+            table[key] = table.get(key, 0.0) + p
+    a, b, p = heaviest_hyperplane(table)
+    if p <= 2.0 ** (-r):
+        return AffineSubspace.full(n)
+    pivot = lowest_set_bit(a)
+    inside = [i for i, ks in enumerate(keys) if (a, b) in ks]
+    mass = sum(probs[i] for i in inside)
+    return lift_back(tuple_find_rep(n - 1, [tuple_project_keys(keys[i], pivot) for i in inside],
+                                    [probs[i] / mass for i in inside], r - 0.5),
+                     a, b, pivot)
+
+
+def tuple_build_partition(mix, r):
+    """Reference for build_partition on tuple keys."""
+    n = mix.n
+    remaining = [(w, p, frozenset(hyperplane_keys(w))) for w, p in mix.support]
+    groups, sigma = [], {}
+    while (total := sum(p for _, p, _ in remaining)) > 2.0 ** (-2 * n):
+        s = tuple_find_rep(n, [keys for _, _, keys in remaining],
+                           [p / total for _, p, _ in remaining], r)
+        s_keys = frozenset(hyperplane_keys(s))
+        taken = [member for member in remaining if s_keys <= member[2]]
+        remaining = [member for member in remaining if not s_keys <= member[2]]
+        groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
+                                     tuple(p for _, p, _ in taken)))
+        sigma.update((w, s) for w, _, _ in taken)
+    sigma.update((w, None) for w, _, _ in remaining)
+    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining), sigma)
+
+
+def edge_spaces(lab):
+    """(lab ∩ {a.x = b}, Pr[a.y = b] for y uniform on lab) per edge index
+    (a << 1) | b; the probability is 0.0 for an empty edge subspace."""
+    pairs = []
+    for a in range(1 << lab.n):
+        for b in (0, 1):
+            w_e = intersect_hyperplane(lab, a, b)
+            pairs.append((w_e, 0.0 if w_e.is_empty else 1.0 if w_e.dim == lab.dim else 0.5))
+    return pairs
+
+
+def object_reduce(bp, r, partition=tuple_build_partition):
+    """Reference for reduce_to_affine's layer loop on AffineSubspace keys.
+
+    Returns the program, labels, gamma, ideal marginals and group counts
+    it builds, every (mixture, partition) it makes, in layer and vertex
+    order, and every (edge subspace, representative or None) that a
+    zero-mass edge subspace gets from SubspacePartition.assign.
+    """
+    n, m = bp.n, bp.m
+    full = AffineSubspace.full(n)
+    scale = 2.0 ** (-n)
+    layer_labels, gamma, marginals = [(full,)], [(0,)], [(1.0,)]
+    group_counts, transitions, partitions, scanned = [], [], [], []
+    for j in range(1, m + 1):
+        prev_labels, prev_gamma, prev_q = layer_labels[j - 1], gamma[j - 1], marginals[j - 1]
+        mass = [dict() for _ in range(bp.layer_sizes[j])]
+        edges = []
+        for u, lab_u in enumerate(prev_labels):
+            row = bp.transitions[j - 1][prev_gamma[u]]
+            pairs = edge_spaces(lab_u)
+            edges.append((row, pairs))
+            q_u = prev_q[u]
+            if q_u > 0.0:
+                for v_orig, (w_e, p_cond) in zip(row, pairs):
+                    if p_cond:
+                        acc = mass[v_orig]
+                        acc[w_e] = acc.get(w_e, 0.0) + q_u * p_cond * scale
+
+        parts, slot_of, star_slot = [], [], []
+        new_labels, new_gamma, new_q, counts = [], [], [], []
+        for v in range(bp.layer_sizes[j]):
+            total = sum(mass[v].values())
+            part = None
+            if total > 0.0:
+                mixture = SubspaceMixture.from_pairs(n, list(mass[v].items()))
+                part = partition(mixture, r)
+                partitions.append((mixture, part))
+            parts.append(part)
+            slots = {}
+            if part is not None:
+                for g in part.groups:
+                    slots[g.representative] = len(new_labels)
+                    new_labels.append(g.representative)
+                    new_gamma.append(v)
+                    new_q.append(g.mass * total)
+            slot_of.append(slots)
+            star_slot.append(len(new_labels))
+            new_labels.append(full)
+            new_gamma.append(v)
+            star_mass = (total - sum(g.mass for g in part.groups)) if part is not None else 0.0
+            new_q.append(max(star_mass, 0.0))
+            counts.append(len(slots))
+
+        rewired = []
+        for row, pairs in edges:
+            row_new = []
+            for v_orig, (w_e, p_cond) in zip(row, pairs):
+                part = parts[v_orig]
+                target = None
+                if part is not None and p_cond:
+                    if w_e in part.sigma:
+                        rep = part.sigma[w_e]
+                    else:
+                        rep = part.assign(w_e)
+                        scanned.append((w_e, rep))
+                    if rep is not None:
+                        target = slot_of[v_orig][rep]
+                row_new.append(star_slot[v_orig] if target is None else target)
+            rewired.append(tuple(row_new))
+
+        transitions.append(tuple(rewired))
+        layer_labels.append(tuple(new_labels))
+        gamma.append(tuple(new_gamma))
+        marginals.append(tuple(new_q))
+        group_counts.append(tuple(counts))
+
+    sizes = tuple(len(layer) for layer in layer_labels)
+    leaf_labels = {(m, v): lab for v, lab in enumerate(layer_labels[m])}
+    return SimpleNamespace(
+        program=BranchingProgram(n, m, sizes, tuple(transitions), leaf_labels),
+        labels=AffineLabels(tuple(layer_labels)), gamma=tuple(gamma),
+        ideal_marginals=tuple(marginals), group_counts=tuple(group_counts),
+        partitions=partitions, scanned=scanned)
+
+
+def assert_same_reduction(red, ref):
+    """reduce_to_affine's output equals the reference loop's, floats with ==."""
+    assert red.program == ref.program
+    assert red.labels == ref.labels
+    assert red.gamma == ref.gamma
+    assert red.ideal_marginals == ref.ideal_marginals
+    assert red.group_counts == ref.group_counts
+
+
+def assert_same_partition(part, ref):
+    """Equal groups (representatives, members, float masses), residual,
+    and sigma in insertion order."""
+    assert part == ref
+    assert list(part.sigma.items()) == list(ref.sigma.items())

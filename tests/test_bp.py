@@ -8,6 +8,8 @@ import pytest
 
 from paritylab.bp import (
     _SCATTER_CELLS,
+    _scatter_buffers,
+    _scatter_layer,
     AffineLabels,
     BranchingProgram,
     PathIncomplete,
@@ -83,32 +85,35 @@ def zero_weight_program(n):
 
 
 def loop_forward_tables(bp):
-    """Reference for forward_tables: per layer, a loop over vertices and
-    then sample vectors a, adding the weight of the keys with a.x = 0 to
-    the (a, 0) target and of the rest to the (a, 1) target."""
-    size = 1 << bp.n
+    """Reference for forward_tables: loop_scatter_layer per layer."""
+    tables = [np.zeros((bp.layer_sizes[t], 1 << bp.n)) for t in range(bp.m + 1)]
+    tables[0][0, :] = 2.0 ** (-bp.n)
+    for t in range(bp.m):
+        loop_scatter_layer(tables[t], tables[t + 1], bp.transitions[t], bp.n)
+    return tables
+
+
+def loop_scatter_layer(cur, nxt, rows, n):
+    """Reference for one layer of the DP: a loop over vertices and then
+    sample vectors a, adding the weight of the keys with a.x = 0 to the
+    (a, 0) target and of the rest to the (a, 1) target."""
+    size = 1 << n
     xs = np.arange(size)
     par = np.zeros(size, dtype=np.uint8)
     for i in range(1, size):
         par[i] = par[i >> 1] ^ (i & 1)
-    scale = 2.0 ** (-bp.n)
-    tables = [np.zeros((bp.layer_sizes[t], size)) for t in range(bp.m + 1)]
-    tables[0][0, :] = scale
-    for t in range(bp.m):
-        cur, nxt = tables[t], tables[t + 1]
-        masks0 = [par[a & xs] == 0 for a in range(size)]
-        for v in range(bp.layer_sizes[t]):
-            row = bp.transitions[t][v]
-            if row is None:
-                continue
-            wx = cur[v]
-            if not wx.any():
-                continue
-            for a in range(size):
-                w0 = np.where(masks0[a], wx, 0.0)
-                nxt[row[a << 1]] += w0 * scale
-                nxt[row[(a << 1) | 1]] += (wx - w0) * scale
-    return tables
+    scale = 2.0 ** (-n)
+    masks0 = [par[a & xs] == 0 for a in range(size)]
+    for v, row in enumerate(rows):
+        if row is None:
+            continue
+        wx = cur[v]
+        if not wx.any():
+            continue
+        for a in range(size):
+            w0 = np.where(masks0[a], wx, 0.0)
+            nxt[row[a << 1]] += w0 * scale
+            nxt[row[(a << 1) | 1]] += (wx - w0) * scale
 
 
 def loop_validate_affine(bp, labels):
@@ -231,6 +236,26 @@ class TestForwardScatter:
             assert len(got) == len(want) == bp.m + 1
             for t, (g, w) in enumerate(zip(got, want)):
                 assert np.array_equal(g, w), (case, bp.n, bp.layer_sizes, t)
+
+    @pytest.mark.parametrize("n,width,targets", [(6, 40, 3), (8, 3, 2)])
+    def test_rounding_sums_equal_loop(self, n, width, targets):
+        """One layer from non-dyadic weights, whose sums round, equals
+        the loop's bit for bit: the additions keep the (v, a, x) order
+        across chunks (ten 4-vertex chunks at n = 6, four a-ranges per
+        vertex at n = 8)."""
+        rng = np.random.default_rng(n)
+        size = 1 << n
+        cur = rng.integers(1, 10, (width, size)) / 10
+        rows = [tuple(int(v) for v in rng.integers(0, targets, 2 * size)) for _ in range(width)]
+        rows[1] = None  # an early leaf
+        got, want, flipped = (np.zeros((targets, size)) for _ in range(3))
+        buffers = _scatter_buffers(n)
+        assert buffers[1].size < width * 4 ** n  # several chunks
+        _scatter_layer(cur, got, rows, *buffers)
+        loop_scatter_layer(cur, want, rows, n)
+        assert np.array_equal(got, want)
+        loop_scatter_layer(cur[::-1], flipped, rows[::-1], n)
+        assert not np.array_equal(flipped, want)  # the sums depend on the vertex order
 
     def test_cases_cover_what_they_name(self):
         assert all(bp.has_early_leaves() for bp in SCATTER_CASES["greedy"]())

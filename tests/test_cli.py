@@ -326,6 +326,19 @@ class TestFuzzGuard:
         assert line.startswith("error: exact DP cost ") and line.endswith(
             " exceeds budget 8; set PARITYLAB_DP_BUDGET to override")
 
+    def test_reduce_dp_budget_stops_early(self, tmp_path, capsys, monkeypatch):
+        """Reduced widths 1, 6, 9, 20 at n = 2, m = 3 cost 48, 288, 432 and
+        960 DP cells: a budget of 300 passes layer 1 and stops the
+        reduction at layer 2, before the later layers are built."""
+        program = random_program(2, 3, 3, np.random.default_rng(1))
+        src, out = tmp_path / "program.json", tmp_path / "out"
+        src.write_text(json.dumps(to_json_dict(program)))
+        monkeypatch.setenv("PARITYLAB_DP_BUDGET", "300")
+        code, _, err = run_cli(capsys, "reduce", "--in", str(src), "--r", "2", "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert err.splitlines() == [
+            "error: exact DP cost 432 exceeds budget 300; set PARITYLAB_DP_BUDGET to override"]
+
     def test_parser_built_once(self):
         parser = build_parser()
         assert build_parser() is parser

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    assert_same_partition,
+    assert_same_reduction,
+    lift_back,
+    object_reduce,
+    project_out,
+    tuple_build_partition,
+    tuple_project_keys,
+)
 
-import paritylab.reduction
 from paritylab.bp import BranchingProgram
 from paritylab.distributions import (
     SubspaceMixture,
-    heaviest_hyperplane,
     hyperplane_concentration,
     hyperplane_mass,
     l1_distance,
@@ -23,20 +30,12 @@ from paritylab.gf2 import (
     hyperplane_keys,
     intersect_hyperplane,
     is_subset,
-    lowest_set_bit,
 )
 from paritylab.partition import (
-    PartitionGroup,
-    SubspacePartition,
-    _drop_bit,
-    _key_ids,
-    _key_projection,
     build_partition,
-    find_representative_subspace,
     exponent_sum,
+    find_representative_subspace,
     group_count_bound,
-    lift_back,
-    project_out,
 )
 from paritylab.reduction import ReductionParams, reduce_to_affine
 
@@ -55,50 +54,6 @@ def point_cloud_mixture(n):
         (AffineSubspace.point(n, z), 2.0 ** (-n)) for z in range(1 << n)))
 
 
-def tuple_project_keys(keys, pivot):
-    """Tuple keys (c, b) of project_out(w, pivot), given those of w."""
-    return frozenset((_drop_bit(c, pivot), b) for c, b in keys if not (c >> pivot) & 1)
-
-
-def tuple_find_rep(n, keys, probs, r):
-    """Reference for partition._find_rep on tuple keys (a, b): a dict
-    table per level, summed in member order, and heaviest_hyperplane's
-    argmax."""
-    if n == 0:
-        return AffineSubspace.full(0)
-    table = {}
-    for ks, p in zip(keys, probs):
-        for key in ks:
-            table[key] = table.get(key, 0.0) + p
-    a, b, p = heaviest_hyperplane(table)
-    if p <= 2.0 ** (-r):
-        return AffineSubspace.full(n)
-    pivot = lowest_set_bit(a)
-    inside = [i for i, ks in enumerate(keys) if (a, b) in ks]
-    mass = sum(probs[i] for i in inside)
-    return lift_back(tuple_find_rep(n - 1, [tuple_project_keys(keys[i], pivot) for i in inside],
-                                    [probs[i] / mass for i in inside], r - 0.5),
-                     a, b, pivot)
-
-
-def tuple_build_partition(mix, r):
-    """Reference for build_partition on tuple keys."""
-    n = mix.n
-    remaining = [(w, p, frozenset(hyperplane_keys(w))) for w, p in mix.support]
-    groups, sigma = [], {}
-    while (total := sum(p for _, p, _ in remaining)) > 2.0 ** (-2 * n):
-        s = tuple_find_rep(n, [keys for _, _, keys in remaining],
-                           [p / total for _, p, _ in remaining], r)
-        s_keys = frozenset(hyperplane_keys(s))
-        taken = [member for member in remaining if s_keys <= member[2]]
-        remaining = [member for member in remaining if not s_keys <= member[2]]
-        groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
-                                     tuple(p for _, p, _ in taken)))
-        sigma.update((w, s) for w, _, _ in taken)
-    sigma.update((w, None) for w, _, _ in remaining)
-    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining), sigma)
-
-
 def shaped_program(n, sizes, rng):
     """Random transitions between layers of the given sizes and random
     last-layer labels, the shape of the benchmark's reduce jobs."""
@@ -109,20 +64,6 @@ def shaped_program(n, sizes, rng):
                         for t in range(m))
     labels = {(m, v): random_subspace(n, rng) for v in range(sizes[m])}
     return BranchingProgram(n, m, tuple(sizes), transitions, labels)
-
-
-def reduction_mixtures(monkeypatch, bp, r):
-    """Every per-vertex mixture that reduce_to_affine(bp, r) partitions."""
-    seen = []
-
-    def recording(mix, r):
-        seen.append(mix)
-        return build_partition(mix, r)
-
-    monkeypatch.setattr(paritylab.reduction, "build_partition", recording)
-    reduce_to_affine(bp, ReductionParams(r))
-    monkeypatch.undo()
-    return seen
 
 
 def decimal_mixture(n, rng):
@@ -172,13 +113,15 @@ class TestConcentration:
 
 
 class TestProjectLift:
+    """The tuple oracle's coordinate projection: a bijection onto its
+    image that keeps dimensions and maps keys as tuple_project_keys says."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
             n = int(rng.integers(2, 6))
             a_bits = int(rng.integers(1, 1 << n))
             b = int(rng.integers(0, 2))
-            u = intersect_hyperplane(AffineSubspace.full(n), a_bits, b)
             w = random_subspace(n, rng)
             w = intersect_hyperplane(w, a_bits, b)
             if w.is_empty:
@@ -186,8 +129,8 @@ class TestProjectLift:
             pivot = (a_bits & -a_bits).bit_length() - 1
             down = project_out(w, pivot)
             assert down.dim == w.dim
-            proj = _key_projection(n, pivot)
-            assert _key_ids(down) == frozenset(proj[k] for k in _key_ids(w) if proj[k] >= 0)
+            assert frozenset(hyperplane_keys(down)) == tuple_project_keys(
+                frozenset(hyperplane_keys(w)), pivot)
             back = lift_back(down, a_bits, b, pivot)
             assert back == w
 
@@ -334,30 +277,33 @@ class TestBuildPartition:
             build_partition(mix, 0.9)
 
 
-def assert_same_partition(mix, r):
-    part, ref = build_partition(mix, r), tuple_build_partition(mix, r)
-    assert part == ref  # groups with their float masses, and the residual
-    assert list(part.sigma.items()) == list(ref.sigma.items())
+def check_partition(mix, r):
+    assert_same_partition(build_partition(mix, r), tuple_build_partition(mix, r))
 
 
 class TestPartitionOracle:
-    """build_partition on int key ids and a list table against the tuple
-    keyed dict tables it replaced: same groups, float for float."""
+    """build_partition on int key ids, recursing in the original
+    coordinates, against the tuple keyed dict tables and projections:
+    same groups, float for float."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_mixtures(self, n):
         rng = np.random.default_rng(100 + n)
         for i in range(24):
-            assert_same_partition(random_mixture(n, rng, max_members=12), (0.5, 0.75, 1.0)[i % 3] * n)
+            check_partition(random_mixture(n, rng, max_members=12), (0.5, 0.75, 1.0)[i % 3] * n)
 
     @pytest.mark.parametrize("sizes", [(1, 4, 4, 4), (1, 6, 6, 6)])
-    def test_heavy_reduction_mixtures(self, monkeypatch, sizes):
+    def test_heavy_reduction_mixtures(self, sizes):
+        """Every per-vertex mixture of two heavy-shaped reductions, taken
+        from the subspace-keyed reference loop, whose output the mask
+        reduction reproduces."""
         bp = shaped_program(4, sizes, np.random.default_rng(sum(sizes)))
-        mixtures = reduction_mixtures(monkeypatch, bp, 4.0)
-        assert len(mixtures) == sum(sizes[1:])
-        assert max(len(mix.support) for mix in mixtures) > 100
-        for mix in mixtures:
-            assert_same_partition(mix, 4.0)
+        ref = object_reduce(bp, 4.0)
+        assert_same_reduction(reduce_to_affine(bp, ReductionParams(4.0)), ref)
+        assert len(ref.partitions) == sum(sizes[1:])
+        assert max(len(mix.support) for mix, _ in ref.partitions) > 100
+        for mix, part in ref.partitions:
+            assert_same_partition(build_partition(mix, 4.0), part)
 
     @pytest.mark.parametrize("members,r", [
         # (a, 0) and (a, 1) tie; b = 0 is taken first
@@ -373,7 +319,7 @@ class TestPartitionOracle:
         mix = SubspaceMixture(n, tuple((half_space(n, a, b), p) for a, b, p in members))
         top = sorted(hyperplane_mass(mix).values())
         assert top[-1] == top[-2]
-        assert_same_partition(mix, r)
+        check_partition(mix, r)
 
     def test_member_sums_that_round(self):
         rng = np.random.default_rng(9)
@@ -383,7 +329,7 @@ class TestPartitionOracle:
             mix = decimal_mixture(n, rng)
             flipped = SubspaceMixture(n, mix.support[::-1])
             for r in (n / 2, 0.75 * n, float(n)):
-                assert_same_partition(mix, r)
+                check_partition(mix, r)
                 order_sensitive += (find_representative_subspace(mix, r)[0]
                                     != find_representative_subspace(flipped, r)[0])
         assert order_sensitive > 0

@@ -3,12 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import assert_same_reduction, object_reduce, tuple_build_partition
 
-from paritylab import reduction
 from paritylab.bp import BranchingProgram, to_json_dict, validate_affine
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
-from paritylab.partition import SubspacePartition
 from paritylab.reduction import ReductionParams, reduce_to_affine, verify_reduction
 
 
@@ -101,33 +100,23 @@ class TestRandomPrograms:
         assert to_json_dict(red1.program, red1.labels, red1.gamma) == \
             to_json_dict(red2.program, red2.labels, red2.gamma)
 
-    def test_zero_mass_edges_take_the_assign_scan(self, monkeypatch):
+    def test_zero_mass_edges_take_the_assign_scan(self):
         """Edge subspaces outside a partition's support (zero idealized
-        mass) fall back to SubspacePartition.assign; every edge is routed
-        as the all-scan path routes it."""
+        mass) fall back to SubspacePartition.assign in the reference loop,
+        some onto a representative and some onto the catch-all vertex; the
+        mask reduction routes every edge as the reference does, and as the
+        reference does with sigma emptied, so that assign routes every edge."""
         bp = random_program(2, 2, 3, np.random.default_rng(4))
-        params = ReductionParams(2.0)
-        scanned = []
-        assign = SubspacePartition.assign
-
-        def spy(part, w):
-            rep = assign(part, w)
-            scanned.append((w in part.sigma, rep))
-            return rep
-
-        monkeypatch.setattr(SubspacePartition, "assign", spy)
-        red = reduce_to_affine(bp, params)
+        red = reduce_to_affine(bp, ReductionParams(2.0))
         assert red.report.all_ok
-        assert scanned and not any(in_support for in_support, _ in scanned)
-        reps = [rep for _, rep in scanned]
+        ref = object_reduce(bp, 2.0)
+        reps = [rep for _, rep in ref.scanned]
         assert None in reps and any(rep is not None for rep in reps)
-
-        build = reduction.build_partition
-        monkeypatch.setattr(reduction, "build_partition",
-                            lambda mix, r: replace(build(mix, r), sigma={}))
-        all_scan = reduce_to_affine(bp, params)
-        assert to_json_dict(all_scan.program, all_scan.labels, all_scan.gamma) == \
-            to_json_dict(red.program, red.labels, red.gamma)
+        assert_same_reduction(red, ref)
+        all_scan = object_reduce(bp, 2.0, lambda mix, r: replace(tuple_build_partition(mix, r),
+                                                                 sigma={}))
+        assert len(all_scan.scanned) > len(ref.scanned)
+        assert_same_reduction(red, all_scan)
 
     def test_width_expansion_bookkeeping(self):
         rng = np.random.default_rng(4)
@@ -136,6 +125,32 @@ class TestRandomPrograms:
         for j in range(bp.m):
             assert red.program.layer_sizes[j + 1] == sum(
                 c + 1 for c in red.group_counts[j])
+
+
+def oracle_programs(n):
+    """Random programs with random last-layer labels at n, drawn from
+    one stream for n = 1-5, with the grouping strengths each runs at."""
+    rng = np.random.default_rng(12)
+    cases = [(random_program(k, 2 + i % 2, 3 + 2 * i, rng),
+              sorted({k / 2, 0.75 * k, min(k / 2 + 1.0, k), float(k)}))
+             for k in range(1, 6) for i in range(3)]
+    return [(bp, rs) for bp, rs in cases if bp.n == n]
+
+
+class TestMaskReductionOracle:
+    """reduce_to_affine on point masks and key ids against the loop on
+    AffineSubspace keys with the tuple partition: program, labels, gamma,
+    ideal marginals (floats with ==) and group counts."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_programs(self, n):
+        scans = 0
+        for bp, rs in oracle_programs(n):
+            for r in rs:
+                ref = object_reduce(bp, r)
+                assert_same_reduction(reduce_to_affine(bp, ReductionParams(r)), ref)
+                scans += len(ref.scanned)
+        assert scans > 0  # zero-mass edges take the representative scan
 
 
 class TestFaultInjection:
