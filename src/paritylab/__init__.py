@@ -20,7 +20,6 @@ from .distributions import (
     ExactDistribution,
     SubspaceMixture,
     check_fourier_closeness,
-    hyperplane_concentration,
     l1_distance,
     mixture_distribution,
     uniform_over,
@@ -47,7 +46,6 @@ from .learners import (
     estimate_sample_complexity,
     exhaustive_learner,
     gaussian_learner,
-    learner_to_bp,
     prefix_pivot_learner,
 )
 from .crypto import (

@@ -122,6 +122,16 @@ def _check_dp_cost(width: int, n: int, m: int) -> None:
             "set PARITYLAB_DP_BUDGET to override")
 
 
+def _check_layer_edges(width: int, n: int, t: int) -> None:
+    """Raise BudgetExceeded when layer t's width times its 2^{n+1}
+    out-edges exceeds the state budget."""
+    degree = 1 << (n + 1)
+    if width * degree > state_budget():
+        raise BudgetExceeded(
+            f"{width} vertices x {degree} edges in layer {t} exceeds the state budget; "
+            "set PARITYLAB_STATE_BUDGET to override")
+
+
 def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     """Exact joint weights of (vertex, x) per layer, absorbing at leaves.
 
@@ -307,15 +317,12 @@ def unroll(n: int, m: int, start: Hashable,
     non-empty.  Raises BudgetExceeded when a layer's states times its
     2^{n+1} out-edges exceed the state budget.
     """
-    degree = 1 << (n + 1)
     samples = [(a, b) for a in range(1 << n) for b in (0, 1)]
     layers: list[list] = [[start]]
     transitions = []
     for t in range(m):
         layer = layers[t]
-        if len(layer) * degree > state_budget():
-            raise BudgetExceeded(
-                f"{len(layer)} states x {degree} edges exceeds the state budget")
+        _check_layer_edges(len(layer), n, t)
         index: dict = {}
         rows = []
         for state in layer:

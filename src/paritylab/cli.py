@@ -25,7 +25,7 @@ from .learners import (
 )
 from .lowerbound import reach_probability_bound, tradeoff_exponent
 from .reduction import ReductionParams, reduce_to_affine
-from .suites import run_all_suites
+from .suites import R_FRACS, run_all_suites
 
 LEARNER_FACTORIES = {
     "gaussian": lambda n: gaussian_learner(n),
@@ -68,16 +68,8 @@ def key_from_hex(text: str, n: int) -> BitVector:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    report = run_all_suites(args.seed, args.trials,
-                            ns=(args.n,) if args.n else None)
-    if args.r is not None:
-        # single-cell run at the requested (n, r)
-        from .suites import fourier_suite, partition_suite
-        report["suites"]["fourier"] = fourier_suite(
-            args.trials, args.seed, ns=(args.n,), r_fracs=(args.r / args.n,))
-        report["suites"]["partition"] = partition_suite(
-            args.trials, args.seed, ns=(args.n,), r_fracs=(args.r / args.n,))
-        report["ok"] = all(rep["ok"] for rep in report["suites"].values())
+    report = run_all_suites(args.seed, args.trials, ns=(args.n,) if args.n else None,
+                            r_fracs=R_FRACS if args.r is None else (args.r / args.n,))
     emit_report(report, args.format, args.out)
     return 0 if report["ok"] else 1
 

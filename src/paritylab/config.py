@@ -6,8 +6,7 @@ from __future__ import annotations
 import os
 
 DEFAULT_DP_BUDGET = 200_000_000     # layer-width * 4^n * length cells
-DEFAULT_STATE_BUDGET = 2_000_000    # reachable states per unrolled layer * 2^{n+1} edges
-DEFAULT_REDUCE_BUDGET = 2_000_000   # reduced-program layer width * 2^{n+1} edge subspaces
+DEFAULT_STATE_BUDGET = 2_000_000    # vertices of an unrolled or reduced layer * 2^{n+1} edges
 
 
 class BudgetExceeded(RuntimeError):
@@ -36,6 +35,3 @@ def dp_budget() -> int:
 def state_budget() -> int:
     return _budget("PARITYLAB_STATE_BUDGET", DEFAULT_STATE_BUDGET)
 
-
-def reduce_budget() -> int:
-    return _budget("PARITYLAB_REDUCE_BUDGET", DEFAULT_REDUCE_BUDGET)

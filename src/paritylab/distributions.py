@@ -82,14 +82,6 @@ class SubspaceMixture:
             raise ValueError("mixture has no mass")
         return cls(n, tuple((w, p / total) for w, p in acc.items()))
 
-    def restrict(self, keep) -> tuple["SubspaceMixture", float]:
-        """Condition on keep(w); returns (conditioned mixture, kept mass)."""
-        kept = [(w, p) for w, p in self.support if keep(w)]
-        mass = sum(p for _, p in kept)
-        if mass <= 0:
-            raise ValueError("conditioning event has zero mass")
-        return SubspaceMixture(self.n, tuple((w, p / mass) for w, p in kept)), mass
-
 
 def uniform_weights(w: AffineSubspace) -> np.ndarray:
     """Length-2^n table of the uniform law on w: 2^{-dim} on each point of
@@ -170,13 +162,6 @@ def heaviest_hyperplane(table: dict[tuple[int, int], float]) -> tuple[int, int, 
     return a, b, p
 
 
-def hyperplane_concentration(mix: SubspaceMixture) -> tuple[int, int, float]:
-    """The (a, b) maximizing Pr[W ⊆ {x : a.x = b}] over a != 0, with
-    heaviest_hyperplane's tie-break; (e_1, 0, 0.0) when no hyperplane
-    holds any mass."""
-    return heaviest_hyperplane(hyperplane_mass(mix))
-
-
 @dataclass(frozen=True)
 class FourierCheck:
     hypothesis_holds: bool
@@ -197,7 +182,7 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     n = mix.n
     if r < n / 2:
         raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
-    a, b, conc = hyperplane_concentration(mix)
+    a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK
     distance = l1_distance(mixture_distribution(mix), uniform_over(AffineSubspace.full(n)))

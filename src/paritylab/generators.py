@@ -135,7 +135,9 @@ def _constraint_recorder_step(w: AffineSubspace, a: int, b: int) -> AffineSubspa
 
 def _self_labeled_program(n: int, layers: list[list[AffineSubspace]],
                           transitions: list) -> tuple[BranchingProgram, AffineLabels]:
-    """Program of an unrolled machine whose states are their own labels."""
+    """Program of an unrolled machine given each state's label (a
+    recorder's state is its own label); stopped states (None rows) and
+    the last layer's states are the leaves."""
     m = len(transitions)
     leaf_labels = {(t, v): w for t, layer in enumerate(layers) for v, w in enumerate(layer)
                    if t == m or transitions[t][v] is None}
@@ -171,9 +173,5 @@ def learner_program_with_labels(learner: Learner,
     window attacker, since evicting an equation only enlarges the label.
     """
     layers, transitions = learner_state_layers(learner, m)
-    label_layers = tuple(
-        tuple(learner.output(state) for state in layer) for layer in layers)
-    leaf_labels = {(m, v): lab for v, lab in enumerate(label_layers[m])}
-    bp = BranchingProgram(learner.n, m, tuple(len(l) for l in layers),
-                          tuple(transitions), leaf_labels)
-    return bp, AffineLabels(label_layers)
+    return _self_labeled_program(
+        learner.n, [[learner.output(state) for state in layer] for layer in layers], transitions)

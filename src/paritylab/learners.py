@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bp import BranchingProgram, unroll
+from .bp import unroll
 from .gf2 import (
     MAX_SUBSPACE_DIM,
     AffineSubspace,
@@ -371,14 +371,6 @@ def simulate_success(learner: Learner, m: int, trials: int,
 def learner_state_layers(learner: Learner, m: int) -> tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]:
     """Breadth-first reachable states per layer plus the transition rows."""
     return unroll(learner.n, m, learner.initial_state, learner.step)
-
-
-def learner_to_bp(learner: Learner, m: int) -> BranchingProgram:
-    """Unroll the reachable state graph into an explicit program."""
-    layers, transitions = learner_state_layers(learner, m)
-    leaf_labels = {(m, v): learner.output(state) for v, state in enumerate(layers[m])}
-    return BranchingProgram(learner.n, m, tuple(len(layer) for layer in layers),
-                            tuple(transitions), leaf_labels)
 
 
 def estimate_sample_complexity(learner: Learner, target: float,

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .bp import AffineLabels, BranchingProgram, forward_tables, validate_affine
 from .distributions import SLACK
-from .gf2 import VectorSubspace, orthogonal_space
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -18,8 +17,8 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
     whose labels all have dimension >= k reaches a dimension-k vertex.
     Returns inf when the exact value exceeds the float range.
     """
-    if k >= n:
-        raise ValueError(f"k must be below n, got k={k}, n={n}")
+    if not 0 <= k < n:
+        raise ValueError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
     if m < 1:
         raise ValueError(f"length must be positive, got {m}")
     t = n - k
@@ -122,46 +121,6 @@ def verify_reach_bound(bp: BranchingProgram, labels: AffineLabels,
     return ReachBoundReport(vertex, k, exact, bound,
                             ok=exact <= bound + SLACK,
                             precondition_ok=True, affine_ok=True)
-
-
-@dataclass(frozen=True)
-class OrthogonalTrace:
-    """Dimensions of S_i ∩ s along one computation-path, where S_i is the
-    space of directions constant on the i-th vertex label and s the same
-    for the target vertex."""
-
-    target: tuple[int, int]
-    target_dim: int
-    zs: tuple[int, ...]
-    reached_target: bool
-
-    def steps_ok(self) -> bool:
-        if self.zs[0] != 0:
-            return False
-        return all(self.zs[i] <= self.zs[i - 1] + 1 for i in range(1, len(self.zs)))
-
-
-def orthogonal_trace(bp: BranchingProgram, labels: AffineLabels,
-                     target: tuple[int, int],
-                     samples: list[tuple[int, int]]) -> OrthogonalTrace:
-    """Walk the path of the samples (a, b) and record dim(S_i ∩ s)."""
-    s_space = orthogonal_space(labels.get(*target))
-    t, v = 0, 0
-    zs = []
-    reached = (t, v) == target
-    while True:
-        s_i = orthogonal_space(labels.get(t, v))
-        span = VectorSubspace.from_rows(bp.n, s_i.rows + s_space.rows)
-        inter_dim = s_i.dim + s_space.dim - span.dim
-        zs.append(inter_dim)
-        if bp.is_leaf(t, v):
-            break
-        a, b = samples[t]
-        v = bp.transitions[t][v][(a << 1) | b]
-        t += 1
-        if (t, v) == target:
-            reached = True
-    return OrthogonalTrace(target, labels.get(*target).dim, tuple(zs), reached)
 
 
 def tradeoff_exponent(c: float, alpha: float, n: int,

@@ -115,11 +115,12 @@ def find_representative_subspace(
     """
     if r < mix.n / 2:
         raise ValueError(f"r must be at least n/2 = {mix.n / 2}, got {r}")
-    chosen, _ = _find_ids(mix.n, [_key_ids(w) for w, _ in mix.support],
-                          [p for _, p in mix.support], r)
-    s = _subspace_of(mix.n, chosen)
-    conditioned, mass = mix.restrict(lambda w: is_subset(w, s))
-    return s, conditioned, mass
+    chosen, inside = _find_ids(mix.n, [_key_ids(w) for w, _ in mix.support],
+                               [p for _, p in mix.support], r)
+    kept = [mix.support[i] for i in inside]
+    mass = sum(p for _, p in kept)
+    conditioned = SubspaceMixture(mix.n, tuple((w, p / mass) for w, p in kept))
+    return _subspace_of(mix.n, chosen), conditioned, mass
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .bp import (
     AffineLabels,
     BranchingProgram,
     _check_dp_cost,
+    _check_layer_edges,
     _layer_accuracy,
     _output_dimensions,
     check_dp_budget,
@@ -26,7 +27,6 @@ from .bp import (
     success_probability,
     validate_affine,
 )
-from .config import BudgetExceeded, reduce_budget
 from .distributions import SLACK, uniform_weights
 from .gf2 import AffineSubspace, hyperplane_masks
 from .partition import _partition_ids, _subspace_of, exponent_sum
@@ -124,8 +124,8 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     idealized key is uniform on the vertex label, so only the vertex
     marginals need to be carried between layers.  Raises BudgetExceeded
     when a reduced layer's width times its 2^{n+1} out-edges exceeds the
-    reduction budget, or times 4^n and m the DP budget that
-    verify_reduction runs under.
+    state budget, or times 4^n and m the DP budget that verify_reduction
+    runs under.
 
     Subspaces work as point masks (see gf2.point_mask) here: a mask is
     the exact hash key of a non-empty subspace, so every dict below keeps
@@ -141,7 +141,6 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     points = even[0]
     full = AffineSubspace.full(n)
     scale = 2.0 ** (-n)
-    degree = 1 << (n + 1)
     edge_pairs: dict[int, list[tuple[int, float]]] = {}  # per label mask
     key_ids: dict[int, frozenset[int]] = {}              # per edge mask
 
@@ -163,10 +162,7 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
         # label(u) ∩ {a.x = b}; consistent constraints keep probability
         # 1 (dimension preserved) or 1/2 (dimension drops).  The mass
         # dicts are keyed by edge mask, in (u, a, b) order.
-        if len(label_masks) * degree > reduce_budget():
-            raise BudgetExceeded(
-                f"{len(label_masks)} vertices x {degree} edges in layer {j - 1} exceeds "
-                "the reduction budget; set PARITYLAB_REDUCE_BUDGET to override")
+        _check_layer_edges(len(label_masks), n, j - 1)
         mass: list[dict[int, float]] = [dict() for _ in range(b_size)]
         edges: list[tuple[tuple[int, ...], list[tuple[int, float]]]] = []
         for u, lab in enumerate(label_masks):

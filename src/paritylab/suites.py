@@ -23,10 +23,12 @@ from .lowerbound import trim_to_min_dimension
 from .partition import build_partition, group_count_bound
 from .reduction import ReductionParams, reduce_to_affine
 
+R_FRACS = (0.5, 0.75, 1.0)  # the r / n cells of the Fourier and partition suites
+
 
 def fourier_suite(count: int, seed: int,
                   ns: tuple[int, ...] = (3, 4, 5, 6),
-                  r_fracs: tuple[float, ...] = (0.5, 0.75, 1.0)) -> dict:
+                  r_fracs: tuple[float, ...] = R_FRACS) -> dict:
     """Random hypothesis-satisfying mixtures: the mixture law must sit
     strictly inside 2^{-(r - n/2)} of uniform every single time."""
     rng = derived_rng(seed, 1)
@@ -58,7 +60,7 @@ def fourier_suite(count: int, seed: int,
 
 def partition_suite(count: int, seed: int,
                     ns: tuple[int, ...] = (2, 3, 4, 5),
-                    r_fracs: tuple[float, ...] = (0.5, 0.75, 1.0)) -> dict:
+                    r_fracs: tuple[float, ...] = R_FRACS) -> dict:
     """Random mixtures: all four grouping properties, checked exactly."""
     rng = derived_rng(seed, 2)
     failures = []
@@ -179,11 +181,13 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
     }
 
 
-def run_all_suites(seed: int, trials: int,
-                   ns: tuple[int, ...] | None = None) -> dict:
+def run_all_suites(seed: int, trials: int, ns: tuple[int, ...] | None = None,
+                   r_fracs: tuple[float, ...] = R_FRACS) -> dict:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     reports = {
-        "fourier": fourier_suite(trials, seed, ns=ns or (3, 4, 5, 6)),
-        "partition": partition_suite(trials, seed, ns=ns or (2, 3, 4, 5)),
+        "fourier": fourier_suite(trials, seed, ns=ns or (3, 4, 5, 6), r_fracs=r_fracs),
+        "partition": partition_suite(trials, seed, ns=ns or (2, 3, 4, 5), r_fracs=r_fracs),
         "reduction": reduction_suite(max(4, trials // 8), seed, ns=ns or (2, 3, 4)),
         "reach_bound": reach_bound_suite(seed, ns=ns or (2, 3, 4)),
     }

@@ -33,7 +33,6 @@ from paritylab.learners import (
     exhaustive_learner,
     exhaustive_success_curve,
     gaussian_learner,
-    learner_to_bp,
     rank_success_probability,
     simulate_success,
     wilson_interval,
@@ -136,7 +135,7 @@ def test_criterion_5_soundness_exhaustive():
 
 def test_criterion_6_learning_anchor():
     start = time.time()
-    bp = learner_to_bp(gaussian_learner(2), 2)
+    bp, _ = learner_program_with_labels(gaussian_learner(2), 2)
     point_prob = output_dimension_distribution(bp).get(0, 0.0)
     exact_ok = abs(point_prob - 3 / 8) <= 1e-12
 

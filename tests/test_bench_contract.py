@@ -5,7 +5,10 @@ module, plus the class methods listed in its METHODS, and reads each
 `<span>.calls` or `<span>.self_s` metric of BENCHMARK.json from the span
 of that name.  A renamed or deleted function would leave its metric
 reading 0 instead of failing, so this test resolves every such span
-against the package.  It only reads the two files and imports paritylab.
+against the package.  The jobs themselves call paritylab through module
+attributes (``suites.fourier_suite``), and a deleted one would fail only
+inside a benchmark run, so every attribute paritybench/jobs.py reads is
+resolved too.  It only reads these three files and imports paritylab.
 """
 
 import ast
@@ -52,3 +55,22 @@ def test_timed_span_resolves(span):
     assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, (
         f"{span} is not a function defined in paritylab.{module}")
     assert not attr.startswith("_") and span not in SKIP, f"{span} is not traced"
+
+
+def jobs_attributes():
+    """Every `<module>.<name>` that paritybench/jobs.py reads from a
+    paritylab module it imports, found by walking its AST."""
+    tree = ast.parse((ROOT / "paritybench" / "jobs.py").read_text())
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "paritylab"
+               for alias in node.names}
+    return sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+@pytest.mark.parametrize("name", jobs_attributes())
+def test_job_attribute_resolves(name):
+    module, _, attr = name.partition(".")
+    assert hasattr(importlib.import_module(f"paritylab.{module}"), attr), (
+        f"paritybench/jobs.py reads {name}, which paritylab does not define")

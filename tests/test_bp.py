@@ -599,7 +599,8 @@ class TestGuards:
                                       lambda: selective_recorder_program(2, 2, 1)])
     def test_state_budget_guards_recorders(self, monkeypatch, make):
         monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "4")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^1 vertices x 8 edges in layer 0 exceeds "
+                           "the state budget; set PARITYLAB_STATE_BUDGET to override$"):
             make()
 
     def test_structural_validation(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paritylab import suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.generators import random_program
@@ -125,6 +126,30 @@ class TestVerifyLemmas:
         assert doc["ok"] and set(doc["suites"]) == {"fourier", "partition",
                                                     "reduction", "reach_bound"}
 
+    def test_r_runs_each_suite_once(self, capsys, monkeypatch):
+        """With --r, the Fourier and partition suites run once, at the
+        single (n, r) cell, and the report is the four suites' reports."""
+        seed, trials, n, r = 7, 12, 3, 2.25
+        expected = {
+            "fourier": suites.fourier_suite(trials, seed, ns=(n,), r_fracs=(r / n,)),
+            "partition": suites.partition_suite(trials, seed, ns=(n,), r_fracs=(r / n,)),
+            "reduction": suites.reduction_suite(max(4, trials // 8), seed, ns=(n,)),
+            "reach_bound": suites.reach_bound_suite(seed, ns=(n,)),
+        }
+        calls = []
+        for name in ("fourier_suite", "partition_suite"):
+            def counted(*args, fn=getattr(suites, name), name=name, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(suites, name, counted)
+        code, out, _ = run_cli(capsys, "verify-lemmas", "--n", str(n), "--r", str(r),
+                               "--seed", str(seed), "--trials", str(trials))
+        assert code == 0
+        assert sorted(calls) == ["fourier_suite", "partition_suite"]
+        report = {"seed": seed, "trials": trials, "suites": expected,
+                  "ok": all(rep["ok"] for rep in expected.values())}
+        assert out == json.dumps(report, indent=2) + "\n"
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):
@@ -202,6 +227,8 @@ FUZZ_CASES = [
     ["verify-lemmas", "--seed", "1", "--bogus"],
     ["verify-lemmas", "--seed", "1", "--format", "xml"],
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "0.5", "--trials", "2"],
+    ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "0"],
+    ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "-3"],
     ["reduce", "--bogus"],
     ["reduce", "--in", "PROGRAM"],
     ["reduce", "--in", "PROGRAM", "--r", "x"],
@@ -225,6 +252,7 @@ FUZZ_CASES = [
     ["bounds", "--n", "4", "--k", "x", "--m", "2"],
     ["bounds", "--n", "4", "--c", "0.1"],
     ["bounds", "--n", "-3", "--k", "1", "--m", "2"],
+    ["bounds", "--n", "4", "--k", "-1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "1", "--m", "2", "--out", "NODIR"],
     ["crypto"],
     ["crypto", "nope"],
@@ -289,8 +317,7 @@ class TestFuzzGuard:
     @pytest.mark.parametrize("var,case", [
         ("PARITYLAB_DP_BUDGET", ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "OUT"]),
         ("PARITYLAB_STATE_BUDGET", ["verify-lemmas", "--n", "2", "--seed", "1", "--trials", "2"]),
-        ("PARITYLAB_REDUCE_BUDGET", ["reduce", "--in", "PROGRAM", "--r", "2", "--out", "OUT"]),
-    ], ids=["dp", "state", "reduce"])
+    ], ids=["dp", "state"])
     def test_bad_budget_named(self, tmp_path, capsys, monkeypatch, var, case, value):
         files = _fuzz_files(tmp_path)
         files["OUT"] = tmp_path / "out"
@@ -305,13 +332,13 @@ class TestFuzzGuard:
         program = random_program(2, 3, 3, np.random.default_rng(1))
         src, out = tmp_path / "program.json", tmp_path / "out"
         src.write_text(json.dumps(to_json_dict(program)))
-        monkeypatch.setenv("PARITYLAB_REDUCE_BUDGET", "8")
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "8")
         code, _, err = run_cli(capsys, "reduce", "--in", str(src), "--r", "2", "--out", str(out))
         assert code == 1 and not out.exists()
         [line] = err.splitlines()
         assert line.startswith("error: ") and line.endswith(
-            " vertices x 8 edges in layer 1 exceeds the reduction budget; "
-            "set PARITYLAB_REDUCE_BUDGET to override")
+            " vertices x 8 edges in layer 1 exceeds the state budget; "
+            "set PARITYLAB_STATE_BUDGET to override")
 
     def test_reduce_dp_budget_exceeded(self, tmp_path, capsys, monkeypatch):
         """The reduced program's validation and DP run under the DP budget:

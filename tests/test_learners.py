@@ -6,6 +6,7 @@ import pytest
 
 from paritylab.bp import output_dimension_distribution, success_probability
 from paritylab.config import BudgetExceeded
+from paritylab.generators import learner_program_with_labels
 from paritylab.gf2 import AffineSubspace, VectorSubspace, contains, parity
 from paritylab.learners import (
     Learner,
@@ -15,7 +16,6 @@ from paritylab.learners import (
     exhaustive_success_curve,
     exhaustive_success_exact,
     gaussian_learner,
-    learner_to_bp,
     prefix_pivot_learner,
     rank_success_probability,
     run_learner,
@@ -49,7 +49,7 @@ class TestGaussian:
     def test_point_probability_three_eighths(self):
         # by explicit matrix count: 6 invertible 2x2 matrices of 16
         L = gaussian_learner(2)
-        bp = learner_to_bp(L, 2)
+        bp, _ = learner_program_with_labels(L, 2)
         dims = output_dimension_distribution(bp)
         assert dims[0] == pytest.approx(3 / 8, abs=1e-12)
         count = sum(
@@ -196,21 +196,21 @@ class TestHarness:
             run_learner(tiny, 0, [0])
         assert_state_size(gaussian_learner(2), 0)
 
-    def test_learner_to_bp_m0(self):
+    def test_learner_program_m0(self):
         for L in (gaussian_learner(2), exhaustive_learner(2, 3)):
-            bp = learner_to_bp(L, 0)
+            bp, _ = learner_program_with_labels(L, 0)
             assert bp.layer_sizes == (1,)
             assert bp.leaf_labels[(0, 0)] == AffineSubspace.full(2)
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "4")
         with pytest.raises(BudgetExceeded):
-            learner_to_bp(gaussian_learner(2), 1)
+            learner_program_with_labels(gaussian_learner(2), 1)
 
     def test_mc_matches_bp_dp(self):
         n, m, trials = 2, 3, 50_000
         L = gaussian_learner(n)
-        bp = learner_to_bp(L, m)
+        bp, _ = learner_program_with_labels(L, m)
         exact = output_dimension_distribution(bp).get(0, 0.0)
         hits = simulate_success(L, m, trials, np.random.default_rng(5))
         sigma = (exact * (1 - exact) / trials) ** 0.5

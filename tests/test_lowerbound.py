@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -11,10 +10,8 @@ from paritylab.generators import (
     learner_program_with_labels,
     selective_recorder_program,
 )
-from paritylab.gf2 import parity
 from paritylab.learners import gaussian_learner
 from paritylab.lowerbound import (
-    orthogonal_trace,
     reach_probability_bound,
     tradeoff_exponent,
     trim_to_min_dimension,
@@ -42,6 +39,8 @@ class TestBoundFormula:
             reach_probability_bound(4, 2, 4)
         with pytest.raises(ValueError):
             reach_probability_bound(4, 0, 2)
+        with pytest.raises(ValueError):
+            reach_probability_bound(4, 2, -1)
 
     def test_matches_direct_product(self):
         for n, m, k in [(5, 2, 3), (6, 4, 2), (3, 1, 0)]:
@@ -118,28 +117,6 @@ class TestVerifyReachBound:
                 doc = verify_reach_bound(bp, labels, (m, v)).to_dict()
                 assert doc["ok"] and doc["margin"] >= 0
                 break
-
-
-class TestOrthogonalTrace:
-    def test_invariants_exhaustive(self):
-        n, m = 3, 3
-        bp, labels = greedy_recorder_program(n, m, 1)
-        trimmed, tlabels = trim_to_min_dimension(bp, labels, 1)
-        targets = [(t, v) for t in range(m + 1) for v in range(trimmed.layer_sizes[t])
-                   if tlabels.get(t, v).dim == 1]
-        target = targets[0]
-        k = 1
-        hit_checked = 0
-        for x in range(1 << n):
-            for a_seq in itertools.product(range(1 << n), repeat=m):
-                samples = [(a, parity(a & x)) for a in a_seq]
-                trace = orthogonal_trace(trimmed, tlabels, target, samples)
-                assert trace.zs[0] == 0
-                assert trace.steps_ok()
-                if trace.reached_target:
-                    assert max(trace.zs) == n - k
-                    hit_checked += 1
-        assert hit_checked > 0
 
 
 class TestTradeoffExponent:

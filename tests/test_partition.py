@@ -11,13 +11,14 @@ from oracles import (
     object_reduce,
     project_out,
     tuple_build_partition,
+    tuple_find_rep,
     tuple_project_keys,
 )
 
 from paritylab.bp import BranchingProgram
 from paritylab.distributions import (
     SubspaceMixture,
-    hyperplane_concentration,
+    heaviest_hyperplane,
     hyperplane_mass,
     l1_distance,
     mixture_distribution,
@@ -83,19 +84,19 @@ class TestConcentration:
     def test_concentrated_on_hyperplane(self):
         n = 3
         mix = SubspaceMixture(n, ((half_space(n, "100", 1), 1.0),))
-        a, b, p = hyperplane_concentration(mix)
+        a, b, p = heaviest_hyperplane(hyperplane_mass(mix))
         assert (a, b, p) == (bv("100"), 1, 1.0)
 
     def test_full_space_returns_smallest(self):
         n = 3
         mix = SubspaceMixture(n, ((AffineSubspace.full(n), 1.0),))
-        a, b, p = hyperplane_concentration(mix)
+        a, b, p = heaviest_hyperplane(hyperplane_mass(mix))
         assert (a, b, p) == (bv("100"), 0, 0.0)
 
     def test_tie_breaking(self):
         mix = SubspaceMixture(2, ((half_space(2, "10", 0), 0.5),
                                   (half_space(2, "11", 0), 0.5)))
-        a, b, p = hyperplane_concentration(mix)
+        a, b, p = heaviest_hyperplane(hyperplane_mass(mix))
         assert (a, b, p) == (bv("10"), 0, 0.5)
 
     def test_matches_exhaustive_maximum(self):
@@ -103,7 +104,7 @@ class TestConcentration:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             mix = random_mixture(n, rng, max_members=6)
-            a, b, p = hyperplane_concentration(mix)
+            a, b, p = heaviest_hyperplane(hyperplane_mass(mix))
             best = 0.0
             for a_bits in range(1, 1 << n):
                 for bb in (0, 1):
@@ -179,6 +180,23 @@ class TestFindRepresentative:
             assert mass >= 2.0 ** (-exponent_sum(r, drop)) - 1e-12
             dist = l1_distance(mixture_distribution(cond), uniform_over(s))
             assert dist < 2.0 ** (-(r - n / 2)) + 1e-12
+
+    def test_matches_tuple_oracle(self):
+        """The representative is the tuple recursion's, and the conditioned
+        mixture and its mass equal the is_subset restriction, floats with
+        ==, in member order."""
+        rng = np.random.default_rng(13)
+        for i in range(180):
+            n = 1 + i % 6
+            mix = random_mixture(n, rng)
+            keys = [frozenset(hyperplane_keys(w)) for w, _ in mix.support]
+            probs = [p for _, p in mix.support]
+            for r in (n / 2, 0.75 * n, float(n), n + 1.0):
+                s, cond, mass = find_representative_subspace(mix, r)
+                assert s == tuple_find_rep(n, keys, probs, r)
+                kept = [(w, p) for w, p in mix.support if is_subset(w, s)]
+                assert mass == sum(p for _, p in kept)
+                assert cond.support == tuple((w, p / mass) for w, p in kept)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
