@@ -22,6 +22,7 @@ from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
     _check_vector,
+    edge_masks,
     hyperplane_masks,
     parse_subspace,
     point_mask,
@@ -239,10 +240,9 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     label(u) ∩ {x : a.x = b} ⊆ label(v).
 
     Each label is its point mask (gf2.point_mask), so an edge is one int
-    test: with L the mask of label(u) and H0 = hyperplane_masks(n)[a],
-    the b = 0 edge set is L & H0, the b = 1 set is the rest of L, and
-    the edge violates iff its set has a point outside label(v)'s mask.
-    The 4^n-bit H0 table is under the DP budget, checked first.
+    test: the edge (a, b) violates iff gf2.edge_masks of label(u)'s mask
+    has a point outside label(v)'s mask at index (a << 1) | b.  The
+    4^n-bit hyperplane_masks table is under the DP budget, checked first.
     """
     check_dp_budget(bp)
     violations: list[tuple] = []
@@ -267,13 +267,9 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
         for v, row in enumerate(bp.transitions[t]):
             if row is None:
                 continue
-            mask = masks[t][v]
-            for a, (h0, tgt0, tgt1) in enumerate(zip(even, row[0::2], row[1::2])):
-                e0 = mask & h0
-                if e0 & outside[tgt0]:
-                    violations.append(("edge", t, v, a, 0))
-                if (mask ^ e0) & outside[tgt1]:
-                    violations.append(("edge", t, v, a, 1))
+            for k, (e, tgt) in enumerate(zip(edge_masks(masks[t][v], even), row)):
+                if e & outside[tgt]:
+                    violations.append(("edge", t, v, k >> 1, k & 1))
     return AffineValidation(not violations, violations, notes)
 
 

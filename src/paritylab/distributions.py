@@ -4,6 +4,7 @@ Walsh-Fourier transforms, and the Fourier closeness criterion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -135,31 +136,42 @@ def walsh_transform(p: ExactDistribution) -> np.ndarray:
     return out * 2.0 ** (-p.n)
 
 
-def hyperplane_mass(mix: SubspaceMixture) -> dict[tuple[int, int], float]:
-    """Pr[W ⊆ {x : a.x = b}] for every (a, b) with positive mass, a ≠ 0.
-
-    A subspace w lies in the hyperplane (a, b) exactly when (a, b) is one
-    of its hyperplane keys, so the table sums each member's probability
-    over its keys, in member order.
-    """
-    table: dict[tuple[int, int], float] = {}
-    for w, p in mix.support:
-        for key in hyperplane_keys(w):
-            table[key] = table.get(key, 0.0) + p
+def key_table(n: int, keys: Iterable[Iterable[int]], probs: Iterable[float]) -> list[float]:
+    """Per key id 2a + b, the members' probabilities summed in member
+    order (another order can flip a tie in the last place); entries 0 and
+    1 (a = 0) stay 0.0."""
+    table = [0.0] * (2 << n)
+    for ids, p in zip(keys, probs):
+        for k in ids:
+            table[k] += p
     return table
 
 
-def heaviest_hyperplane(table: dict[tuple[int, int], float]) -> tuple[int, int, float]:
-    """The (a, b) of largest mass in a hyperplane_mass table, a packed.
+def hyperplane_mass(mix: SubspaceMixture) -> list[float]:
+    """Pr[W ⊆ {x : a.x = b}] at each key id 2a + b, a key_table."""
+    return key_table(mix.n, [hyperplane_keys(w) for w, _ in mix.support],
+                     [p for _, p in mix.support])
 
-    Ties break to the lexicographically smallest pair: a compared as a
-    packed integer, then b = 0 before b = 1.  An empty table gives
+
+def heaviest_hyperplane(table: list[float]) -> tuple[int, int, float]:
+    """(a, b, mass) of the first maximum of a key table at a != 0.
+
+    The first maximum has the smallest id: a compared as a packed
+    integer, then b = 0 before b = 1.  An all-zero table gives
     (e_1, 0, 0.0).
     """
-    if not table:
-        return 1, 0, 0.0
-    (a, b), p = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-    return a, b, p
+    top = max(table)
+    k = table.index(top, 2) if top else 2
+    return k >> 1, k & 1, top
+
+
+def check_r(n: int, r: float, top: int = 2) -> None:
+    """Raise ValueError unless n/2 <= r <= top * n (so for NaN and inf too):
+    up to r = 2n, a partition's round cap 4n * 2^{sum_{i<n} (r - i/2)}
+    stays a float for every n <= 24."""
+    if not n / 2 <= r <= top * n:
+        upper = "n" if top == 1 else f"{top}n"
+        raise ValueError(f"r must lie in [n/2, {upper}] = [{n / 2}, {top * n}], got {r}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +192,7 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     l1 distance.
     """
     n = mix.n
-    if r < n / 2:
-        raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
+    check_r(n, r)
     a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK

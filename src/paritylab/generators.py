@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bp import AffineLabels, BranchingProgram, unroll
-from .distributions import SubspaceMixture
+from .distributions import SubspaceMixture, check_r, hyperplane_mass
 from .gf2 import AffineSubspace, VectorSubspace, _insert, _reduce, intersect_hyperplane
 from .learners import Learner, learner_state_layers
 
@@ -78,8 +78,6 @@ def _hyperplane_family_mixture(n: int, threshold: float,
 
 def _rejection_mixture(n: int, threshold: float,
                        rng: np.random.Generator) -> SubspaceMixture | None:
-    from .distributions import hyperplane_mass
-
     for _ in range(200):
         count = int(rng.integers(2, 9))
         members: dict[AffineSubspace, float] = {}
@@ -95,8 +93,7 @@ def _rejection_mixture(n: int, threshold: float,
         # sum of positive terms) is at least the member's own weight
         if any(p > threshold and w.dim < n for w, p in mix.support):
             continue
-        mass = hyperplane_mass(mix)
-        if not mass or max(mass.values()) <= threshold:
+        if max(hyperplane_mass(mix)) <= threshold:
             return mix
     return None
 
@@ -105,6 +102,7 @@ def random_hypothesis_mixture(n: int, r: float,
                               rng: np.random.Generator) -> SubspaceMixture:
     """A mixture guaranteed to satisfy the flatness hypothesis: no
     hyperplane holds the random subspace with probability above 2^{-r}."""
+    check_r(n, r)
     threshold = 2.0 ** (-r)
     style = int(rng.integers(0, 3))
     mix = None

@@ -284,17 +284,24 @@ def orthogonal_space(w: AffineSubspace) -> VectorSubspace:
     return w.direction.null_space()
 
 
-def hyperplane_keys(w: AffineSubspace) -> list[tuple[int, int]]:
-    """Every (a, b) with a != 0 (packed) and w ⊆ {x : a.x = b}.
+def hyperplane_keys(w: AffineSubspace) -> frozenset[int]:
+    """The key ids 2a + b (a packed) of the hyperplanes {x : a.x = b},
+    a != 0, that contain w.
 
     These are the nonzero a of the orthogonal space of w, each with its
     constant value b = a.offset on w.  A non-empty w is the intersection
     of these hyperplanes, so w1 ⊆ w2 exactly when every key of w2 is a
-    key of w1.
+    key of w1.  The key id is the package's one form of a hyperplane;
+    keys_subspace, keys_mask and mask_keys convert it.
     """
     space = orthogonal_space(w)
     off = w.offset
-    return [(a, parity(a & off)) for a in space.enumerate() if a != 0]
+    return frozenset((a << 1) | parity(a & off) for a in space.enumerate() if a != 0)
+
+
+def keys_subspace(n: int, ids: Iterable[int]) -> AffineSubspace:
+    """The solution set of the key ids' equations a.x = b."""
+    return solve_affine_system(n, ((k >> 1) | (k & 1) << n for k in ids))
 
 
 def contains(w: AffineSubspace, x: int) -> bool:
@@ -350,11 +357,36 @@ def point_mask(w: AffineSubspace) -> int:
     """
     if w.is_empty:
         return 0
-    even = hyperplane_masks(w.n)
+    return keys_mask(hyperplane_masks(w.n),
+                     ((a << 1) | parity(a & w.offset) for a in orthogonal_space(w).rows))
+
+
+def keys_mask(even: tuple[int, ...], ids: Iterable[int]) -> int:
+    """The point mask of the key ids' solution set, the AND of their
+    hyperplane masks, with even = hyperplane_masks(n)."""
     mask = even[0]  # every point
-    for a in orthogonal_space(w).rows:
-        mask = mask & ~even[a] if parity(a & w.offset) else mask & even[a]
+    for k in ids:
+        mask &= ~even[k >> 1] if k & 1 else even[k >> 1]
     return mask
+
+
+def mask_keys(e: int, even: tuple[int, ...]) -> frozenset[int]:
+    """The key ids of a non-empty subspace from its point mask e, with
+    even = hyperplane_masks(n): 2a when e lies in {a.x = 0}, 2a + 1 when
+    in {a.x = 1}."""
+    ids = []
+    for a in range(1, len(even)):
+        if not e & ~even[a]:
+            ids.append(a << 1)
+        elif not e & even[a]:
+            ids.append((a << 1) | 1)
+    return frozenset(ids)
+
+
+def edge_masks(mask: int, even: tuple[int, ...]) -> list[int]:
+    """The point mask of mask ∩ {a.x = b} at each key id (a << 1) | b,
+    with even = hyperplane_masks(n)."""
+    return [e for h in even for e in (mask & h, mask & ~h)]
 
 
 def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:

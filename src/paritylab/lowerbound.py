@@ -147,6 +147,8 @@ def tradeoff_exponent(c: float, alpha: float, n: int,
     product_log2 = count_log2 + reach_log2
     closed_exponent = n * n * (c + 0.6 * alpha - 0.05 + 3.0 / (20.0 * n))
     closed_log2 = math.log2(4 * n) + log2_m + closed_exponent
+    if not (math.isfinite(product_log2) and math.isfinite(closed_log2)):
+        raise ValueError(f"c and alpha must give finite exponents, got c={c}, alpha={alpha}")
     alpha_max = (5.0 / 3.0) * (0.05 - c)
     out = {
         "c": c, "alpha": alpha, "n": n,

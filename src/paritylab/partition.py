@@ -13,26 +13,19 @@ from dataclasses import dataclass, field
 
 from .distributions import (
     SubspaceMixture,
+    check_r,
+    heaviest_hyperplane,
+    key_table,
     l1_distance,
     mixture_distribution,
     uniform_over,
 )
-from .gf2 import AffineSubspace, hyperplane_keys, is_subset, solve_affine_system
+from .gf2 import AffineSubspace, hyperplane_keys, is_subset, keys_subspace
 
 
 def exponent_sum(r: float, terms: int) -> float:
     """sum_{i=0}^{terms-1} (r - i/2)."""
     return terms * r - terms * (terms - 1) / 4.0
-
-
-def _key_ids(w: AffineSubspace) -> frozenset[int]:
-    """w's hyperplane keys (a, b) as the ints 2a + b."""
-    return frozenset((a << 1) | b for a, b in hyperplane_keys(w))
-
-
-def _subspace_of(n: int, chosen: list[int]) -> AffineSubspace:
-    """The solution set of the chosen key ids' equations a.x = b."""
-    return solve_affine_system(n, ((k >> 1) | (k & 1) << n for k in chosen))
 
 
 def _find_ids(n: int, keys: list[frozenset[int]], probs: list[float],
@@ -46,25 +39,17 @@ def _find_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     subspace's key ids and 0 form a linear space.  Level d projects out
     the pivot coordinate of each chosen key, the lowest set bit of its
     a; the image of a member keeps the key ids clear of every chosen
-    pivot bit, in the same order, so level d tabulates only those ids.
-    Every sum runs in member order: another order can change a float in
-    the last place and flip an argmax tie.  The first maximum of the
-    table is the smallest id 2a + b, which is heaviest_hyperplane's
-    tie-break; ids 0 and 1 (a = 0) stay at 0.0.
+    pivot bit, in the same order, so level d tabulates only those ids,
+    in a key_table.
     """
     chosen: list[int] = []
     inside = list(range(len(keys)))
     for _ in range(n):
-        table = [0.0] * (2 << n)
-        for ids, p in zip(keys, probs):
-            for k in ids:
-                table[k] += p
-        top = max(table)
+        a, b, top = heaviest_hyperplane(key_table(n, keys, probs))
         if top <= 2.0 ** (-r):
             break
-        key = table.index(top)
+        key = (a << 1) | b
         chosen.append(key)
-        a = key >> 1
         pivot = (a & -a) << 1
         kept = [j for j, ids in enumerate(keys) if key in ids]
         mass = sum([probs[j] for j in kept])
@@ -83,10 +68,9 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     indices of the members it takes, in member order, and the indices
     of the residual members.
     """
-    if r < n / 2:
-        raise ValueError(f"r must be at least n/2 = {n / 2}, got {r}")
+    check_r(n, r)
     target = 2.0 ** (-2 * n)
-    round_cap = math.ceil(4 * n * 2.0 ** exponent_sum(r, n)) + 1
+    round_cap = math.ceil(group_count_bound(n, r, 0)) + 1
     remaining = list(range(len(keys)))
     rounds: list[tuple[list[int], list[int]]] = []
     while (total := sum(probs)) > target:
@@ -113,14 +97,13 @@ def find_representative_subspace(
     2^{-sum_{i=0}^{n-dim(s)-1}(r - i/2)} and the conditional mixture is
     within 2^{-(r - n/2)} of uniform on s.
     """
-    if r < mix.n / 2:
-        raise ValueError(f"r must be at least n/2 = {mix.n / 2}, got {r}")
-    chosen, inside = _find_ids(mix.n, [_key_ids(w) for w, _ in mix.support],
+    check_r(mix.n, r)
+    chosen, inside = _find_ids(mix.n, [hyperplane_keys(w) for w, _ in mix.support],
                                [p for _, p in mix.support], r)
     kept = [mix.support[i] for i in inside]
     mass = sum(p for _, p in kept)
     conditioned = SubspaceMixture(mix.n, tuple((w, p / mass) for w, p in kept))
-    return _subspace_of(mix.n, chosen), conditioned, mass
+    return keys_subspace(mix.n, chosen), conditioned, mass
 
 
 @dataclass(frozen=True)
@@ -191,12 +174,12 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     renormalizes the remaining masses in member order.
     """
     support = mix.support
-    rounds, residual = _partition_ids(mix.n, [_key_ids(w) for w, _ in support],
+    rounds, residual = _partition_ids(mix.n, [hyperplane_keys(w) for w, _ in support],
                                       [p for _, p in support], r)
     groups: list[PartitionGroup] = []
     sigma: dict[AffineSubspace, AffineSubspace | None] = {}
     for chosen, taken in rounds:
-        s = _subspace_of(mix.n, chosen)
+        s = keys_subspace(mix.n, chosen)
         groups.append(PartitionGroup(s, tuple(support[i][0] for i in taken),
                                      tuple(support[i][1] for i in taken)))
         sigma.update((support[i][0], s) for i in taken)

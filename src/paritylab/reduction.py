@@ -27,9 +27,9 @@ from .bp import (
     success_probability,
     validate_affine,
 )
-from .distributions import SLACK, uniform_weights
-from .gf2 import AffineSubspace, hyperplane_masks
-from .partition import _partition_ids, _subspace_of, exponent_sum
+from .distributions import SLACK, check_r, uniform_weights
+from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
+from .partition import _partition_ids, group_count_bound
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -41,8 +41,7 @@ class ReductionParams:
         return 4 * m * 2.0 ** (-(self.r - n / 2))
 
     def validate(self, n: int) -> None:
-        if not n / 2 <= self.r <= n:
-            raise ValueError(f"r must lie in [n/2, n] = [{n / 2}, {n}], got {self.r}")
+        check_r(n, self.r, top=1)
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,9 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
             row = bp.transitions[j - 1][prev_gamma[u]]
             pairs = edge_pairs.get(lab)
             if pairs is None:
-                pairs = edge_pairs[lab] = _edge_masks(lab, even)
+                # (edge mask, Pr[a.y = b] for y uniform on the label)
+                pairs = edge_pairs[lab] = [(e, 0.0 if not e else 1.0 if e == lab else 0.5)
+                                           for e in edge_masks(lab, even)]
             edges.append((row, pairs))
             q_u = prev_q[u]
             if q_u > 0.0:
@@ -202,19 +203,17 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
                 for e in members:
                     ids = key_ids.get(e)
                     if ids is None:
-                        ids = key_ids[e] = _mask_key_ids(e, even)
+                        ids = key_ids[e] = mask_keys(e, even)
                     keys.append(ids)
                 rounds, residual = _partition_ids(n, keys, probs, params.r)
                 group_masses = []
                 for chosen, taken in rounds:
-                    rep = points
-                    for k in chosen:
-                        rep &= ~even[k >> 1] if k & 1 else even[k >> 1]
+                    rep = keys_mask(even, chosen)
                     slot = len(new_labels)
                     slots.update((members[i], slot) for i in taken)
                     reps.append((~rep, slot))
                     group_masses.append(sum([probs[i] for i in taken]))
-                    new_labels.append(_subspace_of(n, chosen))
+                    new_labels.append(keys_subspace(n, chosen))
                     new_masks.append(rep)
                     new_gamma.append(v)
                     new_q.append(group_masses[-1] * total)
@@ -262,30 +261,6 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     return replace(reduction, report=verify_reduction(bp, reduction, params))
 
 
-def _edge_masks(lab: int, even: tuple[int, ...]) -> list[tuple[int, float]]:
-    """(mask of lab ∩ {a.x = b}, Pr[a.y = b] for y uniform on lab) per
-    edge index (a << 1) | b, for a label mask lab; the probability is
-    0.0 for an empty edge."""
-    pairs = []
-    for h in even:
-        e0 = lab & h
-        for e in (e0, lab ^ e0):
-            pairs.append((e, 0.0 if not e else 1.0 if e == lab else 0.5))
-    return pairs
-
-
-def _mask_key_ids(e: int, even: tuple[int, ...]) -> frozenset[int]:
-    """The hyperplane key ids 2a + b of a non-empty subspace, from its
-    point mask e: 2a when e lies in {a.x = 0}, 2a + 1 when in {a.x = 1}."""
-    ids = []
-    for a in range(1, len(even)):
-        if not e & ~even[a]:
-            ids.append(a << 1)
-        elif not e & even[a]:
-            ids.append((a << 1) | 1)
-    return frozenset(ids)
-
-
 def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:
     n = red.program.n
     table = np.zeros((red.program.layer_sizes[t], 1 << n))
@@ -331,7 +306,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
             dim_counts[lab.dim] = dim_counts.get(lab.dim, 0) + 1
     dim_count_checks = []
     for k in range(n + 1):
-        bound = 4 * n * 2.0 ** exponent_sum(params.r, n - k) * bp.width * m if m else float("inf")
+        bound = group_count_bound(n, params.r, k) * bp.width * m if m else float("inf")
         count = dim_counts.get(k, 0)
         dim_count_checks.append(BoundCheck(
             f"count[dim={k}]", float(count), bound, binding=True,

@@ -2,7 +2,7 @@
 compare the package against.
 
 The partition reference keys its hyperplane tables by tuples (a, b) in a
-dict, finds the heaviest one with heaviest_hyperplane, and recurses in
+dict, finds the heaviest one with its own dict argmax, and recurses in
 projected coordinates through project_out and lift_back.  The reduction
 reference runs the layer loop on AffineSubspace keys: per label its edge
 subspaces, per vertex a SubspaceMixture.from_pairs, the tuple partition,
@@ -15,7 +15,7 @@ logic.
 from types import SimpleNamespace
 
 from paritylab.bp import AffineLabels, BranchingProgram
-from paritylab.distributions import SubspaceMixture, heaviest_hyperplane
+from paritylab.distributions import SubspaceMixture
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
@@ -56,6 +56,20 @@ def lift_back(w, a, b, pivot):
     return AffineSubspace(n, VectorSubspace.from_rows(n, rows), off)
 
 
+def tuple_keys(w):
+    """w's hyperplane keys as tuples (a, b), from the key ids 2a + b."""
+    return frozenset((k >> 1, k & 1) for k in hyperplane_keys(w))
+
+
+def tuple_heaviest(table):
+    """The (a, b, mass) of largest mass in a dict table keyed by (a, b):
+    ties to the smallest a, then b = 0; an empty table gives (e_1, 0, 0.0)."""
+    if not table:
+        return 1, 0, 0.0
+    (a, b), p = max(table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
+    return a, b, p
+
+
 def tuple_project_keys(keys, pivot):
     """Tuple keys (c, b) of project_out(w, pivot), given those of w."""
     return frozenset((_drop_bit(c, pivot), b) for c, b in keys if not (c >> pivot) & 1)
@@ -63,15 +77,14 @@ def tuple_project_keys(keys, pivot):
 
 def tuple_find_rep(n, keys, probs, r):
     """Reference for the partition recursion on tuple keys (a, b): a dict
-    table per level, summed in member order, and heaviest_hyperplane's
-    argmax."""
+    table per level, summed in member order, and tuple_heaviest's argmax."""
     if n == 0:
         return AffineSubspace.full(0)
     table = {}
     for ks, p in zip(keys, probs):
         for key in ks:
             table[key] = table.get(key, 0.0) + p
-    a, b, p = heaviest_hyperplane(table)
+    a, b, p = tuple_heaviest(table)
     if p <= 2.0 ** (-r):
         return AffineSubspace.full(n)
     pivot = lowest_set_bit(a)
@@ -85,12 +98,12 @@ def tuple_find_rep(n, keys, probs, r):
 def tuple_build_partition(mix, r):
     """Reference for build_partition on tuple keys."""
     n = mix.n
-    remaining = [(w, p, frozenset(hyperplane_keys(w))) for w, p in mix.support]
+    remaining = [(w, p, tuple_keys(w)) for w, p in mix.support]
     groups, sigma = [], {}
     while (total := sum(p for _, p, _ in remaining)) > 2.0 ** (-2 * n):
         s = tuple_find_rep(n, [keys for _, _, keys in remaining],
                            [p / total for _, p, _ in remaining], r)
-        s_keys = frozenset(hyperplane_keys(s))
+        s_keys = tuple_keys(s)
         taken = [member for member in remaining if s_keys <= member[2]]
         remaining = [member for member in remaining if not s_keys <= member[2]]
         groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),

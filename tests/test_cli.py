@@ -227,6 +227,9 @@ FUZZ_CASES = [
     ["verify-lemmas", "--seed", "1", "--bogus"],
     ["verify-lemmas", "--seed", "1", "--format", "xml"],
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "0.5", "--trials", "2"],
+    ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "inf", "--trials", "2"],
+    ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "nan", "--trials", "2"],
+    ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "1000", "--trials", "2"],
     ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "0"],
     ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "-3"],
     ["reduce", "--bogus"],
@@ -251,6 +254,9 @@ FUZZ_CASES = [
     ["bounds", "--n", "4"],
     ["bounds", "--n", "4", "--k", "x", "--m", "2"],
     ["bounds", "--n", "4", "--c", "0.1"],
+    ["bounds", "--n", "4", "--c", "nan", "--alpha", "0.1"],
+    ["bounds", "--n", "4", "--c", "inf", "--alpha", "0.1"],
+    ["bounds", "--n", "4", "--c", "0.1", "--alpha", "1e308"],
     ["bounds", "--n", "-3", "--k", "1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "-1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "1", "--m", "2", "--out", "NODIR"],
@@ -312,6 +318,13 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, *case)
         assert code == 2
         assert "argument --n: must be at least" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("r", ["inf", "nan", "1000", "1.4"])
+    def test_r_range_named(self, capsys, r):
+        code, _, err = run_cli(capsys, "verify-lemmas", "--n", "3", "--r", r,
+                               "--seed", "1", "--trials", "2")
+        assert code == 1
+        assert err.splitlines() == [f"error: r must lie in [n/2, 2n] = [1.5, 6], got {float(r)}"]
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     @pytest.mark.parametrize("var,case", [

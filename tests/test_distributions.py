@@ -137,7 +137,7 @@ class TestWalsh:
             f = walsh_transform(mixture_distribution(mix)) * 2.0 ** n
             mass = hyperplane_mass(mix)
             for a in range(1, 1 << n):
-                assert abs(f[a] - (mass.get((a, 0), 0.0) - mass.get((a, 1), 0.0))) <= 1e-12
+                assert abs(f[a] - (mass[a << 1] - mass[(a << 1) | 1])) <= 1e-12
 
 
 class TestFourierCloseness:
@@ -179,9 +179,10 @@ class TestFourierCloseness:
             n = int(rng.integers(2, 5))
             mix = random_mixture(n, rng, max_members=5)
             table = hyperplane_mass(mix)
+            assert len(table) == 2 << n and table[:2] == [0.0, 0.0]
             for a in range(1, 1 << n):
                 for b in (0, 1):
                     expected = sum(
                         p for w, p in mix.support
                         if is_subset(w, intersect_hyperplane(AffineSubspace.full(n), a, b)))
-                    assert table.get((a, b), 0.0) == pytest.approx(expected, abs=1e-12)
+                    assert table[(a << 1) | b] == pytest.approx(expected, abs=1e-12)

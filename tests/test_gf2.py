@@ -12,10 +12,14 @@ from paritylab.gf2 import (
     EmptySubspaceError,
     VectorSubspace,
     contains,
+    edge_masks,
     hyperplane_keys,
     hyperplane_masks,
     intersect_hyperplane,
     is_subset,
+    keys_mask,
+    keys_subspace,
+    mask_keys,
     orthogonal_space,
     parity,
     parse_subspace,
@@ -350,19 +354,17 @@ class TestAgainstPointSets:
     @PROPERTY
     @given(st.data())
     def test_hyperplane_keys(self, data):
-        """(a, b) is a key of w exactly when w ⊆ {x : a.x = b}, a != 0."""
+        """2a + b is a key id of w exactly when w ⊆ {x : a.x = b}, a != 0."""
         n = data.draw(st.integers(1, 6))
         w, pts = data.draw(described_subspace(n))
-        keys = hyperplane_keys(w)
-        assert len(keys) == len(set(keys))
-        assert set(keys) == {(a, b) for a in range(1, 1 << n) for b in (0, 1)
-                             if all(dot(a, x) == b for x in pts)}
+        assert hyperplane_keys(w) == {(a << 1) | b for a in range(1, 1 << n) for b in (0, 1)
+                                      if all(dot(a, x) == b for x in pts)}
 
     @PROPERTY
     @given(described_pair())
     def test_subset_is_key_inclusion(self, pair):
         _, (w1, pts1), (w2, pts2) = pair
-        assert (set(hyperplane_keys(w2)) <= set(hyperplane_keys(w1))) == (pts1 <= pts2)
+        assert (hyperplane_keys(w2) <= hyperplane_keys(w1)) == (pts1 <= pts2)
 
 
 @st.composite
@@ -398,4 +400,23 @@ class TestPointMasks:
         assert [point_mask(cut) for cut in cuts] == [mask & even, mask & ~even]
         for w1, w2 in [(cuts[1], w), (w, cuts[0]), (w, data.draw(maybe_empty_subspace(n)))]:
             assert is_subset(w1, w2) == (point_mask(w1) & ~point_mask(w2) == 0)
+
+    @PROPERTY
+    @given(st.data())
+    def test_key_id_conversions(self, data):
+        """mask_keys, keys_mask and keys_subspace agree with
+        hyperplane_keys and point_mask on non-empty subspaces, and
+        edge_masks at id 2a + b is the mask of w ∩ {a.x = b}, Empty
+        included."""
+        n = data.draw(st.integers(0, 6))
+        w = data.draw(maybe_empty_subspace(n))
+        even = hyperplane_masks(n)
+        mask = point_mask(w)
+        assert edge_masks(mask, even) == [point_mask(intersect_hyperplane(w, a, b))
+                                          for a in range(1 << n) for b in (0, 1)]
+        if not w.is_empty:
+            ids = hyperplane_keys(w)
+            assert mask_keys(mask, even) == ids
+            assert keys_mask(even, ids) == mask
+            assert keys_subspace(n, ids) == w
 

@@ -12,6 +12,7 @@ from oracles import (
     project_out,
     tuple_build_partition,
     tuple_find_rep,
+    tuple_keys,
     tuple_project_keys,
 )
 
@@ -28,7 +29,6 @@ from paritylab.generators import random_mixture, random_subspace
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
-    hyperplane_keys,
     intersect_hyperplane,
     is_subset,
 )
@@ -130,8 +130,7 @@ class TestProjectLift:
             pivot = (a_bits & -a_bits).bit_length() - 1
             down = project_out(w, pivot)
             assert down.dim == w.dim
-            assert frozenset(hyperplane_keys(down)) == tuple_project_keys(
-                frozenset(hyperplane_keys(w)), pivot)
+            assert tuple_keys(down) == tuple_project_keys(tuple_keys(w), pivot)
             back = lift_back(down, a_bits, b, pivot)
             assert back == w
 
@@ -189,7 +188,7 @@ class TestFindRepresentative:
         for i in range(180):
             n = 1 + i % 6
             mix = random_mixture(n, rng)
-            keys = [frozenset(hyperplane_keys(w)) for w, _ in mix.support]
+            keys = [tuple_keys(w) for w, _ in mix.support]
             probs = [p for _, p in mix.support]
             for r in (n / 2, 0.75 * n, float(n), n + 1.0):
                 s, cond, mass = find_representative_subspace(mix, r)
@@ -335,7 +334,7 @@ class TestPartitionOracle:
     def test_constructed_ties(self, members, r):
         n = len(members[0][0])
         mix = SubspaceMixture(n, tuple((half_space(n, a, b), p) for a, b, p in members))
-        top = sorted(hyperplane_mass(mix).values())
+        top = sorted(hyperplane_mass(mix))
         assert top[-1] == top[-2]
         check_partition(mix, r)
 
