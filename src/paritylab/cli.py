@@ -28,9 +28,9 @@ from .reduction import ReductionParams, reduce_to_affine
 from .suites import R_FRACS, run_all_suites
 
 LEARNER_FACTORIES = {
-    "gaussian": lambda n: gaussian_learner(n),
-    "prefix": lambda n: prefix_pivot_learner(n),
-    "exhaustive": lambda n: exhaustive_learner(n),
+    "gaussian": gaussian_learner,
+    "prefix": prefix_pivot_learner,
+    "exhaustive": exhaustive_learner,
 }
 
 
@@ -45,7 +45,12 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is None or path == "-":
+    _write_text(text, path)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout for no path or "-"."""
+    if not path or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -107,13 +112,7 @@ def _cmd_bounds(args) -> int:
         report = tradeoff_exponent(args.c, args.alpha, args.n)
         emit_report(report, "json", args.out)
         return 0
-    value = reach_probability_bound(args.n, args.m, args.k)
-    text = f"{value}\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(f"{reach_probability_bound(args.n, args.m, args.k)}\n", args.out)
     return 0
 
 

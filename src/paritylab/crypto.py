@@ -121,9 +121,11 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     bytes per pad, the same bytes and generator state as one
     random_vector call per bit (rng.bytes(k) draws ceil(k / 4) 32-bit
     words, but rng.bytes(0) draws one, so an empty plaintext makes no
-    call).
+    call).  Raises ValueError when n exceeds the header's 2-byte field.
     """
     n = key.n
+    if n > 0xFFFF:
+        raise ValueError(f"n = {n} exceeds the stream header's 2-byte limit (n <= 65535)")
     nbytes = (n + 7) // 8
     stride = 4 * ((nbytes + 3) // 4)
     frame_bits = 8 * ((n + 1 + 7) // 8)

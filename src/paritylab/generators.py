@@ -1,14 +1,18 @@
-"""Seeded random instances: subspaces, mixtures, programs, and small
-families of hand-built affine programs used across the test suites."""
+"""Seeded random instances: subspaces, mixtures and programs, plus the
+self-labelled affine programs of unrolled learners (among them the
+greedy and selective recorders) used across the test suites."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable
+
 import numpy as np
 
-from .bp import AffineLabels, BranchingProgram, unroll
+from .bp import AffineLabels, BranchingProgram
 from .distributions import SubspaceMixture, check_r, hyperplane_mass
 from .gf2 import AffineSubspace, VectorSubspace, _insert, _reduce, intersect_hyperplane
-from .learners import Learner, learner_state_layers
+from .learners import Learner, _decode_rows, gaussian_learner, learner_state_layers
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
@@ -126,50 +130,41 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> Bran
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 
-def _constraint_recorder_step(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
-    nxt = intersect_hyperplane(w, a, b)
-    return w if nxt.is_empty else nxt
-
-
-def _self_labeled_program(n: int, layers: list[list[AffineSubspace]],
-                          transitions: list) -> tuple[BranchingProgram, AffineLabels]:
-    """Program of an unrolled machine given each state's label (a
-    recorder's state is its own label); stopped states (None rows) and
-    the last layer's states are the leaves."""
-    m = len(transitions)
-    leaf_labels = {(t, v): w for t, layer in enumerate(layers) for v, w in enumerate(layer)
-                   if t == m or transitions[t][v] is None}
-    bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
-    return bp, AffineLabels(tuple(tuple(layer) for layer in layers))
-
-
-def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, AffineLabels]:
-    """Affine program that intersects every consistent constraint into its
-    label, stopping (leaf) once the dimension hits k."""
-    layers, transitions = unroll(n, m, AffineSubspace.full(n), _constraint_recorder_step,
-                                 stop=lambda w: w.dim <= k)
-    return _self_labeled_program(n, layers, transitions)
-
-
-def selective_recorder_program(n: int, m: int,
-                               trigger: int) -> tuple[BranchingProgram, AffineLabels]:
-    """Affine program that records the constraint only when a equals the
-    trigger vector; everything else passes through."""
-    def step(w: AffineSubspace, a: int, b: int) -> AffineSubspace:
-        return _constraint_recorder_step(w, a, b) if a == trigger else w
-
-    layers, transitions = unroll(n, m, AffineSubspace.full(n), step)
-    return _self_labeled_program(n, layers, transitions)
-
-
-def learner_program_with_labels(learner: Learner,
-                                m: int) -> tuple[BranchingProgram, AffineLabels]:
-    """Unrolled learner whose affine labels are its per-state outputs.
+def learner_program_with_labels(learner: Learner, m: int,
+                                stop: Callable[[int], bool] | None = None,
+                                ) -> tuple[BranchingProgram, AffineLabels]:
+    """Unrolled learner whose affine labels are its per-state outputs;
+    stopped states (None rows) and the last layer's states are the leaves.
 
     Sound when every step keeps label(u) ∩ {x : a.x = b} inside the next
     state's label: the row-reduction learners qualify, and so does the
     window attacker, since evicting an equation only enlarges the label.
     """
-    layers, transitions = learner_state_layers(learner, m)
-    return _self_labeled_program(
-        learner.n, [[learner.output(state) for state in layer] for layer in layers], transitions)
+    layers, transitions = learner_state_layers(learner, m, stop)
+    labels = [[learner.output(state) for state in layer] for layer in layers]
+    leaf_labels = {(t, v): w for t, layer in enumerate(labels) for v, w in enumerate(layer)
+                   if t == m or transitions[t][v] is None}
+    bp = BranchingProgram(learner.n, m, tuple(len(l) for l in layers), tuple(transitions),
+                          leaf_labels)
+    return bp, AffineLabels(tuple(tuple(layer) for layer in labels))
+
+
+def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, AffineLabels]:
+    """Affine program that intersects every consistent constraint into its
+    label, stopping (leaf) once the dimension hits k: the Gaussian
+    learner, stopped once its rank reaches n - k."""
+    return learner_program_with_labels(
+        gaussian_learner(n), m, stop=lambda state: len(_decode_rows(state, n + 1)) >= n - k)
+
+
+def selective_recorder_program(n: int, m: int,
+                               trigger: int) -> tuple[BranchingProgram, AffineLabels]:
+    """Affine program that records the constraint only when a equals the
+    trigger vector; everything else passes through: the Gaussian learner
+    stepped on the trigger's samples only."""
+    learner = gaussian_learner(n)
+
+    def step(state: int, a: int, b: int) -> int:
+        return learner.step(state, a, b) if a == trigger else state
+
+    return learner_program_with_labels(replace(learner, step=step, batch=None), m)

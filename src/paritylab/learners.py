@@ -195,7 +195,7 @@ def prefix_pivot_learner(n: int) -> Learner:
     State: k plus the k x (n-k) trailing block plus the k right-hand
     bits, packed row by row at the current k's widths.
     """
-    counter_bits = max(1, (n + 1 - 1).bit_length())
+    counter_bits = max(1, n.bit_length())
 
     def unpack(state: int) -> tuple[int, list[int]]:
         """k and the full augmented rows e_i | tail << k, i < k."""
@@ -368,9 +368,12 @@ def simulate_success(learner: Learner, m: int, trials: int,
     return hits
 
 
-def learner_state_layers(learner: Learner, m: int) -> tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]:
-    """Breadth-first reachable states per layer plus the transition rows."""
-    return unroll(learner.n, m, learner.initial_state, learner.step)
+def learner_state_layers(learner: Learner, m: int,
+                         stop: Callable[[int], bool] | None = None,
+                         ) -> tuple[list[list[int]], list[tuple[tuple[int, ...] | None, ...]]]:
+    """Breadth-first reachable states per layer plus the transition rows;
+    states with stop(state) become early leaves (see bp.unroll)."""
+    return unroll(learner.n, m, learner.initial_state, learner.step, stop)
 
 
 def estimate_sample_complexity(learner: Learner, target: float,

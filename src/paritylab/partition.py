@@ -9,7 +9,7 @@ a partial grouping map sigma with small undefined mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distributions import (
     SubspaceMixture,
@@ -132,18 +132,16 @@ class SubspacePartition:
 
     Membership in a group means sigma(w) = representative; subspaces in
     ``residual`` (and any subspace contained in no representative) are the
-    ones on which sigma stays undefined.  ``sigma`` maps every support
-    member to its representative, or to None for residual members; it
-    agrees with ``assign`` on the support, since a member taken in round
-    i lay in no earlier representative (an earlier round would have taken
-    it) and a residual member lies in none.
+    ones on which sigma stays undefined.  On the support, group membership
+    agrees with ``assign``: a member taken in round i lay in no earlier
+    representative (an earlier round would have taken it), and a residual
+    member lies in none.
     """
 
     n: int
     r: float
     groups: tuple[PartitionGroup, ...]
     residual: tuple[tuple[AffineSubspace, float], ...]
-    sigma: dict[AffineSubspace, AffineSubspace | None] = field(compare=False, repr=False)
 
     @property
     def residual_mass(self) -> float:
@@ -176,15 +174,11 @@ def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:
     support = mix.support
     rounds, residual = _partition_ids(mix.n, [hyperplane_keys(w) for w, _ in support],
                                       [p for _, p in support], r)
-    groups: list[PartitionGroup] = []
-    sigma: dict[AffineSubspace, AffineSubspace | None] = {}
-    for chosen, taken in rounds:
-        s = keys_subspace(mix.n, chosen)
-        groups.append(PartitionGroup(s, tuple(support[i][0] for i in taken),
-                                     tuple(support[i][1] for i in taken)))
-        sigma.update((support[i][0], s) for i in taken)
-    sigma.update((support[i][0], None) for i in residual)
-    return SubspacePartition(mix.n, r, tuple(groups), tuple(support[i] for i in residual), sigma)
+    groups = tuple(PartitionGroup(keys_subspace(mix.n, chosen),
+                                  tuple(support[i][0] for i in taken),
+                                  tuple(support[i][1] for i in taken))
+                   for chosen, taken in rounds)
+    return SubspacePartition(mix.n, r, groups, tuple(support[i] for i in residual))
 
 
 def group_count_bound(n: int, r: float, k: int) -> float:

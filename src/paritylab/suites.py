@@ -6,7 +6,7 @@ ok flag; the CLI and the acceptance tests drive these directly.
 
 from __future__ import annotations
 
-from .bp import validate_affine
+from .bp import forward_tables, validate_affine
 from .distributions import SLACK, check_fourier_closeness
 from .generators import (
     derived_rng,
@@ -19,7 +19,7 @@ from .generators import (
 )
 from .gf2 import is_subset
 from .learners import gaussian_learner
-from .lowerbound import trim_to_min_dimension
+from .lowerbound import reach_probability_bound, trim_to_min_dimension
 from .partition import build_partition, group_count_bound
 from .reduction import ReductionParams, reduce_to_affine
 
@@ -143,9 +143,6 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
     One validation and one forward sweep per program; per-vertex reach
     probabilities are then direct table lookups.
     """
-    from .bp import forward_tables
-    from .lowerbound import reach_probability_bound
-
     count = 0
     failures = []
     min_margin = float("inf")

@@ -6,15 +6,16 @@ dict, finds the heaviest one with its own dict argmax, and recurses in
 projected coordinates through project_out and lift_back.  The reduction
 reference runs the layer loop on AffineSubspace keys: per label its edge
 subspaces, per vertex a SubspaceMixture.from_pairs, the tuple partition,
-and edges routed through sigma and SubspacePartition.assign.  Both are
-kept deliberately close to the first implementations, so that any change
-to the fast paths is checked against code that shares none of their
-logic.
+and edges routed through sigma and SubspacePartition.assign.  The
+recorder reference unrolls machines whose state is an AffineSubspace,
+stepped through intersect_hyperplane.  All are kept deliberately close
+to the first implementations, so that any change to the fast paths is
+checked against code that shares none of their logic.
 """
 
 from types import SimpleNamespace
 
-from paritylab.bp import AffineLabels, BranchingProgram
+from paritylab.bp import AffineLabels, BranchingProgram, unroll
 from paritylab.distributions import SubspaceMixture
 from paritylab.gf2 import (
     AffineSubspace,
@@ -99,7 +100,7 @@ def tuple_build_partition(mix, r):
     """Reference for build_partition on tuple keys."""
     n = mix.n
     remaining = [(w, p, tuple_keys(w)) for w, p in mix.support]
-    groups, sigma = [], {}
+    groups = []
     while (total := sum(p for _, p, _ in remaining)) > 2.0 ** (-2 * n):
         s = tuple_find_rep(n, [keys for _, _, keys in remaining],
                            [p / total for _, p, _ in remaining], r)
@@ -108,9 +109,7 @@ def tuple_build_partition(mix, r):
         remaining = [member for member in remaining if not s_keys <= member[2]]
         groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
                                      tuple(p for _, p, _ in taken)))
-        sigma.update((w, s) for w, _, _ in taken)
-    sigma.update((w, None) for w, _, _ in remaining)
-    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining), sigma)
+    return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining))
 
 
 def edge_spaces(lab):
@@ -124,13 +123,15 @@ def edge_spaces(lab):
     return pairs
 
 
-def object_reduce(bp, r, partition=tuple_build_partition):
+def object_reduce(bp, r, scan_all=False):
     """Reference for reduce_to_affine's layer loop on AffineSubspace keys.
 
-    Returns the program, labels, gamma, ideal marginals and group counts
-    it builds, every (mixture, partition) it makes, in layer and vertex
-    order, and every (edge subspace, representative or None) that a
-    zero-mass edge subspace gets from SubspacePartition.assign.
+    An edge subspace in a partition's support goes to its member's group
+    (sigma), any other one through SubspacePartition.assign; scan_all
+    sends every edge through assign.  Returns the program, labels, gamma,
+    ideal marginals and group counts it builds, every (mixture, partition)
+    it makes, in layer and vertex order, and every (edge subspace,
+    representative or None) that assign gives.
     """
     n, m = bp.n, bp.m
     full = AffineSubspace.full(n)
@@ -152,16 +153,21 @@ def object_reduce(bp, r, partition=tuple_build_partition):
                         acc = mass[v_orig]
                         acc[w_e] = acc.get(w_e, 0.0) + q_u * p_cond * scale
 
-        parts, slot_of, star_slot = [], [], []
+        parts, sigmas, slot_of, star_slot = [], [], [], []
         new_labels, new_gamma, new_q, counts = [], [], [], []
         for v in range(bp.layer_sizes[j]):
             total = sum(mass[v].values())
             part = None
             if total > 0.0:
                 mixture = SubspaceMixture.from_pairs(n, list(mass[v].items()))
-                part = partition(mixture, r)
+                part = tuple_build_partition(mixture, r)
                 partitions.append((mixture, part))
             parts.append(part)
+            sigma = {}
+            if part is not None and not scan_all:
+                sigma = {w: g.representative for g in part.groups for w in g.members}
+                sigma.update((w, None) for w, _ in part.residual)
+            sigmas.append(sigma)
             slots = {}
             if part is not None:
                 for g in part.groups:
@@ -184,8 +190,8 @@ def object_reduce(bp, r, partition=tuple_build_partition):
                 part = parts[v_orig]
                 target = None
                 if part is not None and p_cond:
-                    if w_e in part.sigma:
-                        rep = part.sigma[w_e]
+                    if w_e in sigmas[v_orig]:
+                        rep = sigmas[v_orig][w_e]
                     else:
                         rep = part.assign(w_e)
                         scanned.append((w_e, rep))
@@ -219,7 +225,37 @@ def assert_same_reduction(red, ref):
 
 
 def assert_same_partition(part, ref):
-    """Equal groups (representatives, members, float masses), residual,
-    and sigma in insertion order."""
+    """Equal groups (representatives, members, float masses, in order)
+    and residual."""
     assert part == ref
-    assert list(part.sigma.items()) == list(ref.sigma.items())
+
+
+def _recorder_step(w, a, b):
+    """Intersect a consistent constraint into w; skip an inconsistent one."""
+    nxt = intersect_hyperplane(w, a, b)
+    return w if nxt.is_empty else nxt
+
+
+def _self_labeled(n, layers, transitions):
+    m = len(transitions)
+    leaf_labels = {(t, v): w for t, layer in enumerate(layers) for v, w in enumerate(layer)
+                   if t == m or transitions[t][v] is None}
+    bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
+    return bp, AffineLabels(tuple(tuple(layer) for layer in layers))
+
+
+def object_greedy_recorder(n, m, k):
+    """Reference greedy recorder: every consistent constraint, stopping
+    once the dimension is at most k."""
+    layers, transitions = unroll(n, m, AffineSubspace.full(n), _recorder_step,
+                                 stop=lambda w: w.dim <= k)
+    return _self_labeled(n, layers, transitions)
+
+
+def object_selective_recorder(n, m, trigger):
+    """Reference selective recorder: the constraints with a == trigger."""
+    def step(w, a, b):
+        return _recorder_step(w, a, b) if a == trigger else w
+
+    layers, transitions = unroll(n, m, AffineSubspace.full(n), step)
+    return _self_labeled(n, layers, transitions)

@@ -63,6 +63,30 @@ class TestCryptoCommands:
         assert code == 0
         assert dec.read_bytes() == src.read_bytes()
 
+    def test_header_n_limit(self, tmp_path, capsys):
+        """n = 65535, the largest n the 2-byte header holds, round-trips;
+        n = 65536 stops encrypt with one error line, before the output
+        file is opened."""
+        src = tmp_path / "msg.bin"
+        enc = tmp_path / "msg.bsc"
+        dec = tmp_path / "msg.out"
+        src.write_bytes(b"xy")
+        _, out, _ = run_cli(capsys, "crypto", "keygen", "--n", "65535", "--seed", "7")
+        key = json.loads(out)["key"]
+        assert run_cli(capsys, "crypto", "encrypt", "--key", key, "--n", "65535", "--in",
+                       str(src), "--out", str(enc), "--seed", "9")[0] == 0
+        assert run_cli(capsys, "crypto", "decrypt", "--key", key, "--n", "65535", "--in",
+                       str(enc), "--out", str(dec))[0] == 0
+        assert dec.read_bytes() == src.read_bytes()
+        enc.unlink()
+        code, _, err = run_cli(capsys, "crypto", "encrypt", "--key", "00" * 8192,
+                               "--n", "65536", "--in", str(src), "--out", str(enc),
+                               "--seed", "9")
+        assert code == 1
+        assert err.splitlines() == [
+            "error: n = 65536 exceeds the stream header's 2-byte limit (n <= 65535)"]
+        assert not enc.exists()
+
     def test_attack_report(self, tmp_path, capsys):
         out_path = tmp_path / "attack.json"
         code, _, _ = run_cli(capsys, "crypto", "attack", "--n", "5",

@@ -266,20 +266,18 @@ class TestBuildPartition:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
            r_frac=st.sampled_from([0.5, 0.75, 1.0]))
     def test_sigma_is_earliest_containing_representative(self, seed, n, r_frac):
+        """Every member of group i lies in representative i and in no
+        earlier one, every residual member in none, and assign agrees."""
         mix = random_mixture(n, np.random.default_rng(seed), max_members=16)
         part = build_partition(mix, r_frac * n)
-
-        def earliest(w):
-            for g in part.groups:
-                if is_subset(w, g.representative):
-                    return g.representative
-            return None
-
-        assert set(part.sigma) == {w for w, _ in mix.support}
-        for w, _ in mix.support:
-            assert part.sigma[w] == earliest(w)
+        reps = [g.representative for g in part.groups]
+        for i, g in enumerate(part.groups):
+            for w in g.members:
+                assert [is_subset(w, s) for s in reps[:i + 1]] == [False] * i + [True]
+                assert part.assign(w) == reps[i]
         for w, _ in part.residual:
-            assert part.sigma[w] is None
+            assert not any(is_subset(w, s) for s in reps)
+            assert part.assign(w) is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

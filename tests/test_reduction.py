@@ -1,9 +1,8 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import assert_same_reduction, object_reduce, tuple_build_partition
+from oracles import assert_same_reduction, object_reduce
 
 from paritylab.bp import BranchingProgram, to_json_dict, validate_affine
 from paritylab.generators import random_program
@@ -113,8 +112,7 @@ class TestRandomPrograms:
         reps = [rep for _, rep in ref.scanned]
         assert None in reps and any(rep is not None for rep in reps)
         assert_same_reduction(red, ref)
-        all_scan = object_reduce(bp, 2.0, lambda mix, r: replace(tuple_build_partition(mix, r),
-                                                                 sigma={}))
+        all_scan = object_reduce(bp, 2.0, scan_all=True)
         assert len(all_scan.scanned) > len(ref.scanned)
         assert_same_reduction(red, all_scan)
 
