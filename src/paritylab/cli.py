@@ -25,7 +25,7 @@ from .learners import (
 )
 from .lowerbound import reach_probability_bound, tradeoff_exponent
 from .reduction import ReductionParams, reduce_to_affine
-from .suites import R_FRACS, run_all_suites
+from .suites import run_all_suites
 
 LEARNER_FACTORIES = {
     "gaussian": gaussian_learner,
@@ -74,7 +74,7 @@ def key_from_hex(text: str, n: int) -> BitVector:
 
 def _cmd_verify_lemmas(args) -> int:
     report = run_all_suites(args.seed, args.trials, ns=(args.n,) if args.n else None,
-                            r_fracs=R_FRACS if args.r is None else (args.r / args.n,))
+                            rs=None if args.r is None else (args.r,))
     emit_report(report, args.format, args.out)
     return 0 if report["ok"] else 1
 

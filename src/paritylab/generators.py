@@ -4,6 +4,7 @@ greedy and selective recorders) used across the test suites."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Callable
 
@@ -139,9 +140,12 @@ def learner_program_with_labels(learner: Learner, m: int,
     Sound when every step keeps label(u) ∩ {x : a.x = b} inside the next
     state's label: the row-reduction learners qualify, and so does the
     window attacker, since evicting an equation only enlarges the label.
+    The output is computed once per distinct state, which the vertices of
+    different layers can share.
     """
     layers, transitions = learner_state_layers(learner, m, stop)
-    labels = [[learner.output(state) for state in layer] for layer in layers]
+    output = functools.cache(learner.output)
+    labels = [[output(state) for state in layer] for layer in layers]
     leaf_labels = {(t, v): w for t, layer in enumerate(labels) for v, w in enumerate(layer)
                    if t == m or transitions[t][v] is None}
     bp = BranchingProgram(learner.n, m, tuple(len(l) for l in layers), tuple(transitions),

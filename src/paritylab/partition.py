@@ -28,10 +28,21 @@ def exponent_sum(r: float, terms: int) -> float:
     return terms * r - terms * (terms - 1) / 4.0
 
 
-def _find_ids(n: int, keys: list[frozenset[int]], probs: list[float],
-              r: float) -> tuple[list[int], list[int]]:
+def _image(key: int, keys: list, probs: list[float]) -> tuple[list[list[int]], list[float]]:
+    """The members holding key, one level down: their masses renormalized
+    in member order, and their key ids clear of key's pivot bit (the
+    lowest set bit of its a), in the same order."""
+    a = key >> 1
+    pivot = (a & -a) << 1
+    mass = sum(probs)
+    return [[k for k in ids if not k & pivot] for ids in keys], [p / mass for p in probs]
+
+
+def _find_ids(n: int, keys: list, probs: list[float], r: float,
+              levels: int) -> tuple[list[int], list[int]]:
     """The recursion of find_representative_subspace, in the original
-    coordinates, on members given by their key ids and probabilities.
+    coordinates, on members given by their key ids and probabilities,
+    for at most ``levels`` levels.
 
     Returns the chosen key ids, one per level, and the positions of the
     members holding every one of them, in member order: the members
@@ -44,20 +55,72 @@ def _find_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     """
     chosen: list[int] = []
     inside = list(range(len(keys)))
-    for _ in range(n):
+    for _ in range(levels):
         a, b, top = heaviest_hyperplane(key_table(n, keys, probs))
         if top <= 2.0 ** (-r):
             break
         key = (a << 1) | b
         chosen.append(key)
-        pivot = (a & -a) << 1
         kept = [j for j, ids in enumerate(keys) if key in ids]
-        mass = sum([probs[j] for j in kept])
         inside = [inside[j] for j in kept]
-        probs = [probs[j] / mass for j in kept]
-        keys = [[k for k in keys[j] if not k & pivot] for j in kept]
+        keys, probs = _image(key, [keys[j] for j in kept], [probs[j] for j in kept])
         r -= 0.5
     return chosen, inside
+
+
+class _RunningTable:
+    """Level 0 of the partition rounds over the live members: per key id,
+    the exact int sum of their masses over one power-of-two denominator
+    (units), and the members holding it, in member order (postings)."""
+
+    def __init__(self, n: int, keys: list, masses: list[float], ids: list[int]):
+        ratios = [masses[j].as_integer_ratio() for j in ids]
+        shift = max(d.bit_length() for _, d in ratios)
+        self.keys = keys
+        self.n_live = len(ids)
+        self.smallest = min([masses[j] for j in ids if masses[j]], default=0.0)
+        self.ints = [0] * len(keys)
+        self.units = [0] * (2 << n)
+        self.postings: list[list[int]] = [[] for _ in self.units]
+        for j, (num, d) in zip(ids, ratios):
+            self.ints[j] = num << (shift - d.bit_length())
+            for k in keys[j]:
+                self.units[k] += self.ints[j]
+                self.postings[k].append(j)
+
+    def remove(self, taken: list[int]) -> None:
+        self.n_live -= len(taken)
+        for j in taken:
+            for k in self.keys[j]:
+                self.units[k] -= self.ints[j]
+
+    def floor(self, top: int, total: float) -> int:
+        """The least units[k] of a cell that can hold the first maximum of
+        the float table: ceil(top (1 - rho) / (1 + rho)), with
+        rho = (2 n_live + 4) 2^-53; 1, so every nonzero cell, while the
+        smallest nonzero mass lies below 2^-1000 total."""
+        if self.smallest * 2.0 ** 1000 < total:
+            return 1
+        c = 2 * self.n_live + 4
+        return -(-top * ((1 << 53) - c) // ((1 << 53) + c))
+
+    def first_max(self, masses: list[float], live: list[bool],
+                  total: float) -> tuple[float, int, list[int], list[float]]:
+        """The float table's first maximum at a != 0 and its cell: (mass,
+        key id, the cell's live members, their masses / total), in member
+        order; (0.0, 0, [], []) when every cell is 0."""
+        top, key, members, qs = 0.0, 0, [], []
+        if top_units := max(self.units):
+            floor = self.floor(top_units, total)
+            for k in [k for k, u in enumerate(self.units) if u >= floor]:
+                cell = self.postings[k] = [j for j in self.postings[k] if live[j]]
+                cell_qs = [masses[j] / total for j in cell]
+                t = 0.0
+                for q in cell_qs:
+                    t += q
+                if t > top:
+                    top, key, members, qs = t, k, cell, cell_qs
+        return top, key, members, qs
 
 
 def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
@@ -67,23 +130,67 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     Returns, per round, the chosen key ids of the representative and the
     indices of the members it takes, in member order, and the indices
     of the residual members.
+
+    Each round runs find_representative_subspace's recursion on the live
+    members, renormalized by their total (summed in member order), and
+    reproduces its floats exactly.  The first round, and each later one
+    while the live members hold at most 2^(n+1) key ids (the table's
+    size), is that recursion itself, one key_table per level.  After
+    that, level 0, the only level that sees every live member, runs on
+    a _RunningTable built once from the members left: each mass is an
+    int over their common power-of-two denominator D, units[k] is the
+    exact sum over the live members holding key id k, and each taken
+    member is subtracted from its keys once.
+
+    The recursion's float cell at k, the member-order sum of
+    probs[j] / total over the cell's live members, is within a relative
+    gamma_{2N} of units[k] / (D * sum of live masses), N live members:
+    N - 1 roundings in the total, one per quotient, and fewer than N in
+    the cell's sum.  With rho = (2N + 4) 2^-53 >= gamma_{2N}, a cell with
+    units[k] (1 + rho) < max(units) (1 - rho) lies strictly below the
+    float of the top cell, so it cannot be the first maximum.  The cells
+    that pass this exact int test are re-summed from the posting lists
+    in member order, as the recursion sums them: their first maximum is
+    the recursion's, with the same float to meet 2^-r.  The bound is
+    relative, so it holds only while every quotient is normal; while
+    some mass lies below 2^-1000 total, every nonzero cell is re-summed.
+    Levels >= 1 are _find_ids on the chosen key's members.
     """
     check_r(n, r)
     target = 2.0 ** (-2 * n)
+    threshold = 2.0 ** (-r)
     round_cap = math.ceil(group_count_bound(n, r, 0)) + 1
-    remaining = list(range(len(keys)))
+    masses = list(probs)  # a taken member's mass becomes 0.0, which sums exactly
+    live = [True] * len(keys)
+    table = None
     rounds: list[tuple[list[int], list[int]]] = []
-    while (total := sum(probs)) > target:
+    while (total := sum(masses)) > target:
         if len(rounds) >= round_cap:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
-        chosen, inside = _find_ids(n, keys, [p / total for p in probs], r)
-        rounds.append((chosen, [remaining[j] for j in inside]))
-        taken = set(inside)
-        rest = [j for j in range(len(remaining)) if j not in taken]
-        remaining = [remaining[j] for j in rest]
-        keys = [keys[j] for j in rest]
-        probs = [probs[j] for j in rest]
-    return rounds, remaining
+        if table is None:
+            ids = [j for j, alive in enumerate(live) if alive]
+            if rounds and sum([len(keys[j]) for j in ids]) > 2 << n:
+                table = _RunningTable(n, keys, masses, ids)
+        else:
+            table.remove(taken)  # the previous round's
+        if table is None:
+            chosen, inside = _find_ids(n, [keys[j] for j in ids],
+                                       [masses[j] / total for j in ids], r, n)
+            taken = [ids[i] for i in inside]
+        else:
+            top, key, members, qs = table.first_max(masses, live, total)
+            if top > threshold:
+                chosen, inside = _find_ids(n, *_image(key, [keys[j] for j in members], qs),
+                                           r - 0.5, n - 1)
+                chosen.insert(0, key)
+                taken = [members[i] for i in inside]
+            else:
+                chosen, taken = [], [j for j, alive in enumerate(live) if alive]
+        rounds.append((chosen, taken))
+        for j in taken:
+            live[j] = False
+            masses[j] = 0.0
+    return rounds, [j for j, alive in enumerate(live) if alive]
 
 
 def find_representative_subspace(
@@ -99,7 +206,7 @@ def find_representative_subspace(
     """
     check_r(mix.n, r)
     chosen, inside = _find_ids(mix.n, [hyperplane_keys(w) for w, _ in mix.support],
-                               [p for _, p in mix.support], r)
+                               [p for _, p in mix.support], r, mix.n)
     kept = [mix.support[i] for i in inside]
     mass = sum(p for _, p in kept)
     conditioned = SubspaceMixture(mix.n, tuple((w, p / mass) for w, p in kept))

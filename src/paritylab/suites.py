@@ -26,18 +26,28 @@ from .reduction import ReductionParams, reduce_to_affine
 R_FRACS = (0.5, 0.75, 1.0)  # the r / n cells of the Fourier and partition suites
 
 
+def _cells(count: int, ns: tuple[int, ...], r_fracs: tuple[float, ...],
+           rs: tuple[float, ...] | None) -> list[tuple[int, float]]:
+    """The (n, r) of each instance: n cycles through ns, and r through
+    the absolute rs when given, else through r_fracs times n."""
+    cells = []
+    for i in range(count):
+        n, j = ns[i % len(ns)], i // len(ns)
+        cells.append((n, rs[j % len(rs)] if rs else r_fracs[j % len(r_fracs)] * n))
+    return cells
+
+
 def fourier_suite(count: int, seed: int,
                   ns: tuple[int, ...] = (3, 4, 5, 6),
-                  r_fracs: tuple[float, ...] = R_FRACS) -> dict:
+                  r_fracs: tuple[float, ...] = R_FRACS,
+                  rs: tuple[float, ...] | None = None) -> dict:
     """Random hypothesis-satisfying mixtures: the mixture law must sit
     strictly inside 2^{-(r - n/2)} of uniform every single time."""
     rng = derived_rng(seed, 1)
     cases = []
     failures = []
     min_margin = float("inf")
-    for i in range(count):
-        n = ns[i % len(ns)]
-        r = r_fracs[(i // len(ns)) % len(r_fracs)] * n
+    for n, r in _cells(count, ns, r_fracs, rs):
         mix = random_hypothesis_mixture(n, r, rng)
         check = check_fourier_closeness(mix, r)
         margin = check.bound - check.distance
@@ -60,15 +70,14 @@ def fourier_suite(count: int, seed: int,
 
 def partition_suite(count: int, seed: int,
                     ns: tuple[int, ...] = (2, 3, 4, 5),
-                    r_fracs: tuple[float, ...] = R_FRACS) -> dict:
+                    r_fracs: tuple[float, ...] = R_FRACS,
+                    rs: tuple[float, ...] | None = None) -> dict:
     """Random mixtures: all four grouping properties, checked exactly."""
     rng = derived_rng(seed, 2)
     failures = []
     worst_residual = 0.0
     min_group_margin = float("inf")
-    for i in range(count):
-        n = ns[i % len(ns)]
-        r = r_fracs[(i // len(ns)) % len(r_fracs)] * n
+    for n, r in _cells(count, ns, r_fracs, rs):
         mix = random_mixture(n, rng)
         part = build_partition(mix, r)
         problems = []
@@ -179,12 +188,14 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
 
 
 def run_all_suites(seed: int, trials: int, ns: tuple[int, ...] | None = None,
-                   r_fracs: tuple[float, ...] = R_FRACS) -> dict:
+                   rs: tuple[float, ...] | None = None) -> dict:
+    """Every suite; the Fourier and partition suites run at the absolute
+    rs when given, else at the R_FRACS cells."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     reports = {
-        "fourier": fourier_suite(trials, seed, ns=ns or (3, 4, 5, 6), r_fracs=r_fracs),
-        "partition": partition_suite(trials, seed, ns=ns or (2, 3, 4, 5), r_fracs=r_fracs),
+        "fourier": fourier_suite(trials, seed, ns=ns or (3, 4, 5, 6), rs=rs),
+        "partition": partition_suite(trials, seed, ns=ns or (2, 3, 4, 5), rs=rs),
         "reduction": reduction_suite(max(4, trials // 8), seed, ns=ns or (2, 3, 4)),
         "reach_bound": reach_bound_suite(seed, ns=ns or (2, 3, 4)),
     }

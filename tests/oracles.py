@@ -3,20 +3,24 @@ compare the package against.
 
 The partition reference keys its hyperplane tables by tuples (a, b) in a
 dict, finds the heaviest one with its own dict argmax, and recurses in
-projected coordinates through project_out and lift_back.  The reduction
-reference runs the layer loop on AffineSubspace keys: per label its edge
-subspaces, per vertex a SubspaceMixture.from_pairs, the tuple partition,
-and edges routed through sigma and SubspacePartition.assign.  The
-recorder reference unrolls machines whose state is an AffineSubspace,
-stepped through intersect_hyperplane.  All are kept deliberately close
-to the first implementations, so that any change to the fast paths is
+projected coordinates through project_out and lift_back.  The per-round
+partition core re-tabulates every remaining member, renormalized, in
+every round: the form that the package's running level-0 table must
+reproduce round for round.  The reduction reference runs the layer loop
+on AffineSubspace keys: per label its edge subspaces, per vertex a
+SubspaceMixture.from_pairs, the tuple partition, and edges routed
+through sigma and SubspacePartition.assign.  The recorder reference
+unrolls machines whose state is an AffineSubspace, stepped through
+intersect_hyperplane, and the labelled-program reference calls a
+learner's output once per vertex.  All are kept deliberately close to
+the first implementations, so that any change to the fast paths is
 checked against code that shares none of their logic.
 """
 
 from types import SimpleNamespace
 
 from paritylab.bp import AffineLabels, BranchingProgram, unroll
-from paritylab.distributions import SubspaceMixture
+from paritylab.distributions import SubspaceMixture, heaviest_hyperplane, key_table
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
@@ -110,6 +114,44 @@ def tuple_build_partition(mix, r):
         groups.append(PartitionGroup(s, tuple(w for w, _, _ in taken),
                                      tuple(p for _, p, _ in taken)))
     return SubspacePartition(n, r, tuple(groups), tuple((w, p) for w, p, _ in remaining))
+
+
+def per_round_find_ids(n, keys, probs, r):
+    """The partition recursion on key ids in the original coordinates:
+    a full key_table per level, in member order."""
+    chosen = []
+    inside = list(range(len(keys)))
+    for _ in range(n):
+        a, b, top = heaviest_hyperplane(key_table(n, keys, probs))
+        if top <= 2.0 ** (-r):
+            break
+        key = (a << 1) | b
+        chosen.append(key)
+        pivot = (a & -a) << 1
+        kept = [j for j, ids in enumerate(keys) if key in ids]
+        mass = sum([probs[j] for j in kept])
+        inside = [inside[j] for j in kept]
+        probs = [probs[j] / mass for j in kept]
+        keys = [[k for k in keys[j] if not k & pivot] for j in kept]
+        r -= 0.5
+    return chosen, inside
+
+
+def per_round_partition_ids(n, keys, probs, r):
+    """Reference for partition._partition_ids: every round renormalizes
+    the remaining members by their member-order total and runs the
+    recursion on all of them, level 0 included."""
+    remaining = list(range(len(keys)))
+    rounds = []
+    while (total := sum(probs)) > 2.0 ** (-2 * n):
+        chosen, inside = per_round_find_ids(n, keys, [p / total for p in probs], r)
+        rounds.append((chosen, [remaining[j] for j in inside]))
+        taken = set(inside)
+        rest = [j for j in range(len(remaining)) if j not in taken]
+        remaining = [remaining[j] for j in rest]
+        keys = [keys[j] for j in rest]
+        probs = [probs[j] for j in rest]
+    return rounds, remaining
 
 
 def edge_spaces(lab):
@@ -242,6 +284,14 @@ def _self_labeled(n, layers, transitions):
                    if t == m or transitions[t][v] is None}
     bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
     return bp, AffineLabels(tuple(tuple(layer) for layer in layers))
+
+
+def per_vertex_program_with_labels(learner, m, stop=None):
+    """Reference for learner_program_with_labels: learner.output once per
+    vertex."""
+    layers, transitions = unroll(learner.n, m, learner.initial_state, learner.step, stop)
+    return _self_labeled(learner.n, [[learner.output(s) for s in layer] for layer in layers],
+                         transitions)
 
 
 def object_greedy_recorder(n, m, k):

@@ -5,7 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import object_greedy_recorder, object_selective_recorder
+from oracles import (
+    object_greedy_recorder,
+    object_selective_recorder,
+    per_vertex_program_with_labels,
+)
 
 from paritylab.bp import (
     _SCATTER_CELLS,
@@ -39,7 +43,13 @@ from paritylab.gf2 import (
     is_subset,
     parity,
 )
-from paritylab.learners import gaussian_learner
+from paritylab.crypto import window_attacker
+from paritylab.learners import (
+    exhaustive_learner,
+    gaussian_learner,
+    learner_state_layers,
+    prefix_pivot_learner,
+)
 from paritylab.reduction import ReductionParams, reduce_to_affine
 
 
@@ -477,6 +487,35 @@ class TestRecorderOracle:
         for n, m, trigger in cases:
             assert (to_json_dict(*selective_recorder_program(n, m, trigger))
                     == to_json_dict(*object_selective_recorder(n, m, trigger))), (n, m, trigger)
+
+
+class TestLabelledPrograms:
+    """learner_program_with_labels computes each distinct state's output
+    once; the program and labels equal the per-vertex builder's."""
+
+    @pytest.mark.parametrize("make", [gaussian_learner, prefix_pivot_learner,
+                                      exhaustive_learner, lambda n: window_attacker(n, 2 * n + 2)])
+    def test_matches_per_vertex_builder(self, make):
+        for n in (2, 3, 4):
+            for m in range(4):
+                learner = make(n)
+                calls = []
+                counted = replace(learner, output=lambda s, f=learner.output: calls.append(s) or f(s))
+                built = learner_program_with_labels(counted, m)
+                assert to_json_dict(*built) == to_json_dict(*per_vertex_program_with_labels(learner, m))
+                layers, _ = learner_state_layers(learner, m)
+                assert sorted(calls) == sorted({s for layer in layers for s in layer})
+
+    def test_shared_states_on_validation_shapes(self):
+        """The Gaussian shapes of the benchmark's validation slots unroll to
+        866 vertices over 556 distinct states."""
+        vertices = states = 0
+        for n in (3, 4):
+            for m in (2, 3):
+                layers, _ = learner_state_layers(gaussian_learner(n), m)
+                vertices += sum(len(layer) for layer in layers)
+                states += len({s for layer in layers for s in layer})
+        assert (vertices, states) == (866, 556)
 
 
 class TestLayerAccuracy:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from paritylab import suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
+from paritylab.distributions import FourierCheck
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
 
@@ -155,8 +157,8 @@ class TestVerifyLemmas:
         single (n, r) cell, and the report is the four suites' reports."""
         seed, trials, n, r = 7, 12, 3, 2.25
         expected = {
-            "fourier": suites.fourier_suite(trials, seed, ns=(n,), r_fracs=(r / n,)),
-            "partition": suites.partition_suite(trials, seed, ns=(n,), r_fracs=(r / n,)),
+            "fourier": suites.fourier_suite(trials, seed, ns=(n,), rs=(r,)),
+            "partition": suites.partition_suite(trials, seed, ns=(n,), rs=(r,)),
             "reduction": suites.reduction_suite(max(4, trials // 8), seed, ns=(n,)),
             "reach_bound": suites.reach_bound_suite(seed, ns=(n,)),
         }
@@ -173,6 +175,30 @@ class TestVerifyLemmas:
         report = {"seed": seed, "trials": trials, "suites": expected,
                   "ok": all(rep["ok"] for rep in expected.values())}
         assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_r_round_trips(self, capsys, monkeypatch):
+        """The suites run at the requested --r itself, not at (r / n) * n:
+        every one-decimal r in [n/2, 2n] at n = 2..8 comes back unchanged
+        in the report's failure entries (27 of them would not through the
+        fraction).  Every instance is stubbed to fail, so each entry
+        carries its r."""
+        monkeypatch.setattr(suites, "random_hypothesis_mixture", lambda n, r, rng: None)
+        monkeypatch.setattr(suites, "check_fourier_closeness",
+                            lambda mix, r: FourierCheck(False, 1.0, 1.0, 0.0, None))
+        monkeypatch.setattr(suites, "random_mixture", lambda n, rng: None)
+        monkeypatch.setattr(suites, "build_partition", lambda mix, r: SimpleNamespace(
+            residual_mass=1.0, groups=(), representatives_with_dim_at_least=lambda k: 0))
+        monkeypatch.setattr(suites, "reduction_suite", lambda *args, **kwargs: {"ok": True})
+        monkeypatch.setattr(suites, "reach_bound_suite", lambda *args, **kwargs: {"ok": True})
+        for n in range(2, 9):
+            for tenths in range(5 * n, 20 * n + 1):
+                text = f"{tenths / 10:.1f}"
+                code, out, _ = run_cli(capsys, "verify-lemmas", "--n", str(n), "--r", text,
+                                       "--seed", "1", "--trials", "1")
+                doc = json.loads(out)
+                assert code == 1
+                for name in ("fourier", "partition"):
+                    assert doc["suites"][name]["failures"][0]["r"] == float(text), (n, text)
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from oracles import (
     assert_same_reduction,
     lift_back,
     object_reduce,
+    per_round_partition_ids,
     project_out,
     tuple_build_partition,
     tuple_find_rep,
@@ -16,6 +17,7 @@ from oracles import (
     tuple_project_keys,
 )
 
+from paritylab import partition
 from paritylab.bp import BranchingProgram
 from paritylab.distributions import (
     SubspaceMixture,
@@ -29,10 +31,12 @@ from paritylab.generators import random_mixture, random_subspace
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
+    hyperplane_keys,
     intersect_hyperplane,
     is_subset,
 )
 from paritylab.partition import (
+    _partition_ids,
     build_partition,
     exponent_sum,
     find_representative_subspace,
@@ -67,17 +71,27 @@ def shaped_program(n, sizes, rng):
     return BranchingProgram(n, m, tuple(sizes), transitions, labels)
 
 
-def decimal_mixture(n, rng):
-    """Distinct random subspaces with masses k/10 normalized: sums of
-    such masses round, so their value depends on the summation order."""
+def distinct_subspaces(n, count, rng):
     ws = []
-    while len(ws) < 8:
+    while len(ws) < count:
         w = random_subspace(n, rng)
         if w not in ws:
             ws.append(w)
+    return ws
+
+
+def decimal_mixture(n, rng, count=8):
+    """Distinct random subspaces with masses k/10 normalized: sums of
+    such masses round, so their value depends on the summation order."""
+    ws = distinct_subspaces(n, count, rng)
     ps = [int(k) / 10 for k in rng.integers(1, 4, len(ws))]
     total = sum(ps)
     return SubspaceMixture(n, tuple((w, p / total) for w, p in zip(ws, ps)))
+
+
+def with_masses(members, masses):
+    total = sum(masses)
+    return SubspaceMixture(members[0].n, tuple((w, p / total) for w, p in zip(members, masses)))
 
 
 class TestConcentration:
@@ -292,14 +306,24 @@ class TestBuildPartition:
             build_partition(mix, 0.9)
 
 
+def check_rounds(n, keys, probs, r):
+    """The running level-0 table gives the per-round core's rounds: the
+    same chosen key ids and taken members in every round, and the same
+    residual."""
+    assert _partition_ids(n, keys, probs, r) == per_round_partition_ids(n, keys, probs, r)
+
+
 def check_partition(mix, r):
     assert_same_partition(build_partition(mix, r), tuple_build_partition(mix, r))
+    check_rounds(mix.n, [hyperplane_keys(w) for w, _ in mix.support],
+                 [p for _, p in mix.support], r)
 
 
 class TestPartitionOracle:
     """build_partition on int key ids, recursing in the original
     coordinates, against the tuple keyed dict tables and projections:
-    same groups, float for float."""
+    same groups, float for float; and its core's rounds against the
+    per-round core's."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_mixtures(self, n):
@@ -319,6 +343,8 @@ class TestPartitionOracle:
         assert max(len(mix.support) for mix, _ in ref.partitions) > 100
         for mix, part in ref.partitions:
             assert_same_partition(build_partition(mix, 4.0), part)
+            check_rounds(4, [hyperplane_keys(w) for w, _ in mix.support],
+                         [p for _, p in mix.support], 4.0)
 
     @pytest.mark.parametrize("members,r", [
         # (a, 0) and (a, 1) tie; b = 0 is taken first
@@ -348,6 +374,124 @@ class TestPartitionOracle:
                 order_sensitive += (find_representative_subspace(mix, r)[0]
                                     != find_representative_subspace(flipped, r)[0])
         assert order_sensitive > 0
+
+
+@pytest.fixture
+def table_tops(monkeypatch):
+    """The float top of every round that runs on the running table."""
+    tops = []
+    original = partition._RunningTable.first_max
+
+    def recorded(self, *args):
+        out = original(self, *args)
+        tops.append(out[0])
+        return out
+
+    monkeypatch.setattr(partition._RunningTable, "first_max", recorded)
+    return tops
+
+
+class TestRunningTable:
+    """From the second round on, _partition_ids keeps one exact int table
+    and re-sums only the cells that can hold the float first maximum;
+    these cases stress that choice against the per-round core and the
+    tuple oracle, and check that rounds on the table ran."""
+
+    def test_dominant_member_ties(self, table_tops):
+        """A heavy point lies in 2^n - 1 hyperplanes, every one of them
+        holding the top mass, exactly tied where no light member adds to
+        it.  Two heavy points: the second one's ties meet the table."""
+        rng = np.random.default_rng(21)
+        for i in range(30):
+            n = 3 + i % 3
+            ws = distinct_subspaces(n, 10, rng)
+            points = [AffineSubspace.point(n, z) for z in range(1 << n)]
+            heavy = [w for w in points if w not in ws][:2]
+            mix = with_masses(heavy + ws, [0.45, 0.45] + [0.1 / len(ws)] * len(ws))
+            for r in (n / 2, 0.75 * n, float(n), 2.0 * n):
+                check_partition(mix, r)
+        assert table_tops
+
+    def test_top_within_one_ulp_of_threshold(self, table_tops):
+        """r put so that 2^-r is a table round's top or one of its float
+        neighbours: the cut meets the same float."""
+        rng = np.random.default_rng(23)
+        hits = set()
+        for i in range(30):
+            n = 3 + i % 2
+            mix = decimal_mixture(n, rng, count=16)
+            table_tops.clear()
+            check_partition(mix, float(n))
+            for top in {t for t in table_tops if t > 0.0}:
+                for x in (top, math.nextafter(top, 0.0), math.nextafter(top, 1.0)):
+                    r = -math.log2(x)
+                    for cand in (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)):
+                        if not n / 2 <= cand <= 2 * n:
+                            continue
+                        table_tops.clear()
+                        check_partition(mix, cand)
+                        for t in table_tops:
+                            gap = 2.0 ** (-cand) - t
+                            if abs(gap) <= math.ulp(t):
+                                hits.add((gap > 0) - (gap < 0))
+        assert hits == {-1, 0, 1}
+
+    def test_wide_common_denominator(self, table_tops):
+        """Masses 2^-60 apart: exact cell sums differ below the floats'
+        last place, so the exactly larger cell can lose a float tie.  A
+        heavy point goes in the first round; the two half spaces tie in a
+        table round, one of them 2^-60 heavier through a line inside it."""
+        n = 3
+        a_line = intersect_hyperplane(half_space(n, "100", 0), bv("001"), 0)
+        b_line = intersect_hyperplane(half_space(n, "010", 0), bv("001"), 1)
+        others = [AffineSubspace.point(n, bv("111")), AffineSubspace.point(n, bv("110"))]
+        for tiny in (a_line, b_line):
+            members = [AffineSubspace.point(n, bv("101")), half_space(n, "100", 0),
+                       half_space(n, "010", 0), tiny] + others
+            mix = with_masses(members, [1.0, 0.5, 0.5, 2.0 ** -60, 0.01, 0.01])
+            for r in (1.5, 2.0, 3.0):
+                table_tops.clear()
+                check_partition(mix, r)
+                assert table_tops
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            n = 2 + i % 4
+            ws = distinct_subspaces(n, 8, rng)
+            exps = rng.integers(0, 61, len(ws))
+            mix = with_masses(ws, [1.0 + 2.0 ** -int(e) if e % 2 else 2.0 ** -int(e)
+                                   for e in exps])
+            for r in (n / 2, 0.75 * n, float(n)):
+                check_partition(mix, r)
+
+    def test_keyless_members(self):
+        """Members with no keys (the full space) leave every cell at 0:
+        one round takes them all under the full space."""
+        check_rounds(3, [frozenset()] * 3, [0.5, 0.25, 0.25], 3.0)
+        assert _partition_ids(3, [frozenset()] * 3, [0.5, 0.25, 0.25], 3.0) == \
+            ([([], [0, 1, 2])], [])
+        check_partition(SubspaceMixture(3, ((AffineSubspace.full(3), 1.0),)), 3.0)
+
+    def test_subnormal_quotients_resum_every_cell(self, monkeypatch):
+        """A mass below 2^-1000 of the total can give a subnormal quotient,
+        outside the relative bound: those rounds re-sum every nonzero cell."""
+        floors = []
+        original = partition._RunningTable.floor
+
+        def recorded(*args):
+            floors.append(original(*args))
+            return floors[-1]
+
+        monkeypatch.setattr(partition._RunningTable, "floor", recorded)
+        rng = np.random.default_rng(31)
+        for i in range(12):
+            n = 2 + i % 3
+            ws = distinct_subspaces(n, 10, rng)
+            masses = [float(p) for p in rng.random(len(ws)) + 0.05]
+            masses[int(rng.integers(0, len(ws)))] = 2.0 ** -1060
+            mix = with_masses(ws, masses)
+            for r in (n / 2, float(n)):
+                check_partition(mix, r)
+        assert floors.count(1) > 10
 
 
 class TestGeometricSum:
