@@ -73,20 +73,18 @@ class _RunningTable:
     the exact int sum of their masses over one power-of-two denominator
     (units), and the members holding it, in member order (postings)."""
 
-    def __init__(self, n: int, keys: list, masses: list[float], ids: list[int]):
-        ratios = [masses[j].as_integer_ratio() for j in ids]
-        shift = max(d.bit_length() for _, d in ratios)
+    def __init__(self, n: int, keys: list, masses: list[float]):
+        ratios = [p.as_integer_ratio() for p in masses]
+        shift = max([d for _, d in ratios], default=1).bit_length()
         self.keys = keys
-        self.n_live = len(ids)
-        self.smallest = min([masses[j] for j in ids if masses[j]], default=0.0)
-        self.ints = [0] * len(keys)
+        self.n_live = len(keys)
+        self.ints = [num << (shift - d.bit_length()) for num, d in ratios]
         self.units = [0] * (2 << n)
-        self.postings: list[list[int]] = [[] for _ in self.units]
-        for j, (num, d) in zip(ids, ratios):
-            self.ints[j] = num << (shift - d.bit_length())
-            for k in keys[j]:
+        self.postings: dict[int, list[int]] = {}
+        for j, ids in enumerate(keys):
+            for k in ids:
                 self.units[k] += self.ints[j]
-                self.postings[k].append(j)
+                self.postings.setdefault(k, []).append(j)
 
     def remove(self, taken: list[int]) -> None:
         self.n_live -= len(taken)
@@ -94,13 +92,10 @@ class _RunningTable:
             for k in self.keys[j]:
                 self.units[k] -= self.ints[j]
 
-    def floor(self, top: int, total: float) -> int:
+    def floor(self, top: int) -> int:
         """The least units[k] of a cell that can hold the first maximum of
         the float table: ceil(top (1 - rho) / (1 + rho)), with
-        rho = (2 n_live + 4) 2^-53; 1, so every nonzero cell, while the
-        smallest nonzero mass lies below 2^-1000 total."""
-        if self.smallest * 2.0 ** 1000 < total:
-            return 1
+        rho = (2 n_live + 4) 2^-53."""
         c = 2 * self.n_live + 4
         return -(-top * ((1 << 53) - c) // ((1 << 53) + c))
 
@@ -111,7 +106,7 @@ class _RunningTable:
         order; (0.0, 0, [], []) when every cell is 0."""
         top, key, members, qs = 0.0, 0, [], []
         if top_units := max(self.units):
-            floor = self.floor(top_units, total)
+            floor = self.floor(top_units)
             for k in [k for k, u in enumerate(self.units) if u >= floor]:
                 cell = self.postings[k] = [j for j in self.postings[k] if live[j]]
                 cell_qs = [masses[j] / total for j in cell]
@@ -121,6 +116,14 @@ class _RunningTable:
                 if t > top:
                     top, key, members, qs = t, k, cell, cell_qs
         return top, key, members, qs
+
+
+# The running table pays for itself once the members hold more key ids
+# than this many times its 2^(n+1) cells.  Per-call timings of both
+# level-0 forms on the benchmark's partitions (BENCH_partition_rounds.json):
+# below 4 the table costs 11-39% more than a key_table per round, from 4
+# to 6 the two are even, above 6 the table saves 12-60%.
+_TABLE_MIN_IDS = 4
 
 
 def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
@@ -133,14 +136,14 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
 
     Each round runs find_representative_subspace's recursion on the live
     members, renormalized by their total (summed in member order), and
-    reproduces its floats exactly.  The first round, and each later one
-    while the live members hold at most 2^(n+1) key ids (the table's
-    size), is that recursion itself, one key_table per level.  After
-    that, level 0, the only level that sees every live member, runs on
-    a _RunningTable built once from the members left: each mass is an
-    int over their common power-of-two denominator D, units[k] is the
-    exact sum over the live members holding key id k, and each taken
-    member is subtracted from its keys once.
+    reproduces its floats exactly.  Small member sets run that recursion
+    itself every round, one key_table per level.  Once the members hold
+    more than _TABLE_MIN_IDS times 2^(n+1) key ids, level 0, the only
+    level that sees every live member, runs on one _RunningTable
+    instead: each mass is an int over their common power-of-two
+    denominator D, units[k] is the exact sum over the live members
+    holding key id k, and each taken member is subtracted from its keys
+    once.
 
     The recursion's float cell at k, the member-order sum of
     probs[j] / total over the cell's live members, is within a relative
@@ -152,9 +155,11 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     that pass this exact int test are re-summed from the posting lists
     in member order, as the recursion sums them: their first maximum is
     the recursion's, with the same float to meet 2^-r.  The bound is
-    relative, so it holds only while every quotient is normal; while
-    some mass lies below 2^-1000 total, every nonzero cell is re-summed.
-    Levels >= 1 are _find_ids on the chosen key's members.
+    relative, so it holds only while every quotient is normal: a member
+    set with a mass below 2^-1000 of its total is re-tabulated every
+    round (the total only falls and the smallest live mass only rises,
+    so the first round decides).  Levels >= 1 are _find_ids on the
+    chosen key's members.
     """
     check_r(n, r)
     target = 2.0 ** (-2 * n)
@@ -163,17 +168,15 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     masses = list(probs)  # a taken member's mass becomes 0.0, which sums exactly
     live = [True] * len(keys)
     table = None
+    if (sum(map(len, keys)) > _TABLE_MIN_IDS << (n + 1)
+            and min([p for p in probs if p], default=0.0) * 2.0 ** 1000 >= sum(probs)):
+        table = _RunningTable(n, keys, masses)
     rounds: list[tuple[list[int], list[int]]] = []
     while (total := sum(masses)) > target:
         if len(rounds) >= round_cap:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
         if table is None:
             ids = [j for j, alive in enumerate(live) if alive]
-            if rounds and sum([len(keys[j]) for j in ids]) > 2 << n:
-                table = _RunningTable(n, keys, masses, ids)
-        else:
-            table.remove(taken)  # the previous round's
-        if table is None:
             chosen, inside = _find_ids(n, [keys[j] for j in ids],
                                        [masses[j] / total for j in ids], r, n)
             taken = [ids[i] for i in inside]
@@ -186,6 +189,7 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
                 taken = [members[i] for i in inside]
             else:
                 chosen, taken = [], [j for j, alive in enumerate(live) if alive]
+            table.remove(taken)
         rounds.append((chosen, taken))
         for j in taken:
             live[j] = False

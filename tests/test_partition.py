@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,10 +308,14 @@ class TestBuildPartition:
 
 
 def check_rounds(n, keys, probs, r):
-    """The running level-0 table gives the per-round core's rounds: the
-    same chosen key ids and taken members in every round, and the same
-    residual."""
-    assert _partition_ids(n, keys, probs, r) == per_round_partition_ids(n, keys, probs, r)
+    """Both level-0 forms give the per-round core's rounds: the same
+    chosen key ids and taken members in every round, and the same
+    residual.  A zero size threshold puts every member set with a key id
+    on the running table."""
+    expected = per_round_partition_ids(n, keys, probs, r)
+    assert _partition_ids(n, keys, probs, r) == expected
+    with mock.patch.object(partition, "_TABLE_MIN_IDS", 0):
+        assert _partition_ids(n, keys, probs, r) == expected
 
 
 def check_partition(mix, r):
@@ -391,11 +396,44 @@ def table_tops(monkeypatch):
     return tops
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The (n, member count) of every _RunningTable built."""
+    built = []
+    original = partition._RunningTable.__init__
+
+    def recorded(self, n, keys, masses):
+        built.append((n, len(keys)))
+        original(self, n, keys, masses)
+
+    monkeypatch.setattr(partition._RunningTable, "__init__", recorded)
+    return built
+
+
 class TestRunningTable:
-    """From the second round on, _partition_ids keeps one exact int table
-    and re-sums only the cells that can hold the float first maximum;
-    these cases stress that choice against the per-round core and the
-    tuple oracle, and check that rounds on the table ran."""
+    """Large member sets keep one exact int table and re-sum only the
+    cells that can hold the float first maximum; these cases stress that
+    choice against the per-round core and the tuple oracle (check_rounds
+    also forces the table on every member set), and check that rounds on
+    the table ran."""
+
+    def test_size_picks_the_table(self, tables_built):
+        """The table is built once the members hold more than
+        _TABLE_MIN_IDS * 2^(n+1) key ids: at n = 4, 8 points hold 120 of
+        the 128 allowed, 9 points 135."""
+        n = 4
+        assert partition._TABLE_MIN_IDS << (n + 1) == 128
+        for count in (8, 9):
+            keys = [hyperplane_keys(AffineSubspace.point(n, z)) for z in range(count)]
+            _partition_ids(n, keys, [1.0 / count] * count, 3.0)
+        assert tables_built == [(4, 9)]
+
+    def test_heavy_reduction_mixtures_use_the_table(self, tables_built):
+        """The benchmark's heavy reductions put their large partitions on
+        the table at the default threshold."""
+        bp = shaped_program(4, (1, 6, 6, 6), np.random.default_rng(19))
+        reduce_to_affine(bp, ReductionParams(4.0))
+        assert max(count for _, count in tables_built) > 100
 
     def test_dominant_member_ties(self, table_tops):
         """A heavy point lies in 2^n - 1 hyperplanes, every one of them
@@ -471,27 +509,24 @@ class TestRunningTable:
             ([([], [0, 1, 2])], [])
         check_partition(SubspaceMixture(3, ((AffineSubspace.full(3), 1.0),)), 3.0)
 
-    def test_subnormal_quotients_resum_every_cell(self, monkeypatch):
+    def test_subnormal_quotients_retabulate(self, tables_built, monkeypatch):
         """A mass below 2^-1000 of the total can give a subnormal quotient,
-        outside the relative bound: those rounds re-sum every nonzero cell."""
-        floors = []
-        original = partition._RunningTable.floor
-
-        def recorded(*args):
-            floors.append(original(*args))
-            return floors[-1]
-
-        monkeypatch.setattr(partition._RunningTable, "floor", recorded)
+        outside the relative bound: such member sets re-tabulate level 0
+        every round, even where their size would pick the table."""
+        monkeypatch.setattr(partition, "_TABLE_MIN_IDS", 0)
         rng = np.random.default_rng(31)
         for i in range(12):
             n = 2 + i % 3
             ws = distinct_subspaces(n, 10, rng)
             masses = [float(p) for p in rng.random(len(ws)) + 0.05]
-            masses[int(rng.integers(0, len(ws)))] = 2.0 ** -1060
-            mix = with_masses(ws, masses)
-            for r in (n / 2, float(n)):
-                check_partition(mix, r)
-        assert floors.count(1) > 10
+            tiny = int(rng.integers(0, len(ws)))
+            for p in (2.0 ** -1060, 2.0 ** -990):
+                masses[tiny] = p
+                mix = with_masses(ws, masses)
+                tables_built.clear()
+                for r in (n / 2, float(n)):
+                    check_partition(mix, r)
+                assert bool(tables_built) == (p > 2.0 ** -1000)
 
 
 class TestGeometricSum:
