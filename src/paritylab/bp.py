@@ -273,17 +273,14 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     return AffineValidation(not violations, violations, notes)
 
 
-def layer_accuracy(bp: BranchingProgram, labels: AffineLabels) -> list[float]:
+def layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
+                   tables: list[np.ndarray]) -> list[float]:
     """Per layer t: E over the layer-t vertex of the l1 distance between
     the conditional key law and the uniform law on the vertex label.
 
-    One forward sweep serves every layer.
+    tables is bp's forward sweep (forward_tables), which serves every
+    layer.
     """
-    return _layer_accuracy(bp, labels, forward_tables(bp))
-
-
-def _layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
-                    tables: list[np.ndarray]) -> list[float]:
     if bp.has_early_leaves():
         raise ValueError("layer accuracy is defined only when all leaves "
                          "are in the last layer")

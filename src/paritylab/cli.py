@@ -145,16 +145,16 @@ def _cmd_crypto(args) -> int:
     raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")
 
 
-def _dimension(low: int) -> Callable[[str], int]:
-    """argparse type of an --n flag: an integer >= low."""
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type of an --n or --seed flag: an integer >= low."""
     def parse(text: str) -> int:
         try:
-            n = int(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        return n
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
     return parse
 
 
@@ -168,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="run the property suites")
     # the reduction suite's r = n/2 + 1 must not exceed n
-    p.add_argument("--n", type=_dimension(2), default=None)
+    p.add_argument("--n", type=_at_least(2), default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_verify_lemmas)
@@ -184,17 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("tradeoff", help="sample-complexity sweep to CSV")
-    p.add_argument("--n", type=_dimension(1), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--learners", default="gaussian,prefix,exhaustive")
     p.add_argument("--target", type=float, default=0.9)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--m-cap", type=int, default=1 << 16)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tradeoff)
 
     p = sub.add_parser("bounds", help="reach-probability bound / exponent tables")
-    p.add_argument("--n", type=_dimension(1), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
@@ -206,32 +206,32 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="crypto_cmd", required=True)
 
     c = csub.add_parser("keygen")
-    c.add_argument("--n", type=_dimension(1), required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--n", type=_at_least(1), required=True)
+    c.add_argument("--seed", type=_at_least(0), required=True)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("encrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_dimension(1), required=True)
+    c.add_argument("--n", type=_at_least(1), required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_at_least(0), required=True)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("decrypt")
     c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_dimension(1), required=True)
+    c.add_argument("--n", type=_at_least(1), required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_crypto)
 
     c = csub.add_parser("attack")
-    c.add_argument("--n", type=_dimension(1), required=True)
+    c.add_argument("--n", type=_at_least(1), required=True)
     c.add_argument("--memory-bits", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--trials", type=int, default=2000)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_at_least(0), required=True)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_crypto)
 

@@ -74,8 +74,9 @@ class TradeoffPoint:
                 f"{self.success:.6f},{self.ci_halfwidth:.6f},{self.seed}")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials

@@ -43,33 +43,33 @@ class ReachBoundReport:
     exact: float
     bound: float
     ok: bool
-    precondition_ok: bool
-    affine_ok: bool
 
     def to_dict(self) -> dict:
         return {
             "vertex": list(self.vertex), "k": self.k,
             "exact": self.exact, "bound": self.bound,
             "margin": self.bound - self.exact, "ok": self.ok,
-            "precondition_ok": self.precondition_ok, "affine_ok": self.affine_ok,
         }
 
 
-def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels,
-                          k: int) -> tuple[BranchingProgram, AffineLabels]:
+def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels, k: int,
+                          ) -> tuple[BranchingProgram, AffineLabels, list[list[int]]]:
     """Make every dimension-k vertex a leaf and drop vertices below k.
 
-    Since label dimension falls by at most one per step and edges into a
-    lower-dimension vertex from a retained one can only carry an empty
-    edge subspace (never traversed on consistent streams), rerouting those
+    Empty-labelled vertices lie below every k and are dropped too.  Since
+    label dimension falls by at most one per step and edges into a
+    dropped vertex from a retained one can only carry an empty edge
+    subspace (never traversed on consistent streams), rerouting those
     edges to the first retained vertex keeps the program sound and leaves
-    every reach probability unchanged.
+    every reach probability unchanged.  Also returns, per layer, the
+    original index of each retained vertex.
     """
     keep: list[list[int]] = [[] for _ in range(bp.m + 1)]
     index: dict[tuple[int, int], int] = {}
     for t in range(bp.m + 1):
         for v in range(bp.layer_sizes[t]):
-            if labels.get(t, v).dim >= k:
+            lab = labels.get(t, v)
+            if not lab.is_empty and lab.dim >= k:
                 index[(t, v)] = len(keep[t])
                 keep[t].append(v)
     if not all(keep):
@@ -93,55 +93,48 @@ def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels,
             if t == bp.m or transitions[t][i] is None:
                 leaf_labels[(t, i)] = labels.get(t, v)
     trimmed = BranchingProgram(bp.n, bp.m, new_sizes, tuple(transitions), leaf_labels)
-    return trimmed, new_labels
+    return trimmed, new_labels, keep
 
 
 def verify_reach_bound(bp: BranchingProgram, labels: AffineLabels,
-                       vertex: tuple[int, int], trim: bool = False) -> ReachBoundReport:
-    """Exact reach probability of a dimension-k vertex versus the bound.
+                       k: int) -> tuple[bool, list[ReachBoundReport]]:
+    """Exact reach probability of every dimension-k vertex versus the bound.
 
-    Requires every vertex label to have dimension at least k; with
-    trim=True the program is first cut down to that regime.
+    The program is cut down to its labels of dimension >= k
+    (trim_to_min_dimension), validated once and swept forward once.
+    Returns the validation verdict and, when it holds, one report per
+    dimension-k vertex, named by its (t, v) in bp.
     """
-    t_v, v_v = vertex
-    k = labels.get(t_v, v_v).dim
-    if trim:
-        bp, labels = trim_to_min_dimension(bp, labels, k)
-    affine_ok = validate_affine(bp, labels).ok
-    precondition_ok = all(
-        labels.get(t, v).dim >= k
-        for t in range(bp.m + 1) for v in range(bp.layer_sizes[t]))
-    if not (affine_ok and precondition_ok):
-        return ReachBoundReport(vertex, k, float("nan"), float("nan"),
-                                ok=False, precondition_ok=precondition_ok,
-                                affine_ok=affine_ok)
-    tables = forward_tables(bp)
-    exact = float(tables[t_v][v_v].sum())
-    bound = reach_probability_bound(bp.n, bp.m, k) if k < bp.n else 1.0
-    return ReachBoundReport(vertex, k, exact, bound,
-                            ok=exact <= bound + SLACK,
-                            precondition_ok=True, affine_ok=True)
+    bound = reach_probability_bound(bp.n, bp.m, k)
+    trimmed, tlabels, keep = trim_to_min_dimension(bp, labels, k)
+    if not validate_affine(trimmed, tlabels).ok:
+        return False, []
+    tables = forward_tables(trimmed)
+    reports = []
+    for t, kept in enumerate(keep):
+        for i, v in enumerate(kept):
+            if tlabels.get(t, i).dim == k:
+                exact = float(tables[t][i].sum())
+                reports.append(ReachBoundReport((t, v), k, exact, bound,
+                                                ok=exact <= bound + SLACK))
+    return True, reports
 
 
-def tradeoff_exponent(c: float, alpha: float, n: int,
-                      m_exp: float | None = None,
-                      d_exp: float | None = None) -> dict:
+def tradeoff_exponent(c: float, alpha: float, n: int) -> dict:
     """Exponent arithmetic for the width x reach-probability budget.
 
-    With length 2^{m_exp * n} and width 2^{d_exp * n^2} (defaulting to
-    2^{alpha n} and 2^{c n^2}), grouping strength r = (1/2 + 2 alpha) n
-    and dimension threshold k = (4/5) n, multiplies the dimension-k
-    vertex-count cap by the per-vertex reach bound and reports the closed
-    form 4nm * 2^{n^2 (c + (3/5) alpha - 1/20 + 3/(20n))} next to it.
+    With length 2^{alpha n} and width 2^{c n^2}, grouping strength
+    r = (1/2 + 2 alpha) n and dimension threshold k = (4/5) n, multiplies
+    the dimension-k vertex-count cap by the per-vertex reach bound and
+    reports the closed form 4nm * 2^{n^2 (c + (3/5) alpha - 1/20 + 3/(20n))}
+    next to it.
     Everything is carried in log2 to survive large n.
     """
-    m_exp = alpha if m_exp is None else m_exp
-    d_exp = c if d_exp is None else d_exp
     k = 0.8 * n
     r = (0.5 + 2 * alpha) * n
     t = n - k
-    log2_m = m_exp * n
-    log2_d = d_exp * n * n
+    log2_m = alpha * n
+    log2_d = c * n * n
     count_log2 = math.log2(4 * n) + (t * r - t * (t - 1) / 4.0) + log2_d + log2_m
     reach_log2 = t * log2_m + (t * (n - 2 * k) - t * (t - 1) / 2.0)
     product_log2 = count_log2 + reach_log2

@@ -20,10 +20,10 @@ from .bp import (
     BranchingProgram,
     _check_dp_cost,
     _check_layer_edges,
-    _layer_accuracy,
     _output_dimensions,
     check_dp_budget,
     forward_tables,
+    layer_accuracy,
     success_probability,
     validate_affine,
 )
@@ -286,7 +286,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
     # inductive and the output-dimension checks.
     tables = forward_tables(program)
     accuracy_checks = []
-    for t, acc in enumerate(_layer_accuracy(program, labels, tables)):
+    for t, acc in enumerate(layer_accuracy(program, labels, tables)):
         bound = min(eps, 2.0)
         accuracy_checks.append(BoundCheck(
             f"accuracy[t={t}]", acc, bound, binding=eps < 2.0,

@@ -6,7 +6,6 @@ ok flag; the CLI and the acceptance tests drive these directly.
 
 from __future__ import annotations
 
-from .bp import forward_tables, validate_affine
 from .distributions import SLACK, check_fourier_closeness
 from .generators import (
     derived_rng,
@@ -19,7 +18,7 @@ from .generators import (
 )
 from .gf2 import is_subset
 from .learners import gaussian_learner
-from .lowerbound import reach_probability_bound, trim_to_min_dimension
+from .lowerbound import verify_reach_bound
 from .partition import build_partition, group_count_bound
 from .reduction import ReductionParams, reduce_to_affine
 
@@ -112,15 +111,15 @@ def partition_suite(count: int, seed: int,
 
 
 def reduction_suite(count: int, seed: int,
-                    ns: tuple[int, ...] = (2, 3, 4),
-                    m_max: int = 3, width_max: int = 8) -> dict:
-    """Random programs through the affine simulation, fully re-verified."""
+                    ns: tuple[int, ...] = (2, 3, 4)) -> dict:
+    """Random programs of length 1-3 and width 2-8 through the affine
+    simulation, fully re-verified."""
     rng = derived_rng(seed, 3)
     failures = []
     for i in range(count):
         n = int(ns[i % len(ns)])
-        m = int(rng.integers(1, m_max + 1))
-        width = int(rng.integers(2, width_max + 1))
+        m = int(rng.integers(1, 4))
+        width = int(rng.integers(2, 9))
         r = float(n) if i % 2 == 0 else n / 2 + 1.0
         bp = random_program(n, m, width, rng)
         red = reduce_to_affine(bp, ReductionParams(r))
@@ -149,8 +148,7 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
     """Constructed affine programs: every vertex at the minimum label
     dimension obeys the reach-probability cap.
 
-    One validation and one forward sweep per program; per-vertex reach
-    probabilities are then direct table lookups.
+    Each program is checked once by lowerbound.verify_reach_bound.
     """
     count = 0
     failures = []
@@ -161,22 +159,16 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
         k = min(dims) if k_hint is None else k_hint
         if k >= bp.n:
             continue
-        trimmed, tlabels = trim_to_min_dimension(bp, labels, k)
-        if not validate_affine(trimmed, tlabels).ok:
+        affine, reports = verify_reach_bound(bp, labels, k)
+        if not affine:
             failures.append({"n": bp.n, "k": k, "problem": "not affine"})
             continue
-        tables = forward_tables(trimmed)
-        bound = reach_probability_bound(trimmed.n, trimmed.m, k)
-        for t in range(trimmed.m + 1):
-            for v in range(trimmed.layer_sizes[t]):
-                if tlabels.get(t, v).dim != k:
-                    continue
-                exact = float(tables[t][v].sum())
-                count += 1
-                min_margin = min(min_margin, bound - exact)
-                if not exact <= bound + SLACK:
-                    failures.append({"n": trimmed.n, "k": k, "vertex": [t, v],
-                                     "exact": exact, "bound": bound})
+        for rep in reports:
+            count += 1
+            min_margin = min(min_margin, rep.bound - rep.exact)
+            if not rep.ok:
+                failures.append({"n": bp.n, "k": k, "vertex": list(rep.vertex),
+                                 "exact": rep.exact, "bound": rep.bound})
     return {
         "suite": "reach_bound",
         "count": count,

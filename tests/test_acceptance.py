@@ -79,7 +79,7 @@ def test_criterion_2_partition_properties():
 
 def test_criterion_3_reduction_bounds():
     start = time.time()
-    rep = reduction_suite(50, SEED, ns=(2, 3, 4), m_max=3, width_max=8)
+    rep = reduction_suite(50, SEED, ns=(2, 3, 4))
     elapsed = time.time() - start
     ok = rep["ok"] and rep["passed"] == 50 and elapsed < 120.0
     report(3, ok, f"{rep['passed']}/50 random programs reduce to verified "

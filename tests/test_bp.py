@@ -523,13 +523,13 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels)[0] == 0.0
+        assert layer_accuracy(bp, labels, forward_tables(bp))[0] == 0.0
 
     def test_matching_labels_zero(self):
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels)[1] == pytest.approx(0.0, abs=1e-12)
+        assert layer_accuracy(bp, labels, forward_tables(bp))[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_labels_after_one_equation(self):
         """Enumeration oracle at n=2: conditioned on a layer-1 vertex
@@ -540,7 +540,7 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(n, 1)
         full = AffineSubspace.full(n)
         labels = AffineLabels(((full,), (full,) * 8))
-        got = layer_accuracy(bp, labels)[1]
+        got = layer_accuracy(bp, labels, forward_tables(bp))[1]
 
         counts = {}
         for x in range(4):
@@ -565,7 +565,7 @@ class TestLayerAccuracy:
                               {(0, 0): AffineSubspace.full(n), (2, 0): AffineSubspace.full(n)})
         labels = AffineLabels(((AffineSubspace.full(n),),) * 3)
         with pytest.raises(ValueError):
-            layer_accuracy(bp, labels)
+            layer_accuracy(bp, labels, forward_tables(bp))
 
 
 class TestSoundnessInvariant:

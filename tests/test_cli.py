@@ -450,3 +450,15 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, "crypto", sub, "--n", "-1", *flags)
         assert code == 2
         assert "argument --n: must be at least 1, got -1" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("case", [
+        ["verify-lemmas", "--n", "2", "--trials", "2"],
+        ["tradeoff", "--n", "2"],
+        ["crypto", "keygen", "--n", "8"],
+        ["crypto", "encrypt", "--n", "8", "--key", "00", "--in", "x", "--out", "y"],
+        ["crypto", "attack", "--n", "4", "--memory-bits", "8", "--m", "2"],
+    ], ids=" ".join)
+    def test_seed_range_named(self, capsys, case):
+        code, _, err = run_cli(capsys, *case, "--seed", "-1")
+        assert code == 2 and "Traceback" not in err
+        assert "argument --seed: must be at least 0, got -1" in err.splitlines()[-1]

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paritylab.bp import forward_tables, validate_affine
+from paritylab.bp import AffineLabels, BranchingProgram, forward_tables, validate_affine
 from paritylab.generators import (
     greedy_recorder_program,
     learner_program_with_labels,
+    random_program,
     selective_recorder_program,
 )
+from paritylab.gf2 import AffineSubspace
 from paritylab.learners import gaussian_learner
 from paritylab.lowerbound import (
     reach_probability_bound,
@@ -17,6 +19,7 @@ from paritylab.lowerbound import (
     trim_to_min_dimension,
     verify_reach_bound,
 )
+from paritylab.reduction import ReductionParams, reduce_to_affine
 
 
 class TestBoundFormula:
@@ -48,25 +51,45 @@ class TestBoundFormula:
             assert reach_probability_bound(n, m, k) == pytest.approx(direct)
 
 
+def _empty_labelled_program():
+    """n = 2, m = 1, layer sizes (1, 3): the start row sends key id 0 to
+    vertex 0, id 1 (a = 0, b = 1, which no key satisfies) to the
+    Empty-labelled vertex 1 and every other id to vertex 2."""
+    n = 2
+    full = AffineSubspace.full(n)
+    row = (0, 1) + (2,) * ((2 << n) - 2)
+    bp = BranchingProgram(n, 1, (1, 3), ((row,),),
+                          {(1, 0): full, (1, 1): AffineSubspace.empty(n), (1, 2): full})
+    labels = AffineLabels(((full,), (full, AffineSubspace.empty(n), full)))
+    return bp, labels
+
+
+def _reduction(seed: int):
+    bp = random_program(3, 2, 3, np.random.default_rng(seed))
+    red = reduce_to_affine(bp, ReductionParams(3.0))
+    return red.program, red.labels
+
+
 class TestVerifyReachBound:
     def test_selective_recorder(self):
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
         k = n - 1
+        affine, reports = verify_reach_bound(bp, labels, k)
+        assert affine
         # the dim-k vertices are the ones that recorded the constraint
-        for t in range(m + 1):
-            for v in range(bp.layer_sizes[t]):
-                if labels.get(t, v).dim != k:
-                    continue
-                rep = verify_reach_bound(bp, labels, (t, v))
-                assert rep.precondition_ok and rep.affine_ok
-                assert rep.ok
-                # recording needs the trigger at some step: probability
-                # 1 - (1 - 2^{-n})^t of having seen it
-                expected = 0.0 if t == 0 else 1 - (1 - 2.0 ** (-n)) ** t
-                assert rep.exact <= expected + 1e-9
+        assert [rep.vertex for rep in reports] == [
+            (t, v) for t in range(m + 1) for v in range(bp.layer_sizes[t])
+            if labels.get(t, v).dim == k]
+        for rep in reports:
+            assert rep.ok
+            # recording needs the trigger at some step: probability
+            # 1 - (1 - 2^{-n})^t of having seen it
+            t = rep.vertex[0]
+            expected = 0.0 if t == 0 else 1 - (1 - 2.0 ** (-n)) ** t
+            assert rep.exact <= expected + 1e-9
 
-    def test_precondition_violation_reported_and_trim_fixes(self):
+    def test_trim_cuts_below_k(self):
         n, m, k = 3, 3, 2
         bp, labels = greedy_recorder_program(n, m, 0)  # goes below dim 2
         target = None
@@ -77,46 +100,84 @@ class TestVerifyReachBound:
                     break
             if target:
                 break
-        rep = verify_reach_bound(bp, labels, target)
-        assert not rep.precondition_ok
-        rep2 = verify_reach_bound(bp, labels, target, trim=True)
-        assert rep2.precondition_ok and rep2.ok
+        affine, reports = verify_reach_bound(bp, labels, k)
+        assert affine
+        assert target in [rep.vertex for rep in reports]
+        assert all(rep.ok for rep in reports)
 
     def test_one_forced_step_near_start(self):
         n = 3
         bp, labels = greedy_recorder_program(n, 2, n - 1)
+        affine, reports = verify_reach_bound(bp, labels, n - 1)
+        assert affine
         found = 0
-        for v in range(bp.layer_sizes[1]):
-            if labels.get(1, v).dim == n - 1:
-                rep = verify_reach_bound(bp, labels, (1, v))
+        for rep in reports:
+            if rep.vertex[0] == 1:
                 assert rep.ok
                 found += 1
         assert found > 0
 
     def test_soundness_fault_blocks_bound_check(self):
-        from paritylab.bp import AffineLabels
-        from paritylab.gf2 import AffineSubspace
-
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
         broken_layers = [list(layer) for layer in labels.labels]
         for v in range(bp.layer_sizes[1]):
             if labels.get(1, v).dim == n - 1:
                 broken_layers[1][v] = AffineSubspace.point(n, 0)
-                target = (1, v)
                 break
         broken = AffineLabels(tuple(tuple(layer) for layer in broken_layers))
-        rep = verify_reach_bound(bp, broken, target)
-        assert not rep.affine_ok and not rep.ok
+        affine, reports = verify_reach_bound(bp, broken, 0)
+        assert not affine and reports == []
 
     def test_report_dict(self):
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
-        for v in range(bp.layer_sizes[m]):
-            if labels.get(m, v).dim == n - 1:
-                doc = verify_reach_bound(bp, labels, (m, v)).to_dict()
-                assert doc["ok"] and doc["margin"] >= 0
-                break
+        _, reports = verify_reach_bound(bp, labels, n - 1)
+        last = [rep for rep in reports if rep.vertex[0] == m]
+        assert last
+        doc = last[0].to_dict()
+        assert doc["ok"] and doc["margin"] >= 0
+        assert set(doc) == {"vertex", "k", "exact", "bound", "margin", "ok"}
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reports_name_vertices_of_the_program_passed_in(self, seed, k):
+        """Each report's exact mass is the trimmed program's forward mass
+        at the vertex it names, found by counting the retained vertices
+        before it in its layer."""
+        bp, labels = _reduction(seed)
+        affine, reports = verify_reach_bound(bp, labels, k)
+        assert affine
+        trimmed, _, _ = trim_to_min_dimension(bp, labels, k)
+        tables = forward_tables(trimmed)
+        expected = []
+        for t in range(bp.m + 1):
+            i = 0
+            for v in range(bp.layer_sizes[t]):
+                lab = labels.get(t, v)
+                if lab.is_empty or lab.dim < k:
+                    continue
+                if lab.dim == k:
+                    expected.append(((t, v), float(tables[t][i].sum())))
+                i += 1
+        assert [(rep.vertex, rep.exact) for rep in reports] == expected
+        assert all(rep.k == k for rep in reports)
+
+    def test_vertex_past_the_trimmed_layer(self):
+        """Layer 2 of the seed-3 reduction keeps 4 vertices at k = 2, so its
+        vertex 4 exists only under its original index."""
+        bp, labels = _reduction(3)
+        k = labels.get(2, 4).dim
+        trimmed, _, _ = trim_to_min_dimension(bp, labels, k)
+        assert trimmed.layer_sizes[2] <= 4
+        affine, reports = verify_reach_bound(bp, labels, k)
+        assert affine
+        assert (2, 4) in [rep.vertex for rep in reports]
+
+    def test_empty_label(self):
+        bp, labels = _empty_labelled_program()
+        assert validate_affine(bp, labels).ok
+        assert verify_reach_bound(bp, labels, 1) == (True, [])
 
 
 class TestTradeoffExponent:
@@ -143,17 +204,12 @@ class TestTradeoffExponent:
             rep = tradeoff_exponent(c, alpha, n)
             assert rep["product_log2"] == pytest.approx(rep["closed_form_log2"], rel=1e-12)
 
-    def test_override_exponents(self):
-        rep = tradeoff_exponent(0.04, 0.01, 100, m_exp=0.02, d_exp=0.03)
-        assert rep["log2_length"] == pytest.approx(2.0)
-        assert rep["log2_width"] == pytest.approx(300.0)
-
 
 class TestTrim:
     def test_gaussian_program_trim(self):
         n, m, k = 3, 2, 2
         bp, labels = learner_program_with_labels(gaussian_learner(n), m)
-        trimmed, tlabels = trim_to_min_dimension(bp, labels, k)
+        trimmed, tlabels, keep = trim_to_min_dimension(bp, labels, k)
         assert validate_affine(trimmed, tlabels).ok
         dims = [tlabels.get(t, v).dim
                 for t in range(m + 1) for v in range(trimmed.layer_sizes[t])]
@@ -167,3 +223,20 @@ class TestTrim:
         tables = forward_tables(trimmed)
         total = sum(float(tables[t][v].sum()) for t, v in trimmed.iter_leaves())
         assert total == pytest.approx(1.0)
+        # keep names each retained vertex's original index
+        for t in range(m + 1):
+            assert [tlabels.get(t, i) for i in range(trimmed.layer_sizes[t])] == [
+                labels.get(t, v) for v in keep[t]]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_empty_label_dropped(self, k):
+        """Validation accepts an Empty label; trimming drops its vertex as
+        lying below every k and reroutes the edge into it."""
+        bp, labels = _empty_labelled_program()
+        trimmed, tlabels, keep = trim_to_min_dimension(bp, labels, k)
+        assert keep == [[0], [0, 2]]
+        assert trimmed.layer_sizes == (1, 2)
+        assert trimmed.transitions[0][0] == (0, 0) + (1,) * 6
+        assert validate_affine(trimmed, tlabels).ok
+        tables = forward_tables(trimmed)
+        assert [float(tables[1][i].sum()) for i in range(2)] == [0.25, 0.75]
