@@ -3,11 +3,11 @@
 Each test hashes a canonical JSON rendering of outputs that must stay
 byte-identical across refactors: unrolled recorder and learner programs,
 affine reductions of the reduction-suite corpus, the Fourier-suite
-mixture corpus, the partition suite's groupings, the CLI bytes of one
-multi-round reduction, cipher streams, Monte Carlo hit counts and
+mixture corpus, the partition suite's groupings, the CLI bytes of a
+light, a medium and a multi-round reduction, cipher streams, Monte Carlo hit counts and
 window-attack reports.  A
-digest changes only when an integer output, a label, a check flag, an
-output byte or the number of random draws changes.
+digest changes only when an integer output, a label, a check flag, a
+reported float, an output byte or the number of random draws changes.
 """
 
 import hashlib
@@ -91,6 +91,15 @@ def test_reduction_suite_corpus(monkeypatch):
     assert len(docs) == 8
     assert _digest(docs) == (
         "a3f3ed2f4abeb21cccd9cd8844723df68a9fc0bb772998316da9b02b844bfe44")
+    # Every check's measured float and the output-dimension law, bit for bit.
+    measured = [{"measured": {key: [repr(c.measured) for c in getattr(red.report, key)]
+                              for key in ("accuracy_checks", "inductive_checks",
+                                          "dim_count_checks", "output_dim_checks")},
+                 "output_dim_distribution": [[d, repr(p)] for d, p in
+                                             sorted(red.report.output_dim_distribution.items())]}
+                for _, red in calls]
+    assert _digest(measured) == (
+        "2d422e60331ba08bd15f0cdc488383ccd99d97955c4509204a5518be6a5abd3f")
 
 
 def test_fourier_suite_corpus(monkeypatch):
@@ -132,6 +141,27 @@ def test_reduce_cli_multi_round(tmp_path):
     digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
     assert digest == (
         "9b97e82931fa13790c4241e759ec54945b0cb88d4e1ce6a7c1c88959a4975c14")
+
+
+# (n, m, width, program seed, r) -> (output layer sizes, digest of the
+# --out and --report bytes): a light and a medium reduction.
+REDUCE_CLI_DIGESTS = {
+    (3, 3, 5, 4, 2.5): ([1, 15, 55, 77], "5c7569bf3579da873bca5b61ef8bd43fc39bdcf46aa9fca9017accae1c2bec56"),
+    (4, 2, 6, 4, 3.0): ([1, 25, 146], "5dab6baa467866c52f154af1e2d2284fb305e9941e292a38afed4dc498efc46e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCE_CLI_DIGESTS), ids=str)
+def test_reduce_cli_bytes(tmp_path, case):
+    n, m, width, seed, r = case
+    program = random_program(n, m, width, np.random.default_rng(seed))
+    src, out, rep = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "report.json"
+    src.write_text(json.dumps(to_json_dict(program)))
+    assert dispatch(["reduce", "--in", str(src), "--r", repr(r),
+                     "--out", str(out), "--report", str(rep)]) == 0
+    sizes = json.loads(out.read_text())["layer_sizes"]
+    digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
+    assert (sizes, digest) == REDUCE_CLI_DIGESTS[case]
 
 
 STREAM_DIGESTS = {
