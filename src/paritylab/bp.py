@@ -11,13 +11,14 @@ with leaf weight absorbed at the leaf's own layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
 import numpy as np
 
 from .config import BudgetExceeded, dp_budget, state_budget
-from .distributions import uniform_weights
+from .distributions import uniform_rows, uniform_weights
 from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
@@ -249,6 +250,7 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     notes: list[str] = []
     if labels.get(0, 0) != AffineSubspace.full(bp.n):
         violations.append(("start", 0, 0))
+    mask_of = functools.cache(point_mask)  # once per distinct label
     masks = []
     for t in range(bp.m + 1):
         layer = []
@@ -259,7 +261,7 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
                                         f"the program n={bp.n}")
             if lab.is_empty:
                 notes.append(f"vertex ({t},{v}) is labeled Empty")
-            layer.append(point_mask(lab))
+            layer.append(mask_of(lab))
         masks.append(layer)
     even = hyperplane_masks(bp.n)
     for t in range(bp.m):
@@ -279,19 +281,20 @@ def layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
     the conditional key law and the uniform law on the vertex label.
 
     tables is bp's forward sweep (forward_tables), which serves every
-    layer.
+    layer.  Each distinct label's uniform law is tabulated once per layer
+    (uniform_rows).
     """
     if bp.has_early_leaves():
         raise ValueError("layer accuracy is defined only when all leaves "
                          "are in the last layer")
     accuracy = []
     for t, table in enumerate(tables):
+        # sum(axis=1) of a C-contiguous table is each row's .sum(), bit for bit
+        mass = table.sum(axis=1)
+        dev = np.abs(table - mass[:, None] * uniform_rows(labels.labels[t])).sum(axis=1)
         total = 0.0
-        for v, row in enumerate(table):
-            pv = row.sum()
-            if pv <= 0.0:
-                continue
-            total += float(np.abs(row - pv * uniform_weights(labels.get(t, v))).sum())
+        for d in dev[mass > 0.0].tolist():  # the live rows, in vertex order
+            total += d
         accuracy.append(total)
     return accuracy
 
@@ -332,6 +335,7 @@ def unroll(n: int, m: int, start: Hashable,
 def to_json_dict(bp: BranchingProgram,
                  labels: AffineLabels | None = None,
                  gamma: tuple[tuple[int, ...], ...] | None = None) -> dict:
+    to_text = functools.cache(AffineSubspace.to_text)  # once per distinct label
     doc: dict = {
         "n": bp.n,
         "m": bp.m,
@@ -340,10 +344,10 @@ def to_json_dict(bp: BranchingProgram,
             [list(row) if row is not None else None for row in layer]
             for layer in bp.transitions
         ],
-        "leaf_labels": {f"{t},{v}": lab.to_text() for (t, v), lab in sorted(bp.leaf_labels.items())},
+        "leaf_labels": {f"{t},{v}": to_text(lab) for (t, v), lab in sorted(bp.leaf_labels.items())},
     }
     if labels is not None:
-        doc["labels"] = [[w.to_text() for w in layer] for layer in labels.labels]
+        doc["labels"] = [[to_text(w) for w in layer] for layer in labels.labels]
     if gamma is not None:
         doc["gamma"] = [list(layer) for layer in gamma]
     return doc

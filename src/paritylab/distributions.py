@@ -93,6 +93,14 @@ def uniform_weights(w: AffineSubspace) -> np.ndarray:
     return table
 
 
+def uniform_rows(labels: Iterable[AffineSubspace]) -> np.ndarray:
+    """The uniform_weights rows of a layer of labels, stacked in order
+    (C-contiguous); each distinct label is tabulated once."""
+    index: dict[AffineSubspace, int] = {}
+    order = [index.setdefault(w, len(index)) for w in labels]
+    return np.array([uniform_weights(w) for w in index])[order]
+
+
 def uniform_over(w: AffineSubspace) -> ExactDistribution:
     """The uniform distribution over a non-empty affine subspace."""
     if w.is_empty:

@@ -55,7 +55,8 @@ class BitVector:
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        # bin() with a sentinel bit n reads "0b1" then coordinates n..1
+        return bin(self.bits | 1 << self.n)[:2:-1]
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":

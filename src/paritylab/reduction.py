@@ -27,7 +27,7 @@ from .bp import (
     success_probability,
     validate_affine,
 )
-from .distributions import SLACK, check_r, uniform_weights
+from .distributions import SLACK, check_r, uniform_rows
 from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
 from .partition import _partition_ids, group_count_bound
 
@@ -129,7 +129,8 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     Subspaces work as point masks (see gf2.point_mask) here: a mask is
     the exact hash key of a non-empty subspace, so every dict below keeps
     the first-appearance order and every float of the subspace-keyed
-    loop; AffineSubspace objects are built only for the labels.
+    loop; AffineSubspace objects are built only for the labels, once per
+    representative mask, so equal labels are one object.
     """
     n, m = bp.n, bp.m
     params.validate(n)
@@ -142,6 +143,7 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     scale = 2.0 ** (-n)
     edge_pairs: dict[int, list[tuple[int, float]]] = {}  # per label mask
     key_ids: dict[int, frozenset[int]] = {}              # per edge mask
+    rep_labels: dict[int, AffineSubspace] = {}           # per representative mask
 
     layer_labels: list[tuple[AffineSubspace, ...]] = [(full,)]
     label_masks: list[int] = [points]
@@ -213,7 +215,10 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
                     slots.update((members[i], slot) for i in taken)
                     reps.append((~rep, slot))
                     group_masses.append(sum([probs[i] for i in taken]))
-                    new_labels.append(keys_subspace(n, chosen))
+                    label = rep_labels.get(rep)
+                    if label is None:
+                        label = rep_labels[rep] = keys_subspace(n, chosen)
+                    new_labels.append(label)
                     new_masks.append(rep)
                     new_gamma.append(v)
                     new_q.append(group_masses[-1] * total)
@@ -262,12 +267,10 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
 
 
 def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:
-    n = red.program.n
-    table = np.zeros((red.program.layer_sizes[t], 1 << n))
-    for v, q in enumerate(red.ideal_marginals[t]):
-        if q > 0.0:
-            table[v] = q * uniform_weights(red.labels.get(t, v))
-    return table
+    q = np.array(red.ideal_marginals[t])
+    joint = q[:, None] * uniform_rows(red.labels.labels[t])
+    joint[q <= 0.0] = 0.0
+    return joint
 
 
 def verify_reduction(bp: BranchingProgram, red: AffineReduction,

@@ -12,15 +12,24 @@ SubspaceMixture.from_pairs, the tuple partition, and edges routed
 through sigma and SubspacePartition.assign.  The recorder reference
 unrolls machines whose state is an AffineSubspace, stepped through
 intersect_hyperplane, and the labelled-program reference calls a
-learner's output once per vertex.  All are kept deliberately close to
+learner's output once per vertex.  The layer-accuracy and ideal-joint
+references tabulate one vertex's uniform law at a time, summing each
+row by itself.  All are kept deliberately close to
 the first implementations, so that any change to the fast paths is
 checked against code that shares none of their logic.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
+
 from paritylab.bp import AffineLabels, BranchingProgram, unroll
-from paritylab.distributions import SubspaceMixture, heaviest_hyperplane, key_table
+from paritylab.distributions import (
+    SubspaceMixture,
+    heaviest_hyperplane,
+    key_table,
+    uniform_weights,
+)
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
@@ -309,3 +318,30 @@ def object_selective_recorder(n, m, trigger):
 
     layers, transitions = unroll(n, m, AffineSubspace.full(n), step)
     return _self_labeled(n, layers, transitions)
+
+
+def per_vertex_layer_accuracy(bp, labels, tables):
+    """bp.layer_accuracy one vertex at a time: each row's mass by its own
+    .sum(), its label's uniform law tabulated at the vertex, and the
+    deviations of the rows of positive mass added in vertex order."""
+    accuracy = []
+    for t, table in enumerate(tables):
+        total = 0.0
+        for v, row in enumerate(table):
+            pv = row.sum()
+            if pv <= 0.0:
+                continue
+            total += float(np.abs(row - pv * uniform_weights(labels.get(t, v))).sum())
+        accuracy.append(total)
+    return accuracy
+
+
+def per_vertex_ideal_joint(red, t):
+    """The idealized joint law of (vertex, key) at layer t of a reduction,
+    one vertex at a time: q(v) times the uniform law on v's label, and a
+    zero row where q(v) <= 0."""
+    table = np.zeros((red.program.layer_sizes[t], 1 << red.program.n))
+    for v, q in enumerate(red.ideal_marginals[t]):
+        if q > 0.0:
+            table[v] = q * uniform_weights(red.labels.get(t, v))
+    return table

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     object_greedy_recorder,
     object_selective_recorder,
+    per_vertex_layer_accuracy,
     per_vertex_program_with_labels,
 )
 
@@ -42,6 +43,7 @@ from paritylab.gf2 import (
     intersect_hyperplane,
     is_subset,
     parity,
+    parse_subspace,
 )
 from paritylab.crypto import window_attacker
 from paritylab.learners import (
@@ -566,6 +568,30 @@ class TestLayerAccuracy:
         labels = AffineLabels(((AffineSubspace.full(n),),) * 3)
         with pytest.raises(ValueError):
             layer_accuracy(bp, labels, forward_tables(bp))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_per_vertex_oracle(self, n):
+        """The array form against the per-vertex loop, floats compared
+        with ==, on the program's own sweep and on random tables of its
+        shapes whose sums round in the last place.  Rows of 4 to 256
+        cells reach numpy's 8-wide unrolled and 128-cell pairwise sums;
+        about a fifth of the rows are zero, and the labels repeat (as
+        one object and as equal copies) or are Empty."""
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            bp = random_program(n, 2, 16, rng)
+            pool = [random_subspace(n, rng) for _ in range(4)] + [AffineSubspace.empty(n)]
+            pool += [parse_subspace(w.to_text(), n) for w in pool]
+            labels = AffineLabels(tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size))
+                                        for size in bp.layer_sizes))
+            swept = forward_tables(bp)
+            noisy = [rng.random(table.shape) * (rng.random((len(table), 1)) < 0.8)
+                     for table in swept]
+            for tables in (swept, noisy):
+                for table in tables:
+                    assert (table.sum(axis=1) == [row.sum() for row in table]).all()
+                assert (layer_accuracy(bp, labels, tables)
+                        == per_vertex_layer_accuracy(bp, labels, tables))
 
 
 class TestSoundnessInvariant:

@@ -27,6 +27,7 @@ from paritylab.gf2 import (
     sample_point,
     solve_affine_system,
 )
+from paritylab.generators import random_subspace
 
 
 def bv(text):
@@ -60,6 +61,17 @@ def all_affine_subspaces(n):
                 reps.add(w.offset)
                 out.append(w)
     return out
+
+
+class TestBitVectorText:
+    def test_every_value_against_join(self):
+        """Character i is coordinate i+1, for every value at n = 0-10."""
+        for n in range(11):
+            for bits in range(1 << n):
+                text = "".join("1" if (bits >> i) & 1 else "0" for i in range(n))
+                assert str(BitVector(n, bits)) == text
+                assert BitVector.from_string(text) == BitVector(n, bits)
+        assert str(BitVector(0, 0)) == ""
 
 
 class TestRref:
@@ -144,9 +156,14 @@ class TestCanonicalForm:
                     assert (w.offset >> p) & 1 == 0
 
     def test_text_round_trip(self):
-        for n in (1, 2, 3):
-            for w in all_affine_subspaces(n) + [AffineSubspace.empty(n)]:
+        """Every subspace at n = 0-4, and random ones up to n = 10."""
+        rng = np.random.default_rng(8)
+        for n in range(11):
+            cases = all_affine_subspaces(n) if n <= 4 else [random_subspace(n, rng)
+                                                             for _ in range(50)]
+            for w in cases + [AffineSubspace.empty(n)]:
                 assert parse_subspace(w.to_text(), n) == w
+        assert AffineSubspace.full(0).to_text() == "|"
         assert AffineSubspace.empty(3).to_text() == "EMPTY"
         assert AffineSubspace.full(3).to_text() == "000|100,010,001"
 

@@ -2,12 +2,25 @@ import json
 
 import numpy as np
 import pytest
-from oracles import assert_same_reduction, object_reduce
+from dataclasses import replace
 
-from paritylab.bp import BranchingProgram, to_json_dict, validate_affine
+from oracles import (
+    assert_same_reduction,
+    object_reduce,
+    per_vertex_ideal_joint,
+    per_vertex_layer_accuracy,
+)
+
+from paritylab.bp import (
+    BranchingProgram,
+    forward_tables,
+    layer_accuracy,
+    to_json_dict,
+    validate_affine,
+)
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
-from paritylab.reduction import ReductionParams, reduce_to_affine, verify_reduction
+from paritylab.reduction import ReductionParams, _ideal_joint, reduce_to_affine, verify_reduction
 
 
 def record_first_sample_program(n):
@@ -149,6 +162,43 @@ class TestMaskReductionOracle:
                 assert_same_reduction(reduce_to_affine(bp, ReductionParams(r)), ref)
                 scans += len(ref.scanned)
         assert scans > 0  # zero-mass edges take the representative scan
+
+
+def assert_same_floats(got, want):
+    assert got.shape == want.shape and (got == want).all()
+
+
+class TestLabelLawOracles:
+    """The layer-stacked ideal joint law and layer accuracy against the
+    per-vertex loops, floats compared with ==."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reductions(self, n):
+        for bp, rs in oracle_programs(n):
+            for r in rs:
+                red = reduce_to_affine(bp, ReductionParams(r))
+                tables = forward_tables(red.program)
+                assert (layer_accuracy(red.program, red.labels, tables)
+                        == per_vertex_layer_accuracy(red.program, red.labels, tables))
+                for t in range(bp.m + 1):
+                    assert_same_floats(_ideal_joint(red, t), per_vertex_ideal_joint(red, t))
+
+    def test_zero_and_negative_marginals(self):
+        """A hand-built reduction whose marginals hold 0.0, -0.0, a
+        negative value and non-dyadic masses: those rows stay zero."""
+        rng = np.random.default_rng(9)
+        red = reduce_to_affine(random_program(3, 2, 5, rng), ReductionParams(3.0))
+        marginals = []
+        for layer in red.ideal_marginals:
+            q = [float(p) for p in rng.random(len(layer))]
+            for v in range(0, len(q), 3):
+                q[v] = (0.0, -0.0, -0.25)[v // 3 % 3]
+            marginals.append(tuple(q))
+        hand = replace(red, ideal_marginals=tuple(marginals))
+        for t in range(hand.program.m + 1):
+            got = _ideal_joint(hand, t)
+            assert_same_floats(got, per_vertex_ideal_joint(hand, t))
+            assert not got[::3].any()
 
 
 class TestFaultInjection:
