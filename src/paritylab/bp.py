@@ -18,7 +18,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .config import BudgetExceeded, dp_budget, state_budget
-from .distributions import uniform_rows, uniform_weights
+from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
@@ -194,10 +194,10 @@ def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarr
 def success_probability(bp: BranchingProgram) -> float:
     """Pr[x lands in the output label], absorbed at each leaf's layer."""
     tables = forward_tables(bp)
+    support = functools.cache(lambda w: uniform_weights(w) > 0.0)  # once per distinct label
     total = 0.0
     for t, v in bp.iter_leaves():
-        mask = uniform_weights(bp.leaf_labels[(t, v)]) > 0.0
-        total += float(tables[t][v, mask].sum())
+        total += float(tables[t][v, support(bp.leaf_labels[(t, v)])].sum())
     return total
 
 
@@ -275,14 +275,14 @@ def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidat
     return AffineValidation(not violations, violations, notes)
 
 
-def layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
+def layer_accuracy(bp: BranchingProgram, rows: list[np.ndarray],
                    tables: list[np.ndarray]) -> list[float]:
     """Per layer t: E over the layer-t vertex of the l1 distance between
     the conditional key law and the uniform law on the vertex label.
 
-    tables is bp's forward sweep (forward_tables), which serves every
-    layer.  Each distinct label's uniform law is tabulated once per layer
-    (uniform_rows).
+    rows[t] is the uniform_rows of layer t's labels and tables is bp's
+    forward sweep (forward_tables); both serve every layer, and a caller
+    may share them with other checks.
     """
     if bp.has_early_leaves():
         raise ValueError("layer accuracy is defined only when all leaves "
@@ -291,7 +291,7 @@ def layer_accuracy(bp: BranchingProgram, labels: AffineLabels,
     for t, table in enumerate(tables):
         # sum(axis=1) of a C-contiguous table is each row's .sum(), bit for bit
         mass = table.sum(axis=1)
-        dev = np.abs(table - mass[:, None] * uniform_rows(labels.labels[t])).sum(axis=1)
+        dev = np.abs(table - mass[:, None] * rows[t]).sum(axis=1)
         total = 0.0
         for d in dev[mass > 0.0].tolist():  # the live rows, in vertex order
             total += d

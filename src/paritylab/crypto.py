@@ -78,10 +78,13 @@ def decrypt_bit(key: SecretKey, frame: Frame) -> int:
 
 
 def reverse_bits(v: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        out = (out << 1) | ((v >> i) & 1)
-    return out
+    """The low n bits of v in reverse order: bit i moves to bit n - 1 - i.
+
+    Linear in n: one binary text, read backwards (its leading 1 is a
+    sentinel bit n that keeps the zeros above v's top bit)."""
+    if n <= 0:
+        return 0
+    return int(bin(v & ((1 << n) - 1) | 1 << n)[:2:-1], 2)
 
 
 def frame_to_bytes(frame: Frame) -> bytes:

@@ -12,7 +12,14 @@ import numpy as np
 
 from .bp import AffineLabels, BranchingProgram
 from .distributions import SubspaceMixture, check_r, hyperplane_mass
-from .gf2 import AffineSubspace, VectorSubspace, _insert, _reduce, intersect_hyperplane
+from .gf2 import (
+    AffineSubspace,
+    VectorSubspace,
+    _insert,
+    _reduce,
+    intersect_hyperplane,
+    lowest_set_bit,
+)
 from .learners import Learner, _decode_rows, gaussian_learner, learner_state_layers
 
 
@@ -21,8 +28,14 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def random_subspace(n: int, rng: np.random.Generator,
-                    dim: int | None = None) -> AffineSubspace:
+def _draw_subspace(n: int, rng: np.random.Generator,
+                   dim: int | None = None) -> tuple[tuple[int, ...], int]:
+    """random_subspace's draws, returned as its canonical form: the RREF
+    rows sorted by pivot and the offset reduced by them.
+
+    Equal pairs are equal subspaces, so callers dedup and test members on
+    the pairs and build objects only for the members they keep.
+    """
     if dim is None:
         dim = int(rng.integers(0, n + 1))
     basis: list[int] = []
@@ -30,20 +43,41 @@ def random_subspace(n: int, rng: np.random.Generator,
         v = _reduce(basis, int(rng.integers(1, 1 << n)))
         if v:
             _insert(basis, v)
-    return AffineSubspace(n, VectorSubspace(n, tuple(basis)), int(rng.integers(0, 1 << n)))
+    basis.sort(key=lowest_set_bit)
+    return tuple(basis), _reduce(basis, int(rng.integers(0, 1 << n)))
+
+
+def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
+    rows, offset = pair
+    return AffineSubspace(n, VectorSubspace(n, rows), offset)
+
+
+def random_subspace(n: int, rng: np.random.Generator,
+                    dim: int | None = None) -> AffineSubspace:
+    return _subspace(n, _draw_subspace(n, rng, dim))
+
+
+def _draw_members(n: int, rng: np.random.Generator, count: int,
+                  min_dim: int = 0) -> list[tuple[tuple[int, ...], int]]:
+    """Up to count distinct pairs, in order of first appearance, each
+    drawn at a dimension uniform on [min_dim, n], from at most 20 * count
+    draws: small n may not have count distinct subspaces (n = 1 has 3)."""
+    members: dict[tuple[tuple[int, ...], int], None] = {}
+    for _ in range(20 * count):
+        members.setdefault(_draw_subspace(n, rng, int(rng.integers(min_dim, n + 1))))
+        if len(members) >= count:
+            break
+    return list(members)
 
 
 def random_mixture(n: int, rng: np.random.Generator,
                    max_members: int = 8) -> SubspaceMixture:
     count = int(rng.integers(1, max_members + 1))
-    members: dict[AffineSubspace, float] = {}
-    for _ in range(20 * count):  # small n may not have `count` distinct subspaces
-        members.setdefault(random_subspace(n, rng), 0.0)
-        if len(members) >= count:
-            break
+    members = _draw_members(n, rng, count)
     weights = rng.random(len(members)) + 0.05
     weights /= weights.sum()
-    return SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
+    return SubspaceMixture(n, tuple((_subspace(n, pair), float(p))
+                                    for pair, p in zip(members, weights)))
 
 
 def _full_heavy_mixture(n: int, threshold: float,
@@ -52,13 +86,13 @@ def _full_heavy_mixture(n: int, threshold: float,
     # the threshold, so no hyperplane can accumulate more
     delta = threshold * (0.4 + 0.5 * float(rng.random()))
     extras = int(rng.integers(1, 5))
-    pool: dict[AffineSubspace, float] = {}
+    pool: dict[tuple[tuple[int, ...], int], float] = {}
     for _ in range(extras):
-        w = random_subspace(n, rng)
-        if w != AffineSubspace.full(n):
-            pool[w] = pool.get(w, 0.0) + delta / extras
+        pair = _draw_subspace(n, rng)
+        if len(pair[0]) < n:  # not the full space
+            pool[pair] = pool.get(pair, 0.0) + delta / extras
     pairs = [(AffineSubspace.full(n), 1.0 - sum(pool.values()))]
-    pairs.extend(pool.items())
+    pairs.extend((_subspace(n, pair), p) for pair, p in pool.items())
     return SubspaceMixture.from_pairs(n, pairs)
 
 
@@ -69,35 +103,32 @@ def _hyperplane_family_mixture(n: int, threshold: float,
     count = min(int(np.ceil(1.5 / threshold)), 2 * (2 ** n - 1))
     if 1.0 / count > threshold:
         return None
-    chosen: dict[AffineSubspace, float] = {}
+    chosen: dict[tuple[int, int], None] = {}  # distinct (a, b), a != 0: distinct hyperplanes
     while len(chosen) < count:
         a = int(rng.integers(1, 1 << n))
         b = int(rng.integers(0, 2))
-        chosen.setdefault(intersect_hyperplane(AffineSubspace.full(n), a, b), 0.0)
+        chosen.setdefault((a, b))
     weights = 1.0 + 0.1 * rng.random(count)
     weights /= weights.sum()
     if weights.max() > threshold:
         weights = np.full(count, 1.0 / count)
-    return SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(chosen, weights)))
+    full = AffineSubspace.full(n)
+    return SubspaceMixture(n, tuple((intersect_hyperplane(full, a, b), float(p))
+                                    for (a, b), p in zip(chosen, weights)))
 
 
 def _rejection_mixture(n: int, threshold: float,
                        rng: np.random.Generator) -> SubspaceMixture | None:
     for _ in range(200):
-        count = int(rng.integers(2, 9))
-        members: dict[AffineSubspace, float] = {}
-        for _ in range(20 * count):  # n = 1 has only 3 such subspaces
-            dim = int(rng.integers(max(0, n - 2), n + 1))
-            members.setdefault(random_subspace(n, rng, dim), 0.0)
-            if len(members) >= count:
-                break
+        members = _draw_members(n, rng, int(rng.integers(2, 9)), max(0, n - 2))
         weights = rng.random(len(members)) + 0.05
         weights /= weights.sum()
-        mix = SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
         # a non-full member lies in some hyperplane, whose mass (a float
         # sum of positive terms) is at least the member's own weight
-        if any(p > threshold and w.dim < n for w, p in mix.support):
+        if any(p > threshold and len(rows) < n for (rows, _), p in zip(members, weights)):
             continue
+        mix = SubspaceMixture(n, tuple((_subspace(n, pair), float(p))
+                                       for pair, p in zip(members, weights)))
         if max(hyperplane_mass(mix)) <= threshold:
             return mix
     return None

@@ -143,16 +143,12 @@ class VectorSubspace:
         return _null_space_cached(self.n, self.rows)
 
     def enumerate(self) -> Iterator[int]:
-        """All 2^dim elements (subset XORs of the basis)."""
-        k = len(self.rows)
-        for mask in range(1 << k):
-            v = 0
-            m = mask
-            while m:
-                i = lowest_set_bit(m)
-                v ^= self.rows[i]
-                m &= m - 1
-            yield v
+        """All 2^dim elements (subset XORs of the basis); element number
+        mask is the XOR of the rows i with bit i set in mask."""
+        points = [0]
+        for r in self.rows:
+            points += [p ^ r for p in points]
+        yield from points
 
 
 @lru_cache(maxsize=65536)

@@ -266,9 +266,11 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     return replace(reduction, report=verify_reduction(bp, reduction, params))
 
 
-def _ideal_joint(red: AffineReduction, t: int) -> np.ndarray:
-    q = np.array(red.ideal_marginals[t])
-    joint = q[:, None] * uniform_rows(red.labels.labels[t])
+def _ideal_joint(marginals: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
+    """The idealized joint law of (vertex, key) at one layer: q(v) times
+    row v of the layer's uniform_rows, and a zero row where q(v) <= 0."""
+    q = np.array(marginals)
+    joint = q[:, None] * rows
     joint[q <= 0.0] = 0.0
     return joint
 
@@ -286,10 +288,12 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
     beta = success_probability(bp)
 
     # One forward sweep of the reduced program serves the accuracy, the
-    # inductive and the output-dimension checks.
+    # inductive and the output-dimension checks, and one tabulation of
+    # each layer's labels the first two.
     tables = forward_tables(program)
+    rows = [uniform_rows(layer) for layer in labels.labels]
     accuracy_checks = []
-    for t, acc in enumerate(layer_accuracy(program, labels, tables)):
+    for t, acc in enumerate(layer_accuracy(program, rows, tables)):
         bound = min(eps, 2.0)
         accuracy_checks.append(BoundCheck(
             f"accuracy[t={t}]", acc, bound, binding=eps < 2.0,
@@ -297,7 +301,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
 
     inductive_checks = []
     for t in range(m + 1):
-        measured = float(np.abs(tables[t] - _ideal_joint(red, t)).sum())
+        measured = float(np.abs(tables[t] - _ideal_joint(red.ideal_marginals[t], rows[t])).sum())
         bound = min(2 * t * step, 2.0)
         inductive_checks.append(BoundCheck(
             f"inductive[t={t}]", measured, bound, binding=2 * t * step < 2.0,

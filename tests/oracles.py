@@ -14,25 +14,33 @@ unrolls machines whose state is an AffineSubspace, stepped through
 intersect_hyperplane, and the labelled-program reference calls a
 learner's output once per vertex.  The layer-accuracy and ideal-joint
 references tabulate one vertex's uniform law at a time, summing each
-row by itself.  All are kept deliberately close to
-the first implementations, so that any change to the fast paths is
+row by itself.  The success-probability reference tabulates the leaf
+label's support at every leaf.  The generator references draw through
+random_subspace and build an AffineSubspace and a SubspaceMixture for
+every attempt, kept or not, counting the paths they take.  All are kept
+deliberately close to the first implementations, so that any change to the fast paths is
 checked against code that shares none of their logic.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 
-from paritylab.bp import AffineLabels, BranchingProgram, unroll
+from paritylab.bp import AffineLabels, BranchingProgram, forward_tables, unroll
 from paritylab.distributions import (
     SubspaceMixture,
+    check_r,
     heaviest_hyperplane,
+    hyperplane_mass,
     key_table,
     uniform_weights,
 )
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
+    _insert,
+    _reduce,
     hyperplane_keys,
     intersect_hyperplane,
     lowest_set_bit,
@@ -345,3 +353,136 @@ def per_vertex_ideal_joint(red, t):
         if q > 0.0:
             table[v] = q * uniform_weights(red.labels.get(t, v))
     return table
+
+
+def per_leaf_success_probability(bp):
+    """bp.success_probability with the leaf label's support tabulated at
+    every leaf."""
+    tables = forward_tables(bp)
+    total = 0.0
+    for t, v in bp.iter_leaves():
+        mask = uniform_weights(bp.leaf_labels[(t, v)]) > 0.0
+        total += float(tables[t][v, mask].sum())
+    return total
+
+
+def object_random_subspace(n, rng, dim=None):
+    """Reference random_subspace: the same draws, one AffineSubspace."""
+    if dim is None:
+        dim = int(rng.integers(0, n + 1))
+    basis = []
+    while len(basis) < dim:
+        v = _reduce(basis, int(rng.integers(1, 1 << n)))
+        if v:
+            _insert(basis, v)
+    return AffineSubspace(n, VectorSubspace(n, tuple(basis)), int(rng.integers(0, 1 << n)))
+
+
+def object_random_mixture(n, rng, max_members=8, paths=None):
+    """Reference random_mixture: members deduplicated as AffineSubspaces."""
+    paths = Counter() if paths is None else paths
+    count = int(rng.integers(1, max_members + 1))
+    members = {}
+    for _ in range(20 * count):  # small n may not have `count` distinct subspaces
+        w = object_random_subspace(n, rng)
+        paths["mixture merged duplicate"] += w in members
+        members.setdefault(w, 0.0)
+        if len(members) >= count:
+            break
+    else:
+        paths["mixture 20*count cap"] += 1
+    weights = rng.random(len(members)) + 0.05
+    weights /= weights.sum()
+    return SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
+
+
+def object_full_heavy_mixture(n, threshold, rng, paths=None):
+    """Reference generators._full_heavy_mixture."""
+    paths = Counter() if paths is None else paths
+    delta = threshold * (0.4 + 0.5 * float(rng.random()))
+    extras = int(rng.integers(1, 5))
+    pool = {}
+    for _ in range(extras):
+        w = object_random_subspace(n, rng)
+        if w != AffineSubspace.full(n):
+            pool[w] = pool.get(w, 0.0) + delta / extras
+        else:
+            paths["full-heavy drew the full space"] += 1
+    pairs = [(AffineSubspace.full(n), 1.0 - sum(pool.values()))]
+    pairs.extend(pool.items())
+    return SubspaceMixture.from_pairs(n, pairs)
+
+
+def object_hyperplane_family_mixture(n, threshold, rng, paths=None):
+    """Reference generators._hyperplane_family_mixture: hyperplanes
+    deduplicated as AffineSubspaces."""
+    paths = Counter() if paths is None else paths
+    count = min(int(np.ceil(1.5 / threshold)), 2 * (2 ** n - 1))
+    if 1.0 / count > threshold:
+        paths["family None"] += 1
+        return None
+    chosen = {}
+    while len(chosen) < count:
+        a = int(rng.integers(1, 1 << n))
+        b = int(rng.integers(0, 2))
+        w = intersect_hyperplane(AffineSubspace.full(n), a, b)
+        paths["family merged duplicate"] += w in chosen
+        chosen.setdefault(w, 0.0)
+    weights = 1.0 + 0.1 * rng.random(count)
+    weights /= weights.sum()
+    if weights.max() > threshold:
+        paths["family even weights"] += 1
+        weights = np.full(count, 1.0 / count)
+    return SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(chosen, weights)))
+
+
+def object_rejection_mixture(n, threshold, rng, paths=None):
+    """Reference generators._rejection_mixture: every attempt builds its
+    members and its mixture before either test."""
+    paths = Counter() if paths is None else paths
+    paths["rejection n=1"] += n == 1
+    for _ in range(200):
+        count = int(rng.integers(2, 9))
+        members = {}
+        for _ in range(20 * count):  # n = 1 has only 3 such subspaces
+            dim = int(rng.integers(max(0, n - 2), n + 1))
+            w = object_random_subspace(n, rng, dim)
+            if w in members:
+                paths["rejection merged duplicate"] += 1
+                paths["rejection merged dim-n duplicate"] += dim == n
+            members.setdefault(w, 0.0)
+            if len(members) >= count:
+                break
+        else:
+            paths["rejection 20*count cap"] += 1
+        weights = rng.random(len(members)) + 0.05
+        weights /= weights.sum()
+        mix = SubspaceMixture(n, tuple((w, float(p)) for w, p in zip(members, weights)))
+        if any(p > threshold and w.dim < n for w, p in mix.support):
+            paths["rejection first test"] += 1
+            continue
+        if max(hyperplane_mass(mix)) <= threshold:
+            paths["rejection accepted"] += 1
+            return mix
+        paths["rejection hyperplane mass"] += 1
+    paths["rejection None after 200"] += 1
+    return None
+
+
+def object_random_hypothesis_mixture(n, r, rng, paths=None):
+    """Reference generators.random_hypothesis_mixture on the object
+    generators; a None falls back to the full-heavy style."""
+    paths = Counter() if paths is None else paths
+    check_r(n, r)
+    threshold = 2.0 ** (-r)
+    style = int(rng.integers(0, 3))
+    paths[f"style {style}"] += 1
+    mix = None
+    if style == 1:
+        mix = object_hyperplane_family_mixture(n, threshold, rng, paths)
+    elif style == 2:
+        mix = object_rejection_mixture(n, threshold, rng, paths)
+    if mix is None:
+        paths["full-heavy"] += 1
+        mix = object_full_heavy_mixture(n, threshold, rng, paths)
+    return mix

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     object_greedy_recorder,
     object_selective_recorder,
+    per_leaf_success_probability,
     per_vertex_layer_accuracy,
     per_vertex_program_with_labels,
 )
@@ -29,6 +30,7 @@ from paritylab.bp import (
     validate_affine,
 )
 from paritylab.config import BudgetExceeded
+from paritylab.distributions import uniform_rows
 from paritylab.generators import (
     greedy_recorder_program,
     learner_program_with_labels,
@@ -309,6 +311,23 @@ class TestSuccess:
         dims = output_dimension_distribution(bp)
         assert dims == {1: pytest.approx(0.75), 2: pytest.approx(0.25)}
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_per_leaf_oracle(self, n):
+        """Supports built once per distinct label against the per-leaf
+        loop, compared with ==: random programs whose leaves share labels
+        (as one object and as equal copies) or are Empty, and recorder
+        programs with early leaves."""
+        rng = np.random.default_rng(60 + n)
+        pool = [random_subspace(n, rng) for _ in range(3)] + [AffineSubspace.empty(n)]
+        pool += [parse_subspace(w.to_text(), n) for w in pool]
+        programs = [greedy_recorder_program(n, 3, k)[0] for k in (0, 1)]
+        for _ in range(3):
+            bp = random_program(n, 2, 8, rng)
+            leaves = {k: pool[int(rng.integers(len(pool)))] for k in bp.leaf_labels}
+            programs += [bp, replace(bp, leaf_labels=leaves)]
+        for bp in programs:
+            assert success_probability(bp) == per_leaf_success_probability(bp)
+
 
 class TestValidateAffine:
     def test_all_full_ok(self):
@@ -520,18 +539,23 @@ class TestLabelledPrograms:
         assert (vertices, states) == (866, 556)
 
 
+def label_rows(labels):
+    """The uniform_rows of each layer's labels, layer_accuracy's rows."""
+    return [uniform_rows(layer) for layer in labels.labels]
+
+
 class TestLayerAccuracy:
     def test_start_layer(self):
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels, forward_tables(bp))[0] == 0.0
+        assert layer_accuracy(bp, label_rows(labels), forward_tables(bp))[0] == 0.0
 
     def test_matching_labels_zero(self):
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, labels, forward_tables(bp))[1] == pytest.approx(0.0, abs=1e-12)
+        assert layer_accuracy(bp, label_rows(labels), forward_tables(bp))[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_labels_after_one_equation(self):
         """Enumeration oracle at n=2: conditioned on a layer-1 vertex
@@ -542,7 +566,7 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(n, 1)
         full = AffineSubspace.full(n)
         labels = AffineLabels(((full,), (full,) * 8))
-        got = layer_accuracy(bp, labels, forward_tables(bp))[1]
+        got = layer_accuracy(bp, label_rows(labels), forward_tables(bp))[1]
 
         counts = {}
         for x in range(4):
@@ -567,7 +591,7 @@ class TestLayerAccuracy:
                               {(0, 0): AffineSubspace.full(n), (2, 0): AffineSubspace.full(n)})
         labels = AffineLabels(((AffineSubspace.full(n),),) * 3)
         with pytest.raises(ValueError):
-            layer_accuracy(bp, labels, forward_tables(bp))
+            layer_accuracy(bp, label_rows(labels), forward_tables(bp))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_per_vertex_oracle(self, n):
@@ -590,7 +614,7 @@ class TestLayerAccuracy:
             for tables in (swept, noisy):
                 for table in tables:
                     assert (table.sum(axis=1) == [row.sum() for row in table]).all()
-                assert (layer_accuracy(bp, labels, tables)
+                assert (layer_accuracy(bp, label_rows(labels), tables)
                         == per_vertex_layer_accuracy(bp, labels, tables))
 
 

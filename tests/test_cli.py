@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from paritylab import suites
+from paritylab import crypto, suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.distributions import FourierCheck
@@ -102,6 +102,15 @@ class TestCryptoCommands:
     def test_key_hex_round_trip(self):
         x = BitVector.from_string("1011001")
         assert key_from_hex(key_to_hex(x), 7) == x
+
+    def test_key_hex_round_trip_large_n(self):
+        """2^20 bits: the hex form reverses the bit order in linear time."""
+        n = 1 << 20
+        x = crypto.random_vector(n, np.random.default_rng(5))
+        text = key_to_hex(x)
+        assert len(text) == n // 4
+        assert int(text[0], 16) >> 3 == x.bits & 1  # coordinate 1 leads
+        assert key_from_hex(text, n) == x
 
 
 class TestReduceCommand:

@@ -18,6 +18,7 @@ from paritylab.crypto import (
     frame_to_bytes,
     keygen,
     rank_distribution,
+    reverse_bits,
     run_attack,
     window_attacker,
 )
@@ -84,6 +85,23 @@ class TestBitCipher:
                 for m in (0, 1):
                     zeros = sum((m ^ parity(a & x)) == 0 for a in range(1 << n))
                     assert zeros == (1 << n) // 2
+
+
+def loop_reverse_bits(v, n):
+    """Reference reverse_bits: one bit per step, quadratic in n."""
+    out = 0
+    for i in range(n):
+        out = (out << 1) | ((v >> i) & 1)
+    return out
+
+
+class TestReverseBits:
+    def test_against_loop(self):
+        """Random n <= 300, values with bits at and above n too."""
+        rng = np.random.default_rng(17)
+        for n in [0, 1, 2, 7, 8, 9, 300] + [int(k) for k in rng.integers(0, 301, 300)]:
+            for v in (0, (1 << n) - 1, int.from_bytes(rng.bytes(n // 8 + 2), "big")):
+                assert reverse_bits(v, n) == loop_reverse_bits(v, n), (v, n)
 
 
 class TestWireFormat:

@@ -1,0 +1,116 @@
+"""The instance generators against their object-building references.
+
+The package's generators dedup and test members on the canonical int
+pairs that generators._draw_subspace returns and build objects only for
+the members they keep; the references in oracles.py build an
+AffineSubspace and a SubspaceMixture for every draw and attempt.  Both
+make the same rng calls, so every mixture and every generator state must
+match after every call.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from oracles import (
+    object_full_heavy_mixture,
+    object_hyperplane_family_mixture,
+    object_random_hypothesis_mixture,
+    object_random_mixture,
+    object_random_subspace,
+    object_rejection_mixture,
+)
+from paritylab import generators
+from paritylab.gf2 import AffineSubspace
+
+# (n, r / n, seed): r up to n at every n, up to 2n (check_r's ceiling)
+# where n <= 2.  From n = 4 on, r = n makes nearly every rejection
+# attempt fail, and the references' 200 failed attempts cost 0.1 s each.
+CELLS = ([(n, frac, seed) for n in range(1, 7) for frac in (0.5, 0.75, 1.0)
+          for seed in ((0, 1) if n <= 3 else (0,))]
+         + [(n, frac, seed) for n in (1, 2) for frac in (1.5, 2.0) for seed in (0, 1)])
+
+
+def _text(x):
+    """A generator's result as text: to_text and repr(p) of each member."""
+    if x is None or isinstance(x, AffineSubspace):
+        return x if x is None else x.to_text()
+    return [(w.to_text(), repr(p)) for w, p in x.support]
+
+
+def _calls(n, r):
+    """(name, package call, reference call) in the order a cell makes them;
+    random_hypothesis_mixture draws its style, so every style is also
+    called directly."""
+    t = 2.0 ** (-r)
+    g = generators
+    return [
+        ("random_hypothesis_mixture", lambda rng: g.random_hypothesis_mixture(n, r, rng),
+         lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
+        ("random_hypothesis_mixture", lambda rng: g.random_hypothesis_mixture(n, r, rng),
+         lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
+        ("_rejection_mixture", lambda rng: g._rejection_mixture(n, t, rng),
+         lambda rng, paths: object_rejection_mixture(n, t, rng, paths)),
+        ("_hyperplane_family_mixture", lambda rng: g._hyperplane_family_mixture(n, t, rng),
+         lambda rng, paths: object_hyperplane_family_mixture(n, t, rng, paths)),
+        ("_full_heavy_mixture", lambda rng: g._full_heavy_mixture(n, t, rng),
+         lambda rng, paths: object_full_heavy_mixture(n, t, rng, paths)),
+        ("random_mixture", lambda rng: g.random_mixture(n, rng),
+         lambda rng, paths: object_random_mixture(n, rng, paths=paths)),
+        ("random_mixture", lambda rng: g.random_mixture(n, rng, max_members=16),
+         lambda rng, paths: object_random_mixture(n, rng, max_members=16, paths=paths)),
+        ("random_subspace", lambda rng: g.random_subspace(n, rng),
+         lambda rng, paths: object_random_subspace(n, rng)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Every call of every cell of CELLS: its label, both results as text,
+    both generator states after it; and the references' path counts over
+    the whole corpus."""
+    paths = Counter()
+    records = []
+    for n, frac, seed in CELLS:
+        rng, ref_rng = (np.random.default_rng([n, int(4 * frac), seed]) for _ in range(2))
+        for name, call, ref in _calls(n, frac * n):
+            got, want = _text(call(rng)), _text(ref(ref_rng, paths))
+            records.append(((name, n, frac * n, seed), got, want,
+                            rng.bit_generator.state, ref_rng.bit_generator.state))
+    return records, paths
+
+
+def test_equal_to_object_references(corpus):
+    records, _ = corpus
+    for label, got, want, state, ref_state in records:
+        assert got == want, label
+        assert state == ref_state, label
+
+
+def test_corpus_reaches_every_path(corpus):
+    """The corpus takes each branch of the references at least once; the
+    counts are in the failure message."""
+    _, paths = corpus
+    required = (
+        "rejection first test", "rejection hyperplane mass", "rejection accepted",
+        "rejection None after 200", "rejection n=1", "rejection 20*count cap",
+        "rejection merged dim-n duplicate",
+        "family None", "family merged duplicate", "family even weights",
+        "full-heavy drew the full space", "mixture 20*count cap", "mixture merged duplicate",
+        "style 0", "style 1", "style 2", "full-heavy",
+    )
+    assert all(paths[p] > 0 for p in required), dict(paths)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_draw_subspace_is_canonical(n):
+    """_draw_subspace's pair is random_subspace's rows and reduced offset,
+    from the same draws."""
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for i in range(200):
+        dim = None if i % 2 else int(rng.integers(0, n + 1))
+        assert dim is None or dim == int(ref_rng.integers(0, n + 1))
+        w = object_random_subspace(n, ref_rng, dim)
+        assert generators._draw_subspace(n, rng, dim) == (w.direction.rows, w.offset)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -19,6 +19,7 @@ from paritylab.gf2 import (
     is_subset,
     keys_mask,
     keys_subspace,
+    lowest_set_bit,
     mask_keys,
     orthogonal_space,
     parity,
@@ -96,6 +97,27 @@ class TestRref:
                 again = VectorSubspace.from_rows(n, basis.rows)
                 assert again == basis
                 assert span_points(rows, n) == span_points(basis.rows, n)
+
+
+def mask_loop_enumerate(vs):
+    """Reference VectorSubspace.enumerate: element number mask is the XOR
+    of the rows picked by mask's set bits, in mask order."""
+    for mask in range(1 << len(vs.rows)):
+        v = 0
+        m = mask
+        while m:
+            i = lowest_set_bit(m)
+            v ^= vs.rows[i]
+            m &= m - 1
+        yield v
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("n", range(5))
+    def test_against_mask_loop(self, n):
+        """The same points in the same order, for every subspace with n <= 4."""
+        for vs in all_vector_subspaces(n):
+            assert list(vs.enumerate()) == list(mask_loop_enumerate(vs))
 
 
 class TestInnerProduct:

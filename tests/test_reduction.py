@@ -18,6 +18,7 @@ from paritylab.bp import (
     to_json_dict,
     validate_affine,
 )
+from paritylab.distributions import uniform_rows
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
 from paritylab.reduction import ReductionParams, _ideal_joint, reduce_to_affine, verify_reduction
@@ -178,10 +179,12 @@ class TestLabelLawOracles:
             for r in rs:
                 red = reduce_to_affine(bp, ReductionParams(r))
                 tables = forward_tables(red.program)
-                assert (layer_accuracy(red.program, red.labels, tables)
+                rows = [uniform_rows(layer) for layer in red.labels.labels]
+                assert (layer_accuracy(red.program, rows, tables)
                         == per_vertex_layer_accuracy(red.program, red.labels, tables))
                 for t in range(bp.m + 1):
-                    assert_same_floats(_ideal_joint(red, t), per_vertex_ideal_joint(red, t))
+                    assert_same_floats(_ideal_joint(red.ideal_marginals[t], rows[t]),
+                                       per_vertex_ideal_joint(red, t))
 
     def test_zero_and_negative_marginals(self):
         """A hand-built reduction whose marginals hold 0.0, -0.0, a
@@ -196,7 +199,7 @@ class TestLabelLawOracles:
             marginals.append(tuple(q))
         hand = replace(red, ideal_marginals=tuple(marginals))
         for t in range(hand.program.m + 1):
-            got = _ideal_joint(hand, t)
+            got = _ideal_joint(hand.ideal_marginals[t], uniform_rows(hand.labels.labels[t]))
             assert_same_floats(got, per_vertex_ideal_joint(hand, t))
             assert not got[::3].any()
 
