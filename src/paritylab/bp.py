@@ -18,7 +18,6 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .config import BudgetExceeded, dp_budget, state_budget
-from .distributions import uniform_weights
 from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
@@ -194,10 +193,13 @@ def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarr
 def success_probability(bp: BranchingProgram) -> float:
     """Pr[x lands in the output label], absorbed at each leaf's layer."""
     tables = forward_tables(bp)
-    support = functools.cache(lambda w: uniform_weights(w) > 0.0)  # once per distinct label
+    # Each distinct label's points once, in increasing order: the cells a
+    # boolean support mask would pick, in its order, so each sum is the
+    # same.
+    support = functools.cache(lambda w: sorted(w.enumerate()))
     total = 0.0
     for t, v in bp.iter_leaves():
-        total += float(tables[t][v, support(bp.leaf_labels[(t, v)])].sum())
+        total += float(tables[t][v][support(bp.leaf_labels[(t, v)])].sum())
     return total
 
 
