@@ -1,5 +1,5 @@
-"""Reference implementations that the partition and reduction tests
-compare the package against.
+"""Reference implementations that the package's tests compare it
+against.
 
 The partition reference keys its hyperplane tables by tuples (a, b) in a
 dict, finds the heaviest one with its own dict argmax, and recurses in
@@ -15,11 +15,13 @@ intersect_hyperplane, and the labelled-program reference calls a
 learner's output once per vertex.  The layer-accuracy and ideal-joint
 references tabulate one vertex's uniform law at a time, summing each
 row by itself.  The success-probability reference tabulates the leaf
-label's support at every leaf.  The generator references draw through
-random_subspace and build an AffineSubspace and a SubspaceMixture for
-every attempt, kept or not, counting the paths they take.  All are kept
-deliberately close to the first implementations, so that any change to the fast paths is
-checked against code that shares none of their logic.
+label's support at every leaf.  The generator references build an
+AffineSubspace for every draw and a SubspaceMixture for every attempt,
+kept or not, and count the paths they take; they share only the
+packed-row kernel (_reduce, _insert) with the package, since it decides
+which draws a subspace consumes.  All are kept deliberately close to the
+first implementations, so that any change to the fast paths is checked
+against code that shares none of their logic beyond that.
 """
 
 from collections import Counter

@@ -555,7 +555,8 @@ class TestLayerAccuracy:
         bp = record_first_sample_program(2, 1)
         labels = AffineLabels(((AffineSubspace.full(2),),
                                tuple(bp.leaf_labels[(1, i)] for i in range(8))))
-        assert layer_accuracy(bp, label_rows(labels), forward_tables(bp))[1] == pytest.approx(0.0, abs=1e-12)
+        accuracy = layer_accuracy(bp, label_rows(labels), forward_tables(bp))
+        assert accuracy[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_labels_after_one_equation(self):
         """Enumeration oracle at n=2: conditioned on a layer-1 vertex
