@@ -105,7 +105,9 @@ class AffineLabels:
 
 # Most (vertex, a, x) cells per np.add.at call in forward_tables, one
 # (vertex, a) row from n = 14 on.  The chunk's index and weight buffers are
-# allocated once per forward_tables call and refilled in place.
+# allocated once per n and refilled in place: at 128 KiB apiece, glibc's
+# default mmap threshold, fresh ones per call would page-fault or not
+# depending on what the process ran before.
 _SCATTER_CELLS = 1 << 14
 
 
@@ -149,13 +151,16 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     return tables
 
 
+@functools.cache
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_scatter_layer's edge table 2a + a.x and one chunk's index and
-    weight buffers.  A chunk is `verts` whole vertices (n <= 7) or `span`
-    sample vectors of one vertex, as (vertex, a, x) cells."""
+    """_scatter_layer's edge table 2a + a.x (read-only) and one chunk's
+    index and weight buffers, shared by every call at this n.  A chunk is
+    `verts` whole vertices (n <= 7) or `span` sample vectors of one
+    vertex, as (vertex, a, x) cells."""
     size = 1 << n
     a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
     edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
+    edge.flags.writeable = False
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
     return edge, np.empty((verts, span, size), dtype=np.intp), np.empty((verts, span, size))

@@ -6,11 +6,14 @@ uniform a; the receiver, sharing the key x, recovers M by XORing a.x back
 out.  An attacker is a streaming learner: the attack harness feeds it the
 pad stream (a_t, b_t) with b_t = a_t.x through learners.run_learner,
 which asserts its declared memory budget on every step, and measures
-exact-key recovery and next-bit prediction from its output.
+exact-key recovery and next-bit prediction from its output.  The window
+attacker is solved straight from its last pads instead, and its budget
+is checked after every step over whole arrays of trials.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +22,23 @@ from .gf2 import (
     MAX_SUBSPACE_DIM,
     AffineSubspace,
     BitVector,
+    _reduce,
+    _sample_coset,
+    _solve_rows,
     parity,
-    sample_point,
     solve_affine_system,
 )
-from .learners import Learner, _check_run_size, _decode_rows, run_learner, wilson_interval
+from .learners import (
+    BATCH_CELLS,
+    Learner,
+    _assert_bits,
+    _bit_length,
+    _check_run_size,
+    _decode_rows,
+    _honest_rows,
+    run_learner,
+    wilson_interval,
+)
 
 MAGIC = b"BSC1"
 VERSION = 1
@@ -182,26 +197,90 @@ def decode_stream(key: SecretKey, data: bytes) -> bytes:
     return bytes(out)
 
 
-def window_attacker(n: int, s: int) -> Learner:
-    """Remembers the last floor(s / (n+1)) samples (FIFO) and outputs
-    their solution subspace.
+@dataclass(frozen=True)
+class WindowAttacker(Learner):
+    """A learner that remembers its last `capacity` samples (FIFO) and
+    outputs their solution subspace.
 
     State: the window's rows a | b << n, n+1 bits apiece, newest in the
-    low bits; older rows are cut off at capacity * (n+1) <= s bits.
+    low bits; older rows are cut off at capacity * (n+1) bits.  run_attack
+    solves it from the pads themselves (solve) and checks the budget over
+    whole chunks of trials (check_budget) instead of stepping it.
     """
+
+    capacity: int = 0
+
+    @classmethod
+    def build(cls, n: int, capacity: int, memory_bits: int) -> "WindowAttacker":
+        width = n + 1
+        limit = capacity * width
+
+        def step(state: int, a: int, b: int) -> int:
+            state = (state << width) | a | (b << n)
+            if state.bit_length() > limit:  # never build a mask of the (huge) limit
+                state &= (1 << limit) - 1
+            return state
+
+        def output(state: int) -> AffineSubspace:
+            return solve_affine_system(n, _decode_rows(state, width))
+
+        return cls(f"window[{capacity}]", n, memory_bits, 0, step, output, capacity=capacity)
+
+    def solve(self, x: int, pads: np.ndarray) -> tuple[int, tuple[int, ...]]:
+        """output(state) after the honest stream (a, a.x) over pads, as
+        (offset, direction rows): the solution of the last
+        min(len(pads), capacity) rows, a point (x itself) once they reach
+        rank n."""
+        n = self.n
+        # echelon rows (a << 1) | a.x by highest coefficient bit: honest
+        # rows are consistent, so a row is dependent once it is 0 or 1
+        pivots = [0] * (n + 1)
+        rank = 0
+        for a in pads[len(pads) - min(len(pads), self.capacity):].tolist():
+            v = a << 1 | (a & x).bit_count() & 1
+            while v > 1:
+                h = v.bit_length() - 1
+                if not pivots[h]:
+                    pivots[h] = v
+                    rank += 1
+                    break
+                v ^= pivots[h]
+            if rank == n:
+                return x, ()
+        offset, direction = _solve_rows(n, (v >> 1 | (v & 1) << n for v in pivots if v))
+        return _reduce(direction.rows, offset), direction.rows
+
+    def check_budget(self, keys: np.ndarray, pads: np.ndarray) -> None:
+        """Assert the memory budget before and after every step of every
+        trial (keys (trials,), pads (trials, m)); raises for the first
+        offending step in trial order, as run_learner would."""
+        bits = _window_bits(_honest_rows(keys, pads, self.n), self.n, self.capacity)
+        over = bits > self.memory_bits
+        if over.any():
+            _assert_bits(self, int(bits[over][0]))
+
+
+def _window_bits(rows: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """state.bit_length() of the window state before and after each step
+    over the packed rows (trials, m), shape (trials, m+1).  After step j
+    the oldest nonzero row among the last min(j, capacity) sets it."""
+    trials, m = rows.shape
+    lengths = np.zeros((trials, m + 2), np.int64)   # row j at column j
+    lengths[:, 1:m + 1] = _bit_length(rows)
+    cols = np.arange(m + 2)
+    # the first nonzero row at or after each column, m + 2 if none
+    first = np.minimum.accumulate(np.where(lengths > 0, cols, m + 2)[:, ::-1], axis=1)[:, ::-1]
+    steps = cols[:m + 1]
+    oldest = first[:, np.maximum(steps - min(capacity, m) + 1, 1)]
+    top = np.take_along_axis(lengths, np.minimum(oldest, m + 1), axis=1)
+    return np.where(oldest <= steps, (steps - oldest) * (n + 1) + top, 0)
+
+
+def window_attacker(n: int, s: int) -> WindowAttacker:
+    """The window attacker of floor(s / (n+1)) samples, declaring s bits."""
     if s < 0:
         raise ValueError("memory budget must be nonnegative")
-    width = n + 1
-    capacity = s // width
-    window = (1 << (capacity * width)) - 1
-
-    def step(state: int, a: int, b: int) -> int:
-        return ((state << width) | a | (b << n)) & window
-
-    def output(state: int) -> AffineSubspace:
-        return solve_affine_system(n, _decode_rows(state, width))
-
-    return Learner(f"window[{capacity}]", n, s, 0, step, output)
+    return WindowAttacker.build(n, s // (n + 1), s)
 
 
 @dataclass(frozen=True)
@@ -231,29 +310,58 @@ def run_attack(attacker: Learner, m: int, trials: int,
                rng: np.random.Generator) -> AttackReport:
     """Key-recovery and next-bit-prediction game against the pad stream.
 
-    Per trial: fresh uniform key, m observed pairs (a_t, a_t.x) stepped
-    through the attacker, whose output is computed once; a key guess is
-    sampled from it, then a fresh a_{m+1} is revealed and the prediction
-    uses a second sample.  An Empty output (impossible on honest streams)
-    is replaced by the full space.
+    Per trial: fresh uniform key, m observed pairs (a_t, a_t.x) fed to
+    the attacker, whose output is computed once; a key guess is sampled
+    from it, then a fresh a_{m+1} is revealed and the prediction uses a
+    second sample.  An Empty output (impossible on honest streams) is
+    replaced by the full space.
+
+    Draws: the key and its m pads come from one rng.integers(0, 2^n, m+1)
+    call.  Sampling a point draws no mask, so after a trial whose output
+    is a point its a_{m+1} opens the next trial's call (the last trial's
+    is drawn alone); one call of k same-range draws gives the values and
+    generator state of k scalar calls.  A WindowAttacker is solved from
+    its last pads and its budget checked over each chunk of at most
+    BATCH_CELLS pads; any other attacker is stepped through run_learner.
     """
     _check_run_size(m, trials)
     n = attacker.n
     if n > MAX_SUBSPACE_DIM:
         raise ValueError(f"attack harness supports n <= {MAX_SUBSPACE_DIM}")
+    window = isinstance(attacker, WindowAttacker)
+    solve = attacker.solve if window else functools.partial(_stepped_solution, attacker)
+    size = 1 << n
+    per_chunk = max(1, BATCH_CELLS // max(m, 1))
     key_hits = 0
     bit_hits = 0
-    for _ in range(trials):
-        x = int(rng.integers(0, 1 << n))
-        a_stream = rng.integers(0, 1 << n, m).tolist()
-        w = attacker.output(run_learner(attacker, x, a_stream))
-        if w.is_empty:
-            w = AffineSubspace.full(n)
-        if sample_point(w, rng) == x:
-            key_hits += 1
-        a_next = int(rng.integers(0, 1 << n))
-        if parity(a_next & sample_point(w, rng)) == parity(a_next & x):
-            bit_hits += 1
+    # A prediction p hits when a_{m+1}.p = a_{m+1}.x, that is when
+    # a_{m+1}.(p ^ x) = 0.  held is p ^ x of a point trial whose a_{m+1}
+    # opens the next draw.
+    held = None
+    for start in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - start)
+        keys = np.empty(count, np.int64)
+        pads = np.empty((count, m), np.int64)
+        for t in range(count):
+            draw = rng.integers(0, size, m + 1 + (held is not None))
+            if held is not None:
+                bit_hits += 1 - parity(int(draw[0]) & held)
+                draw = draw[1:]
+            keys[t] = x = int(draw[0])
+            pads[t] = draw[1:]
+            offset, rows = solve(x, pads[t])
+            guess = _sample_coset(offset, rows, rng)
+            key_hits += guess == x
+            if rows:
+                a_next = int(rng.integers(0, size))
+                bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, rng) ^ x))
+                held = None
+            else:
+                held = guess ^ x
+        if window:
+            attacker.check_budget(keys, pads)
+    if held is not None:
+        bit_hits += 1 - parity(int(rng.integers(0, size)) & held)
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)
     return AttackReport(
@@ -265,6 +373,15 @@ def run_attack(attacker: Learner, m: int, trials: int,
         attacker=attacker.name,
         memory_bits=attacker.memory_bits,
     )
+
+
+def _stepped_solution(attacker: Learner, x: int, pads: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The attacker's output after run_learner over the honest stream, as
+    (offset, direction rows); Empty becomes the full space."""
+    w = attacker.output(run_learner(attacker, x, pads.tolist()))
+    if w.is_empty:
+        w = AffineSubspace.full(attacker.n)
+    return w.offset, w.direction.rows
 
 
 def rank_distribution(n: int, m: int) -> list[float]:

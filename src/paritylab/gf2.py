@@ -390,13 +390,18 @@ def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:
     """A uniformly random point of w."""
     if w.is_empty:
         raise EmptySubspaceError("cannot sample from the empty subspace")
-    v = w.offset
-    if w.direction.rows:
-        mask = int(rng.integers(0, 1 << w.direction.dim))
-        for i, r in enumerate(w.direction.rows):
+    return _sample_coset(w.offset, w.direction.rows, rng)
+
+
+def _sample_coset(offset: int, rows: tuple[int, ...], rng: np.random.Generator) -> int:
+    """offset XOR the rows i with bit i set in one rng.integers(0, 2^dim)
+    draw; no draw for a point (no rows)."""
+    if rows:
+        mask = int(rng.integers(0, 1 << len(rows)))
+        for i, r in enumerate(rows):
             if (mask >> i) & 1:
-                v ^= r
-    return v
+                offset ^= r
+    return offset
 
 
 def solve_affine_system(n: int, rows: Iterable[int]) -> AffineSubspace:
@@ -406,15 +411,25 @@ def solve_affine_system(n: int, rows: Iterable[int]) -> AffineSubspace:
     Returns Empty for an inconsistent system and the full space for an
     empty one.
     """
+    solution = _solve_rows(n, rows)
+    if solution is None:
+        return AffineSubspace.empty(n)
+    return AffineSubspace(n, solution[1], solution[0])
+
+
+def _solve_rows(n: int, rows: Iterable[int]) -> tuple[int, VectorSubspace] | None:
+    """solve_affine_system without the AffineSubspace: (an offset, not yet
+    reduced by the direction, and the direction), or None when the system
+    is inconsistent."""
     mask = (1 << n) - 1
     coeff_rows = []
     offset = 0
     for row in _rref_ints(rows):
         a = row & mask
         if a == 0:  # the reduced row 0 = 1
-            return AffineSubspace.empty(n)
+            return None
         coeff_rows.append(a)
         if row >> n:
             offset |= a & -a
     # the coefficient parts of RREF rows with pivots below n are in RREF
-    return AffineSubspace(n, _null_space_cached(n, tuple(coeff_rows)), offset)
+    return offset, _null_space_cached(n, tuple(coeff_rows))

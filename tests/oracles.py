@@ -19,7 +19,10 @@ label's support at every leaf.  The generator references build an
 AffineSubspace for every draw and a SubspaceMixture for every attempt,
 kept or not, and count the paths they take; they share only the
 packed-row kernel (_reduce, _insert) with the package, since it decides
-which draws a subspace consumes.  All are kept deliberately close to the
+which draws a subspace consumes.  The attack reference steps the
+attacker through run_learner once per sample, solves its output as an
+AffineSubspace and samples it through sample_point, with one scalar
+rng.integers call per key, a_{m+1} and mask.  All are kept deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
 """
@@ -30,6 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from paritylab.bp import AffineLabels, BranchingProgram, forward_tables, unroll
+from paritylab.crypto import AttackReport
 from paritylab.distributions import (
     SubspaceMixture,
     check_r,
@@ -47,7 +51,9 @@ from paritylab.gf2 import (
     intersect_hyperplane,
     lowest_set_bit,
     parity,
+    sample_point,
 )
+from paritylab.learners import run_learner, wilson_interval
 from paritylab.partition import PartitionGroup, SubspacePartition
 
 
@@ -488,3 +494,34 @@ def object_random_hypothesis_mixture(n, r, rng, paths=None):
         paths["full-heavy"] += 1
         mix = object_full_heavy_mixture(n, threshold, rng, paths)
     return mix
+
+
+def stepping_run_attack(attacker, m, trials, rng):
+    """Reference crypto.run_attack: per trial the key, its m pads in one
+    call, the attacker stepped once per sample, its output sampled twice
+    around a scalar a_{m+1} draw."""
+    n = attacker.n
+    key_hits = 0
+    bit_hits = 0
+    for _ in range(trials):
+        x = int(rng.integers(0, 1 << n))
+        a_stream = rng.integers(0, 1 << n, m).tolist()
+        w = attacker.output(run_learner(attacker, x, a_stream))
+        if w.is_empty:
+            w = AffineSubspace.full(n)
+        if sample_point(w, rng) == x:
+            key_hits += 1
+        a_next = int(rng.integers(0, 1 << n))
+        if parity(a_next & sample_point(w, rng)) == parity(a_next & x):
+            bit_hits += 1
+    key_lo, key_hi = wilson_interval(key_hits, trials)
+    bit_lo, bit_hi = wilson_interval(bit_hits, trials)
+    return AttackReport(
+        n=n, m=m, trials=trials,
+        key_guess_rate=key_hits / trials,
+        key_guess_ci=(key_lo, key_hi),
+        next_bit_advantage=abs(bit_hits / trials - 0.5),
+        next_bit_ci=(bit_lo, bit_hi),
+        attacker=attacker.name,
+        memory_bits=attacker.memory_bits,
+    )

@@ -272,6 +272,25 @@ class TestForwardScatter:
         loop_scatter_layer(cur[::-1], flipped, rows[::-1], n)
         assert not np.array_equal(flipped, want)  # the sums depend on the vertex order
 
+    def test_buffers_kept_per_n(self):
+        """Repeated and interleaved calls at n = 2..8 share one set of
+        buffers per n and give the tables of fresh buffers, bit for bit."""
+        programs = [sized_program(n, sizes, np.random.default_rng(10 * n + len(sizes)))
+                    for n in range(2, 9) for sizes in [(1, 5, 3, 2), (1, 2, 6)]]
+        want = []
+        for bp in programs:
+            tables = [np.zeros((width, 1 << bp.n)) for width in bp.layer_sizes]
+            tables[0][0, :] = 2.0 ** (-bp.n)
+            fresh = _scatter_buffers.__wrapped__(bp.n)
+            for t in range(bp.m):
+                _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], *fresh)
+            want.append(tables)
+        for order in (range(len(programs)), reversed(range(len(programs))), [0, 13, 0, 6, 7, 6]):
+            for i in order:
+                got = forward_tables(programs[i])
+                assert all(np.array_equal(g, w) for g, w in zip(got, want[i], strict=True)), i
+        assert all(_scatter_buffers(n) is _scatter_buffers(n) for n in range(2, 9))
+
     def test_cases_cover_what_they_name(self):
         assert all(bp.has_early_leaves() for bp in SCATTER_CASES["greedy"]())
         for bp in SCATTER_CASES["zero-weight"]():

@@ -99,6 +99,23 @@ class TestCryptoCommands:
         doc = json.loads(out_path.read_text())
         assert 0.0 <= doc["key_guess_rate"] <= 1.0
 
+    def test_attack_huge_memory_bits(self, tmp_path, capsys):
+        """A window budget of 10^20 bits keeps all m = 3 samples: the
+        report equals the one at m * (n+1) bits but for attacker and
+        memory_bits."""
+        docs = []
+        for bits in (10 ** 20, 3 * 5):
+            out = tmp_path / f"attack{bits}.json"
+            code, _, err = run_cli(capsys, "crypto", "attack", "--n", "4", "--memory-bits",
+                                   str(bits), "--m", "3", "--trials", "5", "--seed", "1",
+                                   "--out", str(out))
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out.read_text()))
+        huge, exact = docs
+        assert (huge.pop("attacker"), huge.pop("memory_bits")) == (f"window[{10 ** 20 // 5}]", 10 ** 20)
+        assert (exact.pop("attacker"), exact.pop("memory_bits")) == ("window[3]", 15)
+        assert huge == exact
+
     def test_key_hex_round_trip(self):
         x = BitVector.from_string("1011001")
         assert key_from_hex(key_to_hex(x), 7) == x

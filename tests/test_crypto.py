@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stepping_run_attack
+
+from paritylab import crypto
 from paritylab.crypto import (
     MAGIC,
     VERSION,
     FormatError,
     Frame,
     SecretKey,
+    WindowAttacker,
+    _window_bits,
     decode_stream,
     decrypt_bit,
     encode_stream,
@@ -25,7 +30,13 @@ from paritylab.crypto import (
 from paritylab.bp import forward_tables, validate_affine
 from paritylab.generators import learner_program_with_labels
 from paritylab.gf2 import AffineSubspace, BitVector, VectorSubspace, parity
-from paritylab.learners import Learner, _decode_rows, rank_success_probability
+from paritylab.learners import (
+    Learner,
+    _decode_rows,
+    exhaustive_learner,
+    gaussian_learner,
+    rank_success_probability,
+)
 
 bv = BitVector.from_string
 
@@ -341,14 +352,19 @@ class TestHarnessContracts:
 
     @pytest.mark.parametrize("n", [1, 3, 6, 8, 16, 24])
     def test_pad_block_draw_matches_scalar_draws(self, n):
-        """One rng.integers(0, 2^n, m) call gives run_attack's m scalar
-        pad draws and leaves the generator in the same state."""
+        """One rng.integers(0, 2^n, k) call gives k scalar draws and leaves
+        the generator in the same state, up to k = 2^10 + 2 and at the
+        m + 1 and m + 2 shapes run_attack draws: the mask draws of every
+        dimension d that follow read the same."""
         for seed in range(32):
-            for m in (0, 1, 5, 18, 40):
-                scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
-                pads = [int(scalar.integers(0, 1 << n)) for _ in range(m)]
-                assert block.integers(0, 1 << n, m).tolist() == pads
-                assert block.integers(0, 1 << 62) == scalar.integers(0, 1 << 62)
+            for m in (0, 1, 5, 18, 40, 1 << 10):
+                for k in (m, m + 1, m + 2):
+                    scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+                    pads = [int(scalar.integers(0, 1 << n)) for _ in range(k)]
+                    assert block.integers(0, 1 << n, k).tolist() == pads
+                    for d in range(1, n + 1):
+                        assert block.integers(0, 1 << d) == scalar.integers(0, 1 << d)
+                    assert block.integers(0, 1 << 62) == scalar.integers(0, 1 << 62)
 
     def test_dimension_ceiling(self):
         with pytest.raises(ValueError):
@@ -368,3 +384,90 @@ class TestHarnessContracts:
                 counts[VectorSubspace.from_rows(n, [a1, a2]).dim] += 1
         for r in range(n + 1):
             assert probs[r] == pytest.approx(counts[r] / 16)
+
+
+def _same_attack(attacker, m, trials, seed):
+    """run_attack and the stepping reference give equal reports and leave
+    their generators at the same next draw."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_attack(attacker, m, trials, fast).to_dict()
+    want = stepping_run_attack(attacker, m, trials, slow).to_dict()
+    assert (got, int(fast.integers(0, 1 << 30))) == (want, int(slow.integers(0, 1 << 30))), \
+        (attacker.name, m, trials, seed)
+
+
+class TestAttackOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_window_grid(self, n):
+        """Capacities 0, 1, below n, n, above m and huge; m = 0, below
+        and above the capacity; trials from 1 to 300, one seed a case;
+        budgets that are and are not multiples of n + 1."""
+        grid = np.random.default_rng(100 + n)
+        huge = 10 ** 20 // (n + 1)
+        for capacity in sorted({0, 1, n // 2, n, 2 * n + 3, huge}):
+            ms = {0, capacity + int(grid.integers(1, 12))} if capacity < huge else {0, 3 * n}
+            if capacity > 1:
+                ms.add(int(grid.integers(1, capacity)) if capacity < huge else n)
+            for m in sorted(ms):
+                s = capacity * (n + 1) + int(grid.integers(0, n + 1))
+                trials = int(grid.choice([1, 300, int(grid.integers(2, 300))]))
+                _same_attack(window_attacker(n, s), m, trials, int(grid.integers(0, 1 << 30)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bench_shape(self, seed):
+        _same_attack(window_attacker(6, 126), 18, 300, seed)
+
+    @pytest.mark.parametrize("factory", [gaussian_learner, lambda n: exhaustive_learner(n, 2)])
+    def test_stepped_learners(self, factory):
+        """Other learners are stepped; the exhaustive learner's wrong
+        committed points exercise a point guess that misses the key."""
+        for seed in range(20):
+            _same_attack(factory(4), seed % 9, 1 + 37 * seed % 300, seed)
+
+    def test_chunks(self, monkeypatch):
+        """Chunks of a few trials, with a point trial's a_{m+1} carried
+        across chunk boundaries, change nothing."""
+        monkeypatch.setattr(crypto, "BATCH_CELLS", 25)
+        for n, s, m, trials in [(4, 50, 6, 90), (3, 8, 3, 70), (5, 60, 30, 7), (2, 9, 0, 40)]:
+            _same_attack(window_attacker(n, s), m, trials, n + m)
+        _same_attack(gaussian_learner(3), 5, 40, 1)
+
+
+class TestWindowBudget:
+    @pytest.mark.parametrize("n, capacity", [(1, 1), (3, 2), (4, 3), (6, 5), (8, 4)])
+    def test_undeclared_window_is_caught(self, n, capacity):
+        """A window declaring (capacity - 1) * (n+1) bits overflows once m
+        fills it, with the message stepping raises; shorter streams pass."""
+        att = WindowAttacker.build(n, capacity, (capacity - 1) * (n + 1))
+        _same_attack(att, capacity - 1, 200, n)
+        for m in (capacity, capacity + 3):
+            with pytest.raises(AssertionError) as fast:
+                run_attack(att, m, 200, np.random.default_rng(n))
+            with pytest.raises(AssertionError) as slow:
+                stepping_run_attack(att, m, 200, np.random.default_rng(n))
+            assert str(fast.value) == str(slow.value)
+
+    def test_negative_budget_fails_on_the_initial_state(self):
+        att = WindowAttacker.build(3, 2, -1)
+        for m in (0, 4):
+            with pytest.raises(AssertionError, match="needs 0 bits, declared -1"):
+                run_attack(att, m, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_window_bits_match_step(self, n):
+        """_window_bits is state.bit_length() before and after every step,
+        on arbitrary rows (zero pads and b = 1 included)."""
+        rng = np.random.default_rng(n)
+        for m in (0, 1, 2, 5, 13):
+            for capacity in range(m + 3):
+                step = WindowAttacker.build(n, capacity, 0).step
+                a = rng.integers(0, 1 << n, (6, m)) * (rng.random((6, m)) < 0.7)
+                b = rng.integers(0, 2, (6, m))
+                want = []
+                for row_a, row_b in zip(a.tolist(), b.tolist()):
+                    state, bits = 0, [0]
+                    for at, bt in zip(row_a, row_b):
+                        state = step(state, at, bt)
+                        bits.append(state.bit_length())
+                    want.append(bits)
+                assert _window_bits(a | b << n, n, capacity).tolist() == want, (m, capacity)
