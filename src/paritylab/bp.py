@@ -156,7 +156,9 @@ def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_scatter_layer's edge table 2a + a.x (read-only) and one chunk's
     index and weight buffers, shared by every call at this n.  A chunk is
     `verts` whole vertices (n <= 7) or `span` sample vectors of one
-    vertex, as (vertex, a, x) cells."""
+    vertex, as (vertex, a, x) cells.  Kept for the process: the edge
+    tables of all n together are at most 4/3 of the largest, which a call
+    at that n needs anyway, and the chunk buffers 256 KiB per n."""
     size = 1 << n
     a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
     edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
