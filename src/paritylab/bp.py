@@ -151,21 +151,24 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     return tables
 
 
-@functools.cache
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_scatter_layer's edge table 2a + a.x (read-only) and one chunk's
-    index and weight buffers, shared by every call at this n.  A chunk is
-    `verts` whole vertices (n <= 7) or `span` sample vectors of one
-    vertex, as (vertex, a, x) cells.  Kept for the process: the edge
-    tables of all n together are at most 4/3 of the largest, which a call
-    at that n needs anyway, and the chunk buffers 256 KiB per n."""
-    size = 1 << n
-    a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
+    """_scatter_layer's edge table 2a + a.x, built per call, and one
+    chunk's index and weight buffers, kept per n (_chunk_buffers)."""
+    a = np.arange(1 << n, dtype=np.min_scalar_type((2 << n) - 1))
     edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
-    edge.flags.writeable = False
+    return edge, *_chunk_buffers(n)
+
+
+@functools.cache
+def _chunk_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's index and weight buffers, shared by every call at this
+    n and kept for the process (128 KiB apiece up to n = 14).  A chunk is
+    `verts` whole vertices (n <= 7) or `span` sample vectors of one
+    vertex, as (vertex, a, x) cells."""
+    size = 1 << n
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
-    return edge, np.empty((verts, span, size), dtype=np.intp), np.empty((verts, span, size))
+    return np.empty((verts, span, size), dtype=np.intp), np.empty((verts, span, size))
 
 
 def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray,

@@ -6,9 +6,9 @@ uniform a; the receiver, sharing the key x, recovers M by XORing a.x back
 out.  An attacker is a streaming learner: the attack harness feeds it the
 pad stream (a_t, b_t) with b_t = a_t.x through learners.run_learner,
 which asserts its declared memory budget on every step, and measures
-exact-key recovery and next-bit prediction from its output.  The window
-attacker is solved straight from its last pads instead, and its budget
-is checked after every step over whole arrays of trials.
+exact-key recovery and next-bit prediction from its output.  A window
+attacker whose window fits its budget is solved straight from its last
+pads instead.
 """
 
 from __future__ import annotations
@@ -28,17 +28,7 @@ from .gf2 import (
     parity,
     solve_affine_system,
 )
-from .learners import (
-    BATCH_CELLS,
-    Learner,
-    _assert_bits,
-    _bit_length,
-    _check_run_size,
-    _decode_rows,
-    _honest_rows,
-    run_learner,
-    wilson_interval,
-)
+from .learners import Learner, _check_run_size, _decode_rows, run_learner, wilson_interval
 
 MAGIC = b"BSC1"
 VERSION = 1
@@ -204,27 +194,11 @@ class WindowAttacker(Learner):
 
     State: the window's rows a | b << n, n+1 bits apiece, newest in the
     low bits; older rows are cut off at capacity * (n+1) bits.  run_attack
-    solves it from the pads themselves (solve) and checks the budget over
-    whole chunks of trials (check_budget) instead of stepping it.
+    solves it from the pads themselves (solve) when that fits the declared
+    budget, so that no step could overflow it.
     """
 
     capacity: int = 0
-
-    @classmethod
-    def build(cls, n: int, capacity: int, memory_bits: int) -> "WindowAttacker":
-        width = n + 1
-        limit = capacity * width
-
-        def step(state: int, a: int, b: int) -> int:
-            state = (state << width) | a | (b << n)
-            if state.bit_length() > limit:  # never build a mask of the (huge) limit
-                state &= (1 << limit) - 1
-            return state
-
-        def output(state: int) -> AffineSubspace:
-            return solve_affine_system(n, _decode_rows(state, width))
-
-        return cls(f"window[{capacity}]", n, memory_bits, 0, step, output, capacity=capacity)
 
     def solve(self, x: int, pads: np.ndarray) -> tuple[int, tuple[int, ...]]:
         """output(state) after the honest stream (a, a.x) over pads, as
@@ -250,37 +224,25 @@ class WindowAttacker(Learner):
         offset, direction = _solve_rows(n, (v >> 1 | (v & 1) << n for v in pivots if v))
         return _reduce(direction.rows, offset), direction.rows
 
-    def check_budget(self, keys: np.ndarray, pads: np.ndarray) -> None:
-        """Assert the memory budget before and after every step of every
-        trial (keys (trials,), pads (trials, m)); raises for the first
-        offending step in trial order, as run_learner would."""
-        bits = _window_bits(_honest_rows(keys, pads, self.n), self.n, self.capacity)
-        over = bits > self.memory_bits
-        if over.any():
-            _assert_bits(self, int(bits[over][0]))
-
-
-def _window_bits(rows: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """state.bit_length() of the window state before and after each step
-    over the packed rows (trials, m), shape (trials, m+1).  After step j
-    the oldest nonzero row among the last min(j, capacity) sets it."""
-    trials, m = rows.shape
-    lengths = np.zeros((trials, m + 2), np.int64)   # row j at column j
-    lengths[:, 1:m + 1] = _bit_length(rows)
-    cols = np.arange(m + 2)
-    # the first nonzero row at or after each column, m + 2 if none
-    first = np.minimum.accumulate(np.where(lengths > 0, cols, m + 2)[:, ::-1], axis=1)[:, ::-1]
-    steps = cols[:m + 1]
-    oldest = first[:, np.maximum(steps - min(capacity, m) + 1, 1)]
-    top = np.take_along_axis(lengths, np.minimum(oldest, m + 1), axis=1)
-    return np.where(oldest <= steps, (steps - oldest) * (n + 1) + top, 0)
-
 
 def window_attacker(n: int, s: int) -> WindowAttacker:
     """The window attacker of floor(s / (n+1)) samples, declaring s bits."""
     if s < 0:
         raise ValueError("memory budget must be nonnegative")
-    return WindowAttacker.build(n, s // (n + 1), s)
+    width = n + 1
+    capacity = s // width
+    limit = capacity * width
+
+    def step(state: int, a: int, b: int) -> int:
+        state = (state << width) | a | (b << n)
+        if state.bit_length() > limit:  # never build a mask of the (huge) limit
+            state &= (1 << limit) - 1
+        return state
+
+    def output(state: int) -> AffineSubspace:
+        return solve_affine_system(n, _decode_rows(state, width))
+
+    return WindowAttacker(f"window[{capacity}]", n, s, 0, step, output, capacity=capacity)
 
 
 @dataclass(frozen=True)
@@ -320,46 +282,41 @@ def run_attack(attacker: Learner, m: int, trials: int,
     call.  Sampling a point draws no mask, so after a trial whose output
     is a point its a_{m+1} opens the next trial's call (the last trial's
     is drawn alone); one call of k same-range draws gives the values and
-    generator state of k scalar calls.  A WindowAttacker is solved from
-    its last pads and its budget checked over each chunk of at most
-    BATCH_CELLS pads; any other attacker is stepped through run_learner.
+    generator state of k scalar calls.  A WindowAttacker whose
+    capacity * (n+1) bits fit its memory_bits is solved from its last
+    pads (its state never outgrows them); any other attacker, an
+    over-budget window included, is stepped through run_learner.
     """
     _check_run_size(m, trials)
     n = attacker.n
     if n > MAX_SUBSPACE_DIM:
         raise ValueError(f"attack harness supports n <= {MAX_SUBSPACE_DIM}")
-    window = isinstance(attacker, WindowAttacker)
-    solve = attacker.solve if window else functools.partial(_stepped_solution, attacker)
+    if isinstance(attacker, WindowAttacker) and attacker.capacity * (n + 1) <= attacker.memory_bits:
+        solve = attacker.solve
+    else:
+        solve = functools.partial(_stepped_solution, attacker)
     size = 1 << n
-    per_chunk = max(1, BATCH_CELLS // max(m, 1))
     key_hits = 0
     bit_hits = 0
     # A prediction p hits when a_{m+1}.p = a_{m+1}.x, that is when
     # a_{m+1}.(p ^ x) = 0.  held is p ^ x of a point trial whose a_{m+1}
     # opens the next draw.
     held = None
-    for start in range(0, trials, per_chunk):
-        count = min(per_chunk, trials - start)
-        keys = np.empty(count, np.int64)
-        pads = np.empty((count, m), np.int64)
-        for t in range(count):
-            draw = rng.integers(0, size, m + 1 + (held is not None))
-            if held is not None:
-                bit_hits += 1 - parity(int(draw[0]) & held)
-                draw = draw[1:]
-            keys[t] = x = int(draw[0])
-            pads[t] = draw[1:]
-            offset, rows = solve(x, pads[t])
-            guess = _sample_coset(offset, rows, rng)
-            key_hits += guess == x
-            if rows:
-                a_next = int(rng.integers(0, size))
-                bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, rng) ^ x))
-                held = None
-            else:
-                held = guess ^ x
-        if window:
-            attacker.check_budget(keys, pads)
+    for _ in range(trials):
+        draw = rng.integers(0, size, m + 1 + (held is not None))
+        if held is not None:
+            bit_hits += 1 - parity(int(draw[0]) & held)
+            draw = draw[1:]
+        x = int(draw[0])
+        offset, rows = solve(x, draw[1:])
+        guess = _sample_coset(offset, rows, rng)
+        key_hits += guess == x
+        if rows:
+            a_next = int(rng.integers(0, size))
+            bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, rng) ^ x))
+            held = None
+        else:
+            held = guess ^ x
     if held is not None:
         bit_hits += 1 - parity(int(rng.integers(0, size)) & held)
     key_lo, key_hi = wilson_interval(key_hits, trials)

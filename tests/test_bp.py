@@ -15,6 +15,7 @@ from oracles import (
 
 from paritylab.bp import (
     _SCATTER_CELLS,
+    _chunk_buffers,
     _scatter_buffers,
     _scatter_layer,
     AffineLabels,
@@ -281,15 +282,16 @@ class TestForwardScatter:
         for bp in programs:
             tables = [np.zeros((width, 1 << bp.n)) for width in bp.layer_sizes]
             tables[0][0, :] = 2.0 ** (-bp.n)
-            fresh = _scatter_buffers.__wrapped__(bp.n)
+            edge = _scatter_buffers(bp.n)[0]
+            fresh = _chunk_buffers.__wrapped__(bp.n)
             for t in range(bp.m):
-                _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], *fresh)
+                _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge, *fresh)
             want.append(tables)
         for order in (range(len(programs)), reversed(range(len(programs))), [0, 13, 0, 6, 7, 6]):
             for i in order:
                 got = forward_tables(programs[i])
                 assert all(np.array_equal(g, w) for g, w in zip(got, want[i], strict=True)), i
-        assert all(_scatter_buffers(n) is _scatter_buffers(n) for n in range(2, 9))
+        assert all(_chunk_buffers(n) is _chunk_buffers(n) for n in range(2, 9))
 
     def test_cases_cover_what_they_name(self):
         assert all(bp.has_early_leaves() for bp in SCATTER_CASES["greedy"]())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,13 @@ from hypothesis import strategies as st
 from oracles import stepping_run_attack
 
 from paritylab import crypto
+
 from paritylab.crypto import (
     MAGIC,
     VERSION,
     FormatError,
     Frame,
     SecretKey,
-    WindowAttacker,
-    _window_bits,
     decode_stream,
     decrypt_bit,
     encode_stream,
@@ -424,50 +425,34 @@ class TestAttackOracle:
         for seed in range(20):
             _same_attack(factory(4), seed % 9, 1 + 37 * seed % 300, seed)
 
-    def test_chunks(self, monkeypatch):
-        """Chunks of a few trials, with a point trial's a_{m+1} carried
-        across chunk boundaries, change nothing."""
-        monkeypatch.setattr(crypto, "BATCH_CELLS", 25)
-        for n, s, m, trials in [(4, 50, 6, 90), (3, 8, 3, 70), (5, 60, 30, 7), (2, 9, 0, 40)]:
-            _same_attack(window_attacker(n, s), m, trials, n + m)
-        _same_attack(gaussian_learner(3), 5, 40, 1)
-
 
 class TestWindowBudget:
     @pytest.mark.parametrize("n, capacity", [(1, 1), (3, 2), (4, 3), (6, 5), (8, 4)])
     def test_undeclared_window_is_caught(self, n, capacity):
-        """A window declaring (capacity - 1) * (n+1) bits overflows once m
-        fills it, with the message stepping raises; shorter streams pass."""
-        att = WindowAttacker.build(n, capacity, (capacity - 1) * (n + 1))
+        """A window declaring (capacity - 1) * (n+1) bits is stepped: it
+        overflows once m fills it, with the message and at the generator
+        state of the reference; shorter streams pass."""
+        att = dataclasses.replace(window_attacker(n, capacity * (n + 1)),
+                                  memory_bits=(capacity - 1) * (n + 1))
         _same_attack(att, capacity - 1, 200, n)
         for m in (capacity, capacity + 3):
+            fast_rng, slow_rng = np.random.default_rng(n), np.random.default_rng(n)
             with pytest.raises(AssertionError) as fast:
-                run_attack(att, m, 200, np.random.default_rng(n))
+                run_attack(att, m, 200, fast_rng)
             with pytest.raises(AssertionError) as slow:
-                stepping_run_attack(att, m, 200, np.random.default_rng(n))
+                stepping_run_attack(att, m, 200, slow_rng)
             assert str(fast.value) == str(slow.value)
+            assert fast_rng.integers(0, 1 << 30) == slow_rng.integers(0, 1 << 30)
 
     def test_negative_budget_fails_on_the_initial_state(self):
-        att = WindowAttacker.build(3, 2, -1)
+        att = dataclasses.replace(window_attacker(3, 8), memory_bits=-1)
         for m in (0, 4):
             with pytest.raises(AssertionError, match="needs 0 bits, declared -1"):
                 run_attack(att, m, 5, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_window_bits_match_step(self, n):
-        """_window_bits is state.bit_length() before and after every step,
-        on arbitrary rows (zero pads and b = 1 included)."""
-        rng = np.random.default_rng(n)
-        for m in (0, 1, 2, 5, 13):
-            for capacity in range(m + 3):
-                step = WindowAttacker.build(n, capacity, 0).step
-                a = rng.integers(0, 1 << n, (6, m)) * (rng.random((6, m)) < 0.7)
-                b = rng.integers(0, 2, (6, m))
-                want = []
-                for row_a, row_b in zip(a.tolist(), b.tolist()):
-                    state, bits = 0, [0]
-                    for at, bt in zip(row_a, row_b):
-                        state = step(state, at, bt)
-                        bits.append(state.bit_length())
-                    want.append(bits)
-                assert _window_bits(a | b << n, n, capacity).tolist() == want, (m, capacity)
+    def test_window_within_budget_is_solved(self, monkeypatch):
+        """Windows whose capacity * (n+1) bits fit the declared budget,
+        exactly or not, never step."""
+        monkeypatch.setattr(crypto, "run_learner", None)
+        for n, s in [(1, 2), (4, 15), (4, 19), (6, 10 ** 20)]:
+            run_attack(window_attacker(n, s), 7, 20, np.random.default_rng(n))
