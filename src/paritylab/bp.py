@@ -105,9 +105,9 @@ class AffineLabels:
 
 # Most (vertex, a, x) cells per np.add.at call in forward_tables, one
 # (vertex, a) row from n = 14 on.  The chunk's index and weight buffers are
-# allocated once per n and refilled in place: at 128 KiB apiece, glibc's
-# default mmap threshold, fresh ones per call would page-fault or not
-# depending on what the process ran before.
+# allocated once, one pair for every n up to 14, and refilled in place: at
+# 128 KiB apiece, glibc's default mmap threshold, fresh ones per call would
+# page-fault or not depending on what the process ran before.
 _SCATTER_CELLS = 1 << 14
 
 
@@ -153,22 +153,24 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
 
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_scatter_layer's edge table 2a + a.x, built per call, and one
-    chunk's index and weight buffers, kept per n (_chunk_buffers)."""
-    a = np.arange(1 << n, dtype=np.min_scalar_type((2 << n) - 1))
+    chunk's index and weight buffers, shaped views of _chunk_buffers.  A
+    chunk is `verts` whole vertices (n <= 7) or `span` sample vectors of
+    one vertex, as (vertex, a, x) cells."""
+    size = 1 << n
+    a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
     edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
-    return edge, *_chunk_buffers(n)
+    per = max(1, _SCATTER_CELLS // size)
+    verts, span = max(1, per // size), min(per, size)
+    index, weight = _chunk_buffers(verts * span * size)
+    return edge, index.reshape(verts, span, size), weight.reshape(verts, span, size)
 
 
 @functools.cache
-def _chunk_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's index and weight buffers, shared by every call at this
-    n and kept for the process (128 KiB apiece up to n = 14).  A chunk is
-    `verts` whole vertices (n <= 7) or `span` sample vectors of one
-    vertex, as (vertex, a, x) cells."""
-    size = 1 << n
-    per = max(1, _SCATTER_CELLS // size)
-    verts, span = max(1, per // size), min(per, size)
-    return np.empty((verts, span, size), dtype=np.intp), np.empty((verts, span, size))
+def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index and weight buffers of `cells` cells, kept for the
+    process: every n up to 14 shares the one pair of _SCATTER_CELLS cells
+    (128 KiB apiece)."""
+    return np.empty(cells, dtype=np.intp), np.empty(cells)
 
 
 def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray,

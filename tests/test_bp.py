@@ -273,17 +273,17 @@ class TestForwardScatter:
         loop_scatter_layer(cur[::-1], flipped, rows[::-1], n)
         assert not np.array_equal(flipped, want)  # the sums depend on the vertex order
 
-    def test_buffers_kept_per_n(self):
-        """Repeated and interleaved calls at n = 2..8 share one set of
-        buffers per n and give the tables of fresh buffers, bit for bit."""
+    def test_buffers_shared_across_calls(self):
+        """Repeated and interleaved calls at n = 2..8 share one pair of
+        chunk buffers and give the tables of fresh buffers, bit for bit."""
         programs = [sized_program(n, sizes, np.random.default_rng(10 * n + len(sizes)))
                     for n in range(2, 9) for sizes in [(1, 5, 3, 2), (1, 2, 6)]]
         want = []
         for bp in programs:
             tables = [np.zeros((width, 1 << bp.n)) for width in bp.layer_sizes]
             tables[0][0, :] = 2.0 ** (-bp.n)
-            edge = _scatter_buffers(bp.n)[0]
-            fresh = _chunk_buffers.__wrapped__(bp.n)
+            edge, index, weight = _scatter_buffers(bp.n)
+            fresh = np.empty_like(index), np.empty_like(weight)
             for t in range(bp.m):
                 _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], edge, *fresh)
             want.append(tables)
@@ -291,7 +291,10 @@ class TestForwardScatter:
             for i in order:
                 got = forward_tables(programs[i])
                 assert all(np.array_equal(g, w) for g, w in zip(got, want[i], strict=True)), i
-        assert all(_chunk_buffers(n) is _chunk_buffers(n) for n in range(2, 9))
+        shared = _chunk_buffers(_SCATTER_CELLS)
+        for n in range(2, 9):
+            _, index, weight = _scatter_buffers(n)
+            assert index.base is shared[0] and weight.base is shared[1]
 
     def test_cases_cover_what_they_name(self):
         assert all(bp.has_early_leaves() for bp in SCATTER_CASES["greedy"]())
