@@ -193,9 +193,9 @@ class WindowAttacker(Learner):
     outputs their solution subspace.
 
     State: the window's rows a | b << n, n+1 bits apiece, newest in the
-    low bits; older rows are cut off at capacity * (n+1) bits.  run_attack
-    solves it from the pads themselves (solve) when that fits the declared
-    budget, so that no step could overflow it.
+    low bits; older rows are cut off at capacity * (n+1) bits.  When those
+    bits fit the declared budget no step can overflow it, and run_attack
+    solves the window from the pads themselves (solve).
     """
 
     capacity: int = 0
