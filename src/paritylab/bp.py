@@ -57,12 +57,13 @@ class BranchingProgram:
         for t, layer in enumerate(self.transitions):
             if len(layer) != self.layer_sizes[t]:
                 raise ValueError(f"layer {t} transition count mismatch")
+            size = self.layer_sizes[t + 1]
             for v, row in enumerate(layer):
                 if row is None:
                     continue
                 if len(row) != degree:
                     raise ValueError(f"vertex ({t},{v}) needs {degree} out-edges")
-                if any(not 0 <= tgt < self.layer_sizes[t + 1] for tgt in row):
+                if min(row) < 0 or max(row) >= size:
                     raise ValueError(f"vertex ({t},{v}) has an out-of-range target")
         for t, v in self.iter_leaves():
             lab = self.leaf_labels.get((t, v))
@@ -316,6 +317,7 @@ def layer_accuracy(bp: BranchingProgram, rows: list[np.ndarray],
 def unroll(n: int, m: int, start: Hashable,
            step: Callable[[Hashable, int, int], Hashable],
            stop: Callable[[Hashable], bool] | None = None,
+           successors: Callable[[np.ndarray], np.ndarray] | None = None,
            ) -> tuple[list[list], list[tuple[tuple[int, ...] | None, ...]]]:
     """Breadth-first unrolling of a deterministic machine into m layers.
 
@@ -326,6 +328,12 @@ def unroll(n: int, m: int, start: Hashable,
     all stop carries its first state forward so the next layer stays
     non-empty.  Raises BudgetExceeded when a layer's states times its
     2^{n+1} out-edges exceed the state budget.
+
+    successors, when given, is step over arrays: int64 states (S,) to
+    their next states (S, 2^{n+1}), column (a << 1) | b.  A layer's
+    states that do not stop are then stepped a chunk of at most
+    _UNROLL_CELLS next states at a time and numbered in the same
+    (state, edge) order, so the result is the one step gives.
     """
     samples = [(a, b) for a in range(1 << n) for b in (0, 1)]
     layers: list[list] = [[start]]
@@ -334,16 +342,43 @@ def unroll(n: int, m: int, start: Hashable,
         layer = layers[t]
         _check_layer_edges(len(layer), n, t)
         index: dict = {}
-        rows = []
-        for state in layer:
-            if stop is not None and stop(state):
-                rows.append(None)
-            else:
-                rows.append(tuple(index.setdefault(step(state, a, b), len(index))
-                                  for a, b in samples))
+        if successors is not None:
+            rows = _array_rows(layer, stop, successors, index, len(samples))
+        else:
+            rows = []
+            for state in layer:
+                if stop is not None and stop(state):
+                    rows.append(None)
+                else:
+                    rows.append(tuple(index.setdefault(step(state, a, b), len(index))
+                                      for a, b in samples))
         transitions.append(tuple(rows))
         layers.append(list(index) or [layer[0]])
     return layers, transitions
+
+
+# Most next states per successors call in unroll.  A chunk's int64 scratch
+# arrays are 32 KiB apiece, under glibc's default 128 KiB mmap threshold,
+# so they come from the heap however large the layer.
+_UNROLL_CELLS = 1 << 12
+
+
+def _array_rows(layer: list[int], stop: Callable[[int], bool] | None,
+                successors: Callable[[np.ndarray], np.ndarray], index: dict,
+                degree: int) -> list[tuple[int, ...] | None]:
+    """unroll's rows of one layer through successors: the next states of
+    each chunk of running states, as Python ints, numbered into index in
+    (state, edge) order."""
+    rows: list[tuple[int, ...] | None] = [None] * len(layer)
+    live = [v for v, state in enumerate(layer) if stop is None or not stop(state)]
+    per = max(1, _UNROLL_CELLS // degree)
+    for j in range(0, len(live), per):
+        chunk = live[j:j + per]
+        nxt = successors(np.array([layer[v] for v in chunk], dtype=np.int64))
+        ids = [index.setdefault(s, len(index)) for s in nxt.ravel().tolist()]
+        for k, v in enumerate(chunk):
+            rows[v] = tuple(ids[k * degree:(k + 1) * degree])
+    return rows
 
 
 def to_json_dict(bp: BranchingProgram,

@@ -197,9 +197,20 @@ def selective_recorder_program(n: int, m: int,
     """Affine program that records the constraint only when a equals the
     trigger vector; everything else passes through: the Gaussian learner
     stepped on the trigger's samples only."""
+    return learner_program_with_labels(_selective_learner(n, trigger), m)
+
+
+def _selective_learner(n: int, trigger: int) -> Learner:
+    """The Gaussian learner stepped only on samples whose a is the
+    trigger; its successors keep every other edge's column at the state."""
     learner = gaussian_learner(n)
 
     def step(state: int, a: int, b: int) -> int:
         return learner.step(state, a, b) if a == trigger else state
 
-    return learner_program_with_labels(replace(learner, step=step, batch=None), m)
+    def successors(states: np.ndarray) -> np.ndarray:
+        recorded = (np.arange(2 << n) >> 1) == trigger  # the edges (trigger, b)
+        return np.where(recorded, learner.successors(states), states[:, None])
+
+    return replace(learner, step=step, batch=None,
+                   successors=None if learner.successors is None else successors)

@@ -45,7 +45,9 @@ BatchRun = Callable[[np.ndarray, np.ndarray, Callable[[np.ndarray], None]],
 class Learner:
     """A streaming learner; `batch`, when set, must agree with `step` and
     `output` on every stream (simulate_success falls back to them
-    otherwise)."""
+    otherwise), and `successors`, when set, with `step` on every state
+    and sample (bp.unroll's array form of step; learner_state_layers
+    falls back to step otherwise)."""
 
     name: str
     n: int
@@ -54,6 +56,7 @@ class Learner:
     step: Callable[[int, int, int], int]
     output: Callable[[int], AffineSubspace]
     batch: BatchRun | None = None
+    successors: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,34 @@ def gaussian_learner(n: int) -> Learner:
         return _solved_points(rows, count == n, n), lambda: [
             _encode_rows([r for r in row if r], width) for row in rows.tolist()]
 
-    return Learner("gaussian", n, n * width, 0, step, output, batch)
+    def successors(states):
+        # rows[:, i] is each state's row i, sorted by pivot (0 past its
+        # rank); the sample at edge (a << 1) | b is a | b << n
+        rows = (states[:, None] >> (np.arange(n) * width)) & ((1 << width) - 1)
+        pivots = rows & -rows
+        edges = np.arange(2 << n, dtype=np.int64)
+        samples = (edges >> 1) | ((edges & 1) << n)
+        # _reduce: one XOR of the rows whose pivot bit the sample holds
+        v = np.repeat(samples[None, :], len(states), axis=0)
+        for i in range(n):
+            v ^= np.where(samples & pivots[:, i:i + 1], rows[:, i:i + 1], 0)
+        new = v & (b_bit - 1)
+        new &= -new  # the reduced sample's pivot bit, 0 when step keeps the state
+        # _insert, then the pivot sort: the rows of lower pivot keep their
+        # slots, v takes the next one and the others move up one
+        out = np.zeros_like(v)
+        slot = np.zeros_like(v)
+        for i in range(n):
+            r, p = rows[:, i:i + 1], pivots[:, i:i + 1]
+            below = (p != 0) & (p < new)
+            slot += below
+            out |= (r ^ np.where(r & new, v, 0)) << np.where(below, i * width, (i + 1) * width)
+        out |= v << (slot * width)
+        return np.where(new != 0, out, states[:, None])
+
+    # array successors while the n(n+1)-bit state fits int64: n <= 7
+    return Learner("gaussian", n, n * width, 0, step, output, batch,
+                   successors if n * width < 64 else None)
 
 
 def prefix_pivot_learner(n: int) -> Learner:
@@ -374,7 +404,7 @@ def learner_state_layers(learner: Learner, m: int,
                          ) -> tuple[list[list[int]], list[tuple[tuple[int, ...] | None, ...]]]:
     """Breadth-first reachable states per layer plus the transition rows;
     states with stop(state) become early leaves (see bp.unroll)."""
-    return unroll(learner.n, m, learner.initial_state, learner.step, stop)
+    return unroll(learner.n, m, learner.initial_state, learner.step, stop, learner.successors)
 
 
 def estimate_sample_complexity(learner: Learner, target: float,

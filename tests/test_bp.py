@@ -13,6 +13,7 @@ from oracles import (
     per_vertex_program_with_labels,
 )
 
+import paritylab.bp as bp_module
 from paritylab.bp import (
     _SCATTER_CELLS,
     _chunk_buffers,
@@ -33,6 +34,7 @@ from paritylab.bp import (
 from paritylab.config import BudgetExceeded
 from paritylab.distributions import uniform_rows
 from paritylab.generators import (
+    _selective_learner,
     greedy_recorder_program,
     learner_program_with_labels,
     random_program,
@@ -50,6 +52,7 @@ from paritylab.gf2 import (
 )
 from paritylab.crypto import window_attacker
 from paritylab.learners import (
+    _decode_rows,
     exhaustive_learner,
     gaussian_learner,
     learner_state_layers,
@@ -534,6 +537,82 @@ class TestRecorderOracle:
                     == to_json_dict(*object_selective_recorder(n, m, trigger))), (n, m, trigger)
 
 
+def reachable_states(learner, rng, count):
+    """States reached from the start by walks of 0..n+1 random samples
+    (a, b), b not tied to any key: every state an unrolled layer holds."""
+    n = learner.n
+    states = []
+    for _ in range(count):
+        state = learner.initial_state
+        for _ in range(int(rng.integers(0, n + 2))):
+            state = learner.step(state, int(rng.integers(0, 1 << n)), int(rng.integers(0, 2)))
+        states.append(state)
+    return states
+
+
+def assert_successors_match_step(learner, states):
+    nxt = learner.successors(np.array(states, dtype=np.int64))
+    assert nxt.shape == (len(states), 2 << learner.n)
+    for i, state in enumerate(states):
+        assert [learner.step(state, k >> 1, k & 1) for k in range(2 << learner.n)] \
+            == nxt[i].tolist(), state
+
+
+class TestArrayUnroll:
+    """bp.unroll through a learner's successors, the array form of its
+    scalar step, which stays the definition."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gaussian_successors_match_step(self, n):
+        learner = gaussian_learner(n)
+        assert_successors_match_step(learner,
+                                     reachable_states(learner, np.random.default_rng(n), 40))
+
+    def test_selective_successors_match_step(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 6):
+            for trigger in {0, 1, (1 << n) - 1, int(rng.integers(0, 1 << n))}:
+                learner = _selective_learner(n, trigger)
+                states = reachable_states(gaussian_learner(n), rng, 30)
+                states += reachable_states(learner, rng, 10)
+                assert_successors_match_step(learner, states)
+
+    def test_no_successors_past_int64(self):
+        """The Gaussian state takes n(n+1) bits: 56 at n = 7, 72 at n = 8."""
+        assert gaussian_learner(7).successors is not None
+        assert gaussian_learner(8).successors is None
+        assert _selective_learner(8, 1).successors is None
+
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 12])
+    def test_equals_scalar_unroll(self, monkeypatch, cells):
+        """Layers and rows equal the scalar loop's, with chunks of one
+        state, of two states at n = 4, and of the default size."""
+        monkeypatch.setattr(bp_module, "_UNROLL_CELLS", cells)
+        for n, m in [(1, 4), (2, 4), (3, 3), (4, 3), (5, 2)]:
+            learner = gaussian_learner(n)
+            scalar = replace(learner, successors=None)
+            for k in range(n + 1):
+                stop = lambda state, n=n, k=k: len(_decode_rows(state, n + 1)) >= n - k
+                for s in (None, stop):
+                    assert (learner_state_layers(learner, m, s)
+                            == learner_state_layers(scalar, m, s)), (n, m, k, s)
+
+    def test_plain_int_contract(self):
+        """Every unrolled state and target is a Python int, never a numpy
+        integer: the bench digests repr(program.transitions) and the JSON
+        goldens need plain ints."""
+        programs = [greedy_recorder_program(4, 3, 1), selective_recorder_program(4, 3, 5),
+                    learner_program_with_labels(gaussian_learner(4), 3)]
+        for bp, _ in programs:
+            for layer in bp.transitions:
+                for row in layer:
+                    assert row is None or all(type(tgt) is int for tgt in row)
+        for learner in (gaussian_learner(4), _selective_learner(4, 5)):
+            layers, transitions = learner_state_layers(learner, 3)
+            assert all(type(state) is int for layer in layers for state in layer)
+            assert all(type(tgt) is int for layer in transitions for row in layer for tgt in row)
+
+
 class TestLabelledPrograms:
     """learner_program_with_labels computes each distinct state's output
     once; the program and labels equal the per-vertex builder's."""
@@ -743,6 +822,26 @@ class TestGuards:
                            "the state budget; set PARITYLAB_STATE_BUDGET to override$"):
             make()
 
+    @pytest.mark.parametrize("make, width", [(lambda: greedy_recorder_program(2, 2, 0), 7),
+                                             (lambda: selective_recorder_program(2, 2, 1), 3)])
+    def test_state_budget_guards_recorders_at_layer_1(self, monkeypatch, make, width):
+        """On the array path the budget first trips at layer 1."""
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match=f"^{width} vertices x 8 edges in layer 1 "
+                           "exceeds the state budget; set PARITYLAB_STATE_BUDGET to override$"):
+            make()
+
+    def test_state_budget_checked_before_stepping(self, monkeypatch):
+        """No successors call is made for a layer over budget."""
+        learner = gaussian_learner(2)
+        calls = []
+        counted = replace(learner, successors=lambda states: calls.append(len(states))
+                          or learner.successors(states))
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match="^7 vertices x 8 edges in layer 1 "):
+            learner_state_layers(counted, 2)
+        assert calls == [1]
+
     def test_structural_validation(self):
         full = AffineSubspace.full(1)
         with pytest.raises(ValueError):
@@ -753,3 +852,16 @@ class TestGuards:
             BranchingProgram(1, 1, (1, 1), (((0, 0, 0, 9),),), {(1, 0): full})
         with pytest.raises(ValueError):
             BranchingProgram(1, 1, (1, 1), (((0,) * 4,),), {})  # missing leaf label
+        # a negative or too-large target at a later vertex names that
+        # vertex, the first offender even when a later layer offends too
+        layer0, fine = ((0, 1, 0, 1),), (0, 0, 1, 1)
+        for bad in (-1, 2):
+            for edge in (0, 3):
+                row = [1, 0, 0, 1]
+                row[edge] = bad
+                for late in ((0,) * 4, (0, 0, bad, 0)):
+                    with pytest.raises(ValueError,
+                                       match=r"^vertex \(1,1\) has an out-of-range target$"):
+                        BranchingProgram(1, 3, (1, 2, 2, 1),
+                                         (layer0, (fine, tuple(row)), ((0,) * 4, late)),
+                                         {(3, 0): full})
