@@ -817,19 +817,15 @@ class TestGuards:
     @pytest.mark.parametrize("make", [lambda: greedy_recorder_program(2, 2, 0),
                                       lambda: selective_recorder_program(2, 2, 1)])
     def test_state_budget_guards_recorders(self, monkeypatch, make):
-        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "4")
-        with pytest.raises(BudgetExceeded, match="^1 vertices x 8 edges in layer 0 exceeds "
-                           "the state budget; set PARITYLAB_STATE_BUDGET to override$"):
-            make()
-
-    @pytest.mark.parametrize("make, width", [(lambda: greedy_recorder_program(2, 2, 0), 7),
-                                             (lambda: selective_recorder_program(2, 2, 1), 3)])
-    def test_state_budget_guards_recorders_at_layer_1(self, monkeypatch, make, width):
-        """On the array path the budget first trips at layer 1."""
-        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "8")
-        with pytest.raises(BudgetExceeded, match=f"^{width} vertices x 8 edges in layer 1 "
-                           "exceeds the state budget; set PARITYLAB_STATE_BUDGET to override$"):
-            make()
+        """The budget trips at layer 0, and with layer 0 inside it first at
+        layer 1 of the array path (7 greedy, 3 selective vertices)."""
+        width = make()[0].layer_sizes[1]
+        for budget, over in (("4", "1 vertices x 8 edges in layer 0"),
+                             ("8", f"{width} vertices x 8 edges in layer 1")):
+            monkeypatch.setenv("PARITYLAB_STATE_BUDGET", budget)
+            with pytest.raises(BudgetExceeded, match=f"^{over} exceeds the state budget; "
+                               "set PARITYLAB_STATE_BUDGET to override$"):
+                make()
 
     def test_state_budget_checked_before_stepping(self, monkeypatch):
         """No successors call is made for a layer over budget."""
