@@ -539,7 +539,7 @@ class TestRecorderOracle:
 
 def reachable_states(learner, rng, count):
     """States reached from the start by walks of 0..n+1 random samples
-    (a, b), b not tied to any key: every state an unrolled layer holds."""
+    (a, b), b tied to no key, as an unrolled layer's edges are."""
     n = learner.n
     states = []
     for _ in range(count):
