@@ -323,62 +323,49 @@ def unroll(n: int, m: int, start: Hashable,
 
     step(state, a, b) consumes one sample.  Returns the states per layer
     and the transition rows, edge index (a << 1) | b.  Equal states share
-    a vertex, numbered per layer in first-seen order.  A state with
-    stop(state) becomes an early leaf (a None row); a layer whose states
-    all stop carries its first state forward so the next layer stays
-    non-empty.  Raises BudgetExceeded when a layer's states times its
-    2^{n+1} out-edges exceed the state budget.
+    a vertex, numbered per layer in first-seen (state, edge) order.  A
+    state with stop(state) becomes an early leaf (a None row); a layer
+    whose states all stop carries its first state forward so the next
+    layer stays non-empty.  Raises BudgetExceeded, before stepping it,
+    when a layer's states times its 2^{n+1} out-edges exceed the state
+    budget.
 
-    successors, when given, is step over arrays: int64 states (S,) to
-    their next states (S, 2^{n+1}), column (a << 1) | b.  A layer's
-    states that do not stop are then stepped a chunk of at most
-    _UNROLL_CELLS next states at a time and numbered in the same
-    (state, edge) order, so the result is the one step gives.
+    A layer's states that do not stop are stepped a chunk of at most
+    _UNROLL_CELLS next states at a time: through successors, when given,
+    which is step over arrays (int64 states (S,) to their next states
+    (S, 2^{n+1}), column (a << 1) | b), and through step otherwise.
     """
     samples = [(a, b) for a in range(1 << n) for b in (0, 1)]
+    degree = len(samples)
+    per = max(1, _UNROLL_CELLS // degree)
     layers: list[list] = [[start]]
     transitions = []
     for t in range(m):
         layer = layers[t]
         _check_layer_edges(len(layer), n, t)
         index: dict = {}
-        if successors is not None:
-            rows = _array_rows(layer, stop, successors, index, len(samples))
-        else:
-            rows = []
-            for state in layer:
-                if stop is not None and stop(state):
-                    rows.append(None)
-                else:
-                    rows.append(tuple(index.setdefault(step(state, a, b), len(index))
-                                      for a, b in samples))
+        rows: list[tuple[int, ...] | None] = [None] * len(layer)
+        live = [v for v, state in enumerate(layer) if stop is None or not stop(state)]
+        for j in range(0, len(live), per):
+            chunk = live[j:j + per]
+            states = [layer[v] for v in chunk]
+            if successors is not None:
+                nxt = successors(np.array(states, dtype=np.int64)).ravel().tolist()
+            else:
+                nxt = [step(state, a, b) for state in states for a, b in samples]
+            ids = [index.setdefault(s, len(index)) for s in nxt]
+            del nxt  # freed before the next chunk is stepped, not alongside it
+            for k, v in enumerate(chunk):
+                rows[v] = tuple(ids[k * degree:(k + 1) * degree])
         transitions.append(tuple(rows))
         layers.append(list(index) or [layer[0]])
     return layers, transitions
 
 
-# Most next states per successors call in unroll.  A chunk's int64 scratch
+# Most next states per chunk in unroll.  An array chunk's int64 scratch
 # arrays are 32 KiB apiece, under glibc's default 128 KiB mmap threshold,
 # so they come from the heap however large the layer.
 _UNROLL_CELLS = 1 << 12
-
-
-def _array_rows(layer: list[int], stop: Callable[[int], bool] | None,
-                successors: Callable[[np.ndarray], np.ndarray], index: dict,
-                degree: int) -> list[tuple[int, ...] | None]:
-    """unroll's rows of one layer through successors: the next states of
-    each chunk of running states, as Python ints, numbered into index in
-    (state, edge) order."""
-    rows: list[tuple[int, ...] | None] = [None] * len(layer)
-    live = [v for v, state in enumerate(layer) if stop is None or not stop(state)]
-    per = max(1, _UNROLL_CELLS // degree)
-    for j in range(0, len(live), per):
-        chunk = live[j:j + per]
-        nxt = successors(np.array([layer[v] for v in chunk], dtype=np.int64))
-        ids = [index.setdefault(s, len(index)) for s in nxt.ravel().tolist()]
-        for k, v in enumerate(chunk):
-            rows[v] = tuple(ids[k * degree:(k + 1) * degree])
-    return rows
 
 
 def to_json_dict(bp: BranchingProgram,

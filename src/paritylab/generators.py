@@ -202,15 +202,10 @@ def selective_recorder_program(n: int, m: int,
 
 def _selective_learner(n: int, trigger: int) -> Learner:
     """The Gaussian learner stepped only on samples whose a is the
-    trigger; its successors keep every other edge's column at the state."""
+    trigger."""
     learner = gaussian_learner(n)
 
     def step(state: int, a: int, b: int) -> int:
         return learner.step(state, a, b) if a == trigger else state
 
-    def successors(states: np.ndarray) -> np.ndarray:
-        recorded = (np.arange(2 << n) >> 1) == trigger  # the edges (trigger, b)
-        return np.where(recorded, learner.successors(states), states[:, None])
-
-    return replace(learner, step=step, batch=None,
-                   successors=None if learner.successors is None else successors)
+    return replace(learner, step=step, batch=None, successors=None)

@@ -9,9 +9,10 @@ every round: the form that the package's running level-0 table must
 reproduce round for round.  The reduction reference runs the layer loop
 on AffineSubspace keys: per label its edge subspaces, per vertex a
 SubspaceMixture.from_pairs, the tuple partition, and edges routed
-through sigma and SubspacePartition.assign.  The recorder reference
-unrolls machines whose state is an AffineSubspace, stepped through
-intersect_hyperplane, and the labelled-program reference calls a
+through sigma and SubspacePartition.assign.  The unroll reference is
+the scalar loop that steps and numbers one state at a time.  The recorder
+reference unrolls machines whose state is an AffineSubspace, stepped
+through intersect_hyperplane, and the labelled-program reference calls a
 learner's output once per vertex.  The layer-accuracy and ideal-joint
 references tabulate one vertex's uniform law at a time, summing each
 row by itself.  The success-probability reference tabulates the leaf
@@ -32,7 +33,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from paritylab.bp import AffineLabels, BranchingProgram, forward_tables, unroll
+from paritylab.bp import (
+    AffineLabels,
+    BranchingProgram,
+    _check_layer_edges,
+    forward_tables,
+    unroll,
+)
 from paritylab.crypto import AttackReport
 from paritylab.distributions import (
     SubspaceMixture,
@@ -295,6 +302,28 @@ def assert_same_partition(part, ref):
     """Equal groups (representatives, members, float masses, in order)
     and residual."""
     assert part == ref
+
+
+def scalar_unroll(n, m, start, step, stop=None):
+    """Reference for bp.unroll: each state stopped or stepped on every
+    sample in turn, its next states numbered as they come."""
+    samples = [(a, b) for a in range(1 << n) for b in (0, 1)]
+    layers = [[start]]
+    transitions = []
+    for t in range(m):
+        layer = layers[t]
+        _check_layer_edges(len(layer), n, t)
+        index = {}
+        rows = []
+        for state in layer:
+            if stop is not None and stop(state):
+                rows.append(None)
+            else:
+                rows.append(tuple(index.setdefault(step(state, a, b), len(index))
+                                  for a, b in samples))
+        transitions.append(tuple(rows))
+        layers.append(list(index) or [layer[0]])
+    return layers, transitions
 
 
 def _recorder_step(w, a, b):

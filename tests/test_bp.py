@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    _recorder_step,
     object_greedy_recorder,
     object_selective_recorder,
     per_leaf_success_probability,
     per_vertex_layer_accuracy,
     per_vertex_program_with_labels,
+    scalar_unroll,
 )
 
 import paritylab.bp as bp_module
@@ -52,7 +54,6 @@ from paritylab.gf2 import (
 )
 from paritylab.crypto import window_attacker
 from paritylab.learners import (
-    _decode_rows,
     exhaustive_learner,
     gaussian_learner,
     learner_state_layers,
@@ -558,6 +559,24 @@ def assert_successors_match_step(learner, states):
             == nxt[i].tolist(), state
 
 
+def unroll_machines(n):
+    """A machine of every kind that bp.unroll steps, as (start, step,
+    successors, rank): the Gaussian learner, the only one with
+    successors, the other learners, the window attacker, the selective
+    recorder's learner and the reference recorder on AffineSubspace
+    states.  rank(state) is the rank of the system whose solutions are
+    the state's output: n minus their dimension, n + 1 when there are
+    none."""
+    def rank(w):
+        return n + 1 if w.is_empty else n - w.dim
+
+    learners = [gaussian_learner(n), prefix_pivot_learner(n), exhaustive_learner(n),
+                window_attacker(n, 2 * n + 2), _selective_learner(n, 1)]
+    machines = [(learner.initial_state, learner.step, learner.successors,
+                 lambda state, f=learner.output: rank(f(state))) for learner in learners]
+    return machines + [(AffineSubspace.full(n), _recorder_step, None, rank)]
+
+
 class TestArrayUnroll:
     """bp.unroll through a learner's successors, the array form of its
     scalar step, which stays the definition."""
@@ -568,34 +587,25 @@ class TestArrayUnroll:
         assert_successors_match_step(learner,
                                      reachable_states(learner, np.random.default_rng(n), 40))
 
-    def test_selective_successors_match_step(self):
-        rng = np.random.default_rng(3)
-        for n in range(1, 6):
-            for trigger in {0, 1, (1 << n) - 1, int(rng.integers(0, 1 << n))}:
-                learner = _selective_learner(n, trigger)
-                states = reachable_states(gaussian_learner(n), rng, 30)
-                states += reachable_states(learner, rng, 10)
-                assert_successors_match_step(learner, states)
-
     def test_no_successors_past_int64(self):
-        """The Gaussian state takes n(n+1) bits: 56 at n = 7, 72 at n = 8."""
+        """The Gaussian state takes n(n+1) bits: 56 at n = 7, 72 at n = 8.
+        The selective recorder steps its scalar map at every n."""
         assert gaussian_learner(7).successors is not None
         assert gaussian_learner(8).successors is None
-        assert _selective_learner(8, 1).successors is None
+        assert all(_selective_learner(n, 1).successors is None for n in range(1, 9))
 
-    @pytest.mark.parametrize("cells", [1, 64, 1 << 12])
+    @pytest.mark.parametrize("cells", [1, 64, bp_module._UNROLL_CELLS])
     def test_equals_scalar_unroll(self, monkeypatch, cells):
-        """Layers and rows equal the scalar loop's, with chunks of one
-        state, of two states at n = 4, and of the default size."""
+        """Layers and rows equal the reference scalar loop's on every kind
+        of machine, without stops and stopped at each rank, with chunks of
+        one state, of two states at n = 4, and of the default size."""
         monkeypatch.setattr(bp_module, "_UNROLL_CELLS", cells)
         for n, m in [(1, 4), (2, 4), (3, 3), (4, 3), (5, 2)]:
-            learner = gaussian_learner(n)
-            scalar = replace(learner, successors=None)
-            for k in range(n + 1):
-                stop = lambda state, n=n, k=k: len(_decode_rows(state, n + 1)) >= n - k
-                for s in (None, stop):
-                    assert (learner_state_layers(learner, m, s)
-                            == learner_state_layers(scalar, m, s)), (n, m, k, s)
+            for start, step, successors, rank in unroll_machines(n):
+                stops = [None] + [lambda state, k=k: rank(state) >= k for k in range(n + 1)]
+                for stop in stops:
+                    assert (bp_module.unroll(n, m, start, step, stop, successors)
+                            == scalar_unroll(n, m, start, step, stop)), (n, m, start, stop)
 
     def test_plain_int_contract(self):
         """Every unrolled state and target is a Python int, never a numpy
@@ -818,7 +828,7 @@ class TestGuards:
                                       lambda: selective_recorder_program(2, 2, 1)])
     def test_state_budget_guards_recorders(self, monkeypatch, make):
         """The budget trips at layer 0, and with layer 0 inside it first at
-        layer 1 of the array path (7 greedy, 3 selective vertices)."""
+        layer 1 (7 greedy vertices, 3 selective)."""
         width = make()[0].layer_sizes[1]
         for budget, over in (("4", "1 vertices x 8 edges in layer 0"),
                              ("8", f"{width} vertices x 8 edges in layer 1")):
@@ -837,6 +847,19 @@ class TestGuards:
         with pytest.raises(BudgetExceeded, match="^7 vertices x 8 edges in layer 1 "):
             learner_state_layers(counted, 2)
         assert calls == [1]
+
+    def test_state_budget_checked_before_scalar_stepping(self, monkeypatch):
+        """Without successors, the layer-0 state's 8 step calls are the
+        only ones made."""
+        learner = prefix_pivot_learner(2)
+        assert learner.successors is None
+        calls = []
+        counted = replace(learner, step=lambda *args: calls.append(args) or learner.step(*args))
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match="^5 vertices x 8 edges in layer 1 exceeds the "
+                           "state budget; set PARITYLAB_STATE_BUDGET to override$"):
+            learner_state_layers(counted, 2)
+        assert calls == [(learner.initial_state, a, b) for a in range(4) for b in (0, 1)]
 
     def test_structural_validation(self):
         full = AffineSubspace.full(1)
