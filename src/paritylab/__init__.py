@@ -31,14 +31,14 @@ from .partition import (
     find_representative_subspace,
 )
 from .bp import (
-    AffineLabels,
     BranchingProgram,
+    labelled_program,
     layer_accuracy,
     run_path,
     success_probability,
     validate_affine,
 )
-from .reduction import AffineReduction, ReductionParams, reduce_to_affine, verify_reduction
+from .reduction import AffineReduction, reduce_to_affine, verify_reduction
 from .lowerbound import reach_probability_bound, tradeoff_exponent, verify_reach_bound
 from .learners import (
     Learner,

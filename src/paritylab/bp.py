@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from itertools import zip_longest
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -94,14 +95,25 @@ class BranchingProgram:
         return any(t < self.m for t, _ in self.iter_leaves())
 
 
-@dataclass(frozen=True)
-class AffineLabels:
-    """An affine subspace per vertex (layer-major), not only per leaf."""
+# An affine subspace per vertex, not only per leaf: labels[t][v].
+Labels = tuple[tuple[AffineSubspace, ...], ...]
 
-    labels: tuple[tuple[AffineSubspace, ...], ...]
 
-    def get(self, t: int, v: int) -> AffineSubspace:
-        return self.labels[t][v]
+def labelled_program(n: int, transitions: Sequence[tuple[tuple[int, ...] | None, ...]],
+                     labels: Labels) -> BranchingProgram:
+    """The program of these rows, with the label layers' lengths as its
+    layer sizes and its leaves (None rows, last layer) labelled by labels."""
+    m = len(transitions)
+    leaf_labels = {(t, v): w for t, layer in enumerate(labels) for v, w in enumerate(layer)
+                   if t == m or transitions[t][v] is None}
+    return BranchingProgram(n, m, tuple(map(len, labels)), tuple(transitions), leaf_labels)
+
+
+def check_layer_shape(bp: BranchingProgram, layers: Sequence[Sequence], name: str) -> None:
+    """Raise ValueError naming the first layer whose length is not bp's."""
+    for t, (got, want) in enumerate(zip_longest(map(len, layers), bp.layer_sizes, fillvalue=0)):
+        if got != want:
+            raise ValueError(f"{name} layer {t} has {got} entries, not the program's {want}")
 
 
 # Most (vertex, a, x) cells per np.add.at call in forward_tables, one
@@ -251,26 +263,26 @@ class AffineValidation:
     notes: list[str]
 
 
-def validate_affine(bp: BranchingProgram, labels: AffineLabels) -> AffineValidation:
-    """Check the start label and the per-edge inclusion
-    label(u) ∩ {x : a.x = b} ⊆ label(v).
+def validate_affine(bp: BranchingProgram, labels: Labels) -> AffineValidation:
+    """Check the labels' shape (else ValueError), the start label and the
+    per-edge inclusion label(u) ∩ {x : a.x = b} ⊆ label(v).
 
     Each label is its point mask (gf2.point_mask), so an edge is one int
     test: the edge (a, b) violates iff gf2.edge_masks of label(u)'s mask
     has a point outside label(v)'s mask at index (a << 1) | b.  The
     4^n-bit hyperplane_masks table is under the DP budget, checked first.
     """
+    check_layer_shape(bp, labels, "labels")
     check_dp_budget(bp)
     violations: list[tuple] = []
     notes: list[str] = []
-    if labels.get(0, 0) != AffineSubspace.full(bp.n):
+    if labels[0][0] != AffineSubspace.full(bp.n):
         violations.append(("start", 0, 0))
     mask_of = functools.cache(point_mask)  # once per distinct label
     masks = []
-    for t in range(bp.m + 1):
+    for t, layer_labels in enumerate(labels):
         layer = []
-        for v in range(bp.layer_sizes[t]):
-            lab = labels.get(t, v)
+        for v, lab in enumerate(layer_labels):
             if lab.n != bp.n:
                 raise DimensionMismatch(f"vertex ({t},{v}) label has n={lab.n}, "
                                         f"the program n={bp.n}")
@@ -369,7 +381,7 @@ _UNROLL_CELLS = 1 << 12
 
 
 def to_json_dict(bp: BranchingProgram,
-                 labels: AffineLabels | None = None,
+                 labels: Labels | None = None,
                  gamma: tuple[tuple[int, ...], ...] | None = None) -> dict:
     to_text = functools.cache(AffineSubspace.to_text)  # once per distinct label
     doc: dict = {
@@ -383,7 +395,7 @@ def to_json_dict(bp: BranchingProgram,
         "leaf_labels": {f"{t},{v}": to_text(lab) for (t, v), lab in sorted(bp.leaf_labels.items())},
     }
     if labels is not None:
-        doc["labels"] = [[to_text(w) for w in layer] for layer in labels.labels]
+        doc["labels"] = [[to_text(w) for w in layer] for layer in labels]
     if gamma is not None:
         doc["gamma"] = [list(layer) for layer in gamma]
     return doc
@@ -416,9 +428,10 @@ def _parse_leaf_labels(entries: dict, n: int) -> dict[tuple[int, int], AffineSub
     return out
 
 
-def from_json_dict(doc: dict) -> tuple[BranchingProgram, AffineLabels | None,
+def from_json_dict(doc: dict) -> tuple[BranchingProgram, Labels | None,
                                        tuple[tuple[int, ...], ...] | None]:
-    """Inverse of to_json_dict; malformed documents raise ValueError."""
+    """Inverse of to_json_dict; malformed documents, labels or gamma not
+    of the program's shape among them, raise ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("program JSON must be an object")
     n = _field(doc, "n", _integer)
@@ -429,8 +442,11 @@ def from_json_dict(doc: dict) -> tuple[BranchingProgram, AffineLabels | None,
         for layer in layers))
     leaf_labels = _field(doc, "leaf_labels", lambda entries: _parse_leaf_labels(entries, n))
     bp = BranchingProgram(n, m, sizes, transitions, leaf_labels)
-    labels = _field(doc, "labels", lambda layers: AffineLabels(tuple(
-        tuple(parse_subspace(text, n) for text in layer) for layer in layers)), required=False)
+    labels = _field(doc, "labels", lambda layers: tuple(
+        tuple(parse_subspace(text, n) for text in layer) for layer in layers), required=False)
     gamma = _field(doc, "gamma", lambda layers: tuple(
         tuple(_integer(g) for g in layer) for layer in layers), required=False)
+    for name, layers in (("labels", labels), ("gamma", gamma)):
+        if layers is not None:
+            check_layer_shape(bp, layers, name)
     return bp, labels, gamma

@@ -24,7 +24,7 @@ from .learners import (
     prefix_pivot_learner,
 )
 from .lowerbound import reach_probability_bound, tradeoff_exponent
-from .reduction import ReductionParams, reduce_to_affine
+from .reduction import reduce_to_affine
 from .suites import run_all_suites
 
 LEARNER_FACTORIES = {
@@ -83,7 +83,7 @@ def _cmd_reduce(args) -> int:
     with open(args.infile) as fh:
         doc = json.load(fh)
     bp, _, _ = from_json_dict(doc)
-    red = reduce_to_affine(bp, ReductionParams(args.r))
+    red = reduce_to_affine(bp, args.r)
     out_doc = to_json_dict(red.program, labels=red.labels, gamma=red.gamma)
     emit_report(out_doc, "json", args.out)
     if args.report:

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bp import AffineLabels, BranchingProgram
+from .bp import BranchingProgram, Labels, labelled_program
 from .distributions import SubspaceMixture, check_r, hyperplane_mass
 from .gf2 import (
     AffineSubspace,
@@ -164,7 +164,7 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> Bran
 
 def learner_program_with_labels(learner: Learner, m: int,
                                 stop: Callable[[int], bool] | None = None,
-                                ) -> tuple[BranchingProgram, AffineLabels]:
+                                ) -> tuple[BranchingProgram, Labels]:
     """Unrolled learner whose affine labels are its per-state outputs;
     stopped states (None rows) and the last layer's states are the leaves.
 
@@ -176,15 +176,11 @@ def learner_program_with_labels(learner: Learner, m: int,
     """
     layers, transitions = learner_state_layers(learner, m, stop)
     output = functools.cache(learner.output)
-    labels = [[output(state) for state in layer] for layer in layers]
-    leaf_labels = {(t, v): w for t, layer in enumerate(labels) for v, w in enumerate(layer)
-                   if t == m or transitions[t][v] is None}
-    bp = BranchingProgram(learner.n, m, tuple(len(l) for l in layers), tuple(transitions),
-                          leaf_labels)
-    return bp, AffineLabels(tuple(tuple(layer) for layer in labels))
+    labels = tuple(tuple(output(state) for state in layer) for layer in layers)
+    return labelled_program(learner.n, transitions, labels), labels
 
 
-def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, AffineLabels]:
+def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, Labels]:
     """Affine program that intersects every consistent constraint into its
     label, stopping (leaf) once the dimension hits k: the Gaussian
     learner, stopped once its rank reaches n - k."""
@@ -193,7 +189,7 @@ def greedy_recorder_program(n: int, m: int, k: int) -> tuple[BranchingProgram, A
 
 
 def selective_recorder_program(n: int, m: int,
-                               trigger: int) -> tuple[BranchingProgram, AffineLabels]:
+                               trigger: int) -> tuple[BranchingProgram, Labels]:
     """Affine program that records the constraint only when a equals the
     trigger vector; everything else passes through: the Gaussian learner
     stepped on the trigger's samples only."""

@@ -6,7 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bp import AffineLabels, BranchingProgram, forward_tables, validate_affine
+from .bp import (
+    BranchingProgram,
+    Labels,
+    check_layer_shape,
+    forward_tables,
+    labelled_program,
+    validate_affine,
+)
 from .distributions import SLACK
 
 
@@ -52,8 +59,8 @@ class ReachBoundReport:
         }
 
 
-def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels, k: int,
-                          ) -> tuple[BranchingProgram, AffineLabels, list[list[int]]]:
+def trim_to_min_dimension(bp: BranchingProgram, labels: Labels, k: int,
+                          ) -> tuple[BranchingProgram, Labels, list[list[int]]]:
     """Make every dimension-k vertex a leaf and drop vertices below k.
 
     Empty-labelled vertices lie below every k and are dropped too.  Since
@@ -62,13 +69,14 @@ def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels, k: int,
     subspace (never traversed on consistent streams), rerouting those
     edges to the first retained vertex keeps the program sound and leaves
     every reach probability unchanged.  Also returns, per layer, the
-    original index of each retained vertex.
+    original index of each retained vertex.  Labels not of bp's shape
+    raise ValueError.
     """
+    check_layer_shape(bp, labels, "labels")
     keep: list[list[int]] = [[] for _ in range(bp.m + 1)]
     index: dict[tuple[int, int], int] = {}
-    for t in range(bp.m + 1):
-        for v in range(bp.layer_sizes[t]):
-            lab = labels.get(t, v)
+    for t, layer in enumerate(labels):
+        for v, lab in enumerate(layer):
             if not lab.is_empty and lab.dim >= k:
                 index[(t, v)] = len(keep[t])
                 keep[t].append(v)
@@ -79,24 +87,16 @@ def trim_to_min_dimension(bp: BranchingProgram, labels: AffineLabels, k: int,
         layer = []
         for v in keep[t]:
             row = bp.transitions[t][v]
-            if row is None or labels.get(t, v).dim == k:
+            if row is None or labels[t][v].dim == k:
                 layer.append(None)
             else:
                 layer.append(tuple(index.get((t + 1, tgt), 0) for tgt in row))
         transitions.append(tuple(layer))
-    new_sizes = tuple(len(keep[t]) for t in range(bp.m + 1))
-    new_labels = AffineLabels(tuple(
-        tuple(labels.get(t, v) for v in keep[t]) for t in range(bp.m + 1)))
-    leaf_labels = {}
-    for t in range(bp.m + 1):
-        for i, v in enumerate(keep[t]):
-            if t == bp.m or transitions[t][i] is None:
-                leaf_labels[(t, i)] = labels.get(t, v)
-    trimmed = BranchingProgram(bp.n, bp.m, new_sizes, tuple(transitions), leaf_labels)
-    return trimmed, new_labels, keep
+    new_labels = tuple(tuple(labels[t][v] for v in kept) for t, kept in enumerate(keep))
+    return labelled_program(bp.n, transitions, new_labels), new_labels, keep
 
 
-def verify_reach_bound(bp: BranchingProgram, labels: AffineLabels,
+def verify_reach_bound(bp: BranchingProgram, labels: Labels,
                        k: int) -> tuple[bool, list[ReachBoundReport]]:
     """Exact reach probability of every dimension-k vertex versus the bound.
 
@@ -113,7 +113,7 @@ def verify_reach_bound(bp: BranchingProgram, labels: AffineLabels,
     reports = []
     for t, kept in enumerate(keep):
         for i, v in enumerate(kept):
-            if tlabels.get(t, i).dim == k:
+            if tlabels[t][i].dim == k:
                 exact = float(tables[t][i].sum())
                 reports.append(ReachBoundReport((t, v), k, exact, bound,
                                                 ok=exact <= bound + SLACK))

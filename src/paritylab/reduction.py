@@ -16,13 +16,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bp import (
-    AffineLabels,
     BranchingProgram,
+    Labels,
     _check_dp_cost,
     _check_layer_edges,
     _output_dimensions,
     check_dp_budget,
     forward_tables,
+    labelled_program,
     layer_accuracy,
     success_probability,
     validate_affine,
@@ -30,18 +31,6 @@ from .bp import (
 from .distributions import SLACK, check_r, uniform_rows
 from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
 from .partition import _partition_ids, group_count_bound
-
-@dataclass(frozen=True)
-class ReductionParams:
-    """Grouping strength r, with n/2 <= r <= n enforced at use."""
-
-    r: float
-
-    def epsilon(self, n: int, m: int) -> float:
-        return 4 * m * 2.0 ** (-(self.r - n / 2))
-
-    def validate(self, n: int) -> None:
-        check_r(n, self.r, top=1)
 
 
 @dataclass(frozen=True)
@@ -107,19 +96,20 @@ class AffineReduction:
     """The affine program plus everything needed to re-verify it."""
 
     program: BranchingProgram
-    labels: AffineLabels
+    labels: Labels
     gamma: tuple[tuple[int, ...], ...]
     ideal_marginals: tuple[tuple[float, ...], ...]
     group_counts: tuple[tuple[int, ...], ...]   # per layer, groups per original vertex
-    params: ReductionParams
+    r: float                                    # grouping strength, n/2 <= r <= n
     report: ReductionReport | None = field(default=None, compare=False)
 
 
-def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineReduction:
-    """Transform bp into an accurate affine program.
+def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
+    """Transform bp into an accurate affine program at grouping strength r.
 
-    Requires every leaf of bp in the last layer.  The idealized joint law
-    of (vertex, key) is propagated exactly: conditioned on a vertex, the
+    Requires n >= 1 (group_count_bound is 0 at n = 0), n/2 <= r <= n
+    and every leaf of bp in the last layer.  The idealized joint law of
+    (vertex, key) is propagated exactly: conditioned on a vertex, the
     idealized key is uniform on the vertex label, so only the vertex
     marginals need to be carried between layers.  Raises BudgetExceeded
     when a reduced layer's width times its 2^{n+1} out-edges exceeds the
@@ -133,7 +123,9 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
     representative mask, so equal labels are one object.
     """
     n, m = bp.n, bp.m
-    params.validate(n)
+    if n < 1:
+        raise ValueError(f"reduction needs n >= 1, got n={n}")
+    check_r(n, r, top=1)
     if bp.has_early_leaves():
         raise ValueError("reduction needs every leaf in the last layer")
     check_dp_budget(bp)  # before the 4^n-bit hyperplane_masks table
@@ -207,7 +199,7 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
                     if ids is None:
                         ids = key_ids[e] = mask_keys(e, even)
                     keys.append(ids)
-                rounds, residual = _partition_ids(n, keys, probs, params.r)
+                rounds, residual = _partition_ids(n, keys, probs, r)
                 group_masses = []
                 for chosen, taken in rounds:
                     rep = keys_mask(even, chosen)
@@ -257,13 +249,10 @@ def reduce_to_affine(bp: BranchingProgram, params: ReductionParams) -> AffineRed
         marginals.append(tuple(new_q))
         group_counts.append(tuple(counts))
 
-    sizes = tuple(len(layer) for layer in layer_labels)
-    leaf_labels = {(m, v): lab for v, lab in enumerate(layer_labels[m])}
-    program = BranchingProgram(n, m, sizes, tuple(transitions), leaf_labels)
-    labels = AffineLabels(tuple(layer_labels))
-    reduction = AffineReduction(program, labels, tuple(gamma), tuple(marginals),
-                                tuple(group_counts), params)
-    return replace(reduction, report=verify_reduction(bp, reduction, params))
+    labels = tuple(layer_labels)
+    reduction = AffineReduction(labelled_program(n, transitions, labels), labels, tuple(gamma),
+                                tuple(marginals), tuple(group_counts), r)
+    return replace(reduction, report=verify_reduction(bp, reduction))
 
 
 def _ideal_joint(marginals: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
@@ -275,14 +264,14 @@ def _ideal_joint(marginals: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
     return joint
 
 
-def verify_reduction(bp: BranchingProgram, red: AffineReduction,
-                     params: ReductionParams) -> ReductionReport:
-    """Recompute every reported quantity of a reduction from scratch."""
-    n, m = bp.n, bp.m
-    params.validate(n)
+def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionReport:
+    """Recompute every reported quantity of a reduction from scratch, at
+    the reduction's own r."""
+    n, m, r = bp.n, bp.m, red.r
+    check_r(n, r, top=1)
     program, labels = red.program, red.labels
-    eps = params.epsilon(n, m)
-    step = 2.0 ** (-(params.r - n / 2))
+    step = 2.0 ** (-(r - n / 2))
+    eps = 4 * m * step
 
     affine_ok = validate_affine(program, labels).ok
     beta = success_probability(bp)
@@ -291,7 +280,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
     # inductive and the output-dimension checks, and one tabulation of
     # each layer's labels the first two.
     tables = forward_tables(program)
-    rows = [uniform_rows(layer) for layer in labels.labels]
+    rows = [uniform_rows(layer) for layer in labels]
     accuracy_checks = []
     for t, acc in enumerate(layer_accuracy(program, rows, tables)):
         bound = min(eps, 2.0)
@@ -308,12 +297,12 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
             ok=measured <= bound + SLACK))
 
     dim_counts: dict[int, int] = {}
-    for layer in labels.labels:
+    for layer in labels:
         for lab in layer:
             dim_counts[lab.dim] = dim_counts.get(lab.dim, 0) + 1
     dim_count_checks = []
     for k in range(n + 1):
-        bound = group_count_bound(n, params.r, k) * bp.width * m if m else float("inf")
+        bound = group_count_bound(n, r, k) * bp.width * m if m else float("inf")
         count = dim_counts.get(k, 0)
         dim_count_checks.append(BoundCheck(
             f"count[dim={k}]", float(count), bound, binding=True,
@@ -338,7 +327,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction,
         for j in range(m))
 
     return ReductionReport(
-        n=n, m=m, r=params.r, beta=beta, epsilon=eps,
+        n=n, m=m, r=r, beta=beta, epsilon=eps,
         affine_ok=affine_ok, gamma_ok=gamma_ok,
         accuracy_checks=tuple(accuracy_checks),
         inductive_checks=tuple(inductive_checks),

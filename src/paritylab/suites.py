@@ -20,7 +20,7 @@ from .gf2 import is_subset
 from .learners import gaussian_learner
 from .lowerbound import verify_reach_bound
 from .partition import build_partition, group_count_bound
-from .reduction import ReductionParams, reduce_to_affine
+from .reduction import reduce_to_affine
 
 R_FRACS = (0.5, 0.75, 1.0)  # the r / n cells of the Fourier and partition suites
 
@@ -122,7 +122,7 @@ def reduction_suite(count: int, seed: int,
         width = int(rng.integers(2, 9))
         r = float(n) if i % 2 == 0 else n / 2 + 1.0
         bp = random_program(n, m, width, rng)
-        red = reduce_to_affine(bp, ReductionParams(r))
+        red = reduce_to_affine(bp, r)
         if not red.report.all_ok:
             failures.append({"n": n, "m": m, "width": width, "r": r,
                              "report": red.report.to_dict()})
@@ -140,8 +140,7 @@ def _reach_bound_corpus(ns: tuple[int, ...]):
         for k in range(0, n):
             yield greedy_recorder_program(n, min(n, 3), k), k
         yield selective_recorder_program(n, 2, 1), n - 1
-        bp, labels = learner_program_with_labels(gaussian_learner(n), 2)
-        yield (bp, labels), None
+        yield learner_program_with_labels(gaussian_learner(n), 2), None
 
 
 def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
@@ -154,8 +153,7 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
     failures = []
     min_margin = float("inf")
     for (bp, labels), k_hint in _reach_bound_corpus(ns):
-        dims = [labels.get(t, v).dim
-                for t in range(bp.m + 1) for v in range(bp.layer_sizes[t])]
+        dims = [lab.dim for layer in labels for lab in layer]
         k = min(dims) if k_hint is None else k_hint
         if k >= bp.n:
             continue

@@ -34,7 +34,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from paritylab.bp import (
-    AffineLabels,
     BranchingProgram,
     _check_layer_edges,
     forward_tables,
@@ -284,7 +283,7 @@ def object_reduce(bp, r, scan_all=False):
     leaf_labels = {(m, v): lab for v, lab in enumerate(layer_labels[m])}
     return SimpleNamespace(
         program=BranchingProgram(n, m, sizes, tuple(transitions), leaf_labels),
-        labels=AffineLabels(tuple(layer_labels)), gamma=tuple(gamma),
+        labels=tuple(layer_labels), gamma=tuple(gamma),
         ideal_marginals=tuple(marginals), group_counts=tuple(group_counts),
         partitions=partitions, scanned=scanned)
 
@@ -337,7 +336,7 @@ def _self_labeled(n, layers, transitions):
     leaf_labels = {(t, v): w for t, layer in enumerate(layers) for v, w in enumerate(layer)
                    if t == m or transitions[t][v] is None}
     bp = BranchingProgram(n, m, tuple(len(l) for l in layers), tuple(transitions), leaf_labels)
-    return bp, AffineLabels(tuple(tuple(layer) for layer in layers))
+    return bp, tuple(tuple(layer) for layer in layers)
 
 
 def per_vertex_program_with_labels(learner, m, stop=None):
@@ -376,7 +375,7 @@ def per_vertex_layer_accuracy(bp, labels, tables):
             pv = row.sum()
             if pv <= 0.0:
                 continue
-            total += float(np.abs(row - pv * uniform_weights(labels.get(t, v))).sum())
+            total += float(np.abs(row - pv * uniform_weights(labels[t][v])).sum())
         accuracy.append(total)
     return accuracy
 
@@ -388,7 +387,7 @@ def per_vertex_ideal_joint(red, t):
     table = np.zeros((red.program.layer_sizes[t], 1 << red.program.n))
     for v, q in enumerate(red.ideal_marginals[t]):
         if q > 0.0:
-            table[v] = q * uniform_weights(red.labels.get(t, v))
+            table[v] = q * uniform_weights(red.labels[t][v])
     return table
 
 

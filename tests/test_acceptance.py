@@ -38,7 +38,7 @@ from paritylab.learners import (
     wilson_interval,
 )
 from paritylab.bp import output_dimension_distribution
-from paritylab.reduction import ReductionParams, reduce_to_affine
+from paritylab.reduction import reduce_to_affine
 from paritylab.suites import (
     fourier_suite,
     partition_suite,
@@ -109,7 +109,7 @@ def test_criterion_5_soundness_exhaustive():
         learner_program_with_labels(gaussian_learner(n), m),
     ]
     red = reduce_to_affine(random_program(n, m, 4, np.random.default_rng(SEED)),
-                           ReductionParams(float(n)))
+                           float(n))
     corpus.append((red.program, red.labels))
 
     paths_checked = 0
@@ -119,13 +119,13 @@ def test_criterion_5_soundness_exhaustive():
         for x in range(1 << n):
             for a_seq in itertools.product(range(1 << n), repeat=m):
                 t, v = 0, 0
-                assert contains(labels.get(t, v), x)
+                assert contains(labels[t][v], x)
                 for a in a_seq:
                     if bp.is_leaf(t, v):
                         break
                     v = bp.transitions[t][v][(a << 1) | parity(a & x)]
                     t += 1
-                    assert contains(labels.get(t, v), x)
+                    assert contains(labels[t][v], x)
                 paths_checked += 1
     elapsed = time.time() - start
     report(5, True, f"{paths_checked} exhaustive paths stay inside their "

@@ -21,7 +21,6 @@ from paritylab.bp import (
     _chunk_buffers,
     _scatter_buffers,
     _scatter_layer,
-    AffineLabels,
     BranchingProgram,
     PathIncomplete,
     forward_tables,
@@ -59,7 +58,8 @@ from paritylab.learners import (
     learner_state_layers,
     prefix_pivot_learner,
 )
-from paritylab.reduction import ReductionParams, reduce_to_affine
+from paritylab.lowerbound import trim_to_min_dimension
+from paritylab.reduction import reduce_to_affine
 
 
 def record_first_sample_program(n, m):
@@ -140,22 +140,22 @@ def loop_validate_affine(bp, labels):
     """Reference for validate_affine: every vertex builds its own edge
     subspaces."""
     violations, notes = [], []
-    if labels.get(0, 0) != AffineSubspace.full(bp.n):
+    if labels[0][0] != AffineSubspace.full(bp.n):
         violations.append(("start", 0, 0))
     for t in range(bp.m + 1):
         for v in range(bp.layer_sizes[t]):
-            if labels.get(t, v).is_empty:
+            if labels[t][v].is_empty:
                 notes.append(f"vertex ({t},{v}) is labeled Empty")
     for t in range(bp.m):
         for v in range(bp.layer_sizes[t]):
             row = bp.transitions[t][v]
             if row is None:
                 continue
-            lab = labels.get(t, v)
+            lab = labels[t][v]
             for a in range(1 << bp.n):
                 for b in (0, 1):
                     edge_space = intersect_hyperplane(lab, a, b)
-                    if not is_subset(edge_space, labels.get(t + 1, row[(a << 1) | b])):
+                    if not is_subset(edge_space, labels[t + 1][row[(a << 1) | b]]):
                         violations.append(("edge", t, v, a, b))
     return violations, notes
 
@@ -237,7 +237,7 @@ SCATTER_CASES = {
     "gaussian": lambda: [learner_program_with_labels(gaussian_learner(n), m)[0]
                          for n, m in [(3, 3), (4, 2)]],
     "reduced": lambda: [reduce_to_affine(random_program(4, 3, 6, np.random.default_rng(2)),
-                                         ReductionParams(2.0)).program],
+                                         2.0).program],
     "zero-weight": lambda: [zero_weight_program(n) for n in (2, 5)],
     "n8": lambda: [sized_program(8, (1, 3, 2), np.random.default_rng(8))],
     # A layer-t weight is a multiple of 2^-n(t+1): float sums are exact,
@@ -361,7 +361,7 @@ class TestValidateAffine:
     def test_all_full_ok(self):
         bp = record_first_sample_program(2, 1)
         full = AffineSubspace.full(2)
-        labels = AffineLabels(((full,), (full,) * 8))
+        labels = ((full,), (full,) * 8)
         report = validate_affine(bp, labels)
         assert report.ok and not report.violations
 
@@ -370,7 +370,7 @@ class TestValidateAffine:
         bp = record_first_sample_program(n, 1)
         layer1 = [bp.leaf_labels[(1, i)] for i in range(8)]
         layer1[2] = AffineSubspace.point(n, 3)  # breaks inclusion for edge (a=1,b=0)
-        labels = AffineLabels(((AffineSubspace.full(n),), tuple(layer1)))
+        labels = ((AffineSubspace.full(n),), tuple(layer1))
         report = validate_affine(bp, labels)
         assert not report.ok
         assert any(v[0] == "edge" and v[3] == 1 and v[4] == 0 for v in report.violations)
@@ -380,12 +380,49 @@ class TestValidateAffine:
         bp = chain_program(n, 1, AffineSubspace.empty(n))
         # the program itself is legal and contributes zero success
         assert success_probability(bp) == 0.0
-        labels = AffineLabels(((AffineSubspace.full(n),), (AffineSubspace.empty(n),)))
+        labels = ((AffineSubspace.full(n),), (AffineSubspace.empty(n),))
         report = validate_affine(bp, labels)
         assert any("Empty" in note for note in report.notes)
         # an Empty label on a consistently-reachable vertex does break
         # the per-edge inclusion, and the report says where
         assert not report.ok and report.violations
+
+
+def _misshapen_labels(labels):
+    """The Gaussian n = 2, m = 2 labels with the last layer doubled, an
+    extra layer appended and layer 1 cut short, with the layer each one
+    breaks first and its entry count there."""
+    last, one = len(labels[2]), len(labels[1])
+    return [(labels[:2] + (labels[2] * 2,), 2, 2 * last),
+            (labels + (labels[2],), 3, last),
+            (labels[:1] + (labels[1][:-1],) + labels[2:], 1, one - 1)]
+
+
+class TestLabelShape:
+    """Labels not of the program's shape raise ValueError naming the
+    first layer that differs, wherever they are read."""
+
+    @pytest.mark.parametrize("check", [validate_affine,
+                                       lambda bp, labels: trim_to_min_dimension(bp, labels, 0)])
+    def test_misshapen_labels_rejected(self, check):
+        bp, labels = learner_program_with_labels(gaussian_learner(2), 2)
+        assert validate_affine(bp, labels).ok
+        for bad, t, got in _misshapen_labels(labels):
+            want = bp.layer_sizes[t] if t <= bp.m else 0
+            with pytest.raises(ValueError, match=fr"^labels layer {t} has {got} entries, "
+                                                 fr"not the program's {want}$"):
+                check(bp, bad)
+
+    @pytest.mark.parametrize("field", ["labels", "gamma"])
+    def test_json_fields_of_another_shape_rejected(self, field):
+        """Three layers of sizes 1, 3, 1 for a program of sizes 1, 1."""
+        doc = {"n": 0, "m": 1, "layer_sizes": [1, 1], "transitions": [[[0, 0]]],
+               "leaf_labels": {"1,0": "|"}}
+        entry = "|" if field == "labels" else 0
+        from_json_dict(dict(doc, **{field: [[entry], [entry]]}))
+        with pytest.raises(ValueError, match=fr"^{field} layer 1 has 3 entries, "
+                                             r"not the program's 1$"):
+            from_json_dict(dict(doc, **{field: [[entry], [entry] * 3, [entry]]}))
 
 
 def _random_labelings():
@@ -395,17 +432,17 @@ def _random_labelings():
     out = []
     for n in range(1, 6):
         bp = random_program(n, 3, 6, rng)
-        labels = AffineLabels(tuple(
+        labels = tuple(
             tuple(AffineSubspace.empty(n) if rng.integers(8) == 0 else random_subspace(n, rng)
                   for _ in range(size))
-            for size in bp.layer_sizes))
+            for size in bp.layer_sizes)
         out.append((bp, labels))
     return out
 
 
 def _reduced_labelings():
     return [(red.program, red.labels) for red in (
-        reduce_to_affine(random_program(n, 3, 5, np.random.default_rng(n)), ReductionParams(r))
+        reduce_to_affine(random_program(n, 3, 5, np.random.default_rng(n)), r)
         for n, r in [(3, 2.0), (4, 3.0)])]
 
 
@@ -417,9 +454,9 @@ def _shared_labelings():
     for n in (2, 3, 4):
         bp = sized_program(n, (1, 12, 12, 12), rng)
         shared = [AffineSubspace.full(n)] + [random_subspace(n, rng) for _ in range(3)]
-        labels = AffineLabels(tuple(
+        labels = tuple(
             tuple(shared[t] if v % 4 else random_subspace(n, rng) for v in range(size))
-            for t, size in enumerate(bp.layer_sizes)))
+            for t, size in enumerate(bp.layer_sizes))
         out.append((bp, labels))
     return out
 
@@ -439,19 +476,19 @@ def _bench_labelings():
     rng = np.random.default_rng(31)
     gaussian = [learner_program_with_labels(gaussian_learner(n), m) for n in (3, 4) for m in (2, 3)]
     greedy = [greedy_recorder_program(n, m, k) for n in (3, 4) for m in (2, 3) for k in range(n)]
-    scrambled = [(bp, AffineLabels(tuple(
+    scrambled = [(bp, tuple(
         tuple(random_subspace(bp.n, rng) if (t + v) % 3 == 2 else w for v, w in enumerate(layer))
-        for t, layer in enumerate(labels.labels)))) for bp, labels in gaussian]
+        for t, layer in enumerate(labels))) for bp, labels in gaussian]
     return gaussian + greedy + scrambled
 
 
 def _n1_labelings():
     rng = np.random.default_rng(37)
     bp = random_program(1, 4, 3, rng)
-    labels = AffineLabels(tuple(
+    labels = tuple(
         tuple(AffineSubspace.empty(1) if rng.integers(4) == 0 else random_subspace(1, rng)
               for _ in range(size))
-        for size in bp.layer_sizes))
+        for size in bp.layer_sizes)
     return [greedy_recorder_program(1, 3, 0), selective_recorder_program(1, 3, 1), (bp, labels)]
 
 
@@ -462,10 +499,10 @@ def _empty_next_labelings():
     out = []
     for n in (2, 3, 4):
         bp = sized_program(n, (1, 6, 3, 4), rng)
-        labels = AffineLabels(tuple(
+        labels = tuple(
             tuple(AffineSubspace.empty(n) if t == 2 else random_subspace(n, rng)
                   for _ in range(size))
-            for t, size in enumerate(bp.layer_sizes)))
+            for t, size in enumerate(bp.layer_sizes))
         out.append((bp, labels))
     return out
 
@@ -495,7 +532,7 @@ class TestValidateOracle:
         for bp, labels in VALIDATE_CASES["shared"]():
             for t in range(1, bp.m):
                 sharing = [v for v in range(bp.layer_sizes[t]) if v % 4]
-                assert len({labels.get(t, v) for v in sharing}) == 1
+                assert len({labels[t][v] for v in sharing}) == 1
                 assert len({bp.transitions[t][v] for v in sharing}) == len(sharing)
             violations = loop_validate_affine(bp, labels)[0]
             assert 0 < len(violations) < sum(bp.layer_sizes[:-1]) << (bp.n + 1)
@@ -508,7 +545,7 @@ class TestValidateOracle:
         assert all(loop_validate_affine(*case)[0] for case in bench[-4:])
         assert all(bp.n == 1 for bp, _ in VALIDATE_CASES["n1"]())
         for bp, labels in VALIDATE_CASES["empty-next"]():
-            assert all(w.is_empty for w in labels.labels[2])
+            assert all(w.is_empty for w in labels[2])
             from_layer1 = [v for v in loop_validate_affine(bp, labels)[0] if v[1] == 1]
             assert 0 < len(from_layer1) < bp.layer_sizes[1] << (bp.n + 1)
 
@@ -654,20 +691,20 @@ class TestLabelledPrograms:
 
 def label_rows(labels):
     """The uniform_rows of each layer's labels, layer_accuracy's rows."""
-    return [uniform_rows(layer) for layer in labels.labels]
+    return [uniform_rows(layer) for layer in labels]
 
 
 class TestLayerAccuracy:
     def test_start_layer(self):
         bp = record_first_sample_program(2, 1)
-        labels = AffineLabels(((AffineSubspace.full(2),),
-                               tuple(bp.leaf_labels[(1, i)] for i in range(8))))
+        labels = ((AffineSubspace.full(2),),
+                  tuple(bp.leaf_labels[(1, i)] for i in range(8)))
         assert layer_accuracy(bp, label_rows(labels), forward_tables(bp))[0] == 0.0
 
     def test_matching_labels_zero(self):
         bp = record_first_sample_program(2, 1)
-        labels = AffineLabels(((AffineSubspace.full(2),),
-                               tuple(bp.leaf_labels[(1, i)] for i in range(8))))
+        labels = ((AffineSubspace.full(2),),
+                  tuple(bp.leaf_labels[(1, i)] for i in range(8)))
         accuracy = layer_accuracy(bp, label_rows(labels), forward_tables(bp))
         assert accuracy[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -679,7 +716,7 @@ class TestLayerAccuracy:
         n = 2
         bp = record_first_sample_program(n, 1)
         full = AffineSubspace.full(n)
-        labels = AffineLabels(((full,), (full,) * 8))
+        labels = ((full,), (full,) * 8)
         got = layer_accuracy(bp, label_rows(labels), forward_tables(bp))[1]
 
         counts = {}
@@ -703,7 +740,7 @@ class TestLayerAccuracy:
         bp = BranchingProgram(n, 2, (1, 1, 1),
                               ((None,), ((0,) * deg,)),
                               {(0, 0): AffineSubspace.full(n), (2, 0): AffineSubspace.full(n)})
-        labels = AffineLabels(((AffineSubspace.full(n),),) * 3)
+        labels = ((AffineSubspace.full(n),),) * 3
         with pytest.raises(ValueError):
             layer_accuracy(bp, label_rows(labels), forward_tables(bp))
 
@@ -720,8 +757,8 @@ class TestLayerAccuracy:
             bp = random_program(n, 2, 16, rng)
             pool = [random_subspace(n, rng) for _ in range(4)] + [AffineSubspace.empty(n)]
             pool += [parse_subspace(w.to_text(), n) for w in pool]
-            labels = AffineLabels(tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size))
-                                        for size in bp.layer_sizes))
+            labels = tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size))
+                           for size in bp.layer_sizes)
             swept = forward_tables(bp)
             noisy = [rng.random(table.shape) * (rng.random((len(table), 1)) < 0.8)
                      for table in swept]
@@ -742,13 +779,13 @@ class TestSoundnessInvariant:
         for x in range(1 << n):
             for a_seq in itertools.product(range(1 << n), repeat=m):
                 t, v = 0, 0
-                assert contains(labels.get(t, v), x)
+                assert contains(labels[t][v], x)
                 for a in a_seq:
                     if bp.is_leaf(t, v):
                         break
                     v = bp.transitions[t][v][(a << 1) | parity(a & x)]
                     t += 1
-                    assert contains(labels.get(t, v), x)
+                    assert contains(labels[t][v], x)
 
     def test_affine_success_is_one(self):
         for n, m in ((2, 2), (3, 2)):
@@ -767,9 +804,9 @@ def with_empty_labels(bp, labels):
     and leaf labels included, replaced by Empty."""
     empty = AffineSubspace.empty(bp.n)
     layers = tuple(tuple(empty if (t + v) % 3 == 1 else w for v, w in enumerate(layer))
-                   for t, layer in enumerate(labels.labels))
+                   for t, layer in enumerate(labels))
     leaf_labels = {(t, v): layers[t][v] for t, v in bp.leaf_labels}
-    return replace(bp, leaf_labels=leaf_labels), AffineLabels(layers)
+    return replace(bp, leaf_labels=leaf_labels), layers
 
 
 class TestSerialization:
@@ -781,8 +818,8 @@ class TestSerialization:
             n = int(rng.integers(1, 5))
             bp = random_program(n, int(rng.integers(1, 4)), 5, rng)
             assert_json_round_trip(bp, None, None)
-            labels = AffineLabels(tuple(tuple(random_subspace(n, rng) for _ in range(size))
-                                        for size in bp.layer_sizes))
+            labels = tuple(tuple(random_subspace(n, rng) for _ in range(size))
+                           for size in bp.layer_sizes)
             gamma = tuple(tuple(int(g) for g in rng.integers(0, 9, size))
                           for size in bp.layer_sizes)
             assert_json_round_trip(*with_empty_labels(bp, labels), gamma)
@@ -819,10 +856,10 @@ class TestGuards:
         """A label of another n raises, narrower or wider, as a source,
         a target or a last-layer leaf."""
         bp, labels = greedy_recorder_program(2, 2, 0)
-        layers = [list(layer) for layer in labels.labels]
+        layers = [list(layer) for layer in labels]
         layers[vertex[0]][vertex[1]] = AffineSubspace.full(other)
         with pytest.raises(DimensionMismatch):
-            validate_affine(bp, AffineLabels(tuple(map(tuple, layers))))
+            validate_affine(bp, tuple(map(tuple, layers)))
 
     @pytest.mark.parametrize("make", [lambda: greedy_recorder_program(2, 2, 0),
                                       lambda: selective_recorder_program(2, 2, 1)])

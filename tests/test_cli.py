@@ -281,7 +281,9 @@ def _fuzz_files(tmp_path):
                                     b'"leaf_labels": {"1,0": "0|"}}'),
                        ("SHORTLABEL", b'{"n": 2, "m": 1, "layer_sizes": [1, 1], '
                                       b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
-                                      b'"leaf_labels": {"1,0": "00|1"}}')]:
+                                      b'"leaf_labels": {"1,0": "00|1"}}'),
+                       ("NZERO", b'{"n": 0, "m": 1, "layer_sizes": [1, 1], '
+                                 b'"transitions": [[[0, 0]]], "leaf_labels": {"1,0": "|"}}')]:
         files[name] = tmp_path / name.lower()
         files[name].write_bytes(data)
     program = random_program(2, 1, 2, np.random.default_rng(0))
@@ -322,6 +324,7 @@ FUZZ_CASES = [
     ["reduce", "--in", "SHORTROW", "--r", "2"],
     ["reduce", "--in", "BADLABEL", "--r", "2"],
     ["reduce", "--in", "SHORTLABEL", "--r", "2"],
+    ["reduce", "--in", "NZERO", "--r", "0"],
     ["tradeoff", "--bogus"],
     ["tradeoff", "--n", "x", "--seed", "1"],
     ["tradeoff", "--n", "3", "--seed", "1", "--learners", "nope"],

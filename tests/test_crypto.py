@@ -280,8 +280,8 @@ class TestWindowAttacker:
         bp, labels = learner_program_with_labels(window_attacker(n, c * (n + 1)), m)
         assert validate_affine(bp, labels).ok
         reach = forward_tables(bp)[m].sum(axis=1)
-        rate = sum(reach[v] * 2.0 ** -labels.get(m, v).dim
-                   for v in range(bp.layer_sizes[m]) if not labels.get(m, v).is_empty)
+        rate = sum(reach[v] * 2.0 ** -labels[m][v].dim
+                   for v in range(bp.layer_sizes[m]) if not labels[m][v].is_empty)
         assert abs(rate - expected_point_recovery(n, min(m, c))) <= 1e-12
 
     def test_capacity_zero_uniform(self):

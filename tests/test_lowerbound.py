@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paritylab.bp import AffineLabels, BranchingProgram, forward_tables, validate_affine
+from paritylab.bp import BranchingProgram, forward_tables, validate_affine
 from paritylab.generators import (
     greedy_recorder_program,
     learner_program_with_labels,
@@ -19,7 +19,7 @@ from paritylab.lowerbound import (
     trim_to_min_dimension,
     verify_reach_bound,
 )
-from paritylab.reduction import ReductionParams, reduce_to_affine
+from paritylab.reduction import reduce_to_affine
 
 
 class TestBoundFormula:
@@ -60,13 +60,13 @@ def _empty_labelled_program():
     row = (0, 1) + (2,) * ((2 << n) - 2)
     bp = BranchingProgram(n, 1, (1, 3), ((row,),),
                           {(1, 0): full, (1, 1): AffineSubspace.empty(n), (1, 2): full})
-    labels = AffineLabels(((full,), (full, AffineSubspace.empty(n), full)))
+    labels = ((full,), (full, AffineSubspace.empty(n), full))
     return bp, labels
 
 
 def _reduction(seed: int):
     bp = random_program(3, 2, 3, np.random.default_rng(seed))
-    red = reduce_to_affine(bp, ReductionParams(3.0))
+    red = reduce_to_affine(bp, 3.0)
     return red.program, red.labels
 
 
@@ -80,7 +80,7 @@ class TestVerifyReachBound:
         # the dim-k vertices are the ones that recorded the constraint
         assert [rep.vertex for rep in reports] == [
             (t, v) for t in range(m + 1) for v in range(bp.layer_sizes[t])
-            if labels.get(t, v).dim == k]
+            if labels[t][v].dim == k]
         for rep in reports:
             assert rep.ok
             # recording needs the trigger at some step: probability
@@ -95,7 +95,7 @@ class TestVerifyReachBound:
         target = None
         for t in range(m + 1):
             for v in range(bp.layer_sizes[t]):
-                if labels.get(t, v).dim == k:
+                if labels[t][v].dim == k:
                     target = (t, v)
                     break
             if target:
@@ -120,12 +120,12 @@ class TestVerifyReachBound:
     def test_soundness_fault_blocks_bound_check(self):
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
-        broken_layers = [list(layer) for layer in labels.labels]
+        broken_layers = [list(layer) for layer in labels]
         for v in range(bp.layer_sizes[1]):
-            if labels.get(1, v).dim == n - 1:
+            if labels[1][v].dim == n - 1:
                 broken_layers[1][v] = AffineSubspace.point(n, 0)
                 break
-        broken = AffineLabels(tuple(tuple(layer) for layer in broken_layers))
+        broken = tuple(tuple(layer) for layer in broken_layers)
         affine, reports = verify_reach_bound(bp, broken, 0)
         assert not affine and reports == []
 
@@ -154,7 +154,7 @@ class TestVerifyReachBound:
         for t in range(bp.m + 1):
             i = 0
             for v in range(bp.layer_sizes[t]):
-                lab = labels.get(t, v)
+                lab = labels[t][v]
                 if lab.is_empty or lab.dim < k:
                     continue
                 if lab.dim == k:
@@ -167,7 +167,7 @@ class TestVerifyReachBound:
         """Layer 2 of the seed-3 reduction keeps 4 vertices at k = 2, so its
         vertex 4 exists only under its original index."""
         bp, labels = _reduction(3)
-        k = labels.get(2, 4).dim
+        k = labels[2][4].dim
         trimmed, _, _ = trim_to_min_dimension(bp, labels, k)
         assert trimmed.layer_sizes[2] <= 4
         affine, reports = verify_reach_bound(bp, labels, k)
@@ -211,13 +211,13 @@ class TestTrim:
         bp, labels = learner_program_with_labels(gaussian_learner(n), m)
         trimmed, tlabels, keep = trim_to_min_dimension(bp, labels, k)
         assert validate_affine(trimmed, tlabels).ok
-        dims = [tlabels.get(t, v).dim
+        dims = [tlabels[t][v].dim
                 for t in range(m + 1) for v in range(trimmed.layer_sizes[t])]
         assert min(dims) >= k
         # dim-k vertices are leaves now
         for t in range(m):
             for v in range(trimmed.layer_sizes[t]):
-                if tlabels.get(t, v).dim == k:
+                if tlabels[t][v].dim == k:
                     assert trimmed.transitions[t][v] is None
         # absorbed mass is conserved
         tables = forward_tables(trimmed)
@@ -225,8 +225,8 @@ class TestTrim:
         assert total == pytest.approx(1.0)
         # keep names each retained vertex's original index
         for t in range(m + 1):
-            assert [tlabels.get(t, i) for i in range(trimmed.layer_sizes[t])] == [
-                labels.get(t, v) for v in keep[t]]
+            assert [tlabels[t][i] for i in range(trimmed.layer_sizes[t])] == [
+                labels[t][v] for v in keep[t]]
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_empty_label_dropped(self, k):

@@ -43,7 +43,7 @@ from paritylab.partition import (
     find_representative_subspace,
     group_count_bound,
 )
-from paritylab.reduction import ReductionParams, reduce_to_affine
+from paritylab.reduction import reduce_to_affine
 
 
 def bv(text):
@@ -343,7 +343,7 @@ class TestPartitionOracle:
         reduction reproduces."""
         bp = shaped_program(4, sizes, np.random.default_rng(sum(sizes)))
         ref = object_reduce(bp, 4.0)
-        assert_same_reduction(reduce_to_affine(bp, ReductionParams(4.0)), ref)
+        assert_same_reduction(reduce_to_affine(bp, 4.0), ref)
         assert len(ref.partitions) == sum(sizes[1:])
         assert max(len(mix.support) for mix, _ in ref.partitions) > 100
         for mix, part in ref.partitions:
@@ -432,7 +432,7 @@ class TestRunningTable:
         """The benchmark's heavy reductions put their large partitions on
         the table at the default threshold."""
         bp = shaped_program(4, (1, 6, 6, 6), np.random.default_rng(19))
-        reduce_to_affine(bp, ReductionParams(4.0))
+        reduce_to_affine(bp, 4.0)
         assert max(count for _, count in tables_built) > 100
 
     def test_dominant_member_ties(self, table_tops):

@@ -21,7 +21,7 @@ from paritylab.bp import (
 from paritylab.distributions import uniform_rows
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
-from paritylab.reduction import ReductionParams, _ideal_joint, reduce_to_affine, verify_reduction
+from paritylab.reduction import _ideal_joint, reduce_to_affine, verify_reduction
 
 
 def record_first_sample_program(n):
@@ -36,30 +36,44 @@ def record_first_sample_program(n):
 
 class TestParams:
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            ReductionParams(0.5).validate(4)
-        with pytest.raises(ValueError):
-            ReductionParams(5.0).validate(4)
-        ReductionParams(3.0).validate(4)
+        """r outside [n/2, n] is rejected, by the reduction and by its
+        re-verification at the reduction's own r."""
+        bp = random_program(4, 3, 2, np.random.default_rng(0))
+        for r in (0.5, 5.0):
+            with pytest.raises(ValueError, match=r"^r must lie in \[n/2, n\] = \[2.0, 4\]"):
+                reduce_to_affine(bp, r)
+        red = reduce_to_affine(bp, 3.0)
+        assert red.r == 3.0 and red.report.r == 3.0
+        for r in (0.5, 5.0):
+            with pytest.raises(ValueError):
+                verify_reduction(bp, replace(red, r=r))
 
     def test_epsilon(self):
-        assert ReductionParams(4.0).epsilon(4, 3) == pytest.approx(12 * 2.0 ** (-2))
+        bp = random_program(4, 3, 2, np.random.default_rng(0))
+        assert reduce_to_affine(bp, 4.0).report.epsilon == pytest.approx(12 * 2.0 ** (-2))
+
+    def test_n_zero_rejected(self):
+        """group_count_bound is 0 at n = 0, so a reduction there could
+        never pass its count check: it is refused up front."""
+        bp = BranchingProgram(0, 1, (1, 1), (((0, 0),),), {(1, 0): AffineSubspace.full(0)})
+        with pytest.raises(ValueError, match=r"^reduction needs n >= 1, got n=0$"):
+            reduce_to_affine(bp, 0.0)
 
 
 class TestSmallTraces:
     def test_length_zero(self):
         n = 2
         bp = BranchingProgram(n, 0, (1,), (), {(0, 0): AffineSubspace.full(n)})
-        red = reduce_to_affine(bp, ReductionParams(2.0))
+        red = reduce_to_affine(bp, 2.0)
         assert red.program.layer_sizes == (1,)
-        assert red.labels.get(0, 0) == AffineSubspace.full(n)
+        assert red.labels[0][0] == AffineSubspace.full(n)
         assert red.report.all_ok
         assert all(c.measured == 0.0 for c in red.report.accuracy_checks)
 
     def test_recorded_subspaces_become_labels(self):
         n = 2
         bp = record_first_sample_program(n)
-        red = reduce_to_affine(bp, ReductionParams(2.0))
+        red = reduce_to_affine(bp, 2.0)
         rep = red.report
         assert rep.all_ok
         assert all(c.measured == pytest.approx(0.0, abs=1e-12)
@@ -73,14 +87,14 @@ class TestSmallTraces:
                 if w.is_empty:
                     continue
                 target = row[(a_bits << 1) | b]
-                assert red.labels.get(1, target) == w
+                assert red.labels[1][target] == w
         assert rep.output_dim_distribution == {1: pytest.approx(0.75),
                                                2: pytest.approx(0.25)}
 
     def test_vacuous_epsilon_at_minimum_r(self):
         n = 2
         bp = record_first_sample_program(n)
-        red = reduce_to_affine(bp, ReductionParams(n / 2))
+        red = reduce_to_affine(bp, n / 2)
         rep = red.report
         assert rep.epsilon >= 2.0
         assert all(not c.binding for c in rep.accuracy_checks)
@@ -97,19 +111,19 @@ class TestRandomPrograms:
             width = int(rng.integers(2, 9))
             bp = random_program(n, m, width, rng)
             for r in (float(n), n / 2 + 1.0):
-                red = reduce_to_affine(bp, ReductionParams(r))
+                red = reduce_to_affine(bp, r)
                 rep = red.report
                 assert rep.all_ok, rep.to_dict()
                 assert validate_affine(red.program, red.labels).ok
                 # re-verification from scratch reproduces the report
-                again = verify_reduction(bp, red, ReductionParams(r))
+                again = verify_reduction(bp, red)
                 assert again.to_dict() == rep.to_dict()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         bp = random_program(3, 2, 5, rng)
-        red1 = reduce_to_affine(bp, ReductionParams(2.5))
-        red2 = reduce_to_affine(bp, ReductionParams(2.5))
+        red1 = reduce_to_affine(bp, 2.5)
+        red2 = reduce_to_affine(bp, 2.5)
         assert to_json_dict(red1.program, red1.labels, red1.gamma) == \
             to_json_dict(red2.program, red2.labels, red2.gamma)
 
@@ -120,7 +134,7 @@ class TestRandomPrograms:
         mask reduction routes every edge as the reference does, and as the
         reference does with sigma emptied, so that assign routes every edge."""
         bp = random_program(2, 2, 3, np.random.default_rng(4))
-        red = reduce_to_affine(bp, ReductionParams(2.0))
+        red = reduce_to_affine(bp, 2.0)
         assert red.report.all_ok
         ref = object_reduce(bp, 2.0)
         reps = [rep for _, rep in ref.scanned]
@@ -133,7 +147,7 @@ class TestRandomPrograms:
     def test_width_expansion_bookkeeping(self):
         rng = np.random.default_rng(4)
         bp = random_program(3, 2, 4, rng)
-        red = reduce_to_affine(bp, ReductionParams(3.0))
+        red = reduce_to_affine(bp, 3.0)
         for j in range(bp.m):
             assert red.program.layer_sizes[j + 1] == sum(
                 c + 1 for c in red.group_counts[j])
@@ -160,7 +174,7 @@ class TestMaskReductionOracle:
         for bp, rs in oracle_programs(n):
             for r in rs:
                 ref = object_reduce(bp, r)
-                assert_same_reduction(reduce_to_affine(bp, ReductionParams(r)), ref)
+                assert_same_reduction(reduce_to_affine(bp, r), ref)
                 scans += len(ref.scanned)
         assert scans > 0  # zero-mass edges take the representative scan
 
@@ -177,9 +191,9 @@ class TestLabelLawOracles:
     def test_reductions(self, n):
         for bp, rs in oracle_programs(n):
             for r in rs:
-                red = reduce_to_affine(bp, ReductionParams(r))
+                red = reduce_to_affine(bp, r)
                 tables = forward_tables(red.program)
-                rows = [uniform_rows(layer) for layer in red.labels.labels]
+                rows = [uniform_rows(layer) for layer in red.labels]
                 assert (layer_accuracy(red.program, rows, tables)
                         == per_vertex_layer_accuracy(red.program, red.labels, tables))
                 for t in range(bp.m + 1):
@@ -190,7 +204,7 @@ class TestLabelLawOracles:
         """A hand-built reduction whose marginals hold 0.0, -0.0, a
         negative value and non-dyadic masses: those rows stay zero."""
         rng = np.random.default_rng(9)
-        red = reduce_to_affine(random_program(3, 2, 5, rng), ReductionParams(3.0))
+        red = reduce_to_affine(random_program(3, 2, 5, rng), 3.0)
         marginals = []
         for layer in red.ideal_marginals:
             q = [float(p) for p in rng.random(len(layer))]
@@ -199,7 +213,7 @@ class TestLabelLawOracles:
             marginals.append(tuple(q))
         hand = replace(red, ideal_marginals=tuple(marginals))
         for t in range(hand.program.m + 1):
-            got = _ideal_joint(hand.ideal_marginals[t], uniform_rows(hand.labels.labels[t]))
+            got = _ideal_joint(hand.ideal_marginals[t], uniform_rows(hand.labels[t]))
             assert_same_floats(got, per_vertex_ideal_joint(hand, t))
             assert not got[::3].any()
 
@@ -208,7 +222,7 @@ class TestFaultInjection:
     def test_broken_functionality_detected(self):
         rng = np.random.default_rng(5)
         bp = random_program(2, 2, 3, rng)
-        red = reduce_to_affine(bp, ReductionParams(2.0))
+        red = reduce_to_affine(bp, 2.0)
         # find two layer-1 vertices that simulate different originals and
         # reroute one edge between them
         gamma1 = red.gamma[1]
@@ -224,9 +238,8 @@ class TestFaultInjection:
         broken = BranchingProgram(red.program.n, red.program.m,
                                   red.program.layer_sizes, broken_transitions,
                                   red.program.leaf_labels)
-        from dataclasses import replace
         bad = replace(red, program=broken)
-        rep = verify_reduction(bp, bad, ReductionParams(2.0))
+        rep = verify_reduction(bp, bad)
         assert not rep.gamma_ok
 
     def test_early_leaves_rejected(self):
@@ -236,14 +249,14 @@ class TestFaultInjection:
                               {(0, 0): AffineSubspace.full(n),
                                (2, 0): AffineSubspace.full(n)})
         with pytest.raises(ValueError):
-            reduce_to_affine(bp, ReductionParams(2.0))
+            reduce_to_affine(bp, 2.0)
 
 
 class TestInductiveTracking:
     def test_bounds_hold_with_margin_recorded(self):
         rng = np.random.default_rng(6)
         bp = random_program(3, 3, 5, rng)
-        red = reduce_to_affine(bp, ReductionParams(3.0))
+        red = reduce_to_affine(bp, 3.0)
         for t, check in enumerate(red.report.inductive_checks):
             assert check.ok
             assert check.bound == pytest.approx(
@@ -252,6 +265,15 @@ class TestInductiveTracking:
     def test_report_serializes(self):
         rng = np.random.default_rng(7)
         bp = random_program(2, 1, 3, rng)
-        red = reduce_to_affine(bp, ReductionParams(2.0))
+        red = reduce_to_affine(bp, 2.0)
         doc = json.loads(json.dumps(red.report.to_dict()))
         assert doc["all_ok"] is True
+
+
+def test_builtin_sum_adds_in_order():
+    """The goldens pin floats that builtin sum() totals in
+    partition._partition_ids and reduce_to_affine; CPython 3.12 made
+    sum() of floats compensated, which changes them."""
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        "builtin sum() of floats is not a left-to-right fold: the floats and reduce "
+        "--out bytes pinned in tests/test_golden.py would change")
