@@ -395,8 +395,10 @@ def to_json_dict(bp: BranchingProgram,
         "leaf_labels": {f"{t},{v}": to_text(lab) for (t, v), lab in sorted(bp.leaf_labels.items())},
     }
     if labels is not None:
+        check_layer_shape(bp, labels, "labels")
         doc["labels"] = [[to_text(w) for w in layer] for layer in labels]
     if gamma is not None:
+        check_layer_shape(bp, gamma, "gamma")
         doc["gamma"] = [list(layer) for layer in gamma]
     return doc
 

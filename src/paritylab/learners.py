@@ -350,9 +350,10 @@ def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
     return state
 
 
-# Largest (trials, m) sample array simulate_success draws at once (8 MiB
-# of int64).  A batch step costs about as much as four one-sample steps,
-# so batches need a few trials each: at m = 2^16 they hold 16.
+# Most samples per simulate_success batch: its (trials, m + 1) int64 draw
+# of keys and samples is about 8 MiB (16 MiB at m = 1).  A batch step
+# costs about as much as four one-sample steps, so batches need a few
+# trials each: at m = 2^16 they hold 16.
 BATCH_CELLS = 1 << 20
 
 
@@ -371,9 +372,12 @@ def simulate_success(learner: Learner, m: int, trials: int,
                      rng: np.random.Generator) -> int:
     """Number of trials whose output is exactly the key point.
 
-    Per trial the key is drawn first, then its m sample vectors in one
-    call; trials are run in batches of at most BATCH_CELLS samples,
-    through learner.batch when the learner has one.
+    Trials run in batches of at most BATCH_CELLS samples (one trial at
+    least), each drawn with one call as a (trials, m + 1) block whose
+    rows, in trial order, hold a trial's key and then its m sample
+    vectors: the values that one key draw and one sample draw per trial
+    would give.  A batch runs through learner.batch when the learner has
+    one, else one trial at a time through run_learner.
     """
     _check_run_size(m, trials)
     n = learner.n
@@ -384,11 +388,8 @@ def simulate_success(learner: Learner, m: int, trials: int,
     hits = 0
     for start in range(0, trials, per_batch):
         count = min(per_batch, trials - start)
-        xs = np.empty(count, np.int64)
-        a = np.empty((count, m), np.int64)
-        for t in range(count):
-            xs[t] = rng.integers(0, size)
-            a[t] = rng.integers(0, size, m)
+        draws = rng.integers(0, size, (count, m + 1))
+        xs, a = draws[:, 0], draws[:, 1:]
         if learner.batch is None:
             points = [_point(learner.output(run_learner(learner, x, row)))
                       for x, row in zip(xs.tolist(), a.tolist())]

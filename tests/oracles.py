@@ -23,7 +23,9 @@ packed-row kernel (_reduce, _insert) with the package, since it decides
 which draws a subspace consumes.  The attack reference steps the
 attacker through run_learner once per sample, solves its output as an
 AffineSubspace and samples it through sample_point, with one scalar
-rng.integers call per key, a_{m+1} and mask.  All are kept deliberately close to the
+rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
+reference draws per trial the key, then its m sample vectors, in two
+calls.  All are kept deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
 """
@@ -522,6 +524,18 @@ def object_random_hypothesis_mixture(n, r, rng, paths=None):
         paths["full-heavy"] += 1
         mix = object_full_heavy_mixture(n, threshold, rng, paths)
     return mix
+
+
+def per_trial_draws(rng, size, m, count):
+    """Reference for simulate_success's draws: per trial one scalar
+    rng.integers call for the key, then one call for its m sample
+    vectors."""
+    xs = np.empty(count, np.int64)
+    a = np.empty((count, m), np.int64)
+    for t in range(count):
+        xs[t] = rng.integers(0, size)
+        a[t] = rng.integers(0, size, m)
+    return xs, a
 
 
 def stepping_run_attack(attacker, m, trials, rng):

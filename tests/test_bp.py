@@ -400,10 +400,11 @@ def _misshapen_labels(labels):
 
 class TestLabelShape:
     """Labels not of the program's shape raise ValueError naming the
-    first layer that differs, wherever they are read."""
+    first layer that differs, wherever they are read or written."""
 
     @pytest.mark.parametrize("check", [validate_affine,
-                                       lambda bp, labels: trim_to_min_dimension(bp, labels, 0)])
+                                       lambda bp, labels: trim_to_min_dimension(bp, labels, 0),
+                                       to_json_dict])
     def test_misshapen_labels_rejected(self, check):
         bp, labels = learner_program_with_labels(gaussian_learner(2), 2)
         assert validate_affine(bp, labels).ok
@@ -412,6 +413,17 @@ class TestLabelShape:
             with pytest.raises(ValueError, match=fr"^labels layer {t} has {got} entries, "
                                                  fr"not the program's {want}$"):
                 check(bp, bad)
+
+    def test_short_gamma_layer_not_written(self):
+        """to_json_dict writes gamma only of the program's shape, so every
+        document it writes reads back."""
+        bp, labels = learner_program_with_labels(gaussian_learner(2), 2)
+        gamma = tuple((0,) * size for size in bp.layer_sizes)
+        assert from_json_dict(to_json_dict(bp, labels, gamma))[1:] == (labels, gamma)
+        short = gamma[:1] + (gamma[1][:-1],) + gamma[2:]
+        with pytest.raises(ValueError, match=fr"^gamma layer 1 has {len(short[1])} entries, "
+                                             fr"not the program's {len(gamma[1])}$"):
+            to_json_dict(bp, labels, short)
 
     @pytest.mark.parametrize("field", ["labels", "gamma"])
     def test_json_fields_of_another_shape_rejected(self, field):

@@ -3,11 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import per_trial_draws
 
 from paritylab.bp import output_dimension_distribution, success_probability
 from paritylab.config import BudgetExceeded
+from paritylab.crypto import window_attacker
 from paritylab.generators import learner_program_with_labels
-from paritylab.gf2 import AffineSubspace, VectorSubspace, contains, parity
+from paritylab.gf2 import MAX_SUBSPACE_DIM, AffineSubspace, VectorSubspace, contains, parity
 from paritylab.learners import (
     Learner,
     assert_state_size,
@@ -272,12 +274,7 @@ class TestBatch:
         bit less and both raise assert_state_size's AssertionError."""
         n, m, trials = 4, 12, 50
         L = factory(n)
-        rng = np.random.default_rng(4)
-        xs = np.empty(trials, np.int64)
-        a = np.empty((trials, m), np.int64)
-        for t in range(trials):     # simulate_success's draw order
-            xs[t] = rng.integers(0, 1 << n)
-            a[t] = rng.integers(0, 1 << n, m)
+        xs, a = per_trial_draws(np.random.default_rng(4), 1 << n, m, trials)
         peak = int(scalar_run(L, xs, a)[1].max())
         for budget, fits in ((peak, True), (peak - 1, False)):
             small = dataclasses.replace(L, memory_bits=budget)
@@ -319,6 +316,57 @@ class TestBatch:
             estimate_sample_complexity(gaussian_learner(3), 0.9, rng, trials=0)
         with pytest.raises(ValueError):
             estimate_sample_complexity(gaussian_learner(3), 0.9, rng, m_cap=0)
+
+
+def small_window_attacker(n):
+    """A learner without batch: the window of the last three samples."""
+    return window_attacker(n, 3 * (n + 1))
+
+
+class TestBlockDraw:
+    """simulate_success draws each batch as one (trials, m + 1) block;
+    the per-trial draws of tests/oracles.py are the reference."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16, MAX_SUBSPACE_DIM])
+    def test_block_equals_per_trial_draws(self, n):
+        """The keys and samples a batch receives, and the generator's state
+        after the run, equal the reference's."""
+        for m in (0, 1, 12, 40):
+            for count in (1, 7, 300):
+                seen = []
+
+                def record(xs, a, check):
+                    seen.append((xs.copy(), a.copy()))
+                    return np.full(len(xs), -1), None
+
+                recorder = Learner("record", n, 0, 0, None, None, record)
+                rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+                assert simulate_success(recorder, m, count, rng) == 0
+                xs, a = per_trial_draws(ref, 1 << n, m, count)
+                assert len(seen) == 1
+                assert np.array_equal(seen[0][0], xs), (n, m, count)
+                assert np.array_equal(seen[0][1], a), (n, m, count)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("cells", [20, None])
+    @pytest.mark.parametrize("factory", FACTORIES + (small_window_attacker,))
+    def test_hits_equal_per_trial_reference(self, monkeypatch, factory, cells):
+        """Hits and the generator's end state equal a run_learner loop over
+        the reference's draws, with and without batch, in one batch and
+        split into batches of BATCH_CELLS = 20 cells."""
+        import paritylab.learners as learners
+        if cells is not None:
+            monkeypatch.setattr(learners, "BATCH_CELLS", cells)
+        for n, m, trials in ((1, 0, 9), (3, 7, 60), (5, 12, 40)):
+            L = factory(n)
+            ref = np.random.default_rng(n + m)
+            xs, a = per_trial_draws(ref, 1 << n, m, trials)
+            hits = sum(point_of(L.output(run_learner(L, x, row))) == x
+                       for x, row in zip(xs.tolist(), a.tolist()))
+            for learner in (L, dataclasses.replace(L, batch=None)):
+                rng = np.random.default_rng(n + m)
+                assert simulate_success(learner, m, trials, rng) == hits, (n, m)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSampleComplexity:
