@@ -350,10 +350,9 @@ def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
     return state
 
 
-# Most samples per simulate_success batch: its (trials, m + 1) int64 draw
-# of keys and samples is about 8 MiB (16 MiB at m = 1).  A batch step
-# costs about as much as four one-sample steps, so batches need a few
-# trials each: at m = 2^16 they hold 16.
+# Most samples per simulate_success batch (8 MiB of int64, drawn with the
+# keys as one (trials, m + 1) block).  A batch step costs about as much as
+# four one-sample steps, so batches need a few trials each (16 at m = 2^16).
 BATCH_CELLS = 1 << 20
 
 
@@ -372,12 +371,9 @@ def simulate_success(learner: Learner, m: int, trials: int,
                      rng: np.random.Generator) -> int:
     """Number of trials whose output is exactly the key point.
 
-    Trials run in batches of at most BATCH_CELLS samples (one trial at
-    least), each drawn with one call as a (trials, m + 1) block whose
-    rows, in trial order, hold a trial's key and then its m sample
-    vectors: the values that one key draw and one sample draw per trial
-    would give.  A batch runs through learner.batch when the learner has
-    one, else one trial at a time through run_learner.
+    Trials run in batches of at most BATCH_CELLS samples, each drawn in
+    one call as a (trials, m + 1) block whose rows, in trial order, hold a
+    trial's key, then its m samples, and run through learner.batch if set.
     """
     _check_run_size(m, trials)
     n = learner.n
