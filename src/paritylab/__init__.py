@@ -17,12 +17,11 @@ from .gf2 import (
     sample_point,
 )
 from .distributions import (
-    ExactDistribution,
     SubspaceMixture,
     check_fourier_closeness,
     l1_distance,
     mixture_distribution,
-    uniform_over,
+    uniform_weights,
     walsh_transform,
 )
 from .partition import (

@@ -16,32 +16,8 @@ from .gf2 import (
 )
 
 MAX_TABLE_DIM = 12  # exact 2^n tables stop making sense past desk scale
-PROB_TOL = 1e-9   # absolute tolerance when validating probability tables
+PROB_TOL = 1e-9   # absolute tolerance when validating mixture probabilities
 SLACK = 1e-12     # absolute slack when comparing a measured quantity with its bound
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """A probability table over {0,1}^n indexed by the packed point value."""
-
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_TABLE_DIM:
-            raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {self.n}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} weights, got shape {w.shape}")
-        if w.min() < -PROB_TOL:
-            raise ValueError(f"negative weight {w.min()}")
-        if abs(w.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1")
-        object.__setattr__(self, "weights", w)
-        w.setflags(write=False)
-
-    def __call__(self, x: int) -> float:
-        return float(self.weights[x])
 
 
 @dataclass(frozen=True)
@@ -101,29 +77,26 @@ def uniform_rows(labels: Iterable[AffineSubspace]) -> np.ndarray:
     return np.array([uniform_weights(w) for w in index])[order]
 
 
-def uniform_over(w: AffineSubspace) -> ExactDistribution:
-    """The uniform distribution over a non-empty affine subspace."""
-    if w.is_empty:
-        raise EmptySubspaceError("uniform distribution over the empty subspace")
-    return ExactDistribution(w.n, uniform_weights(w))
-
-
-def mixture_distribution(mix: SubspaceMixture) -> ExactDistribution:
+def mixture_distribution(mix: SubspaceMixture) -> np.ndarray:
+    """The length-2^n weight table of the mixture's expected uniform law;
+    n above MAX_TABLE_DIM is refused before the table is built."""
+    if mix.n > MAX_TABLE_DIM:
+        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {mix.n}")
     table = np.zeros(1 << mix.n)
     for w, p in mix.support:
         table += p * uniform_weights(w)
-    return ExactDistribution(mix.n, table)
+    return table
 
 
-def l1_distance(p: ExactDistribution, q: ExactDistribution) -> float:
-    if p.n != q.n:
-        raise DimensionMismatch(f"{p.n} != {q.n}")
-    return float(np.abs(p.weights - q.weights).sum())
+def l1_distance(p: np.ndarray, q: np.ndarray) -> float:
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"{p.shape} != {q.shape}")
+    return float(np.abs(p - q).sum())
 
 
-def walsh_transform(p: ExactDistribution) -> np.ndarray:
-    """Coefficients c(a) = 2^{-n} sum_x P(x) (-1)^{a.x}, indexed by the
-    packed frequency a (Walsh-Hadamard butterfly).
+def walsh_transform(weights: np.ndarray) -> np.ndarray:
+    """Coefficients c(a) = 2^{-n} sum_x P(x) (-1)^{a.x} of a length-2^n
+    table, indexed by the packed frequency a (Walsh-Hadamard butterfly).
 
     Under this normalization the uniform distribution transforms to
     2^{-n} at a=0 and zero elsewhere, and Parseval reads
@@ -131,17 +104,16 @@ def walsh_transform(p: ExactDistribution) -> np.ndarray:
     2^n c(a) = mass(a, 0) - mass(a, 1) at every a != 0, with mass the
     hyperplane_mass table, so the transform is an oracle for it.
     """
-    out = p.weights.astype(np.float64, copy=True)
-    size = out.shape[0]
+    out = np.array(weights, dtype=np.float64)
+    size = out.size
+    if out.ndim != 1 or size < 1 or size & (size - 1):
+        raise ValueError(f"expected 2^n weights, got shape {out.shape}")
     h = 1
     while h < size:
-        for start in range(0, size, 2 * h):
-            lo = out[start:start + h].copy()
-            hi = out[start + h:start + 2 * h].copy()
-            out[start:start + h] = lo + hi
-            out[start + h:start + 2 * h] = lo - hi
+        v = out.reshape(-1, 2, h)
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
         h *= 2
-    return out * 2.0 ** (-p.n)
+    return out / size
 
 
 def key_table(n: int, keys: Iterable[Iterable[int]], probs: Iterable[float]) -> list[float]:
@@ -204,5 +176,5 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK
-    distance = l1_distance(mixture_distribution(mix), uniform_over(AffineSubspace.full(n)))
+    distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
     return FourierCheck(holds, conc, distance, 2.0 ** (-(r - n / 2)), worst)

@@ -18,7 +18,7 @@ from .distributions import (
     key_table,
     l1_distance,
     mixture_distribution,
-    uniform_over,
+    uniform_weights,
 )
 from .gf2 import AffineSubspace, hyperplane_keys, is_subset, keys_subspace
 
@@ -234,7 +234,7 @@ class PartitionGroup:
 
     def l1_to_uniform(self) -> float:
         return l1_distance(mixture_distribution(self.conditional()),
-                           uniform_over(self.representative))
+                           uniform_weights(self.representative))
 
 
 @dataclass(frozen=True)

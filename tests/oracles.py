@@ -25,7 +25,8 @@ attacker through run_learner once per sample, solves its output as an
 AffineSubspace and samples it through sample_point, with one scalar
 rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
 reference draws per trial the key, then its m sample vectors, in two
-calls.  All are kept deliberately close to the
+calls.  The Walsh reference runs each butterfly stage one block at a
+time.  All are kept deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
 """
@@ -524,6 +525,23 @@ def object_random_hypothesis_mixture(n, r, rng, paths=None):
         paths["full-heavy"] += 1
         mix = object_full_heavy_mixture(n, threshold, rng, paths)
     return mix
+
+
+def block_walsh_transform(weights):
+    """Reference distributions.walsh_transform: per stage, each block's
+    low and high halves copied and combined by slices, then scaled by
+    2^{-n}."""
+    out = np.array(weights, dtype=np.float64)
+    size = out.shape[0]
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            lo = out[start:start + h].copy()
+            hi = out[start + h:start + 2 * h].copy()
+            out[start:start + h] = lo + hi
+            out[start + h:start + 2 * h] = lo - hi
+        h *= 2
+    return out * 2.0 ** (-(size.bit_length() - 1))
 
 
 def per_trial_draws(rng, size, m, count):

@@ -310,6 +310,7 @@ FUZZ_CASES = [
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "1000", "--trials", "2"],
     ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "0"],
     ["verify-lemmas", "--seed", "1", "--n", "2", "--trials", "-3"],
+    ["verify-lemmas", "--seed", "1", "--n", "13", "--trials", "1"],
     ["reduce", "--bogus"],
     ["reduce", "--in", "PROGRAM"],
     ["reduce", "--in", "PROGRAM", "--r", "x"],
@@ -404,6 +405,23 @@ class TestFuzzGuard:
                                "--seed", "1", "--trials", "2")
         assert code == 1
         assert err.splitlines() == [f"error: r must lie in [n/2, 2n] = [1.5, 6], got {float(r)}"]
+
+    def test_table_dim_named(self, capsys):
+        code, _, err = run_cli(capsys, "verify-lemmas", "--seed", "1", "--n", "13", "--trials", "1")
+        assert code == 1
+        assert err.splitlines() == ["error: exact tables support 0 <= n <= 12, got 13"]
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    def test_memory_error_named(self, capsys, monkeypatch, message):
+        """An allocation the machine refuses is one error line, not a
+        traceback; a bare MemoryError is named by its type."""
+        def refuse(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(crypto, "run_attack", refuse)
+        code, _, err = run_cli(capsys, "crypto", "attack", "--n", "4", "--memory-bits", "20",
+                               "--m", "3", "--trials", "1", "--seed", "1")
+        assert code == 1
+        assert err.splitlines() == [f"error: {message or 'MemoryError'}"]
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     @pytest.mark.parametrize("var,case", [

@@ -389,12 +389,13 @@ class TestHarnessContracts:
 
 def _same_attack(attacker, m, trials, seed):
     """run_attack and the stepping reference give equal reports and leave
-    their generators at the same next draw."""
+    their generators at the same next draw; returns the report."""
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     got = run_attack(attacker, m, trials, fast).to_dict()
     want = stepping_run_attack(attacker, m, trials, slow).to_dict()
     assert (got, int(fast.integers(0, 1 << 30))) == (want, int(slow.integers(0, 1 << 30))), \
         (attacker.name, m, trials, seed)
+    return got
 
 
 class TestAttackOracle:
@@ -424,6 +425,15 @@ class TestAttackOracle:
         committed points exercise a point guess that misses the key."""
         for seed in range(20):
             _same_attack(factory(4), seed % 9, 1 + 37 * seed % 300, seed)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_empty_output_guesses_from_full_space(self, m):
+        """An attacker that outputs Empty guesses a uniform point of the
+        full space: key hits near 2^-n."""
+        empty = Learner("empty", 3, 3, 0, step=lambda s, a, b: 0,
+                        output=lambda s: AffineSubspace.empty(3))
+        report = _same_attack(empty, m, 200, m)
+        assert abs(report["key_guess_rate"] - 1 / 8) < 0.05
 
 
 class TestWindowBudget:

@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 
 from paritylab.distributions import (
-    ExactDistribution,
     SubspaceMixture,
     check_fourier_closeness,
     hyperplane_mass,
     l1_distance,
     mixture_distribution,
-    uniform_over,
+    uniform_weights,
     walsh_transform,
 )
 from paritylab.generators import random_hypothesis_mixture, random_mixture
-from paritylab.gf2 import AffineSubspace, BitVector, EmptySubspaceError, intersect_hyperplane, is_subset
+from paritylab.gf2 import (
+    AffineSubspace,
+    BitVector,
+    DimensionMismatch,
+    EmptySubspaceError,
+    intersect_hyperplane,
+    is_subset,
+)
 from paritylab.suites import fourier_suite
+
+from oracles import block_walsh_transform
 
 
 def bv(text):
@@ -25,38 +33,37 @@ def half_space(n, a_text, b):
     return intersect_hyperplane(AffineSubspace.full(n), bv(a_text), b)
 
 
-class TestUniformOver:
+class TestUniformWeights:
     def test_full(self):
-        assert np.allclose(uniform_over(AffineSubspace.full(2)).weights, 0.25)
+        assert np.allclose(uniform_weights(AffineSubspace.full(2)), 0.25)
 
     def test_point(self):
-        u = uniform_over(AffineSubspace.point(2, bv("01")))
-        assert u.weights[2] == 1.0 and u.weights.sum() == 1.0
+        u = uniform_weights(AffineSubspace.point(2, bv("01")))
+        assert u[2] == 1.0 and u.sum() == 1.0
 
     def test_half(self):
-        u = uniform_over(half_space(2, "10", 1))
-        assert list(u.weights) == [0.0, 0.5, 0.0, 0.5]
+        u = uniform_weights(half_space(2, "10", 1))
+        assert list(u) == [0.0, 0.5, 0.0, 0.5]
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptySubspaceError):
-            uniform_over(AffineSubspace.empty(2))
+    def test_empty_is_zero(self):
+        assert list(uniform_weights(AffineSubspace.empty(2))) == [0.0] * 4
 
 
 class TestMixture:
     def test_single_element(self):
         w = half_space(2, "11", 0)
         mix = SubspaceMixture(2, ((w, 1.0),))
-        assert np.allclose(mixture_distribution(mix).weights, uniform_over(w).weights)
+        assert np.allclose(mixture_distribution(mix), uniform_weights(w))
 
     def test_complementary_halves(self):
         mix = SubspaceMixture(1, ((half_space(1, "1", 0), 0.5),
                                   (half_space(1, "1", 1), 0.5)))
-        assert np.allclose(mixture_distribution(mix).weights, 0.5)
+        assert np.allclose(mixture_distribution(mix), 0.5)
 
     def test_point_plus_full(self):
         mix = SubspaceMixture(2, ((AffineSubspace.point(2, bv("00")), 0.5),
                                   (AffineSubspace.full(2), 0.5)))
-        assert list(mixture_distribution(mix).weights) == [0.625, 0.125, 0.125, 0.125]
+        assert list(mixture_distribution(mix)) == [0.625, 0.125, 0.125, 0.125]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,17 +77,17 @@ class TestMixture:
 
 class TestL1:
     def test_identical(self):
-        u = uniform_over(AffineSubspace.full(3))
+        u = uniform_weights(AffineSubspace.full(3))
         assert l1_distance(u, u) == 0.0
 
     def test_disjoint_points(self):
-        p = uniform_over(AffineSubspace.point(2, bv("00")))
-        q = uniform_over(AffineSubspace.point(2, bv("11")))
+        p = uniform_weights(AffineSubspace.point(2, bv("00")))
+        q = uniform_weights(AffineSubspace.point(2, bv("11")))
         assert l1_distance(p, q) == 2.0
 
     def test_half_vs_uniform(self):
-        assert l1_distance(uniform_over(half_space(2, "10", 0)),
-                           uniform_over(AffineSubspace.full(2))) == 1.0
+        assert l1_distance(uniform_weights(half_space(2, "10", 0)),
+                           uniform_weights(AffineSubspace.full(2))) == 1.0
 
     def test_triangle_and_symmetry(self):
         rng = np.random.default_rng(5)
@@ -88,26 +95,32 @@ class TestL1:
             ps = []
             for _ in range(3):
                 w = rng.random(8) + 0.01
-                ps.append(ExactDistribution(3, w / w.sum()))
+                ps.append(w / w.sum())
             a, b, c = ps
             assert l1_distance(a, b) == pytest.approx(l1_distance(b, a))
             assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
+
+    def test_dimension_mismatch(self):
+        """Tables of different n would broadcast; they are refused."""
+        with pytest.raises(DimensionMismatch):
+            l1_distance(uniform_weights(AffineSubspace.full(1)),
+                        uniform_weights(AffineSubspace.full(2)))
 
 
 class TestWalsh:
     def test_uniform_is_delta(self):
         for n in (1, 3, 5):
-            f = walsh_transform(uniform_over(AffineSubspace.full(n)))
+            f = walsh_transform(uniform_weights(AffineSubspace.full(n)))
             assert f[0] == pytest.approx(2.0 ** (-n))
             assert np.allclose(f[1:], 0.0)
 
     def test_half_space_coefficients(self):
-        f = walsh_transform(uniform_over(half_space(2, "10", 1)))
+        f = walsh_transform(uniform_weights(half_space(2, "10", 1)))
         assert list(f) == [0.25, -0.25, 0.0, 0.0]
 
     def test_point_mass_at_zero(self):
         n = 3
-        f = walsh_transform(uniform_over(AffineSubspace.point(n, 0)))
+        f = walsh_transform(uniform_weights(AffineSubspace.point(n, 0)))
         assert np.allclose(f, 2.0 ** (-n))
 
     def test_subspace_coefficient_structure(self):
@@ -115,7 +128,7 @@ class TestWalsh:
         # orthogonal directions, zero elsewhere
         n = 3
         w = half_space(n, "011", 1)
-        f = walsh_transform(uniform_over(w))
+        f = walsh_transform(uniform_weights(w))
         assert f[bv("011")] == pytest.approx(-2.0 ** (-n))
         assert f[0] == pytest.approx(2.0 ** (-n))
 
@@ -123,10 +136,23 @@ class TestWalsh:
         rng = np.random.default_rng(10)
         for n in (2, 5):
             w = rng.random(1 << n) + 0.01
-            p = ExactDistribution(n, w / w.sum())
+            p = w / w.sum()
             f = walsh_transform(p)
             assert np.sum(f ** 2) == pytest.approx(
-                2.0 ** (-n) * np.sum(p.weights ** 2))
+                2.0 ** (-n) * np.sum(p ** 2))
+
+    def test_matches_block_butterfly(self):
+        """Bit for bit the per-block reference, n = 0..10."""
+        rng = np.random.default_rng(13)
+        for n in range(11):
+            for _ in range(50):
+                p = rng.random(1 << n)
+                assert np.array_equal(walsh_transform(p), block_walsh_transform(p))
+
+    @pytest.mark.parametrize("size", [0, 3, 6, 12])
+    def test_length_not_power_of_two(self, size):
+        with pytest.raises(ValueError):
+            walsh_transform(np.ones(size))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_oracle_for_hyperplane_mass(self, n):

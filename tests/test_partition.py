@@ -26,7 +26,7 @@ from paritylab.distributions import (
     hyperplane_mass,
     l1_distance,
     mixture_distribution,
-    uniform_over,
+    uniform_weights,
 )
 from paritylab.generators import random_mixture, random_subspace
 from paritylab.gf2 import (
@@ -170,7 +170,7 @@ class TestFindRepresentative:
         assert mass == pytest.approx(2.0 ** (-n))
         drop = n - s.dim
         assert mass >= 2.0 ** (-exponent_sum(3.0, drop)) - 1e-12
-        uw = l1_distance(mixture_distribution(cond), uniform_over(s))
+        uw = l1_distance(mixture_distribution(cond), uniform_weights(s))
         assert uw < 2.0 ** (-(3.0 - n / 2)) + 1e-12
 
     def test_zero_dimension_base_case(self):
@@ -192,7 +192,7 @@ class TestFindRepresentative:
             s, cond, mass = find_representative_subspace(mix, r)
             drop = n - s.dim
             assert mass >= 2.0 ** (-exponent_sum(r, drop)) - 1e-12
-            dist = l1_distance(mixture_distribution(cond), uniform_over(s))
+            dist = l1_distance(mixture_distribution(cond), uniform_weights(s))
             assert dist < 2.0 ** (-(r - n / 2)) + 1e-12
 
     def test_matches_tuple_oracle(self):

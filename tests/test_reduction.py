@@ -242,6 +242,31 @@ class TestFaultInjection:
         rep = verify_reduction(bp, bad)
         assert not rep.gamma_ok
 
+    @pytest.mark.parametrize("fault", ["last layer dropped", "layer 1 short",
+                                       "original out of range"])
+    def test_malformed_gamma_detected(self, fault):
+        bp = random_program(3, 2, 3, np.random.default_rng(3))
+        red = reduce_to_affine(bp, 3.0)
+        g = red.gamma
+        gamma = {"last layer dropped": g[:-1],
+                 "layer 1 short": (g[0], g[1][:-1]) + g[2:],
+                 "original out of range": (g[0], (bp.layer_sizes[1],) + g[1][1:]) + g[2:]}[fault]
+        rep = verify_reduction(bp, replace(red, gamma=gamma))
+        assert not rep.gamma_ok and not rep.all_ok
+
+    def test_leaf_mapped_to_inner_vertex_detected(self):
+        """Against a copy of the original whose vertex gamma[1][0] is an
+        early leaf, the reduction maps an inner vertex to a leaf."""
+        bp = random_program(3, 2, 3, np.random.default_rng(3))
+        red = reduce_to_affine(bp, 3.0)
+        orig = red.gamma[1][0]
+        layer1 = tuple(None if v == orig else row for v, row in enumerate(bp.transitions[1]))
+        leaves = {**bp.leaf_labels, (1, orig): AffineSubspace.full(bp.n)}
+        early = BranchingProgram(bp.n, bp.m, bp.layer_sizes,
+                                 (bp.transitions[0], layer1) + bp.transitions[2:], leaves)
+        rep = verify_reduction(early, red)
+        assert rep.affine_ok and not rep.gamma_ok and not rep.all_ok
+
     def test_early_leaves_rejected(self):
         n = 2
         deg = 1 << (n + 1)
