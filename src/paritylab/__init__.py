@@ -33,7 +33,6 @@ from .bp import (
     BranchingProgram,
     labelled_program,
     layer_accuracy,
-    run_path,
     success_probability,
     validate_affine,
 )

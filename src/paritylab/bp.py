@@ -22,16 +22,11 @@ from .config import BudgetExceeded, dp_budget, state_budget
 from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
-    _check_vector,
     edge_masks,
     hyperplane_masks,
     parse_subspace,
     point_mask,
 )
-
-
-class PathIncomplete(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -240,20 +235,6 @@ def _output_dimensions(bp: BranchingProgram, tables: list[np.ndarray]) -> dict[i
         key = -1 if lab.is_empty else lab.dim
         out[key] = out.get(key, 0.0) + float(tables[t][v].sum())
     return out
-
-
-def run_path(bp: BranchingProgram,
-             samples: list[tuple[int, int]]) -> tuple[tuple[int, int], AffineSubspace]:
-    """Follow the samples (a, b) from the start vertex to a leaf."""
-    t, v = 0, 0
-    while not bp.is_leaf(t, v):
-        if t >= len(samples):
-            raise PathIncomplete(f"ran out of samples at layer {t}")
-        a, b = samples[t]
-        _check_vector(bp.n, a)
-        v = bp.transitions[t][v][(a << 1) | b]
-        t += 1
-    return (t, v), bp.leaf_labels[(t, v)]
 
 
 @dataclass(frozen=True)

@@ -77,15 +77,20 @@ def uniform_rows(labels: Iterable[AffineSubspace]) -> np.ndarray:
     return np.array([uniform_weights(w) for w in index])[order]
 
 
-def mixture_distribution(mix: SubspaceMixture) -> np.ndarray:
-    """The length-2^n weight table of the mixture's expected uniform law;
-    n above MAX_TABLE_DIM is refused before the table is built."""
-    if mix.n > MAX_TABLE_DIM:
-        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {mix.n}")
-    table = np.zeros(1 << mix.n)
-    for w, p in mix.support:
+def mixture_table(n: int, pairs: Iterable[tuple[AffineSubspace, float]]) -> np.ndarray:
+    """The length-2^n table of sum_i p_i * uniform_weights(w_i), added in
+    pair order; n above MAX_TABLE_DIM is refused before it is built."""
+    if n > MAX_TABLE_DIM:
+        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {n}")
+    table = np.zeros(1 << n)
+    for w, p in pairs:
         table += p * uniform_weights(w)
     return table
+
+
+def mixture_distribution(mix: SubspaceMixture) -> np.ndarray:
+    """The weight table of the mixture's expected uniform law."""
+    return mixture_table(mix.n, mix.support)
 
 
 def l1_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -28,7 +28,66 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def _draw_subspace(n: int, rng: np.random.Generator,
+class _Words:
+    """numpy's Generator.integers(lo, hi), 1 <= hi - lo <= 2^32, and
+    Generator.random(k), bit for bit, from a PCG64's raw words fetched in
+    blocks: Lemire's multiply-shift with its rejection loop on next_uint32,
+    which hands out a word's low half and buffers its high half (handing
+    the buffer out clears only has_uint32), and random() as
+    (next_uint64 >> 11) * 2^-53.  On exit, also by an exception, the
+    unused words are rewound and the buffer is set: the generator stands
+    where the direct calls leave it.  Nothing else may draw meanwhile."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.bg = rng.bit_generator
+        if not isinstance(self.bg, np.random.PCG64):
+            raise TypeError(f"raw draws need a PCG64 bit generator, got {type(self.bg).__name__}")
+        state = self.bg.state
+        self.has, self.uinteger = state["has_uint32"], state["uinteger"]
+        self.words: list[int] = []  # every word fetched; the first `used` are drawn
+        self.used = 0
+
+    def __enter__(self) -> "_Words":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.bg.advance(self.used - len(self.words))
+        state = self.bg.state  # advance zeroed the buffer
+        state["has_uint32"], state["uinteger"] = self.has, self.uinteger
+        self.bg.state = state
+
+    def _fill(self) -> None:  # blocks double: 16 words, then as many as so far
+        self.words += self.bg.random_raw(max(16, len(self.words))).tolist()
+
+    def integers(self, lo: int, hi: int) -> int:
+        span = hi - lo
+        if not 0 < span <= 1 << 32:
+            raise ValueError(f"raw draws need 1 <= hi - lo <= 2^32, got {span}")
+        if span == 1:
+            return lo
+        threshold = (1 << 32) % span  # < span: numpy's low-half < span pre-test is implied
+        while True:
+            if self.has:
+                self.has = 0
+                m = self.uinteger * span
+            else:
+                if self.used == len(self.words):
+                    self._fill()
+                word = self.words[self.used]
+                self.used += 1
+                self.has, self.uinteger = 1, word >> 32
+                m = (word & 0xFFFFFFFF) * span
+            if m & 0xFFFFFFFF >= threshold:
+                return lo + (m >> 32)
+
+    def random(self, k: int) -> np.ndarray:
+        while len(self.words) < self.used + k:
+            self._fill()
+        self.used += k
+        return np.array([(w >> 11) * 2.0 ** -53 for w in self.words[self.used - k:self.used]])
+
+
+def _draw_subspace(n: int, words: _Words,
                    dim: int | None = None) -> tuple[tuple[int, ...], int]:
     """random_subspace's draws, returned as its canonical form: the RREF
     rows sorted by pivot and the offset reduced by them.
@@ -37,14 +96,14 @@ def _draw_subspace(n: int, rng: np.random.Generator,
     the pairs and build objects only for the members they keep.
     """
     if dim is None:
-        dim = int(rng.integers(0, n + 1))
+        dim = words.integers(0, n + 1)
     basis: list[int] = []
     while len(basis) < dim:
-        v = _reduce(basis, int(rng.integers(1, 1 << n)))
+        v = _reduce(basis, words.integers(1, 1 << n))
         if v:
             _insert(basis, v)
     basis.sort(key=lowest_set_bit)
-    return tuple(basis), _reduce(basis, int(rng.integers(0, 1 << n)))
+    return tuple(basis), _reduce(basis, words.integers(0, 1 << n))
 
 
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
@@ -54,17 +113,18 @@ def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
 
 def random_subspace(n: int, rng: np.random.Generator,
                     dim: int | None = None) -> AffineSubspace:
-    return _subspace(n, _draw_subspace(n, rng, dim))
+    with _Words(rng) as words:
+        return _subspace(n, _draw_subspace(n, words, dim))
 
 
-def _draw_members(n: int, rng: np.random.Generator, count: int,
+def _draw_members(n: int, words: _Words, count: int,
                   min_dim: int = 0) -> list[tuple[tuple[int, ...], int]]:
     """Up to count distinct pairs, in order of first appearance, each
     drawn at a dimension uniform on [min_dim, n], from at most 20 * count
     draws: small n may not have count distinct subspaces (n = 1 has 3)."""
     members: dict[tuple[tuple[int, ...], int], None] = {}
     for _ in range(20 * count):
-        members.setdefault(_draw_subspace(n, rng, int(rng.integers(min_dim, n + 1))))
+        members.setdefault(_draw_subspace(n, words, words.integers(min_dim, n + 1)))
         if len(members) >= count:
             break
     return list(members)
@@ -72,23 +132,22 @@ def _draw_members(n: int, rng: np.random.Generator, count: int,
 
 def random_mixture(n: int, rng: np.random.Generator,
                    max_members: int = 8) -> SubspaceMixture:
-    count = int(rng.integers(1, max_members + 1))
-    members = _draw_members(n, rng, count)
-    weights = rng.random(len(members)) + 0.05
+    with _Words(rng) as words:
+        members = _draw_members(n, words, words.integers(1, max_members + 1))
+        weights = words.random(len(members)) + 0.05
     weights /= weights.sum()
     return SubspaceMixture(n, tuple((_subspace(n, pair), float(p))
                                     for pair, p in zip(members, weights)))
 
 
-def _full_heavy_mixture(n: int, threshold: float,
-                        rng: np.random.Generator) -> SubspaceMixture:
+def _full_heavy_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixture:
     # full-space dominated: the non-full members' total weight stays below
     # the threshold, so no hyperplane can accumulate more
-    delta = threshold * (0.4 + 0.5 * float(rng.random()))
-    extras = int(rng.integers(1, 5))
+    delta = threshold * (0.4 + 0.5 * float(words.random(1)[0]))
+    extras = words.integers(1, 5)
     pool: dict[tuple[tuple[int, ...], int], float] = {}
     for _ in range(extras):
-        pair = _draw_subspace(n, rng)
+        pair = _draw_subspace(n, words)
         if len(pair[0]) < n:  # not the full space
             pool[pair] = pool.get(pair, 0.0) + delta / extras
     pairs = [(AffineSubspace.full(n), 1.0 - sum(pool.values()))]
@@ -97,7 +156,7 @@ def _full_heavy_mixture(n: int, threshold: float,
 
 
 def _hyperplane_family_mixture(n: int, threshold: float,
-                               rng: np.random.Generator) -> SubspaceMixture | None:
+                               words: _Words) -> SubspaceMixture | None:
     # near-even weights over many hyperplanes, each lying inside exactly
     # one constraint, so per-hyperplane mass ~ 1/count
     count = min(int(np.ceil(1.5 / threshold)), 2 * (2 ** n - 1))
@@ -105,10 +164,8 @@ def _hyperplane_family_mixture(n: int, threshold: float,
         return None
     chosen: dict[tuple[int, int], None] = {}  # distinct (a, b), a != 0: distinct hyperplanes
     while len(chosen) < count:
-        a = int(rng.integers(1, 1 << n))
-        b = int(rng.integers(0, 2))
-        chosen.setdefault((a, b))
-    weights = 1.0 + 0.1 * rng.random(count)
+        chosen.setdefault((words.integers(1, 1 << n), words.integers(0, 2)))
+    weights = 1.0 + 0.1 * words.random(count)
     weights /= weights.sum()
     if weights.max() > threshold:
         weights = np.full(count, 1.0 / count)
@@ -117,11 +174,10 @@ def _hyperplane_family_mixture(n: int, threshold: float,
                                     for (a, b), p in zip(chosen, weights)))
 
 
-def _rejection_mixture(n: int, threshold: float,
-                       rng: np.random.Generator) -> SubspaceMixture | None:
+def _rejection_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixture | None:
     for _ in range(200):
-        members = _draw_members(n, rng, int(rng.integers(2, 9)), max(0, n - 2))
-        weights = rng.random(len(members)) + 0.05
+        members = _draw_members(n, words, words.integers(2, 9), max(0, n - 2))
+        weights = words.random(len(members)) + 0.05
         weights /= weights.sum()
         # a non-full member lies in some hyperplane, whose mass (a float
         # sum of positive terms) is at least the member's own weight
@@ -140,13 +196,14 @@ def random_hypothesis_mixture(n: int, r: float,
     hyperplane holds the random subspace with probability above 2^{-r}."""
     check_r(n, r)
     threshold = 2.0 ** (-r)
-    style = int(rng.integers(0, 3))
-    mix = None
-    if style == 1:
-        mix = _hyperplane_family_mixture(n, threshold, rng)
-    elif style == 2:
-        mix = _rejection_mixture(n, threshold, rng)
-    return mix if mix is not None else _full_heavy_mixture(n, threshold, rng)
+    with _Words(rng) as words:
+        style = words.integers(0, 3)
+        mix = None
+        if style == 1:
+            mix = _hyperplane_family_mixture(n, threshold, words)
+        elif style == 2:
+            mix = _rejection_mixture(n, threshold, words)
+        return mix if mix is not None else _full_heavy_mixture(n, threshold, words)
 
 
 def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> BranchingProgram:
@@ -158,7 +215,8 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> Bran
               for _ in range(sizes[j]))
         for j in range(m)
     )
-    leaf_labels = {(m, v): random_subspace(n, rng) for v in range(sizes[m])}
+    with _Words(rng) as words:
+        leaf_labels = {(m, v): _subspace(n, _draw_subspace(n, words)) for v in range(sizes[m])}
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 

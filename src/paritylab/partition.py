@@ -17,7 +17,7 @@ from .distributions import (
     heaviest_hyperplane,
     key_table,
     l1_distance,
-    mixture_distribution,
+    mixture_table,
     uniform_weights,
 )
 from .gf2 import AffineSubspace, hyperplane_keys, is_subset, keys_subspace
@@ -227,14 +227,11 @@ class PartitionGroup:
     def mass(self) -> float:
         return sum(self.probabilities)
 
-    def conditional(self) -> SubspaceMixture:
+    def l1_to_uniform(self) -> float:  # the conditional law: each p / mass, in member order
         m = self.mass
-        return SubspaceMixture(self.representative.n,
-                               tuple((w, p / m) for w, p in zip(self.members, self.probabilities)))
-
-    def l1_to_uniform(self) -> float:
-        return l1_distance(mixture_distribution(self.conditional()),
-                           uniform_weights(self.representative))
+        table = mixture_table(self.representative.n,
+                              ((w, p / m) for w, p in zip(self.members, self.probabilities)))
+        return l1_distance(table, uniform_weights(self.representative))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ through intersect_hyperplane, and the labelled-program reference calls a
 learner's output once per vertex.  The layer-accuracy and ideal-joint
 references tabulate one vertex's uniform law at a time, summing each
 row by itself.  The success-probability reference tabulates the leaf
-label's support at every leaf.  The generator references build an
+label's support at every leaf, and the path reference follows one list of
+samples (a, b) to a leaf.  The group-distance reference builds each
+partition group's conditional SubspaceMixture before tabulating it.  The generator references build an
 AffineSubspace for every draw and a SubspaceMixture for every attempt,
 kept or not, and count the paths they take; they share only the
 packed-row kernel (_reduce, _insert) with the package, since it decides
@@ -49,11 +51,14 @@ from paritylab.distributions import (
     heaviest_hyperplane,
     hyperplane_mass,
     key_table,
+    l1_distance,
+    mixture_distribution,
     uniform_weights,
 )
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
+    _check_vector,
     _insert,
     _reduce,
     hyperplane_keys,
@@ -304,6 +309,29 @@ def assert_same_partition(part, ref):
     """Equal groups (representatives, members, float masses, in order)
     and residual."""
     assert part == ref
+
+
+def conditional_l1_to_uniform(group):
+    """Reference PartitionGroup.l1_to_uniform: the group's conditional law
+    built and validated as a SubspaceMixture, then tabulated."""
+    m = group.mass
+    cond = SubspaceMixture(group.representative.n,
+                           tuple((w, p / m) for w, p in zip(group.members, group.probabilities)))
+    return l1_distance(mixture_distribution(cond), uniform_weights(group.representative))
+
+
+def run_path(bp, samples):
+    """Follow the samples (a, b) from the start vertex to a leaf: the leaf
+    and its label; RuntimeError if the samples run out first."""
+    t, v = 0, 0
+    while not bp.is_leaf(t, v):
+        if t >= len(samples):
+            raise RuntimeError(f"ran out of samples at layer {t}")
+        a, b = samples[t]
+        _check_vector(bp.n, a)
+        v = bp.transitions[t][v][(a << 1) | b]
+        t += 1
+    return (t, v), bp.leaf_labels[(t, v)]
 
 
 def scalar_unroll(n, m, start, step, stop=None):

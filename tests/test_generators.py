@@ -4,7 +4,7 @@ The package's generators dedup and test members on the canonical int
 pairs that generators._draw_subspace returns and build objects only for
 the members they keep; the references in oracles.py build an
 AffineSubspace and a SubspaceMixture for every draw and attempt.  Both
-make the same rng calls, so every mixture and every generator state must
+consume the same stream, so every mixture and every generator state must
 match after every call.
 """
 
@@ -39,6 +39,12 @@ def _text(x):
     return [(w.to_text(), repr(p)) for w, p in x.support]
 
 
+def _served(style, n, t, rng):
+    """A style called on a reader over rng, synced on return."""
+    with generators._Words(rng) as words:
+        return style(n, t, words)
+
+
 def _calls(n, r):
     """(name, package call, reference call) in the order a cell makes them;
     random_hypothesis_mixture draws its style, so every style is also
@@ -50,11 +56,11 @@ def _calls(n, r):
          lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
         ("random_hypothesis_mixture", lambda rng: g.random_hypothesis_mixture(n, r, rng),
          lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
-        ("_rejection_mixture", lambda rng: g._rejection_mixture(n, t, rng),
+        ("_rejection_mixture", lambda rng: _served(g._rejection_mixture, n, t, rng),
          lambda rng, paths: object_rejection_mixture(n, t, rng, paths)),
-        ("_hyperplane_family_mixture", lambda rng: g._hyperplane_family_mixture(n, t, rng),
+        ("_hyperplane_family_mixture", lambda rng: _served(g._hyperplane_family_mixture, n, t, rng),
          lambda rng, paths: object_hyperplane_family_mixture(n, t, rng, paths)),
-        ("_full_heavy_mixture", lambda rng: g._full_heavy_mixture(n, t, rng),
+        ("_full_heavy_mixture", lambda rng: _served(g._full_heavy_mixture, n, t, rng),
          lambda rng, paths: object_full_heavy_mixture(n, t, rng, paths)),
         ("random_mixture", lambda rng: g.random_mixture(n, rng),
          lambda rng, paths: object_random_mixture(n, rng, paths=paths)),
@@ -112,5 +118,87 @@ def test_draw_subspace_is_canonical(n):
         dim = None if i % 2 else int(rng.integers(0, n + 1))
         assert dim is None or dim == int(ref_rng.integers(0, n + 1))
         w = object_random_subspace(n, ref_rng, dim)
-        assert generators._draw_subspace(n, rng, dim) == (w.direction.rows, w.offset)
+        with generators._Words(rng) as words:
+            pair = generators._draw_subspace(n, words, dim)
+        assert pair == (w.direction.rows, w.offset)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Ranges hi - lo of 1 (no draw), small, 2^k - 1, 2^k, 2^31 + 1 (about
+# half of its multiply-shift draws are rejected) and 2^32 (the raw half).
+RANGES = [(0, 1), (5, 6), (0, 2), (0, 3), (-3, 4), (0, 7), (1, 2 ** 5), (0, 2 ** 5),
+          (0, 2 ** 31 + 1), (0, 2 ** 32), (7, 2 ** 32 + 7)]
+
+
+def _script(seed, length):
+    """A mixed sequence of ranges (lo, hi) and ("random", k) steps."""
+    pick = np.random.default_rng([seed, length])
+    steps = []
+    for _ in range(length):
+        i = int(pick.integers(0, len(RANGES) + 2))
+        steps.append(RANGES[i] if i < len(RANGES) else ("random", int(pick.integers(0, 4))))
+    return steps
+
+
+def _serve(source, steps):
+    """The steps drawn from a Generator or a reader, as plain values."""
+    return [source.random(b).tolist() if a == "random" else int(source.integers(a, b))
+            for a, b in steps]
+
+
+class TestWords:
+    """generators._Words against direct Generator calls: the same values,
+    and the same bit generator state (words, has_uint32 and uinteger)
+    once the reader is closed."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("length", [0, 1, 7, 400])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_direct_calls(self, seed, length, buffered):
+        rng, ref = (np.random.default_rng(seed) for _ in range(2))
+        if buffered:  # start with the high half of a word in the buffer
+            assert int(rng.integers(0, 2)) == int(ref.integers(0, 2))
+            assert rng.bit_generator.state["has_uint32"] == 1
+        steps = _script(seed, length)
+        with generators._Words(rng) as words:
+            got = _serve(words, steps)
+        assert got == _serve(ref, steps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert length < 400 or len(words.words) > 16  # more than one block
+        assert rng.integers(0, 2 ** 31 + 1, 9).tolist() == ref.integers(0, 2 ** 31 + 1, 9).tolist()
+
+    def test_lemire_rejections(self):
+        rng, ref = (np.random.default_rng(3) for _ in range(2))
+        with generators._Words(rng) as words:
+            got = [words.integers(0, 2 ** 31 + 1) for _ in range(200)]
+        assert got == [int(ref.integers(0, 2 ** 31 + 1)) for _ in range(200)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert words.used > 150  # 100 words would serve 200 halves without rejection
+
+    def test_no_draw_keeps_the_state(self):
+        rng = np.random.default_rng(4)
+        rng.integers(0, 2, 3)  # leaves a half-word in the buffer
+        before = rng.bit_generator.state
+        with generators._Words(rng) as words:
+            assert [words.integers(9, 10), words.random(0).tolist()] == [9, []]
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_exception_syncs_the_draws_made(self, error):
+        rng, ref = (np.random.default_rng(5) for _ in range(2))
+        steps = _script(5, 30)
+        with pytest.raises(error):
+            with generators._Words(rng) as words:
+                got = _serve(words, steps)
+                if error is ValueError:
+                    words.integers(0, 2 ** 32 + 1)  # beyond next_uint32's ranges
+                raise error
+        assert got == _serve(ref, steps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64, np.random.PCG64DXSM])
+    def test_refuses_other_bit_generators(self, bit_generator):
+        rng = np.random.Generator(bit_generator(0))
+        with pytest.raises(TypeError, match="PCG64 bit generator, got"):
+            generators.random_subspace(3, rng)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_same_partition,
+    conditional_l1_to_uniform,
     assert_same_reduction,
     lift_back,
     object_reduce,
@@ -28,7 +29,7 @@ from paritylab.distributions import (
     mixture_distribution,
     uniform_weights,
 )
-from paritylab.generators import random_mixture, random_subspace
+from paritylab.generators import derived_rng, random_mixture, random_subspace
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
@@ -44,6 +45,7 @@ from paritylab.partition import (
     group_count_bound,
 )
 from paritylab.reduction import reduce_to_affine
+from paritylab.suites import R_FRACS, _cells
 
 
 def bv(text):
@@ -350,6 +352,19 @@ class TestPartitionOracle:
             assert_same_partition(build_partition(mix, 4.0), part)
             check_rounds(4, [hyperplane_keys(w) for w, _ in mix.support],
                          [p for _, p in mix.support], 4.0)
+
+    @pytest.mark.parametrize("seed", [7, 47])
+    def test_group_distance_matches_conditional_mixture(self, seed):
+        """l1_to_uniform, tabulated from the members and p / mass, equals
+        the distance through the validated conditional mixture, float for
+        float, on the partition suite's instances."""
+        rng = derived_rng(seed, 2)
+        groups = 0
+        for n, r in _cells(100, (2, 3, 4, 5), R_FRACS, None):
+            for g in build_partition(random_mixture(n, rng), r).groups:
+                assert g.l1_to_uniform() == conditional_l1_to_uniform(g)
+                groups += 1
+        assert groups > 300
 
     @pytest.mark.parametrize("members,r", [
         # (a, 0) and (a, 1) tie; b = 0 is taken first
