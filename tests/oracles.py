@@ -18,9 +18,10 @@ references tabulate one vertex's uniform law at a time, summing each
 row by itself.  The success-probability reference tabulates the leaf
 label's support at every leaf, and the path reference follows one list of
 samples (a, b) to a leaf.  The group-distance reference builds each
-partition group's conditional SubspaceMixture before tabulating it.  The generator references build an
-AffineSubspace for every draw and a SubspaceMixture for every attempt,
-kept or not, and count the paths they take; they share only the
+partition group's conditional SubspaceMixture before tabulating it.  The
+generator references build an AffineSubspace for every draw and a
+SubspaceMixture for every attempt, kept or not, count the paths they
+take, and draw straight from the Generator; they share only the
 packed-row kernel (_reduce, _insert) with the package, since it decides
 which draws a subspace consumes.  The attack reference steps the
 attacker through run_learner once per sample, solves its output as an

@@ -39,7 +39,7 @@ def _text(x):
     return [(w.to_text(), repr(p)) for w, p in x.support]
 
 
-def _served(style, n, t, rng):
+def _on_reader(style, n, t, rng):
     """A style called on a reader over rng, synced on return."""
     with generators._Words(rng) as words:
         return style(n, t, words)
@@ -56,11 +56,12 @@ def _calls(n, r):
          lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
         ("random_hypothesis_mixture", lambda rng: g.random_hypothesis_mixture(n, r, rng),
          lambda rng, paths: object_random_hypothesis_mixture(n, r, rng, paths)),
-        ("_rejection_mixture", lambda rng: _served(g._rejection_mixture, n, t, rng),
+        ("_rejection_mixture", lambda rng: _on_reader(g._rejection_mixture, n, t, rng),
          lambda rng, paths: object_rejection_mixture(n, t, rng, paths)),
-        ("_hyperplane_family_mixture", lambda rng: _served(g._hyperplane_family_mixture, n, t, rng),
+        ("_hyperplane_family_mixture",
+         lambda rng: _on_reader(g._hyperplane_family_mixture, n, t, rng),
          lambda rng, paths: object_hyperplane_family_mixture(n, t, rng, paths)),
-        ("_full_heavy_mixture", lambda rng: _served(g._full_heavy_mixture, n, t, rng),
+        ("_full_heavy_mixture", lambda rng: _on_reader(g._full_heavy_mixture, n, t, rng),
          lambda rng, paths: object_full_heavy_mixture(n, t, rng, paths)),
         ("random_mixture", lambda rng: g.random_mixture(n, rng),
          lambda rng, paths: object_random_mixture(n, rng, paths=paths)),
