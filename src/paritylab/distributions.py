@@ -160,11 +160,38 @@ def check_r(n: int, r: float, top: int = 2) -> None:
 
 
 @dataclass(frozen=True)
+class BoundCheck:
+    """A measured value against its bound: an upper bound, or a lower one
+    when lower is set.  binding is False where the bound lies at or past
+    the quantity's trivial range, so the row is vacuous.  ok and margin
+    are the one place a row applies SLACK; a positive margin means room."""
+
+    name: str
+    measured: float
+    bound: float
+    binding: bool
+    lower: bool = False
+
+    @property
+    def ok(self) -> bool:
+        if self.lower:
+            return self.measured >= self.bound - SLACK
+        return self.measured <= self.bound + SLACK
+
+    @property
+    def margin(self) -> float:
+        return self.measured - self.bound if self.lower else self.bound - self.measured
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "measured": self.measured, "bound": self.bound,
+                "binding": self.binding, "ok": self.ok}
+
+
+@dataclass(frozen=True)
 class FourierCheck:
     hypothesis_holds: bool
     max_concentration: float
-    distance: float
-    bound: float
+    closeness: BoundCheck   # l1 distance to uniform against 2^{-(r - n/2)}
     worst_hyperplane: tuple[int, int] | None
 
 
@@ -174,7 +201,8 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     The hypothesis is that no hyperplane {x : a.x = b}, a != 0, contains
     the random subspace with probability above 2^{-r}; when it holds, the
     mixture's expected uniform law is within 2^{-(r - n/2)} of uniform in
-    l1 distance.
+    l1 distance.  The closeness row binds below 2, the l1 ceiling; r >= n/2
+    keeps its bound at most 1.
     """
     n = mix.n
     check_r(n, r)
@@ -182,4 +210,6 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK
     distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
-    return FourierCheck(holds, conc, distance, 2.0 ** (-(r - n / 2)), worst)
+    bound = 2.0 ** (-(r - n / 2))
+    return FourierCheck(holds, conc, BoundCheck("closeness", distance, bound, binding=bound < 2.0),
+                        worst)

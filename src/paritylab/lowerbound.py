@@ -4,7 +4,6 @@ of the width-versus-samples tradeoff."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bp import (
     BranchingProgram,
@@ -14,7 +13,7 @@ from .bp import (
     labelled_program,
     validate_affine,
 )
-from .distributions import SLACK
+from .distributions import BoundCheck
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -41,22 +40,6 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
         return (power << max(exponent, 0)) / (1 << max(-exponent, 0))
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class ReachBoundReport:
-    vertex: tuple[int, int]
-    k: int
-    exact: float
-    bound: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "vertex": list(self.vertex), "k": self.k,
-            "exact": self.exact, "bound": self.bound,
-            "margin": self.bound - self.exact, "ok": self.ok,
-        }
 
 
 def trim_to_min_dimension(bp: BranchingProgram, labels: Labels, k: int,
@@ -97,27 +80,28 @@ def trim_to_min_dimension(bp: BranchingProgram, labels: Labels, k: int,
 
 
 def verify_reach_bound(bp: BranchingProgram, labels: Labels,
-                       k: int) -> tuple[bool, list[ReachBoundReport]]:
+                       k: int) -> tuple[bool, list[tuple[tuple[int, int], BoundCheck]]]:
     """Exact reach probability of every dimension-k vertex versus the bound.
 
     The program is cut down to its labels of dimension >= k
     (trim_to_min_dimension), validated once and swept forward once.
-    Returns the validation verdict and, when it holds, one report per
-    dimension-k vertex, named by its (t, v) in bp.
+    Returns the validation verdict and, when it holds, one (vertex, row)
+    pair per dimension-k vertex, the vertex its (t, v) in bp and the row
+    its exact reach against the cap, binding below 1 (a probability's
+    ceiling).
     """
     bound = reach_probability_bound(bp.n, bp.m, k)
     trimmed, tlabels, keep = trim_to_min_dimension(bp, labels, k)
     if not validate_affine(trimmed, tlabels).ok:
         return False, []
     tables = forward_tables(trimmed)
-    reports = []
+    rows = []
     for t, kept in enumerate(keep):
         for i, v in enumerate(kept):
             if tlabels[t][i].dim == k:
-                exact = float(tables[t][i].sum())
-                reports.append(ReachBoundReport((t, v), k, exact, bound,
-                                                ok=exact <= bound + SLACK))
-    return True, reports
+                rows.append(((t, v), BoundCheck(f"reach[t={t},v={v}]", float(tables[t][i].sum()),
+                                                bound, binding=bound < 1.0)))
+    return True, rows
 
 
 def tradeoff_exponent(c: float, alpha: float, n: int) -> dict:

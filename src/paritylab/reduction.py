@@ -28,21 +28,9 @@ from .bp import (
     success_probability,
     validate_affine,
 )
-from .distributions import SLACK, check_r, uniform_rows
+from .distributions import BoundCheck, check_r, uniform_rows
 from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
 from .partition import _partition_ids, group_count_bound
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    measured: float
-    bound: float
-    binding: bool     # a bound above the trivial ceiling is vacuous
-    ok: bool
-
-    def margin(self) -> float:
-        return self.bound - self.measured
 
 
 @dataclass(frozen=True)
@@ -70,21 +58,15 @@ class ReductionReport:
                 and all(c.ok for c in checks))
 
     def to_dict(self) -> dict:
-        def dump(checks):
-            return [
-                {"name": c.name, "measured": c.measured, "bound": c.bound,
-                 "binding": c.binding, "ok": c.ok}
-                for c in checks
-            ]
         return {
             "n": self.n, "m": self.m, "r": self.r,
             "beta": self.beta, "epsilon": self.epsilon,
             "affine_ok": self.affine_ok, "gamma_ok": self.gamma_ok,
             "width_expansion_ok": self.width_expansion_ok,
-            "accuracy": dump(self.accuracy_checks),
-            "inductive": dump(self.inductive_checks),
-            "dimension_counts": dump(self.dim_count_checks),
-            "output_dimension": dump(self.output_dim_checks),
+            "accuracy": [c.to_dict() for c in self.accuracy_checks],
+            "inductive": [c.to_dict() for c in self.inductive_checks],
+            "dimension_counts": [c.to_dict() for c in self.dim_count_checks],
+            "output_dimension": [c.to_dict() for c in self.output_dim_checks],
             "output_dim_distribution": {str(k): v for k, v in sorted(self.output_dim_distribution.items())},
             "dim_vertex_counts": {str(k): v for k, v in sorted(self.dim_vertex_counts.items())},
             "all_ok": self.all_ok,
@@ -284,17 +266,14 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
     accuracy_checks = []
     for t, acc in enumerate(layer_accuracy(program, rows, tables)):
         bound = min(eps, 2.0)
-        accuracy_checks.append(BoundCheck(
-            f"accuracy[t={t}]", acc, bound, binding=eps < 2.0,
-            ok=acc <= bound + SLACK))
+        accuracy_checks.append(BoundCheck(f"accuracy[t={t}]", acc, bound, binding=eps < 2.0))
 
     inductive_checks = []
     for t in range(m + 1):
         measured = float(np.abs(tables[t] - _ideal_joint(red.ideal_marginals[t], rows[t])).sum())
         bound = min(2 * t * step, 2.0)
         inductive_checks.append(BoundCheck(
-            f"inductive[t={t}]", measured, bound, binding=2 * t * step < 2.0,
-            ok=measured <= bound + SLACK))
+            f"inductive[t={t}]", measured, bound, binding=2 * t * step < 2.0))
 
     dim_counts: dict[int, int] = {}
     for layer in labels:
@@ -303,10 +282,8 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
     dim_count_checks = []
     for k in range(n + 1):
         bound = group_count_bound(n, r, k) * bp.width * m if m else float("inf")
-        count = dim_counts.get(k, 0)
         dim_count_checks.append(BoundCheck(
-            f"count[dim={k}]", float(count), bound, binding=True,
-            ok=count <= bound + SLACK))
+            f"count[dim={k}]", float(dim_counts.get(k, 0)), bound, binding=m > 0))
 
     out_dims = _output_dimensions(program, tables)
     output_dim_checks = []
@@ -317,8 +294,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
             lower = beta - eps - 2.0 ** (-(k - k_prime))
             measured = sum(p for d, p in out_dims.items() if 0 <= d < k)
             output_dim_checks.append(BoundCheck(
-                f"output[dim<{k}]", measured, lower, binding=lower > 0.0,
-                ok=measured >= lower - SLACK))
+                f"output[dim<{k}]", measured, lower, binding=lower > 0.0, lower=True))
 
     gamma_ok = _check_gamma(bp, red)
     width_ok = all(

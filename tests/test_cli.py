@@ -11,7 +11,7 @@ import pytest
 from paritylab import crypto, suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
-from paritylab.distributions import FourierCheck
+from paritylab.distributions import BoundCheck, FourierCheck
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
 
@@ -210,7 +210,8 @@ class TestVerifyLemmas:
         carries its r."""
         monkeypatch.setattr(suites, "random_hypothesis_mixture", lambda n, r, rng: None)
         monkeypatch.setattr(suites, "check_fourier_closeness",
-                            lambda mix, r: FourierCheck(False, 1.0, 1.0, 0.0, None))
+                            lambda mix, r: FourierCheck(False, 1.0, BoundCheck("closeness", 1.0, 0.0, True),
+                                                         None))
         monkeypatch.setattr(suites, "random_mixture", lambda n, rng: None)
         monkeypatch.setattr(suites, "build_partition", lambda mix, r: SimpleNamespace(
             residual_mass=1.0, groups=(), representatives_with_dim_at_least=lambda k: 0))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from paritylab.distributions import (
+    SLACK,
+    BoundCheck,
     SubspaceMixture,
     check_fourier_closeness,
     hyperplane_mass,
@@ -166,11 +168,40 @@ class TestWalsh:
                 assert abs(f[a] - (mass[a << 1] - mass[(a << 1) | 1])) <= 1e-12
 
 
+class TestBoundCheck:
+    def test_upper_edge(self):
+        bound = 0.25
+        edge = bound + SLACK
+        assert BoundCheck("u", edge, bound, True).ok
+        assert not BoundCheck("u", np.nextafter(edge, np.inf), bound, True).ok
+
+    def test_lower_edge(self):
+        bound = 0.25
+        edge = bound - SLACK
+        assert BoundCheck("l", edge, bound, True, lower=True).ok
+        assert not BoundCheck("l", np.nextafter(edge, -np.inf), bound, True, lower=True).ok
+
+    def test_margin_is_room_in_both_directions(self):
+        assert BoundCheck("u", 0.25, 1.0, True).margin == 0.75
+        assert BoundCheck("u", 1.0, 0.25, True).margin == -0.75
+        assert BoundCheck("l", 1.0, 0.25, True, lower=True).margin == 0.75
+        assert BoundCheck("l", 0.25, 1.0, True, lower=True).margin == -0.75
+
+
 class TestFourierCloseness:
     def test_point_mass_on_full(self):
         mix = SubspaceMixture(3, ((AffineSubspace.full(3), 1.0),))
         check = check_fourier_closeness(mix, 3.0)
-        assert check.hypothesis_holds and check.distance == 0.0
+        assert check.hypothesis_holds and check.closeness.measured == 0.0
+
+    def test_closeness_row_binds(self):
+        """r = n/2 gives the largest bound check_r allows, 1, still below
+        the l1 ceiling of 2."""
+        mix = SubspaceMixture(4, ((AffineSubspace.full(4), 1.0),))
+        for r in (2.0, 3.0, 4.0):
+            row = check_fourier_closeness(mix, r).closeness
+            assert row.bound == 2.0 ** (-(r - 2.0)) and row.binding and row.ok
+            assert row.margin == row.bound
 
     def test_hyperplane_mass_fails(self):
         n = 3
@@ -192,7 +223,7 @@ class TestFourierCloseness:
             mix = random_hypothesis_mixture(n, r, rng)
             check = check_fourier_closeness(mix, r)
             assert check.hypothesis_holds
-            assert check.distance < check.bound + 1e-12
+            assert check.closeness.measured < check.closeness.bound + 1e-12
 
     def test_hypothesis_instances_at_n1(self):
         """n = 1 has only three subspaces, fewer than a mixture may ask for."""

@@ -75,19 +75,18 @@ class TestVerifyReachBound:
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
         k = n - 1
-        affine, reports = verify_reach_bound(bp, labels, k)
+        affine, rows = verify_reach_bound(bp, labels, k)
         assert affine
         # the dim-k vertices are the ones that recorded the constraint
-        assert [rep.vertex for rep in reports] == [
+        assert [vertex for vertex, _ in rows] == [
             (t, v) for t in range(m + 1) for v in range(bp.layer_sizes[t])
             if labels[t][v].dim == k]
-        for rep in reports:
-            assert rep.ok
+        for (t, _), row in rows:
+            assert row.ok
             # recording needs the trigger at some step: probability
             # 1 - (1 - 2^{-n})^t of having seen it
-            t = rep.vertex[0]
             expected = 0.0 if t == 0 else 1 - (1 - 2.0 ** (-n)) ** t
-            assert rep.exact <= expected + 1e-9
+            assert row.measured <= expected + 1e-9
 
     def test_trim_cuts_below_k(self):
         n, m, k = 3, 3, 2
@@ -100,20 +99,20 @@ class TestVerifyReachBound:
                     break
             if target:
                 break
-        affine, reports = verify_reach_bound(bp, labels, k)
+        affine, rows = verify_reach_bound(bp, labels, k)
         assert affine
-        assert target in [rep.vertex for rep in reports]
-        assert all(rep.ok for rep in reports)
+        assert target in [vertex for vertex, _ in rows]
+        assert all(row.ok for _, row in rows)
 
     def test_one_forced_step_near_start(self):
         n = 3
         bp, labels = greedy_recorder_program(n, 2, n - 1)
-        affine, reports = verify_reach_bound(bp, labels, n - 1)
+        affine, rows = verify_reach_bound(bp, labels, n - 1)
         assert affine
         found = 0
-        for rep in reports:
-            if rep.vertex[0] == 1:
-                assert rep.ok
+        for (t, _), row in rows:
+            if t == 1:
+                assert row.ok
                 found += 1
         assert found > 0
 
@@ -126,18 +125,29 @@ class TestVerifyReachBound:
                 broken_layers[1][v] = AffineSubspace.point(n, 0)
                 break
         broken = tuple(tuple(layer) for layer in broken_layers)
-        affine, reports = verify_reach_bound(bp, broken, 0)
-        assert not affine and reports == []
+        affine, rows = verify_reach_bound(bp, broken, 0)
+        assert not affine and rows == []
 
-    def test_report_dict(self):
+    def test_last_layer_row_has_room(self):
         n, m = 3, 2
         bp, labels = selective_recorder_program(n, m, trigger=1)
-        _, reports = verify_reach_bound(bp, labels, n - 1)
-        last = [rep for rep in reports if rep.vertex[0] == m]
+        _, rows = verify_reach_bound(bp, labels, n - 1)
+        last = [row for (t, _), row in rows if t == m]
         assert last
-        doc = last[0].to_dict()
-        assert doc["ok"] and doc["margin"] >= 0
-        assert set(doc) == {"vertex", "k", "exact", "bound", "margin", "ok"}
+        assert last[0].ok and last[0].margin >= 0
+        assert last[0].margin == last[0].bound - last[0].measured
+
+    def test_rows_bind_below_one(self):
+        """A cap of 1 (n = 3, m = 2, k = 2) says nothing about a
+        probability, so its rows are vacuous; the cap 0.5 at n = 4, m = 2,
+        k = 3 binds."""
+        for n, bound, binding in ((3, 1.0, False), (4, 0.5, True)):
+            bp, labels = selective_recorder_program(n, 2, 1)
+            affine, rows = verify_reach_bound(bp, labels, n - 1)
+            assert affine and rows
+            assert reach_probability_bound(n, 2, n - 1) == bound
+            assert all(row.bound == bound and row.binding is binding and row.ok
+                       for _, row in rows)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [1, 2])
@@ -146,7 +156,7 @@ class TestVerifyReachBound:
         at the vertex it names, found by counting the retained vertices
         before it in its layer."""
         bp, labels = _reduction(seed)
-        affine, reports = verify_reach_bound(bp, labels, k)
+        affine, rows = verify_reach_bound(bp, labels, k)
         assert affine
         trimmed, _, _ = trim_to_min_dimension(bp, labels, k)
         tables = forward_tables(trimmed)
@@ -160,8 +170,7 @@ class TestVerifyReachBound:
                 if lab.dim == k:
                     expected.append(((t, v), float(tables[t][i].sum())))
                 i += 1
-        assert [(rep.vertex, rep.exact) for rep in reports] == expected
-        assert all(rep.k == k for rep in reports)
+        assert [(vertex, row.measured) for vertex, row in rows] == expected
 
     def test_vertex_past_the_trimmed_layer(self):
         """Layer 2 of the seed-3 reduction keeps 4 vertices at k = 2, so its
@@ -170,9 +179,9 @@ class TestVerifyReachBound:
         k = labels[2][4].dim
         trimmed, _, _ = trim_to_min_dimension(bp, labels, k)
         assert trimmed.layer_sizes[2] <= 4
-        affine, reports = verify_reach_bound(bp, labels, k)
+        affine, rows = verify_reach_bound(bp, labels, k)
         assert affine
-        assert (2, 4) in [rep.vertex for rep in reports]
+        assert (2, 4) in [vertex for vertex, _ in rows]
 
     def test_empty_label(self):
         bp, labels = _empty_labelled_program()

@@ -69,6 +69,9 @@ class TestSmallTraces:
         assert red.labels[0][0] == AffineSubspace.full(n)
         assert red.report.all_ok
         assert all(c.measured == 0.0 for c in red.report.accuracy_checks)
+        # with no layers the count cap is inf, so no count row binds
+        assert all(c.bound == float("inf") and not c.binding
+                   for c in red.report.dim_count_checks)
 
     def test_recorded_subspaces_become_labels(self):
         n = 2
@@ -286,6 +289,15 @@ class TestInductiveTracking:
             assert check.ok
             assert check.bound == pytest.approx(
                 min(2 * t * 2.0 ** (-(3.0 - 1.5)), 2.0))
+
+    def test_output_dimension_margin_is_room_above_the_lower_bound(self):
+        bp = random_program(3, 3, 5, np.random.default_rng(0))
+        checks = reduce_to_affine(bp, 3.0).report.output_dim_checks
+        assert checks
+        for check in checks:
+            assert check.ok
+            assert check.margin == check.measured - check.bound
+            assert check.margin >= 0
 
     def test_report_serializes(self):
         rng = np.random.default_rng(7)
