@@ -28,6 +28,7 @@ from .gf2 import (
     parity,
     solve_affine_system,
 )
+from .generators import _Words
 from .learners import Learner, _check_run_size, _decode_rows, run_learner, wilson_interval
 
 MAGIC = b"BSC1"
@@ -200,7 +201,7 @@ class WindowAttacker(Learner):
 
     capacity: int = 0
 
-    def solve(self, x: int, pads: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    def solve(self, x: int, pads: list[int]) -> tuple[int, tuple[int, ...]]:
         """output(state) after the honest stream (a, a.x) over pads, as
         (offset, direction rows): the solution of the last
         min(len(pads), capacity) rows, a point (x itself) once they reach
@@ -210,7 +211,7 @@ class WindowAttacker(Learner):
         # rows are consistent, so a row is dependent once it is 0 or 1
         pivots = [0] * (n + 1)
         rank = 0
-        for a in pads[len(pads) - min(len(pads), self.capacity):].tolist():
+        for a in pads[len(pads) - min(len(pads), self.capacity):]:
             v = a << 1 | (a & x).bit_count() & 1
             while v > 1:
                 h = v.bit_length() - 1
@@ -278,47 +279,42 @@ def run_attack(attacker: Learner, m: int, trials: int,
     second sample.  An Empty output (impossible on honest streams) is
     replaced by the full space.
 
-    Draws: the key and its m pads come from one rng.integers(0, 2^n, m+1)
-    call.  Sampling a point draws no mask, so after a trial whose output
-    is a point its a_{m+1} opens the next trial's call (the last trial's
-    is drawn alone); one call of k same-range draws gives the values and
-    generator state of k scalar calls.  A WindowAttacker whose
-    capacity * (n+1) bits fit its memory_bits is solved from its last
-    pads (its state never outgrows them); any other attacker, an
-    over-budget window included, is stepped through run_learner.
+    Draws: per trial the key, its m pads, the guess's coset mask, a_{m+1}
+    and the prediction's mask, in that order, with the values and
+    generator state of one rng.integers(0, 2^k) call each (k = n, or the
+    output's dimension for a mask; a point draws no mask).  All come from
+    one generators._Words reader over the PCG64's raw words: Lemire's
+    multiply-shift never rejects a power-of-two span, so each draw is one
+    next_uint32 half-word shifted right by 32 - k.  Other bit generators
+    raise TypeError.  A WindowAttacker whose capacity * (n+1) bits fit
+    its memory_bits is solved from its last pads (its state never
+    outgrows them), and the pads before its window are drawn without
+    being read; any other attacker, an over-budget window included, is
+    stepped through run_learner.
     """
     _check_run_size(m, trials)
     n = attacker.n
     if n > MAX_SUBSPACE_DIM:
         raise ValueError(f"attack harness supports n <= {MAX_SUBSPACE_DIM}")
     if isinstance(attacker, WindowAttacker) and attacker.capacity * (n + 1) <= attacker.memory_bits:
-        solve = attacker.solve
+        solve, window = attacker.solve, min(m, attacker.capacity)
     else:
-        solve = functools.partial(_stepped_solution, attacker)
-    size = 1 << n
+        solve, window = functools.partial(_stepped_solution, attacker), m
     key_hits = 0
     bit_hits = 0
-    # A prediction p hits when a_{m+1}.p = a_{m+1}.x, that is when
-    # a_{m+1}.(p ^ x) = 0.  held is p ^ x of a point trial whose a_{m+1}
-    # opens the next draw.
-    held = None
-    for _ in range(trials):
-        draw = rng.integers(0, size, m + 1 + (held is not None))
-        if held is not None:
-            bit_hits += 1 - parity(int(draw[0]) & held)
-            draw = draw[1:]
-        x = int(draw[0])
-        offset, rows = solve(x, draw[1:])
-        guess = _sample_coset(offset, rows, rng)
-        key_hits += guess == x
-        if rows:
-            a_next = int(rng.integers(0, size))
-            bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, rng) ^ x))
-            held = None
-        else:
-            held = guess ^ x
-    if held is not None:
-        bit_hits += 1 - parity(int(rng.integers(0, size)) & held)
+    with _Words(rng) as words:
+        for _ in range(trials):
+            if window == m:
+                x, *pads = words.bits(n, m + 1)
+            else:
+                x = words.bits(n, 1)[0]
+                pads = words.bits(n, window, skip=m - window)
+            offset, rows = solve(x, pads)
+            dim = len(rows)
+            key_hits += _sample_coset(offset, rows, words.bits(dim, 1)[0]) == x
+            a_next = words.bits(n, 1)[0]
+            # the prediction p hits when a_{m+1}.p = a_{m+1}.x
+            bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, words.bits(dim, 1)[0]) ^ x))
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)
     return AttackReport(
@@ -332,10 +328,10 @@ def run_attack(attacker: Learner, m: int, trials: int,
     )
 
 
-def _stepped_solution(attacker: Learner, x: int, pads: np.ndarray) -> tuple[int, tuple[int, ...]]:
+def _stepped_solution(attacker: Learner, x: int, pads: list[int]) -> tuple[int, tuple[int, ...]]:
     """The attacker's output after run_learner over the honest stream, as
     (offset, direction rows); Empty becomes the full space."""
-    w = attacker.output(run_learner(attacker, x, pads.tolist()))
+    w = attacker.output(run_learner(attacker, x, pads))
     if w.is_empty:
         w = AffineSubspace.full(attacker.n)
     return w.offset, w.direction.rows

@@ -28,15 +28,23 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
+# Most raw words a reader holds at once.
+_MAX_BLOCK = 1 << 12
+_NO_WORDS = np.empty(0, np.uint64)
+
+
 class _Words:
     """numpy's Generator.integers(lo, hi), 1 <= hi - lo <= 2^32, and
     Generator.random(k), bit for bit, from a PCG64's raw words fetched in
     blocks: Lemire's multiply-shift with its rejection loop on next_uint32,
     which hands out a word's low half and buffers its high half (handing
     the buffer out clears only has_uint32), and random() as
-    (next_uint64 >> 11) * 2^-53.  On exit, also by an exception, the
-    unused words are rewound and the buffer is set: the generator stands
-    where the direct calls leave it.  Nothing else may draw meanwhile."""
+    (next_uint64 >> 11) * 2^-53; bits() serves integers(0, 2^k) calls of
+    any size.  The reader holds one block of at most _MAX_BLOCK words, so
+    its memory grows with no count of draws.  On exit, also by an
+    exception, the unused words are rewound and the buffer is set: the
+    generator stands where the direct calls leave it.  Nothing else may
+    draw meanwhile."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.bg = rng.bit_generator
@@ -44,20 +52,85 @@ class _Words:
             raise TypeError(f"raw draws need a PCG64 bit generator, got {type(self.bg).__name__}")
         state = self.bg.state
         self.has, self.uinteger = state["has_uint32"], state["uinteger"]
-        self.words: list[int] = []  # every word fetched; the first `used` are drawn
-        self.used = 0
+        self._drop()
 
     def __enter__(self) -> "_Words":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.bg.advance(self.used - len(self.words))
+        self.bg.advance(self.used - len(self.block))
         state = self.bg.state  # advance zeroed the buffer
         state["has_uint32"], state["uinteger"] = self.has, self.uinteger
         self.bg.state = state
 
-    def _fill(self) -> None:  # blocks double: 16 words, then as many as so far
-        self.words += self.bg.random_raw(max(16, len(self.words))).tolist()
+    def _drop(self) -> None:
+        """Forget the block: the generator stands after its last word."""
+        self.block = _NO_WORDS
+        self.used = 0  # words of the block drawn
+        self.fetched = 0  # words fetched since the last jump
+        self.words: list[int] = []  # the block as ints
+        self.halves: dict[int, list[int]] = {}  # s -> its half-words >> s, made on first use
+
+    def _fill(self) -> None:
+        """Replace the drawn-out block by the next one.  Blocks double (16
+        words, then as many as fetched so far) up to _MAX_BLOCK."""
+        size = min(max(16, self.fetched), _MAX_BLOCK)
+        self.block = self.bg.random_raw(size)
+        self.used = 0
+        self.fetched += size
+        self.words = self.block.tolist()
+        self.halves = {}
+
+    def _take(self, count: int) -> list[int]:
+        """The next count words."""
+        out: list[int] = []
+        while len(out) < count:
+            if self.used == len(self.block):
+                self._fill()
+            end = min(self.used + count - len(out), len(self.block))
+            out += self.words[self.used:end]
+            self.used = end
+        return out
+
+    def _take_halves(self, count: int, shift: int) -> list[int]:
+        """The next count half-words, shifted right by shift."""
+        out: list[int] = []
+        words = (count + 1) // 2
+        while words:
+            if self.used == len(self.block):
+                self._fill()
+            end = min(self.used + words, len(self.block))
+            halves = self.halves.get(shift)
+            if halves is None:
+                # little-endian halves: each word's low half first
+                halves = self.halves[shift] = (
+                    self.block.astype("<u8", copy=False).view("<u4") >> shift).tolist()
+            out += halves[2 * self.used:2 * end]
+            words -= end - self.used
+            self.used = end
+        if count & 1:
+            out.pop()
+        self._split(count)
+        return out
+
+    def _skip(self, count: int) -> None:
+        """Draw count half-words unread.  Past the block the generator
+        jumps (PCG64.advance) and blocks double again from 16 words."""
+        words = (count + 1) // 2
+        left = len(self.block) - self.used
+        if words <= left:
+            self.used += words
+        else:  # jump to the last word, whose high half is kept
+            self.bg.advance(words - left - 1)
+            self._drop()
+            self._fill()
+            self.used = 1
+        self._split(count)
+
+    def _split(self, count: int) -> None:
+        """After count half-words from a word boundary: numpy keeps the
+        last word's high half, buffered when count is odd."""
+        self.has, self.uinteger = count & 1, self.words[self.used - 1] >> 32
 
     def integers(self, lo: int, hi: int) -> int:
         span = hi - lo
@@ -71,7 +144,7 @@ class _Words:
                 self.has = 0
                 m = self.uinteger * span
             else:
-                if self.used == len(self.words):
+                if self.used == len(self.block):
                     self._fill()
                 word = self.words[self.used]
                 self.used += 1
@@ -80,11 +153,31 @@ class _Words:
             if m & 0xFFFFFFFF >= threshold:
                 return lo + (m >> 32)
 
+    def bits(self, k: int, count: int, skip: int = 0) -> list[int]:
+        """count draws of integers(0, 2^k), 0 <= k <= 32, after skip more
+        that are drawn unread.  Lemire's multiply-shift never rejects a
+        power-of-two span, so each draw is one next_uint32 half-word
+        shifted right by 32 - k: the buffered half, then each word's low
+        and high halves.  k = 0 draws nothing."""
+        if not 0 < k <= 32:
+            if k == 0:
+                return [0] * count
+            raise ValueError(f"raw bit draws need 0 <= k <= 32, got {k}")
+        if self.has and skip:
+            self.has, skip = 0, skip - 1
+        if skip:
+            self._skip(skip)
+        shift = 32 - k
+        out = []
+        if self.has and count:
+            self.has, count = 0, count - 1
+            out.append(self.uinteger >> shift)
+        if count:
+            out += self._take_halves(count, shift)
+        return out
+
     def random(self, k: int) -> np.ndarray:
-        while len(self.words) < self.used + k:
-            self._fill()
-        self.used += k
-        return np.array([(w >> 11) * 2.0 ** -53 for w in self.words[self.used - k:self.used]])
+        return np.array([(w >> 11) * 2.0 ** -53 for w in self._take(k)])
 
 
 def _draw_subspace(n: int, words: _Words,

@@ -387,20 +387,20 @@ def edge_masks(mask: int, even: tuple[int, ...]) -> list[int]:
 
 
 def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:
-    """A uniformly random point of w."""
+    """A uniformly random point of w, from one rng.integers(0, 2^dim)
+    draw (none for a point)."""
     if w.is_empty:
         raise EmptySubspaceError("cannot sample from the empty subspace")
-    return _sample_coset(w.offset, w.direction.rows, rng)
+    rows = w.direction.rows
+    return _sample_coset(w.offset, rows, int(rng.integers(0, 1 << len(rows))))
 
 
-def _sample_coset(offset: int, rows: tuple[int, ...], rng: np.random.Generator) -> int:
-    """offset XOR the rows i with bit i set in one rng.integers(0, 2^dim)
-    draw; no draw for a point (no rows)."""
-    if rows:
-        mask = int(rng.integers(0, 1 << len(rows)))
-        for i, r in enumerate(rows):
-            if (mask >> i) & 1:
-                offset ^= r
+def _sample_coset(offset: int, rows: tuple[int, ...], mask: int) -> int:
+    """offset XOR the rows i with bit i set in mask: a uniform point of
+    the coset for a mask uniform on [0, 2^len(rows))."""
+    for i, r in enumerate(rows):
+        if (mask >> i) & 1:
+            offset ^= r
     return offset
 
 

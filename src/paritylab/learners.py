@@ -320,9 +320,9 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
         count = np.zeros(len(xs), np.int64)
         b = _parity(a & xs[:, None])
         for j in range(a.shape[1]):
-            ok = _parity(a[:, j] & cand) == b[:, j]
-            cand = np.where(ok, cand, (cand + 1) & mask)
-            count = np.where(ok, np.minimum(count + 1, cap), 0)
+            bad = _parity(a[:, j] & cand) ^ b[:, j]  # 1 where the sample rejects cand
+            cand = (cand + bad) & mask
+            count = np.minimum(count + 1, cap) * (1 - bad)
             check(_bit_length((cand << counter_bits) | count))
         return (np.where(count >= cap, cand, -1),
                 lambda: ((cand << counter_bits) | count).tolist())

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,13 +390,21 @@ class TestHarnessContracts:
 
 def _same_attack(attacker, m, trials, seed):
     """run_attack and the stepping reference give equal reports and leave
-    their generators at the same next draw; returns the report."""
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = run_attack(attacker, m, trials, fast).to_dict()
-    want = stepping_run_attack(attacker, m, trials, slow).to_dict()
-    assert (got, int(fast.integers(0, 1 << 30))) == (want, int(slow.integers(0, 1 << 30))), \
-        (attacker.name, m, trials, seed)
-    return got
+    their generators in the same state, from a fresh generator and from
+    one with a half-word buffered; returns the fresh generator's report."""
+    reports = []
+    for buffered in (False, True):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert fast.integers(0, 2) == slow.integers(0, 2)
+            assert fast.bit_generator.state["has_uint32"] == 1
+        got = run_attack(attacker, m, trials, fast).to_dict()
+        want = stepping_run_attack(attacker, m, trials, slow).to_dict()
+        assert got == want, (attacker.name, m, trials, seed, buffered)
+        assert fast.bit_generator.state == slow.bit_generator.state, \
+            (attacker.name, m, trials, seed, buffered)
+        reports.append(got)
+    return reports[0]
 
 
 class TestAttackOracle:
@@ -434,6 +443,42 @@ class TestAttackOracle:
                         output=lambda s: AffineSubspace.empty(3))
         report = _same_attack(empty, m, 200, m)
         assert abs(report["key_guess_rate"] - 1 / 8) < 0.05
+
+
+class TestRawDraws:
+    """run_attack's draws come from one raw-word reader."""
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_zero_dimension_draws_nothing(self, s):
+        """n = 0: every key, pad, a_{m+1} and mask is 0 and draws nothing."""
+        rng = np.random.default_rng(2)
+        rng.integers(0, 2)  # leaves a half-word in the buffer
+        before = rng.bit_generator.state
+        report = _same_attack(window_attacker(0, s), 4, 10, 2)
+        assert report["key_guess_rate"] == 1.0
+        run_attack(window_attacker(0, s), 4, 10, rng)
+        assert rng.bit_generator.state == before
+
+    def test_long_stream_skips_to_the_window(self):
+        """m = 10^5: the pads before the 18-sample window are drawn unread,
+        crossing many blocks of raw words."""
+        _same_attack(window_attacker(6, 126), 10 ** 5, 3, 4)
+
+    def test_long_stream_memory_is_bounded(self):
+        """One trial at m = 10^6 holds no more than a block of raw words."""
+        rng = np.random.default_rng(6)
+        run_attack(window_attacker(6, 126), 40, 1, rng)  # first-call set-up is not the run's
+        tracemalloc.start()
+        try:
+            run_attack(window_attacker(6, 126), 10 ** 6, 1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_refuses_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            run_attack(window_attacker(4, 20), 3, 2, np.random.Generator(np.random.MT19937(0)))
 
 
 class TestWindowBudget:

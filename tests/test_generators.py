@@ -130,21 +130,46 @@ def test_draw_subspace_is_canonical(n):
 RANGES = [(0, 1), (5, 6), (0, 2), (0, 3), (-3, 4), (0, 7), (1, 2 ** 5), (0, 2 ** 5),
           (0, 2 ** 31 + 1), (0, 2 ** 32), (7, 2 ** 32 + 7)]
 
+# Bit draws ("bits", k, count, skip): k = 0 (no draw) up to 32 (the raw
+# half), counts of none, one, odd and even, skips of none, odd and even.
+BITS_K = [0, 1, 6, 24, 31, 32]
+BITS_COUNTS = [0, 1, 2, 7, 40]
+BITS_SKIPS = [0, 0, 1, 6]
+
 
 def _script(seed, length):
-    """A mixed sequence of ranges (lo, hi) and ("random", k) steps."""
+    """A mixed sequence of ranges (lo, hi), ("random", k) and
+    ("bits", k, count, skip) steps."""
     pick = np.random.default_rng([seed, length])
     steps = []
     for _ in range(length):
-        i = int(pick.integers(0, len(RANGES) + 2))
-        steps.append(RANGES[i] if i < len(RANGES) else ("random", int(pick.integers(0, 4))))
+        i = int(pick.integers(0, len(RANGES) + 4))
+        if i < len(RANGES):
+            steps.append(RANGES[i])
+        elif i < len(RANGES) + 2:
+            steps.append(("random", int(pick.integers(0, 4))))
+        else:
+            steps.append(("bits", *(int(pick.choice(c)) for c in (BITS_K, BITS_COUNTS, BITS_SKIPS))))
     return steps
 
 
 def _serve(source, steps):
-    """The steps drawn from a Generator or a reader, as plain values."""
-    return [source.random(b).tolist() if a == "random" else int(source.integers(a, b))
-            for a, b in steps]
+    """The steps drawn from a Generator or a reader, as plain values; a
+    Generator serves a bit step as integers(0, 2^k) calls of skip and of
+    count draws."""
+    out = []
+    for step in steps:
+        if step[0] == "random":
+            out.append(source.random(step[1]).tolist())
+        elif step[0] != "bits":
+            out.append(int(source.integers(*step)))
+        elif isinstance(source, generators._Words):
+            out.append(source.bits(*step[1:]))
+        else:
+            _, k, count, skip = step
+            source.integers(0, 1 << k, skip)
+            out.append(source.integers(0, 1 << k, count).tolist())
+    return out
 
 
 class TestWords:
@@ -165,8 +190,29 @@ class TestWords:
             got = _serve(words, steps)
         assert got == _serve(ref, steps)
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert length < 400 or len(words.words) > 16  # more than one block
+        assert length < 400 or words.fetched > 16  # more than one block
         assert rng.integers(0, 2 ** 31 + 1, 9).tolist() == ref.integers(0, 2 ** 31 + 1, 9).tolist()
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_bits_across_blocks(self, buffered):
+        """Bit draws and skips longer than the largest block, and skips
+        past the block (a jump), odd and even, between other draws; the
+        reader never holds more than one block."""
+        big = 2 * generators._MAX_BLOCK  # half-words in the largest block
+        steps = [("bits", 6, 3 * big + 1, 0), ("bits", 31, 5, 1), (0, 7),
+                 ("bits", 24, 2, 10 ** 6 + 1), ("random", 3), ("bits", 32, big - 3, 2 * big + 5),
+                 ("bits", 1, 1, 0), ("bits", 6, 3, 10 ** 5), (0, 2 ** 31 + 1), ("bits", 0, 4, 9)]
+        for end in range(1, len(steps) + 1):  # the state after every step
+            rng, ref = (np.random.default_rng(8) for _ in range(2))
+            if buffered:
+                assert int(rng.integers(0, 2)) == int(ref.integers(0, 2))
+            with generators._Words(rng) as words:
+                got = []
+                for step in steps[:end]:
+                    got += _serve(words, [step])
+                    assert len(words.block) <= generators._MAX_BLOCK
+            assert got == _serve(ref, steps[:end])
+            assert rng.bit_generator.state == ref.bit_generator.state, steps[end - 1]
 
     def test_lemire_rejections(self):
         rng, ref = (np.random.default_rng(3) for _ in range(2))
@@ -174,7 +220,8 @@ class TestWords:
             got = [words.integers(0, 2 ** 31 + 1) for _ in range(200)]
         assert got == [int(ref.integers(0, 2 ** 31 + 1)) for _ in range(200)]
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert words.used > 150  # 100 words would serve 200 halves without rejection
+        drawn = words.fetched - len(words.block) + words.used
+        assert drawn > 150  # 100 words would serve 200 halves without rejection
 
     def test_no_draw_keeps_the_state(self):
         rng = np.random.default_rng(4)
@@ -184,16 +231,18 @@ class TestWords:
             assert [words.integers(9, 10), words.random(0).tolist()] == [9, []]
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("error", [ValueError, KeyError])
-    def test_exception_syncs_the_draws_made(self, error):
+    @pytest.mark.parametrize("bad_read", [None, "integers", "bits"])
+    def test_exception_syncs_the_draws_made(self, bad_read):
         rng, ref = (np.random.default_rng(5) for _ in range(2))
         steps = _script(5, 30)
-        with pytest.raises(error):
+        with pytest.raises(KeyError if bad_read is None else ValueError):
             with generators._Words(rng) as words:
                 got = _serve(words, steps)
-                if error is ValueError:
+                if bad_read == "integers":
                     words.integers(0, 2 ** 32 + 1)  # beyond next_uint32's ranges
-                raise error
+                elif bad_read == "bits":
+                    words.bits(33, 2, 1)
+                raise KeyError
         assert got == _serve(ref, steps)
         assert rng.bit_generator.state == ref.bit_generator.state
 
