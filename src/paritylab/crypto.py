@@ -289,8 +289,9 @@ def run_attack(attacker: Learner, m: int, trials: int,
     raise TypeError.  A WindowAttacker whose capacity * (n+1) bits fit
     its memory_bits is solved from its last pads (its state never
     outgrows them), and the pads before its window are drawn without
-    being read; any other attacker, an over-budget window included, is
-    stepped through run_learner.
+    being read (past the reader's block, the generator jumps over them);
+    any other attacker, an over-budget window included, is stepped
+    through run_learner.
     """
     _check_run_size(m, trials)
     n = attacker.n

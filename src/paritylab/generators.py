@@ -29,8 +29,7 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 # Most raw words a reader holds at once.
-_MAX_BLOCK = 1 << 12
-_NO_WORDS = np.empty(0, np.uint64)
+_MAX_BLOCK = 1 << 10
 
 
 class _Words:
@@ -52,7 +51,8 @@ class _Words:
             raise TypeError(f"raw draws need a PCG64 bit generator, got {type(self.bg).__name__}")
         state = self.bg.state
         self.has, self.uinteger = state["has_uint32"], state["uinteger"]
-        self._drop()
+        self.fetched = 0  # words fetched since the start or the last jump
+        self._fill()
 
     def __enter__(self) -> "_Words":
         return self
@@ -63,23 +63,20 @@ class _Words:
         state["has_uint32"], state["uinteger"] = self.has, self.uinteger
         self.bg.state = state
 
-    def _drop(self) -> None:
-        """Forget the block: the generator stands after its last word."""
-        self.block = _NO_WORDS
-        self.used = 0  # words of the block drawn
-        self.fetched = 0  # words fetched since the last jump
-        self.words: list[int] = []  # the block as ints
-        self.halves: dict[int, list[int]] = {}  # s -> its half-words >> s, made on first use
-
     def _fill(self) -> None:
-        """Replace the drawn-out block by the next one.  Blocks double (16
-        words, then as many as fetched so far) up to _MAX_BLOCK."""
+        """Fetch the next block in place of the current one.  Blocks double
+        (16 words, then as many as fetched so far) up to _MAX_BLOCK."""
         size = min(max(16, self.fetched), _MAX_BLOCK)
         self.block = self.bg.random_raw(size)
-        self.used = 0
+        self.used = 0  # words of the block drawn
         self.fetched += size
-        self.words = self.block.tolist()
-        self.halves = {}
+        self.words: list[int] | None = None  # the block as ints, made on first use
+        self.halves: dict[int, list[int]] = {}  # s -> its half-words >> s, likewise
+
+    def _word_list(self) -> list[int]:
+        if self.words is None:
+            self.words = self.block.tolist()
+        return self.words
 
     def _take(self, count: int) -> list[int]:
         """The next count words."""
@@ -88,7 +85,7 @@ class _Words:
             if self.used == len(self.block):
                 self._fill()
             end = min(self.used + count - len(out), len(self.block))
-            out += self.words[self.used:end]
+            out += self._word_list()[self.used:end]
             self.used = end
         return out
 
@@ -122,7 +119,7 @@ class _Words:
             self.used += words
         else:  # jump to the last word, whose high half is kept
             self.bg.advance(words - left - 1)
-            self._drop()
+            self.fetched = 0
             self._fill()
             self.used = 1
         self._split(count)
@@ -130,7 +127,7 @@ class _Words:
     def _split(self, count: int) -> None:
         """After count half-words from a word boundary: numpy keeps the
         last word's high half, buffered when count is odd."""
-        self.has, self.uinteger = count & 1, self.words[self.used - 1] >> 32
+        self.has, self.uinteger = count & 1, int(self.block[self.used - 1]) >> 32
 
     def integers(self, lo: int, hi: int) -> int:
         span = hi - lo
@@ -146,7 +143,7 @@ class _Words:
             else:
                 if self.used == len(self.block):
                     self._fill()
-                word = self.words[self.used]
+                word = (self.words or self._word_list())[self.used]
                 self.used += 1
                 self.has, self.uinteger = 1, word >> 32
                 m = (word & 0xFFFFFFFF) * span

@@ -476,6 +476,20 @@ class TestRawDraws:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_budget_error_leaves_the_reference_state(self, buffered):
+        """An attacker that overflows its budget mid-call leaves the
+        generator where the reference leaves it, buffer included."""
+        att = dataclasses.replace(window_attacker(4, 3 * 5), memory_bits=2 * 5)
+        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+        if buffered:
+            assert fast.integers(0, 2) == slow.integers(0, 2)
+        with pytest.raises(AssertionError):
+            run_attack(att, 5, 50, fast)
+        with pytest.raises(AssertionError):
+            stepping_run_attack(att, 5, 50, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
     def test_refuses_other_bit_generators(self):
         with pytest.raises(TypeError, match="PCG64"):
             run_attack(window_attacker(4, 20), 3, 2, np.random.Generator(np.random.MT19937(0)))

@@ -231,18 +231,27 @@ class TestWords:
             assert [words.integers(9, 10), words.random(0).tolist()] == [9, []]
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("bad_read", [None, "integers", "bits"])
-    def test_exception_syncs_the_draws_made(self, bad_read):
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_exception_syncs_the_draws_made(self, error):
         rng, ref = (np.random.default_rng(5) for _ in range(2))
         steps = _script(5, 30)
-        with pytest.raises(KeyError if bad_read is None else ValueError):
+        with pytest.raises(error):
             with generators._Words(rng) as words:
                 got = _serve(words, steps)
-                if bad_read == "integers":
+                if error is ValueError:
                     words.integers(0, 2 ** 32 + 1)  # beyond next_uint32's ranges
-                elif bad_read == "bits":
-                    words.bits(33, 2, 1)
-                raise KeyError
+                raise error
+        assert got == _serve(ref, steps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bad_bit_read_syncs_the_draws_made(self, seed):
+        rng, ref = (np.random.default_rng(seed) for _ in range(2))
+        steps = _script(seed, 30)
+        with pytest.raises(ValueError):
+            with generators._Words(rng) as words:
+                got = _serve(words, steps)
+                words.bits(33, 2, 1)  # beyond next_uint32's widths
         assert got == _serve(ref, steps)
         assert rng.bit_generator.state == ref.bit_generator.state
 
