@@ -355,9 +355,8 @@ class TestHarnessContracts:
     @pytest.mark.parametrize("n", [1, 3, 6, 8, 16, 24])
     def test_pad_block_draw_matches_scalar_draws(self, n):
         """One rng.integers(0, 2^n, k) call gives k scalar draws and leaves
-        the generator in the same state, up to k = 2^10 + 2 and at the
-        m + 1 and m + 2 shapes run_attack draws: the mask draws of every
-        dimension d that follow read the same."""
+        the generator in the same state, up to k = 2^10 + 2: the mask draws
+        of every dimension d that follow read the same."""
         for seed in range(32):
             for m in (0, 1, 5, 18, 40, 1 << 10):
                 for k in (m, m + 1, m + 2):
