@@ -34,18 +34,9 @@ LEARNER_FACTORIES = {
 }
 
 
-def emit_report(report: dict, fmt: str, path: str | None) -> None:
-    """Write a report with stable field order, deterministically."""
-    if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    elif fmt == "csv":
-        if not isinstance(report, dict) or "rows" not in report:
-            raise ValueError("csv format needs a report with header/rows")
-        lines = [report["header"]] + list(report["rows"])
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    _write_text(text, path)
+def emit_report(report: dict, path: str | None) -> None:
+    """Write a report as indented JSON with stable field order."""
+    _write_text(json.dumps(report, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -75,7 +66,7 @@ def key_from_hex(text: str, n: int) -> BitVector:
 def _cmd_verify_lemmas(args) -> int:
     report = run_all_suites(args.seed, args.trials, ns=(args.n,) if args.n else None,
                             rs=None if args.r is None else (args.r,))
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0 if report["ok"] else 1
 
 
@@ -85,9 +76,9 @@ def _cmd_reduce(args) -> int:
     bp, _, _ = from_json_dict(doc)
     red = reduce_to_affine(bp, args.r)
     out_doc = to_json_dict(red.program, labels=red.labels, gamma=red.gamma)
-    emit_report(out_doc, "json", args.out)
+    emit_report(out_doc, args.out)
     if args.report:
-        emit_report(red.report.to_dict(), "json", args.report)
+        emit_report(red.report.to_dict(), args.report)
     return 0 if red.report.all_ok else 1
 
 
@@ -103,14 +94,14 @@ def _cmd_tradeoff(args) -> int:
             learner, args.target, derived_rng(args.seed, idx + 10),
             trials=args.trials, m_cap=args.m_cap, seed=args.seed)
         rows.append(point.csv_row())
-    emit_report({"header": TradeoffPoint.CSV_HEADER, "rows": rows}, "csv", args.out)
+    _write_text("\n".join([TradeoffPoint.CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     if args.c is not None:
         report = tradeoff_exponent(args.c, args.alpha, args.n)
-        emit_report(report, "json", args.out)
+        emit_report(report, args.out)
         return 0
     _write_text(f"{reach_probability_bound(args.n, args.m, args.k)}\n", args.out)
     return 0
@@ -119,7 +110,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_crypto(args) -> int:
     if args.crypto_cmd == "keygen":
         key = crypto.keygen(args.n, derived_rng(args.seed, 1))
-        emit_report({"n": key.n, "key": key_to_hex(key.x)}, "json", args.out)
+        emit_report({"n": key.n, "key": key_to_hex(key.x)}, args.out)
         return 0
     if args.crypto_cmd == "encrypt":
         key = crypto.SecretKey(args.n, key_from_hex(args.key, args.n))
@@ -140,7 +131,7 @@ def _cmd_crypto(args) -> int:
     if args.crypto_cmd == "attack":
         attacker = crypto.window_attacker(args.n, args.memory_bits)
         report = crypto.run_attack(attacker, args.m, args.trials, derived_rng(args.seed, 3))
-        emit_report(report.to_dict(), "json", args.out)
+        emit_report(report.to_dict(), args.out)
         return 0
     raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")
 
@@ -173,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("reduce", help="simulate a program by an affine one")

@@ -206,10 +206,11 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     """
     n = mix.n
     check_r(n, r)
+    # first: the weight table refuses n > 12 before the 2^(n+1)-entry key table is built
+    distance =l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
     a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK
-    distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
     bound = 2.0 ** (-(r - n / 2))
     return FourierCheck(holds, conc, BoundCheck("closeness", distance, bound, binding=bound < 2.0),
                         worst)

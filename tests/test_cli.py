@@ -8,14 +8,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from paritylab import crypto, suites
+from paritylab import crypto, distributions, suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.distributions import BoundCheck, FourierCheck
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *args):
@@ -250,8 +251,8 @@ class TestDeterminism:
     def test_emit_report_stable(self, tmp_path):
         report = {"b": 1, "a": [1, 2], "nested": {"z": 0.5}}
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        emit_report(report, "json", str(p1))
-        emit_report(report, "json", str(p2))
+        emit_report(report, str(p1))
+        emit_report(report, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
 
@@ -305,6 +306,7 @@ FUZZ_CASES = [
     ["verify-lemmas", "--seed", "x"],
     ["verify-lemmas", "--seed", "1", "--bogus"],
     ["verify-lemmas", "--seed", "1", "--format", "xml"],
+    ["verify-lemmas", "--seed", "1", "--format", "json"],
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "0.5", "--trials", "2"],
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "inf", "--trials", "2"],
     ["verify-lemmas", "--seed", "1", "--n", "3", "--r", "nan", "--trials", "2"],
@@ -412,6 +414,17 @@ class TestFuzzGuard:
         assert code == 1
         assert err.splitlines() == ["error: exact tables support 0 <= n <= 12, got 13"]
 
+    def test_table_cap_before_hyperplane_mass(self, capsys, monkeypatch):
+        """Past the n <= 12 cap the Fourier check refuses before it builds
+        its 2^(n+1)-entry hyperplane table."""
+        def refuse(mix):
+            raise AssertionError("hyperplane_mass called past the table cap")
+        monkeypatch.setattr(distributions, "hyperplane_mass", refuse)
+        code, _, err = run_cli(capsys, "verify-lemmas", "--seed", "2", "--n", "24",
+                               "--trials", "1")
+        assert code == 1
+        assert err.splitlines() == ["error: exact tables support 0 <= n <= 12, got 24"]
+
     @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
     def test_memory_error_named(self, capsys, monkeypatch, message):
         """An allocation the machine refuses is one error line, not a
@@ -482,6 +495,24 @@ class TestFuzzGuard:
         assert build_parser() is parser
         assert parser.parse_args(["verify-lemmas", "--n", "3", "--seed", "1"]).n == 3
         assert parser.parse_args(["verify-lemmas", "--seed", "1"]).n is None
+
+    def test_readme_commands_parse(self):
+        """Every command in README's CLI block parses: the docs and the
+        parser name the same subcommands and flags."""
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+        commands = [line.split("#", 1)[0].split()
+                    for line in block.replace("\\\n", " ").splitlines()]
+        assert commands
+        for words in commands:
+            assert words[0] == "paritylab"
+            argv = ["0000" if w == "<hex>" else w for w in words[1:]]
+            assert build_parser().parse_args(argv).func is not None
+
+    def test_format_flag_gone(self, capsys):
+        code, _, err = run_cli(capsys, "verify-lemmas", "--seed", "1", "--format", "json")
+        assert code == 2
+        assert "unrecognized arguments: --format json" in err.splitlines()[-1]
 
     def test_r_needs_n(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--r", "3", "--seed", "1", "--trials", "2")

@@ -188,6 +188,13 @@ class TestVerifyReachBound:
         assert validate_affine(bp, labels).ok
         assert verify_reach_bound(bp, labels, 1) == (True, [])
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gaussian_min_dimension(self, n):
+        """The reach-bound suite checks the two-sample Gaussian program
+        at k = max(n - 2, 0), its minimum label dimension."""
+        _, labels = learner_program_with_labels(gaussian_learner(n), 2)
+        assert min(lab.dim for layer in labels for lab in layer) == max(n - 2, 0)
+
 
 class TestTradeoffExponent:
     def test_boundary_condition(self):
