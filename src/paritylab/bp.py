@@ -215,12 +215,21 @@ def success_probability(bp: BranchingProgram) -> float:
     tables = forward_tables(bp)
     # Each distinct label's points once, in increasing order: the cells a
     # boolean support mask would pick, in its order, so each sum is the
-    # same.
-    support = functools.cache(lambda w: sorted(w.enumerate()))
-    total = 0.0
-    for t, v in bp.iter_leaves():
-        total += float(tables[t][v][support(bp.leaf_labels[(t, v)])].sum())
-    return total
+    # same.  A layer's leaves whose labels have one point count are one
+    # gathered C-contiguous block, whose sum(axis=1) is each row's .sum();
+    # the leaf sums are then added in leaf order (np.cumsum(...)[-1]).
+    support = functools.cache(lambda w: sorted(w.points()))
+    leaves = list(bp.iter_leaves())
+    points = [support(bp.leaf_labels[leaf]) for leaf in leaves]
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for i, ((t, _), cells) in enumerate(zip(leaves, points)):
+        blocks.setdefault((t, len(cells)), []).append(i)
+    sums = np.zeros(len(leaves))  # an Empty label's leaf adds 0.0
+    for (t, size), at in blocks.items():
+        if size:
+            rows = np.array([leaves[i][1] for i in at])
+            sums[at] = tables[t][rows[:, None], np.array([points[i] for i in at])].sum(axis=1)
+    return float(np.cumsum(sums)[-1])
 
 
 def output_dimension_distribution(bp: BranchingProgram) -> dict[int, float]:
@@ -229,11 +238,13 @@ def output_dimension_distribution(bp: BranchingProgram) -> dict[int, float]:
 
 
 def _output_dimensions(bp: BranchingProgram, tables: list[np.ndarray]) -> dict[int, float]:
+    # sum(axis=1) of a C-contiguous table is each row's .sum(), bit for bit
+    mass = functools.cache(lambda t: tables[t].sum(axis=1).tolist())
     out: dict[int, float] = {}
     for t, v in bp.iter_leaves():
         lab = bp.leaf_labels[(t, v)]
         key = -1 if lab.is_empty else lab.dim
-        out[key] = out.get(key, 0.0) + float(tables[t][v].sum())
+        out[key] = out.get(key, 0.0) + mass(t)[v]
     return out
 
 

@@ -65,7 +65,7 @@ def uniform_weights(w: AffineSubspace) -> np.ndarray:
     w, zero elsewhere (all zero for Empty)."""
     table = np.zeros(1 << w.n)
     if not w.is_empty:
-        table[list(w.enumerate())] = 2.0 ** (-w.dim)
+        table[w.points()] = 2.0 ** (-w.dim)
     return table
 
 
@@ -77,15 +77,24 @@ def uniform_rows(labels: Iterable[AffineSubspace]) -> np.ndarray:
     return np.array([uniform_weights(w) for w in index])[order]
 
 
+def check_table_dim(n: int) -> None:
+    """Raise ValueError unless an exact 2^n table fits: 0 <= n <= MAX_TABLE_DIM."""
+    if not 0 <= n <= MAX_TABLE_DIM:
+        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {n}")
+
+
 def mixture_table(n: int, pairs: Iterable[tuple[AffineSubspace, float]]) -> np.ndarray:
     """The length-2^n table of sum_i p_i * uniform_weights(w_i), added in
-    pair order; n above MAX_TABLE_DIM is refused before it is built."""
-    if n > MAX_TABLE_DIM:
-        raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {n}")
-    table = np.zeros(1 << n)
+    pair order (p_i 2^-dim into each point of w_i, the float additions
+    of the table sum); n past MAX_TABLE_DIM is refused before it is built."""
+    check_table_dim(n)
+    table = [0.0] * (1 << n)
     for w, p in pairs:
-        table += p * uniform_weights(w)
-    return table
+        if not w.is_empty:
+            q = p * 2.0 ** (-w.dim)
+            for x in w.points():
+                table[x] += q
+    return np.array(table)
 
 
 def mixture_distribution(mix: SubspaceMixture) -> np.ndarray:
@@ -207,7 +216,7 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     n = mix.n
     check_r(n, r)
     # first: the weight table refuses n > 12 before the 2^(n+1)-entry key table is built
-    distance =l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
+    distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
     a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
     worst = (a, b) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK

@@ -213,12 +213,18 @@ class AffineSubspace:
     def point(cls, n: int, p: int) -> "AffineSubspace":
         return cls(n, VectorSubspace(n, ()), p)
 
-    def enumerate(self) -> Iterator[int]:
+    def points(self) -> list[int]:
+        """Every point, [] for Empty: point number mask is the offset
+        XOR the direction rows i with bit i set in mask."""
         if self.is_empty:
-            return
-        base = self.offset
-        for v in self.direction.enumerate():
-            yield base ^ v
+            return []
+        points = [self.offset]
+        for r in self.direction.rows:
+            points += [p ^ r for p in points]
+        return points
+
+    def enumerate(self) -> Iterator[int]:
+        yield from self.points()
 
     def to_text(self) -> str:
         if self.is_empty:

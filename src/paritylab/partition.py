@@ -159,7 +159,9 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     set with a mass below 2^-1000 of its total is re-tabulated every
     round (the total only falls and the smallest live mass only rises,
     so the first round decides).  Levels >= 1 are _find_ids on the
-    chosen key's members.
+    chosen key's members, renormalized as _image does; a member's key ids
+    clear of a pivot bit are built the first time a round needs them and
+    kept for the rest of the call.
     """
     check_r(n, r)
     target = 2.0 ** (-2 * n)
@@ -171,6 +173,8 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     if (sum(map(len, keys)) > _TABLE_MIN_IDS << (n + 1)
             and min([p for p in probs if p], default=0.0) * 2.0 ** 1000 >= sum(probs)):
         table = _RunningTable(n, keys, masses)
+        # per pivot bit, then member: _image's key ids, built once per call
+        cleared: dict[int, dict[int, list[int]]] = {}
     rounds: list[tuple[list[int], list[int]]] = []
     while (total := sum(masses)) > target:
         if len(rounds) >= round_cap:
@@ -183,8 +187,17 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
         else:
             top, key, members, qs = table.first_max(masses, live, total)
             if top > threshold:
-                chosen, inside = _find_ids(n, *_image(key, [keys[j] for j in members], qs),
-                                           r - 0.5, n - 1)
+                a = key >> 1
+                pivot = (a & -a) << 1
+                images = cleared.setdefault(pivot, {})
+                ids = []
+                for j in members:
+                    image = images.get(j)
+                    if image is None:
+                        image = images[j] = [k for k in keys[j] if not k & pivot]
+                    ids.append(image)
+                mass = sum(qs)
+                chosen, inside = _find_ids(n, ids, [q / mass for q in qs], r - 0.5, n - 1)
                 chosen.insert(0, key)
                 taken = [members[i] for i in inside]
             else:

@@ -12,6 +12,7 @@ every measured bound are retained for independent verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -330,13 +331,10 @@ def _check_gamma(bp: BranchingProgram, red: AffineReduction) -> bool:
                 return False
             if program.is_leaf(t, u) != bp.is_leaf(t, orig):
                 return False
+    # itemgetter of a row's 2^(n+1) >= 2 targets gives the tuple of their originals
     for t in range(bp.m):
-        for u in range(program.layer_sizes[t]):
-            row = program.transitions[t][u]
-            if row is None:
-                continue
-            orig_row = bp.transitions[t][gamma[t][u]]
-            for idx, target in enumerate(row):
-                if orig_row[idx] != gamma[t + 1][target]:
-                    return False
+        below = gamma[t + 1]
+        for u, row in enumerate(program.transitions[t]):
+            if row is not None and itemgetter(*row)(below) != bp.transitions[t][gamma[t][u]]:
+                return False
     return True

@@ -8,7 +8,7 @@ loop compares its floats inline.
 
 from __future__ import annotations
 
-from .distributions import SLACK, check_fourier_closeness
+from .distributions import SLACK, check_fourier_closeness, check_table_dim
 from .generators import (
     derived_rng,
     greedy_recorder_program,
@@ -47,7 +47,10 @@ def fourier_suite(count: int, seed: int,
     rng = derived_rng(seed, 1)
     failures = []
     min_margin = float("inf")
-    for n, r in _cells(count, ns, r_fracs, rs):
+    cells = _cells(count, ns, r_fracs, rs)
+    for n, _ in cells:  # the weight table's cap, before the first draw
+        check_table_dim(n)
+    for n, r in cells:
         mix = random_hypothesis_mixture(n, r, rng)
         check = check_fourier_closeness(mix, r)
         row = check.closeness

@@ -16,7 +16,9 @@ through intersect_hyperplane, and the labelled-program reference calls a
 learner's output once per vertex.  The layer-accuracy and ideal-joint
 references tabulate one vertex's uniform law at a time, summing each
 row by itself.  The success-probability reference tabulates the leaf
-label's support at every leaf, and the path reference follows one list of
+label's support at every leaf, the output-dimension reference sums each
+leaf's row by itself, the gamma reference compares one edge at a time,
+and the path reference follows one list of
 samples (a, b) to a leaf.  The group-distance reference builds each
 partition group's conditional SubspaceMixture before tabulating it.  The
 generator references build an AffineSubspace for every draw and a
@@ -432,6 +434,42 @@ def per_leaf_success_probability(bp):
         mask = uniform_weights(bp.leaf_labels[(t, v)]) > 0.0
         total += float(tables[t][v, mask].sum())
     return total
+
+
+def per_leaf_output_dimensions(bp, tables):
+    """bp._output_dimensions with each leaf's row summed by itself."""
+    out = {}
+    for t, v in bp.iter_leaves():
+        lab = bp.leaf_labels[(t, v)]
+        key = -1 if lab.is_empty else lab.dim
+        out[key] = out.get(key, 0.0) + float(tables[t][v].sum())
+    return out
+
+
+def per_edge_check_gamma(bp, red):
+    """reduction._check_gamma with every edge of the simulation compared
+    by itself."""
+    program, gamma = red.program, red.gamma
+    if len(gamma) != bp.m + 1:
+        return False
+    for t in range(bp.m + 1):
+        if len(gamma[t]) != program.layer_sizes[t]:
+            return False
+        for u, orig in enumerate(gamma[t]):
+            if not 0 <= orig < bp.layer_sizes[t]:
+                return False
+            if program.is_leaf(t, u) != bp.is_leaf(t, orig):
+                return False
+    for t in range(bp.m):
+        for u in range(program.layer_sizes[t]):
+            row = program.transitions[t][u]
+            if row is None:
+                continue
+            orig_row = bp.transitions[t][gamma[t][u]]
+            for idx, target in enumerate(row):
+                if orig_row[idx] != gamma[t + 1][target]:
+                    return False
+    return True
 
 
 def object_random_subspace(n, rng, dim=None):

@@ -9,6 +9,7 @@ from oracles import (
     _recorder_step,
     object_greedy_recorder,
     object_selective_recorder,
+    per_leaf_output_dimensions,
     per_leaf_success_probability,
     per_vertex_layer_accuracy,
     per_vertex_program_with_labels,
@@ -20,6 +21,7 @@ import paritylab.bp as bp_module
 from paritylab.bp import (
     _SCATTER_CELLS,
     _chunk_buffers,
+    _output_dimensions,
     _scatter_buffers,
     _scatter_layer,
     BranchingProgram,
@@ -340,20 +342,35 @@ class TestSuccess:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_per_leaf_oracle(self, n):
-        """Supports built once per distinct label against the per-leaf
-        loop, compared with ==: random programs whose leaves share labels
-        (as one object and as equal copies) or are Empty, and recorder
-        programs with early leaves."""
-        rng = np.random.default_rng(60 + n)
-        pool = [random_subspace(n, rng) for _ in range(3)] + [AffineSubspace.empty(n)]
-        pool += [parse_subspace(w.to_text(), n) for w in pool]
-        programs = [greedy_recorder_program(n, 3, k)[0] for k in (0, 1)]
-        for _ in range(3):
-            bp = random_program(n, 2, 8, rng)
-            leaves = {k: pool[int(rng.integers(len(pool)))] for k in bp.leaf_labels}
-            programs += [bp, replace(bp, leaf_labels=leaves)]
-        for bp in programs:
+        """Supports built once per distinct label and gathered per layer
+        and label size against the per-leaf loop, compared with ==:
+        random programs whose leaves share labels (as one object and as
+        equal copies) or are Empty, and recorder programs with early
+        leaves."""
+        for bp in per_leaf_programs(n):
             assert success_probability(bp) == per_leaf_success_probability(bp)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_output_dimensions_per_leaf_oracle(self, n):
+        """Each layer's row sums, read per leaf, against each leaf's own
+        row sum, added in the same order, compared with ==."""
+        for bp in per_leaf_programs(n):
+            tables = forward_tables(bp)
+            assert _output_dimensions(bp, tables) == per_leaf_output_dimensions(bp, tables)
+
+
+def per_leaf_programs(n):
+    """Random programs with shared, copied and Empty leaf labels, and
+    recorder programs with early leaves."""
+    rng = np.random.default_rng(60 + n)
+    pool = [random_subspace(n, rng) for _ in range(3)] + [AffineSubspace.empty(n)]
+    pool += [parse_subspace(w.to_text(), n) for w in pool]
+    programs = [greedy_recorder_program(n, 3, k)[0] for k in (0, 1)]
+    for _ in range(3):
+        bp = random_program(n, 2, 8, rng)
+        leaves = {k: pool[int(rng.integers(len(pool)))] for k in bp.leaf_labels}
+        programs += [bp, replace(bp, leaf_labels=leaves)]
+    return programs
 
 
 class TestValidateAffine:

@@ -120,6 +120,17 @@ class TestEnumerate:
             assert list(vs.enumerate()) == list(mask_loop_enumerate(vs))
 
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_points_in_enumerate_order(self, n):
+        """points() is enumerate's list: the offset XOR each point of the
+        direction, in its order, for every affine subspace with n <= 4;
+        [] for Empty."""
+        for w in all_affine_subspaces(n):
+            expected = [w.offset ^ v for v in w.direction.enumerate()]
+            assert w.points() == list(w.enumerate()) == expected
+        assert AffineSubspace.empty(n).points() == list(AffineSubspace.empty(n).enumerate()) == []
+
+
 class TestInnerProduct:
     def test_spec_values(self):
         assert parity(bv("000") & bv("101")) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -33,6 +34,7 @@ from paritylab.generators import derived_rng, random_mixture, random_subspace
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
+    VectorSubspace,
     hyperplane_keys,
     intersect_hyperplane,
     is_subset,
@@ -449,6 +451,26 @@ class TestRunningTable:
         bp = shaped_program(4, (1, 6, 6, 6), np.random.default_rng(19))
         reduce_to_affine(bp, 4.0)
         assert max(count for _, count in tables_built) > 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_shape_one_member_per_round(self, seed, tables_built):
+        """The heavy reductions' shape: n = 4, hundreds of members, and
+        most rounds taking one member, so a member's key ids clear of a
+        pivot bit serve many rounds.  Every affine subspace of dimension
+        at most 2 (276 members) with skewed masses, on the running table,
+        against the per-round core."""
+        n = 4
+        ws = sorted({AffineSubspace(n, VectorSubspace.from_rows(n, rows), z)
+                     for d in range(3) for rows in itertools.combinations(range(1, 1 << n), d)
+                     for z in range(1 << n)}, key=AffineSubspace.to_text)
+        assert len(ws) == 16 + 120 + 140
+        weights = np.random.default_rng(300 + seed).random(len(ws)) ** 3
+        keys, probs = [hyperplane_keys(w) for w in ws], (weights / weights.sum()).tolist()
+        check_rounds(n, keys, probs, float(n))
+        assert tables_built == [(n, len(ws))] * 2
+        rounds, _ = _partition_ids(n, keys, probs, float(n))
+        assert len(rounds) > len(ws) / 2
+        assert sum(len(taken) == 1 for _, taken in rounds) > len(rounds) / 2
 
     def test_dominant_member_ties(self, table_tops):
         """A heavy point lies in 2^n - 1 hyperplanes, every one of them

@@ -7,6 +7,7 @@ from dataclasses import replace
 from oracles import (
     assert_same_reduction,
     object_reduce,
+    per_edge_check_gamma,
     per_vertex_ideal_joint,
     per_vertex_layer_accuracy,
 )
@@ -21,7 +22,7 @@ from paritylab.bp import (
 from paritylab.distributions import uniform_rows
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
-from paritylab.reduction import _ideal_joint, reduce_to_affine, verify_reduction
+from paritylab.reduction import _check_gamma, _ideal_joint, reduce_to_affine, verify_reduction
 
 
 def record_first_sample_program(n):
@@ -256,6 +257,25 @@ class TestFaultInjection:
                  "original out of range": (g[0], (bp.layer_sizes[1],) + g[1][1:]) + g[2:]}[fault]
         rep = verify_reduction(bp, replace(red, gamma=gamma))
         assert not rep.gamma_ok and not rep.all_ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gamma_per_edge_oracle(self, seed):
+        """The per-row compare against the per-edge loop, on a reduction
+        and on copies with one gamma entry per layer moved to another
+        original vertex."""
+        n = 2 + seed % 3
+        bp = random_program(n, 1 + seed % 3, 2 + seed % 5, np.random.default_rng(200 + seed))
+        red = reduce_to_affine(bp, float(n))
+        cases = [red]
+        for t in range(1, bp.m + 1):
+            for u in (0, -1):
+                layer = list(red.gamma[t])
+                layer[u] = (layer[u] + 1) % bp.layer_sizes[t]
+                cases.append(replace(red, gamma=red.gamma[:t] + (tuple(layer),)
+                                     + red.gamma[t + 1:]))
+        results = [_check_gamma(bp, case) for case in cases]
+        assert results == [per_edge_check_gamma(bp, case) for case in cases]
+        assert results[0]
 
     def test_leaf_mapped_to_inner_vertex_detected(self):
         """Against a copy of the original whose vertex gamma[1][0] is an

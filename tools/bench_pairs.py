@@ -1,0 +1,215 @@
+"""Alternating parent/change pairs of paritybench runs, summarized in
+BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent 5a3e62e --change HEAD --label NAME \\
+        --runs reduce:7,reduce:47,verify:7,stream:7 --pairs 10 \\
+        --claim reduce:wall_s --aa stream:7 --note "what the change does"
+
+Run from the root of the repository.  Each pair extracts both revisions
+with `git archive` into two fresh directories of the same depth under
+--workdir and runs
+
+    python3 paritybench/run.py --workload W --seed S --seconds 30 --trace 0
+
+unchanged in each, one process at a time.  The directory each side gets
+alternates every pair and the side that runs first every two pairs, so
+all four combinations occur.  Per workload and seed the file holds, for
+every end-to-end metric of BENCHMARK.json, both sides' median and
+quartiles over the pairs (statistics.quantiles, inclusive), the median
+of the per-pair differences and the change's wins (a pair where the
+change is better in the metric's direction); per job kind and size, the
+same for the median probe-scaled latency and the per-pass latency sum;
+whether every job of both sides gave the same output digests.  --claim
+tests each named workload metric at each seed against the rule "wins
+>= 9 of 10 pairs and the gap between the medians exceeds the
+parent's IQR"; --aa
+runs the parent against itself the same way, as a noise control.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+PROBE_WINDOW = 10  # as paritybench/run.py: jobs on each side whose probes scale a job
+
+
+def archive(rev: str) -> bytes:
+    return subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                          capture_output=True).stdout
+
+
+def extract(data: bytes, where: Path) -> None:
+    shutil.rmtree(where, ignore_errors=True)
+    where.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(where, filter="data")
+
+
+def run_once(where: Path, workload: str, seed: int) -> dict:
+    """One paritybench run: its summary line and its job record."""
+    proc = subprocess.run([sys.executable, "paritybench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", "30", "--trace", "0"],
+                          cwd=where, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run.py in {where} exited {proc.returncode}:\n{proc.stderr}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((where / ".paritybench" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    return {"summary": summary, "record": record}
+
+
+def kind_figures(record: dict) -> tuple[dict, dict, list[str]]:
+    """Per job kind and size: the median probe-scaled latency (ms) and the
+    latency sum per pass (ms); and every pass job's digest, in order."""
+    nominal = record["meta"]["probe_nominal_s"]
+    scaled: dict[str, list[float]] = {}
+    for p in record["passes"]:
+        probes = [j["probe"] for j in p["jobs"]]
+        for i, j in enumerate(p["jobs"]):
+            window = probes[max(0, i - PROBE_WINDOW):i + PROBE_WINDOW + 1]
+            ms = 1000 * j["latency"] * nominal / statistics.median(window)
+            scaled.setdefault(f"{j['kind']}/{j['size']}", []).append(ms)
+    passes = len(record["passes"])
+    medians = {k: statistics.median(v) for k, v in scaled.items()}
+    sums = {k: sum(v) / passes for k, v in scaled.items()}
+    digests = [j["digest"] for p in record["passes"] for j in p["jobs"]]
+    return medians, sums, digests
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare(parent: list[float], change: list[float], lower_better: bool, unit: str) -> dict:
+    diffs = [c - p for p, c in zip(parent, change)]
+    wins = sum((d < 0) if lower_better else (d > 0) for d in diffs)
+    p, c = spread(parent), spread(change)
+    return {"unit": unit, "better": "lower" if lower_better else "higher",
+            "parent": p, "change": c, "median_diff": statistics.median(diffs),
+            "rel_change": c["median"] / p["median"] - 1 if p["median"] else None,
+            "wins": wins, "pairs": len(diffs)}
+
+
+def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, work: Path,
+              metrics: list[dict]) -> tuple[dict, dict]:
+    """The pairs' summary, and the machine line of the first run."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        dirs = ("x", "y") if i % 2 == 0 else ("y", "x")
+        where = {side: work / d / "repo" for side, d in zip(("parent", "change"), dirs)}
+        for side in ("parent", "change"):
+            extract(sides[side], where[side])
+        order = ("parent", "change") if (i // 2) % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(where[side], workload, seed))
+        print(f"  {workload}:{seed} pair {i + 1}/{pairs} " + " ".join(
+            f"{side}={runs[side][-1]['summary']['metrics']['wall_s']['value']:.4f}"
+            for side in ("parent", "change")), file=sys.stderr, flush=True)
+
+    out: dict = {"workload": workload, "seed": seed, "pairs": pairs,
+                 "failed_jobs": {s: sum(r["summary"]["failed"] for r in runs[s]) for s in runs},
+                 "correct": {s: all(r["summary"]["correct"] for r in runs[s]) for s in runs},
+                 "metrics": {}}
+    for m in metrics:
+        values = {s: [r["summary"]["metrics"][m["name"]]["value"] for r in runs[s]]
+                  for s in runs}
+        out["metrics"][m["name"]] = compare(values["parent"], values["change"],
+                                            m["better"] == "lower", m["unit"])
+    figures = {s: [kind_figures(r["record"]) for r in runs[s]] for s in runs}
+    out["outputs_identical"] = all(pf[2] == cf[2] for pf, cf in zip(figures["parent"],
+                                                                    figures["change"]))
+    for label, index in (("job_kind_median_ms", 0), ("job_kind_sum_ms_per_pass", 1)):
+        kinds = sorted(figures["parent"][0][index])
+        out[label] = {k: compare([f[index][k] for f in figures["parent"]],
+                                 [f[index][k] for f in figures["change"]], True, "ms")
+                      for k in kinds}
+    meta = runs["parent"][0]["record"]["meta"]
+    return out, {k: meta[k] for k in ("nproc", "cpu", "platform", "python", "numpy")}
+
+
+def claim_result(block: dict, metric: str) -> dict:
+    row = block["metrics"][metric]
+    gain = row["parent"]["median"] - row["change"]["median"]
+    if row["better"] == "higher":
+        gain = -gain
+    met = row["wins"] >= 0.9 * row["pairs"] and gain > row["parent"]["iqr"]
+    return {"wins": row["wins"], "pairs": row["pairs"], "median_gain": gain,
+            "parent_iqr": row["parent"]["iqr"], "rel_change": row["rel_change"], "met": met}
+
+
+def parse_runs(text: str) -> list[tuple[str, int]]:
+    return [(w, int(s)) for w, s in (item.split(":") for item in text.split(",") if item)]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--runs", required=True, help="workload:seed,... to pair")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--claim", default="", help="workload:metric,... to test")
+    ap.add_argument("--aa", default="", help="workload:seed,... to run parent against parent")
+    ap.add_argument("--note", default="", help="what the change does, for the file")
+    ap.add_argument("--workdir", default=None, help="scratch directory (default: a temp dir)")
+    args = ap.parse_args()
+
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    root = Path.cwd()
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    work = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs-"))
+    revs = {side: subprocess.run(["git", "rev-parse", "--short", rev], check=True,
+                                 capture_output=True, text=True).stdout.strip()
+            for side, rev in (("parent", args.parent), ("change", args.change))}
+    data = {side: archive(rev) for side, rev in revs.items()}
+    results, aa, machine = {}, {}, {}
+    try:
+        for workload, seed in parse_runs(args.runs):
+            results[f"{workload}/seed{seed}"], machine = run_pairs(
+                data, workload, seed, args.pairs, work, metrics)
+        for workload, seed in parse_runs(args.aa):
+            aa[f"{workload}/seed{seed}"], machine = run_pairs(
+                {"parent": data["parent"], "change": data["parent"]},
+                workload, seed, args.pairs, work, metrics)
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(work, ignore_errors=True)
+    doc = {
+        "label": args.label,
+        "change": args.note,
+        "parent_commit": revs["parent"],
+        "change_commit": revs["change"],
+        "command": "python3 paritybench/run.py --workload W --seed S --seconds 30 --trace 0",
+        "method": (f"{args.pairs} alternating parent/change pairs per workload and seed "
+                   "(tools/bench_pairs.py); see its docstring"),
+        "machine": machine,
+        "claims": {},
+        "workloads": results,
+    }
+    for item in filter(None, args.claim.split(",")):
+        workload, metric = item.split(":")
+        doc["claims"][item] = {key: claim_result(block, metric)
+                               for key, block in results.items()
+                               if block["workload"] == workload}
+    if aa:
+        doc["aa_control"] = aa
+    out = root / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
