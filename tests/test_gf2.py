@@ -119,7 +119,6 @@ class TestEnumerate:
         for vs in all_vector_subspaces(n):
             assert list(vs.enumerate()) == list(mask_loop_enumerate(vs))
 
-
     @pytest.mark.parametrize("n", range(5))
     def test_points_in_enumerate_order(self, n):
         """points() is enumerate's list: the offset XOR each point of the
