@@ -215,21 +215,12 @@ def success_probability(bp: BranchingProgram) -> float:
     tables = forward_tables(bp)
     # Each distinct label's points once, in increasing order: the cells a
     # boolean support mask would pick, in its order, so each sum is the
-    # same.  A layer's leaves whose labels have one point count are one
-    # gathered C-contiguous block, whose sum(axis=1) is each row's .sum();
-    # the leaf sums are then added in leaf order (np.cumsum(...)[-1]).
-    support = functools.cache(lambda w: sorted(w.points()))
-    leaves = list(bp.iter_leaves())
-    points = [support(bp.leaf_labels[leaf]) for leaf in leaves]
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for i, ((t, _), cells) in enumerate(zip(leaves, points)):
-        blocks.setdefault((t, len(cells)), []).append(i)
-    sums = np.zeros(len(leaves))  # an Empty label's leaf adds 0.0
-    for (t, size), at in blocks.items():
-        if size:
-            rows = np.array([leaves[i][1] for i in at])
-            sums[at] = tables[t][rows[:, None], np.array([points[i] for i in at])].sum(axis=1)
-    return float(np.cumsum(sums)[-1])
+    # same.
+    support = functools.cache(lambda w: sorted(w.enumerate()))
+    total = 0.0
+    for t, v in bp.iter_leaves():
+        total += float(tables[t][v][support(bp.leaf_labels[(t, v)])].sum())
+    return total
 
 
 def output_dimension_distribution(bp: BranchingProgram) -> dict[int, float]:

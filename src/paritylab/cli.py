@@ -9,10 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import crypto
@@ -38,69 +35,8 @@ LEARNER_FACTORIES = {
 
 
 def emit_report(report: dict, path: str | None) -> None:
-    """Write a report as indented JSON with stable field order: the bytes
-    of json.dumps(report, indent=2) and a newline."""
-    _write_text(_indented(report, "") + "\n", path)
-
-
-def _indented(obj, indent: str) -> str:
-    """json.dumps(obj, indent=2) nested at the given indent, byte for byte.
-
-    With an indent, json runs its pure-Python encoder.  Here dicts whose
-    keys json accepts and lists nest by recursion (_encoded writes their
-    values), scalars are _scalar's, and anything else (subclasses, other
-    types) goes to the stock encoder, its lines indented to this depth.
-    """
-    kind = type(obj)
-    if kind is dict and (keys := {*map(type, obj)}) <= {str, int, float, bool, type(None)}:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        names = obj if keys == {str} else [k if type(k) is str else _scalar(k) for k in obj]
-        items = [f"{name}: {text}" for name, text in zip(map(encode_basestring_ascii, names),
-                                                         _encoded(list(obj.values()), inner))]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join(_encoded(obj, inner)) + "\n" + indent + "]"
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind in (int, float, bool) or obj is None:
-        return _scalar(obj)
-    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
-
-
-def _encoded(values, indent: str) -> list[str]:
-    """Each value's _indented text at the given indent.  Numbers (ints,
-    floats, bools and nulls) only, or lists of numbers only, are one call
-    of the C encoder, its output split at the ", " separators and, between
-    lists, at the "], [" ones (no number holds either); strings only are
-    quoted by json's own function."""
-    numbers = {int, float, bool, type(None)}
-    kinds = {*map(type, values)}
-    if kinds <= numbers:
-        return json.dumps(values)[1:-1].split(", ")
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if kinds <= {list, tuple} and {*map(type, chain.from_iterable(values))} <= numbers:
-        inner, rows = indent + "  ", json.dumps(values)[2:-2].split("], [")
-        return ["[\n" + inner + row.replace(", ", ",\n" + inner) + "\n" + indent + "]"
-                if row else "[]" for row in rows]
-    return [_indented(v, indent) for v in values]
-
-
-def _scalar(value: int | float | bool | None) -> str:
-    """json's text of one scalar (of a dict key too, before quoting), as
-    both of json's encoders write it, without a call's set-up: null,
-    true, false, int.__repr__, float.__repr__ for a finite float, and the
-    C encoder for NaN and the infinities."""
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    if type(value) is int or math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
+    """Write a report as indented JSON with stable field order."""
+    _write_text(json.dumps(report, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -28,14 +28,25 @@ def exponent_sum(r: float, terms: int) -> float:
     return terms * r - terms * (terms - 1) / 4.0
 
 
-def _image(key: int, keys: list, probs: list[float]) -> tuple[list[list[int]], list[float]]:
-    """The members holding key, one level down: their masses renormalized
-    in member order, and their key ids clear of key's pivot bit (the
-    lowest set bit of its a), in the same order."""
+def _image(key: int, keys: list, members: list[int], probs: list[float],
+           cleared: dict[int, dict[int, list[int]]] | None = None
+           ) -> tuple[list[list[int]], list[float]]:
+    """The members (positions in keys) holding key, one level down: their
+    masses probs renormalized in member order, and their key ids clear of
+    key's pivot bit (the lowest set bit of its a), in the same order.
+    Given cleared, a member's image is kept there, per pivot bit and then
+    member, for later calls on the same keys."""
     a = key >> 1
     pivot = (a & -a) << 1
     mass = sum(probs)
-    return [[k for k in ids if not k & pivot] for ids in keys], [p / mass for p in probs]
+    if cleared is None:
+        return ([[k for k in keys[j] if not k & pivot] for j in members],
+                [p / mass for p in probs])
+    known = cleared.setdefault(pivot, {})
+    for j in members:
+        if j not in known:
+            known[j] = [k for k in keys[j] if not k & pivot]
+    return [known[j] for j in members], [p / mass for p in probs]
 
 
 def _find_ids(n: int, keys: list, probs: list[float], r: float,
@@ -63,7 +74,7 @@ def _find_ids(n: int, keys: list, probs: list[float], r: float,
         chosen.append(key)
         kept = [j for j, ids in enumerate(keys) if key in ids]
         inside = [inside[j] for j in kept]
-        keys, probs = _image(key, [keys[j] for j in kept], [probs[j] for j in kept])
+        keys, probs = _image(key, keys, kept, [probs[j] for j in kept])
         r -= 0.5
     return chosen, inside
 
@@ -159,9 +170,8 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     set with a mass below 2^-1000 of its total is re-tabulated every
     round (the total only falls and the smallest live mass only rises,
     so the first round decides).  Levels >= 1 are _find_ids on the
-    chosen key's members, renormalized as _image does; a member's key ids
-    clear of a pivot bit are built the first time a round needs them and
-    kept for the rest of the call.
+    chosen key's members; a member's image under a pivot bit is built the
+    first time a round needs it and kept for the rest of the call.
     """
     check_r(n, r)
     target = 2.0 ** (-2 * n)
@@ -187,17 +197,8 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
         else:
             top, key, members, qs = table.first_max(masses, live, total)
             if top > threshold:
-                a = key >> 1
-                pivot = (a & -a) << 1
-                images = cleared.setdefault(pivot, {})
-                ids = []
-                for j in members:
-                    image = images.get(j)
-                    if image is None:
-                        image = images[j] = [k for k in keys[j] if not k & pivot]
-                    ids.append(image)
-                mass = sum(qs)
-                chosen, inside = _find_ids(n, ids, [q / mass for q in qs], r - 0.5, n - 1)
+                chosen, inside = _find_ids(n, *_image(key, keys, members, qs, cleared),
+                                           r - 0.5, n - 1)
                 chosen.insert(0, key)
                 taken = [members[i] for i in inside]
             else:

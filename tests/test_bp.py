@@ -342,11 +342,10 @@ class TestSuccess:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_per_leaf_oracle(self, n):
-        """Supports built once per distinct label and gathered per layer
-        and label size against the per-leaf loop, compared with ==:
-        random programs whose leaves share labels (as one object and as
-        equal copies) or are Empty, and recorder programs with early
-        leaves."""
+        """Supports built once per distinct label against the per-leaf
+        loop, compared with ==: random programs whose leaves share labels
+        (as one object and as equal copies) or are Empty, and recorder
+        programs with early leaves."""
         for bp in per_leaf_programs(n):
             assert success_probability(bp) == per_leaf_success_probability(bp)
 

@@ -2,14 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from paritylab import cli, crypto, distributions, suites
+from paritylab import crypto, distributions, suites
 from paritylab.bp import to_json_dict
 from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.distributions import BoundCheck, FourierCheck
@@ -256,91 +255,6 @@ class TestDeterminism:
         emit_report(report, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
-
-
-# Values json.dumps(indent=2) handles by one special rule or another:
-# empty and nested-empty containers, strings holding ", " or quotes or
-# non-ASCII, the non-finite floats and -0.0, tuples, bools and None,
-# non-str keys (which json turns into strings), and a dict subclass.
-EMIT_EDGE_CASES = [
-    {},
-    [],
-    (),
-    {"a": {}, "b": [], "c": [[], {}], "d": [{}, [[]]], "e": ()},
-    {"s": ["a, b", 'say "hi", twice', "na\u00efve \u2603", "tab\t, new\nline", "", "\\"]},
-    {"f": [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300, 5e-324, 2.0]},
-    {"t": (1, (2.5, None), ()), "b": [True, False, None], "n": None, "i": -7, "big": 10 ** 40},
-    {"rows": [[1, 2.5], [], (None, True), [float("nan"), -0.0]], "empty": [[], ()], "one": [[7]]},
-    {1: "int key", "x": {2: [1, 2], None: True, 2.5: "float key", False: [{}]}},
-    {float("nan"): 1, float("inf"): [2], -float("inf"): {}, True: None, 10 ** 20: "big"},
-    {"od": OrderedDict([("b", [1, {"c": ()}]), ("a", "x, y")]), "after": [OrderedDict()]},
-    [1, "a, b", [2, [3, {"k": "v, w"}]], {"z": [0.5, 1.5]}, None],
-    {"a, b": "c: d", 'q"k': {"nested": [[1, 2], [3, 4]], "mixed": [1, "1", [1]]}},
-    "bare, string",
-    3,
-    -0.0,
-    float("nan"),
-    True,
-    None,
-]
-
-
-class TestEmitReport:
-    """emit_report writes json.dumps(report, indent=2) and a newline,
-    byte for byte."""
-
-    @pytest.mark.parametrize("value", EMIT_EDGE_CASES, ids=range(len(EMIT_EDGE_CASES)))
-    def test_edge_cases(self, tmp_path, value):
-        out = tmp_path / "out.json"
-        emit_report(value, str(out))
-        assert out.read_bytes() == (json.dumps(value, indent=2) + "\n").encode()
-
-    def test_edge_cases_nested(self, tmp_path):
-        """Every edge case again at depths 1 and 2, in a dict and a list."""
-        out = tmp_path / "out.json"
-        value = {"depth1": EMIT_EDGE_CASES, "depth2": [{"k": EMIT_EDGE_CASES}]}
-        emit_report(value, str(out))
-        assert out.read_bytes() == (json.dumps(value, indent=2) + "\n").encode()
-
-    @pytest.mark.parametrize("value", [{"x": object()}, {(1, 2): 0}, [1, {"y": {3}}]],
-                             ids=["object", "tuple key", "set"])
-    def test_unencodable_raises_as_json_does(self, tmp_path, value):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError) as got:
-            emit_report(value, str(tmp_path / "out.json"))
-        assert str(got.value) == str(expected.value)
-
-    def test_every_cli_report(self, tmp_path, capsys, monkeypatch):
-        """Each subcommand that writes JSON: the verify-lemmas report (also
-        one with failures), reduce --out and --report, the bounds exponent
-        report, keygen and the attack report."""
-        written = []
-
-        def recorded(report, path, emit=emit_report):
-            emit(report, path)
-            written.append((report, path))
-
-        monkeypatch.setattr(cli, "emit_report", recorded)
-        src = tmp_path / "prog.json"
-        src.write_text(json.dumps(to_json_dict(random_program(3, 2, 4, np.random.default_rng(3)))))
-        paths = iter(str(tmp_path / f"out{i}.json") for i in range(20))
-        cases = [
-            ["verify-lemmas", "--n", "3", "--seed", "7", "--trials", "6"],
-            ["reduce", "--in", str(src), "--r", "3.0", "--report", next(paths)],
-            ["bounds", "--n", "100", "--c", "0.04", "--alpha", "0.01"],
-            ["crypto", "keygen", "--n", "12", "--seed", "31"],
-            ["crypto", "attack", "--n", "4", "--memory-bits", "20", "--m", "6",
-             "--trials", "50", "--seed", "13"],
-        ]
-        for case in cases:
-            assert run_cli(capsys, *case, "--out", next(paths))[0] == 0
-        monkeypatch.setattr(suites, "check_fourier_closeness", lambda mix, r: FourierCheck(
-            False, 1.0, BoundCheck("closeness", 1.0, 0.0, True), None))
-        assert run_cli(capsys, *cases[0], "--out", next(paths))[0] == 1
-        assert len(written) == len(cases) + 2
-        for report, path in written:
-            assert Path(path).read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
 
 
 class TestErrorPaths:
