@@ -297,12 +297,14 @@ def random_hypothesis_mixture(n: int, r: float,
 
 
 def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> BranchingProgram:
-    """Random layered program with all leaves in the last layer."""
+    """Random layered program with all leaves in the last layer.
+
+    Each layer's targets are one row-major (sizes[j], 2^(n+1)) block draw,
+    which gives the values and generator end state of one draw per row."""
     sizes = [1] + [int(rng.integers(1, width + 1)) for _ in range(m)]
     degree = 1 << (n + 1)
     transitions = tuple(
-        tuple(tuple(int(t) for t in rng.integers(0, sizes[j + 1], degree))
-              for _ in range(sizes[j]))
+        tuple(map(tuple, rng.integers(0, sizes[j + 1], (sizes[j], degree)).tolist()))
         for j in range(m)
     )
     with _Words(rng) as words:

@@ -23,8 +23,9 @@ samples (a, b) to a leaf.  The group-distance reference builds each
 partition group's conditional SubspaceMixture before tabulating it.  The
 generator references build an AffineSubspace for every draw and a
 SubspaceMixture for every attempt, kept or not, count the paths they
-take, and draw straight from the Generator; they share only the
-packed-row kernel (_reduce, _insert) with the package, since it decides
+take, and draw straight from the Generator (the program reference one
+call per vertex); they share only the packed-row kernel (_reduce,
+_insert) with the package, since it decides
 which draws a subspace consumes.  The attack reference steps the
 attacker through run_learner once per sample, solves its output as an
 AffineSubspace and samples it through sample_point, with one scalar
@@ -482,6 +483,21 @@ def object_random_subspace(n, rng, dim=None):
         if v:
             _insert(basis, v)
     return AffineSubspace(n, VectorSubspace(n, tuple(basis)), int(rng.integers(0, 1 << n)))
+
+
+def per_row_random_program(n, m, width, rng):
+    """Reference random_program: one rng.integers call per vertex for its
+    2^(n+1) targets, each turned into an int, and every leaf label drawn
+    by object_random_subspace."""
+    sizes = [1] + [int(rng.integers(1, width + 1)) for _ in range(m)]
+    degree = 1 << (n + 1)
+    transitions = tuple(
+        tuple(tuple(int(t) for t in rng.integers(0, sizes[j + 1], degree))
+              for _ in range(sizes[j]))
+        for j in range(m)
+    )
+    leaf_labels = {(m, v): object_random_subspace(n, rng) for v in range(sizes[m])}
+    return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 
 def object_random_mixture(n, rng, max_members=8, paths=None):

@@ -20,6 +20,7 @@ from oracles import (
     object_random_mixture,
     object_random_subspace,
     object_rejection_mixture,
+    per_row_random_program,
 )
 from paritylab import generators
 from paritylab.gf2 import AffineSubspace
@@ -261,3 +262,28 @@ class TestWords:
         rng = np.random.Generator(bit_generator(0))
         with pytest.raises(TypeError, match="PCG64 bit generator, got"):
             generators.random_subspace(3, rng)
+
+
+class TestRandomProgram:
+    """random_program draws each layer's transitions as one row-major
+    block; the per-row loop of tests/oracles.py is the reference."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_per_row_reference(self, n):
+        """Transitions (as repr, so plain ints), layer sizes, leaf labels
+        and the generator state, after the call and after one more draw.
+        Width 1 draws nothing for its targets in either form."""
+        for m in range(4):
+            for width in (1, 2, 5, 64):
+                for seed in range(5):
+                    label = (n, m, width, seed)
+                    rng, ref = (np.random.default_rng([n, m, width, seed]) for _ in range(2))
+                    got = generators.random_program(n, m, width, rng)
+                    want = per_row_random_program(n, m, width, ref)
+                    assert repr(got.transitions) == repr(want.transitions), label
+                    assert got.layer_sizes == want.layer_sizes, label
+                    assert ({k: w.to_text() for k, w in got.leaf_labels.items()}
+                            == {k: w.to_text() for k, w in want.leaf_labels.items()}), label
+                    assert rng.bit_generator.state == ref.bit_generator.state, label
+                    assert int(rng.integers(0, 3)) == int(ref.integers(0, 3)), label
+                    assert rng.bit_generator.state == ref.bit_generator.state, label

@@ -101,8 +101,9 @@ def compare(parent: list[float], change: list[float], lower_better: bool, unit: 
 
 
 def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, work: Path,
-              metrics: list[dict]) -> tuple[dict, dict]:
-    """The pairs' summary, and the machine line of the first run."""
+              metrics: list[dict], shown: list[str]) -> tuple[dict, dict]:
+    """The pairs' summary, and the machine line of the first run; each
+    pair's progress line prints both sides' metrics named in shown."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         dirs = ("x", "y") if i % 2 == 0 else ("y", "x")
@@ -113,8 +114,8 @@ def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, wor
         for side in order:
             runs[side].append(run_once(where[side], workload, seed))
         print(f"  {workload}:{seed} pair {i + 1}/{pairs} " + " ".join(
-            f"{side}={runs[side][-1]['summary']['metrics']['wall_s']['value']:.4f}"
-            for side in ("parent", "change")), file=sys.stderr, flush=True)
+            f"{name} {side}={runs[side][-1]['summary']['metrics'][name]['value']:.4f}"
+            for name in shown for side in ("parent", "change")), file=sys.stderr, flush=True)
 
     out: dict = {"workload": workload, "seed": seed, "pairs": pairs,
                  "failed_jobs": {s: sum(r["summary"]["failed"] for r in runs[s]) for s in runs},
@@ -151,6 +152,16 @@ def parse_runs(text: str) -> list[tuple[str, int]]:
     return [(w, int(s)) for w, s in (item.split(":") for item in text.split(",") if item)]
 
 
+def parse_claims(text: str) -> list[tuple[str, str]]:
+    return [(w, m) for w, m in (item.split(":") for item in text.split(",") if item)]
+
+
+def shown_metrics(claims: list[tuple[str, str]], workload: str) -> list[str]:
+    """The metrics a workload's progress lines print: its claimed ones,
+    else wall_s."""
+    return [m for w, m in claims if w == workload] or ["wall_s"]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
@@ -174,15 +185,17 @@ def main() -> int:
                                  capture_output=True, text=True).stdout.strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
     data = {side: archive(rev) for side, rev in revs.items()}
+    claims = parse_claims(args.claim)
     results, aa, machine = {}, {}, {}
     try:
         for workload, seed in parse_runs(args.runs):
             results[f"{workload}/seed{seed}"], machine = run_pairs(
-                data, workload, seed, args.pairs, work, metrics)
+                data, workload, seed, args.pairs, work, metrics,
+                shown_metrics(claims, workload))
         for workload, seed in parse_runs(args.aa):
             aa[f"{workload}/seed{seed}"], machine = run_pairs(
                 {"parent": data["parent"], "change": data["parent"]},
-                workload, seed, args.pairs, work, metrics)
+                workload, seed, args.pairs, work, metrics, shown_metrics(claims, workload))
     finally:
         if args.workdir is None:
             shutil.rmtree(work, ignore_errors=True)
@@ -198,11 +211,10 @@ def main() -> int:
         "claims": {},
         "workloads": results,
     }
-    for item in filter(None, args.claim.split(",")):
-        workload, metric = item.split(":")
-        doc["claims"][item] = {key: claim_result(block, metric)
-                               for key, block in results.items()
-                               if block["workload"] == workload}
+    for workload, metric in claims:
+        doc["claims"][f"{workload}:{metric}"] = {
+            key: claim_result(block, metric)
+            for key, block in results.items() if block["workload"] == workload}
     if aa:
         doc["aa_control"] = aa
     out = root / f"BENCH_{args.label}.json"
