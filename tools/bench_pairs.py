@@ -23,7 +23,9 @@ whether every job of both sides gave the same output digests.  --claim
 tests each named workload metric at each seed against the rule "wins
 >= 9 of 10 pairs and the gap between the medians exceeds the
 parent's IQR"; --aa
-runs the parent against itself the same way, as a noise control.
+runs the parent against itself the same way, as a noise control.  After
+each pair, a progress line on stderr gives both sides' values of every
+--claim metric of the running workload, or of wall_s if it has none.
 """
 
 from __future__ import annotations
