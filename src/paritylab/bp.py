@@ -216,7 +216,7 @@ def success_probability(bp: BranchingProgram) -> float:
     # Each distinct label's points once, in increasing order: the cells a
     # boolean support mask would pick, in its order, so each sum is the
     # same.
-    support = functools.cache(lambda w: sorted(w.enumerate()))
+    support = functools.cache(lambda w: sorted(w.points()))
     total = 0.0
     for t, v in bp.iter_leaves():
         total += float(tables[t][v][support(bp.leaf_labels[(t, v)])].sum())

@@ -66,7 +66,15 @@ def random_vector(n: int, rng: np.random.Generator) -> BitVector:
     return BitVector(n, bits)
 
 
+def _check_header_n(n: int) -> None:
+    """Raise ValueError when n exceeds the stream header's 2-byte field."""
+    if n > 0xFFFF:
+        raise ValueError(f"n = {n} exceeds the stream header's 2-byte limit (n <= 65535)")
+
+
 def keygen(n: int, rng: np.random.Generator) -> SecretKey:
+    """A uniform key; raises ValueError when no stream can carry n."""
+    _check_header_n(n)
     return SecretKey(n, random_vector(n, rng))
 
 
@@ -133,8 +141,7 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     call).  Raises ValueError when n exceeds the header's 2-byte field.
     """
     n = key.n
-    if n > 0xFFFF:
-        raise ValueError(f"n = {n} exceeds the stream header's 2-byte limit (n <= 65535)")
+    _check_header_n(n)
     nbytes = (n + 7) // 8
     stride = 4 * ((nbytes + 3) // 4)
     frame_bits = 8 * ((n + 1 + 7) // 8)

@@ -147,16 +147,15 @@ def hyperplane_mass(mix: SubspaceMixture) -> list[float]:
                      [p for _, p in mix.support])
 
 
-def heaviest_hyperplane(table: list[float]) -> tuple[int, int, float]:
-    """(a, b, mass) of the first maximum of a key table at a != 0.
+def heaviest_hyperplane(table: list[float]) -> tuple[int, float]:
+    """(key id, mass) of the first maximum of a key table at a != 0.
 
     The first maximum has the smallest id: a compared as a packed
-    integer, then b = 0 before b = 1.  An all-zero table gives
-    (e_1, 0, 0.0).
+    integer, then b = 0 before b = 1.  An all-zero table gives (2, 0.0),
+    the key id of {x : x_1 = 0}.
     """
     top = max(table)
-    k = table.index(top, 2) if top else 2
-    return k >> 1, k & 1, top
+    return (table.index(top, 2) if top else 2), top
 
 
 def check_r(n: int, r: float, top: int = 2) -> None:
@@ -217,8 +216,8 @@ def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
     check_r(n, r)
     # first: the weight table refuses n > 12 before the 2^(n+1)-entry key table is built
     distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
-    a, b, conc = heaviest_hyperplane(hyperplane_mass(mix))
-    worst = (a, b) if conc > 0.0 else None
+    key, conc = heaviest_hyperplane(hyperplane_mass(mix))
+    worst = (key >> 1, key & 1) if conc > 0.0 else None
     holds = conc <= 2.0 ** (-r) + SLACK
     bound = 2.0 ** (-(r - n / 2))
     return FourierCheck(holds, conc, BoundCheck("closeness", distance, bound, binding=bound < 2.0),

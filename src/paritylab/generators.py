@@ -201,10 +201,9 @@ def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
     return AffineSubspace(n, VectorSubspace(n, rows), offset)
 
 
-def random_subspace(n: int, rng: np.random.Generator,
-                    dim: int | None = None) -> AffineSubspace:
+def random_subspace(n: int, rng: np.random.Generator) -> AffineSubspace:
     with _Words(rng) as words:
-        return _subspace(n, _draw_subspace(n, words, dim))
+        return _subspace(n, _draw_subspace(n, words))
 
 
 def _draw_members(n: int, words: _Words, count: int,

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterable
 
 # Canonical subspace machinery keeps exact 2^n tables elsewhere in the
 # package; 24 coordinates is the supported ceiling for it.  Plain vectors
@@ -127,10 +125,6 @@ class VectorSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(lowest_set_bit(r) for r in self.rows)
-
     def reduce(self, v: int) -> int:
         """Reduce v modulo the row span (zeroes every pivot coordinate)."""
         return _reduce(self.rows, v)
@@ -138,21 +132,20 @@ class VectorSubspace:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def null_space(self) -> "VectorSubspace":
-        """The space {a : a.r = 0 for every basis row r}."""
-        return _null_space_cached(self.n, self.rows)
 
-    def enumerate(self) -> Iterator[int]:
-        """All 2^dim elements (subset XORs of the basis); element number
-        mask is the XOR of the rows i with bit i set in mask."""
-        points = [0]
-        for r in self.rows:
-            points += [p ^ r for p in points]
-        yield from points
+def _span(offset: int, rows: Iterable[int]) -> list[int]:
+    """Every point of the coset offset + span(rows), the rows linearly
+    independent: point number mask is offset XOR the rows i with bit i
+    set in mask."""
+    points = [offset]
+    for r in rows:
+        points += [p ^ r for p in points]
+    return points
 
 
 @lru_cache(maxsize=65536)
 def _null_space_cached(n: int, rows: tuple[int, ...]) -> VectorSubspace:
+    """The space {a : a.r = 0 for every RREF row r}."""
     piv = {lowest_set_bit(r) for r in rows}
     gens = []
     for f in range(n):
@@ -214,17 +207,10 @@ class AffineSubspace:
         return cls(n, VectorSubspace(n, ()), p)
 
     def points(self) -> list[int]:
-        """Every point, [] for Empty: point number mask is the offset
-        XOR the direction rows i with bit i set in mask."""
+        """Every point in _span's order, [] for Empty."""
         if self.is_empty:
             return []
-        points = [self.offset]
-        for r in self.direction.rows:
-            points += [p ^ r for p in points]
-        return points
-
-    def enumerate(self) -> Iterator[int]:
-        yield from self.points()
+        return _span(self.offset, self.direction.rows)
 
     def to_text(self) -> str:
         if self.is_empty:
@@ -284,7 +270,7 @@ def orthogonal_space(w: AffineSubspace) -> VectorSubspace:
     """The space of directions a that are constant (a.x = const) on w."""
     if w.is_empty:
         raise EmptySubspaceError("orthogonal space of the empty subspace")
-    return w.direction.null_space()
+    return _null_space_cached(w.n, w.direction.rows)
 
 
 def hyperplane_keys(w: AffineSubspace) -> frozenset[int]:
@@ -297,9 +283,9 @@ def hyperplane_keys(w: AffineSubspace) -> frozenset[int]:
     key of w1.  The key id is the package's one form of a hyperplane;
     keys_subspace, keys_mask and mask_keys convert it.
     """
-    space = orthogonal_space(w)
     off = w.offset
-    return frozenset((a << 1) | parity(a & off) for a in space.enumerate() if a != 0)
+    # point 0 is a = 0, and no other: the rows are independent
+    return frozenset((a << 1) | parity(a & off) for a in _span(0, orthogonal_space(w).rows)[1:])
 
 
 def keys_subspace(n: int, ids: Iterable[int]) -> AffineSubspace:
@@ -333,21 +319,21 @@ def hyperplane_masks(n: int) -> tuple[int, ...]:
     """Entry a is the point mask (see point_mask) of {x : a.x = 0}.
 
     The mask of {x : a.x = 1} is the rest of the 2^n points.  The table
-    comes from odd(a | e_i) = odd(a) ^ C_i for a < 2^i, where odd(a) is
-    the mask of {x : a.x = 1} and C_i that of {x : x_i = 1}: one
+    is odd(a) = XOR of C_i over the bits i of a, where odd(a) is the mask
+    of {x : a.x = 1} and C_i that of {x : x_i = 1}: _span(0, C), one
     2^n-bit XOR per entry.  It holds 4^n bits, so callers bound n.
     """
     size = 1 << n
-    odd = [0]
+    columns = []
     for i in range(n):
         c = ((1 << (1 << i)) - 1) << (1 << i)  # one period: x_i = 0 for 2^i points, then 1
         span = 2 << i
         while span < size:
             c |= c << span
             span <<= 1
-        odd += [o ^ c for o in odd]
+        columns.append(c)
     full = (1 << size) - 1
-    return tuple(full ^ o for o in odd)
+    return tuple(full ^ o for o in _span(0, columns))
 
 
 def point_mask(w: AffineSubspace) -> int:
@@ -392,18 +378,9 @@ def edge_masks(mask: int, even: tuple[int, ...]) -> list[int]:
     return [e for h in even for e in (mask & h, mask & ~h)]
 
 
-def sample_point(w: AffineSubspace, rng: np.random.Generator) -> int:
-    """A uniformly random point of w, from one rng.integers(0, 2^dim)
-    draw (none for a point)."""
-    if w.is_empty:
-        raise EmptySubspaceError("cannot sample from the empty subspace")
-    rows = w.direction.rows
-    return _sample_coset(w.offset, rows, int(rng.integers(0, 1 << len(rows))))
-
-
 def _sample_coset(offset: int, rows: tuple[int, ...], mask: int) -> int:
-    """offset XOR the rows i with bit i set in mask: a uniform point of
-    the coset for a mask uniform on [0, 2^len(rows))."""
+    """Point number mask of _span(offset, rows), without the list: a
+    uniform point of the coset for a mask uniform on [0, 2^len(rows))."""
     for i, r in enumerate(rows):
         if (mask >> i) & 1:
             offset ^= r

@@ -14,6 +14,7 @@ from .bp import (
     validate_affine,
 )
 from .distributions import BoundCheck
+from .partition import exponent_sum
 
 
 def reach_probability_bound(n: int, m: int, k: int) -> float:
@@ -119,7 +120,7 @@ def tradeoff_exponent(c: float, alpha: float, n: int) -> dict:
     t = n - k
     log2_m = alpha * n
     log2_d = c * n * n
-    count_log2 = math.log2(4 * n) + (t * r - t * (t - 1) / 4.0) + log2_d + log2_m
+    count_log2 = math.log2(4 * n) + exponent_sum(r, t) + log2_d + log2_m
     reach_log2 = t * log2_m + (t * (n - 2 * k) - t * (t - 1) / 2.0)
     product_log2 = count_log2 + reach_log2
     closed_exponent = n * n * (c + 0.6 * alpha - 0.05 + 3.0 / (20.0 * n))

@@ -67,10 +67,9 @@ def _find_ids(n: int, keys: list, probs: list[float], r: float,
     chosen: list[int] = []
     inside = list(range(len(keys)))
     for _ in range(levels):
-        a, b, top = heaviest_hyperplane(key_table(n, keys, probs))
+        key, top = heaviest_hyperplane(key_table(n, keys, probs))
         if top <= 2.0 ** (-r):
             break
-        key = (a << 1) | b
         chosen.append(key)
         kept = [j for j, ids in enumerate(keys) if key in ids]
         inside = [inside[j] for j in kept]

@@ -28,8 +28,8 @@ call per vertex); they share only the packed-row kernel (_reduce,
 _insert) with the package, since it decides
 which draws a subspace consumes.  The attack reference steps the
 attacker through run_learner once per sample, solves its output as an
-AffineSubspace and samples it through sample_point, with one scalar
-rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
+AffineSubspace and samples it by indexing its points() list, with one
+scalar rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
 reference draws per trial the key, then its m sample vectors, in two
 calls.  The Walsh reference runs each butterfly stage one block at a
 time.  All are kept deliberately close to the
@@ -69,7 +69,6 @@ from paritylab.gf2 import (
     intersect_hyperplane,
     lowest_set_bit,
     parity,
-    sample_point,
 )
 from paritylab.learners import run_learner, wilson_interval
 from paritylab.partition import PartitionGroup, SubspacePartition
@@ -165,11 +164,11 @@ def per_round_find_ids(n, keys, probs, r):
     chosen = []
     inside = list(range(len(keys)))
     for _ in range(n):
-        a, b, top = heaviest_hyperplane(key_table(n, keys, probs))
+        key, top = heaviest_hyperplane(key_table(n, keys, probs))
         if top <= 2.0 ** (-r):
             break
-        key = (a << 1) | b
         chosen.append(key)
+        a = key >> 1
         pivot = (a & -a) << 1
         kept = [j for j, ids in enumerate(keys) if key in ids]
         mass = sum([probs[j] for j in kept])
@@ -652,10 +651,11 @@ def stepping_run_attack(attacker, m, trials, rng):
         w = attacker.output(run_learner(attacker, x, a_stream))
         if w.is_empty:
             w = AffineSubspace.full(n)
-        if sample_point(w, rng) == x:
+        points = w.points()
+        if points[int(rng.integers(0, len(points)))] == x:
             key_hits += 1
         a_next = int(rng.integers(0, 1 << n))
-        if parity(a_next & sample_point(w, rng)) == parity(a_next & x):
+        if parity(a_next & points[int(rng.integers(0, len(points)))]) == parity(a_next & x):
             bit_hits += 1
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)

@@ -1,8 +1,11 @@
 """tools/bench_pairs.py's pair statistics: compare counts a pair as a win
-only when the change is strictly better in the metric's direction, and
-claim_result meets a claim only with wins in at least 9 of 10 pairs and
-a gap between the medians above the parent's IQR.  The tool is a script,
-not a package module, so it is loaded by path."""
+only when the change is strictly better in the metric's direction;
+claim_result meets a claim only with wins in at least 9 of 10 pairs, a
+gap between the medians above the parent's IQR, no more failed jobs on
+the change side than on the parent's and no incorrect change run; and
+bound_verdict reads a metric against its bound as a fraction of the
+parent's median.  The tool is a script, not a package module, so it is
+loaded by path."""
 
 import importlib.util
 from pathlib import Path
@@ -20,9 +23,11 @@ def bench_pairs():
     return module
 
 
-def _claim(bench_pairs, parent, change, better="lower"):
+def _claim(bench_pairs, parent, change, better="lower", failed=(0, 0), correct=True):
     row = bench_pairs.compare(parent, change, better == "lower", "s")
-    return bench_pairs.claim_result({"metrics": {"m": row}}, "m")
+    block = {"metrics": {"m": row}, "failed_jobs": dict(zip(("parent", "change"), failed)),
+             "correct": {"parent": True, "change": correct}}
+    return bench_pairs.claim_result(block, "m")
 
 
 PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
@@ -56,6 +61,7 @@ class TestClaimResult:
     def test_met(self, bench_pairs):
         result = _claim(bench_pairs, PARENT, [p - 0.5 for p in PARENT])
         assert (result["wins"], result["pairs"], result["met"]) == (10, 10, True)
+        assert result["reasons"] == []
         assert result["median_gain"] == pytest.approx(0.5)
         assert result["parent_iqr"] == pytest.approx(0.45)
 
@@ -72,6 +78,7 @@ class TestClaimResult:
         assert result["wins"] == 8
         assert result["median_gain"] > result["parent_iqr"]
         assert not result["met"]
+        assert result["reasons"] == ["8 of 10 wins, below 9 of 10"]
 
     def test_gap_must_exceed_the_parent_iqr(self, bench_pairs):
         for gap, met in ((0.3, False), (0.44, False), (0.46, True)):
@@ -85,6 +92,44 @@ class TestClaimResult:
         assert result["wins"] == 0
         assert result["median_gain"] == pytest.approx(-0.5)
         assert not result["met"]
+
+
+    def test_more_failed_jobs_on_the_change_side_fail_it(self, bench_pairs):
+        faster = [p - 0.5 for p in PARENT]
+        result = _claim(bench_pairs, PARENT, faster, failed=(1, 2))
+        assert (result["wins"], result["met"]) == (10, False)
+        assert result["reasons"] == ["change failed 2 jobs, parent 1"]
+        assert _claim(bench_pairs, PARENT, faster, failed=(2, 2))["met"]
+
+    def test_an_incorrect_change_run_fails_it(self, bench_pairs):
+        result = _claim(bench_pairs, PARENT, [p - 0.5 for p in PARENT], correct=False)
+        assert not result["met"]
+        assert result["reasons"] == ["change had an incorrect run"]
+
+
+class TestBoundVerdict:
+    def _verdict(self, bench_pairs, parent, change, better="lower", bound=0.2):
+        row = bench_pairs.compare(parent, change, better == "lower", "s")
+        return bench_pairs.bound_verdict(row, bound)
+
+    def test_within_and_outside(self, bench_pairs):
+        parent = [1.0, 1.0, 1.0, 1.1, 1.0]  # median 1.0, IQR 0.0
+        for factor, verdict in ((0.5, "within"), (1.0, "within"), (1.19, "within"),
+                                (1.21, "outside"), (2.0, "outside")):
+            change = [p * factor for p in parent]
+            assert self._verdict(bench_pairs, parent, change) == verdict, factor
+
+    def test_higher_better_is_worse_downwards(self, bench_pairs):
+        parent = [10.0] * 5
+        assert self._verdict(bench_pairs, parent, [20.0] * 5, "higher") == "within"
+        assert self._verdict(bench_pairs, parent, [8.5] * 5, "higher") == "within"
+        assert self._verdict(bench_pairs, parent, [7.5] * 5, "higher") == "outside"
+
+    def test_unresolved_when_parent_spread_exceeds_bound(self, bench_pairs):
+        # PARENT: IQR 0.45 over median 1.45 is 0.31
+        assert self._verdict(bench_pairs, PARENT, PARENT, bound=0.3) == "unresolved"
+        assert self._verdict(bench_pairs, PARENT, PARENT, bound=0.32) == "within"
+        assert self._verdict(bench_pairs, [0.0] * 4, [0.0] * 4) == "unresolved"
 
 
 def test_progress_shows_claimed_metrics(bench_pairs):

@@ -178,7 +178,7 @@ class TestRunPath:
                 leaf, out = run_path(bp, [(a, b)])
                 assert contains(out, x)
         leaf, out = run_path(bp, [(1, 1)])
-        assert list(out.enumerate()) == [1]
+        assert out.points() == [1]
 
     def test_chain_ignores_inputs(self):
         bp = chain_program(2, 3, AffineSubspace.full(2))

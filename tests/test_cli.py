@@ -68,8 +68,8 @@ class TestCryptoCommands:
 
     def test_header_n_limit(self, tmp_path, capsys):
         """n = 65535, the largest n the 2-byte header holds, round-trips;
-        n = 65536 stops encrypt with one error line, before the output
-        file is opened."""
+        n = 65536 stops keygen, and encrypt before the output file is
+        opened, with the same error line."""
         src = tmp_path / "msg.bin"
         enc = tmp_path / "msg.bsc"
         dec = tmp_path / "msg.out"
@@ -82,12 +82,14 @@ class TestCryptoCommands:
                        str(enc), "--out", str(dec))[0] == 0
         assert dec.read_bytes() == src.read_bytes()
         enc.unlink()
+        limit = "error: n = 65536 exceeds the stream header's 2-byte limit (n <= 65535)"
+        code, out, err = run_cli(capsys, "crypto", "keygen", "--n", "65536", "--seed", "7")
+        assert (code, out, err.splitlines()) == (1, "", [limit])
         code, _, err = run_cli(capsys, "crypto", "encrypt", "--key", "00" * 8192,
                                "--n", "65536", "--in", str(src), "--out", str(enc),
                                "--seed", "9")
         assert code == 1
-        assert err.splitlines() == [
-            "error: n = 65536 exceeds the stream header's 2-byte limit (n <= 65535)"]
+        assert err.splitlines() == [limit]
         assert not enc.exists()
 
     def test_attack_report(self, tmp_path, capsys):

@@ -11,6 +11,8 @@ from paritylab.gf2 import (
     DimensionMismatch,
     EmptySubspaceError,
     VectorSubspace,
+    _sample_coset,
+    _span,
     contains,
     edge_masks,
     hyperplane_keys,
@@ -25,7 +27,6 @@ from paritylab.gf2 import (
     parity,
     parse_subspace,
     point_mask,
-    sample_point,
     solve_affine_system,
 )
 from paritylab.generators import random_subspace
@@ -100,8 +101,8 @@ class TestRref:
 
 
 def mask_loop_enumerate(vs):
-    """Reference VectorSubspace.enumerate: element number mask is the XOR
-    of the rows picked by mask's set bits, in mask order."""
+    """Reference _span(0, vs.rows): element number mask is the XOR of
+    the rows picked by mask's set bits, in mask order."""
     for mask in range(1 << len(vs.rows)):
         v = 0
         m = mask
@@ -117,17 +118,19 @@ class TestEnumerate:
     def test_against_mask_loop(self, n):
         """The same points in the same order, for every subspace with n <= 4."""
         for vs in all_vector_subspaces(n):
-            assert list(vs.enumerate()) == list(mask_loop_enumerate(vs))
+            assert _span(0, vs.rows) == list(mask_loop_enumerate(vs))
 
     @pytest.mark.parametrize("n", range(5))
     def test_points_in_enumerate_order(self, n):
-        """points() is enumerate's list: the offset XOR each point of the
-        direction, in its order, for every affine subspace with n <= 4;
-        [] for Empty."""
+        """The one coset order: _sample_coset's point number mask is
+        points()[mask], for every affine subspace with n <= 4 and every
+        mask; [] for Empty."""
         for w in all_affine_subspaces(n):
-            expected = [w.offset ^ v for v in w.direction.enumerate()]
-            assert w.points() == list(w.enumerate()) == expected
-        assert AffineSubspace.empty(n).points() == list(AffineSubspace.empty(n).enumerate()) == []
+            points = w.points()
+            assert len(points) == 1 << w.dim
+            for mask, p in enumerate(points):
+                assert _sample_coset(w.offset, w.direction.rows, mask) == p
+        assert AffineSubspace.empty(n).points() == []
 
 
 class TestInnerProduct:
@@ -145,7 +148,7 @@ class TestCanonicalForm:
         rng = np.random.default_rng(1)
         by_points = {}
         for w in all_affine_subspaces(n):
-            pts = frozenset(w.enumerate())
+            pts = frozenset(w.points())
             by_points.setdefault(pts, w)
             # random regeneration from its own points
             pts_list = sorted(pts)
@@ -165,15 +168,15 @@ class TestCanonicalForm:
                 direct = VectorSubspace(n, rows)
                 assert direct == VectorSubspace.from_rows(n, rows)
                 assert span_points(direct.rows, n) == span_points(rows, n)
-                pivots = direct.pivots
-                assert list(pivots) == sorted(set(pivots)) and 0 not in direct.rows
+                pivots = [lowest_set_bit(r) for r in direct.rows]
+                assert pivots == sorted(set(pivots)) and 0 not in direct.rows
                 assert all((r >> p) & 1 == (r == q)
                            for r in direct.rows for q, p in zip(direct.rows, pivots))
                 off = int(rng.integers(0, 1 << n))
                 w = AffineSubspace(n, direct, off)
                 assert w == AffineSubspace(n, VectorSubspace(n, rows), off)
                 assert all((w.offset >> p) & 1 == 0 for p in pivots)
-                assert set(w.enumerate()) == {off ^ p for p in span_points(rows, n)}
+                assert set(w.points()) == {off ^ p for p in span_points(rows, n)}
         for bad in ((0b1000,), (-1,)):
             with pytest.raises(ValueError):
                 VectorSubspace(3, bad)
@@ -184,8 +187,8 @@ class TestCanonicalForm:
     def test_offset_reduced(self):
         for n in (2, 3):
             for w in all_affine_subspaces(n):
-                for p in w.direction.pivots:
-                    assert (w.offset >> p) & 1 == 0
+                for r in w.direction.rows:
+                    assert (w.offset >> lowest_set_bit(r)) & 1 == 0
 
     def test_text_round_trip(self):
         """Every subspace at n = 0-4, and random ones up to n = 10."""
@@ -209,7 +212,7 @@ class TestIntersectHyperplane:
     def test_spec_examples(self):
         full = AffineSubspace.full(3)
         h = intersect_hyperplane(full, bv("100"), 0)
-        assert h.dim == 2 and all(p & 1 == 0 for p in h.enumerate())
+        assert h.dim == 2 and all(p & 1 == 0 for p in h.points())
         assert intersect_hyperplane(h, bv("100"), 1).is_empty
         assert intersect_hyperplane(h, bv("100"), 0) == h
         assert intersect_hyperplane(AffineSubspace.empty(3), bv("100"), 0).is_empty
@@ -230,13 +233,13 @@ class TestIntersectHyperplane:
     @pytest.mark.parametrize("n", [2, 3])
     def test_pointwise_exhaustive(self, n):
         for w in all_affine_subspaces(n):
-            pts = set(w.enumerate())
+            pts = set(w.points())
             for a in range(1 << n):
                 for b in (0, 1):
                     got = intersect_hyperplane(w, a, b)
                     expected = {p for p in pts
                                 if bin(p & a).count("1") % 2 == b}
-                    assert set(got.enumerate()) == expected
+                    assert set(got.points()) == expected
                     if expected:
                         base = min(expected)
                         hull = AffineSubspace(
@@ -264,8 +267,8 @@ class TestOrthogonalSpace:
         for w in all_affine_subspaces(n):
             o = orthogonal_space(w)
             assert o.dim + w.dim == n
-            pts = list(w.enumerate())
-            for a in o.enumerate():
+            pts = w.points()
+            for a in _span(0, o.rows):
                 values = {bin(a & p).count("1") % 2 for p in pts}
                 assert len(values) == 1
 
@@ -288,32 +291,9 @@ class TestContainsSubset:
     def test_subset_matches_pointsets(self, n):
         subs = all_affine_subspaces(n)[:40]
         for w1 in subs:
-            p1 = set(w1.enumerate())
+            p1 = set(w1.points())
             for w2 in subs:
-                assert is_subset(w1, w2) == (p1 <= set(w2.enumerate()))
-
-
-class TestSamplePoint:
-    def test_single_point(self):
-        rng = np.random.default_rng(0)
-        p = bv("011")
-        w = AffineSubspace.point(3, p)
-        assert all(sample_point(w, rng) == p for _ in range(20))
-
-    def test_uniform_n1(self):
-        rng = np.random.default_rng(1)
-        w = AffineSubspace.full(1)
-        ones = sum(sample_point(w, rng) for _ in range(100_000))
-        assert abs(ones / 100_000 - 0.5) < 0.01
-
-    def test_constraint_respected(self):
-        rng = np.random.default_rng(2)
-        w = intersect_hyperplane(AffineSubspace.full(2), bv("10"), 1)
-        assert all(sample_point(w, rng) & 1 for _ in range(200))
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySubspaceError):
-            sample_point(AffineSubspace.empty(2), np.random.default_rng(0))
+                assert is_subset(w1, w2) == (p1 <= set(w2.points()))
 
 
 class TestSolveSystem:
@@ -326,7 +306,7 @@ class TestSolveSystem:
             got = solve_affine_system(n, [a | b << n for a, b in eqs])
             expected = {x for x in range(1 << n)
                         if all(bin(x & a).count("1") % 2 == b for a, b in eqs)}
-            assert set(got.enumerate()) == expected
+            assert set(got.points()) == expected
 
 
 # Property tests: random subspaces up to n = 6 against point sets built
@@ -389,7 +369,7 @@ class TestAgainstPointSets:
         n = data.draw(st.integers(1, 6))
         w, pts = data.draw(described_subspace(n))
         constant = {a for a in range(1 << n) if len({dot(a, x) for x in pts}) == 1}
-        assert set(orthogonal_space(w).enumerate()) == constant
+        assert set(_span(0, orthogonal_space(w).rows)) == constant
 
     @PROPERTY
     @given(st.data())
@@ -398,7 +378,7 @@ class TestAgainstPointSets:
         w, pts = data.draw(described_subspace(n))
         back = parse_subspace(w.to_text(), n)
         assert back == w and back.to_text() == w.to_text()
-        assert set(back.enumerate()) == pts
+        assert set(back.points()) == pts
 
     @PROPERTY
     @given(st.data())

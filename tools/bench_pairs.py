@@ -19,10 +19,15 @@ quartiles over the pairs (statistics.quantiles, inclusive), the median
 of the per-pair differences and the change's wins (a pair where the
 change is better in the metric's direction); per job kind and size, the
 same for the median probe-scaled latency and the per-pass latency sum;
-whether every job of both sides gave the same output digests.  --claim
-tests each named workload metric at each seed against the rule "wins
->= 9 of 10 pairs and the gap between the medians exceeds the
-parent's IQR"; --aa
+whether every job of both sides gave the same output digests.  Each
+end-to-end metric also gets a verdict against its BENCHMARK.json bound,
+a fraction of the parent's median: "within" when the change's median is
+worse than the parent's by at most the bound, "outside" when by more,
+and "unresolved" when the parent's IQR over its median exceeds the
+bound.  --claim tests each named workload metric at each seed against
+the rule "wins >= 9 of 10 pairs and the gap between the medians exceeds
+the parent's IQR", and fails a claim whose change side failed more jobs
+than the parent or had an incorrect run; --aa
 runs the parent against itself the same way, as a noise control.  After
 each pair, a progress line on stderr gives both sides' values of every
 --claim metric of the running workload, or of wall_s if it has none.
@@ -102,6 +107,18 @@ def compare(parent: list[float], change: list[float], lower_better: bool, unit: 
             "wins": wins, "pairs": len(diffs)}
 
 
+def bound_verdict(row: dict, bound: float) -> str:
+    """A compare row's verdict against a bound, read as a fraction of the
+    parent's median: "unresolved" when the parent's IQR over its median
+    exceeds the bound (or the median is 0), else "within" when the
+    change's median is worse by at most the bound, else "outside"."""
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    if parent == 0 or row["parent"]["iqr"] / parent > bound:
+        return "unresolved"
+    worse = (change - parent) if row["better"] == "lower" else (parent - change)
+    return "within" if worse <= bound * parent else "outside"
+
+
 def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, work: Path,
               metrics: list[dict], shown: list[str]) -> tuple[dict, dict]:
     """The pairs' summary, and the machine line of the first run; each
@@ -126,8 +143,13 @@ def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, wor
     for m in metrics:
         values = {s: [r["summary"]["metrics"][m["name"]]["value"] for r in runs[s]]
                   for s in runs}
-        out["metrics"][m["name"]] = compare(values["parent"], values["change"],
-                                            m["better"] == "lower", m["unit"])
+        row = compare(values["parent"], values["change"], m["better"] == "lower", m["unit"])
+        row["bound"] = m["bound"]
+        row["verdict"] = bound_verdict(row, m["bound"])
+        out["metrics"][m["name"]] = row
+    print(f"  {workload}:{seed} verdicts: " + " ".join(
+        f"{name} {row['verdict']}" for name, row in out["metrics"].items()),
+        file=sys.stderr, flush=True)
     figures = {s: [kind_figures(r["record"]) for r in runs[s]] for s in runs}
     out["outputs_identical"] = all(pf[2] == cf[2] for pf, cf in zip(figures["parent"],
                                                                     figures["change"]))
@@ -141,13 +163,25 @@ def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, wor
 
 
 def claim_result(block: dict, metric: str) -> dict:
+    """The claim rule on one workload block; met only when no reason
+    against it is listed."""
     row = block["metrics"][metric]
     gain = row["parent"]["median"] - row["change"]["median"]
     if row["better"] == "higher":
         gain = -gain
-    met = row["wins"] >= 0.9 * row["pairs"] and gain > row["parent"]["iqr"]
+    failed = block["failed_jobs"]
+    reasons = []
+    if failed["change"] > failed["parent"]:
+        reasons.append(f"change failed {failed['change']} jobs, parent {failed['parent']}")
+    if not block["correct"]["change"]:
+        reasons.append("change had an incorrect run")
+    if row["wins"] < 0.9 * row["pairs"]:
+        reasons.append(f"{row['wins']} of {row['pairs']} wins, below 9 of 10")
+    if gain <= row["parent"]["iqr"]:
+        reasons.append(f"median gain {gain:.6g} not above parent IQR {row['parent']['iqr']:.6g}")
     return {"wins": row["wins"], "pairs": row["pairs"], "median_gain": gain,
-            "parent_iqr": row["parent"]["iqr"], "rel_change": row["rel_change"], "met": met}
+            "parent_iqr": row["parent"]["iqr"], "rel_change": row["rel_change"],
+            "met": not reasons, "reasons": reasons}
 
 
 def parse_runs(text: str) -> list[tuple[str, int]]:
