@@ -12,6 +12,7 @@ with leaf weight absorbed at the leaf's own layer.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Hashable, Sequence
@@ -143,20 +144,45 @@ def _check_layer_edges(width: int, n: int, t: int) -> None:
             "set PARITYLAB_STATE_BUDGET to override")
 
 
+# The last program forward_tables swept, by weak reference, and its
+# read-only tables; the weakref's callback drops both when the program is
+# collected.
+_last_sweep: tuple[weakref.ref, list[np.ndarray]] | None = None
+
+
+def _drop_sweep(ref: weakref.ref) -> None:
+    global _last_sweep
+    if _last_sweep is not None and _last_sweep[0] is ref:
+        _last_sweep = None
+
+
 def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
     """Exact joint weights of (vertex, x) per layer, absorbing at leaves.
 
     tables[t][v, x] is the probability that the computation-path occupies
     v at time t (or was absorbed there, for early leaves) jointly with the
     key being x, under uniform x and uniform sample vectors.
+
+    The sweep of the last program is kept until the program is collected:
+    another call on the same object (matched by identity; n, layer_sizes
+    and transitions, all it reads, are immutable) returns the same
+    read-only arrays in a fresh list.  The DP budget is checked on every
+    call.
     """
+    global _last_sweep
     check_dp_budget(bp)
+    if _last_sweep is not None and _last_sweep[0]() is bp:
+        return list(_last_sweep[1])
+    _last_sweep = None  # the old sweep's memory is free for this one
     tables = [np.zeros((width, 1 << bp.n)) for width in bp.layer_sizes]
     tables[0][0, :] = 2.0 ** (-bp.n)
     buffers = _scatter_buffers(bp.n)
     for t in range(bp.m):
         _scatter_layer(tables[t], tables[t + 1], bp.transitions[t], *buffers)
-    return tables
+    for table in tables:
+        table.flags.writeable = False
+    _last_sweep = (weakref.ref(bp, _drop_sweep), tables)
+    return list(tables)
 
 
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -276,6 +276,12 @@ class AttackReport:
         }
 
 
+def _advantage_interval(lo: float, hi: float) -> tuple[float, float]:
+    """The range of the advantage |p - 1/2| over p in [lo, hi]: 0 at the
+    low end when the interval holds 1/2."""
+    return max(0.0, lo - 0.5, 0.5 - hi), max(abs(lo - 0.5), abs(hi - 0.5))
+
+
 def run_attack(attacker: Learner, m: int, trials: int,
                rng: np.random.Generator) -> AttackReport:
     """Key-recovery and next-bit-prediction game against the pad stream.
@@ -324,13 +330,12 @@ def run_attack(attacker: Learner, m: int, trials: int,
             # the prediction p hits when a_{m+1}.p = a_{m+1}.x
             bit_hits += 1 - parity(a_next & (_sample_coset(offset, rows, words.bits(dim, 1)[0]) ^ x))
     key_lo, key_hi = wilson_interval(key_hits, trials)
-    bit_lo, bit_hi = wilson_interval(bit_hits, trials)
     return AttackReport(
         n=n, m=m, trials=trials,
         key_guess_rate=key_hits / trials,
         key_guess_ci=(key_lo, key_hi),
         next_bit_advantage=abs(bit_hits / trials - 0.5),
-        next_bit_ci=(bit_lo, bit_hi),
+        next_bit_ci=_advantage_interval(*wilson_interval(bit_hits, trials)),
         attacker=attacker.name,
         memory_bits=attacker.memory_bits,
     )

@@ -78,7 +78,10 @@ class TradeoffPoint:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion.  It ends at
+    exactly 0 with no successes and at exactly 1 with no failures, as the
+    closed form does: its rounded value can fall either side of the end,
+    outside [0, 1] or short of the proportion itself."""
     z = 1.96
     if trials == 0:
         return 0.0, 1.0
@@ -86,7 +89,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return center - half, center + half
+    return (0.0 if successes == 0 else center - half,
+            1.0 if successes == trials else center + half)
 
 
 def _decode_rows(state: int, width: int) -> list[int]:

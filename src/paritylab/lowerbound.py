@@ -113,8 +113,12 @@ def tradeoff_exponent(c: float, alpha: float, n: int) -> dict:
     the dimension-k vertex-count cap by the per-vertex reach bound and
     reports the closed form 4nm * 2^{n^2 (c + (3/5) alpha - 1/20 + 3/(20n))}
     next to it.
-    Everything is carried in log2 to survive large n.
+    Everything is carried in log2 to survive large n.  A negative c or
+    alpha, a width or length below 1, raises ValueError.
     """
+    if c < 0 or alpha < 0:
+        raise ValueError(f"c and alpha must be at least 0 (width 2^(c n^2) and length "
+                         f"2^(alpha n) at least 1), got c={c}, alpha={alpha}")
     k = 0.8 * n
     r = (0.5 + 2 * alpha) * n
     t = n - k

@@ -659,12 +659,17 @@ def stepping_run_attack(attacker, m, trials, rng):
             bit_hits += 1
     key_lo, key_hi = wilson_interval(key_hits, trials)
     bit_lo, bit_hi = wilson_interval(bit_hits, trials)
+    # |p - 1/2| over the Wilson interval of p: 0 when it holds 1/2
+    if bit_lo <= 0.5 <= bit_hi:
+        adv_lo = 0.0
+    else:
+        adv_lo = min(abs(bit_lo - 0.5), abs(bit_hi - 0.5))
     return AttackReport(
         n=n, m=m, trials=trials,
         key_guess_rate=key_hits / trials,
         key_guess_ci=(key_lo, key_hi),
         next_bit_advantage=abs(bit_hits / trials - 0.5),
-        next_bit_ci=(bit_lo, bit_hi),
+        next_bit_ci=(adv_lo, max(abs(bit_lo - 0.5), abs(bit_hi - 0.5))),
         attacker=attacker.name,
         memory_bits=attacker.memory_bits,
     )

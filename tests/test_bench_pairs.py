@@ -2,12 +2,14 @@
 only when the change is strictly better in the metric's direction;
 claim_result meets a claim only with wins in at least 9 of 10 pairs, a
 gap between the medians above the parent's IQR, no more failed jobs on
-the change side than on the parent's and no incorrect change run; and
+the change side than on the parent's and no incorrect change run;
 bound_verdict reads a metric against its bound as a fraction of the
-parent's median.  The tool is a script, not a package module, so it is
-loaded by path."""
+parent's median; and percentile_shares gives each job kind's share of
+samples at or below a percentile.  The tool is a script, not a package
+module, so it is loaded by path."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -136,3 +138,29 @@ def test_progress_shows_claimed_metrics(bench_pairs):
     claims = bench_pairs.parse_claims("verify:setup_s,verify:wall_s,reduce:job_p90_ms")
     assert bench_pairs.shown_metrics(claims, "verify") == ["setup_s", "wall_s"]
     assert bench_pairs.shown_metrics(claims, "stream") == ["wall_s"]
+
+
+class TestPercentileShares:
+    def test_share_at_or_below_the_value(self, bench_pairs):
+        samples = {"dp/n=6": [1.0, 2.0, 3.0, 4.0], "fourier/n=5": [5.0, 6.0]}
+        shares = bench_pairs.percentile_shares(samples, {"job_p50_ms": 3.0, "job_p90_ms": 5.5})
+        assert shares == {"job_p50_ms": {"dp/n=6": 0.75, "fourier/n=5": 0.0},
+                          "job_p90_ms": {"dp/n=6": 1.0, "fourier/n=5": 0.5}}
+
+    def test_samples_are_the_run_scripts(self, bench_pairs, monkeypatch):
+        """kind_samples pools, bit for bit, the scaled latencies whose
+        median paritybench/run.py reports as job_p50_ms."""
+        here = PATH.parent.parent / "paritybench"
+        monkeypatch.syspath_prepend(str(here))
+        spec = importlib.util.spec_from_file_location("paritybench_run", here / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        rng = random.Random(3)
+        passes = [{"jobs": [{"kind": rng.choice(["dp", "fourier"]), "size": "n=5",
+                             "latency": rng.uniform(1e-4, 1e-2),
+                             "probe": rng.uniform(1e-3, 3e-3)} for _ in range(40)]}
+                  for _ in range(3)]
+        record = {"meta": {"probe_nominal_s": run.NOMINAL_S}, "passes": passes}
+        pooled = sorted(v for vs in bench_pairs.kind_samples(record).values() for v in vs)
+        want = sorted(1000 * v for p in passes for v in run.scaled_latencies(p["jobs"]))
+        assert pooled == want

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +321,81 @@ class TestForwardScatter:
         finally:
             tracemalloc.stop()
         assert peak - sum(table.nbytes for table in tables) <= 1 << 20
+
+
+
+class TestSweepReuse:
+    """forward_tables keeps the last program's sweep: later calls on the
+    same object share it, read-only, while the budget is checked on every
+    call and the sweep goes when the program does."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The _scatter_layer calls made so far, one per program layer."""
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _scatter_layer(*args)
+
+        monkeypatch.setattr(bp_module, "_scatter_layer", counting)
+        return calls
+
+    @staticmethod
+    def program(seed=5):
+        return random_program(4, 3, 6, np.random.default_rng(seed))
+
+    def test_readers_share_one_sweep(self, sweeps):
+        bp = self.program()
+        success_probability(bp)
+        output_dimension_distribution(bp)
+        assert len(sweeps) == bp.m
+        forward_tables(bp)
+        assert len(sweeps) == bp.m
+
+    def test_equal_program_gets_its_own_sweep(self, sweeps):
+        bp = self.program()
+        twin = from_json_dict(to_json_dict(bp))[0]
+        assert twin == bp and twin is not bp
+        mine, theirs = forward_tables(bp), forward_tables(twin)
+        assert len(sweeps) == 2 * bp.m
+        assert all(a is not b and np.array_equal(a, b)
+                   for a, b in zip(mine, theirs, strict=True))
+
+    def test_tables_are_read_only(self):
+        tables = forward_tables(self.program())
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_returned_list_is_the_callers(self, sweeps):
+        bp = self.program()
+        first = forward_tables(bp)
+        want = list(first)
+        first[0] = None
+        first.append(np.zeros(1))
+        again = forward_tables(bp)
+        assert len(sweeps) == bp.m
+        assert len(again) == bp.m + 1
+        assert all(a is b for a, b in zip(again, want, strict=True))
+
+    def test_budget_checked_on_a_kept_sweep(self, monkeypatch):
+        bp = self.program()
+        forward_tables(bp)
+        monkeypatch.setenv("PARITYLAB_DP_BUDGET", "10")
+        with pytest.raises(BudgetExceeded):
+            forward_tables(bp)
+        with pytest.raises(BudgetExceeded):
+            success_probability(bp)
+
+    def test_sweep_dropped_with_its_program(self):
+        bp = self.program()
+        program = weakref.ref(bp)
+        tables = [weakref.ref(table) for table in forward_tables(bp)]
+        del bp
+        gc.collect()
+        assert program() is None
+        assert all(table() is None for table in tables)
 
 
 class TestSuccess:

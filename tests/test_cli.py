@@ -342,6 +342,8 @@ FUZZ_CASES = [
     ["bounds", "--n", "4", "--c", "nan", "--alpha", "0.1"],
     ["bounds", "--n", "4", "--c", "inf", "--alpha", "0.1"],
     ["bounds", "--n", "4", "--c", "0.1", "--alpha", "1e308"],
+    ["bounds", "--n", "5", "--c", "0.5", "--alpha", "-1"],
+    ["bounds", "--n", "5", "--c", "-0.01", "--alpha", "0.01"],
     ["bounds", "--n", "-3", "--k", "1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "-1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "1", "--m", "2", "--out", "NODIR"],

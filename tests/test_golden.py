@@ -218,14 +218,14 @@ def test_simulate_success_hits(case):
 # 2 (s not a multiple of n+1), 2 with m = 0, 4 with m below it, 3 with m
 # above it, 9 at full rank, and n = 1.
 ATTACK_REPORTS = {
-    (4, 0, 5, 60, 1): ("561bf29f674b7cb9d43250e6f58d0ac93870e1063cdce2f5dd9f12f02d3ef701", 1049699842),
-    (5, 3, 6, 60, 2): ("719e0f7ed675b36ea567148695e25e08e0e96c69e94360597daa46b5f848b095", 24241716),
-    (4, 13, 7, 80, 3): ("f8665d4253f3c04e33bf972f62b62202a60080150f827c7db0e31260e2041629", 171061919),
-    (3, 8, 0, 40, 4): ("faeba1a91220737ee3b0325a6fa92e9236aa14cc442a7a2f2616f77c2357c650", 628103762),
-    (5, 26, 2, 80, 5): ("04b58a75d0272ae90106af1802bed3ecb993d80330f3ff76cf4735965ae27bfa", 830033004),
-    (6, 21, 9, 100, 6): ("d84f882d240e778aa39cf99847f9bf9b68586061ba9ea0285420cd27fa2312f8", 553800996),
-    (3, 36, 9, 100, 7): ("8cede6734af4d51f8092890195c2d3b5c233e84f81f6a789bdd97d2a55e1e094", 411771712),
-    (1, 5, 3, 50, 8): ("c4b2a5914263cb850f117b30e7007fd01e59bfc36a203c1d01d5bf21f321e21e", 398536908),
+    (4, 0, 5, 60, 1): ("c894e9ebab5aa5533fa44dba616e9099b6e742670cbe3a4a57111f061bad72de", 1049699842),
+    (5, 3, 6, 60, 2): ("4d399dd8e4227347cc201beac3043a4a293925156826bb06686abe5fddd89451", 24241716),
+    (4, 13, 7, 80, 3): ("226547dacc51c3f9cbd8352d652602c653525190d3cf9d7db79e8b0c4c26e1d8", 171061919),
+    (3, 8, 0, 40, 4): ("524b4a3dd4290f323ee442b15f9592676ff516c4f6be70836cfdf0a7e5c66630", 628103762),
+    (5, 26, 2, 80, 5): ("c379175cf036e0deaaf26d2944ec1a159679d9efe7a352561c5ea09bbdc7ac39", 830033004),
+    (6, 21, 9, 100, 6): ("e4e2ef19204c3567085180d89e3cff6d8a8031e96af4d77c674f97e67db81fe6", 553800996),
+    (3, 36, 9, 100, 7): ("be3a722b7f5f6a24ea08c53ff13b872ed068d5167e7c55fe8f74fb1f1ed62af2", 411771712),
+    (1, 5, 3, 50, 8): ("ced8b83f6fc34293793033b6f46bd64ec3fcbebcc2e2f443f032a9e6add05fb6", 398536908),
 }
 
 
@@ -235,3 +235,12 @@ def test_run_attack_reports(case):
     rng = np.random.default_rng(seed)
     report = run_attack(window_attacker(n, s), m, trials, rng)
     assert (_digest(report.to_dict()), int(rng.integers(0, 1 << 30))) == ATTACK_REPORTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ATTACK_REPORTS), ids=str)
+def test_attack_advantage_inside_its_interval(case):
+    """next_bit_ci bounds next_bit_advantage, |p - 1/2|, not p itself."""
+    n, s, m, trials, seed = case
+    report = run_attack(window_attacker(n, s), m, trials, np.random.default_rng(seed))
+    lo, hi = report.next_bit_ci
+    assert 0.0 <= lo <= report.next_bit_advantage <= hi <= 0.5

@@ -403,3 +403,12 @@ class TestWilson:
         assert wilson_interval(0, 0) == (0.0, 1.0)
         lo_all, hi_all = wilson_interval(100, 100)
         assert hi_all <= 1.0 and lo_all > 0.9
+
+    def test_holds_the_proportion_inside_the_unit_interval(self):
+        """Exact ends at 0 and 1 successes: the rounded closed form gave
+        hi = 1 - 2^-53 at 6 of 6 and lo < 0 at 0 of 5."""
+        assert wilson_interval(6, 6)[1] == 1.0 and wilson_interval(0, 5)[0] == 0.0
+        for trials in range(1, 300):
+            for hits in range(trials + 1):
+                lo, hi = wilson_interval(hits, trials)
+                assert 0.0 <= lo <= hits / trials <= hi <= 1.0, (hits, trials)

@@ -214,6 +214,19 @@ class TestTradeoffExponent:
         assert not rep["exponent_negative"]
         assert rep["vacuous"]
 
+    @pytest.mark.parametrize("c,alpha", [(0.5, -1.0), (-0.01, 0.01), (-1e-300, 0.0),
+                                         (0.0, -math.inf)])
+    def test_negative_exponents_rejected(self, c, alpha):
+        """A width 2^(c n^2) or a length 2^(alpha n) below 1 is no program:
+        (0.5, -1) at n = 5 used to report r = -7.5 and a bound of 0.078
+        that was not vacuous."""
+        with pytest.raises(ValueError, match="must be at least 0"):
+            tradeoff_exponent(c, alpha, 5)
+
+    def test_zero_exponents_accepted(self):
+        rep = tradeoff_exponent(0.0, 0.0, 5)
+        assert (rep["log2_width"], rep["log2_length"]) == (0.0, 0.0)
+
     def test_chain_identity(self):
         # the closed form equals the explicit count x reach product
         for c, alpha, n in [(0.04, 0.01, 100), (0.02, 0.02, 60), (0.045, 0.005, 200)]:

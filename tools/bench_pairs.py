@@ -19,7 +19,11 @@ quartiles over the pairs (statistics.quantiles, inclusive), the median
 of the per-pair differences and the change's wins (a pair where the
 change is better in the metric's direction); per job kind and size, the
 same for the median probe-scaled latency and the per-pass latency sum;
-whether every job of both sides gave the same output digests.  Each
+whether every job of both sides gave the same output digests; for
+job_p50_ms and job_p90_ms, per side and per job kind and size, the
+median over the pairs of the share of the kind's samples at or below
+the run's own value of the metric, which shows the kinds that cross a
+percentile.  Each
 end-to-end metric also gets a verdict against its BENCHMARK.json bound,
 a fraction of the parent's median: "within" when the change's median is
 worse than the parent's by at most the bound, "outside" when by more,
@@ -47,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 PROBE_WINDOW = 10  # as paritybench/run.py: jobs on each side whose probes scale a job
+PERCENTILES = ("job_p50_ms", "job_p90_ms")  # the metrics whose shares per kind are kept
 
 
 def archive(rev: str) -> bytes:
@@ -74,17 +79,33 @@ def run_once(where: Path, workload: str, seed: int) -> dict:
     return {"summary": summary, "record": record}
 
 
-def kind_figures(record: dict) -> tuple[dict, dict, list[str]]:
-    """Per job kind and size: the median probe-scaled latency (ms) and the
-    latency sum per pass (ms); and every pass job's digest, in order."""
+def kind_samples(record: dict) -> dict[str, list[float]]:
+    """Per job kind and size, its pass jobs' latencies (ms) scaled to
+    nominal speed the way paritybench/run.py scales the samples of its
+    percentiles, bit for bit."""
     nominal = record["meta"]["probe_nominal_s"]
     scaled: dict[str, list[float]] = {}
     for p in record["passes"]:
         probes = [j["probe"] for j in p["jobs"]]
         for i, j in enumerate(p["jobs"]):
             window = probes[max(0, i - PROBE_WINDOW):i + PROBE_WINDOW + 1]
-            ms = 1000 * j["latency"] * nominal / statistics.median(window)
+            ms = 1000 * (j["latency"] * nominal / statistics.median(window))
             scaled.setdefault(f"{j['kind']}/{j['size']}", []).append(ms)
+    return scaled
+
+
+def percentile_shares(samples: dict[str, list[float]], values: dict[str, float]) -> dict:
+    """Per percentile metric and job kind/size: the share of the kind's
+    samples at or below the run's own value of the metric."""
+    return {metric: {kind: sum(v <= values[metric] for v in vs) / len(vs)
+                     for kind, vs in samples.items()}
+            for metric in PERCENTILES}
+
+
+def kind_figures(record: dict) -> tuple[dict, dict, list[str]]:
+    """Per job kind and size: the median probe-scaled latency (ms) and the
+    latency sum per pass (ms); and every pass job's digest, in order."""
+    scaled = kind_samples(record)
     passes = len(record["passes"])
     medians = {k: statistics.median(v) for k, v in scaled.items()}
     sums = {k: sum(v) / passes for k, v in scaled.items()}
@@ -158,6 +179,13 @@ def run_pairs(sides: dict[str, bytes], workload: str, seed: int, pairs: int, wor
         out[label] = {k: compare([f[index][k] for f in figures["parent"]],
                                  [f[index][k] for f in figures["change"]], True, "ms")
                       for k in kinds}
+    shares = {s: [percentile_shares(kind_samples(r["record"]), {
+        m: r["summary"]["metrics"][m]["value"] for m in PERCENTILES}) for r in runs[s]]
+        for s in runs}
+    out["percentile_shares"] = {
+        metric: {k: {s: statistics.median(run[metric][k] for run in shares[s]) for s in runs}
+                 for k in sorted(shares["parent"][0][metric])}
+        for metric in PERCENTILES}
     meta = runs["parent"][0]["record"]["meta"]
     return out, {k: meta[k] for k in ("nproc", "cpu", "platform", "python", "numpy")}
 
