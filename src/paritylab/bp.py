@@ -151,6 +151,7 @@ _last_sweep: tuple[weakref.ref, list[np.ndarray]] | None = None
 
 
 def _drop_sweep(ref: weakref.ref) -> None:
+    """The weakref callback: forget the kept sweep if it is this ref's."""
     global _last_sweep
     if _last_sweep is not None and _last_sweep[0] is ref:
         _last_sweep = None
