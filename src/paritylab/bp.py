@@ -69,6 +69,8 @@ class BranchingProgram:
             if lab.n != self.n:
                 raise ValueError(f"leaf ({t},{v}) label has wrong dimension")
         for (t, v) in self.leaf_labels:
+            if not (0 <= t <= self.m and 0 <= v < self.layer_sizes[t]):
+                raise ValueError(f"output label at ({t},{v}), a vertex the program lacks")
             if not self.is_leaf(t, v):
                 raise ValueError(f"non-leaf ({t},{v}) carries an output label")
 
@@ -252,10 +254,7 @@ def success_probability(bp: BranchingProgram) -> float:
 
 def output_dimension_distribution(bp: BranchingProgram) -> dict[int, float]:
     """Reach probability per output-label dimension (-1 buckets Empty)."""
-    return _output_dimensions(bp, forward_tables(bp))
-
-
-def _output_dimensions(bp: BranchingProgram, tables: list[np.ndarray]) -> dict[int, float]:
+    tables = forward_tables(bp)
     # sum(axis=1) of a C-contiguous table is each row's .sum(), bit for bit
     mass = functools.cache(lambda t: tables[t].sum(axis=1).tolist())
     out: dict[int, float] = {}

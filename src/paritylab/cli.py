@@ -59,8 +59,11 @@ def key_from_hex(text: str, n: int) -> BitVector:
     raw = bytes.fromhex(text)
     if len(raw) != nbytes:
         raise ValueError(f"expected {nbytes} key bytes for n={n}, got {len(raw)}")
-    payload = int.from_bytes(raw, "big") >> (nbytes * 8 - n)
-    return BitVector(n, crypto.reverse_bits(payload, n))
+    pad = nbytes * 8 - n
+    payload = int.from_bytes(raw, "big")
+    if payload & ((1 << pad) - 1):
+        raise ValueError(f"key sets bits past coordinate {n}")
+    return BitVector(n, crypto.reverse_bits(payload >> pad, n))
 
 
 def _cmd_verify_lemmas(args) -> int:

@@ -14,7 +14,7 @@ pads instead.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -255,25 +255,20 @@ def window_attacker(n: int, s: int) -> WindowAttacker:
 
 @dataclass(frozen=True)
 class AttackReport:
+    """The attack game's figures, its fields in their JSON order."""
+
+    attacker: str
     n: int
     m: int
     trials: int
+    memory_bits: int
     key_guess_rate: float
     key_guess_ci: tuple[float, float]
     next_bit_advantage: float
     next_bit_ci: tuple[float, float]
-    attacker: str
-    memory_bits: int
 
     def to_dict(self) -> dict:
-        return {
-            "attacker": self.attacker, "n": self.n, "m": self.m,
-            "trials": self.trials, "memory_bits": self.memory_bits,
-            "key_guess_rate": self.key_guess_rate,
-            "key_guess_ci": list(self.key_guess_ci),
-            "next_bit_advantage": self.next_bit_advantage,
-            "next_bit_ci": list(self.next_bit_ci),
-        }
+        return asdict(self)
 
 
 def _advantage_interval(lo: float, hi: float) -> tuple[float, float]:

@@ -4,6 +4,7 @@ of the width-versus-samples tradeoff."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .bp import (
     BranchingProgram,
@@ -30,6 +31,13 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
         raise ValueError(f"length must be positive, got {m}")
     t = n - k
     exponent = t * (n - 2 * k) - t * (t - 1) // 2
+    # the bound's log2, a rational that no n overflows: far past the float
+    # range the bound is inf or 0.0, known before m^t is built
+    log2_bound = t * Fraction(math.log2(m)) + exponent
+    if log2_bound > 1100:
+        return math.inf
+    if log2_bound < -1100:
+        return 0.0
     power = m ** t
     try:
         return math.ldexp(float(power), exponent)

@@ -21,11 +21,11 @@ from .bp import (
     Labels,
     _check_dp_cost,
     _check_layer_edges,
-    _output_dimensions,
     check_dp_budget,
     forward_tables,
     labelled_program,
     layer_accuracy,
+    output_dimension_distribution,
     success_probability,
     validate_affine,
 )
@@ -260,8 +260,8 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
     beta = success_probability(bp)
 
     # One forward sweep of the reduced program serves the accuracy, the
-    # inductive and the output-dimension checks, and one tabulation of
-    # each layer's labels the first two.
+    # inductive and (kept by forward_tables) the output-dimension checks,
+    # and one tabulation of each layer's labels the first two.
     tables = forward_tables(program)
     rows = [uniform_rows(layer) for layer in labels]
     accuracy_checks = []
@@ -286,7 +286,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
         dim_count_checks.append(BoundCheck(
             f"count[dim={k}]", float(dim_counts.get(k, 0)), bound, binding=m > 0))
 
-    out_dims = _output_dimensions(program, tables)
+    out_dims = output_dimension_distribution(program)
     output_dim_checks = []
     b_dims = [lab.dim for lab in bp.leaf_labels.values() if not lab.is_empty]
     if b_dims:

@@ -38,6 +38,15 @@ def _cells(count: int, ns: tuple[int, ...], r_fracs: tuple[float, ...],
     return cells
 
 
+def _report(suite: str, count: int, failures: list, ok: bool | None = None,
+            **figures) -> dict:
+    """A suite's report: its name, count and passed, then its figures in
+    the order given, then its failures and ok (no failures, unless ok is
+    given)."""
+    return {"suite": suite, "count": count, "passed": count - len(failures), **figures,
+            "failures": failures, "ok": not failures if ok is None else ok}
+
+
 def fourier_suite(count: int, seed: int,
                   ns: tuple[int, ...] = (3, 4, 5, 6),
                   r_fracs: tuple[float, ...] = R_FRACS,
@@ -58,14 +67,7 @@ def fourier_suite(count: int, seed: int,
         if not (check.hypothesis_holds and row.ok):
             failures.append({"n": n, "r": r, "distance": row.measured, "bound": row.bound,
                              "hypothesis_holds": check.hypothesis_holds})
-    return {
-        "suite": "fourier",
-        "count": count,
-        "passed": count - len(failures),
-        "min_margin": min_margin,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("fourier", count, failures, min_margin=min_margin)
 
 
 def partition_suite(count: int, seed: int,
@@ -100,15 +102,8 @@ def partition_suite(count: int, seed: int,
                 problems.append(f"count k={k}")
         if problems:
             failures.append({"n": n, "r": r, "problems": problems})
-    return {
-        "suite": "partition",
-        "count": count,
-        "passed": count - len(failures),
-        "worst_residual": worst_residual,
-        "min_group_margin": min_group_margin,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("partition", count, failures, worst_residual=worst_residual,
+                   min_group_margin=min_group_margin)
 
 
 def reduction_suite(count: int, seed: int,
@@ -127,13 +122,7 @@ def reduction_suite(count: int, seed: int,
         if not red.report.all_ok:
             failures.append({"n": n, "m": m, "width": width, "r": r,
                              "report": red.report.to_dict()})
-    return {
-        "suite": "reduction",
-        "count": count,
-        "passed": count - len(failures),
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("reduction", count, failures)
 
 
 def _reach_bound_corpus(ns: tuple[int, ...]):
@@ -165,14 +154,8 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
             if not row.ok:
                 failures.append({"n": bp.n, "k": k, "vertex": list(vertex),
                                  "exact": row.measured, "bound": row.bound})
-    return {
-        "suite": "reach_bound",
-        "count": count,
-        "passed": count - len(failures),
-        "min_margin": min_margin,
-        "failures": failures,
-        "ok": count > 0 and not failures,
-    }
+    return _report("reach_bound", count, failures, ok=count > 0 and not failures,
+                   min_margin=min_margin)
 
 
 def run_all_suites(seed: int, trials: int, ns: tuple[int, ...] | None = None,
@@ -181,11 +164,12 @@ def run_all_suites(seed: int, trials: int, ns: tuple[int, ...] | None = None,
     rs when given, else at the R_FRACS cells."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    given = {"ns": ns} if ns else {}  # else each suite's own default
     reports = {
-        "fourier": fourier_suite(trials, seed, ns=ns or (3, 4, 5, 6), rs=rs),
-        "partition": partition_suite(trials, seed, ns=ns or (2, 3, 4, 5), rs=rs),
-        "reduction": reduction_suite(max(4, trials // 8), seed, ns=ns or (2, 3, 4)),
-        "reach_bound": reach_bound_suite(seed, ns=ns or (2, 3, 4)),
+        "fourier": fourier_suite(trials, seed, rs=rs, **given),
+        "partition": partition_suite(trials, seed, rs=rs, **given),
+        "reduction": reduction_suite(max(4, trials // 8), seed, **given),
+        "reach_bound": reach_bound_suite(seed, **given),
     }
     return {
         "seed": seed,

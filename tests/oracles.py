@@ -32,11 +32,14 @@ AffineSubspace and samples it by indexing its points() list, with one
 scalar rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
 reference draws per trial the key, then its m sample vectors, in two
 calls.  The Walsh reference runs each butterfly stage one block at a
-time.  All are kept deliberately close to the
+time.  The reach-bound reference builds m^(n-k) whatever its size and
+scales it by 2^exponent, as a float when it can.  All are kept
+deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
 """
 
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -437,7 +440,8 @@ def per_leaf_success_probability(bp):
 
 
 def per_leaf_output_dimensions(bp, tables):
-    """bp._output_dimensions with each leaf's row summed by itself."""
+    """bp.output_dimension_distribution with each leaf's row summed by
+    itself."""
     out = {}
     for t, v in bp.iter_leaves():
         lab = bp.leaf_labels[(t, v)]
@@ -673,3 +677,19 @@ def stepping_run_attack(attacker, m, trials, rng):
         attacker=attacker.name,
         memory_bits=attacker.memory_bits,
     )
+
+
+def scaled_power_reach_bound(n, m, k):
+    """lowerbound.reach_probability_bound with m^t built first: through
+    ldexp, else exact integer division, else inf."""
+    t = n - k
+    exponent = t * (n - 2 * k) - t * (t - 1) // 2
+    power = m ** t
+    try:
+        return math.ldexp(float(power), exponent)
+    except OverflowError:
+        pass
+    try:
+        return (power << max(exponent, 0)) / (1 << max(-exponent, 0))
+    except OverflowError:
+        return math.inf

@@ -5,11 +5,14 @@ gap between the medians above the parent's IQR, no more failed jobs on
 the change side than on the parent's and no incorrect change run;
 bound_verdict reads a metric against its bound as a fraction of the
 parent's median; and percentile_shares gives each job kind's share of
-samples at or below a percentile.  The tool is a script, not a package
+samples at or below a percentile; src_lines counts an archive's
+src/paritylab .py lines.  The tool is a script, not a package
 module, so it is loaded by path."""
 
 import importlib.util
+import io
 import random
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -164,3 +167,20 @@ class TestPercentileShares:
         pooled = sorted(v for vs in bench_pairs.kind_samples(record).values() for v in vs)
         want = sorted(1000 * v for p in passes for v in run.scaled_latencies(p["jobs"]))
         assert pooled == want
+
+
+def test_src_lines_counts_package_python(bench_pairs):
+    """Newlines of the .py files under src/paritylab/ only, subpackages
+    included, a last line without its newline not counted (as wc -l)."""
+    files = {"src/paritylab/a.py": b"x = 1\ny = 2\n", "src/paritylab/sub/b.py": b"z\nw",
+             "src/paritylab/notes.txt": b"1\n2\n", "src/other/c.py": b"1\n", "d.py": b"1\n"}
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as tar:
+        folder = tarfile.TarInfo("src/paritylab/dir.py")  # a member that is not a file
+        folder.type = tarfile.DIRTYPE
+        tar.addfile(folder)
+        for name, data in files.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    assert bench_pairs.src_lines(buffer.getvalue()) == 3

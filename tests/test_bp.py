@@ -23,7 +23,6 @@ import paritylab.bp as bp_module
 from paritylab.bp import (
     _SCATTER_CELLS,
     _chunk_buffers,
-    _output_dimensions,
     _scatter_buffers,
     _scatter_layer,
     BranchingProgram,
@@ -353,6 +352,14 @@ class TestSweepReuse:
         forward_tables(bp)
         assert len(sweeps) == bp.m
 
+    def test_reduction_sweeps_each_program_once(self, sweeps):
+        """reduce_to_affine's verification sweeps the source program once
+        (success probability) and the reduced one once (accuracy,
+        inductive and output-dimension checks)."""
+        bp = random_program(3, 3, 4, np.random.default_rng(1))
+        red = reduce_to_affine(bp, 3.0)
+        assert len(sweeps) == bp.m + red.program.m == 6
+
     def test_equal_program_gets_its_own_sweep(self, sweeps):
         bp = self.program()
         twin = from_json_dict(to_json_dict(bp))[0]
@@ -431,8 +438,8 @@ class TestSuccess:
         """Each layer's row sums, read per leaf, against each leaf's own
         row sum, added in the same order, compared with ==."""
         for bp in per_leaf_programs(n):
-            tables = forward_tables(bp)
-            assert _output_dimensions(bp, tables) == per_leaf_output_dimensions(bp, tables)
+            want = per_leaf_output_dimensions(bp, forward_tables(bp))
+            assert output_dimension_distribution(bp) == want
 
 
 def per_leaf_programs(n):
@@ -1025,3 +1032,15 @@ class TestGuards:
                         BranchingProgram(1, 3, (1, 2, 2, 1),
                                          (layer0, (fine, tuple(row)), ((0,) * 4, late)),
                                          {(3, 0): full})
+
+    @pytest.mark.parametrize("m,key", [(1, (0, 5)), (1, (2, 0)), (1, (1, 3)), (1, (-1, 0)),
+                                       (0, (-1, 0)), (0, (0, 1)), (0, (1, 0))])
+    def test_label_at_missing_vertex(self, m, key):
+        """A label keyed past a layer's width, past the last layer or
+        before layer 0 names its key, before is_leaf indexes (or, with a
+        negative layer, wraps round) the transitions."""
+        full = AffineSubspace.full(1)
+        transitions = (((0,) * 4,),) * m
+        with pytest.raises(ValueError, match=fr"^output label at \({key[0]},{key[1]}\), "
+                           "a vertex the program lacks$"):
+            BranchingProgram(1, m, (1,) * (m + 1), transitions, {(m, 0): full, key: full})

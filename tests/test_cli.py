@@ -132,6 +132,28 @@ class TestCryptoCommands:
         assert int(text[0], 16) >> 3 == x.bits & 1  # coordinate 1 leads
         assert key_from_hex(text, n) == x
 
+    @pytest.mark.parametrize("text,n", [("f1", 4), ("5e", 4), ("01", 7), ("ff01", 15)])
+    def test_key_hex_padding_must_be_zero(self, text, n):
+        """A bit set past coordinate n is refused, not dropped: f1 and f0
+        are not the same n = 4 key."""
+        with pytest.raises(ValueError, match=f"^key sets bits past coordinate {n}$"):
+            key_from_hex(text, n)
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_longer_key_refused(self, tmp_path, capsys, command):
+        """keygen's n = 7 key 5e, given to an n = 4 command: exit 1 with
+        one line, and no output file."""
+        code, out, _ = run_cli(capsys, "crypto", "keygen", "--n", "7", "--seed", "1")
+        key = json.loads(out)["key"]
+        assert (code, key) == (0, "5e")
+        src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+        src.write_bytes(b"x")
+        seed = ["--seed", "1"] if command == "encrypt" else []
+        code, _, err = run_cli(capsys, "crypto", command, "--key", key, "--n", "4",
+                               "--in", str(src), "--out", str(dst), *seed)
+        assert code == 1 and not dst.exists()
+        assert err.splitlines() == ["error: key sets bits past coordinate 4"]
+
 
 class TestReduceCommand:
     def test_reduce_file_round_trip(self, tmp_path, capsys):
@@ -287,9 +309,18 @@ def _fuzz_files(tmp_path):
                                       b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
                                       b'"leaf_labels": {"1,0": "00|1"}}'),
                        ("NZERO", b'{"n": 0, "m": 1, "layer_sizes": [1, 1], '
-                                 b'"transitions": [[[0, 0]]], "leaf_labels": {"1,0": "|"}}')]:
+                                 b'"transitions": [[[0, 0]]], "leaf_labels": {"1,0": "|"}}'),
+                       ("LEAFNEG", b'{"n": 1, "m": 0, "layer_sizes": [1], "transitions": [], '
+                                   b'"leaf_labels": {"0,0": "0|", "-1,0": "0|"}}')]:
         files[name] = tmp_path / name.lower()
         files[name].write_bytes(data)
+    # a label at a vertex the program lacks: past a layer, past the last
+    # layer, and past the width of the last (leaf) layer
+    for name, key in [("LEAFVERTEX", "0,5"), ("LEAFLAYER", "2,0"), ("LEAFPHANTOM", "1,3")]:
+        doc = {"n": 1, "m": 1, "layer_sizes": [1, 1], "transitions": [[[0, 0, 0, 0]]],
+               "leaf_labels": {"1,0": "0|", key: "0|"}}
+        files[name] = tmp_path / name.lower()
+        files[name].write_text(json.dumps(doc))
     program = random_program(2, 1, 2, np.random.default_rng(0))
     files["PROGRAM"] = tmp_path / "program.json"
     files["PROGRAM"].write_text(json.dumps(to_json_dict(program)))
@@ -331,6 +362,10 @@ FUZZ_CASES = [
     ["reduce", "--in", "BADLABEL", "--r", "2"],
     ["reduce", "--in", "SHORTLABEL", "--r", "2"],
     ["reduce", "--in", "NZERO", "--r", "0"],
+    ["reduce", "--in", "LEAFVERTEX", "--r", "1"],
+    ["reduce", "--in", "LEAFLAYER", "--r", "1"],
+    ["reduce", "--in", "LEAFPHANTOM", "--r", "1"],
+    ["reduce", "--in", "LEAFNEG", "--r", "1"],
     ["tradeoff", "--bogus"],
     ["tradeoff", "--n", "x", "--seed", "1"],
     ["tradeoff", "--n", "3", "--seed", "1", "--learners", "nope"],

@@ -1,8 +1,11 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import scaled_power_reach_bound
 
 from paritylab.bp import BranchingProgram, forward_tables, validate_affine
 from paritylab.generators import (
@@ -36,6 +39,32 @@ class TestBoundFormula:
         t = n - k
         exact = Fraction(m ** t) * Fraction(2) ** (t * (n - 2 * k) - t * (t - 1) // 2)
         assert reach_probability_bound(n, m, k) == float(exact)
+
+    def test_matches_scaled_power_oracle(self):
+        """Equal, bit for bit, to building m^t and scaling it: every k up
+        to n = 120, which reaches past both ends of the float range and
+        into the subnormals."""
+        seen = set()
+        for m in (1, 2, 3, 7, 10 ** 6):
+            for n in range(1, 121):
+                for k in range(n):
+                    want = scaled_power_reach_bound(n, m, k)
+                    assert reach_probability_bound(n, m, k) == want, (n, m, k)
+                    seen.add("inf" if want == math.inf else "zero" if want == 0.0
+                             else "subnormal" if want < sys.float_info.min else "normal")
+        assert seen == {"inf", "zero", "subnormal", "normal"}
+
+    @pytest.mark.parametrize("k,want", [(0, math.inf), (15000, 0.0)])
+    def test_out_of_range_without_the_power(self, k, want):
+        """Far past the float range the answer comes without building
+        2^30000 or shifting it by the exponent (57 and 14 MiB otherwise)."""
+        tracemalloc.start()
+        try:
+            got = reach_probability_bound(30000, 2, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 1 << 20
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):

@@ -32,9 +32,11 @@ bound.  --claim tests each named workload metric at each seed against
 the rule "wins >= 9 of 10 pairs and the gap between the medians exceeds
 the parent's IQR", and fails a claim whose change side failed more jobs
 than the parent or had an incorrect run; --aa
-runs the parent against itself the same way, as a noise control.  After
-each pair, a progress line on stderr gives both sides' values of every
---claim metric of the running workload, or of wall_s if it has none.
+runs the parent against itself the same way, as a noise control.  The
+file also holds each side's src_lines, the line count of its .py files
+under src/paritylab/.  After each pair, a progress line on stderr gives
+both sides' values of every --claim metric of the running workload, or
+of wall_s if it has none.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def extract(data: bytes, where: Path) -> None:
     where.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(where, filter="data")
+
+
+def src_lines(data: bytes) -> int:
+    """The newlines (wc -l) of the .py files under src/paritylab/ in an
+    archive."""
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        return sum(tar.extractfile(member).read().count(b"\n") for member in tar
+                   if member.isfile() and member.name.startswith("src/paritylab/")
+                   and member.name.endswith(".py"))
 
 
 def run_once(where: Path, workload: str, seed: int) -> dict:
@@ -268,6 +279,7 @@ def main() -> int:
         "change": args.note,
         "parent_commit": revs["parent"],
         "change_commit": revs["change"],
+        "src_lines": {side: src_lines(blob) for side, blob in data.items()},
         "command": "python3 paritybench/run.py --workload W --seed S --seconds 30 --trace 0",
         "method": (f"{args.pairs} alternating parent/change pairs per workload and seed "
                    "(tools/bench_pairs.py); see its docstring"),
