@@ -309,16 +309,15 @@ def _fuzz_files(tmp_path):
                                       b'"transitions": [[[0, 0, 0, 0, 0, 0, 0, 0]]], '
                                       b'"leaf_labels": {"1,0": "00|1"}}'),
                        ("NZERO", b'{"n": 0, "m": 1, "layer_sizes": [1, 1], '
-                                 b'"transitions": [[[0, 0]]], "leaf_labels": {"1,0": "|"}}'),
-                       ("LEAFNEG", b'{"n": 1, "m": 0, "layer_sizes": [1], "transitions": [], '
-                                   b'"leaf_labels": {"0,0": "0|", "-1,0": "0|"}}')]:
+                                 b'"transitions": [[[0, 0]]], "leaf_labels": {"1,0": "|"}}')]:
         files[name] = tmp_path / name.lower()
         files[name].write_bytes(data)
-    # a label at a vertex the program lacks: past a layer, past the last
-    # layer, and past the width of the last (leaf) layer
-    for name, key in [("LEAFVERTEX", "0,5"), ("LEAFLAYER", "2,0"), ("LEAFPHANTOM", "1,3")]:
-        doc = {"n": 1, "m": 1, "layer_sizes": [1, 1], "transitions": [[[0, 0, 0, 0]]],
-               "leaf_labels": {"1,0": "0|", key: "0|"}}
+    # a label at a vertex the program lacks: past a layer's width, past the
+    # last layer, past the last (leaf) layer's width, and before layer 0
+    for name, m, key in [("LEAFVERTEX", 1, "0,5"), ("LEAFLAYER", 1, "2,0"),
+                         ("LEAFPHANTOM", 1, "1,3"), ("LEAFNEG", 0, "-1,0")]:
+        doc = {"n": 1, "m": m, "layer_sizes": [1] * (m + 1), "transitions": [[[0] * 4]] * m,
+               "leaf_labels": {f"{m},0": "0|", key: "0|"}}
         files[name] = tmp_path / name.lower()
         files[name].write_text(json.dumps(doc))
     program = random_program(2, 1, 2, np.random.default_rng(0))
