@@ -67,6 +67,8 @@ def key_from_hex(text: str, n: int) -> BitVector:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.r is not None and args.n is None:
+        build_parser().error("--r needs --n")
     report = run_all_suites(args.seed, args.trials, ns=(args.n,) if args.n else None,
                             rs=None if args.r is None else (args.r,))
     emit_report(report, args.out)
@@ -102,41 +104,48 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.c is not None:
-        report = tradeoff_exponent(args.c, args.alpha, args.n)
-        emit_report(report, args.out)
-        return 0
-    _write_text(f"{reach_probability_bound(args.n, args.m, args.k)}\n", args.out)
+    if args.c is None and (args.k is None or args.m is None):
+        build_parser().error("bounds needs either --k and --m, or --c and --alpha")
+    if args.c is None:
+        _write_text(f"{reach_probability_bound(args.n, args.m, args.k)}\n", args.out)
+    elif args.alpha is None:
+        build_parser().error("--c needs --alpha")
+    else:
+        emit_report(tradeoff_exponent(args.c, args.alpha, args.n), args.out)
     return 0
 
 
-def _cmd_crypto(args) -> int:
-    if args.crypto_cmd == "keygen":
-        key = crypto.keygen(args.n, derived_rng(args.seed, 1))
-        emit_report({"n": key.n, "key": key_to_hex(key.x)}, args.out)
-        return 0
-    if args.crypto_cmd == "encrypt":
-        key = crypto.SecretKey(args.n, key_from_hex(args.key, args.n))
-        with open(args.infile, "rb") as fh:
-            plaintext = fh.read()
-        blob = crypto.encode_stream(key, plaintext, derived_rng(args.seed, 2))
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-        return 0
-    if args.crypto_cmd == "decrypt":
-        key = crypto.SecretKey(args.n, key_from_hex(args.key, args.n))
-        with open(args.infile, "rb") as fh:
-            blob = fh.read()
-        plaintext = crypto.decode_stream(key, blob)
-        with open(args.out, "wb") as fh:
-            fh.write(plaintext)
-        return 0
-    if args.crypto_cmd == "attack":
-        attacker = crypto.window_attacker(args.n, args.memory_bits)
-        report = crypto.run_attack(attacker, args.m, args.trials, derived_rng(args.seed, 3))
-        emit_report(report.to_dict(), args.out)
-        return 0
-    raise ValueError(f"unknown crypto subcommand {args.crypto_cmd!r}")
+def _cmd_keygen(args) -> int:
+    key = crypto.keygen(args.n, derived_rng(args.seed, 1))
+    emit_report({"n": key.n, "key": key_to_hex(key.x)}, args.out)
+    return 0
+
+
+def _code_file(args, code: Callable[[crypto.SecretKey, bytes], bytes]) -> int:
+    """crypto encrypt and decrypt: code the --in file's bytes under the
+    --key of length --n, then write them to --out."""
+    key = crypto.SecretKey(args.n, key_from_hex(args.key, args.n))
+    with open(args.infile, "rb") as fh:
+        data = code(key, fh.read())
+    with open(args.out, "wb") as fh:
+        fh.write(data)
+    return 0
+
+
+def _cmd_encrypt(args) -> int:
+    return _code_file(args, lambda key, plaintext: crypto.encode_stream(
+        key, plaintext, derived_rng(args.seed, 2)))
+
+
+def _cmd_decrypt(args) -> int:
+    return _code_file(args, crypto.decode_stream)
+
+
+def _cmd_attack(args) -> int:
+    attacker = crypto.window_attacker(args.n, args.memory_bits)
+    report = crypto.run_attack(attacker, args.m, args.trials, derived_rng(args.seed, 3))
+    emit_report(report.to_dict(), args.out)
+    return 0
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -152,6 +161,13 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process (parsing leaves it unchanged)."""
@@ -159,93 +175,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="paritylab",
         description="memory-bounded parity learning laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    n = _parent("--n", type=_at_least(1), required=True)
+    seed = _parent("--seed", type=_at_least(0), required=True)
+    out = _parent("--out", default=None)
 
-    p = sub.add_parser("verify-lemmas", help="run the property suites")
+    p = sub.add_parser("verify-lemmas", parents=[seed, out], help="run the property suites")
     # the reduction suite's r = n/2 + 1 must not exceed n
     p.add_argument("--n", type=_at_least(2), default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_lemmas)
 
-    p = sub.add_parser("reduce", help="simulate a program by an affine one")
+    p = sub.add_parser("reduce", parents=[out], help="simulate a program by an affine one")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("tradeoff", help="sample-complexity sweep to CSV")
-    p.add_argument("--n", type=_at_least(1), required=True)
+    p = sub.add_parser("tradeoff", parents=[n, seed, out], help="sample-complexity sweep to CSV")
     p.add_argument("--learners", default="gaussian,prefix,exhaustive")
     p.add_argument("--target", type=float, default=0.9)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--m-cap", type=int, default=1 << 16)
-    p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tradeoff)
 
-    p = sub.add_parser("bounds", help="reach-probability bound / exponent tables")
-    p.add_argument("--n", type=_at_least(1), required=True)
+    p = sub.add_parser("bounds", parents=[n, out], help="reach-probability bound / exponent tables")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("crypto", help="bounded-storage encryption tools")
     csub = p.add_subparsers(dest="crypto_cmd", required=True)
-
-    c = csub.add_parser("keygen")
-    c.add_argument("--n", type=_at_least(1), required=True)
-    c.add_argument("--seed", type=_at_least(0), required=True)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_crypto)
-
-    c = csub.add_parser("encrypt")
-    c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_at_least(1), required=True)
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=_at_least(0), required=True)
-    c.set_defaults(func=_cmd_crypto)
-
-    c = csub.add_parser("decrypt")
-    c.add_argument("--key", required=True)
-    c.add_argument("--n", type=_at_least(1), required=True)
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=_cmd_crypto)
-
-    c = csub.add_parser("attack")
-    c.add_argument("--n", type=_at_least(1), required=True)
+    csub.add_parser("keygen", parents=[n, seed, out]).set_defaults(func=_cmd_keygen)
+    # encrypt and decrypt read --in and write --out, both files
+    files = argparse.ArgumentParser(add_help=False, parents=[n])
+    files.add_argument("--key", required=True)
+    files.add_argument("--in", dest="infile", required=True)
+    files.add_argument("--out", required=True)
+    csub.add_parser("encrypt", parents=[files, seed]).set_defaults(func=_cmd_encrypt)
+    csub.add_parser("decrypt", parents=[files]).set_defaults(func=_cmd_decrypt)
+    c = csub.add_parser("attack", parents=[n, seed, out])
     c.add_argument("--memory-bits", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--trials", type=int, default=2000)
-    c.add_argument("--seed", type=_at_least(0), required=True)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_crypto)
-
+    c.set_defaults(func=_cmd_attack)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "bounds":
-            if args.c is None and (args.k is None or args.m is None):
-                parser.error("bounds needs either --k and --m, or --c and --alpha")
-            if args.c is not None and args.alpha is None:
-                parser.error("--c needs --alpha")
-        if args.command == "verify-lemmas" and args.r is not None and args.n is None:
-            parser.error("--r needs --n")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # a usage error, from argparse or a handler
+        return exc.code if isinstance(exc.code, int) else 2
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gf2 import (
-    MAX_SUBSPACE_DIM,
     AffineSubspace,
     BitVector,
     _reduce,
@@ -29,7 +28,7 @@ from .gf2 import (
     solve_affine_system,
 )
 from .generators import _Words
-from .learners import Learner, _check_run_size, _decode_rows, run_learner, wilson_interval
+from .learners import Learner, _check_run, _decode_rows, run_learner, wilson_interval
 
 MAGIC = b"BSC1"
 VERSION = 1
@@ -301,10 +300,8 @@ def run_attack(attacker: Learner, m: int, trials: int,
     any other attacker, an over-budget window included, is stepped
     through run_learner.
     """
-    _check_run_size(m, trials)
+    _check_run(attacker, m, trials)
     n = attacker.n
-    if n > MAX_SUBSPACE_DIM:
-        raise ValueError(f"attack harness supports n <= {MAX_SUBSPACE_DIM}")
     if isinstance(attacker, WindowAttacker) and attacker.capacity * (n + 1) <= attacker.memory_bits:
         solve, window = attacker.solve, min(m, attacker.capacity)
     else:

@@ -360,11 +360,16 @@ def run_learner(learner: Learner, x: int, a_stream: list[int]) -> int:
 BATCH_CELLS = 1 << 20
 
 
-def _check_run_size(m: int, trials: int) -> None:
+def _check_run(learner: Learner, m: int, trials: int) -> None:
+    """The run check of simulate_success and crypto.run_attack: a trial
+    or more, m >= 0, and n within gf2's MAX_SUBSPACE_DIM."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    if learner.n > MAX_SUBSPACE_DIM:
+        raise ValueError(f"dimension {learner.n} exceeds the Monte Carlo harnesses' "
+                         f"n <= {MAX_SUBSPACE_DIM}")
 
 
 def _point(out: AffineSubspace) -> int:
@@ -379,11 +384,8 @@ def simulate_success(learner: Learner, m: int, trials: int,
     one call as a (trials, m + 1) block whose rows, in trial order, hold a
     trial's key, then its m samples, and run through learner.batch if set.
     """
-    _check_run_size(m, trials)
-    n = learner.n
-    if n > MAX_SUBSPACE_DIM:
-        raise ValueError(f"learner dimension {n} exceeds {MAX_SUBSPACE_DIM}")
-    size = 1 << n
+    _check_run(learner, m, trials)
+    size = 1 << learner.n
     per_batch = max(1, BATCH_CELLS // max(m, 1))
     hits = 0
     for start in range(0, trials, per_batch):
@@ -422,31 +424,28 @@ def estimate_sample_complexity(learner: Learner, target: float,
     if m_cap < 1:
         raise ValueError(f"m_cap must be at least 1, got {m_cap}")
 
-    def lower_bound(m: int) -> tuple[float, float, float]:
+    probes: dict[int, tuple[float, float]] = {}  # m -> (success, CI half-width), last probe
+
+    def reaches(m: int) -> bool:
         hits = simulate_success(learner, m, trials, rng)
         lo, hi = wilson_interval(hits, trials)
-        return lo, hits / trials, (hi - lo) / 2
+        probes[m] = hits / trials, (hi - lo) / 2
+        return lo >= target
 
     m = 1
-    lo, success, half = lower_bound(m)
-    while lo < target:
+    while not reaches(m):
         if m >= m_cap:
             return TradeoffPoint(learner.name, learner.n, learner.memory_bits,
-                                 m_cap, success, half, seed, capped=True)
+                                 m, *probes[m], seed, capped=True)
         m = min(m * 2, m_cap)
-        lo, success, half = lower_bound(m)
     low, high = max(1, m // 2), m
-    best = (m, success, half)
-    while low < high:
+    while low < high:  # every probe here is below high, so probes[high] is its last
         mid = (low + high) // 2
-        lo, success, half = lower_bound(mid)
-        if lo >= target:
+        if reaches(mid):
             high = mid
-            best = (mid, success, half)
         else:
             low = mid + 1
-    return TradeoffPoint(learner.name, learner.n, learner.memory_bits,
-                         best[0], best[1], best[2], seed)
+    return TradeoffPoint(learner.name, learner.n, learner.memory_bits, high, *probes[high], seed)
 
 
 def rank_success_probability(n: int, m: int) -> float:

@@ -38,6 +38,11 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
         return math.inf
     if log2_bound < -1100:
         return 0.0
+    if m & (m - 1) == 0:  # m = 2^j: the bound is 2^(j t + exponent), rounded by ldexp alone
+        try:
+            return math.ldexp(1.0, (m.bit_length() - 1) * t + exponent)
+        except OverflowError:
+            return math.inf
     power = m ** t
     try:
         return math.ldexp(float(power), exponent)

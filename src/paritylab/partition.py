@@ -136,13 +136,15 @@ class _RunningTable:
 _TABLE_MIN_IDS = 4
 
 
-def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
-                   r: float) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float], r: float,
+                   max_rounds: int | None = None,
+                   ) -> tuple[list[tuple[list[int], list[int]]], list[int]] | None:
     """build_partition on members given by their key ids and masses.
 
     Returns, per round, the chosen key ids of the representative and the
     indices of the members it takes, in member order, and the indices
-    of the residual members.
+    of the residual members; None, before the round is built, once the
+    members need more than max_rounds rounds.
 
     Each round runs find_representative_subspace's recursion on the live
     members, renormalized by their total (summed in member order), and
@@ -188,6 +190,8 @@ def _partition_ids(n: int, keys: list[frozenset[int]], probs: list[float],
     while (total := sum(masses)) > target:
         if len(rounds) >= round_cap:
             raise RuntimeError(f"partition failed to converge within {round_cap} rounds")
+        if len(rounds) == max_rounds:
+            return None
         if table is None:
             ids = [j for j, alive in enumerate(live) if alive]
             chosen, inside = _find_ids(n, [keys[j] for j in ids],

@@ -29,6 +29,7 @@ from .bp import (
     success_probability,
     validate_affine,
 )
+from .config import dp_budget, state_budget
 from .distributions import BoundCheck, check_r, uniform_rows
 from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
 from .partition import _partition_ids, group_count_bound
@@ -97,7 +98,7 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     marginals need to be carried between layers.  Raises BudgetExceeded
     when a reduced layer's width times its 2^{n+1} out-edges exceeds the
     state budget, or times 4^n and m the DP budget that verify_reduction
-    runs under.
+    runs under, in the partition round that takes the layer past either.
 
     Subspaces work as point masks (see gf2.point_mask) here: a mask is
     the exact hash key of a non-empty subspace, so every dict below keeps
@@ -127,10 +128,13 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     group_counts: list[tuple[int, ...]] = []
     transitions: list[tuple[tuple[int, ...], ...]] = []
 
+    _check_width(1, n, m, 0)  # layer 0, the start vertex
     for j in range(1, m + 1):
         prev_gamma = gamma[j - 1]
         prev_q = marginals[j - 1]
         b_size = bp.layer_sizes[j]
+        cap = _width_cap(n, m, j)
+        _check_width(b_size, n, m, j)  # each vertex of the layer keeps a catch-all
 
         # Idealized one-step propagation: from vertex u with marginal q(u),
         # drawing a uniform and b = a.y with y uniform on label(u) puts
@@ -138,7 +142,6 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
         # label(u) ∩ {a.x = b}; consistent constraints keep probability
         # 1 (dimension preserved) or 1/2 (dimension drops).  The mass
         # dicts are keyed by edge mask, in (u, a, b) order.
-        _check_layer_edges(len(label_masks), n, j - 1)
         mass: list[dict[int, float]] = [dict() for _ in range(b_size)]
         edges: list[tuple[tuple[int, ...], list[tuple[int, float]]]] = []
         for u, lab in enumerate(label_masks):
@@ -182,7 +185,12 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
                     if ids is None:
                         ids = key_ids[e] = mask_keys(e, even)
                     keys.append(ids)
-                rounds, residual = _partition_ids(n, keys, probs, r)
+                # this vertex's catch-all and those of the vertices after
+                # it are still to come: refuse the round that passes cap
+                part = _partition_ids(n, keys, probs, r, cap - len(new_labels) - (b_size - v))
+                if part is None:
+                    _check_width(cap + 1, n, m, j)
+                rounds, residual = part
                 group_masses = []
                 for chosen, taken in rounds:
                     rep = keys_mask(even, chosen)
@@ -207,9 +215,6 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
             new_gamma.append(v)
             new_q.append(max(star_mass, 0.0))
             counts.append(len(reps))
-        # verify_reduction runs the DP on the reduced program: stop at the
-        # first layer that puts it over the DP budget.
-        _check_dp_cost(len(new_labels), n, m)
 
         # An edge mask of zero idealized mass is in no slot_of: it goes
         # to the earliest representative containing it (the scan
@@ -236,6 +241,22 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     reduction = AffineReduction(labelled_program(n, transitions, labels), labels, tuple(gamma),
                                 tuple(marginals), tuple(group_counts), r)
     return replace(reduction, report=verify_reduction(bp, reduction))
+
+
+def _width_cap(n: int, m: int, j: int) -> int:
+    """The most vertices reduced layer j may hold: one more fails
+    _check_width."""
+    cap = dp_budget() // (4 ** n * max(m, 1))
+    return cap if j == m else min(cap, state_budget() // (2 << n))
+
+
+def _check_width(width: int, n: int, m: int, j: int) -> None:
+    """Raise BudgetExceeded when reduced layer j's width puts the DP that
+    verify_reduction runs over its budget or, for j < m, the layer's
+    out-edges over the state budget."""
+    _check_dp_cost(width, n, m)
+    if j < m:
+        _check_layer_edges(width, n, j)
 
 
 def _ideal_joint(marginals: tuple[float, ...], rows: np.ndarray) -> np.ndarray:

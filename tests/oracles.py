@@ -33,7 +33,9 @@ scalar rng.integers call per key, a_{m+1} and mask.  The Monte Carlo draw
 reference draws per trial the key, then its m sample vectors, in two
 calls.  The Walsh reference runs each butterfly stage one block at a
 time.  The reach-bound reference builds m^(n-k) whatever its size and
-scales it by 2^exponent, as a float when it can.  All are kept
+scales it by 2^exponent, as a float when it can.  The sample-complexity
+reference carries the last probe's (lower bound, success, half-width)
+and the best bisection probe by hand.  All are kept
 deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
@@ -73,7 +75,7 @@ from paritylab.gf2 import (
     lowest_set_bit,
     parity,
 )
-from paritylab.learners import run_learner, wilson_interval
+from paritylab.learners import TradeoffPoint, run_learner, simulate_success, wilson_interval
 from paritylab.partition import PartitionGroup, SubspacePartition
 
 
@@ -693,3 +695,38 @@ def scaled_power_reach_bound(n, m, k):
         return (power << max(exponent, 0)) / (1 << max(-exponent, 0))
     except OverflowError:
         return math.inf
+
+
+def bracketed_sample_complexity(learner, target, rng, trials=2000, m_cap=1 << 16, seed=0):
+    """Reference learners.estimate_sample_complexity: the doubling search
+    and the bisection each carry their probe's figures by hand."""
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0,1), got {target}")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be at least 1, got {m_cap}")
+
+    def lower_bound(m):
+        hits = simulate_success(learner, m, trials, rng)
+        lo, hi = wilson_interval(hits, trials)
+        return lo, hits / trials, (hi - lo) / 2
+
+    m = 1
+    lo, success, half = lower_bound(m)
+    while lo < target:
+        if m >= m_cap:
+            return TradeoffPoint(learner.name, learner.n, learner.memory_bits,
+                                 m_cap, success, half, seed, capped=True)
+        m = min(m * 2, m_cap)
+        lo, success, half = lower_bound(m)
+    low, high = max(1, m // 2), m
+    best = (m, success, half)
+    while low < high:
+        mid = (low + high) // 2
+        lo, success, half = lower_bound(mid)
+        if lo >= target:
+            high = mid
+            best = (mid, success, half)
+        else:
+            low = mid + 1
+    return TradeoffPoint(learner.name, learner.n, learner.memory_bits,
+                         best[0], best[1], best[2], seed)

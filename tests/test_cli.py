@@ -296,6 +296,24 @@ class TestErrorPaths:
         assert code == 1 and "error:" in err
 
 
+# (file token, field, its value or None to leave it out, the error line)
+MALFORMED_PROGRAMS = [
+    ("SIZECOUNT", "layer_sizes", [1], "need m+1 layer sizes"),
+    ("EMPTYLAYER", "layer_sizes", [1, 0], "layers must be non-empty"),
+    ("NOLAYERS", "transitions", [], "need transition tables for layers 0..m-1"),
+    ("ROWCOUNT", "transitions", [[[0] * 4, [0] * 4]], "layer 0 transition count mismatch"),
+    ("INNERLABEL", "leaf_labels", {"1,0": "0|", "0,0": "0|"},
+     "non-leaf (0,0) carries an output label"),
+    ("NOLABELS", "leaf_labels", None, "program JSON lacks the field 'leaf_labels'"),
+    ("FLOATM", "m", 1.5,
+     "program JSON field 'm' is malformed: expected an integer, got 1.5"),
+    ("LABELBITS", "leaf_labels", {"1,0": "2|"},
+     "program JSON field 'leaf_labels' is malformed: not a 0/1 string: '2'"),
+    ("LABELBAR", "leaf_labels", {"1,0": "0"},
+     "program JSON field 'leaf_labels' is malformed: malformed subspace text: '0'"),
+]
+
+
 def _fuzz_files(tmp_path):
     files = {"MISSING": tmp_path / "missing.json"}
     for name, data in [("EMPTY", b""), ("TEXT", b"not json\n"), ("BINARY", b"\x00\x01\xffgarbage"),
@@ -318,6 +336,15 @@ def _fuzz_files(tmp_path):
                          ("LEAFPHANTOM", 1, "1,3"), ("LEAFNEG", 0, "-1,0")]:
         doc = {"n": 1, "m": m, "layer_sizes": [1] * (m + 1), "transitions": [[[0] * 4]] * m,
                "leaf_labels": {f"{m},0": "0|", key: "0|"}}
+        files[name] = tmp_path / name.lower()
+        files[name].write_text(json.dumps(doc))
+    # one structural or field defect each in a one-layer n = 1 program
+    base = {"n": 1, "m": 1, "layer_sizes": [1, 1], "transitions": [[[0] * 4]],
+            "leaf_labels": {"1,0": "0|"}}
+    for name, field, value, _ in MALFORMED_PROGRAMS:
+        doc = {key: val for key, val in base.items() if key != field}
+        if value is not None:
+            doc[field] = value
         files[name] = tmp_path / name.lower()
         files[name].write_text(json.dumps(doc))
     program = random_program(2, 1, 2, np.random.default_rng(0))
@@ -530,8 +557,9 @@ class TestFuzzGuard:
 
     def test_reduce_dp_budget_stops_early(self, tmp_path, capsys, monkeypatch):
         """Reduced widths 1, 6, 9, 20 at n = 2, m = 3 cost 48, 288, 432 and
-        960 DP cells: a budget of 300 passes layer 1 and stops the
-        reduction at layer 2, before the later layers are built."""
+        960 DP cells: a budget of 300 (6 vertices) passes layer 1 and stops
+        the reduction in the partition round that gives layer 2 its
+        seventh vertex (336 cells), before the rest of the layer is built."""
         program = random_program(2, 3, 3, np.random.default_rng(1))
         src, out = tmp_path / "program.json", tmp_path / "out"
         src.write_text(json.dumps(to_json_dict(program)))
@@ -539,7 +567,16 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, "reduce", "--in", str(src), "--r", "2", "--out", str(out))
         assert code == 1 and not out.exists()
         assert err.splitlines() == [
-            "error: exact DP cost 432 exceeds budget 300; set PARITYLAB_DP_BUDGET to override"]
+            "error: exact DP cost 336 exceeds budget 300; set PARITYLAB_DP_BUDGET to override"]
+
+    @pytest.mark.parametrize("case", MALFORMED_PROGRAMS, ids=lambda case: case[0])
+    def test_malformed_program_named(self, tmp_path, capsys, case):
+        """Each defect of a reduce --in file is one error line naming it."""
+        name, *_, message = case
+        files = _fuzz_files(tmp_path)
+        code, out, err = run_cli(capsys, "reduce", "--in", str(files[name]), "--r", "1")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_parser_built_once(self):
         parser = build_parser()

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import per_trial_draws
+from oracles import bracketed_sample_complexity, per_trial_draws
 
 from paritylab.bp import output_dimension_distribution, success_probability
 from paritylab.config import BudgetExceeded
@@ -388,6 +388,25 @@ class TestSampleComplexity:
         for L in (gaussian_learner(4), prefix_pivot_learner(4), exhaustive_learner(4)):
             ms.append(estimate_sample_complexity(L, 0.8, rng, trials=400).m)
         assert ms[0] <= ms[1] <= ms[2]
+
+    @pytest.mark.parametrize("factory", [gaussian_learner, prefix_pivot_learner,
+                                         exhaustive_learner])
+    def test_matches_bracketed_oracle(self, factory):
+        """The same TradeoffPoint and generator end state as the reference
+        that carries each probe's figures by hand: n 1-4, three targets,
+        m_cap 1, 3, 7 and 64 (capped answers among them), two trial
+        counts and three seeds, 288 cases per learner."""
+        capped = set()
+        for n, target, m_cap, trials, seed in itertools.product(
+                range(1, 5), (0.5, 0.9, 0.99), (1, 3, 7, 64), (20, 90), range(3)):
+            learner = factory(n)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            point = estimate_sample_complexity(learner, target, rng, trials, m_cap, seed)
+            want = bracketed_sample_complexity(learner, target, ref, trials, m_cap, seed)
+            assert point == want, (n, target, m_cap, trials, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            capped.add(point.capped)
+        assert capped == {False, True}
 
     def test_csv_row(self):
         from paritylab.learners import TradeoffPoint

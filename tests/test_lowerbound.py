@@ -66,6 +66,32 @@ class TestBoundFormula:
             tracemalloc.stop()
         assert got == want and peak < 1 << 20
 
+    def test_power_of_two_matches_scaled_power_oracle(self):
+        """m = 2^j goes through ldexp alone, equal, bit for bit, to
+        building m^t and scaling it: every k up to n = 150 for seven
+        powers of two, through inf, 0.0, subnormal and normal results."""
+        seen = set()
+        for m in (1, 2, 4, 8, 1 << 10, 1 << 20, 1 << 64):
+            for n in range(1, 151):
+                for k in range(n):
+                    want = scaled_power_reach_bound(n, m, k)
+                    assert reach_probability_bound(n, m, k) == want, (n, m, k)
+                    seen.add("inf" if want == math.inf else "zero" if want == 0.0
+                             else "subnormal" if want < sys.float_info.min else "normal")
+        assert seen == {"inf", "zero", "subnormal", "normal"}
+
+    def test_power_of_two_in_range_without_the_power(self):
+        """With m = 2 and n = 3k - 3 the bound is exactly 1.0: it comes
+        without building 2^t (1.5 MiB at n = 3 * 10^6 otherwise)."""
+        n = 3 * 10 ** 6
+        tracemalloc.start()
+        try:
+            got = reach_probability_bound(n, 2, n // 3 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1.0 and peak < 64 << 10
+
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             reach_probability_bound(4, 2, 4)

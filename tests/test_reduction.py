@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from paritylab.bp import (
     to_json_dict,
     validate_affine,
 )
+from paritylab.config import BudgetExceeded
 from paritylab.distributions import uniform_rows
 from paritylab.generators import random_program
 from paritylab.gf2 import AffineSubspace, intersect_hyperplane
@@ -325,6 +327,78 @@ class TestInductiveTracking:
         red = reduce_to_affine(bp, 2.0)
         doc = json.loads(json.dumps(red.report.to_dict()))
         assert doc["all_ok"] is True
+
+
+# (n, m, width, seed, r) of light reductions whose reduced layers widen
+# several-fold over the program's: widths (1, 6, 9, 20), (1, 19, 48, 22),
+# (1, 17, 80), (1, 20, 104) and (1, 4, 15).  The last one's inner layer
+# is too narrow to cross a state cap mid-layer.
+BUDGET_CASES = [(2, 3, 3, 1, 2.0), (3, 3, 4, 2, 3.0), (4, 2, 3, 1, 4.0), (3, 2, 6, 5, 3.0),
+                (3, 2, 4, 1, 3.0)]
+
+
+def _crossings(bp, widths, last):
+    """(layer j, cap) per reduced layer j <= last that some cap makes the
+    first one past it, with the layer at least two vertices wider than the
+    cap: the smallest such cap, the largest and one between."""
+    out = []
+    for j in range(1, last + 1):
+        low = max(bp.width, *widths[:j])
+        if widths[j] >= low + 2:
+            out += [(j, cap) for cap in sorted({low, (low + widths[j] - 2) // 2, widths[j] - 2})]
+    assert out
+    return out
+
+
+class TestRoundBudgets:
+    """The budgets refuse a reduced layer in the partition round that takes
+    it one vertex past them, before the rest of the layer is partitioned."""
+
+    @pytest.mark.parametrize("n, m, width, seed, r", BUDGET_CASES)
+    def test_dp_refusal_within_one_vertex(self, monkeypatch, n, m, width, seed, r):
+        bp = random_program(n, m, width, np.random.default_rng(seed))
+        widths = reduce_to_affine(bp, r).program.layer_sizes
+        unit = 4 ** n * m
+        for j, cap in _crossings(bp, widths, m):
+            budget = cap * unit + unit // 2
+            monkeypatch.setenv("PARITYLAB_DP_BUDGET", str(budget))
+            with pytest.raises(BudgetExceeded) as info:
+                reduce_to_affine(bp, r)
+            cost = int(re.fullmatch(rf"exact DP cost (\d+) exceeds budget {budget}; "
+                                    "set PARITYLAB_DP_BUDGET to override", str(info.value))[1])
+            assert budget < cost <= budget + unit, (j, cap, cost)
+
+    @pytest.mark.parametrize("n, m, width, seed, r", BUDGET_CASES[:-1])
+    def test_state_refusal_within_one_vertex(self, monkeypatch, n, m, width, seed, r):
+        bp = random_program(n, m, width, np.random.default_rng(seed))
+        widths = reduce_to_affine(bp, r).program.layer_sizes
+        degree = 2 << n
+        for j, cap in _crossings(bp, widths, m - 1):
+            monkeypatch.setenv("PARITYLAB_STATE_BUDGET", str(cap * degree + degree // 2))
+            with pytest.raises(BudgetExceeded, match=rf"^{cap + 1} vertices x {degree} edges "
+                               rf"in layer {j} exceeds the state budget; "):
+                reduce_to_affine(bp, r)
+
+    def test_state_refusal_at_the_start_vertex(self, monkeypatch):
+        """Layer 0's one vertex and its 2^(n+1) out-edges are checked
+        first; a program of length 0 has no out-edges to check."""
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", "4")
+        bp = random_program(2, 2, 3, np.random.default_rng(0))
+        with pytest.raises(BudgetExceeded, match="^1 vertices x 8 edges in layer 0 exceeds "):
+            reduce_to_affine(bp, 2.0)
+        start = BranchingProgram(2, 0, (1,), (), {(0, 0): AffineSubspace.full(2)})
+        assert reduce_to_affine(start, 2.0).program.layer_sizes == (1,)
+
+    @pytest.mark.parametrize("n, m, width, seed, r", BUDGET_CASES)
+    def test_budgets_at_the_widest_layer_change_nothing(self, monkeypatch, n, m, width, seed, r):
+        bp = random_program(n, m, width, np.random.default_rng(seed))
+        red = reduce_to_affine(bp, r)
+        widths = red.program.layer_sizes
+        monkeypatch.setenv("PARITYLAB_DP_BUDGET", str(max(widths) * 4 ** n * m))
+        monkeypatch.setenv("PARITYLAB_STATE_BUDGET", str(max(widths[:m]) * (2 << n)))
+        tight = reduce_to_affine(bp, r)
+        assert tight == red
+        assert tight.report.to_dict() == red.report.to_dict()
 
 
 def test_builtin_sum_adds_in_order():
