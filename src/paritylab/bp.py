@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -189,15 +189,17 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
 
 
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_scatter_layer's edge table 2a + a.x, built per call, and one
-    chunk's index and weight buffers, shaped views of _chunk_buffers.  A
-    chunk is `verts` whole vertices (n <= 7) or `span` sample vectors of
-    one vertex, as (vertex, a, x) cells."""
+    """_scatter_layer's edge table 2i + i.x over the block of sample
+    vectors i < span and the keys x < 2^n (one byte an entry, at most
+    2^14 entries at every n), built per call, and one chunk's index and
+    weight buffers, shaped views of _chunk_buffers.  A chunk is `verts`
+    whole vertices (n <= 7, where span = 2^n) or one block of `span`
+    sample vectors of one vertex, as (vertex, a, x) cells."""
     size = 1 << n
-    a = np.arange(size, dtype=np.min_scalar_type((2 << n) - 1))
-    edge = (a[:, None] << 1) | (np.bitwise_count(a[:, None] & a) & 1)
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
+    i = np.arange(span, dtype=np.uint8)[:, None]  # 2 span <= 256
+    edge = (i << 1) | (np.bitwise_count(i & np.arange(size)) & 1)
     index, weight = _chunk_buffers(verts * span * size)
     return edge, index.reshape(verts, span, size), weight.reshape(verts, span, size)
 
@@ -212,29 +214,40 @@ def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarray,
                    index: np.ndarray, weight: np.ndarray) -> None:
-    """nxt[rows[v][edge[a, x]], x] += cur[v, x] / 2^n for every non-leaf v
+    """nxt[rows[v][2a + a.x], x] += cur[v, x] / 2^n for every non-leaf v
     of nonzero weight and every a, in (v, a, x) order, one chunk of the
     index and weight buffers at a time.  np.add.at is unbuffered and adds
     in index order, so each cell gets the same float additions in the
     same order as a loop over v, then a, would make; the zero additions
-    such a loop makes change nothing."""
+    such a loop makes change nothing.
+
+    The live vertices, their targets (times 2^n) and their weights are
+    built once per layer.  While a chunk holds several vertices (n <= 6),
+    so are the edge-plus-row-offset index rows of up to `verts` of them,
+    and a chunk is a copy, a gather and the scatter.  Otherwise a chunk is
+    the block of sample vectors a0 + i (a0 a multiple of span, i < span)
+    of one vertex, which reads the row's targets from 2 a0 on, at
+    2i + (i.x ^ a0.x): i and a0 share no bit, so a.x = i.x ^ a0.x."""
     verts, span, size = index.shape
-    live = np.array([v for v, row in enumerate(rows) if row is not None and cur[v].any()],
-                    dtype=np.intp)
-    targets = np.array([rows[v] for v in live], dtype=np.intp) * size
-    offsets = np.arange(verts)[:, None, None] * (2 * size)  # a chunk vertex's row in targets
+    live = [v for v in np.flatnonzero(cur.any(axis=1)).tolist() if rows[v] is not None]
+    targets = np.fromiter(chain.from_iterable(rows[v] for v in live), np.intp,
+                          len(live) * 2 * size).reshape(len(live), 2 * size)
+    targets *= size
+    weights = np.take(cur, live, axis=0)
+    weights /= size
+    if verts > 1:
+        blocks = edge + np.arange(min(verts, len(live)))[:, None, None] * (2 * span)
     xs = np.arange(size)
-    src = np.empty((verts, size))
     flat = nxt.reshape(-1)
     for j in range(0, len(live), verts):
         k = min(verts, len(live) - j)
         idx, wt = index[:k], weight[:k]
-        np.take(cur, live[j:j + k], axis=0, out=src[:k])
-        np.divide(src[:k, None, :], size, out=wt)
+        np.copyto(wt, weights[j:j + k, None, :])
         for a0 in range(0, size, span):
-            np.add(edge[a0:a0 + span], offsets[:k], out=idx)
+            at = (blocks[:k] if verts > 1
+                  else np.bitwise_xor(edge, np.bitwise_count(xs & a0) & 1, out=idx))
             # the indices are in range; mode="raise" would buffer the output
-            np.take(targets[j:j + k], idx, out=idx, mode="wrap")
+            np.take(targets[j:j + k, 2 * a0:2 * (a0 + span)], at, out=idx, mode="wrap")
             idx += xs
             np.add.at(flat, idx.reshape(-1), wt.reshape(-1))
 

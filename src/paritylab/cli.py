@@ -88,7 +88,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    rows = []
+    """One CSV row per learner.  A learner that hit --m-cap also gets one
+    note line on stderr, since its row (m equal to --m-cap) has the form
+    of a reached answer."""
+    points = []
     for idx, name in enumerate(args.learners.split(",")):
         name = name.strip()
         if name not in LEARNER_FACTORIES:
@@ -98,8 +101,14 @@ def _cmd_tradeoff(args) -> int:
         point = estimate_sample_complexity(
             learner, args.target, derived_rng(args.seed, idx + 10),
             trials=args.trials, m_cap=args.m_cap, seed=args.seed)
-        rows.append(point.csv_row())
-    _write_text("\n".join([TradeoffPoint.CSV_HEADER, *rows]) + "\n", args.out)
+        points.append(point)
+    _write_text("\n".join([TradeoffPoint.CSV_HEADER, *(p.csv_row() for p in points)]) + "\n",
+                args.out)
+    for point in points:
+        if point.capped:
+            print(f"note: {point.learner} hit --m-cap {args.m_cap}: no probe's Wilson lower "
+                  f"bound reached --target {args.target}; its row is the probe at m = {point.m}",
+                  file=sys.stderr)
     return 0
 
 

@@ -259,25 +259,46 @@ class TestForwardScatter:
             for t, (g, w) in enumerate(zip(got, want)):
                 assert np.array_equal(g, w), (case, bp.n, bp.layer_sizes, t)
 
-    @pytest.mark.parametrize("n,width,targets", [(6, 40, 3), (8, 3, 2)])
+    @pytest.mark.parametrize("n,width,targets", [(5, 40, 3), (6, 40, 3), (7, 5, 2), (8, 3, 2)])
     def test_rounding_sums_equal_loop(self, n, width, targets):
         """One layer from non-dyadic weights, whose sums round, equals
         the loop's bit for bit: the additions keep the (v, a, x) order
-        across chunks (ten 4-vertex chunks at n = 6, four a-ranges per
-        vertex at n = 8)."""
+        across chunks (16-vertex chunks at n = 5, 4-vertex chunks at
+        n = 6, one whole vertex per chunk at n = 7, four a-blocks per
+        vertex at n = 8).  Early leaves and zero-weight rows sit between
+        the live ones, and at n = 5 and 6 the last chunk is partial."""
         rng = np.random.default_rng(n)
         size = 1 << n
         cur = rng.integers(1, 10, (width, size)) / 10
         rows = [tuple(int(v) for v in rng.integers(0, targets, 2 * size)) for _ in range(width)]
-        rows[1] = None  # an early leaf
+        for v in range(1, width, 3):
+            rows[v] = None  # an early leaf
+        cur[3::5] = 0.0  # unreached
         got, want, flipped = (np.zeros((targets, size)) for _ in range(3))
         buffers = _scatter_buffers(n)
-        assert buffers[1].size < width * 4 ** n  # several chunks
+        verts = buffers[1].shape[0]
+        live = [v for v in range(width) if rows[v] is not None and cur[v].any()]
+        assert buffers[1].size < len(live) * 4 ** n  # several chunks
+        assert verts == 1 or len(live) % verts  # a partial last chunk
         _scatter_layer(cur, got, rows, *buffers)
         loop_scatter_layer(cur, want, rows, n)
         assert np.array_equal(got, want)
         loop_scatter_layer(cur[::-1], flipped, rows[::-1], n)
         assert not np.array_equal(flipped, want)  # the sums depend on the vertex order
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 8])
+    def test_layer_without_live_vertex(self, n):
+        """A layer whose vertices are all early leaves or of zero weight
+        (vertices 2 and 3 of the zero-weight programs' layer 1) adds
+        nothing."""
+        bp = zero_weight_program(n)
+        tables = forward_tables(bp)
+        unreached = tables[1][2:], bp.transitions[1][2:]
+        leaves = np.ones((2, 1 << n)), (None, None)
+        for cur, rows in (unreached, leaves):
+            nxt = np.zeros((bp.layer_sizes[2], 1 << n))
+            _scatter_layer(cur, nxt, rows, *_scatter_buffers(n))
+            assert not nxt.any()
 
     def test_buffers_shared_across_calls(self):
         """Repeated and interleaved calls at n = 2..8 share one pair of
@@ -310,16 +331,18 @@ class TestForwardScatter:
         assert 4 ** 6 < _SCATTER_CELLS  # an n = 6 chunk holds several whole vertices
 
     def test_scratch_memory_is_chunked(self):
-        """n = 8, width 64: 4M cells per layer, yet the traced peak beyond
-        the returned tables stays under 1 MiB."""
-        bp = sized_program(8, (1, 64, 64), np.random.default_rng(3))
-        tracemalloc.start()
-        try:
-            tables = forward_tables(bp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - sum(table.nbytes for table in tables) <= 1 << 20
+        """n = 8, width 64: 4M cells per layer; n = 12, one vertex: a
+        16M-cell layer.  Yet the traced peak beyond the returned tables
+        stays under 1 MiB at both."""
+        for n, sizes in [(8, (1, 64, 64)), (12, (1, 1))]:
+            bp = sized_program(n, sizes, np.random.default_rng(3))
+            tracemalloc.start()
+            try:
+                tables = forward_tables(bp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - sum(table.nbytes for table in tables) <= 1 << 20, n
 
 
 

@@ -253,6 +253,34 @@ class TestVerifyLemmas:
                     assert doc["suites"][name]["failures"][0]["r"] == float(text), (n, text)
 
 
+class TestTradeoff:
+    CAPPED = ("tradeoff", "--n", "5", "--learners", "exhaustive,prefix", "--target", "0.99",
+              "--trials", "200", "--m-cap", "20", "--seed", "3")
+
+    def test_capped_rows_get_a_note(self, tmp_path, capsys):
+        """A learner that hits --m-cap gets one note line on stderr naming
+        it and the cap; the CSV on stdout and in --out is unchanged."""
+        code, out, err = run_cli(capsys, *self.CAPPED)
+        assert code == 0
+        assert out == ("learner,n,memory_bits,m,success,ci_halfwidth,seed\n"
+                       "exhaustive,5,9,20,0.110000,0.043578,3\n"
+                       "prefix_pivot,5,12,20,0.995000,0.013446,3\n")
+        notes = err.splitlines()
+        assert len(notes) == 2
+        for note, learner in zip(notes, ("exhaustive", "prefix_pivot")):
+            assert note.startswith(f"note: {learner} hit --m-cap 20: ")
+            assert note.endswith("its row is the probe at m = 20")
+        path = tmp_path / "t.csv"
+        code, stdout, again = run_cli(capsys, *self.CAPPED, "--out", str(path))
+        assert (code, stdout, again) == (0, "", err)
+        assert path.read_text() == out
+
+    def test_reached_rows_get_no_note(self, capsys):
+        code, out, err = run_cli(capsys, "tradeoff", "--n", "3", "--learners", "gaussian",
+                                 "--target", "0.8", "--trials", "200", "--seed", "5")
+        assert code == 0 and out.count("\n") == 2 and err == ""
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):
         cases = [
