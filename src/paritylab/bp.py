@@ -199,7 +199,8 @@ def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
     i = np.arange(span, dtype=np.uint8)[:, None]  # 2 span <= 256
-    edge = (i << 1) | (np.bitwise_count(i & np.arange(size)) & 1)
+    # i < 128 reads only the low byte of x, so x mod 256 keeps every step in bytes
+    edge = (i << 1) | (np.bitwise_count(i & np.arange(size).astype(np.uint8)) & 1)
     index, weight = _chunk_buffers(verts * span * size)
     return edge, index.reshape(verts, span, size), weight.reshape(verts, span, size)
 
