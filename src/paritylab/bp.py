@@ -190,16 +190,17 @@ def forward_tables(bp: BranchingProgram) -> list[np.ndarray]:
 
 def _scatter_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_scatter_layer's edge table 2i + i.x over the block of sample
-    vectors i < span and the keys x < 2^n (one byte an entry, at most
-    2^14 entries at every n), built per call, and one chunk's index and
-    weight buffers, shaped views of _chunk_buffers.  A chunk is `verts`
-    whole vertices (n <= 7, where span = 2^n) or one block of `span`
-    sample vectors of one vertex, as (vertex, a, x) cells."""
+    vectors i < span and the keys x < 2^n (one byte an entry, 2^14
+    entries at most up to n = 14 and one row beyond), built per call,
+    and one chunk's index and weight buffers, shaped views of
+    _chunk_buffers.  A chunk is `verts` whole vertices (n <= 7, where
+    span = 2^n) or one block of `span` sample vectors of one vertex, as
+    (vertex, a, x) cells."""
     size = 1 << n
     per = max(1, _SCATTER_CELLS // size)
     verts, span = max(1, per // size), min(per, size)
-    i = np.arange(span, dtype=np.uint8)[:, None]  # 2 span <= 256
-    # i < 128 reads only the low byte of x, so x mod 256 keeps every step in bytes
+    # span <= 128: 2i + 1 fits a byte, and i & x reads only x's low byte
+    i = np.arange(span, dtype=np.uint8)[:, None]
     edge = (i << 1) | (np.bitwise_count(i & np.arange(size).astype(np.uint8)) & 1)
     index, weight = _chunk_buffers(verts * span * size)
     return edge, index.reshape(verts, span, size), weight.reshape(verts, span, size)
