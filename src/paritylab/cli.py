@@ -49,21 +49,15 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def key_to_hex(x: BitVector) -> str:
-    nbytes = (x.n + 7) // 8
-    payload = crypto.reverse_bits(x.bits, x.n) << (nbytes * 8 - x.n)
-    return payload.to_bytes(nbytes, "big").hex()
+    return x.to_bytes().hex()
 
 
 def key_from_hex(text: str, n: int) -> BitVector:
-    nbytes = (n + 7) // 8
     raw = bytes.fromhex(text)
-    if len(raw) != nbytes:
-        raise ValueError(f"expected {nbytes} key bytes for n={n}, got {len(raw)}")
-    pad = nbytes * 8 - n
-    payload = int.from_bytes(raw, "big")
-    if payload & ((1 << pad) - 1):
+    x = BitVector.from_bytes(raw, n)
+    if x.to_bytes() != raw:
         raise ValueError(f"key sets bits past coordinate {n}")
-    return BitVector(n, crypto.reverse_bits(payload >> pad, n))
+    return x
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -113,14 +107,13 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.c is None and (args.k is None or args.m is None):
-        build_parser().error("bounds needs either --k and --m, or --c and --alpha")
-    if args.c is None:
+    reach, exponent = (args.k, args.m), (args.c, args.alpha)
+    if None not in reach and exponent == (None, None):
         _write_text(f"{reach_probability_bound(args.n, args.m, args.k)}\n", args.out)
-    elif args.alpha is None:
-        build_parser().error("--c needs --alpha")
-    else:
+    elif None not in exponent and reach == (None, None):
         emit_report(tradeoff_exponent(args.c, args.alpha, args.n), args.out)
+    else:
+        build_parser().error("bounds needs either --k and --m, or --c and --alpha, not a mix")
     return 0
 
 

@@ -2,13 +2,14 @@
 harness.
 
 Each plaintext bit M is sent as a frame (a, M xor a.x) with a fresh
-uniform a; the receiver, sharing the key x, recovers M by XORing a.x back
-out.  An attacker is a streaming learner: the attack harness feeds it the
-pad stream (a_t, b_t) with b_t = a_t.x through learners.run_learner,
-which asserts its declared memory budget on every step, and measures
-exact-key recovery and next-bit prediction from its output.  A window
-attacker whose window fits its budget is solved straight from its last
-pads instead.
+uniform a, the (n+1)-bit vector a | (M xor a.x) << n, whose to_bytes()
+go on the wire; the receiver, sharing the key x, recovers M by XORing
+a.x back out.  An attacker is a streaming learner: the attack harness
+feeds it the pad stream (a_t, b_t) with b_t = a_t.x through
+learners.run_learner, which asserts its declared memory budget on every
+step, and measures exact-key recovery and next-bit prediction from its
+output.  A window attacker whose window fits its budget is solved
+straight from its last pads instead.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class SecretKey:
             raise ValueError("key vector dimension mismatch")
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    a: BitVector
-    c: int
-
-
 def random_vector(n: int, rng: np.random.Generator) -> BitVector:
     """Uniform n-bit vector (n may exceed the subspace-machinery cap)."""
     nbytes = (n + 7) // 8
@@ -77,50 +72,22 @@ def keygen(n: int, rng: np.random.Generator) -> SecretKey:
     return SecretKey(n, random_vector(n, rng))
 
 
-def encrypt_bit(key: SecretKey, m: int, rng: np.random.Generator) -> Frame:
+def encrypt_bit(key: SecretKey, m: int, rng: np.random.Generator) -> BitVector:
+    """Bit m's frame: the pad, then the cipher bit at coordinate n + 1."""
     if m not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {m}")
-    a = random_vector(key.n, rng)
-    return Frame(a, m ^ parity(a.bits & key.x.bits))
+    a = random_vector(key.n, rng).bits
+    return BitVector(key.n + 1, a | (m ^ parity(a & key.x.bits)) << key.n)
 
 
-def decrypt_bit(key: SecretKey, frame: Frame) -> int:
-    if frame.a.n != key.n:
-        raise ValueError(f"frame dimension {frame.a.n} != key dimension {key.n}")
-    return frame.c ^ parity(frame.a.bits & key.x.bits)
+def decrypt_bit(key: SecretKey, frame: BitVector) -> int:
+    if frame.n != key.n + 1:
+        raise ValueError(f"frame dimension {frame.n} != key dimension {key.n} + 1")
+    return parity(frame.bits & (key.x.bits | 1 << key.n))
 
 
-def reverse_bits(v: int, n: int) -> int:
-    """The low n bits of v in reverse order: bit i moves to bit n - 1 - i.
-
-    Linear in n: one binary text, read backwards (its leading 1 is a
-    sentinel bit n that keeps the zeros above v's top bit)."""
-    if n <= 0:
-        return 0
-    return int(bin(v & ((1 << n) - 1) | 1 << n)[:2:-1], 2)
-
-
-def frame_to_bytes(frame: Frame) -> bytes:
-    """Coordinate 1 in the most significant bit of the first byte, the
-    cipher bit immediately after coordinate n, zero padding to the byte
-    boundary."""
-    n = frame.a.n
-    nbytes = (n + 1 + 7) // 8
-    payload = (reverse_bits(frame.a.bits, n) << 1) | frame.c
-    payload <<= nbytes * 8 - (n + 1)
-    return payload.to_bytes(nbytes, "big")
-
-
-def frame_from_bytes(data: bytes, n: int) -> Frame:
-    nbytes = (n + 1 + 7) // 8
-    if len(data) != nbytes:
-        raise ValueError(f"expected {nbytes} frame bytes, got {len(data)}")
-    payload = int.from_bytes(data, "big") >> (nbytes * 8 - (n + 1))
-    return Frame(BitVector(n, reverse_bits(payload >> 1, n)), payload & 1)
-
-
-# Plaintext bytes coded per array pass (8 frames each).
-CHUNK_BYTES = 1 << 13
+# Frame bits coded per array pass (see encode_stream).
+CHUNK_BITS = 1 << 22
 
 
 def _key_columns(key: SecretKey) -> np.ndarray:
@@ -132,12 +99,13 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     """Header (magic, version, n, bit count) followed by one frame per
     plaintext bit, bits taken MSB-first within each byte.
 
-    The frames are those of encrypt_bit and frame_to_bytes, bit by bit:
-    each chunk's pads come from one rng.bytes call of 4 * ceil(nbytes / 4)
-    bytes per pad, the same bytes and generator state as one
-    random_vector call per bit (rng.bytes(k) draws ceil(k / 4) 32-bit
-    words, but rng.bytes(0) draws one, so an empty plaintext makes no
-    call).  Raises ValueError when n exceeds the header's 2-byte field.
+    The frames are encrypt_bit's, bit by bit.  A pass codes frames of
+    about CHUNK_BITS bits in all, at least one plaintext byte's; its pads
+    come from one rng.bytes call of 4 * ceil(nbytes / 4) bytes per pad,
+    the same bytes and generator state as one random_vector call per bit
+    (rng.bytes(k) draws ceil(k / 4) 32-bit words, but rng.bytes(0) draws
+    one, so an empty plaintext makes no call).  Raises ValueError when n
+    exceeds the header's 2-byte field.
     """
     n = key.n
     _check_header_n(n)
@@ -150,8 +118,9 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     out.append(VERSION)
     out += n.to_bytes(2, "big")
     out += (8 * len(plaintext)).to_bytes(8, "big")
-    for start in range(0, len(plaintext), CHUNK_BYTES):
-        bits = np.unpackbits(np.frombuffer(plaintext[start:start + CHUNK_BYTES], np.uint8))
+    step = max(1, CHUNK_BITS // (8 * frame_bits))
+    for start in range(0, len(plaintext), step):
+        bits = np.unpackbits(np.frombuffer(plaintext[start:start + step], np.uint8))
         pads = np.frombuffer(rng.bytes(len(bits) * stride), np.uint8).reshape(-1, stride)
         # random_vector reads the pad big-endian: coordinate i+1 is bit i
         # of the reversed bytes, little-endian bit order
@@ -187,8 +156,9 @@ def decode_stream(key: SecretKey, data: bytes) -> bytes:
     cols = _key_columns(key)
     frames = np.frombuffer(data, np.uint8, offset=15).reshape(bit_count, frame_len)
     out = bytearray()
-    for start in range(0, bit_count, 8 * CHUNK_BYTES):
-        bits = np.unpackbits(frames[start:start + 8 * CHUNK_BYTES], axis=1)
+    step = 8 * max(1, CHUNK_BITS // (64 * frame_len))  # encode_stream's passes
+    for start in range(0, bit_count, step):
+        bits = np.unpackbits(frames[start:start + step], axis=1)
         plain = bits[:, n] ^ (np.count_nonzero(bits[:, cols], axis=1) & 1)
         out += np.packbits(plain.astype(np.uint8)).tobytes()
     return bytes(out)

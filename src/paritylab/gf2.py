@@ -2,11 +2,12 @@
 
 Vectors are packed into Python ints: bit i of the word is coordinate i+1,
 so coordinate 1 is the least significant bit, and the length n comes
-from the context (a subspace's or a program's n).  BitVector carries its
-own n for the few places no context does, and for the textual 0/1 form,
-which prints coordinate 1 leftmost.  Subspace bases are kept in reduced
-row echelon form (RREF) and affine offsets are reduced to have a 0 in
-every pivot column, which makes equality and hashing purely structural.
+from the context (a subspace's or a program's n).  BitVector is a
+vector's external form, carrying its own n: 0/1 text for labels, and
+that text read as bits for the bytes of keys and cipher frames.  Subspace
+bases are kept in reduced row echelon form (RREF) and affine offsets are
+reduced to have a 0 in every pivot column, which makes equality and
+hashing purely structural.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def lowest_set_bit(v: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class BitVector:
-    """A vector in {0,1}^n, packed LSB-first (bit i = coordinate i+1)."""
+    """A vector in {0,1}^n, packed LSB-first (bit i = coordinate i+1).  Its
+    text and bytes lead with coordinate 1; the bytes pad with zeros."""
 
     n: int
     bits: int
@@ -60,11 +62,20 @@ class BitVector:
     def from_string(cls, text: str) -> "BitVector":
         if set(text) - {"0", "1"}:
             raise ValueError(f"not a 0/1 string: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1] or "0", 2))
+
+    def to_bytes(self) -> bytes:
+        nbytes = (self.n + 7) // 8
+        return (int(str(self) or "0", 2) << (8 * nbytes - self.n)).to_bytes(nbytes, "big")
+
+    @classmethod
+    def from_bytes(cls, data: bytes, n: int) -> "BitVector":
+        """Inverse of to_bytes; the padding bits are ignored."""
+        nbytes = (n + 7) // 8
+        if len(data) != nbytes:
+            raise ValueError(f"expected {nbytes} bytes for n={n}, got {len(data)}")
+        # a sentinel bit above the data keeps its leading zeros in the text
+        return cls.from_string(bin(int.from_bytes(data, "big") | 1 << 8 * nbytes)[3:3 + n])
 
 
 def _reduce(basis: Iterable[int], v: int) -> int:

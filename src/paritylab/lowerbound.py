@@ -23,7 +23,9 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
 
     Caps the probability that a computation-path of an affine program
     whose labels all have dimension >= k reaches a dimension-k vertex.
-    Returns inf when the exact value exceeds the float range.
+    Returns inf when the exact value exceeds the float range.  Raises
+    ValueError when m is not a power of two and an in-range answer would
+    build an m^(n-k) of more than 2^23 bits.
     """
     if not 0 <= k < n:
         raise ValueError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
@@ -43,6 +45,9 @@ def reach_probability_bound(n: int, m: int, k: int) -> float:
             return math.ldexp(1.0, (m.bit_length() - 1) * t + exponent)
         except OverflowError:
             return math.inf
+    if t * m.bit_length() > 1 << 23:
+        raise ValueError(f"m^(n-k) = {m}^{t} would take about {t * m.bit_length()} bits, "
+                         f"past the 2^23-bit cap")
     power = m ** t
     try:
         return math.ldexp(float(power), exponent)

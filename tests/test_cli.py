@@ -139,6 +139,16 @@ class TestCryptoCommands:
         with pytest.raises(ValueError, match=f"^key sets bits past coordinate {n}$"):
             key_from_hex(text, n)
 
+    def test_key_hex_refuses_each_padding_bit(self):
+        """Every n <= 17 and every padding bit: one line, naming n."""
+        for n in range(1, 18):
+            text = key_to_hex(BitVector(n, (1 << n) - 1))
+            for pad in range(-n % 8):
+                raw = bytearray.fromhex(text)
+                raw[-1] |= 1 << pad
+                with pytest.raises(ValueError, match=f"^key sets bits past coordinate {n}$"):
+                    key_from_hex(raw.hex(), n)
+
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
     def test_longer_key_refused(self, tmp_path, capsys, command):
         """keygen's n = 7 key 5e, given to an n = 4 command: exit 1 with
@@ -436,6 +446,9 @@ FUZZ_CASES = [
     ["bounds", "--n", "-3", "--k", "1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "-1", "--m", "2"],
     ["bounds", "--n", "4", "--k", "1", "--m", "2", "--out", "NODIR"],
+    ["bounds", "--n", "6", "--k", "4", "--m", "3", "--c", "0.01", "--alpha", "0.01"],
+    ["bounds", "--n", "6", "--alpha", "0.01", "--k", "4", "--m", "3"],
+    ["bounds", "--n", "3000000", "--k", "1000014", "--m", "1482910"],
     ["crypto"],
     ["crypto", "nope"],
     ["crypto", "keygen", "--n", "x", "--seed", "1"],
@@ -494,6 +507,18 @@ class TestFuzzGuard:
         code, _, err = run_cli(capsys, *case)
         assert code == 2
         assert "argument --n: must be at least" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("case", [
+        ["--k", "4", "--m", "3", "--c", "0.01", "--alpha", "0.01"],
+        ["--alpha", "0.01", "--k", "4", "--m", "3"],
+        ["--k", "4", "--m", "3", "--c", "0.01"],
+    ], ids=" ".join)
+    def test_bounds_forms_not_mixed(self, capsys, case):
+        """A flag of the other form is refused, not ignored."""
+        code, out, err = run_cli(capsys, "bounds", "--n", "6", *case)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            "error: bounds needs either --k and --m, or --c and --alpha, not a mix")
 
     @pytest.mark.parametrize("r", ["inf", "nan", "1000", "1.4"])
     def test_r_range_named(self, capsys, r):

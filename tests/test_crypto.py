@@ -14,18 +14,14 @@ from paritylab.crypto import (
     MAGIC,
     VERSION,
     FormatError,
-    Frame,
     SecretKey,
     decode_stream,
     decrypt_bit,
     encode_stream,
     encrypt_bit,
     expected_point_recovery,
-    frame_from_bytes,
-    frame_to_bytes,
     keygen,
     rank_distribution,
-    reverse_bits,
     run_attack,
     window_attacker,
 )
@@ -77,18 +73,20 @@ class TestBitCipher:
 
     def test_zero_vector_degenerate_pad(self):
         key = SecretKey(3, bv("101"))
-        assert decrypt_bit(key, Frame(BitVector(3, 0), 1)) == 1
+        assert decrypt_bit(key, bv("0001")) == 1
 
     def test_unit_key(self):
         key = SecretKey(3, bv("100"))
         rng = np.random.default_rng(3)
         f = encrypt_bit(key, 1, rng)
-        assert f.c == 1 ^ (f.a.bits & 1)
+        assert f.n == 4 and f.bits >> 3 == 1 ^ (f.bits & 1)
 
     def test_dimension_mismatch(self):
         key = SecretKey(3, bv("101"))
         with pytest.raises(ValueError):
-            decrypt_bit(key, Frame(BitVector(4, 0), 0))
+            decrypt_bit(key, BitVector(5, 0))
+        with pytest.raises(ValueError):
+            decrypt_bit(key, BitVector(3, 0))
 
     def test_pad_bit_uniform_exhaustive(self):
         # for every nonzero key and fixed plaintext bit, the cipher bit is
@@ -100,34 +98,17 @@ class TestBitCipher:
                     assert zeros == (1 << n) // 2
 
 
-def loop_reverse_bits(v, n):
-    """Reference reverse_bits: one bit per step, quadratic in n."""
-    out = 0
-    for i in range(n):
-        out = (out << 1) | ((v >> i) & 1)
-    return out
-
-
-class TestReverseBits:
-    def test_against_loop(self):
-        """Random n <= 300, values with bits at and above n too."""
-        rng = np.random.default_rng(17)
-        for n in [0, 1, 2, 7, 8, 9, 300] + [int(k) for k in rng.integers(0, 301, 300)]:
-            for v in (0, (1 << n) - 1, int.from_bytes(rng.bytes(n // 8 + 2), "big")):
-                assert reverse_bits(v, n) == loop_reverse_bits(v, n), (v, n)
-
-
 class TestWireFormat:
     def test_exact_frame_layout(self):
-        raw = frame_to_bytes(Frame(bv("101100"), 1))
+        raw = bv("1011001").to_bytes()  # pad 101100, cipher bit 1
         assert raw == bytes([0b10110010])
-        assert frame_from_bytes(raw, 6) == Frame(bv("101100"), 1)
+        assert BitVector.from_bytes(raw, 7) == bv("1011001")
 
     def test_frame_spans_bytes(self):
-        f = Frame(bv("110000001"), 1)  # n=9 -> 2 frame bytes
-        raw = frame_to_bytes(f)
-        assert len(raw) == 2
-        assert frame_from_bytes(raw, 9) == f
+        f = bv("1100000011")  # n=9 -> 2 frame bytes
+        raw = f.to_bytes()
+        assert raw == bytes([0b11000000, 0b11000000])
+        assert BitVector.from_bytes(raw, 10) == f
 
     def test_header_and_lengths(self):
         key = SecretKey(6, bv("010101"))
@@ -184,12 +165,12 @@ def framewise_encode(key, plaintext, rng):
     header = MAGIC + bytes([VERSION]) + key.n.to_bytes(2, "big") + (
         8 * len(plaintext)).to_bytes(8, "big")
     bits = [(byte >> i) & 1 for byte in plaintext for i in range(7, -1, -1)]
-    return header + b"".join(frame_to_bytes(encrypt_bit(key, b, rng)) for b in bits)
+    return header + b"".join(encrypt_bit(key, b, rng).to_bytes() for b in bits)
 
 
 def framewise_decode(key, blob):
     frame_len = (key.n + 1 + 7) // 8
-    bits = [decrypt_bit(key, frame_from_bytes(blob[i:i + frame_len], key.n))
+    bits = [decrypt_bit(key, BitVector.from_bytes(blob[i:i + frame_len], key.n + 1))
             for i in range(15, len(blob), frame_len)]
     return bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
 
@@ -209,13 +190,35 @@ class TestArrayCoding:
             assert decode_stream(key, blob) == framewise_decode(key, blob) == payload
 
     def test_chunked_stream(self, monkeypatch):
-        import paritylab.crypto as crypto
-        monkeypatch.setattr(crypto, "CHUNK_BYTES", 3)
+        """n = 11 frames are 16 bits: 384 frame bits per pass code 3
+        plaintext bytes, and 1 bit still codes one byte per pass."""
         key = keygen(11, np.random.default_rng(1))
         payload = bytes(range(10))
-        blob = encode_stream(key, payload, np.random.default_rng(2))
-        assert blob == framewise_encode(key, payload, np.random.default_rng(2))
-        assert decode_stream(key, blob) == payload
+        for chunk_bits in (384, 1):
+            monkeypatch.setattr(crypto, "CHUNK_BITS", chunk_bits)
+            blob = encode_stream(key, payload, np.random.default_rng(2))
+            assert blob == framewise_encode(key, payload, np.random.default_rng(2))
+            assert decode_stream(key, blob) == payload
+
+    def test_scratch_memory_bounded_at_large_n(self):
+        """n = 4096, 512 plaintext bytes: a 2 MiB blob, coded in passes
+        of a few MiB of scratch (about 46 MiB for encode and 32 MiB for
+        decode when each pass coded 8 KiB of plaintext at any n)."""
+        rng = np.random.default_rng(3)
+        key = keygen(4096, rng)
+        payload = rng.bytes(512)
+        tracemalloc.start()
+        try:
+            blob = encode_stream(key, payload, rng)
+            encode_peak = tracemalloc.get_traced_memory()[1] - 2 * len(blob)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = decode_stream(key, blob)
+            decode_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back == payload
+        assert encode_peak < 16 << 20 and decode_peak < 16 << 20, (encode_peak, decode_peak)
 
 
 DECODE_KEYS = [SecretKey(6, bv("010101")), SecretKey(9, bv("110000001"))]

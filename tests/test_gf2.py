@@ -76,6 +76,46 @@ class TestBitVectorText:
         assert str(BitVector(0, 0)) == ""
 
 
+def loop_to_bytes(v):
+    """Reference BitVector.to_bytes, one bit per step: coordinate i+1 is
+    bit 7 - (i mod 8) of byte i // 8, padding bits zero."""
+    out = bytearray((v.n + 7) // 8)
+    for i in range(v.n):
+        if (v.bits >> i) & 1:
+            out[i // 8] |= 1 << (7 - i % 8)
+    return bytes(out)
+
+
+class TestBitVectorBytes:
+    def test_against_loop(self):
+        """Every n <= 17 and 64 random n <= 300; zero, all-ones and
+        random values, each round-tripped through from_bytes."""
+        rng = np.random.default_rng(17)
+        for n in [*range(18), *(int(k) for k in rng.integers(0, 301, 64))]:
+            mask = (1 << n) - 1
+            for bits in (0, mask, int.from_bytes(rng.bytes(n // 8 + 1), "big") & mask):
+                v = BitVector(n, bits)
+                raw = v.to_bytes()
+                assert raw == loop_to_bytes(v), (n, bits)
+                assert BitVector.from_bytes(raw, n) == v, (n, bits)
+        assert BitVector(0, 0).to_bytes() == b"" and BitVector.from_bytes(b"", 0) == BitVector(0, 0)
+
+    def test_padding_bits_ignored(self):
+        """Each set padding bit is dropped on read."""
+        rng = np.random.default_rng(18)
+        for n in range(1, 18):
+            v = BitVector(n, int(rng.integers(0, 1 << n)))
+            for pad in range(-n % 8):
+                raw = bytearray(v.to_bytes())
+                raw[-1] |= 1 << pad
+                assert BitVector.from_bytes(bytes(raw), n) == v, (n, pad)
+
+    @pytest.mark.parametrize("data,n", [(b"", 1), (b"\x00", 9), (b"\x00\x00", 8), (b"\x00", 0)])
+    def test_wrong_length(self, data, n):
+        with pytest.raises(ValueError, match=f"^expected {(n + 7) // 8} bytes for n={n}, got {len(data)}$"):
+            BitVector.from_bytes(data, n)
+
+
 class TestRref:
     def test_empty_rows(self):
         basis = VectorSubspace.from_rows(3, [])

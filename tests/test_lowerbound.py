@@ -92,6 +92,21 @@ class TestBoundFormula:
             tracemalloc.stop()
         assert got == 1.0 and peak < 64 << 10
 
+    def test_power_cap(self):
+        """m not a power of two: m^t up to 2^23 bits is built, past that
+        the bound is refused before it (31 MiB and 26 s at n = 3 * 10^6),
+        while the answer is inside the float range."""
+        m = 1_482_910
+        assert 0.0 < reach_probability_bound(3 * 10 ** 5, m, 100014) < math.inf
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\^23-bit cap"):
+                reach_probability_bound(3 * 10 ** 6, m, 1000014)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             reach_probability_bound(4, 2, 4)
