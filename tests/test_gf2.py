@@ -110,8 +110,9 @@ class TestBitVectorBytes:
                 raw[-1] |= 1 << pad
                 assert BitVector.from_bytes(bytes(raw), n) == v, (n, pad)
 
-    @pytest.mark.parametrize("data,n", [(b"", 1), (b"\x00", 9), (b"\x00\x00", 8), (b"\x00", 0)])
-    def test_wrong_length(self, data, n):
+    @pytest.mark.parametrize("text,n", [("", 1), ("00", 9), ("0000", 8), ("00", 0)])
+    def test_wrong_length(self, text, n):
+        data = bytes.fromhex(text)
         with pytest.raises(ValueError, match=f"^expected {(n + 7) // 8} bytes for n={n}, got {len(data)}$"):
             BitVector.from_bytes(data, n)
 
