@@ -95,9 +95,10 @@ def _key_columns(key: SecretKey) -> np.ndarray:
     return np.array([i for i in range(key.n) if (key.x.bits >> i) & 1], dtype=np.intp)
 
 
-def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) -> bytes:
+def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) -> bytearray:
     """Header (magic, version, n, bit count) followed by one frame per
-    plaintext bit, bits taken MSB-first within each byte.
+    plaintext bit, bits taken MSB-first within each byte, as one
+    bytearray that each pass writes its frames into.
 
     The frames are encrypt_bit's, bit by bit.  A pass codes frames of
     about CHUNK_BITS bits in all, at least one plaintext byte's; its pads
@@ -113,11 +114,9 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     stride = 4 * ((nbytes + 3) // 4)
     frame_bits = 8 * ((n + 1 + 7) // 8)
     cols = _key_columns(key)
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out += n.to_bytes(2, "big")
-    out += (8 * len(plaintext)).to_bytes(8, "big")
+    out = bytearray(15 + len(plaintext) * frame_bits)  # 8 frames of frame_bits / 8 bytes a byte
+    out[:15] = MAGIC + bytes([VERSION]) + n.to_bytes(2, "big") + (8 * len(plaintext)).to_bytes(8, "big")
+    framed = np.frombuffer(out, np.uint8, offset=15).reshape(-1, frame_bits // 8)
     step = max(1, CHUNK_BITS // (8 * frame_bits))
     for start in range(0, len(plaintext), step):
         bits = np.unpackbits(np.frombuffer(plaintext[start:start + step], np.uint8))
@@ -128,8 +127,8 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
         frames = np.zeros((len(bits), frame_bits), np.uint8)
         frames[:, :n] = a
         frames[:, n] = bits ^ (np.count_nonzero(a[:, cols], axis=1) & 1)
-        out += np.packbits(frames, axis=1).tobytes()
-    return bytes(out)
+        framed[8 * start:8 * start + len(bits)] = np.packbits(frames, axis=1)
+    return out
 
 
 def decode_stream(key: SecretKey, data: bytes) -> bytes:

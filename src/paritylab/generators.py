@@ -5,6 +5,8 @@ greedy and selective recorders) used across the test suites."""
 from __future__ import annotations
 
 import functools
+import threading
+from array import array
 from dataclasses import replace
 from typing import Callable
 
@@ -78,6 +80,20 @@ class _Words:
             self.words = self.block.tolist()
         return self.words
 
+    def _halves(self, shift: int) -> list[int]:
+        """The block's half-words >> shift, each word's low half first."""
+        halves = self.halves.get(shift)
+        if halves is None:
+            halves = self.halves[shift] = (
+                self.block.astype("<u8", copy=False).view("<u4") >> shift).tolist()
+        return halves
+
+    def _next_halves(self) -> tuple[list[int], int, int]:
+        """Fetch the next block: its half-words, the index of the first
+        (0) and their count."""
+        self._fill()
+        return self._halves(0), 0, 2 * len(self.block)
+
     def _take(self, count: int) -> list[int]:
         """The next count words."""
         out: list[int] = []
@@ -97,12 +113,7 @@ class _Words:
             if self.used == len(self.block):
                 self._fill()
             end = min(self.used + words, len(self.block))
-            halves = self.halves.get(shift)
-            if halves is None:
-                # little-endian halves: each word's low half first
-                halves = self.halves[shift] = (
-                    self.block.astype("<u8", copy=False).view("<u4") >> shift).tolist()
-            out += halves[2 * self.used:2 * end]
+            out += self._halves(shift)[2 * self.used:2 * end]
             words -= end - self.used
             self.used = end
         if count & 1:
@@ -177,28 +188,97 @@ class _Words:
         return np.array([(w >> 11) * 2.0 ** -53 for w in self._take(k)])
 
 
+# The largest n with a span lattice: F_2^6 has 2,825 subspaces, a successor
+# table of 2,825 x 64 two-byte entries (353 KiB); F_2^7's 29,212 would
+# take 7.1 MiB.
+_LATTICE_MAX_N = 6
+_UNSEEN = 0xFFFF  # a successor not computed yet
+
+
+class _Lattice:
+    """The subspaces of F_2^n that random_subspace's draws have reached,
+    numbered in the order first reached (0 is {0}), each with its RREF
+    rows in one VectorSubspace, built once.  succ[s << n | v] is the id of
+    span(s ∪ {v}), or _UNSEEN until step computes it."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.spaces: list[VectorSubspace] = []
+        self.dims = bytearray()
+        self.ids: dict[tuple[int, ...], int] = {}  # rows -> span id
+        self.succ = array("H")
+        self.lock = threading.Lock()  # a miss adds a span and its row of succ
+        self._add(())
+
+    def _add(self, rows: tuple[int, ...]) -> int:
+        space = VectorSubspace(self.n, rows)
+        s = self.ids[space.rows] = len(self.spaces)
+        self.spaces.append(space)
+        self.dims.append(len(rows))
+        self.succ.extend(array("H", [_UNSEEN]) * (1 << self.n))
+        return s
+
+    def step(self, s: int, v: int) -> int:
+        """succ[s << n | v], computed with _reduce and _insert on a miss."""
+        t = self.succ[s << self.n | v]
+        if t != _UNSEEN:
+            return t
+        with self.lock:
+            basis = list(self.spaces[s].rows)
+            w = _reduce(basis, v)
+            t = s
+            if w:
+                _insert(basis, w)
+                basis.sort(key=lowest_set_bit)
+                rows = tuple(basis)
+                t = self.ids.get(rows)
+                if t is None:
+                    t = self._add(rows)
+            self.succ[s << self.n | v] = t
+        return t
+
+
+@functools.cache
+def _lattice(n: int) -> _Lattice | None:
+    """The process-wide lattice of F_2^n, filled lazily; None past
+    _LATTICE_MAX_N and at n = 0."""
+    return _Lattice(n) if 1 <= n <= _LATTICE_MAX_N else None
+
+
 def _draw_subspace(n: int, words: _Words,
                    dim: int | None = None) -> tuple[tuple[int, ...], int]:
     """random_subspace's draws, returned as its canonical form: the RREF
-    rows sorted by pivot and the offset reduced by them.
+    rows sorted by pivot and the offset reduced by them.  A drawn vector
+    is one step of the lattice of F_2^n, or a _reduce and an _insert past
+    _LATTICE_MAX_N.
 
     Equal pairs are equal subspaces, so callers dedup and test members on
     the pairs and build objects only for the members they keep.
     """
     if dim is None:
         dim = words.integers(0, n + 1)
-    basis: list[int] = []
-    while len(basis) < dim:
-        v = _reduce(basis, words.integers(1, 1 << n))
-        if v:
-            _insert(basis, v)
-    basis.sort(key=lowest_set_bit)
-    return tuple(basis), _reduce(basis, words.integers(0, 1 << n))
+    lattice = _lattice(n)
+    if lattice is None:
+        basis: list[int] = []
+        while len(basis) < dim:
+            v = _reduce(basis, words.integers(1, 1 << n))
+            if v:
+                _insert(basis, v)
+        basis.sort(key=lowest_set_bit)
+        rows = tuple(basis)
+    else:
+        s = 0
+        while lattice.dims[s] < dim:
+            s = lattice.step(s, words.integers(1, 1 << n))
+        rows = lattice.spaces[s].rows
+    return rows, _reduce(rows, words.integers(0, 1 << n))
 
 
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
     rows, offset = pair
-    return AffineSubspace(n, VectorSubspace(n, rows), offset)
+    lattice = _lattice(n)
+    space = VectorSubspace(n, rows) if lattice is None else lattice.spaces[lattice.ids[rows]]
+    return AffineSubspace(n, space, offset)
 
 
 def random_subspace(n: int, rng: np.random.Generator) -> AffineSubspace:
@@ -210,13 +290,67 @@ def _draw_members(n: int, words: _Words, count: int,
                   min_dim: int = 0) -> list[tuple[tuple[int, ...], int]]:
     """Up to count distinct pairs, in order of first appearance, each
     drawn at a dimension uniform on [min_dim, n], from at most 20 * count
-    draws: small n may not have count distinct subspaces (n = 1 has 3)."""
-    members: dict[tuple[tuple[int, ...], int], None] = {}
-    for _ in range(20 * count):
-        members.setdefault(_draw_subspace(n, words, words.integers(min_dim, n + 1)))
-        if len(members) >= count:
-            break
-    return list(members)
+    draws: small n may not have count distinct subspaces (n = 1 has 3).
+
+    On the lattice it reads the reader's block of half-words in place:
+    the values of the loop's words.integers calls, Lemire rejections
+    included, with the reader left where those calls leave it (used, has,
+    and the stale uinteger of a handed-out buffer)."""
+    lattice = _lattice(n)
+    if lattice is None:
+        members: dict[tuple[tuple[int, ...], int], None] = {}
+        for _ in range(20 * count):
+            members.setdefault(_draw_subspace(n, words, words.integers(min_dim, n + 1)))
+            if len(members) >= count:
+                break
+        return list(members)
+    succ, dims, spaces, step = lattice.succ, lattice.dims, lattice.spaces, lattice.step
+    dim_span, vec_span = n + 1 - min_dim, (1 << n) - 1
+    dim_floor, vec_floor = (1 << 32) % dim_span, (1 << 32) % vec_span
+    shift = 32 - n
+    keys: dict[int, None] = {}  # s << n | offset
+    halves: list[int] | None = None
+    i = end = 0  # the next half-word is halves[i], of end in the block
+    try:
+        for _ in range(20 * count):
+            if halves is None:  # the reader hands out any buffered half first
+                dim = words.integers(min_dim, n + 1)
+                halves, end = words._halves(0), 2 * len(words.block)
+                i = 2 * words.used - words.has
+            else:
+                while True:
+                    if i == end:
+                        halves, i, end = words._next_halves()
+                    m = halves[i] * dim_span
+                    i += 1
+                    if m & 0xFFFFFFFF >= dim_floor:
+                        break
+                dim = min_dim + (m >> 32)
+            s = 0
+            while dims[s] < dim:
+                v = 1  # n = 1: integers(1, 2) draws nothing
+                if vec_span > 1:
+                    while True:
+                        if i == end:
+                            halves, i, end = words._next_halves()
+                        m = halves[i] * vec_span
+                        i += 1
+                        if m & 0xFFFFFFFF >= vec_floor:
+                            break
+                    v += m >> 32
+                t = succ[s << n | v]
+                s = step(s, v) if t == _UNSEEN else t
+            if i == end:
+                halves, i, end = words._next_halves()
+            keys.setdefault(s << n | _reduce(spaces[s].rows, halves[i] >> shift))
+            i += 1
+            if len(keys) >= count:
+                break
+    finally:
+        if i:  # halves[i - 1] was drawn; a word's high half stays buffered
+            words.used, words.has, words.uinteger = (i + 1) >> 1, i & 1, halves[(i - 1) | 1]
+    mask = (1 << n) - 1
+    return [(spaces[key >> n].rows, key & mask) for key in keys]
 
 
 def random_mixture(n: int, rng: np.random.Generator,

@@ -200,6 +200,25 @@ class TestArrayCoding:
             assert blob == framewise_encode(key, payload, np.random.default_rng(2))
             assert decode_stream(key, blob) == payload
 
+    def test_blob_held_once(self, monkeypatch):
+        """Passes of 21 plaintext bytes at n = 16 need little scratch, so
+        encode_stream's peak is about its 0.75 MiB blob: the frames go
+        into the one bytearray it returns (a bytes copy of the frames
+        held them twice)."""
+        monkeypatch.setattr(crypto, "CHUNK_BITS", 1 << 12)
+        rng = np.random.default_rng(4)
+        key = keygen(16, rng)
+        payload = rng.bytes(1 << 15)
+        tracemalloc.start()
+        try:
+            blob = encode_stream(key, payload, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(blob) is bytearray and len(blob) == 15 + 24 * len(payload)
+        assert peak < 1.1 * len(blob), (peak, len(blob))
+        assert decode_stream(key, blob) == payload
+
     def test_scratch_memory_bounded_at_large_n(self):
         """n = 4096, 512 plaintext bytes: a 2 MiB blob, coded in passes
         of a few MiB of scratch (about 46 MiB for encode and 32 MiB for
@@ -210,7 +229,7 @@ class TestArrayCoding:
         tracemalloc.start()
         try:
             blob = encode_stream(key, payload, rng)
-            encode_peak = tracemalloc.get_traced_memory()[1] - 2 * len(blob)
+            encode_peak = tracemalloc.get_traced_memory()[1] - len(blob)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             back = decode_stream(key, blob)

@@ -8,6 +8,8 @@ consume the same stream, so every mixture and every generator state must
 match after every call.
 """
 
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,12 +27,14 @@ from oracles import (
 from paritylab import generators
 from paritylab.gf2 import AffineSubspace
 
-# (n, r / n, seed): r up to n at every n, up to 2n (check_r's ceiling)
-# where n <= 2.  From n = 4 on, r = n makes nearly every rejection
-# attempt fail, and the references' 200 failed attempts cost 0.1 s each.
+# (n, r / n, seed): r up to n at every n <= 6 (the span lattice), up to
+# 2n (check_r's ceiling) where n <= 2, and r = n / 2 at n = 7 and 8 (the
+# loop).  From n = 4 on, r = n makes nearly every rejection attempt
+# fail, and the references' 200 failed attempts cost 0.1 s each.
 CELLS = ([(n, frac, seed) for n in range(1, 7) for frac in (0.5, 0.75, 1.0)
           for seed in ((0, 1) if n <= 3 else (0,))]
-         + [(n, frac, seed) for n in (1, 2) for frac in (1.5, 2.0) for seed in (0, 1)])
+         + [(n, frac, seed) for n in (1, 2) for frac in (1.5, 2.0) for seed in (0, 1)]
+         + [(n, 0.5, 0) for n in (7, 8)])
 
 
 def _text(x):
@@ -262,6 +266,147 @@ class TestWords:
         rng = np.random.Generator(bit_generator(0))
         with pytest.raises(TypeError, match="PCG64 bit generator, got"):
             generators.random_subspace(3, rng)
+
+
+def _direct_members(n, rng, count, min_dim=0):
+    """generators._draw_members from direct Generator calls: members drawn
+    by object_random_subspace and deduplicated as AffineSubspaces."""
+    members = {}
+    for _ in range(20 * count):
+        members.setdefault(object_random_subspace(n, rng, int(rng.integers(min_dim, n + 1))))
+        if len(members) >= count:
+            break
+    return [(w.direction.rows, w.offset) for w in members]
+
+
+# PCG64's multiplier: a step takes the state s to s * MULTIPLIER + inc mod
+# 2^128, then outputs the new state's high XOR low 64 bits rotated right
+# by the state's top 6 bits.
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _next_word_is(word, seed=0):
+    """A PCG64 Generator whose next raw word is word: the state one step
+    before a state of high half 0, whose output is its low half."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (word - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestWalkMembers:
+    """The span-lattice walk of _draw_members (1 <= n <= 6), which reads
+    the reader's block in place, against direct Generator calls: the same
+    pairs, and the same bit generator state (words, has_uint32 and a
+    stale uinteger) once the reader is closed."""
+
+    @staticmethod
+    def _compare(n, rng, ref, calls):
+        with generators._Words(rng) as words:
+            got = [generators._draw_members(n, words, count, min_dim) for count, min_dim in calls]
+        assert got == [_direct_members(n, ref, count, min_dim) for count, min_dim in calls]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_direct_calls(self, n, buffered):
+        """Both of _draw_members' dimension floors and several counts, on
+        the lattice and, from n = 7, on the loop; the first call enters
+        with or without a buffered half."""
+        rng, ref = (np.random.default_rng([n, buffered]) for _ in range(2))
+        if buffered:
+            assert int(rng.integers(0, 2)) == int(ref.integers(0, 2))
+            assert rng.bit_generator.state["has_uint32"] == 1
+        calls = [(count, min_dim) for count in (1, 3, 8) for min_dim in (0, max(0, n - 2))]
+        self._compare(n, rng, ref, 3 * calls)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_odd_and_even_final_half(self, n):
+        """A call ends with a word's high half buffered or handed out
+        (the stale uinteger); both occur over the seeds, which enter with
+        a buffered half or not (at n = 1 every member takes two halves)."""
+        ends = set()
+        for seed in range(12):
+            rng, ref = (np.random.default_rng([seed, n]) for _ in range(2))
+            rng.integers(0, 2, seed & 1), ref.integers(0, 2, seed & 1)
+            self._compare(n, rng, ref, [(3, 0)])
+            ends.add(rng.bit_generator.state["has_uint32"])
+        assert ends == {0, 1}
+
+    @pytest.mark.parametrize("prefix", [29, 30, 31, 32])
+    def test_block_boundary_inside_a_subspace(self, prefix):
+        """prefix half-words leave the first 16-word block with 3 to 0
+        halves, one of them maybe buffered: the dimension draw takes at
+        most the buffered one, so the block ends among the 4 to 6 vector
+        draws of the first member (dimension at least 4)."""
+        rng, ref = (np.random.default_rng(prefix) for _ in range(2))
+        with generators._Words(rng) as words:
+            assert words.bits(32, prefix) == ref.integers(0, 1 << 32, prefix).tolist()
+            assert words.fetched == 16
+            got = generators._draw_members(6, words, 1, 4)
+            assert words.fetched > 16
+        assert got == _direct_members(6, ref, 1, 4)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_n1_draws_no_vector(self):
+        """At n = 1, integers(1, 2) draws nothing: a member takes its
+        dimension and offset draws only, and a vector draw that took a
+        half would shift every later value."""
+        rng, ref = (np.random.default_rng(11) for _ in range(2))
+        self._compare(1, rng, ref, [(count, 0) for count in (1, 2, 3, 5)] * 4)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lemire_rejection_on_a_vector(self, n):
+        """The first word's low half, 2^32 - 1, draws dimension n; its high
+        half, 0, is below Lemire's threshold for every span 2^n - 1, so the
+        first vector draw rejects it."""
+        assert all((1 << 32) % ((1 << k) - 1) for k in range(2, 7))
+        rng, ref = (_next_word_is(0xFFFFFFFF, n) for _ in range(2))
+        with generators._Words(rng) as words:
+            got = generators._draw_members(n, words, 1)
+            assert words.used >= 2  # the rejected half costs a second word
+        assert got == _direct_members(n, ref, 1)
+        assert len(got[0][0]) == n
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _walk_lattice(n):
+    """A fresh lattice of F_2^n, stepped from each span it reaches by the
+    vectors above the span's highest pivot: that reaches every subspace,
+    since each one is the span of its rows but the last, stepped by the
+    last."""
+    lattice = generators._Lattice(n)
+    s = 0
+    while s < len(lattice.spaces):
+        rows = lattice.spaces[s].rows
+        low = 2 * (rows[-1] & -rows[-1]) if rows else 1
+        for v in range(low, 1 << n, low):
+            assert lattice.dims[lattice.step(s, v)] == lattice.dims[s] + 1
+        s += 1
+    return lattice
+
+
+def test_lattice_of_f2_6_stays_small():
+    """All 2,825 subspaces of F_2^6 leave a successor table of 2,825 x 64
+    two-byte entries; the walk that reaches them takes well under 0.5 s,
+    and allocates under 1 MiB."""
+    began = time.perf_counter()
+    lattice = _walk_lattice(6)
+    elapsed = time.perf_counter() - began
+    # the Gaussian binomials [6 choose k]_2
+    assert Counter(lattice.dims) == {0: 1, 1: 63, 2: 651, 3: 1395, 4: 651, 5: 63, 6: 1}
+    assert len(lattice.ids) == len(lattice.spaces) == 2825
+    assert lattice.succ.itemsize == 2 and len(lattice.succ) == 2825 * 64
+    assert elapsed < 0.5, elapsed
+    tracemalloc.start()
+    try:
+        _walk_lattice(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 class TestRandomProgram:
