@@ -19,6 +19,7 @@ from .gf2 import (
     VectorSubspace,
     _insert,
     _reduce,
+    _span,
     intersect_hyperplane,
     lowest_set_bit,
 )
@@ -219,7 +220,9 @@ class _Lattice:
         return s
 
     def step(self, s: int, v: int) -> int:
-        """succ[s << n | v], computed with _reduce and _insert on a miss."""
+        """succ[s << n | v].  A miss computes it with _reduce and _insert
+        and stores it for the whole coset v + s, which has the same span
+        with s."""
         t = self.succ[s << self.n | v]
         if t != _UNSEEN:
             return t
@@ -234,7 +237,9 @@ class _Lattice:
                 t = self.ids.get(rows)
                 if t is None:
                     t = self._add(rows)
-            self.succ[s << self.n | v] = t
+            row = s << self.n
+            for u in _span(w, self.spaces[s].rows):
+                self.succ[row | u] = t
         return t
 
 

@@ -25,7 +25,7 @@ from oracles import (
     per_row_random_program,
 )
 from paritylab import generators
-from paritylab.gf2 import AffineSubspace
+from paritylab.gf2 import AffineSubspace, _rref_ints
 
 # (n, r / n, seed): r up to n at every n <= 6 (the span lattice), up to
 # 2n (check_r's ceiling) where n <= 2, and r = n / 2 at n = 7 and 8 (the
@@ -386,6 +386,17 @@ def _walk_lattice(n):
             assert lattice.dims[lattice.step(s, v)] == lattice.dims[s] + 1
         s += 1
     return lattice
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_lattice_steps_are_spans(n):
+    """Every step from every subspace of F_2^n, after the walk: a miss
+    fills v's whole coset, so most of these are hits."""
+    lattice = _walk_lattice(n)
+    for s, space in enumerate(lattice.spaces):
+        for v in range(1, 1 << n):
+            t = lattice.step(s, v)
+            assert lattice.spaces[t].rows == tuple(_rref_ints(space.rows + (v,))), (s, v)
 
 
 def test_lattice_of_f2_6_stays_small():
