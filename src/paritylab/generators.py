@@ -197,26 +197,29 @@ _UNSEEN = 0xFFFF  # a successor not computed yet
 
 
 class _Lattice:
-    """The subspaces of F_2^n that random_subspace's draws have reached,
+    """The subspaces of F_2^n that the generators' draws have reached,
     numbered in the order first reached (0 is {0}), each with its RREF
-    rows in one VectorSubspace, built once.  succ[s << n | v] is the id of
-    span(s ∪ {v}), or _UNSEEN until step computes it."""
+    rows sorted by pivot and one VectorSubspace, built on first use.
+    succ[s << n | v] is the id of span(s ∪ {v}), or _UNSEEN until step
+    computes it."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.spaces: list[VectorSubspace] = []
+        self.rows: list[tuple[int, ...]] = []
         self.dims = bytearray()
+        self.spaces: list[VectorSubspace | None] = []
         self.ids: dict[tuple[int, ...], int] = {}  # rows -> span id
         self.succ = array("H")
-        self.lock = threading.Lock()  # a miss adds a span and its row of succ
+        self.unseen = array("H", [_UNSEEN]) * (1 << n)  # a new span's row of succ
+        self.lock = threading.Lock()  # one miss at a time: it may add a span
         self._add(())
 
     def _add(self, rows: tuple[int, ...]) -> int:
-        space = VectorSubspace(self.n, rows)
-        s = self.ids[space.rows] = len(self.spaces)
-        self.spaces.append(space)
+        s = self.ids[rows] = len(self.rows)
+        self.rows.append(rows)
         self.dims.append(len(rows))
-        self.succ.extend(array("H", [_UNSEEN]) * (1 << self.n))
+        self.spaces.append(None)
+        self.succ.extend(self.unseen)
         return s
 
     def step(self, s: int, v: int) -> int:
@@ -227,20 +230,29 @@ class _Lattice:
         if t != _UNSEEN:
             return t
         with self.lock:
-            basis = list(self.spaces[s].rows)
-            w = _reduce(basis, v)
+            rows = self.rows[s]
+            w = _reduce(rows, v)
             t = s
             if w:
+                basis = list(rows)
                 _insert(basis, w)
                 basis.sort(key=lowest_set_bit)
-                rows = tuple(basis)
-                t = self.ids.get(rows)
+                grown = tuple(basis)
+                t = self.ids.get(grown)
                 if t is None:
-                    t = self._add(rows)
-            row = s << self.n
-            for u in _span(w, self.spaces[s].rows):
-                self.succ[row | u] = t
+                    t = self._add(grown)
+            succ, row = self.succ, s << self.n
+            for u in _span(w, rows):
+                succ[row | u] = t
         return t
+
+    def space(self, rows: tuple[int, ...]) -> VectorSubspace:
+        """The VectorSubspace of a reached span's rows."""
+        s = self.ids[rows]
+        space = self.spaces[s]
+        if space is None:
+            space = self.spaces[s] = VectorSubspace(self.n, rows)
+        return space
 
 
 @functools.cache
@@ -275,14 +287,14 @@ def _draw_subspace(n: int, words: _Words,
         s = 0
         while lattice.dims[s] < dim:
             s = lattice.step(s, words.integers(1, 1 << n))
-        rows = lattice.spaces[s].rows
+        rows = lattice.rows[s]
     return rows, _reduce(rows, words.integers(0, 1 << n))
 
 
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
     rows, offset = pair
     lattice = _lattice(n)
-    space = VectorSubspace(n, rows) if lattice is None else lattice.spaces[lattice.ids[rows]]
+    space = VectorSubspace(n, rows) if lattice is None else lattice.space(rows)
     return AffineSubspace(n, space, offset)
 
 
@@ -309,7 +321,7 @@ def _draw_members(n: int, words: _Words, count: int,
             if len(members) >= count:
                 break
         return list(members)
-    succ, dims, spaces, step = lattice.succ, lattice.dims, lattice.spaces, lattice.step
+    succ, dims, rows_of, step = lattice.succ, lattice.dims, lattice.rows, lattice.step
     dim_span, vec_span = n + 1 - min_dim, (1 << n) - 1
     dim_floor, vec_floor = (1 << 32) % dim_span, (1 << 32) % vec_span
     shift = 32 - n
@@ -347,7 +359,7 @@ def _draw_members(n: int, words: _Words, count: int,
                 s = step(s, v) if t == _UNSEEN else t
             if i == end:
                 halves, i, end = words._next_halves()
-            keys.setdefault(s << n | _reduce(spaces[s].rows, halves[i] >> shift))
+            keys.setdefault(s << n | _reduce(rows_of[s], halves[i] >> shift))
             i += 1
             if len(keys) >= count:
                 break
@@ -355,7 +367,7 @@ def _draw_members(n: int, words: _Words, count: int,
         if i:  # halves[i - 1] was drawn; a word's high half stays buffered
             words.used, words.has, words.uinteger = (i + 1) >> 1, i & 1, halves[(i - 1) | 1]
     mask = (1 << n) - 1
-    return [(spaces[key >> n].rows, key & mask) for key in keys]
+    return [(rows_of[key >> n], key & mask) for key in keys]
 
 
 def random_mixture(n: int, rng: np.random.Generator,

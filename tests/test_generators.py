@@ -379,8 +379,8 @@ def _walk_lattice(n):
     last."""
     lattice = generators._Lattice(n)
     s = 0
-    while s < len(lattice.spaces):
-        rows = lattice.spaces[s].rows
+    while s < len(lattice.rows):
+        rows = lattice.rows[s]
         low = 2 * (rows[-1] & -rows[-1]) if rows else 1
         for v in range(low, 1 << n, low):
             assert lattice.dims[lattice.step(s, v)] == lattice.dims[s] + 1
@@ -391,12 +391,14 @@ def _walk_lattice(n):
 @pytest.mark.parametrize("n", [1, 4])
 def test_lattice_steps_are_spans(n):
     """Every step from every subspace of F_2^n, after the walk: a miss
-    fills v's whole coset, so most of these are hits."""
+    fills v's whole coset, so most of these are hits; and each span's
+    VectorSubspace, built once."""
     lattice = _walk_lattice(n)
-    for s, space in enumerate(lattice.spaces):
+    for s, rows in enumerate(lattice.rows):
+        assert lattice.space(rows).rows == rows and lattice.space(rows) is lattice.space(rows)
         for v in range(1, 1 << n):
             t = lattice.step(s, v)
-            assert lattice.spaces[t].rows == tuple(_rref_ints(space.rows + (v,))), (s, v)
+            assert lattice.rows[t] == tuple(_rref_ints(rows + (v,))), (s, v)
 
 
 def test_lattice_of_f2_6_stays_small():
@@ -408,7 +410,7 @@ def test_lattice_of_f2_6_stays_small():
     elapsed = time.perf_counter() - began
     # the Gaussian binomials [6 choose k]_2
     assert Counter(lattice.dims) == {0: 1, 1: 63, 2: 651, 3: 1395, 4: 651, 5: 63, 6: 1}
-    assert len(lattice.ids) == len(lattice.spaces) == 2825
+    assert len(lattice.ids) == len(lattice.rows) == len(lattice.spaces) == 2825
     assert lattice.succ.itemsize == 2 and len(lattice.succ) == 2825 * 64
     assert elapsed < 0.5, elapsed
     tracemalloc.start()
