@@ -89,16 +89,19 @@ def decrypt_bit(key: SecretKey, frame: BitVector) -> int:
 # Frame bits coded per array pass (see encode_stream).
 CHUNK_BITS = 1 << 22
 
+# Each byte with its bit order reversed.
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
-def _key_columns(key: SecretKey) -> np.ndarray:
-    """Indices i (coordinate i+1) of the key's set bits."""
-    return np.array([i for i in range(key.n) if (key.x.bits >> i) & 1], dtype=np.intp)
+
+def _parities(frames: np.ndarray, mask: bytes) -> np.ndarray:
+    """Parity of each row of frames ANDed with the bytes mask."""
+    return np.bitwise_count(np.bitwise_xor.reduce(frames & np.frombuffer(mask, np.uint8), axis=1)) & 1
 
 
 def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) -> bytearray:
     """Header (magic, version, n, bit count) followed by one frame per
     plaintext bit, bits taken MSB-first within each byte, as one
-    bytearray that each pass writes its frames into.
+    bytearray that each pass writes its frames' wire bytes into.
 
     The frames are encrypt_bit's, bit by bit.  A pass codes frames of
     about CHUNK_BITS bits in all, at least one plaintext byte's; its pads
@@ -112,28 +115,28 @@ def encode_stream(key: SecretKey, plaintext: bytes, rng: np.random.Generator) ->
     _check_header_n(n)
     nbytes = (n + 7) // 8
     stride = 4 * ((nbytes + 3) // 4)
-    frame_bits = 8 * ((n + 1 + 7) // 8)
-    cols = _key_columns(key)
-    out = bytearray(15 + len(plaintext) * frame_bits)  # 8 frames of frame_bits / 8 bytes a byte
+    frame_len = (n + 1 + 7) // 8
+    key_bytes = key.x.to_bytes()
+    out = bytearray(15 + 8 * len(plaintext) * frame_len)
     out[:15] = MAGIC + bytes([VERSION]) + n.to_bytes(2, "big") + (8 * len(plaintext)).to_bytes(8, "big")
-    framed = np.frombuffer(out, np.uint8, offset=15).reshape(-1, frame_bits // 8)
-    step = max(1, CHUNK_BITS // (8 * frame_bits))
+    framed = np.frombuffer(out, np.uint8, offset=15).reshape(-1, frame_len)
+    step = max(1, CHUNK_BITS // (64 * frame_len))
     for start in range(0, len(plaintext), step):
         bits = np.unpackbits(np.frombuffer(plaintext[start:start + step], np.uint8))
         pads = np.frombuffer(rng.bytes(len(bits) * stride), np.uint8).reshape(-1, stride)
-        # random_vector reads the pad big-endian: coordinate i+1 is bit i
-        # of the reversed bytes, little-endian bit order
-        a = np.unpackbits(pads[:, nbytes - 1::-1], axis=1, bitorder="little")[:, :n]
-        frames = np.zeros((len(bits), frame_bits), np.uint8)
-        frames[:, :n] = a
-        frames[:, n] = bits ^ (np.count_nonzero(a[:, cols], axis=1) & 1)
-        framed[8 * start:8 * start + len(bits)] = np.packbits(frames, axis=1)
+        frames = framed[8 * start:8 * start + len(bits)]
+        # random_vector reads the pad big-endian, so coordinate 1 is the
+        # low bit of its byte nbytes - 1: reversed bytes of reversed bits
+        frames[:, :nbytes] = _REVERSED[pads[:, nbytes - 1::-1]]
+        frames[:, nbytes - 1] &= 0xFF << (8 * nbytes - n) & 0xFF
+        frames[:, n // 8] |= (bits ^ _parities(frames[:, :nbytes], key_bytes)) << (7 - n % 8)
     return out
 
 
 def decode_stream(key: SecretKey, data: bytes) -> bytes:
-    """Inverse of encode_stream; frame padding bits are ignored.  Raises
-    FormatError, with the offending byte offset, on a malformed stream."""
+    """Inverse of encode_stream: decrypt_bit on each frame's wire bytes,
+    whose padding bits are ignored.  Raises FormatError, with the
+    offending byte offset, on a malformed stream."""
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}", 0)
     if len(data) < 15:
@@ -152,15 +155,11 @@ def decode_stream(key: SecretKey, data: bytes) -> bytes:
         raise FormatError(
             f"expected {expected} bytes for {bit_count} frames, got {len(data)}",
             min(len(data), expected))
-    cols = _key_columns(key)
+    mask = BitVector(n + 1, key.x.bits | 1 << n).to_bytes()
     frames = np.frombuffer(data, np.uint8, offset=15).reshape(bit_count, frame_len)
-    out = bytearray()
     step = 8 * max(1, CHUNK_BITS // (64 * frame_len))  # encode_stream's passes
-    for start in range(0, bit_count, step):
-        bits = np.unpackbits(frames[start:start + step], axis=1)
-        plain = bits[:, n] ^ (np.count_nonzero(bits[:, cols], axis=1) & 1)
-        out += np.packbits(plain.astype(np.uint8)).tobytes()
-    return bytes(out)
+    return b"".join(np.packbits(_parities(frames[start:start + step], mask)).tobytes()
+                    for start in range(0, bit_count, step))
 
 
 @dataclass(frozen=True)

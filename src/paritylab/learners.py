@@ -459,7 +459,12 @@ def rank_success_probability(n: int, m: int) -> float:
 def exhaustive_success_curve(n: int, confirmations: int, m: int) -> list[float]:
     """Exact commitment-success probability of the candidate-cycling
     learner after 0, 1, ..., m samples, by one dynamic-programming pass
-    over (candidate distance to the key, counter)."""
+    over (candidate distance to the key, counter).  Raises ValueError
+    unless confirmations >= 1 and m >= 0."""
+    if confirmations < 1:
+        raise ValueError("need at least one confirmation")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     size = 1 << n
     cap = confirmations
     p = np.zeros((size, cap + 1))

@@ -176,9 +176,11 @@ def framewise_decode(key, blob):
 
 
 class TestArrayCoding:
-    @pytest.mark.parametrize("n", [*range(1, 19), 31, 32, 33, 40, 63, 64, 65, 100])
+    @pytest.mark.parametrize("n", [*range(1, 19), 31, 32, 33, 40, 63, 64, 65, 100, 1024, 65535])
     def test_matches_framewise_coding(self, n):
-        """Same blob bytes and same generator state as one frame per bit."""
+        """Same blob bytes and same generator state as one frame per bit.
+        At n = 1024 the cipher bit opens a new byte after a multi-word
+        pad; n = 65535, the header's maximum, has n = 7 (mod 8)."""
         rng = np.random.default_rng(n)
         key = keygen(n, rng)
         for size in (0, 1, 3, 17):
@@ -218,6 +220,27 @@ class TestArrayCoding:
         assert type(blob) is bytearray and len(blob) == 15 + 24 * len(payload)
         assert peak < 1.1 * len(blob), (peak, len(blob))
         assert decode_stream(key, blob) == payload
+
+    def test_frames_coded_in_place(self):
+        """n = 2048, 8 KiB of plaintext: passes of 2,040 frames code each
+        frame in its wire bytes, so encode's peak beyond its 16.1 MiB blob
+        and decode's peak are about 1.5 and 0.5 MiB (12.5 and 8.0 MiB with
+        a byte per frame bit)."""
+        rng = np.random.default_rng(5)
+        key = keygen(2048, rng)
+        payload = rng.bytes(8192)
+        tracemalloc.start()
+        try:
+            blob = encode_stream(key, payload, rng)
+            encode_peak = tracemalloc.get_traced_memory()[1] - len(blob)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = decode_stream(key, blob)
+            decode_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back == payload
+        assert encode_peak < 4 << 20 and decode_peak < 4 << 20, (encode_peak, decode_peak)
 
     def test_scratch_memory_bounded_at_large_n(self):
         """n = 4096, 512 plaintext bytes: a 2 MiB blob, coded in passes

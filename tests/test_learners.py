@@ -184,6 +184,25 @@ class TestExhaustive:
         assert all(p <= q for p, q in zip(curve, curve[1:]))
         assert [exhaustive_success_exact(3, 9, m) for m in range(24)] == curve
 
+    @pytest.mark.parametrize("confirmations", [0, -1])
+    def test_curve_refuses_no_confirmations(self, confirmations):
+        """A zero cap once gave "probabilities" above 1 ([0.25, 0.625,
+        1.4375, ...] at n = 2) and a negative one an IndexError."""
+        with pytest.raises(ValueError, match="at least one confirmation"):
+            exhaustive_success_curve(2 if confirmations == 0 else 3, confirmations, 4)
+        with pytest.raises(ValueError, match="at least one confirmation"):
+            exhaustive_success_exact(3, confirmations, 2)
+
+    def test_curve_refuses_negative_m(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            exhaustive_success_curve(3, 9, -1)
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            exhaustive_success_exact(3, 9, -1)
+
+    def test_one_confirmation_curve_is_a_probability(self):
+        curve = exhaustive_success_curve(2, 1, 6)
+        assert curve[:3] == [0.0, 0.25, 0.375] and all(0.0 <= p <= 1.0 for p in curve)
+
     def test_default_cap(self):
         L = exhaustive_learner(5)
         assert L.memory_bits == 5 + 4  # counter cap 15 fits in 4 bits
