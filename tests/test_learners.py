@@ -184,14 +184,14 @@ class TestExhaustive:
         assert all(p <= q for p, q in zip(curve, curve[1:]))
         assert [exhaustive_success_exact(3, 9, m) for m in range(24)] == curve
 
-    @pytest.mark.parametrize("confirmations", [0, -1])
-    def test_curve_refuses_no_confirmations(self, confirmations):
-        """A zero cap once gave "probabilities" above 1 ([0.25, 0.625,
-        1.4375, ...] at n = 2) and a negative one an IndexError."""
+    @pytest.mark.parametrize("n, confirmations", [(2, 0), (3, -1)])
+    def test_curve_refuses_no_confirmations(self, n, confirmations):
+        """Unchecked, a zero cap gave "probabilities" above 1 ([0.25,
+        0.625, 1.4375, ...] at n = 2) and a negative one an IndexError."""
         with pytest.raises(ValueError, match="at least one confirmation"):
-            exhaustive_success_curve(2 if confirmations == 0 else 3, confirmations, 4)
+            exhaustive_success_curve(n, confirmations, 4)
         with pytest.raises(ValueError, match="at least one confirmation"):
-            exhaustive_success_exact(3, confirmations, 2)
+            exhaustive_success_exact(n, confirmations, 2)
 
     def test_curve_refuses_negative_m(self):
         with pytest.raises(ValueError, match="m must be nonnegative"):
