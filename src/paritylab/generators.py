@@ -370,13 +370,22 @@ def _draw_members(n: int, words: _Words, count: int,
     return [(rows_of[key >> n], key & mask) for key in keys]
 
 
-def random_mixture(n: int, rng: np.random.Generator,
-                   max_members: int = 8) -> SubspaceMixture:
+def random_mixture_pairs(n: int, rng: np.random.Generator, max_members: int = 8
+                         ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
+    """random_mixture's draws without the objects: its members as
+    canonical (rows, offset) pairs (see _draw_subspace), distinct and in
+    support order, and their float weights."""
     with _Words(rng) as words:
         members = _draw_members(n, words, words.integers(1, max_members + 1))
         weights = words.random(len(members)) + 0.05
     weights /= weights.sum()
-    return SubspaceMixture(n, tuple((_subspace(n, pair), float(p))
+    return members, weights.tolist()
+
+
+def random_mixture(n: int, rng: np.random.Generator,
+                   max_members: int = 8) -> SubspaceMixture:
+    members, weights = random_mixture_pairs(n, rng, max_members)
+    return SubspaceMixture(n, tuple((_subspace(n, pair), p)
                                     for pair, p in zip(members, weights)))
 
 

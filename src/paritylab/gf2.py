@@ -294,9 +294,18 @@ def hyperplane_keys(w: AffineSubspace) -> frozenset[int]:
     key of w1.  The key id is the package's one form of a hyperplane;
     keys_subspace, keys_mask and mask_keys convert it.
     """
-    off = w.offset
+    if w.is_empty:
+        raise EmptySubspaceError("hyperplane keys of the empty subspace")
+    return coset_keys(w.n, w.direction.rows, w.offset)
+
+
+def coset_keys(n: int, rows: tuple[int, ...], offset: int) -> frozenset[int]:
+    """hyperplane_keys of the coset offset + span(rows), given by the
+    fields of its canonical form: RREF rows sorted by pivot, and an
+    offset."""
     # point 0 is a = 0, and no other: the rows are independent
-    return frozenset((a << 1) | parity(a & off) for a in _span(0, orthogonal_space(w).rows)[1:])
+    return frozenset((a << 1) | parity(a & offset)
+                     for a in _span(0, _null_space_cached(n, rows).rows)[1:])
 
 
 def keys_subspace(n: int, ids: Iterable[int]) -> AffineSubspace:

@@ -16,9 +16,6 @@ from .distributions import (
     check_r,
     heaviest_hyperplane,
     key_table,
-    l1_distance,
-    mixture_table,
-    uniform_weights,
 )
 from .gf2 import AffineSubspace, hyperplane_keys, is_subset, keys_subspace
 
@@ -244,12 +241,6 @@ class PartitionGroup:
     def mass(self) -> float:
         return sum(self.probabilities)
 
-    def l1_to_uniform(self) -> float:  # the conditional law: each p / mass, in member order
-        m = self.mass
-        table = mixture_table(self.representative.n,
-                              ((w, p / m) for w, p in zip(self.members, self.probabilities)))
-        return l1_distance(table, uniform_weights(self.representative))
-
 
 @dataclass(frozen=True)
 class SubspacePartition:
@@ -283,9 +274,6 @@ class SubspacePartition:
             if is_subset(w, g.representative):
                 return g.representative
         return None
-
-    def representatives_with_dim_at_least(self, k: int) -> int:
-        return sum(1 for g in self.groups if g.representative.dim >= k)
 
 
 def build_partition(mix: SubspaceMixture, r: float) -> SubspacePartition:

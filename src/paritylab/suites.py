@@ -8,20 +8,22 @@ loop compares its floats inline.
 
 from __future__ import annotations
 
-from .distributions import SLACK, check_fourier_closeness, check_table_dim
+import numpy as np
+
+from .distributions import PROB_TOL, SLACK, check_fourier_closeness, check_table_dim
 from .generators import (
     derived_rng,
     greedy_recorder_program,
     learner_program_with_labels,
     random_hypothesis_mixture,
-    random_mixture,
+    random_mixture_pairs,
     random_program,
     selective_recorder_program,
 )
-from .gf2 import is_subset
+from .gf2 import _span, coset_keys, hyperplane_masks, keys_mask
 from .learners import gaussian_learner
 from .lowerbound import verify_reach_bound
-from .partition import build_partition, group_count_bound
+from .partition import _partition_ids, group_count_bound
 from .reduction import reduce_to_affine
 
 R_FRACS = (0.5, 0.75, 1.0)  # the r / n cells of the Fourier and partition suites
@@ -70,35 +72,94 @@ def fourier_suite(count: int, seed: int,
     return _report("fourier", count, failures, min_margin=min_margin)
 
 
+def _members(n: int, pairs: list[tuple[tuple[int, ...], int]],
+             weights: list[float]) -> tuple[list[frozenset[int]], list[list[int]], list[int]]:
+    """The key ids, points and point masks of a mixture's members, given as
+    canonical (rows, offset) pairs and weights, after SubspaceMixture's
+    checks: distinct members, positive weights, total 1 within PROB_TOL."""
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("duplicate support element")
+    if (low := min(weights)) <= 0:
+        raise ValueError(f"probabilities must be positive, got {low}")
+    if abs(sum(weights) - 1.0) > PROB_TOL:
+        raise ValueError(f"probabilities sum to {sum(weights)}, not 1")
+    keys, points, masks = [], [], []
+    for rows, offset in pairs:
+        keys.append(coset_keys(n, rows, offset))
+        points.append(span := _span(offset, rows))
+        mask = 0
+        for x in span:
+            mask |= 1 << x
+        masks.append(mask)
+    return keys, points, masks
+
+
+def _group_distances(n: int, reps: list[int], dims: list[int],
+                     groups: list[list[tuple[list[int], float]]]) -> list[float]:
+    """Each group's l1 distance from its members' conditional law to the
+    uniform law on its representative (a point mask of dimension dims[g]).
+    A group is its members' (points, mass) in member order; the law adds
+    (p / mass) 2^-dim into each point of each member, mass summed in
+    member order, and all groups share one 2-D table."""
+    size = 1 << n
+    table = [0.0] * (len(groups) * size)
+    for base, group in zip(range(0, len(table), size), groups):
+        mass = sum(p for _, p in group)
+        for points, p in group:
+            q = p / mass * 2.0 ** -(len(points).bit_length() - 1)
+            for x in points:
+                table[base + x] += q
+    nbytes = (size + 7) // 8  # a representative's bits, point 0 first
+    bits = np.unpackbits(np.frombuffer(b"".join(rep.to_bytes(nbytes, "little") for rep in reps),
+                                       np.uint8), bitorder="little")
+    scale = np.array([2.0 ** -d for d in dims])[:, None]
+    uniform = bits.reshape(len(reps), 8 * nbytes)[:, :size] * scale
+    return np.abs(np.array(table).reshape(len(groups), size) - uniform).sum(axis=1).tolist()
+
+
 def partition_suite(count: int, seed: int,
                     ns: tuple[int, ...] = (2, 3, 4, 5),
                     r_fracs: tuple[float, ...] = R_FRACS,
                     rs: tuple[float, ...] | None = None) -> dict:
-    """Random mixtures: all four grouping properties, checked exactly."""
+    """Random mixtures: all four grouping properties, checked exactly.
+
+    The instances are point masks from draw to check: each member's key
+    ids and 2^n-bit point mask come from its drawn (rows, offset) pair,
+    the rounds from the partition core (build_partition without the
+    objects), each representative's mask from its chosen key ids, and
+    containment is a mask test."""
     rng = derived_rng(seed, 2)
     failures = []
     worst_residual = 0.0
     min_group_margin = float("inf")
-    for n, r in _cells(count, ns, r_fracs, rs):
-        mix = random_mixture(n, rng)
-        part = build_partition(mix, r)
+    cells = _cells(count, ns, r_fracs, rs)
+    for n, _ in cells:  # hyperplane_masks' and the weight table's cap, before the first draw
+        check_table_dim(n)
+    for n, r in cells:
+        pairs, weights = random_mixture_pairs(n, rng)
+        keys, points, masks = _members(n, pairs, weights)
+        rounds, residual = _partition_ids(n, keys, weights, r)
         problems = []
-        if part.residual_mass > 2.0 ** (-2 * n) + SLACK:
+        residual_mass = sum(weights[i] for i in residual)
+        if residual_mass > 2.0 ** (-2 * n) + SLACK:
             problems.append("residual")
-        worst_residual = max(worst_residual, part.residual_mass)
+        worst_residual = max(worst_residual, residual_mass)
         step_bound = 2.0 ** (-(r - n / 2))
-        reps = [g.representative for g in part.groups]
+        even = hyperplane_masks(n)
+        reps = [keys_mask(even, chosen) for chosen, _ in rounds]
+        dims = [rep.bit_count().bit_length() - 1 for rep in reps]
         if len(set(reps)) != len(reps):
             problems.append("duplicate representatives")
-        for g in part.groups:
-            if not all(is_subset(w, g.representative) for w in g.members):
+        distances = _group_distances(n, reps, dims, [[(points[i], weights[i]) for i in taken]
+                                                     for _, taken in rounds])
+        for rep, (_, taken), dist in zip(reps, rounds, distances):
+            if any(masks[i] & ~rep for i in taken):
                 problems.append("containment")
-            dist = g.l1_to_uniform()
             min_group_margin = min(min_group_margin, step_bound - dist)
             if not dist < step_bound + SLACK:
                 problems.append("group distance")
         for k in range(n + 1):
-            if part.representatives_with_dim_at_least(k) > group_count_bound(n, r, k) + SLACK:
+            if sum(d >= k for d in dims) > group_count_bound(n, r, k) + SLACK:
                 problems.append(f"count k={k}")
         if problems:
             failures.append({"n": n, "r": r, "problems": problems})

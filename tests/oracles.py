@@ -20,7 +20,9 @@ label's support at every leaf, the output-dimension reference sums each
 leaf's row by itself, the gamma reference compares one edge at a time,
 and the path reference follows one list of
 samples (a, b) to a leaf.  The group-distance reference builds each
-partition group's conditional SubspaceMixture before tabulating it.  The
+partition group's conditional SubspaceMixture before tabulating it, and
+the partition-suite reference checks random_mixture's objects through
+build_partition, is_subset and that distance.  The
 generator references build an AffineSubspace for every draw and a
 SubspaceMixture for every attempt, kept or not, count the paths they
 take, and draw straight from the Generator (the program reference one
@@ -55,6 +57,7 @@ from paritylab.bp import (
 )
 from paritylab.crypto import AttackReport
 from paritylab.distributions import (
+    SLACK,
     SubspaceMixture,
     check_r,
     heaviest_hyperplane,
@@ -64,6 +67,7 @@ from paritylab.distributions import (
     mixture_distribution,
     uniform_weights,
 )
+from paritylab.generators import derived_rng, random_mixture
 from paritylab.gf2 import (
     AffineSubspace,
     VectorSubspace,
@@ -72,11 +76,18 @@ from paritylab.gf2 import (
     _reduce,
     hyperplane_keys,
     intersect_hyperplane,
+    is_subset,
     lowest_set_bit,
     parity,
 )
 from paritylab.learners import TradeoffPoint, run_learner, simulate_success, wilson_interval
-from paritylab.partition import PartitionGroup, SubspacePartition
+from paritylab.partition import (
+    PartitionGroup,
+    SubspacePartition,
+    build_partition,
+    group_count_bound,
+)
+from paritylab.suites import R_FRACS, _cells, _report
 
 
 def _drop_bit(v, pos):
@@ -326,6 +337,46 @@ def conditional_l1_to_uniform(group):
     cond = SubspaceMixture(group.representative.n,
                            tuple((w, p / m) for w, p in zip(group.members, group.probabilities)))
     return l1_distance(mixture_distribution(cond), uniform_weights(group.representative))
+
+
+def representatives_with_dim_at_least(part, k):
+    """The number of a partition's representatives of dimension at least k."""
+    return sum(1 for g in part.groups if g.representative.dim >= k)
+
+
+def object_partition_suite(count, seed, ns=(2, 3, 4, 5), r_fracs=R_FRACS, rs=None):
+    """Reference suites.partition_suite on objects: random_mixture's
+    SubspaceMixture, build_partition's groups, is_subset for containment,
+    conditional_l1_to_uniform for the group distance, and the
+    representatives' dimensions for the count caps."""
+    rng = derived_rng(seed, 2)
+    failures = []
+    worst_residual = 0.0
+    min_group_margin = float("inf")
+    for n, r in _cells(count, ns, r_fracs, rs):
+        part = build_partition(random_mixture(n, rng), r)
+        problems = []
+        if part.residual_mass > 2.0 ** (-2 * n) + SLACK:
+            problems.append("residual")
+        worst_residual = max(worst_residual, part.residual_mass)
+        step_bound = 2.0 ** (-(r - n / 2))
+        reps = [g.representative for g in part.groups]
+        if len(set(reps)) != len(reps):
+            problems.append("duplicate representatives")
+        for g in part.groups:
+            if not all(is_subset(w, g.representative) for w in g.members):
+                problems.append("containment")
+            dist = conditional_l1_to_uniform(g)
+            min_group_margin = min(min_group_margin, step_bound - dist)
+            if not dist < step_bound + SLACK:
+                problems.append("group distance")
+        for k in range(n + 1):
+            if representatives_with_dim_at_least(part, k) > group_count_bound(n, r, k) + SLACK:
+                problems.append(f"count k={k}")
+        if problems:
+            failures.append({"n": n, "r": r, "problems": problems})
+    return _report("partition", count, failures, worst_residual=worst_residual,
+                   min_group_margin=min_group_margin)
 
 
 def run_path(bp, samples):

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,9 +246,8 @@ class TestVerifyLemmas:
         monkeypatch.setattr(suites, "check_fourier_closeness",
                             lambda mix, r: FourierCheck(False, 1.0, BoundCheck("closeness", 1.0, 0.0, True),
                                                          None))
-        monkeypatch.setattr(suites, "random_mixture", lambda n, rng: None)
-        monkeypatch.setattr(suites, "build_partition", lambda mix, r: SimpleNamespace(
-            residual_mass=1.0, groups=(), representatives_with_dim_at_least=lambda k: 0))
+        monkeypatch.setattr(suites, "random_mixture_pairs", lambda n, rng: ([((), 0)], [1.0]))
+        monkeypatch.setattr(suites, "_partition_ids", lambda n, keys, probs, r: ([], [0]))
         monkeypatch.setattr(suites, "reduction_suite", lambda *args, **kwargs: {"ok": True})
         monkeypatch.setattr(suites, "reach_bound_suite", lambda *args, **kwargs: {"ok": True})
         for n in range(2, 9):

@@ -130,6 +130,19 @@ def test_draw_subspace_is_canonical(n):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_mixture_pairs_are_random_mixture(n):
+    """random_mixture_pairs gives random_mixture's members as canonical
+    pairs and its weights as floats, from the same draws."""
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for max_members in (1, 8, 16):
+        pairs, weights = generators.random_mixture_pairs(n, rng, max_members)
+        mix = generators.random_mixture(n, ref_rng, max_members)
+        assert pairs == [(w.direction.rows, w.offset) for w, _ in mix.support]
+        assert [repr(p) for p in weights] == [repr(p) for _, p in mix.support]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # Ranges hi - lo of 1 (no draw), small, 2^k - 1, 2^k, 2^31 + 1 (about
 # half of its multiply-shift draws are rejected) and 2^32 (the raw half).
 RANGES = [(0, 1), (5, 6), (0, 2), (0, 3), (-3, 4), (0, 7), (1, 2 ** 5), (0, 2 ** 5),

@@ -430,6 +430,10 @@ class TestAgainstPointSets:
         assert hyperplane_keys(w) == {(a << 1) | b for a in range(1, 1 << n) for b in (0, 1)
                                       if all(dot(a, x) == b for x in pts)}
 
+    def test_hyperplane_keys_of_empty_raises(self):
+        with pytest.raises(EmptySubspaceError):
+            hyperplane_keys(AffineSubspace.empty(3))
+
     @PROPERTY
     @given(described_pair())
     def test_subset_is_key_inclusion(self, pair):

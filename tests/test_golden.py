@@ -26,7 +26,7 @@ from paritylab.generators import (
     selective_recorder_program,
 )
 from paritylab.crypto import encode_stream, keygen, run_attack, window_attacker
-from paritylab.gf2 import BitVector
+from paritylab.gf2 import BitVector, keys_subspace
 from paritylab.learners import (
     exhaustive_learner,
     gaussian_learner,
@@ -118,13 +118,17 @@ def test_fourier_suite_corpus(monkeypatch):
 
 
 def test_partition_suite_groupings(monkeypatch):
-    calls = _recording(monkeypatch, "build_partition")
+    """Each instance's members and representatives, as the subspaces of
+    their key ids."""
+    calls = _recording(monkeypatch, "_partition_ids")
     assert suites.partition_suite(24, SEED)["ok"]
+    assert len(calls) == 24
     docs = []
-    for _, part in calls:
-        docs.append({"groups": [[g.representative.to_text(), [w.to_text() for w in g.members]]
-                                for g in part.groups],
-                     "residual": [w.to_text() for w, _ in part.residual]})
+    for (n, keys, _, _), (rounds, residual) in calls:
+        texts = [keys_subspace(n, ids).to_text() for ids in keys]
+        docs.append({"groups": [[keys_subspace(n, chosen).to_text(), [texts[i] for i in taken]]
+                                for chosen, taken in rounds],
+                     "residual": [texts[i] for i in residual]})
     assert _digest(docs) == (
         "33e9d8180541ca91dce97790726e7a349b23b03fd047bc37c11d813b056165de")
 

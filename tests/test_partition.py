@@ -14,6 +14,7 @@ from oracles import (
     object_reduce,
     per_round_partition_ids,
     project_out,
+    representatives_with_dim_at_least,
     tuple_build_partition,
     tuple_find_rep,
     tuple_keys,
@@ -38,6 +39,7 @@ from paritylab.gf2 import (
     hyperplane_keys,
     intersect_hyperplane,
     is_subset,
+    point_mask,
 )
 from paritylab.partition import (
     _partition_ids,
@@ -47,7 +49,7 @@ from paritylab.partition import (
     group_count_bound,
 )
 from paritylab.reduction import reduce_to_affine
-from paritylab.suites import R_FRACS, _cells
+from paritylab.suites import R_FRACS, _cells, _group_distances
 
 
 def bv(text):
@@ -265,10 +267,10 @@ class TestBuildPartition:
                 assert all(is_subset(w, g.representative) for w in g.members)
             # property 3: strict per-group closeness
             for g in part.groups:
-                assert g.l1_to_uniform() < 2.0 ** (-(r - n / 2)) + 1e-12
+                assert conditional_l1_to_uniform(g) < 2.0 ** (-(r - n / 2)) + 1e-12
             # property 4: representative counts per dimension
             for k in range(n + 1):
-                assert (part.representatives_with_dim_at_least(k)
+                assert (representatives_with_dim_at_least(part, k)
                         <= group_count_bound(n, r, k) + 1e-12)
             # bookkeeping: no member in two groups, none lost
             seen = [w for g in part.groups for w in g.members]
@@ -354,15 +356,21 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("seed", [7, 47])
     def test_group_distance_matches_conditional_mixture(self, seed):
-        """l1_to_uniform, tabulated from the members and p / mass, equals
+        """The partition suite's group distances, tabulated on point masks
+        from the members and p / mass in one table per instance, equal
         the distance through the validated conditional mixture, float for
-        float, on the partition suite's instances."""
+        float, on the suite's instances."""
         rng = derived_rng(seed, 2)
         groups = 0
         for n, r in _cells(100, (2, 3, 4, 5), R_FRACS, None):
-            for g in build_partition(random_mixture(n, rng), r).groups:
-                assert g.l1_to_uniform() == conditional_l1_to_uniform(g)
-                groups += 1
+            part = build_partition(random_mixture(n, rng), r)
+            reps = [point_mask(g.representative) for g in part.groups]
+            members = [[(w.points(), p) for w, p in zip(g.members, g.probabilities)]
+                       for g in part.groups]
+            dims = [g.representative.dim for g in part.groups]
+            assert (_group_distances(n, reps, dims, members)
+                    == [conditional_l1_to_uniform(g) for g in part.groups])
+            groups += len(part.groups)
         assert groups > 300
 
     @pytest.mark.parametrize("members,r", [

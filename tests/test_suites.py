@@ -2,45 +2,91 @@
 
 The suites pass on the package as it is, so each failure branch is
 forced here by replacing the collaborator the suite calls
-(build_partition, reduce_to_affine or verify_reach_bound) with one that
-returns a failing result.  Each test pins the failure entry and the
-report's ok: false.
+(the partition suite's draw and partition core, reduce_to_affine or
+verify_reach_bound) with one that returns a failing result.  Each test
+pins the failure entry and the report's ok: false.
 """
 
+import json
 from types import SimpleNamespace
 
 import pytest
+from oracles import object_partition_suite
 
 from paritylab import suites
 from paritylab.distributions import BoundCheck
-from paritylab.gf2 import AffineSubspace
 
-FULL = AffineSubspace.full(3)
-POINT = AffineSubspace.point(3, 0)
-
-
-def _group(representative, member, distance=0.0):
-    return SimpleNamespace(representative=representative, members=(member,),
-                           l1_to_uniform=lambda: distance)
+# Members of F_2^3 as canonical (rows, offset) pairs, and key ids 2a + b.
+FULL = ((1, 2, 4), 0)
+POINT = ((), 0)
+X1_0, X1_1 = ((2, 4), 0), ((2, 4), 1)  # {x : x_1 = 0} and {x : x_1 = 1}
+POINT_KEYS = [2, 4, 8]  # x_1 = x_2 = x_3 = 0
 
 
-def _partition(groups=(), reps_at_least=0):
-    return SimpleNamespace(residual_mass=0.0, groups=groups,
-                           representatives_with_dim_at_least=lambda k: reps_at_least)
+def _instance(pairs, weights, rounds, residual=()):
+    """Stubs under which every draw of the suite gives the members pairs
+    with weights, and every partition the rounds (chosen key ids, taken
+    members) and the residual members."""
+    return {"random_mixture_pairs": lambda n, rng: (pairs, weights),
+            "_partition_ids": lambda n, keys, probs, r: (rounds, list(residual))}
 
 
 class TestPartitionSuite:
-    @pytest.mark.parametrize("part, problems", [
-        (_partition((_group(FULL, FULL), _group(FULL, FULL))), ["duplicate representatives"]),
-        (_partition((_group(POINT, FULL),)), ["containment"]),
-        (_partition((_group(FULL, POINT, distance=2.0),)), ["group distance"]),
-        (_partition(reps_at_least=10 ** 9), ["count k=0", "count k=1", "count k=2", "count k=3"]),
-    ], ids=["duplicate", "containment", "distance", "count"])
-    def test_problem_entry(self, monkeypatch, part, problems):
-        monkeypatch.setattr(suites, "build_partition", lambda mix, r: part)
+    @pytest.mark.parametrize("stubs, problems", [
+        (_instance([POINT], [1.0], [], [0]), ["residual"]),
+        (_instance([FULL, X1_0, X1_1], [0.5, 0.25, 0.25], [([], [0]), ([], [1, 2])]),
+         ["duplicate representatives"]),
+        # the full member puts 0.01 outside the point: distance 0.0175
+        (_instance([POINT, FULL], [0.99, 0.01], [(POINT_KEYS, [0, 1])]), ["containment"]),
+        (_instance([POINT], [1.0], [([], [0])]), ["group distance"]),
+        # a real instance against caps below 0
+        ({"group_count_bound": lambda n, r, k: -1.0},
+         ["count k=0", "count k=1", "count k=2", "count k=3"]),
+    ], ids=["residual", "duplicate", "containment", "distance", "count"])
+    def test_problem_entry(self, monkeypatch, stubs, problems):
+        for name, stub in stubs.items():
+            monkeypatch.setattr(suites, name, stub)
         report = suites.partition_suite(1, 5, ns=(3,))
         assert report["failures"] == [{"n": 3, "r": 1.5, "problems": problems}]
         assert report["passed"] == 0 and report["ok"] is False
+
+    @pytest.mark.parametrize("pairs, weights, message", [
+        ([FULL, FULL], [0.5, 0.5], "duplicate support element"),
+        ([FULL, X1_0], [1.0, 0.0], "probabilities must be positive, got 0.0"),
+        ([FULL, X1_0], [0.5, 0.25], "probabilities sum to 0.75, not 1"),
+    ], ids=["duplicate", "zero", "total"])
+    def test_mixture_checks(self, monkeypatch, pairs, weights, message):
+        """SubspaceMixture's checks, on the drawn pairs and weights."""
+        for name, stub in _instance(pairs, weights, [([], [0, 1])]).items():
+            monkeypatch.setattr(suites, name, stub)
+        with pytest.raises(ValueError, match=message):
+            suites.partition_suite(1, 5, ns=(3,))
+
+    def test_table_cap_before_any_draw(self, monkeypatch):
+        """n = 13 is refused by the weight table's cap before the first
+        draw, and before any 4^n-bit hyperplane_masks table."""
+        def refuse(*args):
+            raise AssertionError("drew or built past the cap")
+
+        for name in ("random_mixture_pairs", "hyperplane_masks"):
+            monkeypatch.setattr(suites, name, refuse)
+        with pytest.raises(ValueError, match="exact tables support 0 <= n <= 12, got 13"):
+            suites.partition_suite(4, 5, ns=(2, 13))
+
+    @pytest.mark.parametrize("ns", [(1,), (6,), (2, 3, 4, 5, 6)], ids=str)
+    def test_matches_object_suite(self, ns):
+        """The mask suite's report equals the reference on random_mixture,
+        build_partition and the conditional mixture's distance, as
+        sort_keys JSON text (floats bit for bit)."""
+        for seed in range(10):
+            assert (json.dumps(suites.partition_suite(30, seed, ns=ns), sort_keys=True)
+                    == json.dumps(object_partition_suite(30, seed, ns=ns), sort_keys=True))
+
+    def test_matches_object_suite_absolute_rs(self):
+        args = (24, 3)
+        kwargs = {"ns": (2, 3, 4), "rs": (2.0, 2.5, 3.0)}
+        assert (json.dumps(suites.partition_suite(*args, **kwargs), sort_keys=True)
+                == json.dumps(object_partition_suite(*args, **kwargs), sort_keys=True))
 
 
 class TestReductionSuite:
