@@ -37,12 +37,15 @@ class TestPartitionSuite:
         (_instance([FULL, X1_0, X1_1], [0.5, 0.25, 0.25], [([], [0]), ([], [1, 2])]),
          ["duplicate representatives"]),
         # the full member puts 0.01 outside the point: distance 0.0175
-        (_instance([POINT, FULL], [0.99, 0.01], [(POINT_KEYS, [0, 1])]), ["containment"]),
+        (_instance([FULL, POINT], [0.01, 0.99], [(POINT_KEYS, [0, 1])]), ["containment"]),
         (_instance([POINT], [1.0], [([], [0])]), ["group distance"]),
         # a real instance against caps below 0
         ({"group_count_bound": lambda n, r, k: -1.0},
          ["count k=0", "count k=1", "count k=2", "count k=3"]),
-    ], ids=["residual", "duplicate", "containment", "distance", "count"])
+        # representatives of dimension 3 and 0 against a cap of 1 at every k
+        ({**_instance([FULL, POINT], [0.5, 0.5], [([], [0]), (POINT_KEYS, [1])]),
+          "group_count_bound": lambda n, r, k: 1.0}, ["count k=0"]),
+    ], ids=["residual", "duplicate", "containment", "distance", "count", "count-at-cap"])
     def test_problem_entry(self, monkeypatch, stubs, problems):
         for name, stub in stubs.items():
             monkeypatch.setattr(suites, name, stub)
