@@ -87,10 +87,7 @@ def _members(n: int, pairs: list[tuple[tuple[int, ...], int]],
     for rows, offset in pairs:
         keys.append(coset_keys(n, rows, offset))
         points.append(span := _span(offset, rows))
-        mask = 0
-        for x in span:
-            mask |= 1 << x
-        masks.append(mask)
+        masks.append(sum(1 << x for x in span))  # the points are distinct
     return keys, points, masks
 
 
