@@ -90,10 +90,13 @@ class _Words:
         return halves
 
     def _next_halves(self) -> tuple[list[int], int, int]:
-        """Fetch the next block: its half-words, the index of the first
-        (0) and their count."""
-        self._fill()
-        return self._halves(0), 0, 2 * len(self.block)
+        """The block's half-words, the index of its next word's low half
+        and their count, fetching the next block if this one is drawn.
+        Their words count as drawn: the caller sets used back."""
+        if self.used == len(self.block):
+            self._fill()
+        i, self.used = 2 * self.used, len(self.block)
+        return self._halves(0), i, 2 * self.used
 
     def _take(self, count: int) -> list[int]:
         """The next count words."""
@@ -262,35 +265,6 @@ def _lattice(n: int) -> _Lattice | None:
     return _Lattice(n) if 1 <= n <= _LATTICE_MAX_N else None
 
 
-def _draw_subspace(n: int, words: _Words,
-                   dim: int | None = None) -> tuple[tuple[int, ...], int]:
-    """random_subspace's draws, returned as its canonical form: the RREF
-    rows sorted by pivot and the offset reduced by them.  A drawn vector
-    is one step of the lattice of F_2^n, or a _reduce and an _insert past
-    _LATTICE_MAX_N.
-
-    Equal pairs are equal subspaces, so callers dedup and test members on
-    the pairs and build objects only for the members they keep.
-    """
-    if dim is None:
-        dim = words.integers(0, n + 1)
-    lattice = _lattice(n)
-    if lattice is None:
-        basis: list[int] = []
-        while len(basis) < dim:
-            v = _reduce(basis, words.integers(1, 1 << n))
-            if v:
-                _insert(basis, v)
-        basis.sort(key=lowest_set_bit)
-        rows = tuple(basis)
-    else:
-        s = 0
-        while lattice.dims[s] < dim:
-            s = lattice.step(s, words.integers(1, 1 << n))
-        rows = lattice.rows[s]
-    return rows, _reduce(rows, words.integers(0, 1 << n))
-
-
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
     rows, offset = pair
     lattice = _lattice(n)
@@ -300,41 +274,39 @@ def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
 
 def random_subspace(n: int, rng: np.random.Generator) -> AffineSubspace:
     with _Words(rng) as words:
-        return _subspace(n, _draw_subspace(n, words))
+        return _subspace(n, _draw_members(n, words, 1)[0])
 
 
 def _draw_members(n: int, words: _Words, count: int,
                   min_dim: int = 0) -> list[tuple[tuple[int, ...], int]]:
-    """Up to count distinct pairs, in order of first appearance, each
-    drawn at a dimension uniform on [min_dim, n], from at most 20 * count
-    draws: small n may not have count distinct subspaces (n = 1 has 3).
+    """Up to count distinct subspaces as canonical pairs (rows, offset),
+    the RREF rows sorted by pivot and the offset reduced by them, in order
+    of first appearance, from at most 20 * count draws: small n may not
+    have count distinct subspaces (n = 1 has 3).  Each is drawn as
+    random_subspace draws it (a dimension, here uniform on [min_dim, n],
+    vectors until the span reaches it, an offset); a vector is one lattice
+    step, or a _reduce and an _insert past _LATTICE_MAX_N.  Equal pairs are
+    equal subspaces, so callers dedup and test members on the pairs.
 
-    On the lattice it reads the reader's block of half-words in place:
-    the values of the loop's words.integers calls, Lemire rejections
-    included, with the reader left where those calls leave it (used, has,
-    and the stale uinteger of a handed-out buffer)."""
+    The half-words of those words.integers calls are read in place, any
+    buffered half first and Lemire rejections included, and the reader is
+    left where the calls leave it (used, has and a stale uinteger)."""
+    if n == 0:
+        return [((), 0)]
     lattice = _lattice(n)
-    if lattice is None:
-        members: dict[tuple[tuple[int, ...], int], None] = {}
-        for _ in range(20 * count):
-            members.setdefault(_draw_subspace(n, words, words.integers(min_dim, n + 1)))
-            if len(members) >= count:
-                break
-        return list(members)
-    succ, dims, rows_of, step = lattice.succ, lattice.dims, lattice.rows, lattice.step
+    if lattice is not None:
+        succ, dims, rows_of, step = lattice.succ, lattice.dims, lattice.rows, lattice.step
     dim_span, vec_span = n + 1 - min_dim, (1 << n) - 1
     dim_floor, vec_floor = (1 << 32) % dim_span, (1 << 32) % vec_span
     shift = 32 - n
-    keys: dict[int, None] = {}  # s << n | offset
-    halves: list[int] | None = None
-    i = end = 0  # the next half-word is halves[i], of end in the block
+    members: dict[tuple[tuple[int, ...], int], None] = {}
+    # the next half-word is halves[i], of end: first the buffer's, at odd i
+    # as a word's high half, then the block's from its next word
+    halves, i, end = [0, words.uinteger], 2 - words.has, 2
     try:
         for _ in range(20 * count):
-            if halves is None:  # the reader hands out any buffered half first
-                dim = words.integers(min_dim, n + 1)
-                halves, end = words._halves(0), 2 * len(words.block)
-                i = 2 * words.used - words.has
-            else:
+            dim = min_dim
+            if dim_span > 1:  # integers(lo, lo + 1) draws nothing
                 while True:
                     if i == end:
                         halves, i, end = words._next_halves()
@@ -342,9 +314,10 @@ def _draw_members(n: int, words: _Words, count: int,
                     i += 1
                     if m & 0xFFFFFFFF >= dim_floor:
                         break
-                dim = min_dim + (m >> 32)
-            s = 0
-            while dims[s] < dim:
+                dim += m >> 32
+            basis: list[int] = []
+            s = rank = 0
+            while rank < dim:
                 v = 1  # n = 1: integers(1, 2) draws nothing
                 if vec_span > 1:
                     while True:
@@ -355,25 +328,37 @@ def _draw_members(n: int, words: _Words, count: int,
                         if m & 0xFFFFFFFF >= vec_floor:
                             break
                     v += m >> 32
-                t = succ[s << n | v]
-                s = step(s, v) if t == _UNSEEN else t
+                if lattice is None:
+                    v = _reduce(basis, v)
+                    if v:
+                        _insert(basis, v)
+                        rank += 1
+                else:
+                    t = succ[s << n | v]
+                    s = step(s, v) if t == _UNSEEN else t
+                    rank = dims[s]
+            if lattice is None:
+                basis.sort(key=lowest_set_bit)
+                rows = tuple(basis)
+            else:
+                rows = rows_of[s]
             if i == end:
                 halves, i, end = words._next_halves()
-            keys.setdefault(s << n | _reduce(rows_of[s], halves[i] >> shift))
+            members.setdefault((rows, _reduce(rows, halves[i] >> shift)))
             i += 1
-            if len(keys) >= count:
+            if len(members) >= count:
                 break
-    finally:
-        if i:  # halves[i - 1] was drawn; a word's high half stays buffered
-            words.used, words.has, words.uinteger = (i + 1) >> 1, i & 1, halves[(i - 1) | 1]
-    mask = (1 << n) - 1
-    return [(rows_of[key >> n], key & mask) for key in keys]
+    finally:  # halves[i - 1] was drawn last; a word's high half stays buffered
+        if end > 2:  # in the block, whose words _next_halves marked drawn
+            words.used = (i + 1) >> 1
+        words.has, words.uinteger = i & 1, halves[(i - 1) | 1]
+    return list(members)
 
 
 def random_mixture_pairs(n: int, rng: np.random.Generator, max_members: int = 8
                          ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
     """random_mixture's draws without the objects: its members as
-    canonical (rows, offset) pairs (see _draw_subspace), distinct and in
+    canonical (rows, offset) pairs (see _draw_members), distinct and in
     support order, and their float weights."""
     with _Words(rng) as words:
         members = _draw_members(n, words, words.integers(1, max_members + 1))
@@ -396,7 +381,7 @@ def _full_heavy_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixt
     extras = words.integers(1, 5)
     pool: dict[tuple[tuple[int, ...], int], float] = {}
     for _ in range(extras):
-        pair = _draw_subspace(n, words)
+        pair = _draw_members(n, words, 1)[0]
         if len(pair[0]) < n:  # not the full space
             pool[pair] = pool.get(pair, 0.0) + delta / extras
     pairs = [(AffineSubspace.full(n), 1.0 - sum(pool.values()))]
@@ -467,7 +452,7 @@ def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> Bran
         for j in range(m)
     )
     with _Words(rng) as words:
-        leaf_labels = {(m, v): _subspace(n, _draw_subspace(n, words)) for v in range(sizes[m])}
+        leaf_labels = {(m, v): _subspace(n, _draw_members(n, words, 1)[0]) for v in range(sizes[m])}
     return BranchingProgram(n, m, tuple(sizes), transitions, leaf_labels)
 
 

@@ -1,7 +1,7 @@
 """The instance generators against their object-building references.
 
 The package's generators dedup and test members on the canonical int
-pairs that generators._draw_subspace returns and build objects only for
+pairs that generators._draw_members returns and build objects only for
 the members they keep; the references in oracles.py build an
 AffineSubspace and a SubspaceMixture for every draw and attempt.  Both
 consume the same stream, so every mixture and every generator state must
@@ -115,19 +115,24 @@ def test_corpus_reaches_every_path(corpus):
     assert all(paths[p] > 0 for p in required), dict(paths)
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_draw_subspace_is_canonical(n):
-    """_draw_subspace's pair is random_subspace's rows and reduced offset,
-    from the same draws."""
-    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    for i in range(200):
-        dim = None if i % 2 else int(rng.integers(0, n + 1))
-        assert dim is None or dim == int(ref_rng.integers(0, n + 1))
-        w = object_random_subspace(n, ref_rng, dim)
+@pytest.mark.parametrize("n", [*range(9), 24])
+def test_one_member_is_random_subspace(n):
+    """_draw_members at count 1, at every dimension floor, gives
+    random_subspace's rows and reduced offset from the same draws (fixed
+    at floor n), with the same generator state after every call.  Each
+    call has a reader of its own, which enters with the last call's
+    buffered half or none; every third call draws a float first, which
+    leaves that half behind the block's next word."""
+    rng, ref = (np.random.default_rng([n, 42]) for _ in range(2))
+    for i in range(200 if n < 9 else 50):
+        min_dim = i % (n + 1)
         with generators._Words(rng) as words:
-            pair = generators._draw_subspace(n, words, dim)
-        assert pair == (w.direction.rows, w.offset)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if i % 3 == 0:
+                assert words.random(1).tolist() == ref.random(1).tolist()
+            pair = generators._draw_members(n, words, 1, min_dim)[0]
+        w = object_random_subspace(n, ref, int(ref.integers(min_dim, n + 1)))
+        assert pair == (w.direction.rows, w.offset), (i, min_dim)
+        assert rng.bit_generator.state == ref.bit_generator.state, (i, min_dim)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -310,10 +315,11 @@ def _next_word_is(word, seed=0):
 
 
 class TestWalkMembers:
-    """The span-lattice walk of _draw_members (1 <= n <= 6), which reads
-    the reader's block in place, against direct Generator calls: the same
-    pairs, and the same bit generator state (words, has_uint32 and a
-    stale uinteger) once the reader is closed."""
+    """_draw_members, which reads the reader's half-words in place and
+    takes lattice steps (1 <= n <= 6) or reduces on a basis (n >= 7),
+    against direct Generator calls: the same pairs, and the same bit
+    generator state (words, has_uint32 and a stale uinteger) once the
+    reader is closed."""
 
     @staticmethod
     def _compare(n, rng, ref, calls):
@@ -325,8 +331,8 @@ class TestWalkMembers:
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_direct_calls(self, n, buffered):
-        """Both of _draw_members' dimension floors and several counts, on
-        the lattice and, from n = 7, on the loop; the first call enters
+        """Both of the callers' dimension floors and several counts, on
+        the lattice and, from n = 7, on the basis; the first call enters
         with or without a buffered half."""
         rng, ref = (np.random.default_rng([n, buffered]) for _ in range(2))
         if buffered:
@@ -335,7 +341,7 @@ class TestWalkMembers:
         calls = [(count, min_dim) for count in (1, 3, 8) for min_dim in (0, max(0, n - 2))]
         self._compare(n, rng, ref, 3 * calls)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [*range(1, 9), 24])
     def test_odd_and_even_final_half(self, n):
         """A call ends with a word's high half buffered or handed out
         (the stale uinteger); both occur over the seeds, which enter with
@@ -348,20 +354,34 @@ class TestWalkMembers:
             ends.add(rng.bit_generator.state["has_uint32"])
         assert ends == {0, 1}
 
+    @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("prefix", [29, 30, 31, 32])
-    def test_block_boundary_inside_a_subspace(self, prefix):
+    def test_block_boundary_inside_a_subspace(self, prefix, n):
         """prefix half-words leave the first 16-word block with 3 to 0
         halves, one of them maybe buffered: the dimension draw takes at
-        most the buffered one, so the block ends among the 4 to 6 vector
-        draws of the first member (dimension at least 4)."""
+        most the buffered one, so the block ends among the n - 2 to n
+        vector draws of the first member (dimension at least n - 2)."""
         rng, ref = (np.random.default_rng(prefix) for _ in range(2))
         with generators._Words(rng) as words:
             assert words.bits(32, prefix) == ref.integers(0, 1 << 32, prefix).tolist()
             assert words.fetched == 16
-            got = generators._draw_members(6, words, 1, 4)
+            got = generators._draw_members(n, words, 1, n - 2)
             assert words.fetched > 16
-        assert got == _direct_members(6, ref, 1, 4)
+        assert got == _direct_members(n, ref, 1, n - 2)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_n0_draws_nothing(self, buffered):
+        """F_2^0 has one subspace, the point 0: a call returns it and, like
+        integers(0, 1), draws nothing, buffered half included."""
+        rng = np.random.default_rng(13)
+        rng.integers(0, 2, int(buffered))
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == buffered
+        with generators._Words(rng) as words:
+            got = [generators._draw_members(0, words, count) for count in (1, 3)]
+        assert got == [[((), 0)]] * 2
+        assert rng.bit_generator.state == before
 
     def test_n1_draws_no_vector(self):
         """At n = 1, integers(1, 2) draws nothing: a member takes its
@@ -370,12 +390,12 @@ class TestWalkMembers:
         rng, ref = (np.random.default_rng(11) for _ in range(2))
         self._compare(1, rng, ref, [(count, 0) for count in (1, 2, 3, 5)] * 4)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", [*range(2, 9), 24])
     def test_lemire_rejection_on_a_vector(self, n):
         """The first word's low half, 2^32 - 1, draws dimension n; its high
-        half, 0, is below Lemire's threshold for every span 2^n - 1, so the
-        first vector draw rejects it."""
-        assert all((1 << 32) % ((1 << k) - 1) for k in range(2, 7))
+        half, 0, is below Lemire's threshold 2^32 mod (2^n - 1) (256 at
+        n = 24), so the first vector draw rejects it."""
+        assert (1 << 32) % ((1 << n) - 1)
         rng, ref = (_next_word_is(0xFFFFFFFF, n) for _ in range(2))
         with generators._Words(rng) as words:
             got = generators._draw_members(n, words, 1)
