@@ -117,12 +117,12 @@ def test_corpus_reaches_every_path(corpus):
 
 @pytest.mark.parametrize("n", [*range(9), 24])
 def test_one_member_is_random_subspace(n):
-    """_draw_members at count 1, at every dimension floor, gives
-    random_subspace's rows and reduced offset from the same draws (fixed
-    at floor n), with the same generator state after every call.  Each
-    call has a reader of its own, which enters with the last call's
-    buffered half or none; every third call draws a float first, which
-    leaves that half behind the block's next word."""
+    """_draw_members at count 1, at every dimension floor, gives the rows
+    and reduced offset of random_subspace's draws at a dimension drawn on
+    [floor, n] (floor n draws none), with the same generator state after
+    every call.  Each call has a reader of its own, which enters with the
+    last call's buffered half or none; every third call draws a float
+    first, which leaves that half behind the block's next word."""
     rng, ref = (np.random.default_rng([n, 42]) for _ in range(2))
     for i in range(200 if n < 9 else 50):
         min_dim = i % (n + 1)
@@ -354,21 +354,22 @@ class TestWalkMembers:
             ends.add(rng.bit_generator.state["has_uint32"])
         assert ends == {0, 1}
 
-    @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("prefix", [29, 30, 31, 32])
-    def test_block_boundary_inside_a_subspace(self, prefix, n):
+    def test_block_boundary_inside_a_subspace(self, prefix):
         """prefix half-words leave the first 16-word block with 3 to 0
         halves, one of them maybe buffered: the dimension draw takes at
         most the buffered one, so the block ends among the n - 2 to n
-        vector draws of the first member (dimension at least n - 2)."""
-        rng, ref = (np.random.default_rng(prefix) for _ in range(2))
-        with generators._Words(rng) as words:
-            assert words.bits(32, prefix) == ref.integers(0, 1 << 32, prefix).tolist()
-            assert words.fetched == 16
-            got = generators._draw_members(n, words, 1, n - 2)
-            assert words.fetched > 16
-        assert got == _direct_members(n, ref, 1, n - 2)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        vector draws of the first member (dimension at least n - 2), on
+        the lattice (n = 6) and on the basis (n = 8)."""
+        for n in (6, 8):
+            rng, ref = (np.random.default_rng(prefix) for _ in range(2))
+            with generators._Words(rng) as words:
+                assert words.bits(32, prefix) == ref.integers(0, 1 << 32, prefix).tolist()
+                assert words.fetched == 16
+                got = generators._draw_members(n, words, 1, n - 2)
+                assert words.fetched > 16
+            assert got == _direct_members(n, ref, 1, n - 2), n
+            assert rng.bit_generator.state == ref.bit_generator.state, n
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_n0_draws_nothing(self, buffered):
