@@ -291,10 +291,11 @@ def validate_affine(bp: BranchingProgram, labels: Labels) -> AffineValidation:
     """Check the labels' shape (else ValueError), the start label and the
     per-edge inclusion label(u) ∩ {x : a.x = b} ⊆ label(v).
 
-    Each label is its point mask (gf2.point_mask), so an edge is one int
-    test: the edge (a, b) violates iff gf2.edge_masks of label(u)'s mask
-    has a point outside label(v)'s mask at index (a << 1) | b.  The
-    4^n-bit hyperplane_masks table is under the DP budget, checked first.
+    Each label is its point mask (gf2.point_mask, memoized per process),
+    so an edge is one int test: the edge (a, b) violates iff
+    gf2.edge_masks of label(u)'s mask has a point outside label(v)'s mask
+    at index (a << 1) | b.  The 4^n-bit hyperplane_masks table is under
+    the DP budget, checked first.
     """
     check_layer_shape(bp, labels, "labels")
     check_dp_budget(bp)
@@ -302,7 +303,6 @@ def validate_affine(bp: BranchingProgram, labels: Labels) -> AffineValidation:
     notes: list[str] = []
     if labels[0][0] != AffineSubspace.full(bp.n):
         violations.append(("start", 0, 0))
-    mask_of = functools.cache(point_mask)  # once per distinct label
     masks = []
     for t, layer_labels in enumerate(labels):
         layer = []
@@ -312,7 +312,7 @@ def validate_affine(bp: BranchingProgram, labels: Labels) -> AffineValidation:
                                         f"the program n={bp.n}")
             if lab.is_empty:
                 notes.append(f"vertex ({t},{v}) is labeled Empty")
-            layer.append(mask_of(lab))
+            layer.append(point_mask(lab))
         masks.append(layer)
     even = hyperplane_masks(bp.n)
     for t in range(bp.m):
@@ -407,7 +407,6 @@ _UNROLL_CELLS = 1 << 12
 def to_json_dict(bp: BranchingProgram,
                  labels: Labels | None = None,
                  gamma: tuple[tuple[int, ...], ...] | None = None) -> dict:
-    to_text = functools.cache(AffineSubspace.to_text)  # once per distinct label
     doc: dict = {
         "n": bp.n,
         "m": bp.m,
@@ -416,11 +415,11 @@ def to_json_dict(bp: BranchingProgram,
             [list(row) if row is not None else None for row in layer]
             for layer in bp.transitions
         ],
-        "leaf_labels": {f"{t},{v}": to_text(lab) for (t, v), lab in sorted(bp.leaf_labels.items())},
+        "leaf_labels": {f"{t},{v}": lab.to_text() for (t, v), lab in sorted(bp.leaf_labels.items())},
     }
     if labels is not None:
         check_layer_shape(bp, labels, "labels")
-        doc["labels"] = [[to_text(w) for w in layer] for layer in labels]
+        doc["labels"] = [[w.to_text() for w in layer] for layer in labels]
     if gamma is not None:
         check_layer_shape(bp, gamma, "gamma")
         doc["gamma"] = [list(layer) for layer in gamma]

@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import crypto
@@ -35,8 +38,82 @@ LEARNER_FACTORIES = {
 
 
 def emit_report(report: dict, path: str | None) -> None:
-    """Write a report as indented JSON with stable field order."""
-    _write_text(json.dumps(report, indent=2) + "\n", path)
+    """Write a report as indented JSON with stable field order: the bytes
+    of json.dumps(report, indent=2) and a newline."""
+    _write_text(_json_text(report) + "\n", path)
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), without json's pure-Python encoder."""
+    out: list[str] = []
+    _json_chunks(value, "\n", out)
+    return "".join(out)
+
+
+def _json_chunks(value, newline: str, out: list[str]) -> None:
+    """Append the text of json.dumps(value, indent=2) to out, with
+    newline (a line break and the indent around value) at each break.
+
+    An indent turns json's C encoder off for the whole document, so this
+    writes the layout and the scalars itself: a list of plain ints is one
+    join of int.__repr__ on "," + newline, and a scalar of an exact JSON
+    type gets its _SCALAR_TEXT, the text json writes.  Anything else
+    (a subclass, say) goes through json.dumps without indent, the C
+    encoder, which raises TypeError for a type json rejects.
+    """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+        return
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [(_json_key(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        if value and set(map(type, value)) == _PLAIN_INT:
+            inner = newline + "  "
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
+            return
+        opening, closing = "[", "]"
+        items = zip(repeat(""), value)
+    else:
+        out.append(json.dumps(value))
+        return
+    if not value:
+        out.append(opening + closing)
+        return
+    inner = newline + "  "
+    sep = opening + inner
+    for prefix, item in items:
+        # a scalar item here, not in a call of its own
+        text = _SCALAR_TEXT.get(type(item))
+        if text is None:
+            out += (sep, prefix)
+            _json_chunks(item, inner, out)
+        else:
+            out += (sep, prefix, text(item))
+        sep = "," + inner
+    out.append(newline + closing)
+
+
+def _float_text(x: float) -> str:
+    """json's text of a float: its repr, or NaN, Infinity or -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+_SCALAR_TEXT: dict[type, Callable] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+_PLAIN_INT = {int}
+
+
+def _json_key(key) -> str:
+    """A dict key's text as json.dumps writes it: a str, or an int,
+    float, bool or None as the quoted text of the value."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_text(text: str, path: str | None) -> None:

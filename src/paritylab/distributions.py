@@ -4,11 +4,13 @@ Walsh-Fourier transforms, and the Fourier closeness criterion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .gf2 import (
+    LABEL_MEMO,
     AffineSubspace,
     DimensionMismatch,
     EmptySubspaceError,
@@ -69,12 +71,19 @@ def uniform_weights(w: AffineSubspace) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=LABEL_MEMO)
+def uniform_row(w: AffineSubspace) -> np.ndarray:
+    """uniform_weights(w), read-only: one per-process memo entry per
+    label (see gf2.LABEL_MEMO)."""
+    row = uniform_weights(w)
+    row.flags.writeable = False
+    return row
+
+
 def uniform_rows(labels: Iterable[AffineSubspace]) -> np.ndarray:
-    """The uniform_weights rows of a layer of labels, stacked in order
-    (C-contiguous); each distinct label is tabulated once."""
-    index: dict[AffineSubspace, int] = {}
-    order = [index.setdefault(w, len(index)) for w in labels]
-    return np.array([uniform_weights(w) for w in index])[order]
+    """The uniform_row of each of a layer of labels, stacked in order
+    (C-contiguous)."""
+    return np.array([uniform_row(w) for w in labels])
 
 
 def check_table_dim(n: int) -> None:

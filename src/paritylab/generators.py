@@ -85,8 +85,9 @@ class _Words:
         """The block's half-words >> shift, each word's low half first."""
         halves = self.halves.get(shift)
         if halves is None:
-            halves = self.halves[shift] = (
-                self.block.astype("<u8", copy=False).view("<u4") >> shift).tolist()
+            halves = self.block.astype("<u8", copy=False).view("<u4")
+            # shift 0, the walker's, skips the no-op >> 0 and its copy
+            halves = self.halves[shift] = (halves >> shift if shift else halves).tolist()
         return halves
 
     def _next_halves(self) -> tuple[list[int], int, int]:

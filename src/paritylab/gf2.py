@@ -21,6 +21,19 @@ from typing import Iterable
 # (stream-mode crypto) may be longer.
 MAX_SUBSPACE_DIM = 24
 
+# Entries each per-process memo of a subspace conversion keeps: mask_keys,
+# mask_subspace, point_mask and AffineSubspace.to_text here, and
+# distributions.uniform_row.  Each key holds its n (a mask's n is an
+# argument, a subspace carries its own), and each value is immutable.
+# F_2^n has 1, 3, 11, 51 and 307 non-empty affine subspaces at n = 0..4,
+# so the tables hold every subspace up to n = 4 at once; filled with all
+# of n = 4 they take about 0.44 MiB.  Past the bound the least recently
+# used entry goes.  An entry grows with n, a point's most: 2^n - 1 key
+# ids, a 2^n-bit mask and a 2^n-float row.  So the worst case is 1024
+# points: about 69 MiB for the five tables at n = 10 (70 KiB a point),
+# and about four times that at n = 12.
+LABEL_MEMO = 1024
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -223,6 +236,7 @@ class AffineSubspace:
             return []
         return _span(self.offset, self.direction.rows)
 
+    @lru_cache(maxsize=LABEL_MEMO)
     def to_text(self) -> str:
         if self.is_empty:
             return "EMPTY"
@@ -292,7 +306,7 @@ def hyperplane_keys(w: AffineSubspace) -> frozenset[int]:
     constant value b = a.offset on w.  A non-empty w is the intersection
     of these hyperplanes, so w1 ⊆ w2 exactly when every key of w2 is a
     key of w1.  The key id is the package's one form of a hyperplane;
-    keys_subspace, keys_mask and mask_keys convert it.
+    keys_subspace, keys_mask, mask_keys and mask_subspace convert it.
     """
     if w.is_empty:
         raise EmptySubspaceError("hyperplane keys of the empty subspace")
@@ -356,6 +370,7 @@ def hyperplane_masks(n: int) -> tuple[int, ...]:
     return tuple(full ^ o for o in _span(0, columns))
 
 
+@lru_cache(maxsize=LABEL_MEMO)
 def point_mask(w: AffineSubspace) -> int:
     """The points of w as a 2^n-bit int: bit x is set iff x lies in w
     (0 for Empty).
@@ -379,10 +394,11 @@ def keys_mask(even: tuple[int, ...], ids: Iterable[int]) -> int:
     return mask
 
 
-def mask_keys(e: int, even: tuple[int, ...]) -> frozenset[int]:
-    """The key ids of a non-empty subspace from its point mask e, with
-    even = hyperplane_masks(n): 2a when e lies in {a.x = 0}, 2a + 1 when
-    in {a.x = 1}."""
+@lru_cache(maxsize=LABEL_MEMO)
+def mask_keys(n: int, e: int) -> frozenset[int]:
+    """The key ids of a non-empty subspace of {0,1}^n from its point mask
+    e: 2a when e lies in {a.x = 0}, 2a + 1 when in {a.x = 1}."""
+    even = hyperplane_masks(n)
     ids = []
     for a in range(1, len(even)):
         if not e & ~even[a]:
@@ -390,6 +406,12 @@ def mask_keys(e: int, even: tuple[int, ...]) -> frozenset[int]:
         elif not e & even[a]:
             ids.append((a << 1) | 1)
     return frozenset(ids)
+
+
+@lru_cache(maxsize=LABEL_MEMO)
+def mask_subspace(n: int, e: int) -> AffineSubspace:
+    """The non-empty subspace of {0,1}^n with point mask e."""
+    return keys_subspace(n, mask_keys(n, e))
 
 
 def edge_masks(mask: int, even: tuple[int, ...]) -> list[int]:

@@ -31,7 +31,7 @@ from .bp import (
 )
 from .config import dp_budget, state_budget
 from .distributions import BoundCheck, check_r, uniform_rows
-from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, keys_subspace, mask_keys
+from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, mask_keys, mask_subspace
 from .partition import _partition_ids, group_count_bound
 
 
@@ -103,8 +103,9 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     Subspaces work as point masks (see gf2.point_mask) here: a mask is
     the exact hash key of a non-empty subspace, so every dict below keeps
     the first-appearance order and every float of the subspace-keyed
-    loop; AffineSubspace objects are built only for the labels, once per
-    representative mask, so equal labels are one object.
+    loop.  A mask's key ids and a representative's label come from the
+    per-process memos gf2.mask_keys and gf2.mask_subspace, so equal
+    labels are one object.
     """
     n, m = bp.n, bp.m
     if n < 1:
@@ -118,8 +119,6 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     full = AffineSubspace.full(n)
     scale = 2.0 ** (-n)
     edge_pairs: dict[int, list[tuple[int, float]]] = {}  # per label mask
-    key_ids: dict[int, frozenset[int]] = {}              # per edge mask
-    rep_labels: dict[int, AffineSubspace] = {}           # per representative mask
 
     layer_labels: list[tuple[AffineSubspace, ...]] = [(full,)]
     label_masks: list[int] = [points]
@@ -179,12 +178,7 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
             star_mass = 0.0
             if total > 0.0:
                 probs = [p / total for p in mass[v].values()]
-                keys = []
-                for e in members:
-                    ids = key_ids.get(e)
-                    if ids is None:
-                        ids = key_ids[e] = mask_keys(e, even)
-                    keys.append(ids)
+                keys = [mask_keys(n, e) for e in members]
                 # this vertex's catch-all and those of the vertices after
                 # it are still to come: refuse the round that passes cap
                 part = _partition_ids(n, keys, probs, r, cap - len(new_labels) - (b_size - v))
@@ -198,10 +192,7 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
                     slots.update((members[i], slot) for i in taken)
                     reps.append((~rep, slot))
                     group_masses.append(sum([probs[i] for i in taken]))
-                    label = rep_labels.get(rep)
-                    if label is None:
-                        label = rep_labels[rep] = keys_subspace(n, chosen)
-                    new_labels.append(label)
+                    new_labels.append(mask_subspace(n, rep))
                     new_masks.append(rep)
                     new_gamma.append(v)
                     new_q.append(group_masses[-1] * total)

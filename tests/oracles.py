@@ -37,7 +37,10 @@ calls.  The Walsh reference runs each butterfly stage one block at a
 time.  The reach-bound reference builds m^(n-k) whatever its size and
 scales it by 2^exponent, as a float when it can.  The sample-complexity
 reference carries the last probe's (lower bound, success, half-width)
-and the best bisection probe by hand.  All are kept
+and the best bisection probe by hand.  The label-conversion references
+are the uncached forms of gf2's per-process memos: the loop that reads
+a mask's key ids off hyperplane_masks, point_mask through the orthogonal
+space and to_text through BitVector.  All are kept
 deliberately close to the
 first implementations, so that any change to the fast paths is checked
 against code that shares none of their logic beyond that.
@@ -70,14 +73,18 @@ from paritylab.distributions import (
 from paritylab.generators import derived_rng, random_mixture
 from paritylab.gf2 import (
     AffineSubspace,
+    BitVector,
     VectorSubspace,
     _check_vector,
     _insert,
     _reduce,
     hyperplane_keys,
+    hyperplane_masks,
     intersect_hyperplane,
     is_subset,
+    keys_mask,
     lowest_set_bit,
+    orthogonal_space,
     parity,
 )
 from paritylab.learners import TradeoffPoint, run_learner, simulate_success, wilson_interval
@@ -781,3 +788,34 @@ def bracketed_sample_complexity(learner, target, rng, trials=2000, m_cap=1 << 16
             low = mid + 1
     return TradeoffPoint(learner.name, learner.n, learner.memory_bits,
                          best[0], best[1], best[2], seed)
+
+
+def loop_mask_keys(n, e):
+    """Reference gf2.mask_keys: 2a when the point mask e lies in
+    {a.x = 0}, 2a + 1 when in {a.x = 1}, read off hyperplane_masks."""
+    even = hyperplane_masks(n)
+    ids = []
+    for a in range(1, len(even)):
+        if not e & ~even[a]:
+            ids.append(a << 1)
+        elif not e & even[a]:
+            ids.append((a << 1) | 1)
+    return frozenset(ids)
+
+
+def uncached_point_mask(w):
+    """Reference gf2.point_mask: the AND of the hyperplane masks over a
+    basis of w's orthogonal space, 0 for Empty."""
+    if w.is_empty:
+        return 0
+    return keys_mask(hyperplane_masks(w.n),
+                     ((a << 1) | parity(a & w.offset) for a in orthogonal_space(w).rows))
+
+
+def uncached_to_text(w):
+    """Reference AffineSubspace.to_text: offset|row,row,... as BitVector
+    text, or EMPTY."""
+    if w.is_empty:
+        return "EMPTY"
+    rows = ",".join(str(BitVector(w.n, r)) for r in w.direction.rows)
+    return f"{BitVector(w.n, w.offset)}|{rows}"

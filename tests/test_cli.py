@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import crypto, distributions, suites
 from paritylab.bp import to_json_dict
-from paritylab.cli import build_parser, dispatch, emit_report, key_from_hex, key_to_hex
+from paritylab.cli import _json_text, build_parser, dispatch, emit_report, key_from_hex, key_to_hex
 from paritylab.distributions import BoundCheck, FourierCheck
 from paritylab.generators import random_program
 from paritylab.gf2 import BitVector
@@ -315,6 +317,89 @@ class TestDeterminism:
         emit_report(report, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
+
+
+def _assert_dumps_bytes(path):
+    """The file holds json.dumps(doc, indent=2) and a newline, for the
+    document doc it reads as."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# test_golden.py's reduce cases: (n, m, width, program seed, r)
+GOLDEN_REDUCE_CASES = [(3, 3, 5, 4, 2.5), (4, 2, 6, 4, 3.0), (4, 3, 4, 1, 4.0)]
+
+JSON_SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.text(), st.floats(),
+    st.sampled_from([-0.0, 1e308, float("inf"), float("-inf"), float("nan")]))
+JSON_DOCS = st.recursive(
+    st.one_of(JSON_SCALARS, st.lists(st.integers()),
+              st.lists(st.one_of(st.integers(), st.booleans(), st.none()))),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=12)
+
+
+class TestReportWriter:
+    """emit_report's writer against its oracle, json.dumps(doc, indent=2)."""
+
+    @pytest.mark.parametrize("case", GOLDEN_REDUCE_CASES, ids=str)
+    def test_reduce_documents(self, tmp_path, case):
+        n, m, width, seed, r = case
+        program = random_program(n, m, width, np.random.default_rng(seed))
+        src, out, rep = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "report.json"
+        src.write_text(json.dumps(to_json_dict(program)))
+        assert dispatch(["reduce", "--in", str(src), "--r", repr(r),
+                         "--out", str(out), "--report", str(rep)]) == 0
+        _assert_dumps_bytes(out)
+        _assert_dumps_bytes(rep)
+
+    @pytest.mark.parametrize("args", [
+        ("verify-lemmas", "--n", "4", "--r", "3", "--seed", "7", "--trials", "100"),
+        ("verify-lemmas", "--n", "6", "--seed", "1"),
+        ("bounds", "--n", "100", "--c", "0.04", "--alpha", "0.01"),
+        ("crypto", "keygen", "--n", "16", "--seed", "7"),
+        ("crypto", "attack", "--n", "6", "--memory-bits", "126", "--m", "18",
+         "--trials", "2000", "--seed", "7"),
+    ], ids=" ".join)
+    def test_readme_documents(self, tmp_path, args):
+        """The README's examples of each other command that writes JSON."""
+        out = tmp_path / "out.json"
+        assert dispatch([*args, "--out", str(out)]) == 0
+        _assert_dumps_bytes(out)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(JSON_DOCS)
+    def test_any_document(self, doc):
+        """Nested str-keyed dicts, lists and tuples of ints, bools, None,
+        any str and any float, NaN and the infinities included, with
+        empty containers and int lists mixed with bools or None."""
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_other_keys_and_subclasses(self):
+        """Keys json converts (int, float, bool, None) and subclasses of
+        its scalar types, which go through json's C encoder."""
+        class Text(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        doc = {1: [True, 2], 1.5: None, False: {}, None: [], float("nan"): (Text("t"),),
+               Text("k"): [Count(3), 4], "ratio": Ratio(0.5)}
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()], {(1, 2): 3}, {"a": [1, b"x"]}],
+                             ids=["set", "object", "tuple key", "bytes"])
+    def test_rejected_types_raise(self, doc):
+        """A type json rejects raises TypeError, as json.dumps does."""
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 class TestErrorPaths:

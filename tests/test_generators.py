@@ -237,6 +237,22 @@ class TestWords:
             assert got == _serve(ref, steps[:end])
             assert rng.bit_generator.state == ref.bit_generator.state, steps[end - 1]
 
+    @pytest.mark.parametrize("k", [32, 27])  # _halves at shift 0 and at shift 5
+    def test_half_words_across_a_refill(self, k):
+        """_halves on a fresh 16-word block and on the block a refill
+        fetches: each word's low then high half, shifted right by 32 - k,
+        as bits(k) hands them out; the same values and generator state as
+        direct calls."""
+        rng, ref, twin = (np.random.default_rng(9) for _ in range(3))
+        halves = [h >> (32 - k) for h in ref.integers(0, 1 << 32, 64).tolist()]
+        with generators._Words(rng) as words:
+            assert words._halves(32 - k) == halves[:32]
+            got = [words.bits(k, 32), words.bits(k, 7)]  # the whole block, then a refill
+            assert words.fetched == 32
+            assert words._halves(32 - k) == halves[32:]
+        assert got == [twin.integers(0, 1 << k, count).tolist() for count in (32, 7)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_lemire_rejections(self):
         rng, ref = (np.random.default_rng(3) for _ in range(2))
         with generators._Words(rng) as words:

@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_mask_keys, uncached_point_mask, uncached_to_text
+from paritylab.distributions import uniform_row, uniform_rows, uniform_weights
 from paritylab.gf2 import (
+    LABEL_MEMO,
     AffineSubspace,
     BitVector,
     DimensionMismatch,
@@ -23,6 +28,7 @@ from paritylab.gf2 import (
     keys_subspace,
     lowest_set_bit,
     mask_keys,
+    mask_subspace,
     orthogonal_space,
     parity,
     parse_subspace,
@@ -490,7 +496,85 @@ class TestPointMasks:
                                           for a in range(1 << n) for b in (0, 1)]
         if not w.is_empty:
             ids = hyperplane_keys(w)
-            assert mask_keys(mask, even) == ids
+            assert mask_keys(n, mask) == ids
             assert keys_mask(even, ids) == mask
             assert keys_subspace(n, ids) == w
 
+
+# The per-process memos of label conversions, every one an lru_cache.
+LABEL_MEMOS = (mask_keys, mask_subspace, point_mask, AffineSubspace.to_text, uniform_row)
+
+
+def _memo_cosets(n):
+    """Every non-empty coset of {0,1}^n up to n = 4, then 500 drawn ones."""
+    if n <= 4:
+        return all_affine_subspaces(n)
+    rng = np.random.default_rng(n)
+    return [random_subspace(n, rng) for _ in range(500)]
+
+
+def _fill_memos(n, w, mask):
+    """Call every label memo on the subspace w of {0,1}^n, point mask mask."""
+    point_mask(w)
+    w.to_text()
+    uniform_row(w)
+    if mask:
+        mask_keys(n, mask)
+        mask_subspace(n, mask)
+
+
+class TestLabelMemos:
+    """The per-process memos of gf2 and distributions against their
+    uncached references in oracles.py and the package's keys_subspace
+    and uniform_weights."""
+
+    def test_equal_to_references(self):
+        """From empty tables, n = 1…6 in one process: a memo keyed on the
+        mask alone would hand one n's value to another (the mask 0b11 is
+        the full space at n = 1 and a line at n = 2)."""
+        for memo in LABEL_MEMOS:
+            memo.cache_clear()
+        for n in range(1, 7):
+            for w in [*_memo_cosets(n), AffineSubspace.empty(n)]:
+                mask = uncached_point_mask(w)
+                assert point_mask(w) == mask
+                assert w.to_text() == uncached_to_text(w)
+                assert uniform_row(w).tolist() == uniform_weights(w).tolist()
+                if not w.is_empty:
+                    ids = loop_mask_keys(n, mask)
+                    assert mask_keys(n, mask) == ids
+                    assert mask_subspace(n, mask) == keys_subspace(n, ids) == w
+
+    def test_values_are_immutable(self):
+        w = AffineSubspace(4, VectorSubspace.from_rows(4, [0b0011, 0b0110]), 0b1000)
+        mask = point_mask(w)
+        assert type(mask) is int
+        assert type(mask_keys(4, mask)) is frozenset
+        assert type(w.to_text()) is str
+        rep = mask_subspace(4, mask)
+        assert type(rep.direction.rows) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.offset = 0
+        row = uniform_row(w)
+        assert row.flags.writeable is False
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        assert uniform_rows([w, w]).flags.writeable  # a fresh stack of the rows
+
+    def test_filled_n4_tables_stay_small(self):
+        """All five tables holding every subspace of {0,1}^4 at once take
+        under 1 MiB (gf2.LABEL_MEMO states the bound)."""
+        cosets = [*all_affine_subspaces(4), AffineSubspace.empty(4)]
+        masks = [uncached_point_mask(w) for w in cosets]
+        for memo in LABEL_MEMOS:
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            for w, mask in zip(cosets, masks):
+                _fill_memos(4, w, mask)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cosets) == 308 <= LABEL_MEMO
+        assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [307, 307, 308, 308, 308]
+        assert size < 1 << 20

@@ -21,9 +21,15 @@ from paritylab.bp import (
     validate_affine,
 )
 from paritylab.config import BudgetExceeded
-from paritylab.distributions import uniform_rows
+from paritylab.distributions import uniform_row, uniform_rows
 from paritylab.generators import random_program
-from paritylab.gf2 import AffineSubspace, intersect_hyperplane
+from paritylab.gf2 import (
+    AffineSubspace,
+    intersect_hyperplane,
+    mask_keys,
+    mask_subspace,
+    point_mask,
+)
 from paritylab.reduction import _check_gamma, _ideal_joint, reduce_to_affine, verify_reduction
 
 
@@ -183,6 +189,20 @@ class TestMaskReductionOracle:
                 assert_same_reduction(reduce_to_affine(bp, r), ref)
                 scans += len(ref.scanned)
         assert scans > 0  # zero-mass edges take the representative scan
+
+    def test_repeat_makes_no_memo_miss(self):
+        """A second reduction of the same program gives the same document
+        and report from the per-process label memos alone, at n = 3 and 4."""
+        memos = (mask_keys, mask_subspace, point_mask, AffineSubspace.to_text, uniform_row)
+        for n, m, width, seed, r in [(3, 3, 5, 4, 2.5), (4, 2, 4, 4, 3.0)]:
+            bp = random_program(n, m, width, np.random.default_rng(seed))
+            first = reduce_to_affine(bp, r)
+            doc = to_json_dict(first.program, first.labels, first.gamma)
+            misses = [memo.cache_info().misses for memo in memos]
+            second = reduce_to_affine(bp, r)
+            assert to_json_dict(second.program, second.labels, second.gamma) == doc
+            assert second.report.to_dict() == first.report.to_dict()
+            assert [memo.cache_info().misses for memo in memos] == misses
 
 
 def assert_same_floats(got, want):
