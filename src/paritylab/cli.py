@@ -103,7 +103,7 @@ def _float_text(x: float) -> str:
 _SCALAR_TEXT: dict[type, Callable] = {
     str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
     bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
-_PLAIN_INT = {int}
+_PLAIN_INT = frozenset({int})
 
 
 def _json_key(key) -> str:

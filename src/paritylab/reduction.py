@@ -105,7 +105,7 @@ def reduce_to_affine(bp: BranchingProgram, r: float) -> AffineReduction:
     the first-appearance order and every float of the subspace-keyed
     loop.  A mask's key ids and a representative's label come from the
     per-process memos gf2.mask_keys and gf2.mask_subspace, so equal
-    labels are one object.
+    labels share one object while the memo holds it.
     """
     n, m = bp.n, bp.m
     if n < 1:

@@ -513,16 +513,6 @@ def _memo_cosets(n):
     return [random_subspace(n, rng) for _ in range(500)]
 
 
-def _fill_memos(n, w, mask):
-    """Call every label memo on the subspace w of {0,1}^n, point mask mask."""
-    point_mask(w)
-    w.to_text()
-    uniform_row(w)
-    if mask:
-        mask_keys(n, mask)
-        mask_subspace(n, mask)
-
-
 class TestLabelMemos:
     """The per-process memos of gf2 and distributions against their
     uncached references in oracles.py and the package's keys_subspace
@@ -571,7 +561,12 @@ class TestLabelMemos:
         tracemalloc.start()
         try:
             for w, mask in zip(cosets, masks):
-                _fill_memos(4, w, mask)
+                point_mask(w)
+                w.to_text()
+                uniform_row(w)
+                if mask:
+                    mask_keys(4, mask)
+                    mask_subspace(4, mask)
             size, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
