@@ -356,16 +356,40 @@ def _draw_members(n: int, words: _Words, count: int,
     return list(members)
 
 
+def _weights(words: _Words, k: int) -> list[float]:
+    """words.random(k) + 0.05 divided by its numpy sum, as floats, bit for
+    bit.  numpy sums fewer than 8 terms as a left fold from 0.0 and exactly
+    8 as ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7)); both are written out, since
+    builtin sum() is compensated from Python 3.12 on.  Past 8 terms (only
+    when max_members > 8) numpy sums them itself."""
+    if k > 8:
+        weights = words.random(k) + 0.05
+        weights /= weights.sum()
+        return weights.tolist()
+    w = [(x >> 11) * 2.0 ** -53 + 0.05 for x in words._take(k)]
+    if k == 8:
+        total = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+    else:
+        total = 0.0
+        for x in w:
+            total += x
+    return [x / total for x in w]
+
+
+def _mixture_pairs(n: int, words: _Words, max_members: int = 8
+                   ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
+    """random_mixture's draws without the objects, on a reader: its members
+    as canonical (rows, offset) pairs (see _draw_members), distinct and in
+    support order, and their float weights."""
+    members = _draw_members(n, words, words.integers(1, max_members + 1))
+    return members, _weights(words, len(members))
+
+
 def random_mixture_pairs(n: int, rng: np.random.Generator, max_members: int = 8
                          ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
-    """random_mixture's draws without the objects: its members as
-    canonical (rows, offset) pairs (see _draw_members), distinct and in
-    support order, and their float weights."""
+    """_mixture_pairs on a reader of its own."""
     with _Words(rng) as words:
-        members = _draw_members(n, words, words.integers(1, max_members + 1))
-        weights = words.random(len(members)) + 0.05
-    weights /= weights.sum()
-    return members, weights.tolist()
+        return _mixture_pairs(n, words, max_members)
 
 
 def random_mixture(n: int, rng: np.random.Generator,
@@ -412,33 +436,37 @@ def _hyperplane_family_mixture(n: int, threshold: float,
 def _rejection_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixture | None:
     for _ in range(200):
         members = _draw_members(n, words, words.integers(2, 9), max(0, n - 2))
-        weights = words.random(len(members)) + 0.05
-        weights /= weights.sum()
+        weights = _weights(words, len(members))
         # a non-full member lies in some hyperplane, whose mass (a float
         # sum of positive terms) is at least the member's own weight
         if any(p > threshold and len(rows) < n for (rows, _), p in zip(members, weights)):
             continue
-        mix = SubspaceMixture(n, tuple((_subspace(n, pair), float(p))
+        mix = SubspaceMixture(n, tuple((_subspace(n, pair), p)
                                        for pair, p in zip(members, weights)))
         if max(hyperplane_mass(mix)) <= threshold:
             return mix
     return None
 
 
+def _hypothesis_mixture(n: int, r: float, words: _Words) -> SubspaceMixture:
+    """random_hypothesis_mixture on a reader."""
+    check_r(n, r)
+    threshold = 2.0 ** (-r)
+    style = words.integers(0, 3)
+    mix = None
+    if style == 1:
+        mix = _hyperplane_family_mixture(n, threshold, words)
+    elif style == 2:
+        mix = _rejection_mixture(n, threshold, words)
+    return mix if mix is not None else _full_heavy_mixture(n, threshold, words)
+
+
 def random_hypothesis_mixture(n: int, r: float,
                               rng: np.random.Generator) -> SubspaceMixture:
     """A mixture guaranteed to satisfy the flatness hypothesis: no
     hyperplane holds the random subspace with probability above 2^{-r}."""
-    check_r(n, r)
-    threshold = 2.0 ** (-r)
     with _Words(rng) as words:
-        style = words.integers(0, 3)
-        mix = None
-        if style == 1:
-            mix = _hyperplane_family_mixture(n, threshold, words)
-        elif style == 2:
-            mix = _rejection_mixture(n, threshold, words)
-        return mix if mix is not None else _full_heavy_mixture(n, threshold, words)
+        return _hypothesis_mixture(n, r, words)
 
 
 def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> BranchingProgram:

@@ -8,15 +8,18 @@ loop compares its floats inline.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .distributions import PROB_TOL, SLACK, check_fourier_closeness, check_table_dim
 from .generators import (
+    _hypothesis_mixture,
+    _mixture_pairs,
+    _Words,
     derived_rng,
     greedy_recorder_program,
     learner_program_with_labels,
-    random_hypothesis_mixture,
-    random_mixture_pairs,
     random_program,
     selective_recorder_program,
 )
@@ -54,21 +57,21 @@ def fourier_suite(count: int, seed: int,
                   r_fracs: tuple[float, ...] = R_FRACS,
                   rs: tuple[float, ...] | None = None) -> dict:
     """Random hypothesis-satisfying mixtures: the mixture law must sit
-    within 2^{-(r - n/2)} of uniform every single time."""
-    rng = derived_rng(seed, 1)
+    within 2^{-(r - n/2)} of uniform every single time.  The mixtures are
+    random_hypothesis_mixture's, drawn through one reader for the call."""
     failures = []
     min_margin = float("inf")
     cells = _cells(count, ns, r_fracs, rs)
     for n, _ in cells:  # the weight table's cap, before the first draw
         check_table_dim(n)
-    for n, r in cells:
-        mix = random_hypothesis_mixture(n, r, rng)
-        check = check_fourier_closeness(mix, r)
-        row = check.closeness
-        min_margin = min(min_margin, row.margin)
-        if not (check.hypothesis_holds and row.ok):
-            failures.append({"n": n, "r": r, "distance": row.measured, "bound": row.bound,
-                             "hypothesis_holds": check.hypothesis_holds})
+    with _Words(derived_rng(seed, 1)) as words:
+        for n, r in cells:
+            check = check_fourier_closeness(_hypothesis_mixture(n, r, words), r)
+            row = check.closeness
+            min_margin = min(min_margin, row.margin)
+            if not (check.hypothesis_holds and row.ok):
+                failures.append({"n": n, "r": r, "distance": row.measured, "bound": row.bound,
+                                 "hypothesis_holds": check.hypothesis_holds})
     return _report("fourier", count, failures, min_margin=min_margin)
 
 
@@ -91,27 +94,34 @@ def _members(n: int, pairs: list[tuple[tuple[int, ...], int]],
     return keys, points, masks
 
 
-def _group_distances(n: int, reps: list[int], dims: list[int],
-                     groups: list[list[tuple[list[int], float]]]) -> list[float]:
-    """Each group's l1 distance from its members' conditional law to the
-    uniform law on its representative (a point mask of dimension dims[g]).
-    A group is its members' (points, mass) in member order; the law adds
-    (p / mass) 2^-dim into each point of each member, mass summed in
-    member order, and all groups share one 2-D table."""
+def _group_rows(n: int, groups: list[list[tuple[list[int], float]]], table: array) -> None:
+    """Append to table one row of 2^n floats per group: its members'
+    conditional law, (p / mass) 2^-dim added into each point of each
+    member, mass summed in member order.  A group is its members' (points,
+    mass) in member order."""
     size = 1 << n
-    table = [0.0] * (len(groups) * size)
-    for base, group in zip(range(0, len(table), size), groups):
+    for group in groups:
+        row = [0.0] * size
         mass = sum(p for _, p in group)
         for points, p in group:
             q = p / mass * 2.0 ** -(len(points).bit_length() - 1)
             for x in points:
-                table[base + x] += q
+                row[x] += q
+        table.extend(row)
+
+
+def _group_distances(n: int, table: array, reps: list[int], dims: list[int]) -> list[float]:
+    """Each table row's l1 distance to the uniform law on its group's
+    representative (a point mask of dimension dims[g]), in one pass over
+    all the rows."""
+    size = 1 << n
     nbytes = (size + 7) // 8  # a representative's bits, point 0 first
     bits = np.unpackbits(np.frombuffer(b"".join(rep.to_bytes(nbytes, "little") for rep in reps),
                                        np.uint8), bitorder="little")
     scale = np.array([2.0 ** -d for d in dims])[:, None]
-    uniform = bits.reshape(len(reps), 8 * nbytes)[:, :size] * scale
-    return np.abs(np.array(table).reshape(len(groups), size) - uniform).sum(axis=1).tolist()
+    diff = bits.reshape(len(reps), 8 * nbytes)[:, :size] * scale  # the uniform rows
+    np.subtract(np.frombuffer(table).reshape(len(reps), size), diff, out=diff)
+    return np.abs(diff, out=diff).sum(axis=1).tolist()
 
 
 def partition_suite(count: int, seed: int,
@@ -124,40 +134,57 @@ def partition_suite(count: int, seed: int,
     ids and 2^n-bit point mask come from its drawn (rows, offset) pair,
     the rounds from the partition core (build_partition without the
     objects), each representative's mask from its chosen key ids, and
-    containment is a mask test."""
-    rng = derived_rng(seed, 2)
+    containment is a mask test.  The mixtures are random_mixture's, drawn
+    through one reader for the call.  Each instance leaves its groups'
+    rows in one table per n, and the group distances come from one pass
+    per n once every instance is drawn."""
     failures = []
     worst_residual = 0.0
     min_group_margin = float("inf")
     cells = _cells(count, ns, r_fracs, rs)
     for n, _ in cells:  # hyperplane_masks' and the weight table's cap, before the first draw
         check_table_dim(n)
-    for n, r in cells:
-        pairs, weights = random_mixture_pairs(n, rng)
-        keys, points, masks = _members(n, pairs, weights)
-        rounds, residual = _partition_ids(n, keys, weights, r)
-        problems = []
-        residual_mass = sum(weights[i] for i in residual)
-        if residual_mass > 2.0 ** (-2 * n) + SLACK:
-            problems.append("residual")
-        worst_residual = max(worst_residual, residual_mass)
+    # per n: the group rows, representatives and dimensions of every instance
+    tables = {n: (array("d"), [], []) for n, _ in cells}
+    # per instance: n, r, its problems so far, its groups' containment
+    # flags and its count problems
+    checked = []
+    with _Words(derived_rng(seed, 2)) as words:
+        for n, r in cells:
+            pairs, weights = _mixture_pairs(n, words)
+            keys, points, masks = _members(n, pairs, weights)
+            rounds, residual = _partition_ids(n, keys, weights, r)
+            problems = []
+            residual_mass = sum(weights[i] for i in residual)
+            if residual_mass > 2.0 ** (-2 * n) + SLACK:
+                problems.append("residual")
+            worst_residual = max(worst_residual, residual_mass)
+            even = hyperplane_masks(n)
+            reps = [keys_mask(even, chosen) for chosen, _ in rounds]
+            dims = [rep.bit_count().bit_length() - 1 for rep in reps]
+            if len(set(reps)) != len(reps):
+                problems.append("duplicate representatives")
+            contained = [not any(masks[i] & ~rep for i in taken)
+                         for rep, (_, taken) in zip(reps, rounds)]
+            counts = [f"count k={k}" for k in range(n + 1)
+                      if sum(d >= k for d in dims) > group_count_bound(n, r, k) + SLACK]
+            table, all_reps, all_dims = tables[n]
+            _group_rows(n, [[(points[i], weights[i]) for i in taken] for _, taken in rounds],
+                        table)
+            all_reps += reps
+            all_dims += dims
+            checked.append((n, r, problems, contained, counts))
+    # each n's distances, read in instance order
+    distances = {n: iter(_group_distances(n, *table)) for n, table in tables.items()}
+    for n, r, problems, contained, counts in checked:
         step_bound = 2.0 ** (-(r - n / 2))
-        even = hyperplane_masks(n)
-        reps = [keys_mask(even, chosen) for chosen, _ in rounds]
-        dims = [rep.bit_count().bit_length() - 1 for rep in reps]
-        if len(set(reps)) != len(reps):
-            problems.append("duplicate representatives")
-        distances = _group_distances(n, reps, dims, [[(points[i], weights[i]) for i in taken]
-                                                     for _, taken in rounds])
-        for rep, (_, taken), dist in zip(reps, rounds, distances):
-            if any(masks[i] & ~rep for i in taken):
+        for ok, dist in zip(contained, distances[n]):
+            if not ok:
                 problems.append("containment")
             min_group_margin = min(min_group_margin, step_bound - dist)
             if not dist < step_bound + SLACK:
                 problems.append("group distance")
-        for k in range(n + 1):
-            if sum(d >= k for d in dims) > group_count_bound(n, r, k) + SLACK:
-                problems.append(f"count k={k}")
+        problems += counts
         if problems:
             failures.append({"n": n, "r": r, "problems": problems})
     return _report("partition", count, failures, worst_residual=worst_residual,

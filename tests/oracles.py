@@ -21,8 +21,13 @@ leaf's row by itself, the gamma reference compares one edge at a time,
 and the path reference follows one list of
 samples (a, b) to a leaf.  The group-distance reference builds each
 partition group's conditional SubspaceMixture before tabulating it, and
-the partition-suite reference checks random_mixture's objects through
-build_partition, is_subset and that distance.  The
+the per-instance group-distance reference tabulates one instance's
+groups in a list table of its own and takes their distances in a numpy
+pass of their own.  The partition-suite reference checks
+random_mixture's objects through build_partition, is_subset and the
+conditional mixture's distance, and the Fourier-suite reference draws
+each instance through random_hypothesis_mixture, a reader of its own per
+instance.  The
 generator references build an AffineSubspace for every draw and a
 SubspaceMixture for every attempt, kept or not, count the paths they
 take, and draw straight from the Generator (the program reference one
@@ -62,6 +67,7 @@ from paritylab.crypto import AttackReport
 from paritylab.distributions import (
     SLACK,
     SubspaceMixture,
+    check_fourier_closeness,
     check_r,
     heaviest_hyperplane,
     hyperplane_mass,
@@ -70,7 +76,7 @@ from paritylab.distributions import (
     mixture_distribution,
     uniform_weights,
 )
-from paritylab.generators import derived_rng, random_mixture
+from paritylab.generators import derived_rng, random_hypothesis_mixture, random_mixture
 from paritylab.gf2 import (
     AffineSubspace,
     BitVector,
@@ -349,6 +355,45 @@ def conditional_l1_to_uniform(group):
 def representatives_with_dim_at_least(part, k):
     """The number of a partition's representatives of dimension at least k."""
     return sum(1 for g in part.groups if g.representative.dim >= k)
+
+
+def per_instance_group_distances(n, reps, dims, groups):
+    """Reference suites._group_rows and _group_distances, one instance at a
+    time: each group's l1 distance from its members' conditional law to
+    the uniform law on its representative (a point mask of dimension
+    dims[g]).  A group is its members' (points, mass) in member order; the
+    law adds (p / mass) 2^-dim into each point of each member, mass summed
+    in member order, and the instance's groups share one 2-D table."""
+    size = 1 << n
+    table = [0.0] * (len(groups) * size)
+    for base, group in zip(range(0, len(table), size), groups):
+        mass = sum(p for _, p in group)
+        for points, p in group:
+            q = p / mass * 2.0 ** -(len(points).bit_length() - 1)
+            for x in points:
+                table[base + x] += q
+    nbytes = (size + 7) // 8  # a representative's bits, point 0 first
+    bits = np.unpackbits(np.frombuffer(b"".join(rep.to_bytes(nbytes, "little") for rep in reps),
+                                       np.uint8), bitorder="little")
+    scale = np.array([2.0 ** -d for d in dims])[:, None]
+    uniform = bits.reshape(len(reps), 8 * nbytes)[:, :size] * scale
+    return np.abs(np.array(table).reshape(len(groups), size) - uniform).sum(axis=1).tolist()
+
+
+def object_fourier_suite(count, seed, ns=(3, 4, 5, 6), r_fracs=R_FRACS, rs=None):
+    """Reference suites.fourier_suite: one random_hypothesis_mixture call,
+    on a reader of its own, per instance."""
+    rng = derived_rng(seed, 1)
+    failures = []
+    min_margin = float("inf")
+    for n, r in _cells(count, ns, r_fracs, rs):
+        check = check_fourier_closeness(random_hypothesis_mixture(n, r, rng), r)
+        row = check.closeness
+        min_margin = min(min_margin, row.margin)
+        if not (check.hypothesis_holds and row.ok):
+            failures.append({"n": n, "r": r, "distance": row.measured, "bound": row.bound,
+                             "hypothesis_holds": check.hypothesis_holds})
+    return _report("fourier", count, failures, min_margin=min_margin)
 
 
 def object_partition_suite(count, seed, ns=(2, 3, 4, 5), r_fracs=R_FRACS, rs=None):

@@ -244,11 +244,11 @@ class TestVerifyLemmas:
         in the report's failure entries (27 of them would not through the
         fraction).  Every instance is stubbed to fail, so each entry
         carries its r."""
-        monkeypatch.setattr(suites, "random_hypothesis_mixture", lambda n, r, rng: None)
+        monkeypatch.setattr(suites, "_hypothesis_mixture", lambda n, r, words: None)
         monkeypatch.setattr(suites, "check_fourier_closeness",
                             lambda mix, r: FourierCheck(False, 1.0, BoundCheck("closeness", 1.0, 0.0, True),
                                                          None))
-        monkeypatch.setattr(suites, "random_mixture_pairs", lambda n, rng: ([((), 0)], [1.0]))
+        monkeypatch.setattr(suites, "_mixture_pairs", lambda n, words: ([((), 0)], [1.0]))
         monkeypatch.setattr(suites, "_partition_ids", lambda n, keys, probs, r: ([], [0]))
         monkeypatch.setattr(suites, "reduction_suite", lambda *args, **kwargs: {"ok": True})
         monkeypatch.setattr(suites, "reach_bound_suite", lambda *args, **kwargs: {"ok": True})
@@ -622,7 +622,8 @@ class TestFuzzGuard:
         suite draws anything."""
         def refuse(*args):
             raise AssertionError("drew a mixture past the table cap")
-        monkeypatch.setattr(suites, "random_hypothesis_mixture", refuse)
+        monkeypatch.setattr(suites, "_Words", refuse)
+        monkeypatch.setattr(suites, "_hypothesis_mixture", refuse)
         code, _, err = run_cli(capsys, "verify-lemmas", "--seed", "1", "--n", str(n),
                                "--trials", "1")
         assert code == 1

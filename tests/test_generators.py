@@ -302,6 +302,26 @@ class TestWords:
             generators.random_subspace(3, rng)
 
 
+@pytest.mark.parametrize("k", range(1, 17))
+def test_weights_are_numpy_weights(k):
+    """_weights(words, k) gives words.random(k) + 0.05 divided by its numpy
+    sum as the same floats, for the written-out folds (k <= 8) and numpy's
+    own sum (k > 8), and leaves the generator where the numpy calls do,
+    with a buffered half kept."""
+    rng, ref = (np.random.default_rng([k, 3]) for _ in range(2))
+    for source in (rng, ref):
+        source.integers(0, 2)  # buffers a half-word
+    with generators._Words(rng) as words:
+        got = [generators._weights(words, k) for _ in range(300)]
+    want = []
+    for _ in range(300):
+        weights = ref.random(k) + 0.05
+        weights /= weights.sum()
+        want.append(weights.tolist())
+    assert got == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _direct_members(n, rng, count, min_dim=0):
     """generators._draw_members from direct Generator calls: members drawn
     by object_random_subspace and deduplicated as AffineSubspaces."""

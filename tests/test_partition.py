@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,7 @@ from paritylab.partition import (
     group_count_bound,
 )
 from paritylab.reduction import reduce_to_affine
-from paritylab.suites import R_FRACS, _cells, _group_distances
+from paritylab.suites import R_FRACS, _cells, _group_distances, _group_rows
 
 
 def bv(text):
@@ -357,8 +358,8 @@ class TestPartitionOracle:
     @pytest.mark.parametrize("seed", [7, 47])
     def test_group_distance_matches_conditional_mixture(self, seed):
         """The partition suite's group distances, tabulated on point masks
-        from the members and p / mass in one table per instance, equal
-        the distance through the validated conditional mixture, float for
+        from the members and p / mass, one row per group, equal the
+        distance through the validated conditional mixture, float for
         float, on the suite's instances."""
         rng = derived_rng(seed, 2)
         groups = 0
@@ -368,7 +369,9 @@ class TestPartitionOracle:
             members = [[(w.points(), p) for w, p in zip(g.members, g.probabilities)]
                        for g in part.groups]
             dims = [g.representative.dim for g in part.groups]
-            assert (_group_distances(n, reps, dims, members)
+            table = array("d")
+            _group_rows(n, members, table)
+            assert (_group_distances(n, table, reps, dims)
                     == [conditional_l1_to_uniform(g) for g in part.groups])
             groups += len(part.groups)
         assert groups > 300

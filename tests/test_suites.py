@@ -1,4 +1,5 @@
-"""The property suites' failure entries.
+"""The property suites' failure entries, and the Fourier and partition
+suites against their references.
 
 The suites pass on the package as it is, so each failure branch is
 forced here by replacing the collaborator the suite calls
@@ -8,13 +9,18 @@ pins the failure entry and the report's ok: false.
 """
 
 import json
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
-from oracles import object_partition_suite
+from oracles import object_fourier_suite, object_partition_suite, per_instance_group_distances
 
 from paritylab import suites
 from paritylab.distributions import BoundCheck
+from paritylab.generators import derived_rng, random_mixture
+from paritylab.gf2 import point_mask
+from paritylab.partition import build_partition
 
 # Members of F_2^3 as canonical (rows, offset) pairs, and key ids 2a + b.
 FULL = ((1, 2, 4), 0)
@@ -27,7 +33,7 @@ def _instance(pairs, weights, rounds, residual=()):
     """Stubs under which every draw of the suite gives the members pairs
     with weights, and every partition the rounds (chosen key ids, taken
     members) and the residual members."""
-    return {"random_mixture_pairs": lambda n, rng: (pairs, weights),
+    return {"_mixture_pairs": lambda n, words: (pairs, weights),
             "_partition_ids": lambda n, keys, probs, r: (rounds, list(residual))}
 
 
@@ -67,11 +73,12 @@ class TestPartitionSuite:
 
     def test_table_cap_before_any_draw(self, monkeypatch):
         """n = 13 is refused by the weight table's cap before the first
-        draw, and before any 4^n-bit hyperplane_masks table."""
+        draw (before the reader opens), and before any 4^n-bit
+        hyperplane_masks table."""
         def refuse(*args):
             raise AssertionError("drew or built past the cap")
 
-        for name in ("random_mixture_pairs", "hyperplane_masks"):
+        for name in ("_Words", "_mixture_pairs", "hyperplane_masks"):
             monkeypatch.setattr(suites, name, refuse)
         with pytest.raises(ValueError, match="exact tables support 0 <= n <= 12, got 13"):
             suites.partition_suite(4, 5, ns=(2, 13))
@@ -90,6 +97,82 @@ class TestPartitionSuite:
         kwargs = {"ns": (2, 3, 4), "rs": (2.0, 2.5, 3.0)}
         assert (json.dumps(suites.partition_suite(*args, **kwargs), sort_keys=True)
                 == json.dumps(object_partition_suite(*args, **kwargs), sort_keys=True))
+
+
+    def test_memory_peak(self):
+        """One 80-instance call at n = 5, r = 5 peaks under 768 KiB of
+        tracemalloc, after a first call has filled the per-process span
+        lattice and label memos.  It holds the call's reader (one block of
+        at most 1,024 words and its int lists, about 130 KiB), one row of
+        32 floats per group and, in the distance pass, one more float per
+        cell and numpy's cast buffers: about 520 KiB measured over 380
+        rows.  The worst case, all 80 instances split into 8 groups, is
+        640 rows, 160 KiB of table and as much again in the pass.  Keeping
+        every instance's points lists until the pass read 961 KiB."""
+        args, kwargs = (80, 1), {"ns": (5,), "r_fracs": (1.0,)}
+        suites.partition_suite(*args, **kwargs)
+        tracemalloc.start()
+        try:
+            suites.partition_suite(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 << 10
+
+
+def _groups(n, count):
+    """random_mixture's instances at n, through build_partition at the
+    suite's r cells, until they hold count groups: per instance its
+    representatives' masks, their dimensions and each group's members'
+    (points, mass)."""
+    rng = derived_rng(n, 2)
+    instances, groups = [], 0
+    for i in range(count):
+        part = build_partition(random_mixture(n, rng), suites.R_FRACS[i % 3] * n)
+        instances.append(([point_mask(g.representative) for g in part.groups],
+                          [g.representative.dim for g in part.groups],
+                          [[(w.points(), p) for w, p in zip(g.members, g.probabilities)]
+                           for g in part.groups]))
+        groups += len(part.groups)
+        if groups >= count:
+            return instances
+    raise AssertionError(f"fewer than {count} groups")
+
+
+class TestGroupDistances:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batches_match_per_instance(self, n):
+        """The suite's distance pass, over 300 rows at once or one row at
+        a time, gives the per-instance reference's distances row for row:
+        sum(axis=1) does not depend on the row count."""
+        instances = _groups(n, 300)
+        want = [d for instance in instances for d in per_instance_group_distances(n, *instance)]
+        reps, dims, groups = ([x for instance in instances for x in instance[j]]
+                              for j in range(3))
+        table = array("d")
+        suites._group_rows(n, groups[:300], table)
+        assert suites._group_distances(n, table, reps[:300], dims[:300]) == want[:300]
+        for i in range(300):
+            table = array("d")
+            suites._group_rows(n, groups[i:i + 1], table)
+            assert suites._group_distances(n, table, reps[i:i + 1], dims[i:i + 1]) == [want[i]]
+
+
+class TestFourierSuite:
+    @pytest.mark.parametrize("ns", [(1,), (2,), (6,), (3, 4, 5, 6)], ids=str)
+    def test_matches_object_suite(self, ns):
+        """The suite, on one reader for the call, gives the report of one
+        random_hypothesis_mixture call per instance, as sort_keys JSON
+        text (floats bit for bit)."""
+        for seed in range(10):
+            assert (json.dumps(suites.fourier_suite(24, seed, ns=ns), sort_keys=True)
+                    == json.dumps(object_fourier_suite(24, seed, ns=ns), sort_keys=True))
+
+    def test_matches_object_suite_absolute_rs(self):
+        kwargs = {"ns": (2, 3, 4), "rs": (2.0, 2.5, 3.0)}
+        for seed in range(10):
+            assert (json.dumps(suites.fourier_suite(24, seed, **kwargs), sort_keys=True)
+                    == json.dumps(object_fourier_suite(24, seed, **kwargs), sort_keys=True))
 
 
 class TestReductionSuite:
