@@ -23,6 +23,7 @@ from .config import BudgetExceeded, dp_budget, state_budget
 from .gf2 import (
     AffineSubspace,
     DimensionMismatch,
+    _span,
     edge_masks,
     hyperplane_masks,
     parse_subspace,
@@ -255,15 +256,29 @@ def _scatter_layer(cur: np.ndarray, nxt: np.ndarray, rows: tuple, edge: np.ndarr
 
 
 def success_probability(bp: BranchingProgram) -> float:
-    """Pr[x lands in the output label], absorbed at each leaf's layer."""
+    """Pr[x ∈ the output label], absorbed at each leaf's layer: label
+    containment, so a leaf labelled with the full space always succeeds
+    (not Pr[the output is the point x]).
+
+    Each layer's leaf cells v·2^n + x, x over the leaf's label, are summed
+    in one gather per layer.  Layer t of forward_tables holds integer
+    multiples of 2^-(t+1)n summing to at most 1, so while (m+1)·n <= 53
+    every partial sum is exact in any order and the result equals a
+    per-leaf sum bit for bit; past that the two differ only by summation
+    order.
+    """
     tables = forward_tables(bp)
-    # Each distinct label's points once, in increasing order: the cells a
-    # boolean support mask would pick, in its order, so each sum is the
-    # same.
-    support = functools.cache(lambda w: sorted(w.points()))
-    total = 0.0
+    size = 1 << bp.n
+    cells: list[list[int]] = [[] for _ in tables]
     for t, v in bp.iter_leaves():
-        total += float(tables[t][v][support(bp.leaf_labels[(t, v)])].sum())
+        w = bp.leaf_labels[(t, v)]
+        if not w.is_empty:
+            # v·2^n shares no bit with a point x < 2^n: its cells are a coset
+            cells[t] += _span(v * size | w.offset, w.direction.rows)
+    total = 0.0
+    for table, idx in zip(tables, cells):
+        if idx:
+            total += float(np.take(table, idx).sum())
     return total
 
 

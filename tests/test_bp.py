@@ -447,22 +447,71 @@ class TestSuccess:
         dims = output_dimension_distribution(bp)
         assert dims == {1: pytest.approx(0.75), 2: pytest.approx(0.25)}
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_per_leaf_oracle(self, n):
-        """Supports built once per distinct label against the per-leaf
-        loop, compared with ==: random programs whose leaves share labels
-        (as one object and as equal copies) or are Empty, and recorder
-        programs with early leaves."""
+        """One gather per layer against the per-leaf loop, compared with
+        ==: random programs whose leaves share labels (as one object and
+        as equal copies) or are Empty, and recorder programs with early
+        leaves."""
         for bp in per_leaf_programs(n):
             assert success_probability(bp) == per_leaf_success_probability(bp)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_output_dimensions_per_leaf_oracle(self, n):
         """Each layer's row sums, read per leaf, against each leaf's own
         row sum, added in the same order, compared with ==."""
         for bp in per_leaf_programs(n):
             want = per_leaf_output_dimensions(bp, forward_tables(bp))
             assert output_dimension_distribution(bp) == want
+
+
+class TestLeafGather:
+    """success_probability sums each layer's leaf cells in one gather.
+    Layer t of the sweep holds integer multiples of 2^-(t+1)n, at most 1
+    in all, so while (m+1)·n <= 53 every partial sum is exact and the
+    gather equals the per-leaf loop under ==."""
+
+    @pytest.fixture(scope="class")
+    def bench_programs(self):
+        """The bench's DP shapes (random_program(n, 3, width), n = 5, 6,
+        width 16–64) and its validate programs (Gaussian and greedy
+        recorders, n = 3, 4, m = 2, 3)."""
+        rng = np.random.default_rng(45)
+        programs = [random_program(n, 3, width, rng) for n in (5, 6) for width in (16, 40, 64)]
+        programs += [learner_program_with_labels(gaussian_learner(n), m)[0]
+                     for n in (3, 4) for m in (2, 3)]
+        programs += [greedy_recorder_program(n, m, k)[0]
+                     for n in (3, 4) for m in (2, 3) for k in range(n)]
+        return programs
+
+    def test_layers_on_the_dyadic_grid(self, bench_programs):
+        """Every entry of layer t times 2^(t+1)n is an integer, for
+        per_leaf_programs at n = 1…6 and the bench's programs."""
+        programs = [bp for n in range(1, 7) for bp in per_leaf_programs(n)]
+        for bp in programs + bench_programs:
+            assert (bp.m + 1) * bp.n <= 53
+            for t, table in enumerate(forward_tables(bp)):
+                scaled = table * 2.0 ** ((t + 1) * bp.n)  # a power of two: exact
+                assert np.array_equal(scaled, np.trunc(scaled)), (bp.n, bp.m, t)
+
+    def test_bench_programs_per_leaf_oracle(self, bench_programs):
+        """Compared with ==, as TestSuccess::test_per_leaf_oracle does for
+        per_leaf_programs."""
+        for bp in bench_programs:
+            assert success_probability(bp) == per_leaf_success_probability(bp)
+
+    def test_past_the_grid(self):
+        """Past (m+1)·n = 53 the last layers' multiples of 2^-(t+1)n can
+        need more than float64's 53 bits, so the sweep's cells and the
+        sums round, and the per-layer gather and the per-leaf loop add in
+        different orders: only there may they differ, within 1e-12."""
+        rng = np.random.default_rng(53)
+        for n, m in ((6, 9), (5, 11)):
+            for width in (2, 3, 4):
+                bp = random_program(n, m, width, rng)
+                assert (m + 1) * n > 53
+                got, want = success_probability(bp), per_leaf_success_probability(bp)
+                assert abs(got - want) <= 1e-12, (n, m, width)
 
 
 def per_leaf_programs(n):
