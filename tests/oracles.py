@@ -534,8 +534,8 @@ def per_vertex_ideal_joint(red, t):
 
 
 def per_leaf_success_probability(bp):
-    """bp.success_probability with the leaf label's support tabulated at
-    every leaf."""
+    """bp.success_probability as one sum per leaf, over the leaf label's
+    support tabulated at that leaf."""
     tables = forward_tables(bp)
     total = 0.0
     for t, v in bp.iter_leaves():
