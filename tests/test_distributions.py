@@ -76,6 +76,31 @@ class TestMixture:
         with pytest.raises(EmptySubspaceError):
             SubspaceMixture(2, ((AffineSubspace.empty(2), 1.0),))
 
+    @pytest.mark.parametrize("support, error, message", [
+        ((), ValueError, "mixture support must be non-empty"),
+        (((AffineSubspace.full(3), 1.0),), DimensionMismatch, "3 != 2"),
+        (((AffineSubspace.full(2), 1.0), (AffineSubspace.point(2, 0), 0.0)), ValueError,
+         "probabilities must be positive, got 0.0"),
+        (((AffineSubspace.full(2), 1.5), (AffineSubspace.point(2, 0), -0.5)), ValueError,
+         r"probabilities must be positive, got -0\.5"),
+    ], ids=["empty", "n-mismatch", "zero", "negative"])
+    def test_validation_messages(self, support, error, message):
+        with pytest.raises(error, match=message):
+            SubspaceMixture(2, support)
+
+    def test_from_pairs_skips_zero_weights(self):
+        """A zero weight is dropped before duplicates merge and the rest
+        is normalized: it leaves no member behind."""
+        full, point = AffineSubspace.full(2), AffineSubspace.point(2, 0)
+        mix = SubspaceMixture.from_pairs(2, [(point, 0.0), (full, 1.0), (point, 1.0),
+                                             (full, 2.0)])
+        assert mix.support == ((full, 0.75), (point, 0.25))
+
+    @pytest.mark.parametrize("pairs", [[], [(AffineSubspace.full(2), 0.0)]], ids=["none", "zero"])
+    def test_from_pairs_without_mass(self, pairs):
+        with pytest.raises(ValueError, match="mixture has no mass"):
+            SubspaceMixture.from_pairs(2, pairs)
+
 
 class TestL1:
     def test_identical(self):

@@ -62,8 +62,9 @@ class TestPartitionSuite:
     @pytest.mark.parametrize("pairs, weights, message", [
         ([FULL, FULL], [0.5, 0.5], "duplicate support element"),
         ([FULL, X1_0], [1.0, 0.0], "probabilities must be positive, got 0.0"),
+        ([FULL, X1_0], [1.5, -0.5], r"probabilities must be positive, got -0\.5"),
         ([FULL, X1_0], [0.5, 0.25], "probabilities sum to 0.75, not 1"),
-    ], ids=["duplicate", "zero", "total"])
+    ], ids=["duplicate", "zero", "negative", "total"])
     def test_mixture_checks(self, monkeypatch, pairs, weights, message):
         """SubspaceMixture's checks, on the drawn pairs and weights."""
         for name, stub in _instance(pairs, weights, [([], [0, 1])]).items():
