@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -22,6 +22,26 @@ PROB_TOL = 1e-9   # absolute tolerance when validating mixture probabilities
 SLACK = 1e-12     # absolute slack when comparing a measured quantity with its bound
 
 
+def _check_support(support: Iterable[tuple[Hashable, float]]) -> None:
+    """The mixture invariants on (member, weight) pairs, members given as
+    subspaces or as canonical (rows, offset) pairs: at least one member,
+    distinct members, positive weights, and a total (summed in order)
+    within PROB_TOL of 1."""
+    seen = set()
+    total = 0.0
+    for w, p in support:
+        if w in seen:
+            raise ValueError(f"duplicate support element {w}")
+        seen.add(w)
+        if p <= 0:
+            raise ValueError(f"probabilities must be positive, got {p}")
+        total += p
+    if not seen:
+        raise ValueError("mixture support must be non-empty")
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class SubspaceMixture:
     """Finite-support distribution over non-empty affine subspaces."""
@@ -30,23 +50,12 @@ class SubspaceMixture:
     support: tuple[tuple[AffineSubspace, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("mixture support must be non-empty")
-        seen = set()
-        total = 0.0
-        for w, p in self.support:
+        for w, _ in self.support:
             if w.n != self.n:
                 raise DimensionMismatch(f"{w.n} != {self.n}")
             if w.is_empty:
                 raise EmptySubspaceError("mixture support must avoid the empty subspace")
-            if w in seen:
-                raise ValueError(f"duplicate support element {w}")
-            seen.add(w)
-            if p <= 0:
-                raise ValueError(f"probabilities must be positive, got {p}")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_support(self.support)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: list[tuple[AffineSubspace, float]]) -> "SubspaceMixture":
@@ -92,23 +101,24 @@ def check_table_dim(n: int) -> None:
         raise ValueError(f"exact tables support 0 <= n <= {MAX_TABLE_DIM}, got {n}")
 
 
-def mixture_table(n: int, pairs: Iterable[tuple[AffineSubspace, float]]) -> np.ndarray:
-    """The length-2^n table of sum_i p_i * uniform_weights(w_i), added in
-    pair order (p_i 2^-dim into each point of w_i, the float additions
-    of the table sum); n past MAX_TABLE_DIM is refused before it is built."""
+def mixture_table(n: int, members: Iterable[tuple[list[int], float]]) -> np.ndarray:
+    """The length-2^n table of sum_i p_i * 2^-dim_i on each point of
+    member i, a member given as its points (2^dim_i of them) and its
+    weight p_i, added in member order (p_i 2^-dim_i into each point, the
+    float additions of the table sum); n past MAX_TABLE_DIM is refused
+    before it is built."""
     check_table_dim(n)
     table = [0.0] * (1 << n)
-    for w, p in pairs:
-        if not w.is_empty:
-            q = p * 2.0 ** (-w.dim)
-            for x in w.points():
-                table[x] += q
+    for points, p in members:
+        q = p * 2.0 ** -(len(points).bit_length() - 1)
+        for x in points:
+            table[x] += q
     return np.array(table)
 
 
 def mixture_distribution(mix: SubspaceMixture) -> np.ndarray:
     """The weight table of the mixture's expected uniform law."""
-    return mixture_table(mix.n, mix.support)
+    return mixture_table(mix.n, ((w.points(), p) for w, p in mix.support))
 
 
 def l1_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -176,12 +186,25 @@ def check_r(n: int, r: float, top: int = 2) -> None:
         raise ValueError(f"r must lie in [n/2, {upper}] = [{n / 2}, {top * n}], got {r}")
 
 
+def _within(measured: float, bound: float) -> bool:
+    """measured <= bound up to SLACK: the one rule that compares a
+    measured quantity with its bound (a lower bound negates both)."""
+    return measured <= bound + SLACK
+
+
+def _closeness_bound(n: int, r: float) -> float:
+    """2^{-(r - n/2)}: the l1 distance to uniform that the Fourier lemma
+    allows a flat mixture, and that the grouping lemma allows each
+    group's conditional law from its representative."""
+    return 2.0 ** (-(r - n / 2))
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """A measured value against its bound: an upper bound, or a lower one
     when lower is set.  binding is False where the bound lies at or past
-    the quantity's trivial range, so the row is vacuous.  ok and margin
-    are the one place a row applies SLACK; a positive margin means room."""
+    the quantity's trivial range, so the row is vacuous.  ok applies
+    SLACK by _within; a positive margin means room."""
 
     name: str
     measured: float
@@ -192,8 +215,8 @@ class BoundCheck:
     @property
     def ok(self) -> bool:
         if self.lower:
-            return self.measured >= self.bound - SLACK
-        return self.measured <= self.bound + SLACK
+            return _within(-self.measured, -self.bound)
+        return _within(self.measured, self.bound)
 
     @property
     def margin(self) -> float:
@@ -212,22 +235,29 @@ class FourierCheck:
     worst_hyperplane: tuple[int, int] | None
 
 
-def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
-    """Test the spectral-flatness criterion for a subspace mixture.
+def _fourier_closeness(n: int, r: float, keys: Iterable[Iterable[int]],
+                       points: Iterable[list[int]], weights: list[float]) -> FourierCheck:
+    """The spectral-flatness criterion on a mixture's member data: per
+    member its key ids (gf2.coset_keys), its points and its weight.
 
     The hypothesis is that no hyperplane {x : a.x = b}, a != 0, contains
     the random subspace with probability above 2^{-r}; when it holds, the
     mixture's expected uniform law is within 2^{-(r - n/2)} of uniform in
     l1 distance.  The closeness row binds below 2, the l1 ceiling; r >= n/2
-    keeps its bound at most 1.
+    keeps its bound at most 1.  points is read before keys, so either may
+    be a lazy iterable: the weight table refuses n > 12 before a key is
+    listed or the 2^(n+1)-entry key table is built.
     """
-    n = mix.n
     check_r(n, r)
-    # first: the weight table refuses n > 12 before the 2^(n+1)-entry key table is built
-    distance = l1_distance(mixture_distribution(mix), uniform_weights(AffineSubspace.full(n)))
-    key, conc = heaviest_hyperplane(hyperplane_mass(mix))
+    distance = l1_distance(mixture_table(n, zip(points, weights)), np.full(1 << n, 2.0 ** -n))
+    key, conc = heaviest_hyperplane(key_table(n, keys, weights))
     worst = (key >> 1, key & 1) if conc > 0.0 else None
-    holds = conc <= 2.0 ** (-r) + SLACK
-    bound = 2.0 ** (-(r - n / 2))
-    return FourierCheck(holds, conc, BoundCheck("closeness", distance, bound, binding=bound < 2.0),
-                        worst)
+    bound = _closeness_bound(n, r)
+    return FourierCheck(_within(conc, 2.0 ** (-r)), conc,
+                        BoundCheck("closeness", distance, bound, binding=bound < 2.0), worst)
+
+
+def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
+    """_fourier_closeness on a SubspaceMixture's members."""
+    return _fourier_closeness(mix.n, r, (hyperplane_keys(w) for w, _ in mix.support),
+                              (w.points() for w, _ in mix.support), [p for _, p in mix.support])

@@ -13,14 +13,15 @@ from typing import Callable
 import numpy as np
 
 from .bp import BranchingProgram, Labels, labelled_program
-from .distributions import SubspaceMixture, check_r, hyperplane_mass
+from .distributions import SubspaceMixture, check_r, key_table
 from .gf2 import (
     AffineSubspace,
     VectorSubspace,
     _insert,
     _reduce,
+    _null_space_cached,
     _span,
-    intersect_hyperplane,
+    coset_keys,
     lowest_set_bit,
 )
 from .learners import Learner, _decode_rows, gaussian_learner, learner_state_layers
@@ -267,10 +268,12 @@ def _lattice(n: int) -> _Lattice | None:
 
 
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
+    """The AffineSubspace of a canonical (rows, offset) pair, sharing the
+    lattice's VectorSubspace when a draw has reached the span."""
     rows, offset = pair
     lattice = _lattice(n)
-    space = VectorSubspace(n, rows) if lattice is None else lattice.space(rows)
-    return AffineSubspace(n, space, offset)
+    reached = lattice is not None and rows in lattice.ids
+    return AffineSubspace(n, lattice.space(rows) if reached else VectorSubspace(n, rows), offset)
 
 
 def random_subspace(n: int, rng: np.random.Generator) -> AffineSubspace:
@@ -376,30 +379,28 @@ def _weights(words: _Words, k: int) -> list[float]:
     return [x / total for x in w]
 
 
-def _mixture_pairs(n: int, words: _Words, max_members: int = 8
-                   ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
-    """random_mixture's draws without the objects, on a reader: its members
-    as canonical (rows, offset) pairs (see _draw_members), distinct and in
-    support order, and their float weights."""
+_Pairs = list[tuple[tuple[int, ...], int]]  # canonical (rows, offset) pairs, see _draw_members
+
+
+def _mixture(n: int, pairs: _Pairs, weights: list[float]) -> SubspaceMixture:
+    """The SubspaceMixture of a drawn mixture's pairs and weights."""
+    return SubspaceMixture(n, tuple((_subspace(n, pair), p) for pair, p in zip(pairs, weights)))
+
+
+def _mixture_pairs(n: int, words: _Words, max_members: int = 8) -> tuple[_Pairs, list[float]]:
+    """random_mixture on a reader, as its members' canonical pairs
+    (distinct, in support order) and their float weights."""
     members = _draw_members(n, words, words.integers(1, max_members + 1))
     return members, _weights(words, len(members))
 
 
-def random_mixture_pairs(n: int, rng: np.random.Generator, max_members: int = 8
-                         ) -> tuple[list[tuple[tuple[int, ...], int]], list[float]]:
-    """_mixture_pairs on a reader of its own."""
-    with _Words(rng) as words:
-        return _mixture_pairs(n, words, max_members)
-
-
 def random_mixture(n: int, rng: np.random.Generator,
                    max_members: int = 8) -> SubspaceMixture:
-    members, weights = random_mixture_pairs(n, rng, max_members)
-    return SubspaceMixture(n, tuple((_subspace(n, pair), p)
-                                    for pair, p in zip(members, weights)))
+    with _Words(rng) as words:
+        return _mixture(n, *_mixture_pairs(n, words, max_members))
 
 
-def _full_heavy_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixture:
+def _full_heavy_mixture(n: int, threshold: float, words: _Words) -> tuple[_Pairs, list[float]]:
     # full-space dominated: the non-full members' total weight stays below
     # the threshold, so no hyperplane can accumulate more
     delta = threshold * (0.4 + 0.5 * float(words.random(1)[0]))
@@ -409,13 +410,22 @@ def _full_heavy_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixt
         pair = _draw_members(n, words, 1)[0]
         if len(pair[0]) < n:  # not the full space
             pool[pair] = pool.get(pair, 0.0) + delta / extras
-    pairs = [(AffineSubspace.full(n), 1.0 - sum(pool.values()))]
-    pairs.extend((_subspace(n, pair), p) for pair, p in pool.items())
-    return SubspaceMixture.from_pairs(n, pairs)
+    # the full space first, normalized as SubspaceMixture.from_pairs would
+    # (no zero weight or duplicate to merge): each divided by the builtin sum
+    weights = [1.0 - sum(pool.values()), *pool.values()]
+    total = sum(weights)
+    return [(tuple(1 << i for i in range(n)), 0), *pool], [p / total for p in weights]
+
+
+def _hyperplane_pair(n: int, a: int, b: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair of {x : a.x = b}, a != 0: the null space of a,
+    and the point (a & -a) b (a.x = b there) reduced by it."""
+    rows = _null_space_cached(n, (a,)).rows
+    return rows, _reduce(rows, (a & -a) * b)
 
 
 def _hyperplane_family_mixture(n: int, threshold: float,
-                               words: _Words) -> SubspaceMixture | None:
+                               words: _Words) -> tuple[_Pairs, list[float]] | None:
     # near-even weights over many hyperplanes, each lying inside exactly
     # one constraint, so per-hyperplane mass ~ 1/count
     count = min(int(np.ceil(1.5 / threshold)), 2 * (2 ** n - 1))
@@ -428,12 +438,22 @@ def _hyperplane_family_mixture(n: int, threshold: float,
     weights /= weights.sum()
     if weights.max() > threshold:
         weights = np.full(count, 1.0 / count)
-    full = AffineSubspace.full(n)
-    return SubspaceMixture(n, tuple((intersect_hyperplane(full, a, b), float(p))
-                                    for (a, b), p in zip(chosen, weights)))
+    return [_hyperplane_pair(n, a, b) for a, b in chosen], weights.tolist()
 
 
-def _rejection_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixture | None:
+def _rejection_mixture(n: int, threshold: float,
+                       words: _Words) -> tuple[_Pairs, list[float]] | None:
+    """Up to 200 attempts at 2-8 members of dimension at least n - 2 with
+    random weights, kept when no hyperplane holds more than threshold;
+    None when every attempt fails.
+
+    Some cells never accept.  An attempt holds at most 8 members, at most
+    one of them the full space, with weights (u + 0.05) / S for uniform
+    u, so its heaviest non-full member weighs at least
+    0.05 / (1.05 + 7 * 0.05) = 1/28.  Where 2^r > 28 (n = r = 5 and
+    n = r = 6), every attempt fails the weight test below, and the call
+    spends all 200 attempts before it returns None.  Returning None at
+    once would change the draws that follow."""
     for _ in range(200):
         members = _draw_members(n, words, words.integers(2, 9), max(0, n - 2))
         weights = _weights(words, len(members))
@@ -441,15 +461,14 @@ def _rejection_mixture(n: int, threshold: float, words: _Words) -> SubspaceMixtu
         # sum of positive terms) is at least the member's own weight
         if any(p > threshold and len(rows) < n for (rows, _), p in zip(members, weights)):
             continue
-        mix = SubspaceMixture(n, tuple((_subspace(n, pair), p)
-                                       for pair, p in zip(members, weights)))
-        if max(hyperplane_mass(mix)) <= threshold:
-            return mix
+        if max(key_table(n, [coset_keys(n, *pair) for pair in members], weights)) <= threshold:
+            return members, weights
     return None
 
 
-def _hypothesis_mixture(n: int, r: float, words: _Words) -> SubspaceMixture:
-    """random_hypothesis_mixture on a reader."""
+def _hypothesis_mixture(n: int, r: float, words: _Words) -> tuple[_Pairs, list[float]]:
+    """random_hypothesis_mixture on a reader, as canonical pairs and float
+    weights."""
     check_r(n, r)
     threshold = 2.0 ** (-r)
     style = words.integers(0, 3)
@@ -466,7 +485,7 @@ def random_hypothesis_mixture(n: int, r: float,
     """A mixture guaranteed to satisfy the flatness hypothesis: no
     hyperplane holds the random subspace with probability above 2^{-r}."""
     with _Words(rng) as words:
-        return _hypothesis_mixture(n, r, words)
+        return _mixture(n, *_hypothesis_mixture(n, r, words))
 
 
 def random_program(n: int, m: int, width: int, rng: np.random.Generator) -> BranchingProgram:

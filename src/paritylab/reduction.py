@@ -30,7 +30,7 @@ from .bp import (
     validate_affine,
 )
 from .config import dp_budget, state_budget
-from .distributions import BoundCheck, check_r, uniform_rows
+from .distributions import BoundCheck, _closeness_bound, check_r, uniform_rows
 from .gf2 import AffineSubspace, edge_masks, hyperplane_masks, keys_mask, mask_keys, mask_subspace
 from .partition import _partition_ids, group_count_bound
 
@@ -265,7 +265,7 @@ def verify_reduction(bp: BranchingProgram, red: AffineReduction) -> ReductionRep
     n, m, r = bp.n, bp.m, red.r
     check_r(n, r, top=1)
     program, labels = red.program, red.labels
-    step = 2.0 ** (-(r - n / 2))
+    step = _closeness_bound(n, r)
     eps = 4 * m * step
 
     affine_ok = validate_affine(program, labels).ok

@@ -1,9 +1,9 @@
 """Property suites: randomized instance batteries with exact checking.
 
 Each suite returns a JSON-ready dict with counts, margins, and an overall
-ok flag; the CLI and the acceptance tests drive these directly.  Ok and
-margin come off BoundCheck rows, except in the partition suite, whose hot
-loop compares its floats inline.
+ok flag; the CLI and the acceptance tests drive these directly.  Every
+measured quantity meets its bound by distributions._within, the rule
+BoundCheck's ok applies.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from array import array
 
 import numpy as np
 
-from .distributions import PROB_TOL, SLACK, check_fourier_closeness, check_table_dim
+from .distributions import (
+    _check_support,
+    _closeness_bound,
+    _fourier_closeness,
+    _within,
+    check_table_dim,
+    mixture_table,
+)
 from .generators import (
     _hypothesis_mixture,
     _mixture_pairs,
@@ -58,7 +65,9 @@ def fourier_suite(count: int, seed: int,
                   rs: tuple[float, ...] | None = None) -> dict:
     """Random hypothesis-satisfying mixtures: the mixture law must sit
     within 2^{-(r - n/2)} of uniform every single time.  The mixtures are
-    random_hypothesis_mixture's, drawn through one reader for the call."""
+    random_hypothesis_mixture's, drawn through one reader for the call as
+    canonical pairs and weights, and checked on their members' key ids
+    and points (see _members)."""
     failures = []
     min_margin = float("inf")
     cells = _cells(count, ns, r_fracs, rs)
@@ -66,7 +75,8 @@ def fourier_suite(count: int, seed: int,
         check_table_dim(n)
     with _Words(derived_rng(seed, 1)) as words:
         for n, r in cells:
-            check = check_fourier_closeness(_hypothesis_mixture(n, r, words), r)
+            pairs, weights = _hypothesis_mixture(n, r, words)
+            check = _fourier_closeness(n, r, *_members(n, pairs, weights), weights)
             row = check.closeness
             min_margin = min(min_margin, row.margin)
             if not (check.hypothesis_holds and row.ok):
@@ -76,38 +86,22 @@ def fourier_suite(count: int, seed: int,
 
 
 def _members(n: int, pairs: list[tuple[tuple[int, ...], int]],
-             weights: list[float]) -> tuple[list[frozenset[int]], list[list[int]], list[int]]:
-    """The key ids, points and point masks of a mixture's members, given as
-    canonical (rows, offset) pairs and weights, after SubspaceMixture's
-    checks: distinct members, positive weights, total 1 within PROB_TOL."""
-    if len(set(pairs)) != len(pairs):
-        raise ValueError("duplicate support element")
-    if (low := min(weights)) <= 0:
-        raise ValueError(f"probabilities must be positive, got {low}")
-    if abs(sum(weights) - 1.0) > PROB_TOL:
-        raise ValueError(f"probabilities sum to {sum(weights)}, not 1")
-    keys, points, masks = [], [], []
-    for rows, offset in pairs:
-        keys.append(coset_keys(n, rows, offset))
-        points.append(span := _span(offset, rows))
-        masks.append(sum(1 << x for x in span))  # the points are distinct
-    return keys, points, masks
+             weights: list[float]) -> tuple[list[frozenset[int]], list[list[int]]]:
+    """The key ids and points of a mixture's members, given as canonical
+    (rows, offset) pairs and weights, after SubspaceMixture's checks."""
+    _check_support(zip(pairs, weights))
+    return ([coset_keys(n, rows, offset) for rows, offset in pairs],
+            [_span(offset, rows) for rows, offset in pairs])
 
 
 def _group_rows(n: int, groups: list[list[tuple[list[int], float]]], table: array) -> None:
-    """Append to table one row of 2^n floats per group: its members'
-    conditional law, (p / mass) 2^-dim added into each point of each
-    member, mass summed in member order.  A group is its members' (points,
-    mass) in member order."""
-    size = 1 << n
+    """Append to table one row of 2^n floats per group: the mixture_table
+    of its members' conditional law, each member's (points, p / mass),
+    mass summed in member order.  A group is its members' (points, mass)
+    in member order."""
     for group in groups:
-        row = [0.0] * size
         mass = sum(p for _, p in group)
-        for points, p in group:
-            q = p / mass * 2.0 ** -(len(points).bit_length() - 1)
-            for x in points:
-                row[x] += q
-        table.extend(row)
+        table.frombytes(mixture_table(n, [(points, p / mass) for points, p in group]).tobytes())
 
 
 def _group_distances(n: int, table: array, reps: list[int], dims: list[int]) -> list[float]:
@@ -152,11 +146,11 @@ def partition_suite(count: int, seed: int,
     with _Words(derived_rng(seed, 2)) as words:
         for n, r in cells:
             pairs, weights = _mixture_pairs(n, words)
-            keys, points, masks = _members(n, pairs, weights)
+            keys, points = _members(n, pairs, weights)
             rounds, residual = _partition_ids(n, keys, weights, r)
             problems = []
             residual_mass = sum(weights[i] for i in residual)
-            if residual_mass > 2.0 ** (-2 * n) + SLACK:
+            if not _within(residual_mass, 2.0 ** (-2 * n)):
                 problems.append("residual")
             worst_residual = max(worst_residual, residual_mass)
             even = hyperplane_masks(n)
@@ -164,10 +158,11 @@ def partition_suite(count: int, seed: int,
             dims = [rep.bit_count().bit_length() - 1 for rep in reps]
             if len(set(reps)) != len(reps):
                 problems.append("duplicate representatives")
+            masks = [sum(1 << x for x in span) for span in points]  # the points are distinct
             contained = [not any(masks[i] & ~rep for i in taken)
                          for rep, (_, taken) in zip(reps, rounds)]
             counts = [f"count k={k}" for k in range(n + 1)
-                      if sum(d >= k for d in dims) > group_count_bound(n, r, k) + SLACK]
+                      if not _within(sum(d >= k for d in dims), group_count_bound(n, r, k))]
             table, all_reps, all_dims = tables[n]
             _group_rows(n, [[(points[i], weights[i]) for i in taken] for _, taken in rounds],
                         table)
@@ -177,12 +172,12 @@ def partition_suite(count: int, seed: int,
     # each n's distances, read in instance order
     distances = {n: iter(_group_distances(n, *table)) for n, table in tables.items()}
     for n, r, problems, contained, counts in checked:
-        step_bound = 2.0 ** (-(r - n / 2))
+        step_bound = _closeness_bound(n, r)
         for ok, dist in zip(contained, distances[n]):
             if not ok:
                 problems.append("containment")
             min_group_margin = min(min_group_margin, step_bound - dist)
-            if not dist < step_bound + SLACK:
+            if not _within(dist, step_bound):
                 problems.append("group distance")
         problems += counts
         if problems:
@@ -245,16 +240,22 @@ def reach_bound_suite(seed: int, ns: tuple[int, ...] = (2, 3, 4)) -> dict:
 
 def run_all_suites(seed: int, trials: int, ns: tuple[int, ...] | None = None,
                    rs: tuple[float, ...] | None = None) -> dict:
-    """Every suite; the Fourier and partition suites run at the absolute
-    rs when given, else at the R_FRACS cells."""
+    """Every suite, the reach-bound suite first (each suite draws from a
+    stream of its own); the Fourier and partition suites run at the
+    absolute rs when given, else at the R_FRACS cells."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     given = {"ns": ns} if ns else {}  # else each suite's own default
+    for n in ns or ():  # the weight tables' cap names an n past 12 before any suite runs
+        check_table_dim(n)
+    # the reach-bound suite first: it draws nothing, and past n = 6 its
+    # recorder programs exceed the state budget within milliseconds
+    reach_bound = reach_bound_suite(seed, **given)
     reports = {
         "fourier": fourier_suite(trials, seed, rs=rs, **given),
         "partition": partition_suite(trials, seed, rs=rs, **given),
         "reduction": reduction_suite(max(4, trials // 8), seed, **given),
-        "reach_bound": reach_bound_suite(seed, **given),
+        "reach_bound": reach_bound,
     }
     return {
         "seed": seed,

@@ -420,7 +420,7 @@ def object_partition_suite(count, seed, ns=(2, 3, 4, 5), r_fracs=R_FRACS, rs=Non
                 problems.append("containment")
             dist = conditional_l1_to_uniform(g)
             min_group_margin = min(min_group_margin, step_bound - dist)
-            if not dist < step_bound + SLACK:
+            if dist > step_bound + SLACK:
                 problems.append("group distance")
         for k in range(n + 1):
             if representatives_with_dim_at_least(part, k) > group_count_bound(n, r, k) + SLACK:

@@ -244,10 +244,10 @@ class TestVerifyLemmas:
         in the report's failure entries (27 of them would not through the
         fraction).  Every instance is stubbed to fail, so each entry
         carries its r."""
-        monkeypatch.setattr(suites, "_hypothesis_mixture", lambda n, r, words: None)
-        monkeypatch.setattr(suites, "check_fourier_closeness",
-                            lambda mix, r: FourierCheck(False, 1.0, BoundCheck("closeness", 1.0, 0.0, True),
-                                                         None))
+        monkeypatch.setattr(suites, "_hypothesis_mixture", lambda n, r, words: ([((), 0)], [1.0]))
+        monkeypatch.setattr(suites, "_fourier_closeness",
+                            lambda n, r, keys, points, weights: FourierCheck(
+                                False, 1.0, BoundCheck("closeness", 1.0, 0.0, True), None))
         monkeypatch.setattr(suites, "_mixture_pairs", lambda n, words: ([((), 0)], [1.0]))
         monkeypatch.setattr(suites, "_partition_ids", lambda n, keys, probs, r: ([], [0]))
         monkeypatch.setattr(suites, "reduction_suite", lambda *args, **kwargs: {"ok": True})
@@ -609,6 +609,20 @@ class TestFuzzGuard:
                                "--seed", "1", "--trials", "2")
         assert code == 1
         assert err.splitlines() == [f"error: r must lie in [n/2, 2n] = [1.5, 6], got {float(r)}"]
+
+    def test_n7_fails_fast_on_the_reach_bound_corpus(self, capsys, monkeypatch):
+        """At n = 7 the reach-bound suite runs first and its recorder
+        programs exceed the default state budget: one error line, exit 1,
+        and no Fourier draw."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the Fourier suite")
+        monkeypatch.delenv("PARITYLAB_STATE_BUDGET", raising=False)
+        monkeypatch.setattr(suites, "fourier_suite", refuse)
+        code, out, err = run_cli(capsys, "verify-lemmas", "--seed", "1", "--n", "7",
+                                 "--trials", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: 10923 vertices x 256 edges in layer 2 exceeds the "
+                                    "state budget; set PARITYLAB_STATE_BUDGET to override"]
 
     def test_table_dim_named(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--seed", "1", "--n", "13", "--trials", "1")

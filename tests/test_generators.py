@@ -1,8 +1,9 @@
 """The instance generators against their object-building references.
 
-The package's generators dedup and test members on the canonical int
-pairs that generators._draw_members returns and build objects only for
-the members they keep; the references in oracles.py build an
+The package's generators draw, dedup and test members as the canonical
+int pairs that generators._draw_members returns, every mixture style
+returns pairs and weights, and only the public functions build objects,
+through generators._mixture; the references in oracles.py build an
 AffineSubspace and a SubspaceMixture for every draw and attempt.  Both
 consume the same stream, so every mixture and every generator state must
 match after every call.
@@ -25,7 +26,7 @@ from oracles import (
     per_row_random_program,
 )
 from paritylab import generators
-from paritylab.gf2 import AffineSubspace, _rref_ints
+from paritylab.gf2 import AffineSubspace, _rref_ints, intersect_hyperplane
 
 # (n, r / n, seed): r up to n at every n <= 6 (the span lattice), up to
 # 2n (check_r's ceiling) where n <= 2, and r = n / 2 at n = 7 and 8 (the
@@ -45,9 +46,11 @@ def _text(x):
 
 
 def _on_reader(style, n, t, rng):
-    """A style called on a reader over rng, synced on return."""
+    """A style called on a reader over rng, synced on return, and its
+    pairs and weights (or None) made a SubspaceMixture."""
     with generators._Words(rng) as words:
-        return style(n, t, words)
+        out = style(n, t, words)
+    return out if out is None else generators._mixture(n, *out)
 
 
 def _calls(n, r):
@@ -137,15 +140,69 @@ def test_one_member_is_random_subspace(n):
 
 @pytest.mark.parametrize("n", range(8))
 def test_mixture_pairs_are_random_mixture(n):
-    """random_mixture_pairs gives random_mixture's members as canonical
-    pairs and its weights as floats, from the same draws."""
+    """_mixture_pairs, on a reader, gives random_mixture's members as
+    canonical pairs and its weights as floats, from the same draws."""
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     for max_members in (1, 8, 16):
-        pairs, weights = generators.random_mixture_pairs(n, rng, max_members)
+        with generators._Words(rng) as words:
+            pairs, weights = generators._mixture_pairs(n, words, max_members)
         mix = generators.random_mixture(n, ref_rng, max_members)
         assert pairs == [(w.direction.rows, w.offset) for w, _ in mix.support]
         assert [repr(p) for p in weights] == [repr(p) for _, p in mix.support]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hyperplane_pairs(n):
+    """The hyperplane family's pair of each (a, b) is the canonical form
+    of intersect_hyperplane on the full space."""
+    full = AffineSubspace.full(n)
+    for a in range(1, 1 << n):
+        for b in (0, 1):
+            w = intersect_hyperplane(full, a, b)
+            assert generators._hyperplane_pair(n, a, b) == (w.direction.rows, w.offset), (a, b)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_full_heavy_leads_with_the_full_space(n):
+    """The full-heavy style's first pair is AffineSubspace.full(n)'s."""
+    full = AffineSubspace.full(n)
+    with generators._Words(np.random.default_rng(n)) as words:
+        pairs, _ = generators._full_heavy_mixture(n, 2.0 ** (-n / 2), words)
+    assert pairs[0] == (full.direction.rows, full.offset)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_rejection_style_never_accepts_where_2_to_the_r_exceeds_28(monkeypatch, n):
+    """At r = n = 5 and 6, 2^-r < 1/28: every attempt's heaviest non-full
+    member weighs at least 1/28, so every attempt fails the weight test,
+    the hyperplane-mass test never runs, and the call returns None after
+    200 attempts."""
+    draws = []
+
+    def draw_members(*args):
+        draws.append(out := draw(*args))
+        return out
+
+    def weights(words, k):
+        out = weigh(words, k)
+        members = draws[-1]
+        assert max(p for (rows, _), p in zip(members, out) if len(rows) < n) >= 1 / 28
+        return out
+
+    def refuse(*args):
+        raise AssertionError("an attempt passed the weight test")
+
+    draw, weigh = generators._draw_members, generators._weights
+    monkeypatch.setattr(generators, "_draw_members", draw_members)
+    monkeypatch.setattr(generators, "_weights", weights)
+    monkeypatch.setattr(generators, "key_table", refuse)
+    assert 2.0 ** n > 28
+    for seed in range(3):
+        draws.clear()
+        with generators._Words(np.random.default_rng([n, seed])) as words:
+            assert generators._rejection_mixture(n, 2.0 ** -n, words) is None
+        assert len(draws) == 200
 
 
 # Ranges hi - lo of 1 (no draw), small, 2^k - 1, 2^k, 2^31 + 1 (about

@@ -26,7 +26,7 @@ from paritylab.generators import (
     selective_recorder_program,
 )
 from paritylab.crypto import encode_stream, keygen, run_attack, window_attacker
-from paritylab.gf2 import BitVector, keys_subspace
+from paritylab.gf2 import AffineSubspace, BitVector, VectorSubspace, keys_subspace
 from paritylab.learners import (
     exhaustive_learner,
     gaussian_learner,
@@ -103,16 +103,22 @@ def test_reduction_suite_corpus(monkeypatch):
 
 
 def test_fourier_suite_corpus(monkeypatch):
-    calls = _recording(monkeypatch, "check_fourier_closeness")
+    """Each instance's drawn pairs and weights, as subspace texts and
+    reprs, and its check."""
+    draws = _recording(monkeypatch, "_hypothesis_mixture")
+    checks = _recording(monkeypatch, "_fourier_closeness")
     assert suites.fourier_suite(24, SEED)["ok"]
+    assert len(draws) == len(checks) == 24
     docs = []
-    for (mix, r), check in calls:
+    for ((n, r, _), (pairs, weights)), (_, check) in zip(draws, checks):
         worst = check.worst_hyperplane
+        texts = [AffineSubspace(n, VectorSubspace(n, rows), offset).to_text()
+                 for rows, offset in pairs]
         docs.append({"r": r,
-                     "support": [[w.to_text(), repr(p)] for w, p in mix.support],
+                     "support": [[text, repr(p)] for text, p in zip(texts, weights)],
                      "holds": check.hypothesis_holds,
                      "concentration": repr(check.max_concentration),
-                     "worst": None if worst is None else [str(BitVector(mix.n, worst[0])), worst[1]]})
+                     "worst": None if worst is None else [str(BitVector(n, worst[0])), worst[1]]})
     assert _digest(docs) == (
         "502f3c11c729a19c990a7554f05a113530186c299f4dfdc6b03d06b707bba3ec")
 

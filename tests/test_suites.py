@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import pytest
 from oracles import object_fourier_suite, object_partition_suite, per_instance_group_distances
 
-from paritylab import suites
-from paritylab.distributions import BoundCheck
+from paritylab import generators, gf2, suites
+from paritylab.distributions import SLACK, BoundCheck, SubspaceMixture
 from paritylab.generators import derived_rng, random_mixture
 from paritylab.gf2 import point_mask
 from paritylab.partition import build_partition
@@ -59,18 +59,35 @@ class TestPartitionSuite:
         assert report["failures"] == [{"n": 3, "r": 1.5, "problems": problems}]
         assert report["passed"] == 0 and report["ok"] is False
 
+    def test_distance_at_bound_plus_slack(self, monkeypatch):
+        """A group distance of exactly the bound plus SLACK passes, as a
+        BoundCheck row at that measure does."""
+        n, r = 3, 1.5
+        at_edge = 2.0 ** (-(r - n / 2)) + SLACK
+        assert BoundCheck("closeness", at_edge, 2.0 ** (-(r - n / 2)), binding=True).ok
+        monkeypatch.setattr(suites, "_group_distances",
+                            lambda n, table, reps, dims: [at_edge] * len(reps))
+        report = suites.partition_suite(3, 5, ns=(n,), r_fracs=(r / n,))
+        assert report["ok"], report["failures"]
+        assert report["min_group_margin"] == 2.0 ** (-(r - n / 2)) - at_edge
+
     @pytest.mark.parametrize("pairs, weights, message", [
+        ([], [], "mixture support must be non-empty"),
         ([FULL, FULL], [0.5, 0.5], "duplicate support element"),
         ([FULL, X1_0], [1.0, 0.0], "probabilities must be positive, got 0.0"),
         ([FULL, X1_0], [1.5, -0.5], r"probabilities must be positive, got -0\.5"),
         ([FULL, X1_0], [0.5, 0.25], "probabilities sum to 0.75, not 1"),
-    ], ids=["duplicate", "zero", "negative", "total"])
+    ], ids=["empty", "duplicate", "zero", "negative", "total"])
     def test_mixture_checks(self, monkeypatch, pairs, weights, message):
-        """SubspaceMixture's checks, on the drawn pairs and weights."""
+        """SubspaceMixture's checks, on the drawn pairs and weights, in both
+        suites."""
         for name, stub in _instance(pairs, weights, [([], [0, 1])]).items():
             monkeypatch.setattr(suites, name, stub)
+        monkeypatch.setattr(suites, "_hypothesis_mixture", lambda n, r, words: (pairs, weights))
         with pytest.raises(ValueError, match=message):
             suites.partition_suite(1, 5, ns=(3,))
+        with pytest.raises(ValueError, match=message):
+            suites.fourier_suite(1, 5, ns=(3,))
 
     def test_table_cap_before_any_draw(self, monkeypatch):
         """n = 13 is refused by the weight table's cap before the first
@@ -138,6 +155,24 @@ def _groups(n, count):
         if groups >= count:
             return instances
     raise AssertionError(f"fewer than {count} groups")
+
+
+@pytest.mark.parametrize("frac", suites.R_FRACS)
+def test_suites_build_no_objects(monkeypatch, frac):
+    """Neither suite builds a subspace or mixture object per instance: at
+    the benchmark's cells (Fourier n = 3..6, partition n = 2..5) both pass
+    with SubspaceMixture, the pairs-to-subspace step and
+    intersect_hyperplane refusing."""
+    def refuse(*args):
+        raise AssertionError("built an object")
+
+    monkeypatch.setattr(SubspaceMixture, "__post_init__", refuse)
+    monkeypatch.setattr(generators, "_subspace", refuse)
+    monkeypatch.setattr(gf2, "intersect_hyperplane", refuse)
+    for n in (3, 4, 5, 6):
+        assert suites.fourier_suite(6, 7, ns=(n,), r_fracs=(frac,))["ok"]
+    for n in (2, 3, 4, 5):
+        assert suites.partition_suite(80, 7, ns=(n,), r_fracs=(frac,))["ok"]
 
 
 class TestGroupDistances:
