@@ -258,6 +258,6 @@ def _fourier_closeness(n: int, r: float, keys: Iterable[Iterable[int]],
 
 
 def check_fourier_closeness(mix: SubspaceMixture, r: float) -> FourierCheck:
-    """_fourier_closeness on a SubspaceMixture's members."""
+    """The spectral-flatness check of _fourier_closeness on a SubspaceMixture."""
     return _fourier_closeness(mix.n, r, (hyperplane_keys(w) for w, _ in mix.support),
                               (w.points() for w, _ in mix.support), [p for _, p in mix.support])
