@@ -8,10 +8,12 @@ b, and the output map turns a state into the affine subspace of keys the
 learner currently believes in.
 
 The three learners also carry a batch run that steps a whole Monte Carlo
-batch at once over (trials, ...) numpy arrays.  It computes the same
-final states as the scalar step map and reports every trial's packed
-state bit length after every step, so the budget is still checked per
-step.
+batch at once over numpy arrays: the two row-reduction learners hold
+their rows pivot-major, one (n, trials) array whose row p is every
+trial's row with pivot column p, and step the samples as the rows of an
+(m, trials) array.  A batch run computes the same final states as the
+scalar step map and reports every trial's packed state bit length after
+every step, so the budget is still checked per step.
 """
 
 from __future__ import annotations
@@ -119,32 +121,33 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 
 def _honest_rows(xs: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """Augmented samples a | (a.x) << n, shape (trials, m)."""
-    return a | (_parity(a & xs[:, None]) << n)
+    """Augmented samples a | (a.x) << n, shape (m, trials): row j holds
+    every trial's sample j."""
+    a = a.T
+    return a | (_parity(a & xs) << n)
 
 
-def _reduce_batch(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Reduce each v by its trial's rows, where rows[:, p] is the row with
-    pivot column p (0 if none) and no row has a bit at another row's
-    pivot, so one XOR of the selected rows equals sequential reduction."""
-    cols = np.arange(rows.shape[1])
-    return v ^ np.bitwise_xor.reduce(np.where((v[:, None] >> cols) & 1, rows, 0), axis=1)
+def _reduce_batch(rows: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Reduce each trial's v by its rows, where rows[p] holds every
+    trial's row with pivot column p (0 where a trial has none), cols is
+    np.arange(n)[:, None] and no row has a bit at another row's pivot, so
+    one XOR of the selected rows equals sequential reduction."""
+    return v ^ np.bitwise_xor.reduce(rows * ((v >> cols) & 1), axis=0)
 
 
 def _insert_batch(rows: np.ndarray, v: np.ndarray, p: np.ndarray, take: np.ndarray) -> None:
-    """For the trials in `take`, clear column p from the other rows with
-    the reduced row v, then store v as the row with pivot p."""
-    p = np.where(take, p, 0)
-    hit = take[:, None] & (((rows >> p[:, None]) & 1) == 1)
-    rows ^= np.where(hit, v[:, None], 0)
+    """For the trials in `take`, clear column p from the other rows of
+    rows (n, trials) with the reduced row v, then store v as the row with
+    pivot p."""
+    rows ^= ((rows & np.where(take, 1 << p, 0)) != 0) * v
     t = np.flatnonzero(take)
-    rows[t, p[t]] = v[t]
+    rows[p[t], t] = v[t]
 
 
 def _solved_points(rows: np.ndarray, full: np.ndarray, n: int) -> np.ndarray:
-    """Key point of full-rank reduced rows (the b bits, coordinate by
-    coordinate), -1 for the other trials."""
-    point = (((rows >> n) & 1) << np.arange(n)).sum(axis=1)
+    """Key point of full-rank reduced rows (n, trials) (the b bits,
+    coordinate by coordinate), -1 for the other trials."""
+    point = (((rows >> n) & 1) << np.arange(n)[:, None]).sum(axis=0)
     return np.where(full, point, -1)
 
 
@@ -172,13 +175,13 @@ def gaussian_learner(n: int) -> Learner:
 
     def batch(xs, a, check):
         trials = len(xs)
-        rows = np.zeros((trials, n), np.int64)
+        rows = np.zeros((n, trials), np.int64)
         count = np.zeros(trials, np.int64)
         top = np.zeros(trials, np.int64)      # highest pivot column held
-        cols = np.arange(n)
-        samples = _honest_rows(xs, a, n)
-        for j in range(samples.shape[1]):
-            v = _reduce_batch(rows, samples[:, j])
+        cols = np.arange(n)[:, None]
+        each = np.arange(trials)
+        for sample in _honest_rows(xs, a, n):
+            v = _reduce_batch(rows, sample, cols)
             coeff = v & (b_bit - 1)
             take = coeff != 0
             pivot = _bit_length(coeff & -coeff) - 1
@@ -186,10 +189,11 @@ def gaussian_learner(n: int) -> Learner:
             count += take
             top = np.where(take, np.maximum(top, pivot), top)
             # packed rows sorted by pivot: the highest-pivot row is last
-            top_row = np.where(cols == top[:, None], rows, 0).max(axis=1, initial=0)
+            # (at n = 0 there are no rows, and no trial holds one)
+            top_row = rows[top, each] if n else top
             check(np.where(count > 0, (count - 1) * width + _bit_length(top_row), 0))
         return _solved_points(rows, count == n, n), lambda: [
-            _encode_rows([r for r in row if r], width) for row in rows.tolist()]
+            _encode_rows([r for r in row if r], width) for row in rows.T.tolist()]
 
     def successors(states):
         # rows[:, i] is each state's row i, sorted by pivot (0 past its
@@ -264,24 +268,23 @@ def prefix_pivot_learner(n: int) -> Learner:
         return solve_affine_system(n, unpack(state)[1])
 
     def batch(xs, a, check):
-        # rows[:, i] for i < k is the full augmented row e_i + tail << k;
-        # its packed tail at the current k is row >> k
+        # rows[i] for i < k is every trial's full augmented row
+        # e_i + tail << k; its packed tail at the current k is row >> k
         trials = len(xs)
-        rows = np.zeros((trials, n), np.int64)
+        rows = np.zeros((n, trials), np.int64)
         k = np.zeros(trials, np.int64)
-        offsets = np.arange(n)
-        samples = _honest_rows(xs, a, n)
-        for j in range(samples.shape[1]):
-            v = _reduce_batch(rows, samples[:, j])
+        cols = np.arange(n)[:, None]
+        for sample in _honest_rows(xs, a, n):
+            v = _reduce_batch(rows, sample, cols)
             take = (k < n) & (((v >> k) & 1) == 1)
             _insert_batch(rows, v, k, take)
             k += take
-            tails = rows >> k[:, None]
-            ends = np.where(tails != 0, offsets * (n - k + 1)[:, None] + _bit_length(tails), 0)
-            packed = ends.max(axis=1, initial=0)    # bit length of the packed tails
+            tails = rows >> k
+            ends = np.where(tails != 0, cols * (n - k + 1) + _bit_length(tails), 0)
+            packed = ends.max(axis=0, initial=0)    # bit length of the packed tails
             check(np.where(packed > 0, counter_bits + packed, _bit_length(k)))
         return _solved_points(rows, k == n, n), lambda: [
-            pack(kt, row[:kt]) for kt, row in zip(k.tolist(), rows.tolist())]
+            pack(kt, row[:kt]) for kt, row in zip(k.tolist(), rows.T.tolist())]
 
     memory = counter_bits + max((k * ((n - k) + 1) for k in range(n + 1)), default=0)
     return Learner("prefix_pivot", n, memory, pack(0, []), step, output, batch)
@@ -299,7 +302,7 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
     cap = 3 * n if confirmations is None else confirmations
     if cap < 1:
         raise ValueError("need at least one confirmation")
-    counter_bits = max(1, math.ceil(math.log2(cap + 1)))
+    counter_bits = cap.bit_length()  # ceil(log2(T + 1)), which float log2 misses from T = 2^49
     mask = (1 << n) - 1
 
     def step(state: int, a: int, b: int) -> int:
@@ -328,7 +331,9 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
             cand = (cand + bad) & mask
             count = np.minimum(count + 1, cap) * (1 - bad)
             check(_bit_length((cand << counter_bits) | count))
-        return (np.where(count >= cap, cand, -1),
+        # the output is the candidate once committed; at n = 0 the full
+        # space before that is the one point as well
+        return (np.where((count >= cap) | (n == 0), cand, -1),
                 lambda: ((cand << counter_bits) | count).tolist())
 
     return Learner("exhaustive", n, n + counter_bits, 0, step, output, batch)

@@ -207,6 +207,22 @@ class TestExhaustive:
         L = exhaustive_learner(5)
         assert L.memory_bits == 5 + 4  # counter cap 15 fits in 4 bits
 
+    def test_counter_width(self):
+        """The counter of 0..T takes T.bit_length() bits; float64's
+        log2(T + 1) gave one bit short from T = 2^49 on."""
+        caps = [*range(1, 4097), *(2**k + d for k in range(1, 63) for d in (-1, 0, 1))]
+        for cap in caps:
+            assert exhaustive_learner(3, cap).memory_bits == 3 + max(1, cap.bit_length()), cap
+
+    def test_commits_at_a_large_cap(self):
+        """A consistent step from count T - 1 commits: with a 49-bit
+        counter, the count 2^49 spilled into the candidate."""
+        n, cap, cand = 3, 1 << 49, 5
+        L = exhaustive_learner(n, cap)
+        state = L.step((cand << (L.memory_bits - n)) | (cap - 1), 0, 0)  # a = 0 fits every key
+        assert_state_size(L, state)
+        assert L.output(state) == AffineSubspace.point(n, cand)
+
 
 class TestHarness:
     def test_state_size_hard_assert(self):
@@ -264,12 +280,14 @@ class TestBatch:
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_matches_scalar_steps(self, factory):
         """Final states, every step's packed bit lengths and the output
-        points equal the scalar step map's on shared streams."""
+        points equal the scalar step map's on shared streams, from n = 0
+        (no rows) to MAX_SUBSPACE_DIM (pivot bits up to 2^23) and from
+        one trial up."""
         rng = np.random.default_rng(21)
-        trials = 40
-        for n in range(1, 9):
-            L = factory(n)
-            for m in sorted({0, 1, n, 3 * n}):
+        for n in (*range(9), 16, MAX_SUBSPACE_DIM):
+            # exhaustive_learner(0) refuses its default cap of 0
+            L = exhaustive_learner(0, 1) if (factory, n) == (exhaustive_learner, 0) else factory(n)
+            for trials, m in itertools.product((1, 40), sorted({0, 1, n, 3 * n})):
                 xs = rng.integers(0, 1 << n, trials)
                 a = rng.integers(0, 1 << n, (trials, m))
                 steps = []
