@@ -136,8 +136,8 @@ def _reduce_batch(rows: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 def _insert_batch(rows: np.ndarray, v: np.ndarray, p: np.ndarray, take: np.ndarray) -> None:
-    """For the trials in `take`, clear column p from the other rows of
-    rows (n, trials) with the reduced row v, then store v as the row with
+    """For the trials in `take`, clear column p from the other rows
+    (n, trials) with the reduced row v, then store v as the row with
     pivot p."""
     rows ^= ((rows & np.where(take, 1 << p, 0)) != 0) * v
     t = np.flatnonzero(take)
