@@ -413,9 +413,14 @@ def unroll(n: int, m: int, start: Hashable,
     return layers, transitions
 
 
-# Most next states per chunk in unroll.  An array chunk's int64 scratch
-# arrays are 32 KiB apiece, under glibc's default 128 KiB mmap threshold,
-# so they come from the heap however large the layer.
+# Most next states per chunk in unroll.  A chunk's int64 next states take
+# 32 KiB, and the Gaussian successors' pivot-major rows n times that: 128
+# KiB at n = 4, 224 KiB at n = 7, at or over glibc's default 128 KiB mmap
+# threshold.  glibc raises the threshold to the size of each mmapped block
+# it frees, so only a process's first such array is mmapped and the rest
+# come from the heap however large the layer.  Unrolling the Gaussian n =
+# 3, 4 layers at m = 2, 3 raises a process's peak RSS by about 1 MiB, the
+# n = 7, m = 2 layers by about 2.7 MiB (numpy 2.4, glibc, x86-64).
 _UNROLL_CELLS = 1 << 12
 
 

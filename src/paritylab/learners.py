@@ -13,7 +13,10 @@ their rows pivot-major, one (n, trials) array whose row p is every
 trial's row with pivot column p, and step the samples as the rows of an
 (m, trials) array.  A batch run computes the same final states as the
 scalar step map and reports every trial's packed state bit length after
-every step, so the budget is still checked per step.
+every step, so the budget is still checked per step.  The Gaussian
+learner's successors, bp.unroll's array form of its step, run the same
+pivot-major step: each state's rows once per out-edge, an (n, states x
+2^{n+1}) array, against one sample per column.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class Learner:
     `output` on every stream (simulate_success falls back to them
     otherwise), and `successors`, when set, with `step` on every state
     and sample (bp.unroll's array form of step; learner_state_layers
-    falls back to step otherwise)."""
+    falls back to step otherwise).  Both array forms of the row-reduction
+    learners hold their rows pivot-major."""
 
     name: str
     n: int
@@ -173,6 +177,17 @@ def gaussian_learner(n: int) -> Learner:
     def output(state: int) -> AffineSubspace:
         return solve_affine_system(n, _decode_rows(state, width))
 
+    def absorb(rows, sample, cols):
+        """Reduce each cell's sample by its pivot-major rows (n, cells) and
+        insert it where its coefficient part stays nonzero; returns where
+        it was taken and its pivot."""
+        v = _reduce_batch(rows, sample, cols)
+        coeff = v & (b_bit - 1)
+        take = coeff != 0
+        pivot = _bit_length(coeff & -coeff) - 1
+        _insert_batch(rows, v, pivot, take)
+        return take, pivot
+
     def batch(xs, a, check):
         trials = len(xs)
         rows = np.zeros((n, trials), np.int64)
@@ -181,11 +196,7 @@ def gaussian_learner(n: int) -> Learner:
         cols = np.arange(n)[:, None]
         each = np.arange(trials)
         for sample in _honest_rows(xs, a, n):
-            v = _reduce_batch(rows, sample, cols)
-            coeff = v & (b_bit - 1)
-            take = coeff != 0
-            pivot = _bit_length(coeff & -coeff) - 1
-            _insert_batch(rows, v, pivot, take)
+            take, pivot = absorb(rows, sample, cols)
             count += take
             top = np.where(take, np.maximum(top, pivot), top)
             # packed rows sorted by pivot: the highest-pivot row is last
@@ -196,29 +207,20 @@ def gaussian_learner(n: int) -> Learner:
             _encode_rows([r for r in row if r], width) for row in rows.T.tolist()]
 
     def successors(states):
-        # rows[:, i] is each state's row i, sorted by pivot (0 past its
-        # rank); the sample at edge (a << 1) | b is a | b << n
-        rows = (states[:, None] >> (np.arange(n) * width)) & ((1 << width) - 1)
-        pivots = rows & -rows
+        # each state's rows pivot-major, once per edge (a << 1) | b, whose
+        # sample is a | b << n
+        cols = np.arange(n)[:, None]
+        slots = (states >> (cols * width)) & ((1 << width) - 1)
+        held = np.nonzero(slots)
+        rows = np.zeros((n, len(states)), np.int64)
+        rows[_bit_length(slots[held] & -slots[held]) - 1, held[1]] = slots[held]
         edges = np.arange(2 << n, dtype=np.int64)
-        samples = (edges >> 1) | ((edges & 1) << n)
-        # _reduce: one XOR of the rows whose pivot bit the sample holds
-        v = np.repeat(samples[None, :], len(states), axis=0)
-        for i in range(n):
-            v ^= np.where(samples & pivots[:, i:i + 1], rows[:, i:i + 1], 0)
-        new = v & (b_bit - 1)
-        new &= -new  # the reduced sample's pivot bit, 0 when step keeps the state
-        # _insert, then the pivot sort: the rows of lower pivot keep their
-        # slots, v takes the next one and the others move up one
-        out = np.zeros_like(v)
-        slot = np.zeros_like(v)
-        for i in range(n):
-            r, p = rows[:, i:i + 1], pivots[:, i:i + 1]
-            below = (p != 0) & (p < new)
-            slot += below
-            out |= (r ^ np.where(r & new, v, 0)) << np.where(below, i * width, (i + 1) * width)
-        out |= v << (slot * width)
-        return np.where(new != 0, out, states[:, None])
+        rows = np.repeat(rows, len(edges), axis=1)
+        absorb(rows, np.tile((edges >> 1) | ((edges & 1) << n), len(states)), cols)
+        # packed in pivot order: a held row's slot counts the rows held below it
+        held = rows != 0
+        packed = np.bitwise_or.reduce(rows << ((np.cumsum(held, axis=0) - held) * width), axis=0)
+        return packed.reshape(len(states), len(edges))
 
     # array successors while the n(n+1)-bit state fits int64: n <= 7
     return Learner("gaussian", n, n * width, 0, step, output, batch,
@@ -336,7 +338,9 @@ def exhaustive_learner(n: int, confirmations: int | None = None) -> Learner:
         return (np.where((count >= cap) | (n == 0), cand, -1),
                 lambda: ((cand << counter_bits) | count).tolist())
 
-    return Learner("exhaustive", n, n + counter_bits, 0, step, output, batch)
+    # the batch while _bit_length is exact on the packed state: below 2^53
+    return Learner("exhaustive", n, n + counter_bits, 0, step, output,
+                   batch if n + counter_bits <= 53 else None)
 
 
 def assert_state_size(learner: Learner, state: int) -> None:

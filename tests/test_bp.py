@@ -801,11 +801,22 @@ class TestArrayUnroll:
     """bp.unroll through a learner's successors, the array form of its
     scalar step, which stays the definition."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(8))
     def test_gaussian_successors_match_step(self, n):
         learner = gaussian_learner(n)
         assert_successors_match_step(learner,
                                      reachable_states(learner, np.random.default_rng(n), 40))
+
+    @pytest.mark.parametrize("n, m", [*((n, 3) for n in range(6)), (6, 2), (7, 2)])
+    def test_gaussian_successors_on_unrolled_layers(self, n, m):
+        """Every state of the unrolled layers, stepped a chunk of
+        unroll's size at a time."""
+        learner = gaussian_learner(n)
+        layers, _ = learner_state_layers(learner, m)
+        states = sorted({state for layer in layers for state in layer})
+        per = max(1, bp_module._UNROLL_CELLS >> (n + 1))
+        for i in range(0, len(states), per):
+            assert_successors_match_step(learner, states[i:i + per])
 
     def test_no_successors_past_int64(self):
         """The Gaussian state takes n(n+1) bits: 56 at n = 7, 72 at n = 8.

@@ -209,10 +209,14 @@ class TestExhaustive:
 
     def test_counter_width(self):
         """The counter of 0..T takes T.bit_length() bits; float64's
-        log2(T + 1) gave one bit short from T = 2^49 on."""
+        log2(T + 1) gave one bit short from T = 2^49 on.  The batch, whose
+        bit lengths are exact below 2^53, is set exactly while the state
+        fits 53 bits."""
         caps = [*range(1, 4097), *(2**k + d for k in range(1, 63) for d in (-1, 0, 1))]
-        for cap in caps:
-            assert exhaustive_learner(3, cap).memory_bits == 3 + max(1, cap.bit_length()), cap
+        for n, cap in itertools.product((1, 2, 3), caps):
+            L = exhaustive_learner(n, cap)
+            assert L.memory_bits == n + max(1, cap.bit_length()), cap
+            assert (L.batch is None) == (L.memory_bits > 53), (n, cap)
 
     def test_commits_at_a_large_cap(self):
         """A consistent step from count T - 1 commits: with a 49-bit
@@ -284,9 +288,13 @@ class TestBatch:
         (no rows) to MAX_SUBSPACE_DIM (pivot bits up to 2^23) and from
         one trial up."""
         rng = np.random.default_rng(21)
-        for n in (*range(9), 16, MAX_SUBSPACE_DIM):
-            # exhaustive_learner(0) refuses its default cap of 0
-            L = exhaustive_learner(0, 1) if (factory, n) == (exhaustive_learner, 0) else factory(n)
+        # exhaustive_learner(0) refuses its default cap of 0
+        learners = [exhaustive_learner(0, 1) if (factory, n) == (exhaustive_learner, 0) else factory(n)
+                    for n in (*range(9), 16, MAX_SUBSPACE_DIM)]
+        if factory is exhaustive_learner:
+            learners.append(exhaustive_learner(3, 1 << 49))  # 53 bits, the batch's bound
+        for L in learners:
+            n = L.n
             for trials, m in itertools.product((1, 40), sorted({0, 1, n, 3 * n})):
                 xs = rng.integers(0, 1 << n, trials)
                 a = rng.integers(0, 1 << n, (trials, m))
