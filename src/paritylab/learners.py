@@ -211,9 +211,9 @@ def gaussian_learner(n: int) -> Learner:
         # sample is a | b << n
         cols = np.arange(n)[:, None]
         slots = (states >> (cols * width)) & ((1 << width) - 1)
-        held = np.nonzero(slots)
+        at = np.nonzero(slots)
         rows = np.zeros((n, len(states)), np.int64)
-        rows[_bit_length(slots[held] & -slots[held]) - 1, held[1]] = slots[held]
+        rows[_bit_length(slots[at] & -slots[at]) - 1, at[1]] = slots[at]
         edges = np.arange(2 << n, dtype=np.int64)
         rows = np.repeat(rows, len(edges), axis=1)
         absorb(rows, np.tile((edges >> 1) | ((edges & 1) << n), len(states)), cols)

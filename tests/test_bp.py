@@ -803,17 +803,12 @@ class TestArrayUnroll:
 
     @pytest.mark.parametrize("n", range(8))
     def test_gaussian_successors_match_step(self, n):
+        """On every state of the unrolled layers (m = 3, m = 2 from n = 6)
+        and on 40 random walks, a chunk of unroll's size at a time."""
         learner = gaussian_learner(n)
-        assert_successors_match_step(learner,
-                                     reachable_states(learner, np.random.default_rng(n), 40))
-
-    @pytest.mark.parametrize("n, m", [*((n, 3) for n in range(6)), (6, 2), (7, 2)])
-    def test_gaussian_successors_on_unrolled_layers(self, n, m):
-        """Every state of the unrolled layers, stepped a chunk of
-        unroll's size at a time."""
-        learner = gaussian_learner(n)
-        layers, _ = learner_state_layers(learner, m)
+        layers, _ = learner_state_layers(learner, 3 if n <= 5 else 2)
         states = sorted({state for layer in layers for state in layer})
+        states += reachable_states(learner, np.random.default_rng(n), 40)
         per = max(1, bp_module._UNROLL_CELLS >> (n + 1))
         for i in range(0, len(states), per):
             assert_successors_match_step(learner, states[i:i + per])
