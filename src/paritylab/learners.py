@@ -217,10 +217,10 @@ def gaussian_learner(n: int) -> Learner:
         edges = np.arange(2 << n, dtype=np.int64)
         rows = np.repeat(rows, len(edges), axis=1)
         absorb(rows, np.tile((edges >> 1) | ((edges & 1) << n), len(states)), cols)
-        # packed in pivot order: a held row's slot counts the rows held below it
-        held = rows != 0
-        packed = np.bitwise_or.reduce(rows << ((np.cumsum(held, axis=0) - held) * width), axis=0)
-        return packed.reshape(len(states), len(edges))
+        # packed in pivot order: row p's slot counts the pivots held below p
+        held = np.bitwise_or.reduce(rows & -rows, axis=0)
+        slot = np.bitwise_count(held & ((1 << cols) - 1))
+        return np.bitwise_or.reduce(rows << (slot * width), axis=0).reshape(len(states), len(edges))
 
     # array successors while the n(n+1)-bit state fits int64: n <= 7
     return Learner("gaussian", n, n * width, 0, step, output, batch,
