@@ -181,22 +181,21 @@ class WindowAttacker(Learner):
         min(len(pads), capacity) rows, a point (x itself) once they reach
         rank n."""
         n = self.n
-        # echelon rows (a << 1) | a.x by highest coefficient bit: honest
-        # rows are consistent, so a row is dependent once it is 0 or 1
-        pivots = [0] * (n + 1)
+        # echelon the pads by highest bit; each echelon row p is a sum of
+        # pads, so on an honest stream its right-hand side is p.x
+        pivots = [0] * n
         rank = 0
         for a in pads[len(pads) - min(len(pads), self.capacity):]:
-            v = a << 1 | (a & x).bit_count() & 1
-            while v > 1:
-                h = v.bit_length() - 1
+            while a:
+                h = a.bit_length() - 1
                 if not pivots[h]:
-                    pivots[h] = v
+                    pivots[h] = a
                     rank += 1
                     break
-                v ^= pivots[h]
+                a ^= pivots[h]
             if rank == n:
                 return x, ()
-        offset, direction = _solve_rows(n, (v >> 1 | (v & 1) << n for v in pivots if v))
+        offset, direction = _solve_rows(n, (p | ((p & x).bit_count() & 1) << n for p in pivots if p))
         return _reduce(direction.rows, offset), direction.rows
 
 

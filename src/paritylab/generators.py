@@ -5,7 +5,6 @@ greedy and selective recorders) used across the test suites."""
 from __future__ import annotations
 
 import functools
-import threading
 from array import array
 from dataclasses import replace
 from typing import Callable
@@ -195,85 +194,80 @@ class _Words:
 
 
 # The largest n with a span lattice: F_2^6 has 2,825 subspaces, a successor
-# table of 2,825 x 64 two-byte entries (353 KiB); F_2^7's 29,212 would
-# take 7.1 MiB.
+# table of 2,825 x 64 two-byte entries (353 KiB) and a reduction table of
+# one-byte entries (177 KiB); F_2^7's 29,212 would take 7.1 and 3.6 MiB.
 _LATTICE_MAX_N = 6
-_UNSEEN = 0xFFFF  # a successor not computed yet
 
 
 class _Lattice:
-    """The subspaces of F_2^n that the generators' draws have reached,
-    numbered in the order first reached (0 is {0}), each with its RREF
-    rows sorted by pivot and one VectorSubspace, built on first use.
-    succ[s << n | v] is the id of span(s ∪ {v}), or _UNSEEN until step
-    computes it."""
+    """Every subspace of F_2^n, numbered breadth-first from {0} (id 0, so
+    ids grow with dimension), each with its RREF rows sorted by pivot and
+    one VectorSubspace, made on first use; and two tables over (span, v):
+    succ[s << n | v], the id of span(s ∪ {v}), and red[s << n | v], v
+    reduced by the rows of s."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.rows: list[tuple[int, ...]] = []
-        self.dims = bytearray()
-        self.spaces: list[VectorSubspace | None] = []
-        self.ids: dict[tuple[int, ...], int] = {}  # rows -> span id
+        self.rows: list[tuple[int, ...]] = [()]
+        self.dims = bytearray(1)
         self.succ = array("H")
-        self.unseen = array("H", [_UNSEEN]) * (1 << n)  # a new span's row of succ
-        self.lock = threading.Lock()  # one miss at a time: it may add a span
-        self._add(())
-
-    def _add(self, rows: tuple[int, ...]) -> int:
-        s = self.ids[rows] = len(self.rows)
-        self.rows.append(rows)
-        self.dims.append(len(rows))
-        self.spaces.append(None)
-        self.succ.extend(self.unseen)
-        return s
-
-    def step(self, s: int, v: int) -> int:
-        """succ[s << n | v].  A miss computes it with _reduce and _insert
-        and stores it for the whole coset v + s, which has the same span
-        with s."""
-        t = self.succ[s << self.n | v]
-        if t != _UNSEEN:
-            return t
-        with self.lock:
-            rows = self.rows[s]
-            w = _reduce(rows, v)
-            t = s
-            if w:
-                basis = list(rows)
-                _insert(basis, w)
-                basis.sort(key=lowest_set_bit)
-                grown = tuple(basis)
-                t = self.ids.get(grown)
+        self.red = array("B")
+        self.spaces: dict[tuple[int, ...], VectorSubspace] = {}  # rows -> space, on first use
+        units = [1 << i for i in range(n)]
+        grows = [0] * (1 << n)  # grows[w]: the id of span(s ∪ {w}), w reduced by s
+        ids: dict[tuple[int, ...], int] = {}  # rows -> id, of the spans found one dimension up
+        for s, rows in enumerate(self.rows):  # appends to self.rows as it goes
+            if s and len(rows) > len(self.rows[s - 1]):  # the spans one up are all found
+                ids.clear()
+            pivots = 0
+            reduced = units[:]  # reduced[i]: e_i reduced by the rows of s
+            for r in rows:
+                p = r & -r
+                pivots |= p
+                reduced[p.bit_length() - 1] = r ^ p
+            free = ~pivots & (1 << n) - 1
+            grows[0] = s
+            # each reduced w != 0 (zero on the pivot columns) spans its own
+            # successor: w goes in at its pivot p, after the rows it clears
+            w = free
+            while w:
+                p = w & -w
+                below = [b ^ w if b & p else b for b in rows if b & -b < p]
+                grown = (*below, w, *rows[len(below):])
+                t = ids.get(grown)
                 if t is None:
-                    t = self._add(grown)
-            succ, row = self.succ, s << self.n
-            for u in _span(w, rows):
-                succ[row | u] = t
-        return t
+                    t = ids[grown] = len(self.rows)
+                    self.rows.append(grown)
+                    self.dims.append(len(grown))
+                grows[w] = t
+                w = (w - 1) & free
+            # reduction is linear: v reduces to the XOR of reduced[i] over its bits
+            red = _span(0, reduced)
+            self.red.frombytes(bytes(red))
+            self.succ.fromlist([grows[w] for w in red])
 
     def space(self, rows: tuple[int, ...]) -> VectorSubspace:
-        """The VectorSubspace of a reached span's rows."""
-        s = self.ids[rows]
-        space = self.spaces[s]
+        """The VectorSubspace of a span's rows."""
+        space = self.spaces.get(rows)
         if space is None:
-            space = self.spaces[s] = VectorSubspace(self.n, rows)
+            space = self.spaces[rows] = VectorSubspace(self.n, rows)
         return space
 
 
 @functools.cache
 def _lattice(n: int) -> _Lattice | None:
-    """The process-wide lattice of F_2^n, filled lazily; None past
-    _LATTICE_MAX_N and at n = 0."""
+    """The process-wide lattice of F_2^n, built whole on first use; None
+    past _LATTICE_MAX_N and at n = 0."""
     return _Lattice(n) if 1 <= n <= _LATTICE_MAX_N else None
 
 
 def _subspace(n: int, pair: tuple[tuple[int, ...], int]) -> AffineSubspace:
     """The AffineSubspace of a canonical (rows, offset) pair, sharing the
-    lattice's VectorSubspace when a draw has reached the span."""
+    lattice's VectorSubspace up to _LATTICE_MAX_N."""
     rows, offset = pair
     lattice = _lattice(n)
-    reached = lattice is not None and rows in lattice.ids
-    return AffineSubspace(n, lattice.space(rows) if reached else VectorSubspace(n, rows), offset)
+    return AffineSubspace(n, VectorSubspace(n, rows) if lattice is None else lattice.space(rows),
+                          offset)
 
 
 def random_subspace(n: int, rng: np.random.Generator) -> AffineSubspace:
@@ -288,9 +282,10 @@ def _draw_members(n: int, words: _Words, count: int,
     of first appearance, from at most 20 * count draws: small n may not
     have count distinct subspaces (n = 1 has 3).  Each is drawn as
     random_subspace draws it (a dimension, here uniform on [min_dim, n],
-    vectors until the span reaches it, an offset); a vector is one lattice
-    step, or a _reduce and an _insert past _LATTICE_MAX_N.  Equal pairs are
-    equal subspaces, so callers dedup and test members on the pairs.
+    vectors until the span reaches it, an offset); a vector and the offset
+    are each one lattice table read, or a _reduce and an _insert past
+    _LATTICE_MAX_N.  Equal pairs are equal subspaces, so callers dedup and
+    test members on the pairs.
 
     The half-words of those words.integers calls are read in place, any
     buffered half first and Lemire rejections included, and the reader is
@@ -299,7 +294,7 @@ def _draw_members(n: int, words: _Words, count: int,
         return [((), 0)]
     lattice = _lattice(n)
     if lattice is not None:
-        succ, dims, rows_of, step = lattice.succ, lattice.dims, lattice.rows, lattice.step
+        succ, red, dims, rows_of = lattice.succ, lattice.red, lattice.dims, lattice.rows
     dim_span, vec_span = n + 1 - min_dim, (1 << n) - 1
     dim_floor, vec_floor = (1 << 32) % dim_span, (1 << 32) % vec_span
     shift = 32 - n
@@ -338,17 +333,16 @@ def _draw_members(n: int, words: _Words, count: int,
                         _insert(basis, v)
                         rank += 1
                 else:
-                    t = succ[s << n | v]
-                    s = step(s, v) if t == _UNSEEN else t
+                    s = succ[s << n | v]
                     rank = dims[s]
+            if i == end:
+                halves, i, end = words._next_halves()
             if lattice is None:
                 basis.sort(key=lowest_set_bit)
                 rows = tuple(basis)
+                members.setdefault((rows, _reduce(rows, halves[i] >> shift)))
             else:
-                rows = rows_of[s]
-            if i == end:
-                halves, i, end = words._next_halves()
-            members.setdefault((rows, _reduce(rows, halves[i] >> shift)))
+                members.setdefault((rows_of[s], red[s << n | halves[i] >> shift]))
             i += 1
             if len(members) >= count:
                 break

@@ -26,7 +26,7 @@ from oracles import (
     per_row_random_program,
 )
 from paritylab import generators
-from paritylab.gf2 import AffineSubspace, _rref_ints, intersect_hyperplane
+from paritylab.gf2 import AffineSubspace, _reduce, _rref_ints, intersect_hyperplane
 
 # (n, r / n, seed): r up to n at every n <= 6 (the span lattice), up to
 # 2n (check_r's ceiling) where n <= 2, and r = n / 2 at n = 7 and 8 (the
@@ -499,50 +499,39 @@ class TestWalkMembers:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _walk_lattice(n):
-    """A fresh lattice of F_2^n, stepped from each span it reaches by the
-    vectors above the span's highest pivot: that reaches every subspace,
-    since each one is the span of its rows but the last, stepped by the
-    last."""
-    lattice = generators._Lattice(n)
-    s = 0
-    while s < len(lattice.rows):
-        rows = lattice.rows[s]
-        low = 2 * (rows[-1] & -rows[-1]) if rows else 1
-        for v in range(low, 1 << n, low):
-            assert lattice.dims[lattice.step(s, v)] == lattice.dims[s] + 1
-        s += 1
-    return lattice
-
-
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_lattice_steps_are_spans(n):
-    """Every step from every subspace of F_2^n, after the walk: a miss
-    fills v's whole coset, so most of these are hits; and each span's
-    VectorSubspace, built once."""
-    lattice = _walk_lattice(n)
+    """Every entry of both tables of F_2^n's lattice: succ is the span of
+    a span's rows and v, red is v reduced by those rows.  Span 0 is {0},
+    the spans are distinct and numbered by dimension, and each one's
+    VectorSubspace is built once."""
+    lattice = generators._Lattice(n)
+    assert lattice.rows[0] == () and len(set(lattice.rows)) == len(lattice.rows)
+    assert list(lattice.dims) == sorted(map(len, lattice.rows))
+    assert len(lattice.succ) == len(lattice.red) == len(lattice.rows) << n
     for s, rows in enumerate(lattice.rows):
         assert lattice.space(rows).rows == rows and lattice.space(rows) is lattice.space(rows)
-        for v in range(1, 1 << n):
-            t = lattice.step(s, v)
-            assert lattice.rows[t] == tuple(_rref_ints(rows + (v,))), (s, v)
+        for v in range(1 << n):
+            assert lattice.rows[lattice.succ[s << n | v]] == tuple(_rref_ints(rows + (v,))), (s, v)
+            assert lattice.red[s << n | v] == _reduce(rows, v), (s, v)
 
 
 def test_lattice_of_f2_6_stays_small():
     """All 2,825 subspaces of F_2^6 leave a successor table of 2,825 x 64
-    two-byte entries; the walk that reaches them takes well under 0.5 s,
-    and allocates under 1 MiB."""
+    two-byte entries and a reduction table of as many one-byte entries;
+    the build takes well under 0.5 s, and allocates under 1 MiB."""
     began = time.perf_counter()
-    lattice = _walk_lattice(6)
+    lattice = generators._Lattice(6)
     elapsed = time.perf_counter() - began
     # the Gaussian binomials [6 choose k]_2
     assert Counter(lattice.dims) == {0: 1, 1: 63, 2: 651, 3: 1395, 4: 651, 5: 63, 6: 1}
-    assert len(lattice.ids) == len(lattice.rows) == len(lattice.spaces) == 2825
+    assert len(lattice.rows) == 2825
     assert lattice.succ.itemsize == 2 and len(lattice.succ) == 2825 * 64
+    assert lattice.red.itemsize == 1 and len(lattice.red) == 2825 * 64
     assert elapsed < 0.5, elapsed
     tracemalloc.start()
     try:
-        _walk_lattice(6)
+        generators._Lattice(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
