@@ -215,10 +215,10 @@ class _Lattice:
         self.spaces: dict[tuple[int, ...], VectorSubspace] = {}  # rows -> space, on first use
         units = [1 << i for i in range(n)]
         grows = [0] * (1 << n)  # grows[w]: the id of span(s ∪ {w}), w reduced by s
-        ids: dict[tuple[int, ...], int] = {}  # rows -> id, of the spans found one dimension up
+        ids: dict[tuple[int, ...], int] = {}  # rows -> id, of the spans one dimension up
         for s, rows in enumerate(self.rows):  # appends to self.rows as it goes
-            if s and len(rows) > len(self.rows[s - 1]):  # the spans one up are all found
-                ids.clear()
+            if s and len(rows) > len(self.rows[s - 1]):
+                ids.clear()  # no step from here on reaches the spans found so far
             pivots = 0
             reduced = units[:]  # reduced[i]: e_i reduced by the rows of s
             for r in rows:
@@ -228,7 +228,8 @@ class _Lattice:
             free = ~pivots & (1 << n) - 1
             grows[0] = s
             # each reduced w != 0 (zero on the pivot columns) spans its own
-            # successor: w goes in at its pivot p, after the rows it clears
+            # successor: w goes in after the rows of lower pivot, and its
+            # pivot p is cleared from them
             w = free
             while w:
                 p = w & -w
